@@ -14,13 +14,12 @@ The split/merge decisions and the cut-maintenance walk live in
 sharded fleet); this class is the single-pyramid host: a local cell
 dict, one mutation epoch, and the engine's instrumented cloak.
 
-With ``vectorized=True`` (the default) the maintained cut stays a dict —
-it is sparse by design — but every per-user scan (the split gate and
-exact check, the merge blocker, ``users_in_rect``) runs as a numpy
-reduction over a slot-indexed gate table
-(:class:`repro.anonymizer.soa.UserTable`) mirroring the user records.
-``vectorized=False`` is the original per-object scalar path, kept as the
-reference oracle for the differential-equivalence suite.
+The maintained cut stays a dict — it is sparse by design, so it has no
+height cap — but every per-user scan (the split gate and exact check,
+the merge blocker, ``users_in_rect``) runs as a numpy reduction over a
+slot-indexed gate table (:class:`repro.anonymizer.soa.UserTable`)
+mirroring the user records.  The per-user scalar decisions it replaced
+live on in the test oracle ``tests/reference_pyramid.py``.
 """
 
 from __future__ import annotations
@@ -32,18 +31,13 @@ from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellId
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.engine import PyramidEngine
-from repro.anonymizer.policies.adaptive import (
-    CutCell,
-    CutMaintainer,
-    choose_split,
-    merge_is_blocked,
-)
+from repro.anonymizer.policies.adaptive import CutCell, CutMaintainer
 from repro.anonymizer.profile import PrivacyProfile
-from repro.anonymizer.soa import UserTable, default_vectorized
+from repro.anonymizer.soa import UserTable
 from repro.errors import DuplicateUserError, UnknownUserError
 from repro.geometry import Point, Rect
 
-__all__ = ["AdaptiveAnonymizer", "choose_split", "merge_is_blocked"]
+__all__ = ["AdaptiveAnonymizer"]
 
 # Historical spelling: the maintained-cell dataclass grew up here before
 # moving to the shared policy module; the sharded host imports it under
@@ -67,13 +61,7 @@ class _AdaptiveSnapshot:
 
 
 class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
-    """Incomplete-pyramid location anonymizer.
-
-    ``vectorized`` selects the numpy gate-table backend for the per-user
-    scans (default) or the scalar reference path; the maintained cut and
-    the user records are identical dicts either way, so the two modes
-    produce byte-identical cuts, cloaks and snapshots.
-    """
+    """Incomplete-pyramid location anonymizer."""
 
     label = "adaptive"
 
@@ -82,7 +70,6 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
         bounds: Rect,
         height: int = 9,
         cloak_cache_size: int = 8192,
-        vectorized: bool | None = None,
     ) -> None:
         self._init_engine(bounds, height)
         self._cells: dict[CellId, CutCell] = {CellId(0, 0, 0): CutCell()}
@@ -93,14 +80,11 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
         self._gens: dict[CellId, int] = {}
         self._epoch = 0
         self.cloak_cache = CloakCache(cloak_cache_size)
-        if vectorized is None:
-            vectorized = default_vectorized()
-        self.vectorized = vectorized
         # Gate table: parallel (x, y, k, A_min) arrays mirroring the
-        # user records, powering the vectorized split/merge/rect scans.
-        # The cell column is unused here — the incomplete pyramid tracks
+        # user records, scanned by the split/merge/rect reductions.  The
+        # cell column is unused here — the incomplete pyramid tracks
         # leaves in the records themselves.
-        self._table: UserTable | None = UserTable() if vectorized else None
+        self._table = UserTable()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -134,9 +118,7 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
 
     def users_in_rect(self, rect: Rect) -> int:
         """Exact population of an arbitrary rectangle (verification aid)."""
-        if self._table is not None:
-            return self._table.count_in_rect(rect)
-        return sum(1 for rec in self._users.values() if rect.contains_point(rec.point))
+        return self._table.count_in_rect(rect)
 
     def _record(self, uid: object) -> _UserRecord:
         try:
@@ -168,12 +150,6 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
     def _commit(self, touched: Sequence[CellId]) -> None:
         self._epoch += 1
 
-    def _point_of(self, uid: object) -> Point:
-        return self._users[uid].point
-
-    def _profile_of(self, uid: object) -> PrivacyProfile:
-        return self._users[uid].profile
-
     def _set_leaf(self, uid: object, leaf: CellId) -> None:
         self._users[uid].leaf = leaf
 
@@ -185,8 +161,7 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
             raise DuplicateUserError(uid)
         leaf = self.leaf_for_point(point)
         self._users[uid] = _UserRecord(profile, point, leaf)
-        if self._table is not None:
-            self._table.add(uid, point.x, point.y, profile.k, profile.a_min, 0)
+        self._table.add(uid, point.x, point.y, profile.k, profile.a_min, 0)
         self._add_to_leaf(uid, leaf)
         self.stats.registrations += 1
         self._maybe_split(leaf)
@@ -195,8 +170,7 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
         record = self._record(uid)
         self._remove_from_leaf(uid, record.leaf)
         del self._users[uid]
-        if self._table is not None:
-            self._table.remove(uid)
+        self._table.remove(uid)
         self.stats.deregistrations += 1
         self._maybe_merge(record.leaf)
 
@@ -204,11 +178,10 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
         """Change a user's profile; may reshape the pyramid around them."""
         record = self._record(uid)
         record.profile = profile
-        if self._table is not None:
-            slot = self._table.slot_of(uid)
-            assert slot is not None
-            self._table.ks[slot] = profile.k
-            self._table.a_mins[slot] = profile.a_min
+        slot = self._table.slot_of(uid)
+        assert slot is not None
+        self._table.ks[slot] = profile.k
+        self._table.a_mins[slot] = profile.a_min
         self._maybe_split(record.leaf)
         self._maybe_merge(record.leaf)
 
@@ -216,11 +189,10 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
         """Process a location update; returns its counter-update cost."""
         record = self._record(uid)
         record.point = point
-        if self._table is not None:
-            slot = self._table.slot_of(uid)
-            assert slot is not None
-            self._table.xs[slot] = point.x
-            self._table.ys[slot] = point.y
+        slot = self._table.slot_of(uid)
+        assert slot is not None
+        self._table.xs[slot] = point.x
+        self._table.ys[slot] = point.y
         self.stats.location_updates += 1
         new_leaf = self.leaf_for_point(point)
         if new_leaf == record.leaf:
@@ -240,8 +212,7 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
         The incomplete pyramid reshapes (split/merge) after *every*
         move, so updates do not commute and the batch is applied in
         arrival order — this method exists so batch seams address both
-        anonymizer kinds uniformly.  The vectorized gains come from the
-        gate-table scans inside each split/merge decision.
+        anonymizer kinds uniformly.
         """
         return [self.update(uid, point) for uid, point in moves]
 
@@ -300,13 +271,12 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
             uid: _UserRecord(rec.profile, rec.point, rec.leaf)
             for uid, rec in state.users.items()
         }
-        if self._table is not None:
-            self._table.clear()
-            for uid, rec in self._users.items():
-                self._table.add(
-                    uid, rec.point.x, rec.point.y,
-                    rec.profile.k, rec.profile.a_min, 0,
-                )
+        self._table.clear()
+        for uid, rec in self._users.items():
+            self._table.add(
+                uid, rec.point.x, rec.point.y,
+                rec.profile.k, rec.profile.a_min, 0,
+            )
         self._epoch += 1
         self.cloak_cache.clear()
 
@@ -344,19 +314,18 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
                 assert not self._cells[cell.parent()].is_leaf, "parent is leaf"
         assert leaf_population == len(self._users), "population drift"
         assert self._cells[root].count == len(self._users)
-        if self._table is not None:
-            # The gate table is a derived mirror of the records — any
-            # drift would silently skew split/merge decisions.
-            assert len(self._table) == len(self._users), "gate table size drift"
-            for uid, rec in self._users.items():
-                slot = self._table.slot_of(uid)
-                assert slot is not None, f"gate table missing {uid!r}"
-                # Exact equality on purpose: the table is a bit-copy of
-                # the record floats; any representational difference IS
-                # the drift this assert exists to catch.
-                assert (
-                    float(self._table.xs[slot]) == rec.point.x  # casperlint: ignore[CSP004] bit-copy audit
-                    and float(self._table.ys[slot]) == rec.point.y  # casperlint: ignore[CSP004] bit-copy audit
-                    and int(self._table.ks[slot]) == rec.profile.k
-                    and float(self._table.a_mins[slot]) == rec.profile.a_min  # casperlint: ignore[CSP004] bit-copy audit
-                ), f"gate table drift for {uid!r}"
+        # The gate table is a derived mirror of the records — any
+        # drift would silently skew split/merge decisions.
+        assert len(self._table) == len(self._users), "gate table size drift"
+        for uid, rec in self._users.items():
+            slot = self._table.slot_of(uid)
+            assert slot is not None, f"gate table missing {uid!r}"
+            # Exact equality on purpose: the table is a bit-copy of
+            # the record floats; any representational difference IS
+            # the drift this assert exists to catch.
+            assert (
+                float(self._table.xs[slot]) == rec.point.x  # casperlint: ignore[CSP004] bit-copy audit
+                and float(self._table.ys[slot]) == rec.point.y  # casperlint: ignore[CSP004] bit-copy audit
+                and int(self._table.ks[slot]) == rec.profile.k
+                and float(self._table.a_mins[slot]) == rec.profile.a_min  # casperlint: ignore[CSP004] bit-copy audit
+            ), f"gate table drift for {uid!r}"

@@ -6,46 +6,29 @@ continuous location updates.  A hash table maps each registered user to
 ``(profile, lowest-level cell)``.  Cloaking runs Algorithm 1 starting
 from the user's lowest-level cell.
 
-The scalar maintenance walk lives in
-:mod:`repro.anonymizer.policies.basic` (shared with the sharded fleet);
-this class is the single-pyramid host supplying the storage hooks and
-one mutation epoch.  Two interchangeable state backends implement the
-population contract:
-
-* ``vectorized=True`` (the default) keeps the pyramid as per-level flat
-  Morton-indexed numpy arrays and the user table as parallel arrays
-  (:mod:`repro.anonymizer.soa`), with a batched update kernel
-  (:meth:`BasicAnonymizer.update_batch`) for per-tick streams;
-* ``vectorized=False`` is the original per-object scalar
-  implementation, kept as the *reference oracle* — the differential
-  suite (``tests/test_vectorized_equivalence.py``) asserts the two are
-  bit-identical on every operation, snapshot and cache epoch.
+The pyramid is held as per-level flat Morton-indexed numpy arrays and
+the user table as parallel arrays (:mod:`repro.anonymizer.soa`), with a
+batched update kernel (:meth:`BasicAnonymizer.update_batch`) for
+per-tick streams.  The per-object scalar pyramid it replaced lives on as
+the test oracle ``tests/reference_pyramid.py``; the differential suite
+(``tests/test_reference_equivalence.py``) asserts the two are
+bit-identical on every operation, snapshot and cache epoch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellId
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.engine import PyramidEngine
-from repro.anonymizer.policies.basic import CompletePyramidMaintainer
 from repro.anonymizer.profile import PrivacyProfile
-from repro.anonymizer.soa import (
-    MAX_SOA_HEIGHT,
-    PyramidSoA,
-    UserTable,
-    cell_of_morton,
-    default_vectorized,
-    morton_encode,
-    morton_of_xy,
-)
+from repro.anonymizer.soa import PyramidSoA, UserTable
 from repro.errors import DuplicateUserError, UnknownUserError
 from repro.geometry import Point, Rect
+from repro.morton import cell_of_morton, morton_encode, morton_of_xy
 
 __all__ = ["BasicAnonymizer"]
 
@@ -61,18 +44,17 @@ class _UserRecord:
 class _BasicSnapshot:
     """Deep copy of a :class:`BasicAnonymizer`'s population state.
 
-    The format is backend-independent — counts as per-level
+    The format is representation-independent — counts as per-level
     ``(side, side)`` arrays indexed ``[ix, iy]`` plus a user-record
-    dict — so a snapshot taken from either backend restores into
-    either (scalar <-> vectorized round trips are part of the
-    equivalence contract).
+    dict — so the reference pyramid and this class restore each
+    other's snapshots (part of the equivalence contract).
     """
 
     counts: list[np.ndarray]
     users: dict[object, _UserRecord]
 
 
-class BasicAnonymizer(CompletePyramidMaintainer, PyramidEngine):
+class BasicAnonymizer(PyramidEngine):
     """Complete-pyramid location anonymizer.
 
     Parameters
@@ -81,11 +63,9 @@ class BasicAnonymizer(CompletePyramidMaintainer, PyramidEngine):
         The service area.
     height:
         Pyramid height ``H``; the lowest level has ``4**H`` cells.
-    vectorized:
-        Select the numpy structure-of-arrays backend (default) or the
-        scalar reference implementation.  ``None`` resolves through the
-        ``REPRO_VECTORIZED`` environment switch, falling back to scalar
-        for pyramids too deep for complete per-level arrays.
+        Capped at :data:`~repro.anonymizer.soa.MAX_SOA_HEIGHT` (the
+        level arrays are complete); deeper pyramids raise
+        ``ValueError`` — use the adaptive policy there.
     """
 
     label = "basic"
@@ -95,31 +75,13 @@ class BasicAnonymizer(CompletePyramidMaintainer, PyramidEngine):
         bounds: Rect,
         height: int = 9,
         cloak_cache_size: int = 8192,
-        vectorized: bool | None = None,
     ) -> None:
         self._init_engine(bounds, height)
-        if vectorized is None:
-            vectorized = default_vectorized() and height <= MAX_SOA_HEIGHT
-        self.vectorized = vectorized
-        if vectorized:
-            # Flat Morton-indexed per-level arrays + slot-indexed user
-            # table; see repro.anonymizer.soa for the layout.
-            self._soa = PyramidSoA(height)
-            self._table = UserTable()
-        else:
-            # counts[level] is a (side, side) int array, indexed
-            # [ix, iy]; gens[level] mirrors it with per-cell generation
-            # counters for cloak-cache invalidation (bumped whenever
-            # the count changes).
-            self._counts: list[np.ndarray] = [
-                np.zeros((1 << level, 1 << level), dtype=np.int64)
-                for level in range(height + 1)
-            ]
-            self._gens: list[np.ndarray] = [
-                np.zeros((1 << level, 1 << level), dtype=np.int64)
-                for level in range(height + 1)
-            ]
-            self._users: dict[object, _UserRecord] = {}
+        # Flat Morton-indexed per-level count/generation arrays (the
+        # constructor enforces the height cap) + slot-indexed user
+        # table; see repro.anonymizer.soa for the layout.
+        self._soa = PyramidSoA(height)
+        self._table = UserTable()
         self._epoch = 0
         self.cloak_cache = CloakCache(cloak_cache_size)
 
@@ -128,61 +90,29 @@ class BasicAnonymizer(CompletePyramidMaintainer, PyramidEngine):
     # ------------------------------------------------------------------
     @property
     def num_users(self) -> int:
-        if self.vectorized:
-            return len(self._table)
-        return len(self._users)
+        return len(self._table)
 
     def __contains__(self, uid: object) -> bool:
-        if self.vectorized:
-            return uid in self._table
-        return uid in self._users
+        return uid in self._table
 
     def profile_of(self, uid: object) -> PrivacyProfile:
         """The registered privacy profile of ``uid``."""
-        if self.vectorized:
-            slot = self._slot(uid)
-            return PrivacyProfile(
-                int(self._table.ks[slot]), float(self._table.a_mins[slot])
-            )
-        return self._record(uid).profile
+        return self._profile_at(self._slot(uid))
 
     def location_of(self, uid: object) -> Point:
         """The exact location of ``uid`` — known only to this trusted
         third party, never shipped to the database server."""
-        if self.vectorized:
-            slot = self._slot(uid)
-            return Point(float(self._table.xs[slot]), float(self._table.ys[slot]))
-        return self._record(uid).point
+        slot = self._slot(uid)
+        return Point(float(self._table.xs[slot]), float(self._table.ys[slot]))
 
     def cell_count(self, cell: CellId) -> int:
         """The number of users currently inside ``cell``."""
-        if self.vectorized:
-            return self._soa.count_of(cell.level, morton_of_xy(cell.ix, cell.iy))
-        return int(self._counts[cell.level][cell.ix, cell.iy])
+        return self._soa.count_of(cell.level, morton_of_xy(cell.ix, cell.iy))
 
     def users_in_rect(self, rect: Rect) -> int:
-        """Exact population of an arbitrary rectangle (vectorized mask
-        reduction over the user table; the scalar oracle scans
-        records)."""
-        if self.vectorized:
-            return self._table.count_in_rect(rect)
-        return sum(1 for rec in self._users.values() if rect.contains_point(rec.point))
-
-    def _record(self, uid: object) -> _UserRecord:
-        if self.vectorized:
-            # Synthesized on demand from the table row — a value copy,
-            # not live state (mutations would be lost).
-            slot = self._slot(uid)
-            table = self._table
-            return _UserRecord(
-                PrivacyProfile(int(table.ks[slot]), float(table.a_mins[slot])),
-                Point(float(table.xs[slot]), float(table.ys[slot])),
-                cell_of_morton(self.height, int(table.cells[slot])),
-            )
-        try:
-            return self._users[uid]
-        except KeyError:
-            raise UnknownUserError(uid) from None
+        """Exact population of an arbitrary rectangle (one mask
+        reduction over the user table)."""
+        return self._table.count_in_rect(rect)
 
     def _slot(self, uid: object) -> int:
         slot = self._table.slot_of(uid)
@@ -190,89 +120,70 @@ class BasicAnonymizer(CompletePyramidMaintainer, PyramidEngine):
             raise UnknownUserError(uid)
         return slot
 
-    # ------------------------------------------------------------------
-    # CompletePyramidMaintainer host hooks (scalar backend)
-    # ------------------------------------------------------------------
-    def _apply_cell(self, cell: CellId, delta: int) -> None:
-        self._counts[cell.level][cell.ix, cell.iy] += delta
-        self._gens[cell.level][cell.ix, cell.iy] += 1
+    def _profile_at(self, slot: int) -> PrivacyProfile:
+        return PrivacyProfile(
+            int(self._table.ks[slot]), float(self._table.a_mins[slot])
+        )
 
-    def _commit(self, touched: Sequence[CellId]) -> None:
-        self._epoch += 1
+    def _record_at(self, slot: int) -> _UserRecord:
+        """The table row as a record — a value copy, not live state."""
+        table = self._table
+        return _UserRecord(
+            self._profile_at(slot),
+            Point(float(table.xs[slot]), float(table.ys[slot])),
+            cell_of_morton(self.height, int(table.cells[slot])),
+        )
+
+    def _record(self, uid: object) -> _UserRecord:
+        return self._record_at(self._slot(uid))
 
     # ------------------------------------------------------------------
     # Registration and location updates
     # ------------------------------------------------------------------
     def register(self, uid: object, point: Point, profile: PrivacyProfile) -> None:
         """Register a new user at ``point`` with the given profile."""
-        if self.vectorized:
-            if uid in self._table:
-                raise DuplicateUserError(uid)
-            cell = self.grid.cell_of(point)
-            m = morton_of_xy(cell.ix, cell.iy)
-            self._table.add(uid, point.x, point.y, profile.k, profile.a_min, m)
-            self._soa.apply_chain(m, +1)
-            self._epoch += 1
-            self.stats.counter_updates += self.height + 1
-        else:
-            if uid in self._users:
-                raise DuplicateUserError(uid)
-            cell = self.grid.cell_of(point)
-            self._users[uid] = _UserRecord(profile, point, cell)
-            self._apply_delta(cell, +1)
+        if uid in self._table:
+            raise DuplicateUserError(uid)
+        cell = self.grid.cell_of(point)
+        m = morton_of_xy(cell.ix, cell.iy)
+        self._table.add(uid, point.x, point.y, profile.k, profile.a_min, m)
+        self._soa.apply_chain(m, +1)
+        self._epoch += 1
+        self.stats.counter_updates += self.height + 1
         self.stats.registrations += 1
 
     def deregister(self, uid: object) -> None:
         """Remove a user entirely (quitting the service)."""
-        if self.vectorized:
-            slot = self._slot(uid)
-            m = int(self._table.cells[slot])
-            self._table.remove(uid)
-            self._soa.apply_chain(m, -1)
-            self._epoch += 1
-            self.stats.counter_updates += self.height + 1
-        else:
-            record = self._record(uid)
-            self._apply_delta(record.cell, -1)
-            del self._users[uid]
+        slot = self._slot(uid)
+        m = int(self._table.cells[slot])
+        self._table.remove(uid)
+        self._soa.apply_chain(m, -1)
+        self._epoch += 1
+        self.stats.counter_updates += self.height + 1
         self.stats.deregistrations += 1
 
     def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
         """Change a user's privacy profile (the flexibility requirement)."""
-        if self.vectorized:
-            slot = self._slot(uid)
-            self._table.ks[slot] = profile.k
-            self._table.a_mins[slot] = profile.a_min
-        else:
-            self._record(uid).profile = profile
+        slot = self._slot(uid)
+        self._table.ks[slot] = profile.k
+        self._table.a_mins[slot] = profile.a_min
 
     def update(self, uid: object, point: Point) -> int:
         """Process a location update; returns the number of counter
         updates it required (the Figure 10b cost unit)."""
-        if self.vectorized:
-            slot = self._slot(uid)
-            new_cell = self.grid.cell_of(point)
-            table = self._table
-            table.xs[slot] = point.x
-            table.ys[slot] = point.y
-            self.stats.location_updates += 1
-            new_m = morton_of_xy(new_cell.ix, new_cell.iy)
-            old_m = int(table.cells[slot])
-            if new_m == old_m:
-                return 0
-            cost = self._soa.move_chain(old_m, new_m)
-            table.cells[slot] = new_m
-            self._epoch += 1
-        else:
-            record = self._record(uid)
-            new_cell = self.grid.cell_of(point)
-            record.point = point
-            self.stats.location_updates += 1
-            if new_cell == record.cell:
-                return 0
-            ancestor_level = self.grid.common_ancestor_level(record.cell, new_cell)
-            cost = self._apply_branches(record.cell, new_cell, ancestor_level)
-            record.cell = new_cell
+        slot = self._slot(uid)
+        new_cell = self.grid.cell_of(point)
+        table = self._table
+        table.xs[slot] = point.x
+        table.ys[slot] = point.y
+        self.stats.location_updates += 1
+        new_m = morton_of_xy(new_cell.ix, new_cell.iy)
+        old_m = int(table.cells[slot])
+        if new_m == old_m:
+            return 0
+        cost = self._soa.move_chain(old_m, new_m)
+        table.cells[slot] = new_m
+        self._epoch += 1
         self.stats.counter_updates += cost
         self.stats.cell_changes += 1
         return cost
@@ -283,16 +194,15 @@ class BasicAnonymizer(CompletePyramidMaintainer, PyramidEngine):
         Distinct users' updates commute — counter deltas, generation
         bumps and epoch advances are all additive and no cloak
         interleaves — so the end state and the returned per-move costs
-        are identical to the sequential :meth:`update` loop (the scalar
-        oracle's implementation).  A batch naming the same user twice is
-        order-sensitive and falls back to arrival order, as does a batch
-        on the scalar backend.
+        are identical to the sequential :meth:`update` loop (the
+        reference pyramid's implementation).  A batch naming the same
+        user twice is order-sensitive and falls back to arrival order.
 
         Error semantics also match the sequential loop: on the first
         unknown uid or out-of-bounds point, every earlier move has been
         applied and the same exception is raised.
         """
-        if not self.vectorized or len(moves) < 2:
+        if len(moves) < 2:
             return [self.update(uid, point) for uid, point in moves]
         uids = [uid for uid, _ in moves]
         if len(set(uids)) != len(moves):
@@ -316,12 +226,12 @@ class BasicAnonymizer(CompletePyramidMaintainer, PyramidEngine):
                 break
         costs = self._apply_move_arrays(slot_list[:stop], xs[:stop], ys[:stop])
         if stop < n:
-            # Replay the failing move through the scalar path so the
+            # Replay the failing move through the single-move path so the
             # exception (unknown uid before out-of-bounds, matching the
             # sequential loop) is raised with applied-prefix state.
             uid, point = moves[stop]
             self.update(uid, point)
-            raise AssertionError("unreachable: scalar replay must raise")
+            raise AssertionError("unreachable: single-move replay must raise")
         return costs
 
     def _apply_move_arrays(
@@ -332,14 +242,7 @@ class BasicAnonymizer(CompletePyramidMaintainer, PyramidEngine):
             return []
         table = self._table
         slots = np.asarray(slot_list, dtype=np.int64)
-        side = 1 << self.height
-        fx = (xs - self.bounds.x_min) / self.bounds.width
-        fy = (ys - self.bounds.y_min) / self.bounds.height
-        # Same truncation-then-clamp as CellGrid.cell_of: astype
-        # truncates toward zero exactly like int().
-        ix = np.clip((fx * side).astype(np.int64), 0, side - 1)
-        iy = np.clip((fy * side).astype(np.int64), 0, side - 1)
-        new_ms = morton_encode(ix, iy)
+        new_ms = self._leaf_mortons(xs, ys)
         old_ms = table.cells[slots]
         table.xs[slots] = xs
         table.ys[slots] = ys
@@ -352,25 +255,28 @@ class BasicAnonymizer(CompletePyramidMaintainer, PyramidEngine):
         self.stats.cell_changes += changed
         return [int(cost) for cost in costs]
 
+    def _leaf_mortons(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Lowest-level Morton cells of many in-bounds points: the same
+        truncation-then-clamp as ``CellGrid.cell_of`` (``astype``
+        truncates toward zero exactly like ``int()``)."""
+        side = 1 << self.height
+        fx = (xs - self.bounds.x_min) / self.bounds.width
+        fy = (ys - self.bounds.y_min) / self.bounds.height
+        ix = np.clip((fx * side).astype(np.int64), 0, side - 1)
+        iy = np.clip((fy * side).astype(np.int64), 0, side - 1)
+        return morton_encode(ix, iy)
+
     def _gen_of(self, cell: CellId) -> int:
-        if self.vectorized:
-            return self._soa.gen_of(cell.level, morton_of_xy(cell.ix, cell.iy))
-        return int(self._gens[cell.level][cell.ix, cell.iy])
+        return self._soa.gen_of(cell.level, morton_of_xy(cell.ix, cell.iy))
 
     # ------------------------------------------------------------------
     # Cloaking
     # ------------------------------------------------------------------
     def cloak(self, uid: object) -> CloakedRegion:
         """Blur ``uid``'s current location per their privacy profile."""
-        if self.vectorized:
-            slot = self._slot(uid)
-            profile = PrivacyProfile(
-                int(self._table.ks[slot]), float(self._table.a_mins[slot])
-            )
-            cell = cell_of_morton(self.height, int(self._table.cells[slot]))
-            return self._cloak_cell(profile, cell)
-        record = self._record(uid)
-        return self._cloak_cell(record.profile, record.cell)
+        slot = self._slot(uid)
+        cell = cell_of_morton(self.height, int(self._table.cells[slot]))
+        return self._cloak_cell(self._profile_at(slot), cell)
 
     def cloak_location(self, point: Point, profile: PrivacyProfile) -> CloakedRegion:
         """Blur an arbitrary location under ``profile`` without
@@ -391,23 +297,12 @@ class BasicAnonymizer(CompletePyramidMaintainer, PyramidEngine):
         state (counters + user table) for crash recovery.  Generation
         counters and statistics are deliberately excluded: they are
         monotone observability state, not population state.  The format
-        is backend-independent (canonical grid arrays + record dict),
-        so scalar and vectorized instances exchange snapshots freely."""
-        if self.vectorized:
-            table = self._table
-            users: dict[object, _UserRecord] = {}
-            for uid, slot in table.items():
-                users[uid] = _UserRecord(
-                    PrivacyProfile(int(table.ks[slot]), float(table.a_mins[slot])),
-                    Point(float(table.xs[slot]), float(table.ys[slot])),
-                    cell_of_morton(self.height, int(table.cells[slot])),
-                )
-            return _BasicSnapshot(counts=self._soa.counts_grid(), users=users)
+        is the canonical grid arrays + record dict of
+        :class:`_BasicSnapshot`."""
         return _BasicSnapshot(
-            counts=[arr.copy() for arr in self._counts],
+            counts=self._soa.counts_grid(),
             users={
-                uid: _UserRecord(rec.profile, rec.point, rec.cell)
-                for uid, rec in self._users.items()
+                uid: self._record_at(slot) for uid, slot in self._table.items()
             },
         )
 
@@ -422,22 +317,15 @@ class BasicAnonymizer(CompletePyramidMaintainer, PyramidEngine):
         """
         if not isinstance(state, _BasicSnapshot):
             raise TypeError("not a BasicAnonymizer snapshot")
-        if self.vectorized:
-            self._soa.load_counts_grid(state.counts)
-            table = self._table
-            table.clear()
-            for uid, rec in state.users.items():
-                table.add(
-                    uid, rec.point.x, rec.point.y,
-                    rec.profile.k, rec.profile.a_min,
-                    morton_of_xy(rec.cell.ix, rec.cell.iy),
-                )
-        else:
-            self._counts = [arr.copy() for arr in state.counts]
-            self._users = {
-                uid: _UserRecord(rec.profile, rec.point, rec.cell)
-                for uid, rec in state.users.items()
-            }
+        self._soa.load_counts_grid(state.counts)
+        table = self._table
+        table.clear()
+        for uid, rec in state.users.items():
+            table.add(
+                uid, rec.point.x, rec.point.y,
+                rec.profile.k, rec.profile.a_min,
+                morton_of_xy(rec.cell.ix, rec.cell.iy),
+            )
         self._epoch += 1
         self.cloak_cache.clear()
 
@@ -446,36 +334,14 @@ class BasicAnonymizer(CompletePyramidMaintainer, PyramidEngine):
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Assert pyramid consistency; O(cells + users)."""
-        if self.vectorized:
-            # Morton order keeps the four children of any cell
-            # contiguous, so each level folds onto its parent level
-            # with one reshape.
-            self._soa.check_child_sums()
-            assert self._soa.count_of(0, 0) == len(self._table)
-            table = self._table
-            active = table.active
-            if bool(active.any()):
-                side = 1 << self.height
-                fx = (table.xs[active] - self.bounds.x_min) / self.bounds.width
-                fy = (table.ys[active] - self.bounds.y_min) / self.bounds.height
-                ix = np.clip((fx * side).astype(np.int64), 0, side - 1)
-                iy = np.clip((fy * side).astype(np.int64), 0, side - 1)
-                assert np.array_equal(
-                    morton_encode(ix, iy), table.cells[active]
-                ), "stale cell in the user table"
-            return
-        # Each non-leaf counter equals the sum of its children.
-        for level in range(self.height):
-            child = self._counts[level + 1]
-            summed = (
-                child[0::2, 0::2] + child[1::2, 0::2]
-                + child[0::2, 1::2] + child[1::2, 1::2]
-            )
-            assert np.array_equal(self._counts[level], summed), (
-                f"level {level} counters inconsistent with level {level + 1}"
-            )
-        # Root counter equals the registered population.
-        assert int(self._counts[0][0, 0]) == len(self._users)
-        # Every hash-table cell contains the user's point.
-        for uid, rec in self._users.items():
-            assert rec.cell == self.grid.cell_of(rec.point), f"stale cell for {uid!r}"
+        # Each non-leaf counter equals the sum of its children, the root
+        # the registered population, and every table cell contains its
+        # user's point.
+        self._soa.check_child_sums()
+        assert self._soa.count_of(0, 0) == len(self._table)
+        table = self._table
+        active = table.active
+        assert np.array_equal(
+            self._leaf_mortons(table.xs[active], table.ys[active]),
+            table.cells[active],
+        ), "stale cell in the user table"

@@ -19,12 +19,7 @@ under this package mutates another object's underscore attributes
 directly.
 """
 
-from repro.anonymizer.policies.adaptive import (
-    CutCell,
-    CutMaintainer,
-    choose_split,
-    merge_is_blocked,
-)
+from repro.anonymizer.policies.adaptive import CutCell, CutMaintainer
 from repro.anonymizer.policies.basic import CompletePyramidMaintainer
 from repro.anonymizer.policies.clique import CliquePolicy
 from repro.anonymizer.policies.interval import IntervalPolicy
@@ -37,6 +32,4 @@ __all__ = [
     "CutMaintainer",
     "IntervalPolicy",
     "TemporalPolicy",
-    "choose_split",
-    "merge_is_blocked",
 ]

@@ -1,9 +1,10 @@
 """The adaptive (incomplete-pyramid) cloaking policy — Section 4.2.
 
 This module is the single definition site of the adaptive pyramid's
-*algorithm*: the split/merge decision functions and
-:class:`CutMaintainer`, the maintenance mixin that keeps a quadtree cut
-consistent under registration, deregistration and movement.
+*algorithm*: :class:`CutMaintainer`, the maintenance mixin that keeps a
+quadtree cut consistent under registration, deregistration and
+movement, deciding splits and merges with the gate-table reductions of
+:mod:`repro.anonymizer.soa`.
 ``repro.anonymizer.adaptive`` (single pyramid) and
 ``repro.sharding.adaptive`` (partitioned fleet) are thin hosts: they
 supply storage and epoch semantics through the small hook surface
@@ -20,80 +21,30 @@ Hook surface a host implements:
   (single pyramid: one mutation-epoch tick; sharded fleet: per-owning-
   shard core epochs plus the boundary epoch, derived from the touched
   cells' levels);
-* ``_point_of`` / ``_profile_of`` / ``_set_leaf`` — user-record access.
+* ``_set_leaf`` — user-record access;
+* ``_table`` — the gate table (parallel ``(x, y, k, A_min)`` arrays
+  mirroring the user records) the split/merge decisions scan.
+
+The two decisions are methods (:meth:`CutMaintainer._split_decision`,
+:meth:`CutMaintainer._merge_blocked`) so the reference pyramid in
+``tests/reference_pyramid.py`` can drive this same walk with the scalar
+per-user decision functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.policy import CloakingPolicy, PolicySpec, register_policy
-from repro.anonymizer.profile import PrivacyProfile
 from repro.anonymizer.soa import UserTable, choose_split_vec, merge_blocked_vec
 from repro.anonymizer.stats import MaintenanceStats
 from repro.geometry import Point, Rect
 
-__all__ = ["CutCell", "CutMaintainer", "choose_split", "merge_is_blocked"]
+__all__ = ["CutCell", "CutMaintainer"]
 
 _ROOT = CellId(0, 0, 0)
-
-
-def choose_split(
-    grid: CellGrid,
-    leaf: CellId,
-    count: int,
-    users: set[object],
-    point_of: Callable[[object], Point],
-    profile_of: Callable[[object], PrivacyProfile],
-) -> tuple[dict[CellId, set[object]], CellId] | None:
-    """Section 4.2's split criterion as a pure decision function.
-
-    Returns ``(child_users, satisfiable_child)`` when ``leaf`` must
-    split — the user distribution over the four children plus the first
-    child (in :meth:`CellId.children` order) containing a user whose
-    profile that child satisfies — or ``None`` when the leaf stays.
-
-    The result depends only on the *membership* of ``users``, never on
-    its iteration order (the chosen child is the first in a fixed scan
-    order with *any* satisfied user), so single-shard and sharded
-    maintenance reach byte-identical cuts.
-    """
-    if not users:
-        return None
-    child_area = grid.cell_area(leaf.level + 1)
-    # Cheap gate via the most relaxed user: if even the minimum
-    # requirements in this cell rule out level i+1, skip the exact check.
-    min_a = min(profile_of(u).a_min for u in users)
-    min_k = min(profile_of(u).k for u in users)
-    if child_area < min_a - 1e-15 or count < min_k:
-        return None
-    # Exact check: distribute users over the four children and test each
-    # user against the child that would contain them.
-    child_users: dict[CellId, set[object]] = {c: set() for c in leaf.children()}
-    for uid in users:
-        child_users[grid.cell_of(point_of(uid), leaf.level + 1)].add(uid)
-    for child, members in child_users.items():
-        for uid in members:
-            if profile_of(uid).is_satisfied_by(len(members), child_area):
-                return child_users, child
-    return None
-
-
-def merge_is_blocked(
-    child_area: float,
-    child_stats: Sequence[tuple[int, Iterable[object]]],
-    profile_of: Callable[[object], PrivacyProfile],
-) -> bool:
-    """Section 4.2's merge blocker: a sibling-leaf group must stay split
-    while any user in any child has a profile that child satisfies.
-    """
-    for count, users in child_stats:
-        for uid in users:
-            if profile_of(uid).is_satisfied_by(count, child_area):
-                return True
-    return False
 
 
 @dataclass
@@ -116,9 +67,8 @@ class CutMaintainer:
     grid: CellGrid
     stats: MaintenanceStats
     # Gate table: parallel (x, y, k, A_min) arrays mirroring the user
-    # records, powering the vectorized split/merge scans; ``None``
-    # selects the scalar reference path.
-    _table: UserTable | None
+    # records, scanned by the split/merge decisions.
+    _table: UserTable
 
     # ------------------------------------------------------------------
     # Host hooks
@@ -139,12 +89,6 @@ class CutMaintainer:
         raise NotImplementedError
 
     def _commit(self, touched: Sequence[CellId]) -> None:
-        raise NotImplementedError
-
-    def _point_of(self, uid: object) -> Point:
-        raise NotImplementedError
-
-    def _profile_of(self, uid: object) -> PrivacyProfile:
         raise NotImplementedError
 
     def _set_leaf(self, uid: object, leaf: CellId) -> None:
@@ -217,6 +161,22 @@ class CutMaintainer:
     # ------------------------------------------------------------------
     # Splitting and merging
     # ------------------------------------------------------------------
+    def _split_decision(
+        self, leaf: CellId, entry: CutCell
+    ) -> tuple[dict[CellId, set[object]], CellId] | None:
+        """Section 4.2's split criterion for one leaf: the user
+        distribution over its children plus the first satisfiable
+        child, or ``None`` when the leaf stays."""
+        return choose_split_vec(
+            self.grid, leaf, entry.count, entry.users, self._table
+        )
+
+    def _merge_blocked(
+        self, child_area: float, child_stats: list[tuple[int, set[object]]]
+    ) -> bool:
+        """Section 4.2's merge blocker for one sibling-leaf group."""
+        return merge_blocked_vec(self._table, child_area, child_stats)
+
     def _maybe_split(self, leaf: CellId) -> None:
         """Split ``leaf`` (recursively) while Section 4.2's criterion
         holds: some user inside could be satisfied one level deeper."""
@@ -224,15 +184,7 @@ class CutMaintainer:
             entry = self._entry(leaf)
             if entry is None or not entry.is_leaf or leaf.level >= self.grid.height:
                 return
-            if self._table is not None:
-                decision = choose_split_vec(
-                    self.grid, leaf, entry.count, entry.users, self._table
-                )
-            else:
-                decision = choose_split(
-                    self.grid, leaf, entry.count, entry.users,
-                    self._point_of, self._profile_of,
-                )
+            decision = self._split_decision(leaf, entry)
             if decision is None:
                 return
             child_users, satisfiable = decision
@@ -276,11 +228,7 @@ class CutMaintainer:
             child_stats = [
                 (entry.count, entry.users) for entry in entries if entry is not None
             ]
-            if self._table is not None:
-                blocked = merge_blocked_vec(self._table, child_area, child_stats)
-            else:
-                blocked = merge_is_blocked(child_area, child_stats, self._profile_of)
-            if blocked:
+            if self._merge_blocked(child_area, child_stats):
                 return
             merged_users: set[object] = set()
             for _, users in child_stats:
@@ -300,20 +248,14 @@ class CutMaintainer:
             leaf = parent
 
 
-def _single(
-    bounds: Rect, height: int, cloak_cache_size: int, vectorized: bool | None
-) -> CloakingPolicy:
+def _single(bounds: Rect, height: int, cloak_cache_size: int) -> CloakingPolicy:
     from repro.anonymizer.adaptive import AdaptiveAnonymizer
 
-    return AdaptiveAnonymizer(bounds, height, cloak_cache_size, vectorized)
+    return AdaptiveAnonymizer(bounds, height, cloak_cache_size)
 
 
 def _sharded(
-    bounds: Rect,
-    height: int,
-    num_shards: int,
-    cloak_cache_size: int,
-    vectorized: bool | None,
+    bounds: Rect, height: int, num_shards: int, cloak_cache_size: int
 ) -> object:
     from repro.sharding.adaptive import ShardedAdaptiveAnonymizer
 
@@ -322,7 +264,6 @@ def _sharded(
         height=height,
         num_shards=num_shards,
         cloak_cache_size=cloak_cache_size,
-        vectorized=vectorized,
     )
 
 

@@ -3,19 +3,20 @@
 :class:`CompletePyramidMaintainer` is the shared maintenance walk over
 a complete pyramid of per-cell counters: apply a population delta along
 one root-to-leaf path, or move a user between two lowest-level cells by
-adjusting both branches below their common ancestor.  The single
-anonymizer (``repro.anonymizer.basic``) and the sharded fleet
-(``repro.sharding.basic``) host it by supplying two hooks:
+adjusting both branches below their common ancestor.  The sharded
+fleet (``repro.sharding.basic``) hosts it for registrations and
+boundary-crossing moves, and the reference pyramid
+(``tests/reference_pyramid.py``) for everything, by supplying two hooks:
 
 * ``_apply_cell(cell, delta)`` — add ``delta`` to one cell's counter
-  and bump its generation (scalar per-level arrays, or the routed
-  spine/core stores of a fleet);
+  and bump its generation (the routed spine/core stores of a fleet, or
+  the oracle's per-level arrays);
 * ``_commit(touched)`` — epoch effects of the completed primitive.
 
-The vectorized single backend and the sharded fleet's confined-move
-fast path bypass the mixin on purpose: their batched kernels update
-whole chains without per-cell python dispatch, and the differential
-suites pin them against this scalar walk.
+The single anonymizer (``repro.anonymizer.basic``) and the fleet's
+confined-move fast path bypass the mixin on purpose: their array
+kernels update whole Morton chains without per-cell python dispatch,
+and the differential suites pin them against this per-cell walk.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Sequence
 
 from repro.anonymizer.cells import CellGrid, CellId, branch_pairs
 from repro.anonymizer.policy import CloakingPolicy, PolicySpec, register_policy
+from repro.anonymizer.soa import check_soa_height
 from repro.anonymizer.stats import MaintenanceStats
 from repro.geometry import Rect
 
@@ -72,20 +74,14 @@ class CompletePyramidMaintainer:
         return cost
 
 
-def _single(
-    bounds: Rect, height: int, cloak_cache_size: int, vectorized: bool | None
-) -> CloakingPolicy:
+def _single(bounds: Rect, height: int, cloak_cache_size: int) -> CloakingPolicy:
     from repro.anonymizer.basic import BasicAnonymizer
 
-    return BasicAnonymizer(bounds, height, cloak_cache_size, vectorized)
+    return BasicAnonymizer(bounds, height, cloak_cache_size)
 
 
 def _sharded(
-    bounds: Rect,
-    height: int,
-    num_shards: int,
-    cloak_cache_size: int,
-    vectorized: bool | None,
+    bounds: Rect, height: int, num_shards: int, cloak_cache_size: int
 ) -> object:
     from repro.sharding.basic import ShardedBasicAnonymizer
 
@@ -94,7 +90,6 @@ def _sharded(
         height=height,
         num_shards=num_shards,
         cloak_cache_size=cloak_cache_size,
-        vectorized=vectorized,
     )
 
 
@@ -104,6 +99,7 @@ register_policy(
         single=_single,
         sharded=_sharded,
         replication="partition",
+        check_height=check_soa_height,
         description="Complete pyramid of per-cell counters (Section 4.1)",
     )
 )

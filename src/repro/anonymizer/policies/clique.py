@@ -72,7 +72,6 @@ class CliquePolicy(PyramidEngine):
         bounds: Rect,
         height: int = 9,
         cloak_cache_size: int = 8192,
-        vectorized: bool | None = None,
     ) -> None:
         self._init_engine(bounds, height)
         self._users: dict[object, _Rec] = {}
@@ -184,10 +183,8 @@ class CliquePolicy(PyramidEngine):
             assert self.bounds.contains_point(rec.point), f"{uid!r} out of bounds"
 
 
-def _single(
-    bounds: Rect, height: int, cloak_cache_size: int, vectorized: bool | None
-) -> CloakingPolicy:
-    return CliquePolicy(bounds, height, cloak_cache_size, vectorized)
+def _single(bounds: Rect, height: int, cloak_cache_size: int) -> CloakingPolicy:
+    return CliquePolicy(bounds, height, cloak_cache_size)
 
 
 register_policy(

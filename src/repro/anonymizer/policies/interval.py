@@ -47,13 +47,11 @@ class IntervalPolicy(PyramidEngine):
         bounds: Rect,
         height: int = 9,
         cloak_cache_size: int = 8192,
-        vectorized: bool | None = None,
         min_side: float = 1e-6,
     ) -> None:
-        # The pyramid height bounds nothing here (no index is kept); the
-        # engine still provides the grid for bounds introspection, and
-        # the unused cache/vectorized knobs keep the factory signature
-        # uniform across policies.
+        # The pyramid height bounds nothing here (no index is kept) and
+        # nothing is cached; the engine still provides the grid for
+        # bounds introspection.
         self._init_engine(bounds, height)
         self.min_side = min_side
         self._users: dict[object, _Rec] = {}
@@ -182,10 +180,8 @@ class IntervalPolicy(PyramidEngine):
             assert self.bounds.contains_point(rec.point), f"{uid!r} out of bounds"
 
 
-def _single(
-    bounds: Rect, height: int, cloak_cache_size: int, vectorized: bool | None
-) -> CloakingPolicy:
-    return IntervalPolicy(bounds, height, cloak_cache_size, vectorized)
+def _single(bounds: Rect, height: int, cloak_cache_size: int) -> CloakingPolicy:
+    return IntervalPolicy(bounds, height, cloak_cache_size)
 
 
 register_policy(

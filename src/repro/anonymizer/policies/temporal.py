@@ -53,7 +53,6 @@ class TemporalPolicy(PyramidEngine):
         bounds: Rect,
         height: int = 9,
         cloak_cache_size: int = 8192,
-        vectorized: bool | None = None,
     ) -> None:
         self._init_engine(bounds, height)
         self._users: dict[object, _Rec] = {}
@@ -181,10 +180,8 @@ class TemporalPolicy(PyramidEngine):
                 )
 
 
-def _single(
-    bounds: Rect, height: int, cloak_cache_size: int, vectorized: bool | None
-) -> CloakingPolicy:
-    return TemporalPolicy(bounds, height, cloak_cache_size, vectorized)
+def _single(bounds: Rect, height: int, cloak_cache_size: int) -> CloakingPolicy:
+    return TemporalPolicy(bounds, height, cloak_cache_size)
 
 
 register_policy(

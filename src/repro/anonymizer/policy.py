@@ -23,7 +23,7 @@ harness — sharding, process parallelism, resilience, conformance tests
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -99,12 +99,12 @@ class CloakingPolicy(Protocol):
 
 
 # Factory signatures (positional): single builds one in-process
-# instance from (bounds, height, cloak_cache_size, vectorized); sharded
-# builds a native sharded fleet from (bounds, height, num_shards,
-# cloak_cache_size, vectorized).  The sharded return type is ``Any``
-# because fleets expose a superset surface the protocol doesn't name.
-SingleFactory = Callable[["Rect", int, int, "bool | None"], CloakingPolicy]
-ShardedFactory = Callable[["Rect", int, int, int, "bool | None"], Any]
+# instance from (bounds, height, cloak_cache_size); sharded builds a
+# native sharded fleet from (bounds, height, num_shards,
+# cloak_cache_size).  The sharded return type is ``Any`` because fleets
+# expose a superset surface the protocol doesn't name.
+SingleFactory = Callable[["Rect", int, int], CloakingPolicy]
+ShardedFactory = Callable[["Rect", int, int, int], Any]
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,11 @@ class PolicySpec:
     pyramid) or ``"broadcast"`` (every mutation reaches every worker,
     each holding the full structure — the adaptive pyramid, and any
     policy without a native sharded implementation).
+
+    ``check_height`` raises ``ValueError`` for pyramid heights the
+    policy cannot hold; the constructors run it themselves, and the
+    parallel runtime runs it in the parent so a bad height never
+    reaches a worker process.
     """
 
     name: str
@@ -124,16 +129,32 @@ class PolicySpec:
     sharded: ShardedFactory | None = None
     replication: Literal["partition", "broadcast"] = "broadcast"
     description: str = ""
+    check_height: Callable[[int], None] | None = None
 
 
 _REGISTRY: dict[str, PolicySpec] = {}
 _builtins_loaded = False
 
 
+def _dropping_retired_selector(factory: SingleFactory) -> SingleFactory:
+    """``benchmarks/service`` is frozen by ``BENCHMARK.json`` and still
+    calls ``spec.single(bounds, height, cache_size, None)``: the fourth
+    positional was the retired pyramid-backend selector.  Accept and
+    drop it, here only, until that harness can be edited."""
+
+    def build(
+        bounds: Rect, height: int, cloak_cache_size: int, _retired: None = None
+    ) -> CloakingPolicy:
+        return factory(bounds, height, cloak_cache_size)
+
+    return build
+
+
 def register_policy(spec: PolicySpec) -> PolicySpec:
     """Add a policy to the registry; names are unique."""
     if spec.name in _REGISTRY:
         raise ValueError(f"policy {spec.name!r} is already registered")
+    spec = replace(spec, single=_dropping_retired_selector(spec.single))
     _REGISTRY[spec.name] = spec
     return spec
 

@@ -1,9 +1,8 @@
 """Structure-of-arrays pyramid state (Morton-indexed, numpy-backed).
 
-The scalar anonymizers keep one python object per user and walk one
-``CellId`` at a time; that caps update throughput far below the paper's
-"millions of users" regime.  This module holds the vectorized state the
-anonymizers switch to with ``vectorized=True`` (the default):
+One python object per user and one ``CellId`` walk per update caps
+throughput far below the paper's "millions of users" regime, so the
+anonymizers keep their state as flat numpy arrays:
 
 * :class:`PyramidSoA` — per-level flat ``int64`` arrays mapping the
   Morton (Z-order) index of a cell to its occupancy count and its
@@ -17,16 +16,16 @@ anonymizers switch to with ``vectorized=True`` (the default):
   "hash table" of Section 4.1 flattened into parallel arrays so
   occupancy scans and profile gates are vectorized reductions.
 
-Everything here replicates the scalar reference semantics *exactly*
-(same truncation, same epsilons, same cost accounting); the
-differential-equivalence suite (``tests/test_vectorized_equivalence.py``)
-diffs the two implementations operation by operation.  See
-``docs/vectorization.md`` for the layout and the testing story.
+Everything here replicates the scalar reference pyramid
+(``tests/reference_pyramid.py``) *exactly* — same truncation, same
+epsilons, same cost accounting; the differential suite
+(``tests/test_reference_equivalence.py``) diffs the two operation by
+operation.  See ``docs/vectorization.md`` for the layout and the
+testing story.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterator
 
 import numpy as np
@@ -34,45 +33,38 @@ import numpy.typing as npt
 
 from repro.anonymizer.cells import CellGrid, CellId
 from repro.geometry import EPSILON, Rect
-
-# Morton codes now live in :mod:`repro.morton` (one definition shared
-# with the shard router); re-exported here for compatibility.
-from repro.morton import (  # noqa: F401
-    cell_of_morton,
-    morton_decode,
-    morton_encode,
-    morton_of_cell,
-    morton_of_xy,
-)
+from repro.morton import morton_decode
 
 __all__ = [
+    "MAX_SOA_HEIGHT",
     "PyramidSoA",
     "UserTable",
+    "check_soa_height",
     "choose_split_vec",
-    "default_vectorized",
     "merge_blocked_vec",
-    "morton_decode",
-    "morton_encode",
-    "morton_of_cell",
-    "cell_of_morton",
 ]
 
 IntArray = npt.NDArray[np.int64]
 FloatArray = npt.NDArray[np.float64]
 BoolArray = npt.NDArray[np.bool_]
 
-#: Deepest pyramid supported by the array-backed state: level arrays are
-#: allocated *complete* (``4**level`` slots), so the cap keeps the worst
-#: case (level 13: ~67M cells) inside commodity memory.  The scalar
-#: reference has no such cap; callers needing deeper pyramids pass
-#: ``vectorized=False``.
+#: Deepest complete pyramid supported: level arrays are allocated
+#: *complete* (``4**level`` slots), so the cap keeps the worst case
+#: (level 13: ~67M cells) inside commodity memory.  The adaptive
+#: policy's dict-held cut is sparse and has no such cap.
 MAX_SOA_HEIGHT = 13
 
-def default_vectorized() -> bool:
-    """The process-wide default for the anonymizers' ``vectorized``
-    switch: on, unless ``REPRO_VECTORIZED=0`` — the environment knob CI
-    uses to run the whole suite against the scalar reference oracle."""
-    return os.environ.get("REPRO_VECTORIZED", "1") != "0"
+
+def check_soa_height(height: int) -> None:
+    """Reject pyramid heights the complete per-level arrays cannot hold
+    — the one check every ``basic`` deployment seam runs up front (in
+    the parent process, before any worker is spawned)."""
+    if not 0 <= height <= MAX_SOA_HEIGHT:
+        raise ValueError(
+            f"the basic policy keeps complete per-level arrays and supports "
+            f"pyramid heights 0..{MAX_SOA_HEIGHT}, got {height}; use the "
+            f"adaptive policy (sparse cut, no height cap) for deeper pyramids"
+        )
 
 
 # Cached per-level decode of every Morton index, for flat <-> (side,
@@ -98,16 +90,11 @@ class PyramidSoA:
 
     ``counts[level][m]`` is the population of the cell with Morton
     index ``m``; ``gens`` mirrors it with the cloak-cache generation
-    counters (bumped on every count change, monotone across restores —
-    the same convention as the scalar reference).
+    counters (bumped on every count change, monotone across restores).
     """
 
     def __init__(self, height: int) -> None:
-        if not 0 <= height <= MAX_SOA_HEIGHT:
-            raise ValueError(
-                f"array-backed pyramid supports heights 0..{MAX_SOA_HEIGHT}, "
-                f"got {height}"
-            )
+        check_soa_height(height)
         self.height = height
         self.counts: list[IntArray] = [
             np.zeros(4**level, dtype=np.int64) for level in range(height + 1)
@@ -212,8 +199,8 @@ class PyramidSoA:
     # -- canonical (side, side) grid conversions ------------------------
     def counts_grid(self) -> list[npt.NDArray[np.int64]]:
         """The counts as per-level ``(side, side)`` arrays indexed
-        ``[ix, iy]`` — the scalar reference's (and the snapshot
-        format's) canonical layout."""
+        ``[ix, iy]`` — the snapshot format's (and the reference
+        pyramid's) canonical layout."""
         out: list[npt.NDArray[np.int64]] = []
         for level in range(self.height + 1):
             side = 1 << level
@@ -261,8 +248,7 @@ class UserTable:
     exact coordinates, profile ``(k, A_min)``, and the Morton index of
     their lowest-level cell.  A uid -> slot dict and a freelist keep
     slot assignment O(1); arrays grow by doubling.  Iteration order for
-    reconstruction follows insertion order of the uid dict, matching
-    the scalar reference's user dict.
+    reconstruction follows insertion order of the uid dict.
     """
 
     _INITIAL = 64
@@ -382,13 +368,17 @@ def choose_split_vec(
     users: set[object],
     table: UserTable,
 ) -> tuple[dict[CellId, set[object]], CellId] | None:
-    """:func:`repro.anonymizer.adaptive.choose_split` over a gate table.
+    """Section 4.2's split criterion over a gate table.
 
-    Same gates, same epsilons, same fixed children scan order as the
-    scalar decision function — the per-user profile lookups and point
-    location run as array reductions instead.  Shared by the
-    single-pyramid and sharded adaptive anonymizers, exactly like its
-    scalar counterpart.
+    Returns ``(child_users, satisfiable_child)`` when ``leaf`` must
+    split — the user distribution over the four children plus the first
+    child (in :meth:`CellId.children` order) containing a user whose
+    profile that child satisfies — or ``None`` when the leaf stays.
+    The result depends only on the *membership* of ``users``, never on
+    its iteration order, so single-shard and sharded maintenance reach
+    byte-identical cuts.  Same gates and epsilons as the scalar
+    ``choose_split`` in ``tests/reference_pyramid.py``; the per-user
+    profile lookups and point location run as array reductions.
     """
     if not users:
         return None
@@ -432,9 +422,9 @@ def merge_blocked_vec(
     child_area: float,
     child_stats: list[tuple[int, set[object]]],
 ) -> bool:
-    """:func:`repro.anonymizer.adaptive.merge_is_blocked` over a gate
-    table: blocked while any user in any child has a profile that child
-    satisfies."""
+    """Section 4.2's merge blocker over a gate table: a sibling-leaf
+    group must stay split while any user in any child has a profile
+    that child satisfies."""
     for count, users in child_stats:
         if not users:
             continue

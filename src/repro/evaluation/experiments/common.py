@@ -108,7 +108,7 @@ def make_anonymizer(kind: str, height: int, bounds: Rect = UNIT):
     """Instantiate any registered cloaking policy by name."""
     from repro.anonymizer.policy import get_policy
 
-    return get_policy(kind).single(bounds, height, 8192, None)
+    return get_policy(kind).single(bounds, height, 8192)
 
 
 def register_population(anonymizer, trace: Trace, profiles) -> None:

@@ -1,10 +1,8 @@
 """Message records shared across the untrusted and trusted planes.
 
-This module is the single home for message dataclasses that were
-previously duplicated-by-adjacency between ``repro.server.messages``
-(query results) and ``repro.resilience.messages`` (the location-update
-wire format); both old modules remain as re-export shims.  It also
-defines the **shard-routing envelope** exactly once, so the server's
+This module is the single home for every cross-plane message
+dataclass: query results, the location-update wire format, and the
+**shard-routing envelope** — defined exactly once, so the server's
 routing seam and the resilience runtime agree on its bytes.
 
 ``PrivateQueryResult`` carries the Figure 17 decomposition: time spent

@@ -3,11 +3,12 @@
 Every layer of the system that linearizes the pyramid uses the same
 bit-interleave convention: ``ix`` occupies the even bit positions and
 ``iy`` the odd ones, so the Z-order index of ``(ix, iy)`` is
-``spread(ix) | spread(iy) << 1``.  Historically the vectorized pyramid
+``spread(ix) | spread(iy) << 1``.  The array-backed pyramid
 (``repro.anonymizer.soa``) and the shard router
-(``repro.sharding.router``) each carried their own copy of the encode /
-decode helpers; this module is now the single definition site, with the
-old import paths kept as re-exports.  ``tests/test_morton_shared.py``
+(``repro.sharding.router``) once each carried their own copy of the
+encode / decode helpers; this module is the single definition site
+(``repro.sharding`` re-exports the rank helpers as part of its public
+API).  ``tests/test_morton_shared.py``
 pins the bit-equality of the table-driven fast paths against a
 straight-loop reference, so any future edit that skews the convention
 fails loudly.

@@ -9,8 +9,8 @@ that keeps the system correct under them:
   :class:`FaultInjector`: the deterministic fault source and its trace;
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy`: exponential
   backoff with jitter over virtual time;
-* :mod:`~repro.resilience.messages` — the CRC-verified location-update
-  wire format with per-user sequence numbers;
+* :mod:`repro.messages` — the CRC-verified location-update wire
+  format with per-user sequence numbers (re-exported here);
 * :mod:`~repro.resilience.runtime` — :class:`ResilienceRuntime`:
   retries, snapshot/restore crash recovery, and the degradation ladder
   (*degrade availability, never privacy*);
@@ -21,14 +21,14 @@ that keeps the system correct under them:
 See ``docs/resilience.md`` for the operator-facing tour.
 """
 
-from repro.resilience.faults import Delivery, FaultEvent, FaultInjector, FaultPlan
-from repro.resilience.harness import ChaosReport, ChaosWorkload, run_chaos
-from repro.resilience.messages import (
+from repro.messages import (
     UPDATE_RECORD_SIZE,
     LocationUpdate,
     decode_update,
     encode_update,
 )
+from repro.resilience.faults import Delivery, FaultEvent, FaultInjector, FaultPlan
+from repro.resilience.harness import ChaosReport, ChaosWorkload, run_chaos
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.runtime import Emission, ResilienceConfig, ResilienceRuntime
 from repro.resilience.scenarios import CI_SCENARIOS, SCENARIOS, get_scenario

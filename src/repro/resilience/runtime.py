@@ -44,10 +44,10 @@ from repro.errors import (
     UpdateDeliveryError,
 )
 from repro.geometry import Point
+from repro.messages import LocationUpdate, decode_update, encode_update
 from repro.observability import runtime as _telemetry
 from repro.processor import CandidateList
 from repro.resilience.faults import Delivery, FaultInjector, FaultPlan
-from repro.resilience.messages import LocationUpdate, decode_update, encode_update
 from repro.resilience.retry import RetryPolicy
 from repro.server.codec import decode_candidate_list, encode_candidate_list
 from repro.sharding import (

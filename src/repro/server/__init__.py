@@ -1,9 +1,9 @@
 """The server layer: Casper facade, database server, client, network model."""
 
+from repro.messages import PrivateQueryResult
 from repro.server.casper import Casper
 from repro.server.client import MobileClient
 from repro.server.database import LocationServer
-from repro.server.messages import PrivateQueryResult
 from repro.server.network import TransmissionModel
 
 __all__ = [

@@ -31,6 +31,7 @@ from repro.anonymizer import (  # casperlint: ignore[CSP001] trusted facade
 )
 from repro.errors import DegradedModeError, UnknownUserError
 from repro.geometry import Point, Rect
+from repro.messages import PrivateQueryResult
 from repro.observability import runtime as _telemetry
 from repro.processor import (
     BatchRequest,
@@ -48,7 +49,6 @@ from repro.sharding import (  # casperlint: ignore[CSP001] trusted facade
     make_sharded,
 )
 from repro.server.database import LocationServer
-from repro.server.messages import PrivateQueryResult
 from repro.server.network import TransmissionModel
 from repro.utils.timer import monotonic
 
@@ -89,7 +89,6 @@ class Casper:
         resilience: "ResilienceRuntime | None" = None,
         shards: int = 1,
         parallel: bool = False,
-        vectorized: bool | None = None,
         policy: AnonymizerKind | AnonymizerLike | None = None,
     ) -> None:
         # Routing seam: `shards > 1` swaps the single-pyramid anonymizer
@@ -114,12 +113,9 @@ class Casper:
                     num_shards=shards,
                     kind=anonymizer,
                     parallel=parallel,
-                    vectorized=vectorized,
                 )
             else:
-                self.anonymizer = spec.single(
-                    bounds, pyramid_height, 8192, vectorized
-                )
+                self.anonymizer = spec.single(bounds, pyramid_height, 8192)
         elif hasattr(anonymizer, "cloak") and hasattr(anonymizer, "register"):
             if anonymizer.bounds != bounds:
                 raise ValueError(

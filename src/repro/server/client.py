@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from repro.anonymizer import PrivacyProfile
 from repro.geometry import Point
+from repro.messages import PrivateQueryResult
 from repro.server.casper import Casper
-from repro.server.messages import PrivateQueryResult
 
 __all__ = ["MobileClient"]
 

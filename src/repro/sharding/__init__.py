@@ -71,7 +71,6 @@ def make_sharded(
     kind: str = "basic",
     cloak_cache_size: int = 8192,
     parallel: bool = False,
-    vectorized: bool | None = None,
 ) -> ShardedAnonymizer:
     """Build a sharded anonymizer of the requested ``kind`` — any name
     in :func:`repro.anonymizer.policy.available_policies`;
@@ -79,20 +78,17 @@ def make_sharded(
     the wire protocol.  Policies without a native sharded fleet deploy
     through the generic broadcast wrapper
     (:class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`).
-    ``vectorized`` selects the numpy array backend (``None`` =
-    environment default, see
-    :func:`repro.anonymizer.soa.default_vectorized`)."""
+    A ``height`` the policy cannot hold raises ``ValueError`` here, in
+    the calling process, on every path."""
     spec = get_policy(kind)
     if parallel:
         return ParallelShardedAnonymizer(
             bounds, height=height, num_shards=num_shards, kind=kind,
-            cloak_cache_size=cloak_cache_size, vectorized=vectorized,
+            cloak_cache_size=cloak_cache_size,
         )
     if spec.sharded is not None:
-        return spec.sharded(
-            bounds, height, num_shards, cloak_cache_size, vectorized
-        )
+        return spec.sharded(bounds, height, num_shards, cloak_cache_size)
     return ReplicatedShardedAnonymizer(
         spec, bounds, height=height, num_shards=num_shards,
-        cloak_cache_size=cloak_cache_size, vectorized=vectorized,
+        cloak_cache_size=cloak_cache_size,
     )

@@ -4,9 +4,9 @@ Replicates :class:`~repro.anonymizer.adaptive.AdaptiveAnonymizer`'s
 *global* quadtree cut across ``N`` shards: cut cells at level ``>= S``
 live in the core owning their block, cut cells above the block level
 live in the shared spine.  The split/merge decisions are the exact
-Section 4.2 predicates (:func:`~repro.anonymizer.adaptive.choose_split`
-/ :func:`~repro.anonymizer.adaptive.merge_is_blocked` — shared code,
-not a reimplementation), driven by the same global counts, so the
+Section 4.2 predicates of the shared
+:class:`~repro.anonymizer.policies.adaptive.CutMaintainer` (the same
+code, not a reimplementation), driven by the same global counts, so the
 maintained cut is identical for every shard count and cloaks are
 byte-for-byte equal to the single-pyramid implementation.
 
@@ -33,17 +33,13 @@ and invariant bodies live in :mod:`repro.sharding.recovery` /
 
 from __future__ import annotations
 
-from repro.anonymizer.adaptive import (
-    _Cell,
-    _UserRecord,
-    choose_split,
-    merge_is_blocked,
-)
+from repro.anonymizer.adaptive import _Cell, _UserRecord
+from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellId
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.policies.adaptive import CutMaintainer
 from repro.anonymizer.profile import PrivacyProfile
-from repro.anonymizer.soa import UserTable, default_vectorized
+from repro.anonymizer.soa import UserTable
 from repro.errors import DuplicateUserError
 from repro.geometry import Point, Rect
 from repro.sharding import invariants, recovery
@@ -53,10 +49,6 @@ from repro.sharding.fleet import ShardedFleet
 __all__ = ["ShardedAdaptiveAnonymizer"]
 
 _ROOT = CellId(0, 0, 0)
-
-# Re-exported for the worker runtime and tests that patch the shared
-# decision functions at this import site.
-_ = (choose_split, merge_is_blocked)
 
 
 class ShardedAdaptiveAnonymizer(ShardedFleet, CutMaintainer):
@@ -71,20 +63,14 @@ class ShardedAdaptiveAnonymizer(ShardedFleet, CutMaintainer):
         height: int = 9,
         num_shards: int = 1,
         cloak_cache_size: int = 8192,
-        vectorized: bool | None = None,
     ) -> None:
-        self._init_fleet(
-            bounds, height, num_shards, cloak_cache_size, AdaptiveShardCore
-        )
-        if vectorized is None:
-            vectorized = default_vectorized()
-        self.vectorized = vectorized
+        self._init_fleet(bounds, height, num_shards, cloak_cache_size)
         # Fleet-wide numpy gate table mirroring every core's user
         # records (uids are opaque slots; no per-shard partitioning
         # needed — split/merge decisions are global anyway).  The cut
         # itself stays dicts: maintenance walks are pointer-chasing by
         # nature, the wins are in the gate scans.
-        self._table: UserTable | None = UserTable() if vectorized else None
+        self._table = UserTable()
         # The root is always maintained; it is a spine cell whenever a
         # spine exists at all (S > 0), else it belongs to shard 0.
         if self.router.spine_level > 0:
@@ -92,9 +78,17 @@ class ShardedAdaptiveAnonymizer(ShardedFleet, CutMaintainer):
         else:
             self._cores[0].cells[_ROOT] = _Cell()
 
+    def _make_core(self, index: int, cache: CloakCache) -> AdaptiveShardCore:
+        return AdaptiveShardCore(index, cache)
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def users_in_rect(self, rect: Rect) -> int:
+        """Exact population of an arbitrary rectangle (verification
+        aid; one gate-table mask reduction)."""
+        return self._table.count_in_rect(rect)
+
     @property
     def num_maintained_cells(self) -> int:
         return len(self._spine.cells) + sum(
@@ -138,12 +132,6 @@ class ShardedAdaptiveAnonymizer(ShardedFleet, CutMaintainer):
             gens = self._cores[self.router.shard_of(cell)].gens
             gens[cell] = gens.get(cell, 0) + 1
 
-    def _point_of(self, uid: object) -> Point:
-        return self._cores[self._directory[uid]].users[uid].point
-
-    def _profile_of(self, uid: object) -> PrivacyProfile:
-        return self._cores[self._directory[uid]].users[uid].profile
-
     def _set_leaf(self, uid: object, leaf: CellId) -> None:
         self._cores[self._directory[uid]].users[uid].leaf = leaf
 
@@ -157,8 +145,7 @@ class ShardedAdaptiveAnonymizer(ShardedFleet, CutMaintainer):
         home = self.router.shard_of(self.grid.cell_of(point))
         self._cores[home].users[uid] = _UserRecord(profile, point, leaf)
         self._directory[uid] = home
-        if self._table is not None:
-            self._table.add(uid, point.x, point.y, profile.k, profile.a_min, 0)
+        self._table.add(uid, point.x, point.y, profile.k, profile.a_min, 0)
         self._add_to_leaf(uid, leaf)
         self.stats.registrations += 1
         self._notify_op(home, "register")
@@ -170,8 +157,7 @@ class ShardedAdaptiveAnonymizer(ShardedFleet, CutMaintainer):
         self._remove_from_leaf(uid, record.leaf)
         del self._cores[home].users[uid]
         del self._directory[uid]
-        if self._table is not None:
-            self._table.remove(uid)
+        self._table.remove(uid)
         self.stats.deregistrations += 1
         self._notify_op(home, "deregister")
         self._maybe_merge(record.leaf)
@@ -179,11 +165,10 @@ class ShardedAdaptiveAnonymizer(ShardedFleet, CutMaintainer):
     def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
         record = self._record(uid)
         record.profile = profile
-        if self._table is not None:
-            slot = self._table.slot_of(uid)
-            assert slot is not None
-            self._table.ks[slot] = profile.k
-            self._table.a_mins[slot] = profile.a_min
+        slot = self._table.slot_of(uid)
+        assert slot is not None
+        self._table.ks[slot] = profile.k
+        self._table.a_mins[slot] = profile.a_min
         self._maybe_split(record.leaf)
         self._maybe_merge(record.leaf)
 
@@ -198,11 +183,10 @@ class ShardedAdaptiveAnonymizer(ShardedFleet, CutMaintainer):
         record = self._record(uid)
         home = self._directory[uid]
         record.point = point
-        if self._table is not None:
-            slot = self._table.slot_of(uid)
-            assert slot is not None
-            self._table.xs[slot] = point.x
-            self._table.ys[slot] = point.y
+        slot = self._table.slot_of(uid)
+        assert slot is not None
+        self._table.xs[slot] = point.x
+        self._table.ys[slot] = point.y
         self.stats.location_updates += 1
         new_leaf = self.leaf_for_point(point)
         new_home = (

@@ -30,13 +30,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.anonymizer.basic import _UserRecord
+from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellId, branch_pairs
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.policies.basic import CompletePyramidMaintainer
 from repro.anonymizer.profile import PrivacyProfile
-from repro.anonymizer.soa import MAX_SOA_HEIGHT, default_vectorized, morton_of_xy
+from repro.anonymizer.soa import check_soa_height
 from repro.errors import DuplicateUserError
 from repro.geometry import Point, Rect
+from repro.morton import morton_of_xy
 from repro.observability import runtime as _telemetry
 from repro.sharding import invariants, recovery
 from repro.sharding.core import BasicShardCore
@@ -58,24 +60,34 @@ class ShardedBasicAnonymizer(ShardedFleet, CompletePyramidMaintainer):
         height: int = 9,
         num_shards: int = 1,
         cloak_cache_size: int = 8192,
-        vectorized: bool | None = None,
     ) -> None:
-        self._init_fleet(
-            bounds, height, num_shards, cloak_cache_size, BasicShardCore
+        # The slices are complete arrays over the owned blocks, so the
+        # fleet shares the single pyramid's height cap.
+        check_soa_height(height)
+        self._init_fleet(bounds, height, num_shards, cloak_cache_size)
+
+    def _make_core(self, index: int, cache: CloakCache) -> BasicShardCore:
+        # Counters as contiguous Morton slices (the spine stays a dict:
+        # it holds at most 4**S / 3 cells, far too few to be worth
+        # arrays).
+        spine_level = self.router.spine_level
+        lo, hi = self.router.block_rank_range(index)
+        return BasicShardCore(
+            index,
+            cache,
+            counts=MortonSlice(self.height, spine_level, lo, hi),
+            gens=MortonSlice(self.height, spine_level, lo, hi),
         )
-        if vectorized is None:
-            vectorized = default_vectorized() and height <= MAX_SOA_HEIGHT
-        self.vectorized = vectorized
-        if vectorized:
-            # Counters as contiguous Morton slices (the spine stays a
-            # dict: it holds at most 4**S / 3 cells, far too few to be
-            # worth arrays).  Gens share the slice layout so the batch
-            # kernel scatters both with one index computation.
-            spine_level = self.router.spine_level
-            for core in self._cores:
-                lo, hi = self.router.block_rank_range(core.index)
-                core.counts = MortonSlice(height, spine_level, lo, hi)
-                core.gens = MortonSlice(height, spine_level, lo, hi)
+
+    def users_in_rect(self, rect: Rect) -> int:
+        """Exact population of an arbitrary rectangle (verification
+        aid; a scan of every core's records)."""
+        return sum(
+            1
+            for core in self._cores
+            for rec in core.users.values()
+            if rect.contains_point(rec.point)
+        )
 
     # ------------------------------------------------------------------
     # Routed counter access (the maintainer's storage hook)
@@ -176,8 +188,7 @@ class ShardedBasicAnonymizer(ShardedFleet, CompletePyramidMaintainer):
             return [self.update(uid, point) for uid, point in moves]
         cells = [self.grid.cell_of(point) for _, point in moves]
         if (
-            self.vectorized
-            and len(moves) >= 2
+            len(moves) >= 2
             and _telemetry.active() is None
             and all(uid in self._directory for uid, _ in moves)
         ):
@@ -233,12 +244,8 @@ class ShardedBasicAnonymizer(ShardedFleet, CompletePyramidMaintainer):
         for shard in sorted(by_home):
             group = np.asarray(by_home[shard], dtype=np.int64)
             core = self._cores[shard]
-            counts = core.counts
-            gens = core.gens
-            assert isinstance(counts, MortonSlice)
-            assert isinstance(gens, MortonSlice)
             group_costs = scatter_confined_moves(
-                counts, gens, old_ms[group], new_ms[group],
+                core.counts, core.gens, old_ms[group], new_ms[group],
                 ancestor_level[group], height,
             )
             for index, cost in zip(by_home[shard], group_costs.tolist()):

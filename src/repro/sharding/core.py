@@ -26,10 +26,11 @@ is what the ``shard_scaling`` benchmark measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, MutableMapping
+from typing import TYPE_CHECKING
 
 from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellId
+from repro.sharding.soa import MortonSlice
 
 if TYPE_CHECKING:
     from repro.anonymizer.adaptive import _Cell as AdaptiveCell
@@ -58,29 +59,25 @@ def cache_counters(cache: CloakCache) -> dict[str, int]:
 class BasicShardCore:
     """One shard's slice of the complete pyramid: counts and user
     records for the cells at level ``>= S`` inside its blocks.  Zero
-    counts are not stored; generation counters are monotone and outlive
+    counts read as absent; generation counters are monotone and outlive
     the counts they describe (exactly like the adaptive single-pyramid
     convention).
 
-    ``counts``/``gens`` are plain dicts on the scalar path and
-    :class:`~repro.sharding.soa.MortonSlice` arrays on the vectorized
-    one — both speak the same mapping protocol, so everything here and
-    in the replica audits is backend-agnostic."""
+    ``counts``/``gens`` are :class:`~repro.sharding.soa.MortonSlice`
+    arrays sharing one layout, so the batch kernel scatters both with
+    one index computation; they speak the ``dict[CellId, int]`` mapping
+    protocol the snapshots and replica audits read."""
 
     index: int
     cache: CloakCache
-    counts: MutableMapping[CellId, int] = field(default_factory=dict)
-    gens: MutableMapping[CellId, int] = field(default_factory=dict)
+    counts: MortonSlice
+    gens: MortonSlice
     users: "dict[object, BasicRecord]" = field(default_factory=dict)
     epoch: int = 0
 
     def apply(self, cell: CellId, delta: int) -> None:
         """Apply a population delta to an owned cell, bumping its gen."""
-        total = self.counts.get(cell, 0) + delta
-        if total:
-            self.counts[cell] = total
-        else:
-            self.counts.pop(cell, None)
+        self.counts[cell] = self.counts.get(cell, 0) + delta
         self.gens[cell] = self.gens.get(cell, 0) + 1
 
 

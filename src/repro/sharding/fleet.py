@@ -28,7 +28,6 @@ from repro.anonymizer.cells import CellId
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.engine import PyramidEngine
 from repro.anonymizer.profile import PrivacyProfile
-from repro.anonymizer.soa import UserTable
 from repro.errors import UnknownUserError
 from repro.geometry import Point, Rect
 from repro.observability import runtime as _telemetry
@@ -41,17 +40,8 @@ __all__ = ["ShardedFleet"]
 class ShardedFleet(PyramidEngine):
     """Routing/spine glue shared by every sharded anonymizer."""
 
-    # Optional fleet-wide gate table (adaptive's vectorized backend);
-    # ``None`` means users_in_rect scans the core records.
-    _table: UserTable | None = None
-
     def _init_fleet(
-        self,
-        bounds: Rect,
-        height: int,
-        num_shards: int,
-        cloak_cache_size: int,
-        core_cls: Any,
+        self, bounds: Rect, height: int, num_shards: int, cloak_cache_size: int
     ) -> None:
         self._init_engine(bounds, height)
         self.router = ShardRouter(num_shards, height)
@@ -59,10 +49,15 @@ class ShardedFleet(PyramidEngine):
             cache=CloakCache(cloak_cache_size, shard_label="spine")
         )
         self._cores = [
-            core_cls(index=i, cache=CloakCache(cloak_cache_size, shard_label=str(i)))
+            self._make_core(i, CloakCache(cloak_cache_size, shard_label=str(i)))
             for i in range(num_shards)
         ]
         self._directory: dict[object, int] = {}
+
+    def _make_core(self, index: int, cache: CloakCache) -> Any:
+        """Build shard ``index``'s state core (the router is already
+        in place); each variant supplies its own core type."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Introspection
@@ -116,18 +111,6 @@ class ShardedFleet(PyramidEngine):
 
     def location_of(self, uid: object) -> Point:
         return self._record(uid).point
-
-    def users_in_rect(self, rect: Rect) -> int:
-        """Exact population of an arbitrary rectangle (verification
-        aid; gate-table mask reduction, or a scan of every core)."""
-        if self._table is not None:
-            return self._table.count_in_rect(rect)
-        return sum(
-            1
-            for core in self._cores
-            for rec in core.users.values()
-            if rect.contains_point(rec.point)
-        )
 
     def _record(self, uid: object) -> Any:
         try:

@@ -189,20 +189,17 @@ def check_adaptive_fleet(fleet: "ShardedAdaptiveAnonymizer") -> None:
             assert fleet.router.shard_of(
                 fleet.grid.cell_of(rec.point)
             ) == shard, f"user {uid!r} homed in the wrong shard"
-    if fleet._table is not None:
-        assert len(fleet._table) == len(fleet._directory), (
-            "gate table size drift"
-        )
-        for core in fleet._cores:
-            for uid, rec in core.users.items():
-                slot = fleet._table.slot_of(uid)
-                assert slot is not None, f"{uid!r} missing from gate table"
-                # Exact equality on purpose: the table is a bit-copy
-                # of the record floats; any representational
-                # difference IS the drift this assert catches.
-                assert (
-                    float(fleet._table.xs[slot]) == rec.point.x  # casperlint: ignore[CSP004] bit-copy audit
-                    and float(fleet._table.ys[slot]) == rec.point.y  # casperlint: ignore[CSP004] bit-copy audit
-                    and int(fleet._table.ks[slot]) == rec.profile.k
-                    and float(fleet._table.a_mins[slot]) == rec.profile.a_min  # casperlint: ignore[CSP004] bit-copy audit
-                ), f"gate table stale for {uid!r}"
+    assert len(fleet._table) == len(fleet._directory), "gate table size drift"
+    for core in fleet._cores:
+        for uid, rec in core.users.items():
+            slot = fleet._table.slot_of(uid)
+            assert slot is not None, f"{uid!r} missing from gate table"
+            # Exact equality on purpose: the table is a bit-copy of the
+            # record floats; any representational difference IS the
+            # drift this assert catches.
+            assert (
+                float(fleet._table.xs[slot]) == rec.point.x  # casperlint: ignore[CSP004] bit-copy audit
+                and float(fleet._table.ys[slot]) == rec.point.y  # casperlint: ignore[CSP004] bit-copy audit
+                and int(fleet._table.ks[slot]) == rec.profile.k
+                and float(fleet._table.a_mins[slot]) == rec.profile.a_min  # casperlint: ignore[CSP004] bit-copy audit
+            ), f"gate table stale for {uid!r}"

@@ -2,9 +2,10 @@
 restore/reconciliation logic, for both pyramid variants.
 
 Snapshots are plain dataclasses over canonical dict state (the
-wire/pickle format both storage backends exchange); all functions here
-operate on a :class:`~repro.sharding.fleet.ShardedFleet` host, so the
-variant modules expose them as one-line methods.  Whole-fleet snapshots
+wire/pickle format; Morton-slice counters are copied out to dicts and
+loaded back on restore); all functions here operate on a
+:class:`~repro.sharding.fleet.ShardedFleet` host, so the variant
+modules expose them as one-line methods.  Whole-fleet snapshots
 are atomic (taken in one call, so no cross-shard move can straddle
 them); per-shard restores reconcile the crashed core against the
 surviving fleet — the directory and (for adaptive) the spine structure
@@ -14,14 +15,13 @@ are authoritative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from repro.anonymizer.adaptive import _UserRecord as _AdaptiveRecord
 from repro.anonymizer.basic import _UserRecord as _BasicRecord
 from repro.anonymizer.cells import CellId
 from repro.anonymizer.policies.adaptive import CutCell
 from repro.sharding.core import AdaptiveShardCore, BasicShardCore
-from repro.sharding.soa import MortonSlice
 
 if TYPE_CHECKING:
     from repro.sharding.adaptive import ShardedAdaptiveAnonymizer
@@ -67,18 +67,6 @@ def copy_basic_core(core: BasicShardCore) -> BasicCoreSnapshot:
     )
 
 
-def _load_core_counts(
-    core: BasicShardCore, counts: Mapping[CellId, int]
-) -> None:
-    """Install a plain-dict counter snapshot into ``core``, rebuilding
-    the Morton-slice arrays in place on the vectorized backend
-    (snapshots are backend-independent dicts)."""
-    if isinstance(core.counts, MortonSlice):
-        core.counts.load(counts)
-    else:
-        core.counts = dict(counts)
-
-
 def basic_snapshot(fleet: "ShardedBasicAnonymizer") -> BasicFleetSnapshot:
     return BasicFleetSnapshot(
         cores=tuple(copy_basic_core(core) for core in fleet._cores),
@@ -93,7 +81,7 @@ def basic_restore(fleet: "ShardedBasicAnonymizer", state: object) -> None:
     if len(state.cores) != fleet.num_shards:
         raise ValueError("snapshot shard count mismatch")
     for core, snap in zip(fleet._cores, state.cores):
-        _load_core_counts(core, snap.counts)
+        core.counts.load(snap.counts)
         core.users = {
             uid: _BasicRecord(rec.profile, rec.point, rec.cell)
             for uid, rec in snap.users.items()
@@ -149,7 +137,7 @@ def basic_restore_shard(
     for cell in set(core.counts) | set(counts):
         if core.counts.get(cell, 0) != counts.get(cell, 0):
             core.gens[cell] = core.gens.get(cell, 0) + 1
-    _load_core_counts(core, counts)
+    core.counts.load(counts)
     core.users = users
     core.epoch += 1
     core.cache.clear()
@@ -339,9 +327,7 @@ def adaptive_restore_shard(
 
 def rebuild_gate_table(fleet: "ShardedAdaptiveAnonymizer") -> None:
     """Resync the fleet-wide gate table from every core's live user
-    records (no-op on the scalar backend)."""
-    if fleet._table is None:
-        return
+    records."""
     fleet._table.clear()
     for core in fleet._cores:
         for uid, rec in core.users.items():

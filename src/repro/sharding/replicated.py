@@ -63,7 +63,6 @@ class ReplicatedShardedAnonymizer:
         height: int = 9,
         num_shards: int = 1,
         cloak_cache_size: int = 8192,
-        vectorized: bool | None = None,
         shard: int | None = None,
     ) -> None:
         self.kind = spec.name
@@ -72,9 +71,7 @@ class ReplicatedShardedAnonymizer:
         self.grid = CellGrid(bounds, height)
         self.router = ShardRouter(num_shards, height)
         self.shard = shard
-        self._inner: CloakingPolicy = spec.single(
-            bounds, height, cloak_cache_size, vectorized
-        )
+        self._inner: CloakingPolicy = spec.single(bounds, height, cloak_cache_size)
         self._directory: dict[object, int] = {}
 
     # ------------------------------------------------------------------

@@ -4,18 +4,18 @@ The shard router hands every core a *contiguous* Morton rank range of
 level-``S`` blocks, so the core's slice of each level ``>= S`` is one
 contiguous run of Morton indexes — a flat numpy array plus an offset,
 not a hash table.  :class:`MortonSlice` holds those per-level arrays
-while speaking the ``dict[CellId, int]`` protocol the scalar sharded
-runtime (and its snapshots, invariant checks, and the parallel worker
-replica audits) already use: lookups, iteration, equality against plain
-dicts, and ``dict(slice)`` copies all behave exactly like the
-zero-counts-not-stored dict they replace.  The payoff is the batched
+while speaking the ``dict[CellId, int]`` protocol the per-cell routed
+walk, the snapshots, the invariant checks and the parallel worker
+replica audits use: lookups, iteration, equality against plain dicts,
+and ``dict(slice)`` copies all behave exactly like a
+zero-counts-not-stored dict.  The payoff is the batched
 update kernel in :class:`~repro.sharding.basic.ShardedBasicAnonymizer`:
 confined per-tick moves become ``np.add.at`` scatters on these arrays.
 
 Snapshots deliberately stay plain dicts (the canonical wire/pickle
-format), so scalar and vectorized fleets — local or across the worker
-process boundary — exchange state freely; :meth:`MortonSlice.load`
-rebuilds the arrays from that format on restore.
+format fleets exchange locally and across the worker process
+boundary); :meth:`MortonSlice.load` rebuilds the arrays from that
+format on restore.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import Iterator, Mapping, MutableMapping
 import numpy as np
 
 from repro.anonymizer.cells import CellId
-from repro.anonymizer.soa import IntArray, cell_of_morton, morton_of_xy
+from repro.anonymizer.soa import IntArray
+from repro.morton import cell_of_morton, morton_of_xy
 
 __all__ = ["MortonSlice", "scatter_confined_moves"]
 
@@ -186,8 +187,7 @@ class MortonSlice(MutableMapping[CellId, int]):
         return value if value else default
 
     def load(self, mapping: Mapping[CellId, int]) -> None:
-        """Replace the whole slice from a plain-dict snapshot (the
-        canonical format both backends exchange)."""
+        """Replace the whole slice from a plain-dict snapshot."""
         for arr in self._levels:
             arr[:] = 0
         for cell, count in mapping.items():

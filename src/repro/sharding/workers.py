@@ -157,8 +157,6 @@ class _WorkerConfig:
     height: int
     num_shards: int
     cloak_cache_size: int
-    # Defaulted so configs pickled by older parents still unpickle.
-    vectorized: bool | None = None
 
 
 def _build_replica(config: _WorkerConfig, shard: int | None = None) -> object:
@@ -173,7 +171,6 @@ def _build_replica(config: _WorkerConfig, shard: int | None = None) -> object:
             config.height,
             config.num_shards,
             config.cloak_cache_size,
-            config.vectorized,
         )
     from repro.sharding.replicated import ReplicatedShardedAnonymizer
 
@@ -183,7 +180,6 @@ def _build_replica(config: _WorkerConfig, shard: int | None = None) -> object:
         height=config.height,
         num_shards=config.num_shards,
         cloak_cache_size=config.cloak_cache_size,
-        vectorized=config.vectorized,
         shard=shard,
     )
 
@@ -516,9 +512,11 @@ class ParallelShardedAnonymizer:
         kind: str = "basic",
         cloak_cache_size: int = 8192,
         hang_timeout: float = 5.0,
-        vectorized: bool | None = None,
     ) -> None:
         spec = get_policy(kind)
+        if spec.check_height is not None:
+            # In the parent, before any worker exists to discover it.
+            spec.check_height(height)
         self.kind = kind
         #: How worker replicas stay consistent — ``"partition"`` routes
         #: confined mutations to one worker and lets the parent compute
@@ -540,9 +538,7 @@ class ParallelShardedAnonymizer:
         self.worker_crashes = 0
         self.worker_heals = 0
         self._pool = WorkerPool(
-            _WorkerConfig(
-                kind, bounds, height, num_shards, cloak_cache_size, vectorized
-            )
+            _WorkerConfig(kind, bounds, height, num_shards, cloak_cache_size)
         )
         #: Workers whose replicas are known complete.  A respawned
         #: worker is not authoritative until its install lands, so a

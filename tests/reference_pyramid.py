@@ -1,0 +1,300 @@
+"""The scalar reference pyramids — test oracles, not production code.
+
+The per-object implementations the structure-of-arrays anonymizers
+replaced: one python record per user, one ``CellId`` walk per update,
+per-user profile checks.  They speak the production API the differential
+driver exercises and the production snapshot formats, so
+``test_reference_equivalence.py`` runs oracle and production in lockstep.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.anonymizer.adaptive import _AdaptiveSnapshot
+from repro.anonymizer.adaptive import _UserRecord as _AdaptiveRecord
+from repro.anonymizer.basic import _BasicSnapshot
+from repro.anonymizer.basic import _UserRecord as _BasicRecord
+from repro.anonymizer.cache import CloakCache
+from repro.anonymizer.cells import CellId
+from repro.anonymizer.engine import PyramidEngine
+from repro.anonymizer.policies.adaptive import CutCell, CutMaintainer
+from repro.anonymizer.policies.basic import CompletePyramidMaintainer
+from repro.anonymizer.profile import PrivacyProfile
+from repro.errors import DuplicateUserError, UnknownUserError
+from repro.geometry import Point, Rect
+
+
+class _ReferenceHost(PyramidEngine):
+    """What both oracles share: a user-record dict, one mutation epoch,
+    and the engine's instrumented cloak from the record's start cell
+    (the record field each subclass names in ``_start_attr``)."""
+
+    def _init_host(self, bounds: Rect, height: int, cloak_cache_size: int) -> None:
+        self._init_engine(bounds, height)
+        self._users: dict = {}
+        self._epoch = 0
+        self.cloak_cache = CloakCache(cloak_cache_size)
+
+    @property
+    def num_users(self) -> int:
+        return len(self._users)
+
+    def __contains__(self, uid: object) -> bool:
+        return uid in self._users
+
+    def _record(self, uid: object):
+        try:
+            return self._users[uid]
+        except KeyError:
+            raise UnknownUserError(uid) from None
+
+    def users_in_rect(self, rect: Rect) -> int:
+        return sum(1 for rec in self._users.values() if rect.contains_point(rec.point))
+
+    def update_batch(self, moves: list[tuple[object, Point]]) -> list[int]:
+        return [self.update(uid, point) for uid, point in moves]
+
+    def _commit(self, touched: list[CellId]) -> None:
+        self._epoch += 1
+
+    def cloak(self, uid: object):
+        record = self._record(uid)
+        return self._cloak_via(
+            self.cloak_cache, self.cell_count, self._gen_of, self._epoch,
+            record.profile, getattr(record, self._start_attr),
+        )
+
+
+class ReferenceBasic(_ReferenceHost, CompletePyramidMaintainer):
+    """Complete pyramid as per-level ``(side, side)`` arrays ``[ix, iy]``
+    plus a record dict, maintained by the shared per-cell walk."""
+
+    label = "basic"
+    _start_attr = "cell"
+
+    def __init__(self, bounds: Rect, height: int = 9, cloak_cache_size: int = 8192):
+        self._init_host(bounds, height, cloak_cache_size)
+        self._counts = [
+            np.zeros((1 << level, 1 << level), dtype=np.int64)
+            for level in range(height + 1)
+        ]
+        self._gens = [np.zeros_like(arr) for arr in self._counts]
+
+    def cell_count(self, cell: CellId) -> int:
+        return int(self._counts[cell.level][cell.ix, cell.iy])
+
+    def _gen_of(self, cell: CellId) -> int:
+        return int(self._gens[cell.level][cell.ix, cell.iy])
+
+    def _apply_cell(self, cell: CellId, delta: int) -> None:
+        self._counts[cell.level][cell.ix, cell.iy] += delta
+        self._gens[cell.level][cell.ix, cell.iy] += 1
+
+    def register(self, uid: object, point: Point, profile: PrivacyProfile) -> None:
+        if uid in self._users:
+            raise DuplicateUserError(uid)
+        cell = self.grid.cell_of(point)
+        self._users[uid] = _BasicRecord(profile, point, cell)
+        self._apply_delta(cell, +1)
+        self.stats.registrations += 1
+
+    def deregister(self, uid: object) -> None:
+        self._apply_delta(self._record(uid).cell, -1)
+        del self._users[uid]
+        self.stats.deregistrations += 1
+
+    def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
+        self._record(uid).profile = profile
+
+    def update(self, uid: object, point: Point) -> int:
+        record = self._record(uid)
+        new_cell = self.grid.cell_of(point)
+        record.point = point
+        self.stats.location_updates += 1
+        if new_cell == record.cell:
+            return 0
+        ancestor_level = self.grid.common_ancestor_level(record.cell, new_cell)
+        cost = self._apply_branches(record.cell, new_cell, ancestor_level)
+        record.cell = new_cell
+        self.stats.counter_updates += cost
+        self.stats.cell_changes += 1
+        return cost
+
+    @staticmethod
+    def _copy(counts: list, users: dict) -> tuple[list, dict]:
+        return (
+            [arr.copy() for arr in counts],
+            {u: _BasicRecord(r.profile, r.point, r.cell) for u, r in users.items()},
+        )
+
+    def snapshot(self) -> object:
+        return _BasicSnapshot(*self._copy(self._counts, self._users))
+
+    def restore(self, state: object) -> None:
+        assert isinstance(state, _BasicSnapshot)
+        self._counts, self._users = self._copy(state.counts, state.users)
+        self._epoch += 1
+        self.cloak_cache.clear()
+
+    def check_invariants(self) -> None:
+        for level, counts in enumerate(self._counts[:-1]):
+            side = 1 << level
+            summed = self._counts[level + 1].reshape(side, 2, side, 2).sum(axis=(1, 3))
+            assert np.array_equal(counts, summed), f"level {level} != children sums"
+        assert int(self._counts[0][0, 0]) == len(self._users)
+        for uid, rec in self._users.items():
+            assert rec.cell == self.grid.cell_of(rec.point), f"stale cell for {uid!r}"
+
+
+# Section 4.2's decisions, one user at a time: bodies moved verbatim from
+# production, where repro.anonymizer.soa's gate-table reductions
+# (choose_split_vec / merge_blocked_vec, which carry the contract's
+# docstrings) replaced them.
+def choose_split(grid, leaf, count, users, point_of, profile_of):
+    if not users:
+        return None
+    child_area = grid.cell_area(leaf.level + 1)
+    # Cheap gate via the most relaxed user: if even the minimum
+    # requirements in this cell rule out level i+1, skip the exact check.
+    min_a = min(profile_of(u).a_min for u in users)
+    min_k = min(profile_of(u).k for u in users)
+    if child_area < min_a - 1e-15 or count < min_k:
+        return None
+    # Exact check: distribute users over the four children and test each
+    # user against the child that would contain them.
+    child_users: dict[CellId, set[object]] = {c: set() for c in leaf.children()}
+    for uid in users:
+        child_users[grid.cell_of(point_of(uid), leaf.level + 1)].add(uid)
+    for child, members in child_users.items():
+        for uid in members:
+            if profile_of(uid).is_satisfied_by(len(members), child_area):
+                return child_users, child
+    return None
+
+
+def merge_is_blocked(child_area, child_stats, profile_of):
+    for count, users in child_stats:
+        for uid in users:
+            if profile_of(uid).is_satisfied_by(count, child_area):
+                return True
+    return False
+
+
+class ReferenceAdaptive(_ReferenceHost, CutMaintainer):
+    """The production cut maintainer over local dicts, deciding splits
+    and merges with the scalar functions above (no gate table)."""
+
+    label = "adaptive"
+    _start_attr = "leaf"
+
+    def __init__(self, bounds: Rect, height: int = 9, cloak_cache_size: int = 8192):
+        self._init_host(bounds, height, cloak_cache_size)
+        self._cells: dict[CellId, CutCell] = {CellId(0, 0, 0): CutCell()}
+        self._gens: dict[CellId, int] = {}
+
+    def _profile_of(self, uid: object) -> PrivacyProfile:
+        return self._users[uid].profile
+
+    def _split_decision(self, leaf: CellId, entry: CutCell):
+        return choose_split(
+            self.grid, leaf, entry.count, entry.users,
+            lambda uid: self._users[uid].point, self._profile_of,
+        )
+
+    def _merge_blocked(self, child_area: float, child_stats) -> bool:
+        return merge_is_blocked(child_area, child_stats, self._profile_of)
+
+    def cell_count(self, cell: CellId) -> int:
+        entry = self._cells.get(cell)
+        return entry.count if entry is not None else 0
+
+    # CutMaintainer storage hooks: local dicts.
+    def _entry(self, cell: CellId) -> CutCell | None:
+        return self._cells.get(cell)
+
+    def _entry_required(self, cell: CellId) -> CutCell:
+        return self._cells[cell]
+
+    def _set_entry(self, cell: CellId, entry: CutCell) -> None:
+        self._cells[cell] = entry
+
+    def _del_entry(self, cell: CellId) -> None:
+        del self._cells[cell]
+
+    def _set_leaf(self, uid: object, leaf: CellId) -> None:
+        self._users[uid].leaf = leaf
+
+    def _bump_gen(self, cell: CellId) -> None:
+        self._gens[cell] = self._gens.get(cell, 0) + 1
+
+    def _gen_of(self, cell: CellId) -> int:
+        return self._gens.get(cell, 0)
+
+    def register(self, uid: object, point: Point, profile: PrivacyProfile) -> None:
+        if uid in self._users:
+            raise DuplicateUserError(uid)
+        leaf = self.leaf_for_point(point)
+        self._users[uid] = _AdaptiveRecord(profile, point, leaf)
+        self._add_to_leaf(uid, leaf)
+        self.stats.registrations += 1
+        self._maybe_split(leaf)
+
+    def deregister(self, uid: object) -> None:
+        record = self._record(uid)
+        self._remove_from_leaf(uid, record.leaf)
+        del self._users[uid]
+        self.stats.deregistrations += 1
+        self._maybe_merge(record.leaf)
+
+    def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
+        record = self._record(uid)
+        record.profile = profile
+        self._maybe_split(record.leaf)
+        self._maybe_merge(record.leaf)
+
+    def update(self, uid: object, point: Point) -> int:
+        record = self._record(uid)
+        record.point = point
+        self.stats.location_updates += 1
+        new_leaf = self.leaf_for_point(point)
+        if new_leaf == record.leaf:
+            return 0
+        old_leaf = record.leaf
+        cost = self._move_between_leaves(uid, old_leaf, new_leaf)
+        record.leaf = new_leaf
+        self.stats.counter_updates += cost
+        self.stats.cell_changes += 1
+        self._maybe_split(new_leaf)
+        self._maybe_merge(old_leaf)
+        return cost
+
+    @staticmethod
+    def _copy(cells: dict, users: dict) -> tuple[dict, dict]:
+        return (
+            {c: CutCell(e.count, e.is_leaf, set(e.users)) for c, e in cells.items()},
+            {u: _AdaptiveRecord(r.profile, r.point, r.leaf) for u, r in users.items()},
+        )
+
+    def snapshot(self) -> object:
+        return _AdaptiveSnapshot(*self._copy(self._cells, self._users))
+
+    def restore(self, state: object) -> None:
+        assert isinstance(state, _AdaptiveSnapshot)
+        self._cells, self._users = self._copy(state.cells, state.users)
+        self._epoch += 1
+        self.cloak_cache.clear()
+
+    def check_invariants(self) -> None:
+        """Cut consistency, stated independently of production."""
+        for cell, entry in self._cells.items():
+            below = {
+                uid for uid, rec in self._users.items()
+                if cell.is_ancestor_of(self.grid.cell_of(rec.point))
+            }
+            assert entry.count == len(below), f"{cell} count drift"
+            assert entry.users == (below if entry.is_leaf else set()), f"{cell} users"
+            assert entry.is_leaf or all(c in self._cells for c in cell.children())
+            assert cell.is_root or not self._cells[cell.parent()].is_leaf
+        for uid, rec in self._users.items():
+            assert rec.leaf == self.leaf_for_point(rec.point), f"stale leaf for {uid!r}"

@@ -25,7 +25,6 @@ def make_report(quick: bool = True, **ratios: float) -> dict:
         "batch": 6.0,
         "shard_scaling": 1.8,
         "shard_parallel": 4.0,
-        "pyramid_scale": 30.0,
         "continuous_mobility": 12.0,
     }
     base.update(ratios)

@@ -4,8 +4,7 @@ The central claim: a safe-region monitor that skips re-evaluation while
 each client's cloak stays inside its validity region produces refined
 exact answers **byte-identical** to a per-tick-recompute oracle — and to
 a brute-force kNN at the client's true position — across anonymizer
-kinds, pyramid backends and shard counts, while doing far fewer server
-evaluations.
+kinds and shard counts, while doing far fewer server evaluations.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ def build_stack(
     targets,
     *,
     anonymizer="adaptive",
-    vectorized=None,
     shards=1,
     parallel=False,
     safe_region=True,
@@ -42,7 +40,6 @@ def build_stack(
         anonymizer=anonymizer,
         shards=shards,
         parallel=parallel,
-        vectorized=vectorized,
     )
     scenario.register_all(casper)
     casper.add_public_targets(targets)
@@ -78,17 +75,15 @@ def brute_knn(targets, u: Point, k: int):
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("anonymizer", ["basic", "adaptive"])
-    @pytest.mark.parametrize("vectorized", [False, True])
     @pytest.mark.parametrize("shards", [1, 4])
     def test_safe_region_matches_per_tick_oracle(
-        self, workload, anonymizer, vectorized, shards
+        self, workload, anonymizer, shards
     ):
         scenario_seed, ticks, targets = workload
         _casper_s, safe = build_stack(
             fresh_scenario(scenario_seed),
             targets,
             anonymizer=anonymizer,
-            vectorized=vectorized,
             shards=shards,
             safe_region=True,
         )
@@ -96,7 +91,6 @@ class TestOracleEquivalence:
             fresh_scenario(scenario_seed),
             targets,
             anonymizer=anonymizer,
-            vectorized=vectorized,
             shards=shards,
             safe_region=False,
         )

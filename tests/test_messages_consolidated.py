@@ -1,11 +1,10 @@
-"""The consolidated message module and its compatibility shims.
+"""The consolidated message module.
 
-``repro.messages`` is now the single definition site for every
-cross-boundary message type; the old ``repro.server.messages`` and
-``repro.resilience.messages`` import paths must keep working and must
-re-export the *same* objects (identity, not copies).  The shard
-envelope added for the sharded runtime gets its own codec tests: a
-corrupted shard id must never route a message to the wrong shard.
+``repro.messages`` is the single definition site for every
+cross-boundary message type (the update codec is covered by
+``test_resilience_messages.py``).  The shard envelope added for the
+sharded runtime gets its own codec tests: a corrupted shard id must
+never route a message to the wrong shard.
 """
 
 from __future__ import annotations
@@ -14,41 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import messages
 from repro.messages import (
     ENVELOPE_HEADER_SIZE,
     ShardEnvelope,
     decode_envelope,
     encode_envelope,
 )
-
-
-class TestShims:
-    def test_server_shim_reexports_identically(self) -> None:
-        from repro.server import messages as server_messages
-
-        assert server_messages.PrivateQueryResult is messages.PrivateQueryResult
-
-    def test_resilience_shim_reexports_identically(self) -> None:
-        from repro.resilience import messages as resilience_messages
-
-        assert resilience_messages.LocationUpdate is messages.LocationUpdate
-        assert resilience_messages.encode_update is messages.encode_update
-        assert resilience_messages.decode_update is messages.decode_update
-        assert (
-            resilience_messages.UPDATE_RECORD_SIZE is messages.UPDATE_RECORD_SIZE
-        )
-
-    def test_update_codec_round_trips_through_the_shim(self) -> None:
-        from repro.resilience.messages import decode_update, encode_update
-
-        from repro.anonymizer import PrivacyProfile
-        from repro.geometry import Point
-
-        update = messages.LocationUpdate(
-            "u1", 7, Point(0.25, 0.75), PrivacyProfile(k=3, a_min=0.001)
-        )
-        assert decode_update(encode_update(update)) == update
 
 
 class TestShardEnvelope:

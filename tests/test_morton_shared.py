@@ -5,8 +5,8 @@ previously copied between ``repro.anonymizer.soa`` and
 ``repro.sharding.router``.  These tests pin the interleave convention
 (``ix`` at even bit positions, ``iy`` at odd) against a straight-loop
 reference, verify every speed tier (vectorized magic masks, 16-bit
-lookup table, pure-int compact) agrees bit for bit, and assert the old
-import paths re-export the *same* objects.
+lookup table, pure-int compact) agrees bit for bit, and assert the
+``repro.sharding`` re-exports are the *same* objects.
 """
 
 from __future__ import annotations
@@ -88,14 +88,8 @@ def test_rank_and_cell_are_inverses_at_every_level() -> None:
 
 def test_old_import_paths_reexport_identically() -> None:
     from repro import morton
-    from repro.anonymizer import soa
     from repro.sharding import router
 
-    assert soa.morton_encode is morton.morton_encode
-    assert soa.morton_decode is morton.morton_decode
-    assert soa.morton_of_cell is morton.morton_of_cell
-    assert soa.morton_of_xy is morton.morton_of_xy
-    assert soa.cell_of_morton is morton.cell_of_morton
     assert router.morton_rank is morton.morton_rank
     assert router.morton_cell is morton.morton_cell
 

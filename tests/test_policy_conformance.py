@@ -14,12 +14,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.anonymizer import CloakingPolicy, available_policies, get_policy
+from repro.anonymizer import (
+    BasicAnonymizer,
+    CloakingPolicy,
+    available_policies,
+    get_policy,
+)
 from repro.anonymizer.profile import PrivacyProfile
+from repro.anonymizer.soa import MAX_SOA_HEIGHT
 from repro.errors import UnknownUserError
 from repro.geometry import Point
 from repro.server import Casper
 from repro.sharding import make_sharded
+from repro.sharding.workers import WorkerPool
 from tests.conftest import UNIT, random_points
 
 HEIGHT = 6
@@ -27,7 +34,7 @@ A_MIN = 0.004  # large enough to force climbing above the leaf level
 
 
 def build(name: str) -> CloakingPolicy:
-    return get_policy(name).single(UNIT, HEIGHT, 8192, None)
+    return get_policy(name).single(UNIT, HEIGHT, 8192)
 
 
 def populate(anonymizer, n: int = 160, k: int = 8, seed: int = 7):
@@ -173,6 +180,51 @@ class TestDeploymentSeams:
         for uid, region in regions.items():
             assert restored.cloak(uid).region == region
         restored.check_invariants()
+
+
+TOO_DEEP = MAX_SOA_HEIGHT + 1
+
+#: Every way to deploy the basic policy by name.
+BASIC_SEAMS = {
+    "single": lambda h: get_policy("basic").single(UNIT, h, 8192),
+    "sharded": lambda h: make_sharded(UNIT, height=h, num_shards=2, kind="basic"),
+    "parallel": lambda h: make_sharded(
+        UNIT, height=h, num_shards=2, kind="basic", parallel=True
+    ),
+    "casper-parallel": lambda h: Casper(
+        UNIT, pyramid_height=h, policy="basic", shards=2, parallel=True
+    ),
+}
+
+
+@pytest.mark.parametrize("seam", sorted(BASIC_SEAMS))
+def test_basic_rejects_height_past_the_array_cap_up_front(seam, monkeypatch):
+    """``basic`` keeps complete per-level arrays, so every seam rejects a
+    deeper pyramid with the same error, in the calling process, before
+    any worker exists."""
+
+    def no_spawn(self):
+        raise AssertionError("a worker was spawned before validation")
+
+    monkeypatch.setattr(WorkerPool, "spawn_all", no_spawn)
+    with pytest.raises(ValueError, match="adaptive") as direct:
+        BasicAnonymizer(UNIT, height=TOO_DEEP)
+    assert f"0..{MAX_SOA_HEIGHT}" in str(direct.value)
+    with pytest.raises(ValueError) as rejected:
+        BASIC_SEAMS[seam](TOO_DEEP)
+    assert str(rejected.value) == str(direct.value)
+
+
+def test_adaptive_runs_past_the_basic_height_cap():
+    """The adaptive cut is a sparse dict: no cap, so it is where the
+    basic policy's error points for deeper pyramids."""
+    casper = Casper(UNIT, pyramid_height=TOO_DEEP, policy="adaptive")
+    points, profile = populate(casper.anonymizer, n=40, k=3)
+    casper.update_location(7, Point(0.9, 0.9))
+    cloaked = casper.anonymizer.cloak(7)
+    assert cloaked.achieved_k >= profile.k
+    assert cloaked.region.contains_point(Point(0.9, 0.9))
+    casper.anonymizer.check_invariants()
 
 
 def test_baseline_policy_runs_parallel_end_to_end():

@@ -1,11 +1,11 @@
-"""Large-N properties of the vectorized pyramid (nightly ``slow`` job).
+"""Large-N properties of the array-backed pyramid (nightly ``slow`` job).
 
-The structure-of-arrays backend exists to push the population well past
-the scalar implementation's ~10k-user ceiling; these tests drive it at
-the scales the bench reports (100k users; a 1M-user tick) and assert
-the things a representation change must not bend: pyramid invariants,
-per-cloak k-satisfaction and inclusiveness, and a hard memory ceiling
-on the array state.  Everything is seeded — a failure reproduces.
+The structure-of-arrays state exists to push the population well past a
+per-object implementation's ~10k-user ceiling; these tests drive it at
+100k users and through a 1M-user tick and assert the things a
+representation change must not bend: pyramid invariants, per-cloak
+k-satisfaction and inclusiveness, and a hard memory ceiling on the array
+state.  Everything is seeded — a failure reproduces.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ pytestmark = pytest.mark.slow
 
 def populate(num_users: int, height: int, seed: int) -> BasicAnonymizer:
     rng = np.random.default_rng(seed)
-    anonymizer = BasicAnonymizer(UNIT, height=height, vectorized=True)
-    assert anonymizer.vectorized, "SoA backend required at this scale"
+    anonymizer = BasicAnonymizer(UNIT, height=height)
     xs = rng.uniform(0.001, 0.999, size=num_users)
     ys = rng.uniform(0.001, 0.999, size=num_users)
     ks = rng.integers(2, 50, size=num_users)
@@ -91,8 +90,8 @@ class TestMillionUsers:
         elapsed = time.perf_counter() - start
         assert len(costs) == self.NUM_USERS
         # The nightly job budgets minutes per step; a tick that cannot
-        # clear two minutes signals the vectorized path fell off a
-        # cliff (e.g. silently degrading to the scalar loop).
+        # clear two minutes signals the batch kernel fell off a cliff
+        # (e.g. silently degrading to a per-move python loop).
         assert elapsed < 120.0, f"1M-user tick took {elapsed:.1f}s"
         soa_bytes = anonymizer._soa.nbytes() + anonymizer._table.nbytes()
         assert soa_bytes < 256 * 2**20, f"SoA state grew to {soa_bytes} bytes"

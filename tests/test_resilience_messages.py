@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 from repro.anonymizer import PrivacyProfile
 from repro.geometry import Point, Rect
-from repro.processor import CandidateList
-from repro.resilience.messages import (
+from repro.messages import (
     UPDATE_RECORD_SIZE,
     LocationUpdate,
     decode_update,
     encode_update,
 )
+from repro.processor import CandidateList
 from repro.server.codec import decode_candidate_list, encode_candidate_list
 
 UPDATE = LocationUpdate("u042", 7, Point(0.25, 0.75), PrivacyProfile(5, 0.01))

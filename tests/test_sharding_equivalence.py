@@ -4,7 +4,7 @@ The sharded anonymizers are *deployments*, not approximations — for any
 shard count they must emit exactly the cloaks, candidate lists,
 maintenance counters and SLO-relevant telemetry of the single-pyramid
 implementations.  Every test here drives the single implementation and
-sharded fleets of N ∈ {1, 2, 4} through identical operation sequences
+sharded fleets of N ∈ {1, 2, 4, 8} through identical operation sequences
 and compares full fingerprints, including the regression that motivates
 the spine: cloaks escalating across a shard seam.
 """
@@ -24,7 +24,7 @@ from repro.sharding import make_sharded
 from tests.conftest import UNIT
 
 HEIGHT = 5
-SHARD_COUNTS = (1, 2, 4)
+SHARD_COUNTS = (1, 2, 4, 8)
 
 coords = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 ks = st.integers(1, 12)

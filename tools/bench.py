@@ -20,9 +20,6 @@ track the trajectory:
 * **shard_parallel** — the multi-process shard runtime at
   N = 1/2/4/8 worker processes, paired-chunk ratios for cloak and
   update throughput;
-* **pyramid_scale** — per-tick ``update_batch`` throughput of the
-  vectorized structure-of-arrays pyramid vs the scalar oracle at
-  100k users (10k under ``--quick``);
 * **continuous_mobility** — re-query rate of the safe-region
   continuous-kNN monitor vs the naive re-issue-every-tick client on
   the commuter trajectory workload (identical recorded ticks, refined
@@ -331,84 +328,6 @@ def bench_shard_scaling(quick: bool) -> dict:
         "cloak_scaling_4x": cloaks_per_second[4] / cloaks_per_second[1],
         "cloak_scaling_8x": cloaks_per_second[8] / cloaks_per_second[1],
         "update_scaling_8x": updates_per_second[8] / updates_per_second[1],
-    }
-
-
-# ----------------------------------------------------------------------
-# Pyramid scale: vectorized vs scalar per-tick update streams
-# ----------------------------------------------------------------------
-def bench_pyramid_scale(quick: bool) -> dict:
-    """Update-tick throughput of the structure-of-arrays pyramid.
-
-    One tick = the whole population moves once, applied through
-    ``update_batch``: the scalar oracle walks ``path_to_root`` per move,
-    the vectorized backend scatters the whole tick with ``np.add.at``
-    over Morton ancestor chains.  Both backends see the identical move
-    script; the first tick's per-move costs are asserted equal, so the
-    measured speedup is for bit-identical work.
-    """
-    import numpy as np
-
-    num_users = 10_000 if quick else 100_000
-    ticks = 2 if quick else 3
-    height = 9
-    profile = PrivacyProfile(k=20)
-    rng = ensure_rng(11)
-    xs = rng.uniform(0.001, 0.999, size=num_users)
-    ys = rng.uniform(0.001, 0.999, size=num_users)
-    # Mostly local jitter (confined moves) with a long-jump tail, the
-    # shape of a per-tick trace.
-    scripts = []
-    for _ in range(ticks):
-        jump = rng.random(size=num_users) < 0.05
-        xs = np.where(
-            jump,
-            rng.uniform(0.001, 0.999, size=num_users),
-            np.clip(xs + rng.uniform(-0.01, 0.01, size=num_users), 0.001, 0.999),
-        )
-        ys = np.where(
-            jump,
-            rng.uniform(0.001, 0.999, size=num_users),
-            np.clip(ys + rng.uniform(-0.01, 0.01, size=num_users), 0.001, 0.999),
-        )
-        scripts.append(
-            [(uid, Point(float(xs[uid]), float(ys[uid]))) for uid in range(num_users)]
-        )
-
-    start_xs = rng.uniform(0.001, 0.999, size=num_users)
-    start_ys = rng.uniform(0.001, 0.999, size=num_users)
-
-    def build(vectorized: bool) -> BasicAnonymizer:
-        anonymizer = BasicAnonymizer(BOUNDS, height=height, vectorized=vectorized)
-        for uid in range(num_users):
-            anonymizer.register(
-                uid, Point(float(start_xs[uid]), float(start_ys[uid])), profile
-            )
-        return anonymizer
-
-    scalar = build(vectorized=False)
-    vectorized = build(vectorized=True)
-    scalar_s = 0.0
-    vectorized_s = 0.0
-    for tick, script in enumerate(scripts):
-        elapsed, scalar_costs = _timed(scalar.update_batch, script)
-        scalar_s += elapsed
-        elapsed, vectorized_costs = _timed(vectorized.update_batch, script)
-        vectorized_s += elapsed
-        if tick == 0:
-            assert scalar_costs == vectorized_costs, "backends diverged"
-    vectorized.check_invariants()
-    moves = ticks * num_users
-    soa_bytes = vectorized._soa.nbytes() + vectorized._table.nbytes()
-    return {
-        "num_users": num_users,
-        "height": height,
-        "ticks": ticks,
-        "moves_timed": moves,
-        "scalar_updates_per_second": moves / scalar_s,
-        "vectorized_updates_per_second": moves / vectorized_s,
-        "soa_mbytes": soa_bytes / 1e6,
-        "speedup": scalar_s / vectorized_s,
     }
 
 
@@ -805,7 +724,6 @@ def main(argv: list[str] | None = None) -> int:
         ("batch", bench_batch),
         ("shard_scaling", bench_shard_scaling),
         ("shard_parallel", bench_shard_parallel),
-        ("pyramid_scale", bench_pyramid_scale),
         ("continuous_mobility", bench_continuous_mobility),
     )
     if args.only:
@@ -839,7 +757,6 @@ def main(argv: list[str] | None = None) -> int:
         ("knn_private", "speedup", 2.0),
         ("shard_scaling", "cloak_scaling_8x", 1.0),
         ("shard_parallel", "cloak_scaling_8x", 3.0),
-        ("pyramid_scale", "speedup", 10.0),
         ("continuous_mobility", "evaluation_suppression", 5.0),
     )
     ok = True

@@ -41,7 +41,6 @@ GATED_RATIOS = (
     ("shard_scaling", "cloak_scaling_8x"),
     ("shard_parallel", "cloak_scaling_8x"),
     ("shard_parallel", "update_scaling_8x"),
-    ("pyramid_scale", "speedup"),
     ("continuous_mobility", "evaluation_suppression"),
 )
 

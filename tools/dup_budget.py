@@ -1,25 +1,27 @@
 #!/usr/bin/env python
-"""Duplication budget for the sharded anonymizer modules.
+"""Line budget for ``src/repro``: one row per package, plus the two
+sharded variant modules.
 
-The PyramidEngine/CloakingPolicy refactor shrank ``sharding/basic.py``
-and ``sharding/adaptive.py`` to routing and spine glue: everything the
-two variants share now lives in ``sharding/fleet.py``, ``recovery.py``,
-``invariants.py`` and the engine/policy layer.  The cheapest way for
-that split to rot is for variant-specific modules to quietly re-absorb
-shared mechanics, one pasted helper at a time.
+Lines per package is a tracked number, like throughput: the cheapest
+way for a simplification to rot is for code to quietly regrow, one
+pasted helper at a time — variant-specific sharded modules re-absorbing
+what ``sharding/fleet.py`` / ``recovery.py`` / ``invariants.py`` share,
+or a deleted second code path coming back under a new name.
 
-This gate freezes each module's post-refactor line count and fails CI
-when a file regrows past its baseline plus 10% — growth beyond that
-band means either duplication creeping back (hoist it into the shared
-layers) or a genuine new responsibility (then move the baseline in the
-same PR, with the reasoning in the commit).
+This gate freezes each entry's line count (``*.py`` lines under a
+package directory, or one file's lines) and fails CI when an entry
+regrows past its baseline plus 10% — growth beyond that band means
+either duplication creeping back (hoist it into the shared layers) or a
+genuine new responsibility (then move the baseline in the same PR, with
+the reasoning in the commit).  The table it prints is the per-package
+number ``CHANGES.md`` quotes PR over PR.
 
 Usage::
 
     python tools/dup_budget.py [--root PATH]
 
-Exit codes: 0 — every file within budget; 1 — a file over budget;
-2 — a budgeted file is missing.
+Exit codes: 0 — every entry within budget; 1 — an entry over budget;
+2 — a budgeted file or package is missing.
 """
 
 from __future__ import annotations
@@ -30,10 +32,29 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: path (repo-relative) -> post-refactor baseline line count.
+#: path (repo-relative file, or package directory counted recursively)
+#: -> frozen baseline line count (PR 12, after the scalar pyramid left
+#: ``src/``).
 BASELINES = {
-    "src/repro/sharding/basic.py": 297,
-    "src/repro/sharding/adaptive.py": 292,
+    "src/repro/analysis": 4466,
+    "src/repro/anonymizer": 3461,
+    "src/repro/continuous": 605,
+    "src/repro/evaluation": 1263,
+    "src/repro/geometry": 560,
+    "src/repro/mobility": 835,
+    "src/repro/observability": 1697,
+    "src/repro/privacy": 178,
+    "src/repro/processor": 1647,
+    "src/repro/resilience": 1560,
+    "src/repro/server": 1059,
+    "src/repro/sharding": 4147,
+    "src/repro/sharding/adaptive.py": 276,
+    "src/repro/sharding/basic.py": 304,
+    "src/repro/simulation": 292,
+    "src/repro/spatial": 1238,
+    "src/repro/utils": 197,
+    "src/repro/viz": 311,
+    "src/repro/workloads": 473,
 }
 
 #: Allowed growth over baseline before the gate fails.
@@ -44,6 +65,18 @@ def budget_of(baseline: int) -> int:
     return int(baseline * (1 + HEADROOM))
 
 
+def lines_of(path: Path) -> int | None:
+    """Lines of one file, or of every ``*.py`` under a directory;
+    ``None`` when the path does not exist."""
+    if path.is_file():
+        files = [path]
+    elif path.is_dir():
+        files = sorted(path.rglob("*.py"))
+    else:
+        return None
+    return sum(len(f.read_text().splitlines()) for f in files)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -52,22 +85,23 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     failures = 0
+    width = max(len(rel) for rel in BASELINES)
+    print(f"{'path':<{width}}  {'lines':>6}  {'baseline':>8}  {'budget':>6}")
     for rel, baseline in sorted(BASELINES.items()):
-        path = args.root / rel
-        if not path.is_file():
-            print(f"dup-budget: {rel}: budgeted file is missing", file=sys.stderr)
+        lines = lines_of(args.root / rel)
+        if lines is None:
+            print(f"dup-budget: {rel}: budgeted path is missing", file=sys.stderr)
             return 2
-        lines = len(path.read_text().splitlines())
         budget = budget_of(baseline)
         status = "ok" if lines <= budget else "OVER BUDGET"
-        print(f"dup-budget: {rel}: {lines} lines (budget {budget}) {status}")
+        print(f"{rel:<{width}}  {lines:>6}  {baseline:>8}  {budget:>6}  {status}")
         if lines > budget:
             failures += 1
             print(
-                f"dup-budget: {rel} regrew past its post-refactor baseline "
+                f"dup-budget: {rel} regrew past its frozen baseline "
                 f"({baseline} + {HEADROOM:.0%}); hoist shared mechanics into "
-                f"sharding/fleet.py / recovery.py / invariants.py or move the "
-                f"baseline deliberately in this PR",
+                f"the shared layers or move the baseline deliberately in "
+                f"this PR",
                 file=sys.stderr,
             )
     return 1 if failures else 0
