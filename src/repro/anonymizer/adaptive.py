@@ -10,9 +10,11 @@ Algorithm 1 touch far fewer cells than the basic anonymizer when users
 have strict privacy profiles.
 
 The split/merge decisions and the cut-maintenance walk live in
-:mod:`repro.anonymizer.policies.adaptive` (shared verbatim with the
-sharded fleet); this class is the single-pyramid host: a local cell
-dict, one mutation epoch, and the engine's instrumented cloak.
+:mod:`repro.anonymizer.policies.adaptive`; this class is its host: a
+local cell dict, one mutation epoch, and the engine's instrumented
+cloak.  Sharded deployments run whole replicas of this class (see
+:mod:`repro.sharding.replicated`) — the cut is shaped by global counts,
+so there is no partitioned form.
 
 The maintained cut stays a dict — it is sparse by design, so it has no
 height cap — but every per-user scan (the split gate and exact check,
@@ -38,11 +40,6 @@ from repro.errors import DuplicateUserError, UnknownUserError
 from repro.geometry import Point, Rect
 
 __all__ = ["AdaptiveAnonymizer"]
-
-# Historical spelling: the maintained-cell dataclass grew up here before
-# moving to the shared policy module; the sharded host imports it under
-# this name.
-_Cell = CutCell
 
 
 @dataclass

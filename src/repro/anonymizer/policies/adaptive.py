@@ -5,22 +5,19 @@ This module is the single definition site of the adaptive pyramid's
 quadtree cut consistent under registration, deregistration and
 movement, deciding splits and merges with the gate-table reductions of
 :mod:`repro.anonymizer.soa`.
-``repro.anonymizer.adaptive`` (single pyramid) and
-``repro.sharding.adaptive`` (partitioned fleet) are thin hosts: they
-supply storage and epoch semantics through the small hook surface
-below, and the mixin runs the identical walk on both — which is what
-makes the single-shard oracle and the sharded fleet byte-identical.
+``repro.anonymizer.adaptive`` (the single pyramid) is its one
+production host: it supplies storage and epoch semantics through the
+small hook surface below.  The cut is reshaped from *global* counts, so
+it has no partitioned form — sharded deployments run whole replicas of
+that host behind :mod:`repro.sharding.replicated`.
 
 Hook surface a host implements:
 
 * ``_entry`` / ``_entry_required`` / ``_set_entry`` / ``_del_entry`` —
-  maintained-cut storage (a local dict, or dicts routed across shard
-  cores and the replicated spine);
+  maintained-cut storage (a local dict);
 * ``_bump_gen`` — per-cell generation counters for cache invalidation;
 * ``_commit(touched)`` — epoch effects of one maintenance primitive
-  (single pyramid: one mutation-epoch tick; sharded fleet: per-owning-
-  shard core epochs plus the boundary epoch, derived from the touched
-  cells' levels);
+  (one mutation-epoch tick);
 * ``_set_leaf`` — user-record access;
 * ``_table`` — the gate table (parallel ``(x, y, k, A_min)`` arrays
   mirroring the user records) the split/merge decisions scan.
@@ -254,25 +251,10 @@ def _single(bounds: Rect, height: int, cloak_cache_size: int) -> CloakingPolicy:
     return AdaptiveAnonymizer(bounds, height, cloak_cache_size)
 
 
-def _sharded(
-    bounds: Rect, height: int, num_shards: int, cloak_cache_size: int
-) -> object:
-    from repro.sharding.adaptive import ShardedAdaptiveAnonymizer
-
-    return ShardedAdaptiveAnonymizer(
-        bounds,
-        height=height,
-        num_shards=num_shards,
-        cloak_cache_size=cloak_cache_size,
-    )
-
-
 register_policy(
     PolicySpec(
         name="adaptive",
         single=_single,
-        sharded=_sharded,
-        replication="broadcast",
         description="Incomplete pyramid with cell splitting/merging (Section 4.2)",
     )
 )

@@ -98,7 +98,6 @@ register_policy(
         name="basic",
         single=_single,
         sharded=_sharded,
-        replication="partition",
         check_height=check_soa_height,
         description="Complete pyramid of per-cell counters (Section 4.1)",
     )

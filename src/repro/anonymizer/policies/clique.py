@@ -191,7 +191,6 @@ register_policy(
     PolicySpec(
         name="clique",
         single=_single,
-        replication="broadcast",
         description="k-nearest-group MBR cloaking (CliqueCloak-style)",
     )
 )

@@ -188,7 +188,6 @@ register_policy(
     PolicySpec(
         name="interval",
         single=_single,
-        replication="broadcast",
         description="KD-halving spatial cloaking (Gruteser & Grunwald 2003)",
     )
 )

@@ -188,7 +188,6 @@ register_policy(
     PolicySpec(
         name="temporal",
         single=_single,
-        replication="broadcast",
         description="Distinct-visitor-history cloaking (temporal baseline)",
     )
 )

@@ -28,7 +28,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Literal,
     Protocol,
     runtime_checkable,
 )
@@ -111,12 +110,14 @@ ShardedFactory = Callable[["Rect", int, int, int], Any]
 class PolicySpec:
     """Registry entry for one cloaking policy.
 
-    ``replication`` tells the parallel runtime how worker replicas stay
-    consistent: ``"partition"`` (each worker authoritative for its own
-    shard's cells, confined mutations routed to one worker — the basic
-    pyramid) or ``"broadcast"`` (every mutation reaches every worker,
-    each holding the full structure — the adaptive pyramid, and any
-    policy without a native sharded implementation).
+    ``sharded`` is the policy's native partitioned fleet, if it has
+    one; its presence is also what tells the parallel runtime how
+    worker replicas stay consistent.  With a native fleet (the basic
+    pyramid) each worker is authoritative for its own shard's cells and
+    confined mutations route to one worker; without one (the adaptive
+    pyramid, whose cut is shaped by global counts, and every baseline)
+    each worker holds a whole replica behind
+    ``repro.sharding.replicated`` and every mutation is broadcast.
 
     ``check_height`` raises ``ValueError`` for pyramid heights the
     policy cannot hold; the constructors run it themselves, and the
@@ -127,7 +128,6 @@ class PolicySpec:
     name: str
     single: SingleFactory
     sharded: ShardedFactory | None = None
-    replication: Literal["partition", "broadcast"] = "broadcast"
     description: str = ""
     check_height: Callable[[int], None] | None = None
 

@@ -52,7 +52,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.server.codec import decode_candidate_list, encode_candidate_list
 from repro.sharding import (
     ParallelShardedAnonymizer,
-    ShardedAdaptiveAnonymizer,
+    ReplicatedShardedAnonymizer,
     ShardedBasicAnonymizer,
 )
 
@@ -65,7 +65,7 @@ Anonymizer = Union[
     BasicAnonymizer,
     AdaptiveAnonymizer,
     ShardedBasicAnonymizer,
-    ShardedAdaptiveAnonymizer,
+    ReplicatedShardedAnonymizer,
     ParallelShardedAnonymizer,
 ]
 
@@ -147,7 +147,7 @@ class _Ack:
 class _Snapshot:
     state: object
     applied_seq: dict[str, int] = field(default_factory=dict)
-    #: Per-shard deep copies (sharded anonymizers under a plan with
+    #: Per-shard deep copies (partitioned fleets under a plan with
     #: ``shard_crash_period > 0`` only) — captured in the same pass as
     #: ``state``, so the fleet and its shards roll back as one unit.
     shard_states: tuple[object, ...] | None = None
@@ -278,9 +278,11 @@ class ResilienceRuntime:
         them, so post-snapshot updates must be re-appliable); users the
         restore *purged* — registered or rehomed into the victim after
         the snapshot — lose their sequence entries entirely and heal via
-        re-registration from their next self-describing update.  An
-        unsharded anonymizer has no shard boundary to contain the blast
-        radius, so the fault degenerates to a whole-process crash.
+        re-registration from their next self-describing update.  Only
+        the partitioned fleet (``basic``) has a shard boundary to
+        contain the blast radius; for an unsharded anonymizer, a
+        broadcast replica or the worker pool the fault degenerates to a
+        whole-process crash.
         """
         snapshot = self._snapshot
         anonymizer = self.anonymizer

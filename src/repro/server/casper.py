@@ -44,7 +44,6 @@ from repro.processor import (
 # the facade hands the server cloaks only (see the import above).
 from repro.sharding import (  # casperlint: ignore[CSP001] trusted facade
     ParallelShardedAnonymizer,
-    ShardedAdaptiveAnonymizer,
     ShardedBasicAnonymizer,
     make_sharded,
 )
@@ -70,7 +69,6 @@ AnonymizerLike = (
     BasicAnonymizer
     | AdaptiveAnonymizer
     | ShardedBasicAnonymizer
-    | ShardedAdaptiveAnonymizer
     | ParallelShardedAnonymizer
     | object
 )

@@ -1,21 +1,26 @@
 """Sharded anonymizer runtime (deterministic spatial partitioning).
 
-Partitions the Casper grid pyramid across ``N`` shard-owned subtrees
-behind a :class:`~repro.sharding.router.ShardRouter`: the top of the
-pyramid (levels above the block level) is a replicated spine, every
-deeper cell is owned by exactly one shard.  The sharded anonymizers
-implement the exact interface of
-:class:`~repro.anonymizer.basic.BasicAnonymizer` /
-:class:`~repro.anonymizer.adaptive.AdaptiveAnonymizer` and are
-**byte-for-byte equivalent** to them for any shard count — cloaks,
-candidate lists, and maintenance statistics are identical; sharding
-changes only where state lives and which caches a mutation invalidates.
+One sharded deployment per replication mode, both behind a
+:class:`~repro.sharding.router.ShardRouter`:
+
+* **partitioned** (:class:`ShardedBasicAnonymizer`) — the complete
+  pyramid splits into ``N`` shard-owned subtrees: the top (levels above
+  the block level) is a replicated spine, every deeper cell is owned by
+  exactly one shard;
+* **broadcast** (:class:`ReplicatedShardedAnonymizer`) — every other
+  registered policy (the adaptive pyramid, whose cut is shaped by
+  global counts, and the baselines) runs as a whole single-instance
+  replica with a geometric shard directory on top.
+
+Either way the sharded anonymizer implements the exact interface of the
+single-instance policy it deploys and is **byte-for-byte equivalent**
+to it for any shard count — cloaks, candidate lists, and maintenance
+statistics are identical; sharding changes only where state lives and
+which caches a mutation invalidates.
 
 Two runtimes share that routing scheme:
 
-* the in-process fleets (:class:`ShardedBasicAnonymizer` /
-  :class:`ShardedAdaptiveAnonymizer`) — one address space, shard cores
-  as plain objects;
+* the in-process deployments above — one address space;
 * the process pool (:class:`ParallelShardedAnonymizer`,
   ``parallel=True``) — one OS process per shard speaking the framed,
   CRC'd wire protocol of :mod:`repro.sharding.wire` over pipes, with
@@ -31,7 +36,6 @@ from __future__ import annotations
 
 from repro.anonymizer.policy import get_policy
 from repro.geometry import Rect
-from repro.sharding.adaptive import ShardedAdaptiveAnonymizer
 from repro.sharding.basic import ShardedBasicAnonymizer
 from repro.sharding.replicated import ReplicatedShardedAnonymizer
 from repro.sharding.router import ShardRouter, morton_cell, morton_rank
@@ -46,7 +50,6 @@ __all__ = [
     "ReplicatedShardedAnonymizer",
     "ShardRouter",
     "ShardWorker",
-    "ShardedAdaptiveAnonymizer",
     "ShardedAnonymizer",
     "ShardedBasicAnonymizer",
     "WorkerPool",
@@ -57,7 +60,6 @@ __all__ = [
 
 ShardedAnonymizer = (
     ShardedBasicAnonymizer
-    | ShardedAdaptiveAnonymizer
     | ParallelShardedAnonymizer
     | ReplicatedShardedAnonymizer
 )

@@ -30,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.anonymizer.basic import _UserRecord
-from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellId, branch_pairs
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.policies.basic import CompletePyramidMaintainer
@@ -41,9 +40,8 @@ from repro.geometry import Point, Rect
 from repro.morton import morton_of_xy
 from repro.observability import runtime as _telemetry
 from repro.sharding import invariants, recovery
-from repro.sharding.core import BasicShardCore
 from repro.sharding.fleet import ShardedFleet
-from repro.sharding.soa import MortonSlice, scatter_confined_moves
+from repro.sharding.soa import scatter_confined_moves
 
 __all__ = ["ShardedBasicAnonymizer"]
 
@@ -65,19 +63,6 @@ class ShardedBasicAnonymizer(ShardedFleet, CompletePyramidMaintainer):
         # fleet shares the single pyramid's height cap.
         check_soa_height(height)
         self._init_fleet(bounds, height, num_shards, cloak_cache_size)
-
-    def _make_core(self, index: int, cache: CloakCache) -> BasicShardCore:
-        # Counters as contiguous Morton slices (the spine stays a dict:
-        # it holds at most 4**S / 3 cells, far too few to be worth
-        # arrays).
-        spine_level = self.router.spine_level
-        lo, hi = self.router.block_rank_range(index)
-        return BasicShardCore(
-            index,
-            cache,
-            counts=MortonSlice(self.height, spine_level, lo, hi),
-            gens=MortonSlice(self.height, spine_level, lo, hi),
-        )
 
     def users_in_rect(self, rect: Rect) -> int:
         """Exact population of an arbitrary rectangle (verification

@@ -1,12 +1,11 @@
 """Per-shard state cores and the shared spine aggregator.
 
 These are deliberately *dumb* state holders: all maintenance logic
-(Algorithm 1, the Section 4.2 split/merge criteria, update walks) lives
-in the sharded anonymizers, which route each touched cell either to its
-owning core or to the spine.  Splitting state from logic this way keeps
-the sharded implementations line-for-line comparable with the
-single-pyramid ones — the equivalence property the whole design is
-gated on.
+(Algorithm 1, update walks) lives in the sharded anonymizer, which
+routes each touched cell either to its owning core or to the spine.
+Splitting state from logic this way keeps the sharded implementation
+line-for-line comparable with the single-pyramid one — the equivalence
+property the whole design is gated on.
 
 Cache-invalidation state is two-tier:
 
@@ -33,26 +32,22 @@ from repro.anonymizer.cells import CellId
 from repro.sharding.soa import MortonSlice
 
 if TYPE_CHECKING:
-    from repro.anonymizer.adaptive import _Cell as AdaptiveCell
-    from repro.anonymizer.adaptive import _UserRecord as AdaptiveRecord
     from repro.anonymizer.basic import _UserRecord as BasicRecord
 
 __all__ = [
     "BasicShardCore",
-    "AdaptiveShardCore",
+    "CACHE_KEYS",
     "SpineState",
     "cache_counters",
 ]
 
+#: The counters of one ``cache_stats()`` row.
+CACHE_KEYS = ("hits", "misses", "invalidations", "evictions")
+
 
 def cache_counters(cache: CloakCache) -> dict[str, int]:
     """One cache's traffic counters in the ``cache_stats()`` shape."""
-    return {
-        "hits": cache.hits,
-        "misses": cache.misses,
-        "invalidations": cache.invalidations,
-        "evictions": cache.evictions,
-    }
+    return {key: getattr(cache, key) for key in CACHE_KEYS}
 
 
 @dataclass
@@ -60,8 +55,7 @@ class BasicShardCore:
     """One shard's slice of the complete pyramid: counts and user
     records for the cells at level ``>= S`` inside its blocks.  Zero
     counts read as absent; generation counters are monotone and outlive
-    the counts they describe (exactly like the adaptive single-pyramid
-    convention).
+    the counts they describe.
 
     ``counts``/``gens`` are :class:`~repro.sharding.soa.MortonSlice`
     arrays sharing one layout, so the batch kernel scatters both with
@@ -82,39 +76,17 @@ class BasicShardCore:
 
 
 @dataclass
-class AdaptiveShardCore:
-    """One shard's slice of the incomplete pyramid: the maintained cut
-    cells at level ``>= S`` inside its blocks, plus the records of every
-    user whose exact location falls in those blocks (a user's *leaf* may
-    still be a spine cell when the cut sits above the block level)."""
-
-    index: int
-    cache: CloakCache
-    cells: "dict[CellId, AdaptiveCell]" = field(default_factory=dict)
-    gens: dict[CellId, int] = field(default_factory=dict)
-    users: "dict[object, AdaptiveRecord]" = field(default_factory=dict)
-    epoch: int = 0
-
-
-@dataclass
 class SpineState:
     """The replicated top of the pyramid (levels ``0 .. S-1``) shared by
     every shard, maintained *eagerly* so aggregate reads and maintenance
     cost accounting match the single-pyramid implementations exactly.
 
     ``boundary_epoch`` covers every cell at level ``<= S``; see the
-    module docstring.  ``cells`` is used only by the adaptive variant
-    (spine cells of the maintained cut); the basic variant keeps plain
-    ``counts``.  ``cache`` memoizes cloaks that *start* at a spine cell
-    (adaptive users whose leaf sits above the block level) — such cloaks
-    read boundary state only, so they are keyed on ``(-1,
-    boundary_epoch)``.
+    module docstring.
     """
 
-    cache: CloakCache
     counts: dict[CellId, int] = field(default_factory=dict)
     gens: dict[CellId, int] = field(default_factory=dict)
-    cells: "dict[CellId, AdaptiveCell]" = field(default_factory=dict)
     boundary_epoch: int = 0
 
     def apply(self, cell: CellId, delta: int) -> None:

@@ -1,22 +1,21 @@
-"""Shared facade for sharded anonymizer fleets.
+"""Facade half of the partitioned (complete-pyramid) fleet.
 
-:class:`ShardedFleet` is everything a partitioned anonymizer needs that
-does *not* depend on which pyramid variant it maintains: the router, the
-shard cores plus the shared spine, the uid -> home-shard directory, the
-per-shard/spine cloak caches with their composite-epoch keying, cache
-and occupancy introspection, and the shard-op telemetry hooks.  The
-variant modules (:mod:`repro.sharding.basic`,
-:mod:`repro.sharding.adaptive`) stay pure routing glue: they host the
-shared maintenance mixins from :mod:`repro.anonymizer.policies` by
+:class:`ShardedFleet` is everything the partitioned anonymizer needs
+besides the maintenance walk: the router, the shard cores plus the
+shared spine, the uid -> home-shard directory, the per-shard cloak
+caches with their composite-epoch keying, cache and occupancy
+introspection, and the shard-op telemetry hooks.
+:mod:`repro.sharding.basic` stays pure routing glue: it hosts the
+shared maintenance mixin from :mod:`repro.anonymizer.policies.basic` by
 routing each touched cell to its owning core or the spine.
 
 The one rule that makes the composite epochs sound lives here, in
 :meth:`ShardedFleet._commit`: after any maintenance primitive touching
 cell set ``T``, bump the core epoch of every shard owning a touched
 cell at level ``>= S``, and the boundary epoch iff any touched cell
-sits at level ``<= S``.  Every primitive of both variants reduces to
-this rule, which is why the mixins can drive single pyramids and fleets
-with the same walk.
+sits at level ``<= S``.  Every primitive reduces to this rule, which is
+why the mixin can drive the single pyramid and the fleet with the same
+walk.
 """
 
 from __future__ import annotations
@@ -31,33 +30,43 @@ from repro.anonymizer.profile import PrivacyProfile
 from repro.errors import UnknownUserError
 from repro.geometry import Point, Rect
 from repro.observability import runtime as _telemetry
-from repro.sharding.core import SpineState, cache_counters
+from repro.sharding.core import (
+    CACHE_KEYS,
+    BasicShardCore,
+    SpineState,
+    cache_counters,
+)
 from repro.sharding.router import ShardRouter
+from repro.sharding.soa import MortonSlice
 
 __all__ = ["ShardedFleet"]
 
 
 class ShardedFleet(PyramidEngine):
-    """Routing/spine glue shared by every sharded anonymizer."""
+    """Routing/spine glue of the partitioned anonymizer."""
 
     def _init_fleet(
         self, bounds: Rect, height: int, num_shards: int, cloak_cache_size: int
     ) -> None:
         self._init_engine(bounds, height)
         self.router = ShardRouter(num_shards, height)
-        self._spine = SpineState(
-            cache=CloakCache(cloak_cache_size, shard_label="spine")
-        )
-        self._cores = [
-            self._make_core(i, CloakCache(cloak_cache_size, shard_label=str(i)))
-            for i in range(num_shards)
-        ]
+        self._spine = SpineState()
+        # Counters as contiguous Morton slices over each shard's blocks
+        # (the spine stays a dict: it holds at most 4**S / 3 cells, far
+        # too few to be worth arrays).
+        spine_level = self.router.spine_level
+        self._cores: list[BasicShardCore] = []
+        for index in range(num_shards):
+            lo, hi = self.router.block_rank_range(index)
+            self._cores.append(
+                BasicShardCore(
+                    index,
+                    CloakCache(cloak_cache_size, shard_label=str(index)),
+                    counts=MortonSlice(height, spine_level, lo, hi),
+                    gens=MortonSlice(height, spine_level, lo, hi),
+                )
+            )
         self._directory: dict[object, int] = {}
-
-    def _make_core(self, index: int, cache: CloakCache) -> Any:
-        """Build shard ``index``'s state core (the router is already
-        in place); each variant supplies its own core type."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Introspection
@@ -86,24 +95,23 @@ class ShardedFleet(PyramidEngine):
         return [len(core.users) for core in self._cores]
 
     def cache_stats(self) -> dict[str, int]:
-        """Aggregate cloak-cache traffic across all cores + spine."""
-        caches = [core.cache for core in self._cores] + [self._spine.cache]
+        """Aggregate cloak-cache traffic across all cores."""
         return {
-            "hits": sum(c.hits for c in caches),
-            "misses": sum(c.misses for c in caches),
-            "invalidations": sum(c.invalidations for c in caches),
-            "evictions": sum(c.evictions for c in caches),
+            key: sum(getattr(core.cache, key) for core in self._cores)
+            for key in CACHE_KEYS
         }
 
     def cache_stats_per_shard(self) -> dict[str, dict[str, int]]:
-        """Cloak-cache traffic per shard core (plus the spine cache),
-        keyed ``"0"``..``"N-1"`` / ``"spine"`` — the unblended numbers
-        the ``shard_scaling`` bench and the ``metrics`` CLI report."""
+        """Cloak-cache traffic per shard core, keyed ``"0"``..``"N-1"``
+        — the unblended numbers the ``shard_scaling`` bench and the
+        ``metrics`` CLI report.  The ``"spine"`` row is part of the
+        report shape and always zero: every cloak starts at a
+        lowest-level cell, which some core owns."""
         stats = {
             str(core.index): cache_counters(core.cache)
             for core in self._cores
         }
-        stats["spine"] = cache_counters(self._spine.cache)
+        stats["spine"] = dict.fromkeys(CACHE_KEYS, 0)
         return stats
 
     def profile_of(self, uid: object) -> PrivacyProfile:
@@ -160,17 +168,10 @@ class ShardedFleet(PyramidEngine):
     def _cloak_cell(
         self, profile: PrivacyProfile, cell: CellId, shard: int
     ) -> CloakedRegion:
-        if cell.level < self.router.spine_level:
-            # Cut sits above the block level: the climb reads boundary
-            # state only, so the shared spine cache serves every shard.
-            cache = self._spine.cache
-            epoch: tuple[int, int] = (-1, self._spine.boundary_epoch)
-        else:
-            core = self._cores[shard]
-            cache = core.cache
-            epoch = (core.epoch, self._spine.boundary_epoch)
+        core = self._cores[shard]
         return self._cloak_via(
-            cache, self.cell_count, self._gen_of, epoch, profile, cell,
+            core.cache, self.cell_count, self._gen_of,
+            (core.epoch, self._spine.boundary_epoch), profile, cell,
             shard=shard,
         )
 

@@ -1,9 +1,9 @@
-"""Fleet-wide consistency checks for the sharded anonymizers.
+"""Fleet-wide consistency checks for the partitioned anonymizer.
 
 Each function asserts one deployment shape's full invariant set —
 pyramid consistency *plus* the partition discipline (which cells and
 users may live on which shard/spine store).  They are plain functions
-over a fleet so both the in-process anonymizers and the worker replicas
+over a fleet so both the in-process anonymizer and the worker replicas
 expose them without carrying the bodies.
 """
 
@@ -14,11 +14,9 @@ from typing import TYPE_CHECKING
 from repro.anonymizer.cells import CellId
 
 if TYPE_CHECKING:
-    from repro.sharding.adaptive import ShardedAdaptiveAnonymizer
     from repro.sharding.basic import ShardedBasicAnonymizer
 
 __all__ = [
-    "check_adaptive_fleet",
     "check_basic_fleet",
     "check_basic_replica",
 ]
@@ -129,77 +127,3 @@ def check_basic_replica(replica: "ShardedBasicAnonymizer", shard: int) -> None:
         assert replica.cell_count(block) == count, (
             f"worker {shard}: block root {block} count drift"
         )
-
-
-def check_adaptive_fleet(fleet: "ShardedAdaptiveAnonymizer") -> None:
-    """Assert incomplete-pyramid + partition consistency."""
-    spine_level = fleet.router.spine_level
-    assert fleet._entry(_ROOT) is not None, "root must always be maintained"
-    items = list(fleet._spine.cells.items())
-    for core in fleet._cores:
-        items.extend(core.cells.items())
-    leaf_population = 0
-    for cell, entry in items:
-        if entry.is_leaf:
-            leaf_population += entry.count
-            assert entry.count == len(entry.users), f"leaf {cell} count drift"
-            for uid in entry.users:
-                rec = fleet._record(uid)
-                assert rec.leaf == cell, f"hash table stale for {uid!r}"
-                assert cell.is_ancestor_of(
-                    fleet.grid.cell_of(rec.point)
-                ), f"user {uid!r} outside its leaf"
-            if cell.level < fleet.height:
-                for child in cell.children():
-                    assert fleet._entry(child) is None, "leaf with children"
-        else:
-            children = cell.children()
-            child_entries = [fleet._entry(c) for c in children]
-            assert all(e is not None for e in child_entries), "partial split"
-            assert entry.count == sum(
-                e.count for e in child_entries if e is not None
-            ), f"internal {cell} count != children sum"
-            assert not entry.users, "internal cell holds users"
-        if not cell.is_root:
-            parent_entry = fleet._entry(cell.parent())
-            assert parent_entry is not None, "orphan maintained cell"
-            assert not parent_entry.is_leaf, "parent is leaf"
-    assert leaf_population == len(fleet._directory), "population drift"
-    assert fleet.cell_count(_ROOT) == len(fleet._directory)
-    # Partition discipline.
-    for cell in fleet._spine.cells:
-        assert cell.level < spine_level, f"core cell {cell} in the spine"
-    for shard, core in enumerate(fleet._cores):
-        for cell, entry in core.cells.items():
-            assert cell.level >= spine_level, (
-                f"spine cell {cell} in shard {shard}"
-            )
-            assert fleet.router.shard_of(cell) == shard, (
-                f"shard {shard} holds foreign cell {cell}"
-            )
-            if entry.is_leaf:
-                for uid in entry.users:
-                    assert fleet._directory.get(uid) == shard, (
-                        f"foreign user {uid!r} on shard {shard}'s leaf"
-                    )
-        for uid, rec in core.users.items():
-            assert fleet._directory.get(uid) == shard, (
-                f"directory disagrees with core {shard} about {uid!r}"
-            )
-            assert fleet.router.shard_of(
-                fleet.grid.cell_of(rec.point)
-            ) == shard, f"user {uid!r} homed in the wrong shard"
-    assert len(fleet._table) == len(fleet._directory), "gate table size drift"
-    for core in fleet._cores:
-        for uid, rec in core.users.items():
-            slot = fleet._table.slot_of(uid)
-            assert slot is not None, f"{uid!r} missing from gate table"
-            # Exact equality on purpose: the table is a bit-copy of the
-            # record floats; any representational difference IS the
-            # drift this assert catches.
-            assert (
-                float(fleet._table.xs[slot]) == rec.point.x  # casperlint: ignore[CSP004] bit-copy audit
-                and float(fleet._table.ys[slot]) == rec.point.y  # casperlint: ignore[CSP004] bit-copy audit
-                and int(fleet._table.ks[slot]) == rec.profile.k
-                and float(fleet._table.a_mins[slot]) == rec.profile.a_min  # casperlint: ignore[CSP004] bit-copy audit
-            ), f"gate table stale for {uid!r}"

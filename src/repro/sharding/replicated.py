@@ -1,19 +1,18 @@
-"""Generic sharded deployment for policies without a native fleet.
+"""The sharded deployment of every policy without a native fleet.
 
-The pyramid policies ship purpose-built sharded implementations
-(:mod:`repro.sharding.basic` / :mod:`repro.sharding.adaptive`) whose
-cores partition the actual counter state.  Any other registered
-:class:`~repro.anonymizer.policy.CloakingPolicy` — the related-work
-baselines, or a user-registered cloaker — still has to run behind
-``make_sharded`` and the parallel worker runtime.  This module is that
-adapter: it wraps one *whole* single-instance policy per replica and
-adds the sharded surface on top (shard directory, occupancy, per-shard
-cache stats, shard-tagged snapshots), using broadcast replication —
-every worker applies every mutation, so every replica answers every
-question.  That is exactly the ``replication="broadcast"`` contract the
-parallel runtime already implements for the adaptive pyramid, which is
-why a policy gains process parallelism from nothing but its registry
-entry.
+The complete pyramid ships a purpose-built sharded implementation
+(:mod:`repro.sharding.basic`) whose cores partition the actual counter
+state.  Every other registered
+:class:`~repro.anonymizer.policy.CloakingPolicy` — the adaptive
+pyramid, whose cut is reshaped from *global* counts and therefore has
+no partitioned form, the related-work baselines, or a user-registered
+cloaker — runs behind ``make_sharded`` and the parallel worker runtime
+through this adapter: it wraps one *whole* single-instance policy per
+replica and adds the sharded surface on top (shard directory,
+occupancy, per-shard cache stats, shard-count-tagged snapshots), using
+broadcast replication — every worker applies every mutation, so every
+replica answers every question.  A policy gains process parallelism
+from nothing but its registry entry.
 
 Shard homes are geometric (the level-``S`` block of the user's lowest
 level cell, same as the fleets) so occupancy, routing and telemetry
@@ -33,17 +32,16 @@ from repro.anonymizer.stats import MaintenanceStats
 from repro.errors import UnknownUserError
 from repro.geometry import Point, Rect
 from repro.observability import runtime as _telemetry
-from repro.sharding.core import cache_counters
+from repro.sharding.core import CACHE_KEYS, cache_counters
 from repro.sharding.router import ShardRouter
 
 __all__ = ["ReplicatedShardedAnonymizer"]
-
-_CACHE_KEYS = ("hits", "misses", "invalidations", "evictions")
 
 
 @dataclass(frozen=True)
 class _ReplicatedSnapshot:
     policy: str
+    num_shards: int
     inner: object
     directory: dict[object, int]
 
@@ -125,6 +123,12 @@ class ReplicatedShardedAnonymizer:
     def users_in_rect(self, rect: Rect) -> int:
         return self._inner.users_in_rect(rect)
 
+    @property
+    def num_maintained_cells(self) -> int:
+        """Size of the wrapped policy's maintained structure;
+        ``AttributeError`` for policies that keep none."""
+        return self._inner.num_maintained_cells  # type: ignore[attr-defined]
+
     def cell_count(self, cell: CellId) -> int:
         """Population of one grid cell.  Most wrapped policies keep no
         cell index, so this falls back to a rect count."""
@@ -137,17 +141,17 @@ class ReplicatedShardedAnonymizer:
         cache = getattr(self._inner, "cloak_cache", None)
         if cache is not None:
             return cache_counters(cache)
-        return dict.fromkeys(_CACHE_KEYS, 0)
+        return dict.fromkeys(CACHE_KEYS, 0)
 
     def cache_stats_per_shard(self) -> dict[str, dict[str, int]]:
         """Per-shard traffic in the fleet shape (``"0"``..``"N-1"`` +
         ``"spine"``).  The single wrapped cache reports under this
         replica's worker shard; everything else is zero."""
         stats = {
-            str(shard): dict.fromkeys(_CACHE_KEYS, 0)
+            str(shard): dict.fromkeys(CACHE_KEYS, 0)
             for shard in range(self.num_shards)
         }
-        stats["spine"] = dict.fromkeys(_CACHE_KEYS, 0)
+        stats["spine"] = dict.fromkeys(CACHE_KEYS, 0)
         if self.shard is not None:
             stats[str(self.shard)] = self.cache_stats()
         return stats
@@ -228,9 +232,16 @@ class ReplicatedShardedAnonymizer:
     # ------------------------------------------------------------------
     # Crash recovery and diagnostics
     # ------------------------------------------------------------------
+    # No ``snapshot_shard``/``restore_shard``: broadcast replication
+    # has no narrower unit of state than the whole replica, so a
+    # single-shard crash is a whole-replica restore (the resilience
+    # runtime falls back to it, as for unsharded anonymizers).
     def snapshot(self) -> object:
         return _ReplicatedSnapshot(
-            self.kind, self._inner.snapshot(), dict(self._directory)
+            self.kind,
+            self.num_shards,
+            self._inner.snapshot(),
+            dict(self._directory),
         )
 
     def restore(self, state: object) -> None:
@@ -239,17 +250,12 @@ class ReplicatedShardedAnonymizer:
             or state.policy != self.kind
         ):
             raise TypeError("not a ReplicatedShardedAnonymizer snapshot")
+        if state.num_shards != self.num_shards:
+            # The directory's homes are only meaningful at the shard
+            # count that computed them.
+            raise ValueError("snapshot shard count mismatch")
         self._inner.restore(state.inner)
         self._directory = dict(state.directory)
-
-    def snapshot_shard(self, shard: int) -> object:
-        # Broadcast replication: there is no narrower unit of state
-        # than the whole replica.
-        return self.snapshot()
-
-    def restore_shard(self, shard: int, state: object) -> list[object]:
-        self.restore(state)
-        return []
 
     def check_invariants(self) -> None:
         self._inner.check_invariants()

@@ -18,35 +18,41 @@ of :mod:`repro.sharding.wire`.  Three pieces compose the subsystem:
   ``Casper(shards=N, parallel=True)``, batch queries and the
   continuous monitor work unchanged on top of real processes.
 
-Replication model (what makes the results *byte-identical* to the
-in-process :class:`~repro.sharding.basic.ShardedBasicAnonymizer` /
-:class:`~repro.sharding.adaptive.ShardedAdaptiveAnonymizer`):
+Replication model — one per in-process deployment, chosen by whether
+the policy's registry entry ships a native partitioned fleet
+(``spec.sharded``); either way results are *byte-identical* to the
+in-process deployment the workers replicate:
 
-* **basic** — every worker holds a full fleet replica but receives
-  only the traffic that can affect what it serves: registrations,
-  deregistrations, profile changes and boundary-crossing moves are
-  broadcast (they touch spine/block-root state every shard can read),
-  while a move confined to one shard's blocks goes to that worker
-  alone.  A worker's *own* core — its counts, generations, epoch and
-  cloak cache — then evolves exactly like the in-process core, because
-  foreign confined moves never touch spine cells, block roots, or the
-  worker's own blocks.  Foreign *interior* counts on a replica may go
-  stale, which is why workers run a partial-replication invariant
-  check (:func:`_check_basic_replica`) instead of the full one.
-  The parent computes all maintenance statistics itself (basic costs
-  are pure functions of the cell walk), so ``stats`` needs no wire
-  round trip.
-* **adaptive** — split/merge cascades read foreign points and
-  profiles, so every mutation is broadcast and every replica stays
-  complete.  Identical operation streams keep every replica's cut
-  identical; cloaks route to the user's home shard, whose core cache
-  evolves exactly like the in-process one.  Only the spine cache
-  splits across workers (each sees just its own spine-leaf cloaks),
-  so aggregate ``cache_stats()`` is the one number the parallel
-  adaptive runtime does not reproduce byte-for-byte.  Update costs
-  come back on the wire (cost accounting inside split/merge cascades
-  cannot be recomputed parent-side), which is why adaptive updates
-  flush synchronously.
+* **partition** (``basic``: :class:`~repro.sharding.basic
+  .ShardedBasicAnonymizer` replicas) — every worker holds a full fleet
+  replica but receives only the traffic that can affect what it
+  serves: registrations, deregistrations, profile changes and
+  boundary-crossing moves are broadcast (they touch spine/block-root
+  state every shard can read), while a move confined to one shard's
+  blocks goes to that worker alone.  A worker's *own* core — its
+  counts, generations, epoch and cloak cache — then evolves exactly
+  like the in-process core, because foreign confined moves never touch
+  spine cells, block roots, or the worker's own blocks.  Foreign
+  *interior* counts on a replica may go stale, which is why workers
+  run a partial-replication invariant check
+  (:func:`~repro.sharding.invariants.check_basic_replica`) instead of
+  the full one.  The parent computes all maintenance statistics itself
+  (basic costs are pure functions of the cell walk), so ``stats``
+  needs no wire round trip.
+* **broadcast** (every other policy — ``adaptive`` and the baselines:
+  :class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`
+  replicas) — the policy's state has no partitioned form (adaptive
+  split/merge cascades read global counts, foreign points and
+  profiles), so every mutation is broadcast and every worker holds one
+  whole single-instance policy.  Identical operation streams keep
+  every replica identical; cloaks route to the user's home shard, so
+  each worker's cloak cache sees only its own shard's requests —
+  cloaks are byte-identical, but aggregate ``cache_stats()`` hit/miss
+  splits are the one number the parallel broadcast runtime does not
+  reproduce from the in-process single cache.  Update costs come back
+  on the wire (cost accounting inside split/merge cascades cannot be
+  recomputed parent-side), which is why broadcast updates flush
+  synchronously.
 
 Failure model: the parent's transmit seam feeds every frame — in both
 directions — through an attached
@@ -55,8 +61,8 @@ duplicates, delays, reorders and corrupts the *actual bytes* crossing
 the pipes.  Dropped or corrupted frames retransmit (the worker replays
 from its dedup cache); a worker that dies or hangs past
 ``hang_timeout`` is killed, respawned and healed — from the parent
-mirror (basic) or from the lowest surviving replica's snapshot
-(adaptive) — degrading availability for the duration, never privacy.
+mirror (partition) or from the lowest surviving replica's snapshot
+(broadcast) — degrading availability for the duration, never privacy.
 
 Pickle travels only inside ``install``/``snapshot``/``stats`` blobs
 between a parent and the worker processes it spawned, and is parsed
@@ -85,6 +91,7 @@ from repro.errors import (
 from repro.geometry import Point, Rect
 from repro.messages import ShardEnvelope
 from repro.observability import runtime as _telemetry
+from repro.sharding.core import CACHE_KEYS
 from repro.sharding.invariants import check_basic_replica
 from repro.sharding.router import ShardRouter
 from repro.sharding.wire import (
@@ -161,8 +168,8 @@ class _WorkerConfig:
 
 def _build_replica(config: _WorkerConfig, shard: int | None = None) -> object:
     """Build one worker's replica for ``config.kind`` via the policy
-    registry: a native sharded fleet when the policy ships one, else a
-    whole-policy :class:`~repro.sharding.replicated
+    registry: the native partitioned fleet when the policy ships one,
+    else a whole-policy :class:`~repro.sharding.replicated
     .ReplicatedShardedAnonymizer` tagged with the worker's shard."""
     spec = get_policy(config.kind)
     if spec.sharded is not None:
@@ -206,7 +213,7 @@ class ShardWorker:
         self.config = config
         self.shard = shard
         self._conn = conn
-        self._replication = get_policy(config.kind).replication
+        self._partitioned = get_policy(config.kind).sharded is not None
         # The socket front door injects an existing anonymizer as the
         # replica and drives :meth:`_apply` directly (no pipe).
         self._replica = (
@@ -302,7 +309,7 @@ class ShardWorker:
                 self._replica = _build_replica(self.config, self.shard)
                 return response_ack(), False
             if name == "check":
-                if self._replication == "partition":
+                if self._partitioned:
                     # Partition replication: foreign interior cells may
                     # be stale, so run the partial-replication check.
                     check_basic_replica(self._replica, self.shard)  # type: ignore[arg-type]
@@ -328,8 +335,8 @@ class ShardWorker:
         ``("bootstrap", [(uid, point, profile), ...])`` rebuilds a fresh
         replica by re-registering every user at their current location
         (the parent-mirror heal path); ``("install", (snapshot,
-        stats?))`` restores a fleet snapshot taken on a sibling replica
-        (the adaptive survivor heal / whole-fleet restore path).
+        stats?))`` restores a snapshot taken on a sibling replica (the
+        broadcast survivor heal / whole-fleet restore path).
         """
         tag, body = package
         if tag == "bootstrap":
@@ -350,7 +357,6 @@ class ShardWorker:
         return {
             "stats": dataclasses.asdict(self._replica.stats),
             "own_cache": per_shard[str(self.shard)],
-            "spine_cache": per_shard["spine"],
             "num_maintained_cells": getattr(
                 self._replica, "num_maintained_cells", None
             ),
@@ -485,9 +491,9 @@ class _MirrorRecord:
 @dataclass(frozen=True)
 class _ParallelSnapshot:
     """Parent-side snapshot: the user mirror (always sufficient to
-    rebuild a basic fleet) plus, for adaptive, a pickled fleet snapshot
-    taken on worker 0 (the cut is history-dependent, so points alone
-    cannot reproduce it)."""
+    rebuild a partitioned fleet) plus, for broadcast policies, a
+    pickled replica snapshot taken on worker 0 (the adaptive cut is
+    history-dependent, so points alone cannot reproduce it)."""
 
     kind: str
     records: tuple[tuple[object, Point, PrivacyProfile], ...]
@@ -518,11 +524,12 @@ class ParallelShardedAnonymizer:
             # In the parent, before any worker exists to discover it.
             spec.check_height(height)
         self.kind = kind
-        #: How worker replicas stay consistent — ``"partition"`` routes
-        #: confined mutations to one worker and lets the parent compute
-        #: maintenance stats; ``"broadcast"`` ships every mutation to
-        #: every worker and reads stats/costs off the wire.
-        self._replication = spec.replication
+        #: How worker replicas stay consistent.  A policy with a native
+        #: partitioned fleet routes confined mutations to one worker and
+        #: lets the parent compute maintenance stats; every other policy
+        #: broadcasts every mutation to whole replicas and reads
+        #: stats/costs off the wire.
+        self._partitioned = spec.sharded is not None
         self.grid = CellGrid(bounds, height)
         self.router = ShardRouter(num_shards, height)
         self._stats = MaintenanceStats()
@@ -581,11 +588,12 @@ class ParallelShardedAnonymizer:
 
     @property
     def stats(self) -> MaintenanceStats:
-        """Maintenance counters — parent-computed for basic (costs are
-        pure functions of the cell walk), fetched from worker 0 for
-        adaptive (split/merge costs happen inside the workers), with
-        ``cloak_requests`` always counted at the routing seam."""
-        if self._replication == "partition":
+        """Maintenance counters — parent-computed for the partitioned
+        fleet (costs are pure functions of the cell walk), fetched from
+        worker 0 for broadcast policies (split/merge costs happen
+        inside the workers), with ``cloak_requests`` always counted at
+        the routing seam."""
+        if self._partitioned:
             return self._stats
         payload = self._fetch_stats()[0]["stats"]
         payload["cloak_requests"] = self._stats.cloak_requests
@@ -618,45 +626,36 @@ class ParallelShardedAnonymizer:
 
     @property
     def num_maintained_cells(self) -> int:
-        if self.kind != "adaptive":
+        cells = self._fetch_stats()[0]["num_maintained_cells"]
+        if cells is None:
+            # The policy the workers replicate maintains no cut.
             raise AttributeError("num_maintained_cells")
-        return self._fetch_stats()[0]["num_maintained_cells"]
+        return cells
 
     def cache_stats(self) -> dict[str, int]:
         """Aggregate cloak-cache traffic across the worker fleet.
 
-        Basic: byte-identical to the in-process fleet (each worker's
-        own core sees exactly the in-process traffic; spine caches are
-        untouched).  Adaptive: core caches are exact but the spine
-        cache's working set is split across workers, so spine-leaf
-        hit/miss splits may differ from the in-process single spine
-        cache.
+        Partitioned: byte-identical to the in-process fleet (each
+        worker's own core sees exactly the in-process traffic).
+        Broadcast: each worker's whole-replica cache sees only its own
+        shard's cloaks, so hit/miss splits may differ from the
+        in-process deployment's single cache.
         """
         payloads = self._fetch_stats()
-        keys = ("hits", "misses", "invalidations", "evictions")
-        totals = dict.fromkeys(keys, 0)
-        for payload in payloads:
-            for key in keys:
-                totals[key] += payload["own_cache"][key]
-                if self._replication == "broadcast":
-                    totals[key] += payload["spine_cache"][key]
-        return totals
+        return {
+            key: sum(payload["own_cache"][key] for payload in payloads)
+            for key in CACHE_KEYS
+        }
 
     def cache_stats_per_shard(self) -> dict[str, dict[str, int]]:
         """Per-worker cloak-cache traffic, keyed like the in-process
-        fleets: ``"0"``..``"N-1"`` for each worker's own core plus the
-        summed ``"spine"`` traffic."""
-        payloads = self._fetch_stats()
-        keys = ("hits", "misses", "invalidations", "evictions")
+        deployments: ``"0"``..``"N-1"`` for each worker's own cache
+        plus the always-zero ``"spine"`` row of the report shape."""
         stats: dict[str, dict[str, int]] = {
             str(shard): dict(payload["own_cache"])
-            for shard, payload in enumerate(payloads)
+            for shard, payload in enumerate(self._fetch_stats())
         }
-        spine = dict.fromkeys(keys, 0)
-        for payload in payloads:
-            for key in keys:
-                spine[key] += payload["spine_cache"][key]
-        stats["spine"] = spine
+        stats["spine"] = dict.fromkeys(CACHE_KEYS, 0)
         return stats
 
     def _require(self, uid: object) -> _MirrorRecord:
@@ -677,7 +676,7 @@ class ParallelShardedAnonymizer:
         shard = self.router.shard_of(cell)
         self._records[uid] = _MirrorRecord(profile, point, cell)
         self._directory[uid] = shard
-        if self._replication == "partition":
+        if self._partitioned:
             self._stats.registrations += 1
             self._stats.counter_updates += cell.level + 1
         obs = _telemetry.active()
@@ -689,7 +688,7 @@ class ParallelShardedAnonymizer:
     def deregister(self, uid: object) -> None:
         record = self._require(uid)
         shard = self._directory[uid]
-        if self._replication == "partition":
+        if self._partitioned:
             self._stats.deregistrations += 1
             self._stats.counter_updates += record.cell.level + 1
         del self._records[uid]
@@ -707,7 +706,7 @@ class ParallelShardedAnonymizer:
     def update(self, uid: object, point: Point) -> int:
         """Process a location update; returns its counter-update cost
         (identical to the in-process cost)."""
-        if self._replication == "broadcast":
+        if not self._partitioned:
             return self._update_broadcast(uid, point)
         record = self._require(uid)
         shard = self._directory[uid]
@@ -758,7 +757,7 @@ class ParallelShardedAnonymizer:
                 _telemetry.record_shard_op(obs, new_home, "rehome")
                 _telemetry.record_shard_occupancy(obs, self.shard_occupancy())
         # The cost depends on split/merge cascades only the replicas
-        # can evaluate, so adaptive updates flush synchronously; any
+        # can evaluate, so broadcast updates flush synchronously; any
         # replica's answer is authoritative (identical op streams).
         self._broadcast(op_move(uid, point), "cost")
         results = self.flush()
@@ -773,14 +772,14 @@ class ParallelShardedAnonymizer:
     def update_batch(self, moves: list[tuple[object, Point]]) -> list[int]:
         """Apply a tick's worth of location updates.
 
-        Basic updates defer into per-shard pending batches — the whole
-        tick ships as one frame per shard at the closing flush, which
-        is where the process pool's throughput comes from.  Adaptive
-        updates are inherently synchronous (costs come back on the
-        wire) and apply in arrival order.
+        Partitioned updates defer into per-shard pending batches — the
+        whole tick ships as one frame per shard at the closing flush,
+        which is where the process pool's throughput comes from.
+        Broadcast updates are inherently synchronous (costs come back
+        on the wire) and apply in arrival order.
         """
         costs = [self.update(uid, point) for uid, point in moves]
-        if self._replication == "partition":
+        if self._partitioned:
             self.flush()
         return costs
 
@@ -877,10 +876,7 @@ class ParallelShardedAnonymizer:
     def cell_count(self, cell: CellId) -> int:
         """Population of one maintained cell, read from the replica
         that is authoritative for it."""
-        if (
-            self._replication == "broadcast"
-            or cell.level < self.router.spine_level
-        ):
+        if not self._partitioned or cell.level < self.router.spine_level:
             shard = 0
         else:
             shard = self.router.shard_of(cell)
@@ -899,13 +895,14 @@ class ParallelShardedAnonymizer:
     # Crash recovery and diagnostics
     # ------------------------------------------------------------------
     def snapshot(self) -> object:
-        """Whole-fleet snapshot.  Basic snapshots are pure parent state
-        (cheap — no wire traffic); adaptive snapshots additionally
-        capture worker 0's cut, which point data alone cannot rebuild."""
+        """Whole-fleet snapshot.  Partitioned snapshots are pure parent
+        state (cheap — no wire traffic); broadcast snapshots
+        additionally capture worker 0's replica, which point data alone
+        cannot rebuild (the adaptive cut is history-dependent)."""
         records = tuple(
             (uid, rec.point, rec.profile) for uid, rec in self._records.items()
         )
-        if self._replication == "partition":
+        if self._partitioned:
             return _ParallelSnapshot(self.kind, records)
         self.flush()
         self._enqueue(0, op_snapshot(), "blob")
@@ -915,11 +912,11 @@ class ParallelShardedAnonymizer:
     def restore(self, state: object) -> None:
         """Restore the fleet from a :meth:`snapshot` copy.
 
-        Basic workers rebuild from the restored mirror (fresh replicas,
-        so unlike the in-process fleet the cache *counters* restart at
-        zero); adaptive workers re-install the captured cut, keeping
-        their own maintenance stats exactly like the in-process
-        ``restore``.
+        Partitioned workers rebuild from the restored mirror (fresh
+        replicas, so unlike the in-process fleet the cache *counters*
+        restart at zero); broadcast workers re-install the captured
+        replica, keeping their own maintenance stats exactly like the
+        in-process ``restore``.
         """
         if not isinstance(state, _ParallelSnapshot) or state.kind != self.kind:
             raise TypeError("not a ParallelShardedAnonymizer snapshot")
@@ -932,7 +929,7 @@ class ParallelShardedAnonymizer:
             uid: self.router.shard_of(rec.cell)
             for uid, rec in self._records.items()
         }
-        if self._replication == "partition":
+        if self._partitioned:
             package = ("bootstrap", list(state.records))
         else:
             snapshot, _stats = pickle.loads(state.blob)
@@ -968,8 +965,8 @@ class ParallelShardedAnonymizer:
 
     def check_invariants(self) -> None:
         """Assert parent-mirror consistency, then every worker's
-        replica invariants (full check on adaptive replicas, the
-        partial-replication check on basic ones)."""
+        replica invariants (full check on broadcast replicas, the
+        partial-replication check on partitioned ones)."""
         assert set(self._records) == set(self._directory), (
             "parent mirror/directory key drift"
         )
@@ -1304,7 +1301,7 @@ class ParallelShardedAnonymizer:
             and self._pool.alive(shard)
             and self._authoritative[shard]
         ]
-        if self._replication == "broadcast" and survivors:
+        if not self._partitioned and survivors:
             source = survivors[0]
             self._enqueue(source, op_snapshot(), "blob")
             blob = self._flush_shard(source)[-1]

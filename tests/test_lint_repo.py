@@ -124,22 +124,18 @@ def test_safe_names_still_cross_the_boundary() -> None:
 
 
 def test_facade_suppression_is_justified_and_unique() -> None:
-    """Exactly twelve inline suppressions exist in the tree: three
+    """Exactly nine inline suppressions exist in the tree: three
     CSP001 in the Casper facade (the trusted anonymizer wiring, the
     sharded runtime, and the typing-only resilience-runtime import),
     all with the same trusted-facade justification, two CSP006 in the
     worker pool (an exception serialized into an RE_ERROR wire reply
     the parent re-raises, and the reap-everything teardown path), one
     CSP010 in the front door (the remaining ``_apply`` dispatch after
-    the chaos ``hang`` op is intercepted and awaited), and six CSP004
-    in the adaptive invariant audits — the single anonymizer's
-    ``check_invariants`` and the shared fleet audit in
-    ``sharding/invariants.py`` (the gate
-    table is asserted to be a *bit-copy* of the user records —
-    epsilon-tolerant comparison would mask exactly the drift the audit
-    exists to catch)."""
+    the chaos ``hang`` op is intercepted and awaited), and three CSP004
+    in the adaptive anonymizer's ``check_invariants`` (the gate table
+    must be a *bit-copy* of the user records)."""
     result = run_lint(repo_project(), repo_config())
-    assert result.suppressed == 12
+    assert result.suppressed == 9
     facade = (REPO_ROOT / "src/repro/server/casper.py").read_text()
     assert facade.count("casperlint: ignore[CSP001] trusted facade") == 3
     workers = (REPO_ROOT / "src/repro/sharding/workers.py").read_text()
@@ -148,8 +144,6 @@ def test_facade_suppression_is_justified_and_unique() -> None:
     assert frontdoor.count("casperlint: ignore[CSP010]") == 1
     adaptive = (REPO_ROOT / "src/repro/anonymizer/adaptive.py").read_text()
     assert adaptive.count("casperlint: ignore[CSP004] bit-copy audit") == 3
-    sharded = (REPO_ROOT / "src/repro/sharding/invariants.py").read_text()
-    assert sharded.count("casperlint: ignore[CSP004] bit-copy audit") == 3
 
 
 def test_repo_is_clean_under_the_dataflow_rules() -> None:

@@ -25,8 +25,8 @@ from repro.anonymizer.soa import MAX_SOA_HEIGHT
 from repro.errors import UnknownUserError
 from repro.geometry import Point
 from repro.server import Casper
-from repro.sharding import make_sharded
-from repro.sharding.workers import WorkerPool
+from repro.sharding import ReplicatedShardedAnonymizer, make_sharded
+from repro.sharding.workers import ShardWorker, WorkerPool, _WorkerConfig
 from tests.conftest import UNIT, random_points
 
 HEIGHT = 6
@@ -55,8 +55,12 @@ class TestRegistry:
     def test_spec_shape(self, policy_name):
         spec = get_policy(policy_name)
         assert spec.name == policy_name
-        assert spec.replication in ("partition", "broadcast")
         assert callable(spec.single)
+        # Native fleet <=> workers partition; otherwise the broadcast wrapper.
+        worker = ShardWorker(_WorkerConfig(policy_name, UNIT, HEIGHT, 4, 64), 0, None)
+        assert worker._partitioned is (spec.sharded is not None)
+        for fleet in (make_sharded(UNIT, HEIGHT, 4, policy_name), worker._replica):
+            assert isinstance(fleet, ReplicatedShardedAnonymizer) is (spec.sharded is None)
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(ValueError, match="registered policies"):

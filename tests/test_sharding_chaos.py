@@ -8,8 +8,8 @@ import pytest
 from repro.resilience import ChaosWorkload, get_scenario, run_chaos
 
 SHARDED = ChaosWorkload(
-    users=16, targets=10, steps=120, continuous_queries=3, shards=4
-)
+    users=16, targets=10, steps=120, continuous_queries=3, shards=4, anonymizer="basic"
+)  # basic: the one fleet whose shards partition state, so it recovers per shard
 
 
 class TestShardCrashScenario:
@@ -50,7 +50,7 @@ class TestShardCrashScenario:
             == run_chaos(plan, SHARDED).to_json()
         )
 
-    @pytest.mark.parametrize("kind", ["basic", "adaptive"])
+    @pytest.mark.parametrize("kind", ["basic", "adaptive", "interval"])
     def test_both_anonymizer_kinds_survive(self, kind) -> None:
         workload = ChaosWorkload(
             users=12, targets=8, steps=60, continuous_queries=2,
@@ -58,6 +58,10 @@ class TestShardCrashScenario:
         )
         report = run_chaos(get_scenario("shard-crash"), workload)
         assert report.ok, kind
+        if kind != "basic":  # broadcast replica: a shard crash is a whole restore
+            counters = report.runtime["counters"]
+            assert counters["shard_recoveries"] == 0
+            assert counters["recoveries"] >= report.runtime["fault_counts"]["shard_crash"]
 
     def test_unsharded_deployment_degrades_to_full_restarts(self) -> None:
         # shard_crash faults against a single-pyramid anonymizer fall

@@ -11,7 +11,7 @@ from repro.errors import UnknownUserError
 from repro.geometry import Point
 from repro.server import Casper
 from repro.sharding import (
-    ShardedAdaptiveAnonymizer,
+    ReplicatedShardedAnonymizer,
     ShardedBasicAnonymizer,
     make_sharded,
 )
@@ -70,7 +70,7 @@ class TestFleetSnapshot:
             fleet.check_invariants()
             assert _cloak_fingerprints(fleet) == before
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", KINDS + ["interval", "clique", "temporal"])
     def test_restore_rejects_foreign_state(self, kind) -> None:
         fleet = _populated_fleet(kind)
         with pytest.raises(TypeError):
@@ -79,19 +79,19 @@ class TestFleetSnapshot:
         with pytest.raises(ValueError, match="shard count"):
             fleet.restore(smaller.snapshot())
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", ["basic"])
     def test_restore_shard_rejects_foreign_state(self, kind) -> None:
         fleet = _populated_fleet(kind)
         with pytest.raises(TypeError):
             fleet.restore_shard(0, object())
 
 
+@pytest.mark.parametrize("kind", ["basic"])  # broadcast replicas restore whole
 class TestShardCrashRecovery:
     """A single crashed shard heals from its snapshot while survivors
     keep their live state — the reconciliation contract the resilience
     runtime's ``shard_crash`` fault relies on."""
 
-    @pytest.mark.parametrize("kind", KINDS)
     def test_purges_exactly_the_post_snapshot_registrants(self, kind) -> None:
         fleet = _populated_fleet(kind)
         victim = fleet.shard_of_user("u00")
@@ -136,7 +136,6 @@ class TestShardCrashRecovery:
         region = fleet.cloak(newcomers[0])
         assert region.achieved_k >= 2
 
-    @pytest.mark.parametrize("kind", KINDS)
     def test_survivor_shards_are_untouched(self, kind) -> None:
         fleet = _populated_fleet(kind)
         all_uids = [f"u{i:02d}" for i in range(40)]
@@ -152,7 +151,6 @@ class TestShardCrashRecovery:
             u: (fleet.location_of(u), fleet.shard_of_user(u)) for u in survivors
         } == before
 
-    @pytest.mark.parametrize("kind", KINDS)
     def test_single_shard_fleet_restore_shard_is_full_restore(self, kind) -> None:
         fleet = _populated_fleet(kind, num_shards=1, users=10)
         state = fleet.snapshot_shard(0)
@@ -167,7 +165,7 @@ class TestCasperSeam:
     def test_shards_parameter_builds_a_sharded_fleet(self) -> None:
         for kind, cls in (
             ("basic", ShardedBasicAnonymizer),
-            ("adaptive", ShardedAdaptiveAnonymizer),
+            ("adaptive", ReplicatedShardedAnonymizer),
         ):
             casper = Casper(UNIT, pyramid_height=HEIGHT, anonymizer=kind, shards=4)
             assert isinstance(casper.anonymizer, cls)

@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Line budget for ``src/repro``: one row per package, plus the two
-sharded variant modules.
+"""Line budget for ``src/repro``: one row per package, plus the
+partitioned fleet's routing-glue module.
 
 Lines per package is a tracked number, like throughput: the cheapest
 way for a simplification to rot is for code to quietly regrow, one
-pasted helper at a time — variant-specific sharded modules re-absorbing
-what ``sharding/fleet.py`` / ``recovery.py`` / ``invariants.py`` share,
-or a deleted second code path coming back under a new name.
+pasted helper at a time — ``sharding/basic.py`` re-absorbing what
+``sharding/fleet.py`` / ``recovery.py`` / ``invariants.py`` hold, or a
+deleted second code path coming back under a new name.
 
 This gate freezes each entry's line count (``*.py`` lines under a
 package directory, or one file's lines) and fails CI when an entry
@@ -33,11 +33,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: path (repo-relative file, or package directory counted recursively)
-#: -> frozen baseline line count (PR 12, after the scalar pyramid left
-#: ``src/``).
+#: -> frozen baseline line count (PR 13, after the native sharded
+#: adaptive fleet left ``src/``).
 BASELINES = {
     "src/repro/analysis": 4466,
-    "src/repro/anonymizer": 3461,
+    "src/repro/anonymizer": 3436,
     "src/repro/continuous": 605,
     "src/repro/evaluation": 1263,
     "src/repro/geometry": 560,
@@ -46,10 +46,9 @@ BASELINES = {
     "src/repro/privacy": 178,
     "src/repro/processor": 1647,
     "src/repro/resilience": 1560,
-    "src/repro/server": 1059,
-    "src/repro/sharding": 4147,
-    "src/repro/sharding/adaptive.py": 276,
-    "src/repro/sharding/basic.py": 304,
+    "src/repro/server": 1057,
+    "src/repro/sharding": 3555,
+    "src/repro/sharding/basic.py": 289,
     "src/repro/simulation": 292,
     "src/repro/spatial": 1238,
     "src/repro/utils": 197,
