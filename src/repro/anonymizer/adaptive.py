@@ -10,9 +10,10 @@ Algorithm 1 touch far fewer cells than the basic anonymizer when users
 have strict privacy profiles.
 
 The split/merge decisions and the cut-maintenance walk live in
-:mod:`repro.anonymizer.policies.adaptive`; this class is its host: a
-local cell dict, one mutation epoch, and the engine's instrumented
-cloak.  Sharded deployments run whole replicas of this class (see
+:mod:`repro.anonymizer.policies.adaptive`; this class is its host: it
+holds the cell dict, generations, mutation epoch and user records the
+walk works on, and the engine's instrumented cloak.  Sharded
+deployments run whole replicas of this class (see
 :mod:`repro.sharding.replicated`) — the cut is shaped by global counts,
 so there is no partitioned form.
 
@@ -27,7 +28,6 @@ live on in the test oracle ``tests/reference_pyramid.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellId
@@ -123,32 +123,8 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
         except KeyError:
             raise UnknownUserError(uid) from None
 
-    # ------------------------------------------------------------------
-    # CutMaintainer host hooks: local dict storage, one mutation epoch
-    # ------------------------------------------------------------------
-    def _entry(self, cell: CellId) -> CutCell | None:
-        return self._cells.get(cell)
-
-    def _entry_required(self, cell: CellId) -> CutCell:
-        return self._cells[cell]
-
-    def _set_entry(self, cell: CellId, entry: CutCell) -> None:
-        self._cells[cell] = entry
-
-    def _del_entry(self, cell: CellId) -> None:
-        del self._cells[cell]
-
-    def _bump_gen(self, cell: CellId) -> None:
-        self._gens[cell] = self._gens.get(cell, 0) + 1
-
     def _gen_of(self, cell: CellId) -> int:
         return self._gens.get(cell, 0)
-
-    def _commit(self, touched: Sequence[CellId]) -> None:
-        self._epoch += 1
-
-    def _set_leaf(self, uid: object, leaf: CellId) -> None:
-        self._users[uid].leaf = leaf
 
     # ------------------------------------------------------------------
     # Registration and location updates

@@ -6,21 +6,21 @@ quadtree cut consistent under registration, deregistration and
 movement, deciding splits and merges with the gate-table reductions of
 :mod:`repro.anonymizer.soa`.
 ``repro.anonymizer.adaptive`` (the single pyramid) is its one
-production host: it supplies storage and epoch semantics through the
-small hook surface below.  The cut is reshaped from *global* counts, so
-it has no partitioned form — sharded deployments run whole replicas of
-that host behind :mod:`repro.sharding.replicated`.
+production host.  The cut is reshaped from *global* counts, so it has
+no partitioned form — sharded deployments run whole replicas of that
+host behind :mod:`repro.sharding.replicated`.
 
-Hook surface a host implements:
+State a host holds, which the walk reads and writes directly:
 
-* ``_entry`` / ``_entry_required`` / ``_set_entry`` / ``_del_entry`` —
-  maintained-cut storage (a local dict);
-* ``_bump_gen`` — per-cell generation counters for cache invalidation;
-* ``_commit(touched)`` — epoch effects of one maintenance primitive
-  (one mutation-epoch tick);
-* ``_set_leaf`` — user-record access;
+* ``_cells`` — the maintained cut, ``dict[CellId, CutCell]``;
+* ``_gens`` — per-cell generation counters for cache invalidation
+  (they outlive the cells they describe);
+* ``_epoch`` — the mutation epoch, ticked once per maintenance
+  primitive;
+* ``_users`` — the user records, each with a ``leaf`` field;
 * ``_table`` — the gate table (parallel ``(x, y, k, A_min)`` arrays
-  mirroring the user records) the split/merge decisions scan.
+  mirroring the user records) the production split/merge decisions
+  scan.
 
 The two decisions are methods (:meth:`CutMaintainer._split_decision`,
 :meth:`CutMaintainer._merge_blocked`) so the reference pyramid in
@@ -31,7 +31,6 @@ per-user decision functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.policy import CloakingPolicy, PolicySpec, register_policy
@@ -59,37 +58,21 @@ class CutCell:
 
 
 class CutMaintainer:
-    """Quadtree-cut maintenance over host-supplied storage hooks."""
+    """Quadtree-cut maintenance over the host's cut, generation, epoch
+    and user-record state."""
 
     grid: CellGrid
     stats: MaintenanceStats
+    _cells: dict[CellId, CutCell]
+    _gens: dict[CellId, int]
+    _epoch: int
+    _users: dict
     # Gate table: parallel (x, y, k, A_min) arrays mirroring the user
     # records, scanned by the split/merge decisions.
     _table: UserTable
 
-    # ------------------------------------------------------------------
-    # Host hooks
-    # ------------------------------------------------------------------
-    def _entry(self, cell: CellId) -> CutCell | None:
-        raise NotImplementedError
-
-    def _entry_required(self, cell: CellId) -> CutCell:
-        raise NotImplementedError
-
-    def _set_entry(self, cell: CellId, entry: CutCell) -> None:
-        raise NotImplementedError
-
-    def _del_entry(self, cell: CellId) -> None:
-        raise NotImplementedError
-
     def _bump_gen(self, cell: CellId) -> None:
-        raise NotImplementedError
-
-    def _commit(self, touched: Sequence[CellId]) -> None:
-        raise NotImplementedError
-
-    def _set_leaf(self, uid: object, leaf: CellId) -> None:
-        raise NotImplementedError
+        self._gens[cell] = self._gens.get(cell, 0) + 1
 
     # ------------------------------------------------------------------
     # Leaf location
@@ -97,7 +80,7 @@ class CutMaintainer:
     def leaf_for_point(self, point: Point) -> CellId:
         """Descend the maintained cut to the leaf containing ``point``."""
         cell = _ROOT
-        while not self._entry_required(cell).is_leaf:
+        while not self._cells[cell].is_leaf:
             cell = self.grid.cell_of(point, cell.level + 1)
         return cell
 
@@ -107,20 +90,18 @@ class CutMaintainer:
     def _move_between_leaves(self, uid: object, old: CellId, new: CellId) -> int:
         """Transfer one user between leaves, updating branch counters;
         returns the number of counters touched."""
-        self._entry_required(old).users.discard(uid)
-        self._entry_required(new).users.add(uid)
+        self._cells[old].users.discard(uid)
+        self._cells[new].users.add(uid)
         # Walk both branches up to the common ancestor (exclusive).
         old_path = self.grid.path_to_root(old)
         new_path = self.grid.path_to_root(new)
         common = {c for c in new_path}
-        touched: list[CellId] = []
         cost = 0
         for cell in old_path:
             if cell in common:
                 break
-            self._entry_required(cell).count -= 1
+            self._cells[cell].count -= 1
             self._bump_gen(cell)
-            touched.append(cell)
             cost += 1
         stop_at = None
         for cell in old_path:
@@ -130,29 +111,28 @@ class CutMaintainer:
         for cell in new_path:
             if cell == stop_at:
                 break
-            self._entry_required(cell).count += 1
+            self._cells[cell].count += 1
             self._bump_gen(cell)
-            touched.append(cell)
             cost += 1
-        self._commit(touched)
+        self._epoch += 1
         return cost
 
     def _add_to_leaf(self, uid: object, leaf: CellId) -> None:
-        self._entry_required(leaf).users.add(uid)
+        self._cells[leaf].users.add(uid)
         path = self.grid.path_to_root(leaf)
         for cell in path:
-            self._entry_required(cell).count += 1
+            self._cells[cell].count += 1
             self._bump_gen(cell)
-        self._commit(path)
+        self._epoch += 1
         self.stats.counter_updates += len(path)
 
     def _remove_from_leaf(self, uid: object, leaf: CellId) -> None:
-        self._entry_required(leaf).users.discard(uid)
+        self._cells[leaf].users.discard(uid)
         path = self.grid.path_to_root(leaf)
         for cell in path:
-            self._entry_required(cell).count -= 1
+            self._cells[cell].count -= 1
             self._bump_gen(cell)
-        self._commit(path)
+        self._epoch += 1
         self.stats.counter_updates += len(path)
 
     # ------------------------------------------------------------------
@@ -178,7 +158,7 @@ class CutMaintainer:
         """Split ``leaf`` (recursively) while Section 4.2's criterion
         holds: some user inside could be satisfied one level deeper."""
         while True:
-            entry = self._entry(leaf)
+            entry = self._cells.get(leaf)
             if entry is None or not entry.is_leaf or leaf.level >= self.grid.height:
                 return
             decision = self._split_decision(leaf, entry)
@@ -190,21 +170,19 @@ class CutMaintainer:
             leaf = satisfiable
 
     def _split(self, leaf: CellId, child_users: dict[CellId, set[object]]) -> None:
-        entry = self._entry_required(leaf)
+        entry = self._cells[leaf]
         entry.is_leaf = False
         entry.users = set()
-        children: list[CellId] = []
         for child, members in child_users.items():
-            self._set_entry(
-                child, CutCell(count=len(members), is_leaf=True, users=members)
+            self._cells[child] = CutCell(
+                count=len(members), is_leaf=True, users=members
             )
             # The child's count was readable as 0 while unmaintained;
             # materialising it is a visible change for cached cloaks.
             self._bump_gen(child)
-            children.append(child)
             for uid in members:
-                self._set_leaf(uid, child)
-        self._commit(children)
+                self._users[uid].leaf = child
+        self._epoch += 1
         self.stats.splits += 1
         # Restructuring cost: four new counters plus one hash-table
         # relocation per affected user.
@@ -216,7 +194,7 @@ class CutMaintainer:
         while leaf.level > 0:
             parent = leaf.parent()
             children = parent.children()
-            entries = [self._entry(c) for c in children]
+            entries = [self._cells.get(c) for c in children]
             if any(e is None or not e.is_leaf for e in entries):
                 return
             child_area = self.grid.cell_area(leaf.level)
@@ -230,16 +208,16 @@ class CutMaintainer:
             merged_users: set[object] = set()
             for _, users in child_stats:
                 merged_users |= users
-            parent_entry = self._entry_required(parent)
+            parent_entry = self._cells[parent]
             parent_entry.is_leaf = True
             parent_entry.users = merged_users
             for uid in merged_users:
-                self._set_leaf(uid, parent)
+                self._users[uid].leaf = parent
             for child in children:
-                self._del_entry(child)
+                del self._cells[child]
                 # Deleted cells read as count 0 from now on.
                 self._bump_gen(child)
-            self._commit(children)
+            self._epoch += 1
             self.stats.merges += 1
             self.stats.counter_updates += 4 + len(merged_users)
             leaf = parent

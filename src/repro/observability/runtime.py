@@ -50,9 +50,7 @@ __all__ = [
     "note_server_request",
     "record_monitor_flush",
     "record_safe_region_event",
-    "note_safe_region_event",
     "record_validity_lifetime",
-    "note_validity_lifetime",
     "record_fault",
     "note_fault",
     "record_retry",
@@ -62,17 +60,11 @@ __all__ = [
     "record_recovery",
     "note_recovery",
     "record_shard_cloak",
-    "note_shard_cloak",
     "record_shard_op",
-    "note_shard_op",
     "record_shard_occupancy",
-    "note_shard_occupancy",
     "record_worker_roundtrip",
-    "note_worker_roundtrip",
     "record_worker_batch",
-    "note_worker_batch",
     "record_worker_event",
-    "note_worker_event",
 ]
 
 
@@ -437,13 +429,6 @@ def record_shard_cloak(obs: Observability, shard: int, route: str) -> None:
     handle.inc()
 
 
-def note_shard_cloak(shard: int, route: str) -> None:
-    """Null-safe :func:`record_shard_cloak` — a no-op while disabled."""
-    obs = _active
-    if obs is not None:
-        record_shard_cloak(obs, shard, route)
-
-
 def record_shard_op(obs: Observability, shard: int, op: str) -> None:
     """One maintenance operation routed to a shard (``op``: ``register``
     / ``deregister`` / ``update`` / ``rehome`` / ``restore``)."""
@@ -460,13 +445,6 @@ def record_shard_op(obs: Observability, shard: int, op: str) -> None:
     handle.inc()
 
 
-def note_shard_op(shard: int, op: str) -> None:
-    """Null-safe :func:`record_shard_op` — a no-op while disabled."""
-    obs = _active
-    if obs is not None:
-        record_shard_op(obs, shard, op)
-
-
 def record_shard_occupancy(obs: Observability, occupancy: list[int]) -> None:
     """Instantaneous per-shard population (user counts only — the shard
     id is the sole label, bounded by the fleet size)."""
@@ -475,13 +453,6 @@ def record_shard_occupancy(obs: Observability, occupancy: list[int]) -> None:
             "casper_shard_users", (("shard", str(shard)),),
             help="registered users homed per shard",
         ).set(float(users))
-
-
-def note_shard_occupancy(occupancy: list[int]) -> None:
-    """Null-safe :func:`record_shard_occupancy` — a no-op while disabled."""
-    obs = _active
-    if obs is not None:
-        record_shard_occupancy(obs, occupancy)
 
 
 def record_worker_roundtrip(
@@ -501,13 +472,6 @@ def record_worker_roundtrip(
     handle.observe(seconds)
 
 
-def note_worker_roundtrip(shard: int, seconds: float) -> None:
-    """Null-safe :func:`record_worker_roundtrip` — a no-op while disabled."""
-    obs = _active
-    if obs is not None:
-        record_worker_roundtrip(obs, shard, seconds)
-
-
 def record_worker_batch(obs: Observability, shard: int, envelopes: int) -> None:
     """Queue depth drained into one frame: how many envelopes a worker's
     pending queue held when it was flushed across the IPC boundary."""
@@ -522,13 +486,6 @@ def record_worker_batch(obs: Observability, shard: int, envelopes: int) -> None:
         )
         m.handle_cache[key] = handle
     handle.observe(float(envelopes))
-
-
-def note_worker_batch(shard: int, envelopes: int) -> None:
-    """Null-safe :func:`record_worker_batch` — a no-op while disabled."""
-    obs = _active
-    if obs is not None:
-        record_worker_batch(obs, shard, envelopes)
 
 
 def record_worker_event(obs: Observability, shard: int, event: str) -> None:
@@ -546,13 +503,6 @@ def record_worker_event(obs: Observability, shard: int, event: str) -> None:
         )
         m.handle_cache[key] = handle
     handle.inc()
-
-
-def note_worker_event(shard: int, event: str) -> None:
-    """Null-safe :func:`record_worker_event` — a no-op while disabled."""
-    obs = _active
-    if obs is not None:
-        record_worker_event(obs, shard, event)
 
 
 def record_monitor_flush(
@@ -593,13 +543,6 @@ def record_safe_region_event(obs: Observability, event: str) -> None:
     ).inc()
 
 
-def note_safe_region_event(event: str) -> None:
-    """Null-safe :func:`record_safe_region_event` — a no-op while disabled."""
-    obs = _active
-    if obs is not None:
-        record_safe_region_event(obs, event)
-
-
 def record_validity_lifetime(obs: Observability, ticks: int) -> None:
     """How many monitor ticks one validity region survived before its
     query had to be re-evaluated (recorded at re-evaluation time)."""
@@ -608,10 +551,3 @@ def record_validity_lifetime(obs: Observability, ticks: int) -> None:
         boundaries=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
         help="ticks a safe-region candidate list stayed valid",
     ).observe(float(ticks))
-
-
-def note_validity_lifetime(ticks: int) -> None:
-    """Null-safe :func:`record_validity_lifetime` — a no-op while disabled."""
-    obs = _active
-    if obs is not None:
-        record_validity_lifetime(obs, ticks)

@@ -34,7 +34,6 @@ cache-epoch rule, the wire format and the worker crash/heal protocol.
 
 from __future__ import annotations
 
-from repro.anonymizer.policy import get_policy
 from repro.geometry import Rect
 from repro.sharding.basic import ShardedBasicAnonymizer
 from repro.sharding.replicated import ReplicatedShardedAnonymizer
@@ -43,6 +42,8 @@ from repro.sharding.workers import (
     ParallelShardedAnonymizer,
     ShardWorker,
     WorkerPool,
+    _build_replica,
+    _WorkerConfig,
 )
 
 __all__ = [
@@ -82,15 +83,11 @@ def make_sharded(
     (:class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`).
     A ``height`` the policy cannot hold raises ``ValueError`` here, in
     the calling process, on every path."""
-    spec = get_policy(kind)
     if parallel:
         return ParallelShardedAnonymizer(
             bounds, height=height, num_shards=num_shards, kind=kind,
             cloak_cache_size=cloak_cache_size,
         )
-    if spec.sharded is not None:
-        return spec.sharded(bounds, height, num_shards, cloak_cache_size)
-    return ReplicatedShardedAnonymizer(
-        spec, bounds, height=height, num_shards=num_shards,
-        cloak_cache_size=cloak_cache_size,
+    return _build_replica(
+        _WorkerConfig(kind, bounds, height, num_shards, cloak_cache_size)
     )

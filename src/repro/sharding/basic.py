@@ -99,17 +99,15 @@ class ShardedBasicAnonymizer(ShardedFleet, CompletePyramidMaintainer):
         cell = self.grid.cell_of(point)
         shard = self.router.shard_of(cell)
         self._cores[shard].users[uid] = _UserRecord(profile, point, cell)
-        self._directory[uid] = shard
+        self._set_home(uid, shard)
         self._apply_delta(cell, +1)
         self.stats.registrations += 1
-        self._notify_op(shard, "register")
 
     def deregister(self, uid: object) -> None:
         record = self._record(uid)
-        shard = self._directory[uid]
         self._apply_delta(record.cell, -1)
+        shard = self._drop_home(uid)
         del self._cores[shard].users[uid]
-        del self._directory[uid]
         self.stats.deregistrations += 1
         self._notify_op(shard, "deregister")
 
@@ -152,8 +150,7 @@ class ShardedBasicAnonymizer(ShardedFleet, CompletePyramidMaintainer):
             if new_shard != shard:
                 del self._cores[shard].users[uid]
                 self._cores[new_shard].users[uid] = record
-                self._directory[uid] = new_shard
-                self._notify_op(new_shard, "rehome")
+                self._set_home(uid, new_shard)
         self.stats.counter_updates += cost
         self.stats.cell_changes += 1
         return cost

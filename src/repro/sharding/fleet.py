@@ -1,10 +1,11 @@
 """Facade half of the partitioned (complete-pyramid) fleet.
 
 :class:`ShardedFleet` is everything the partitioned anonymizer needs
-besides the maintenance walk: the router, the shard cores plus the
-shared spine, the uid -> home-shard directory, the per-shard cloak
-caches with their composite-epoch keying, cache and occupancy
-introspection, and the shard-op telemetry hooks.
+besides the maintenance walk: the shard cores plus the shared spine,
+the per-shard cloak caches with their composite-epoch keying, and —
+through :class:`~repro.sharding.surface.ShardSurface`, shared with the
+other sharded deployments — the router, the uid -> home-shard
+directory, occupancy and the shard-op telemetry hooks.
 :mod:`repro.sharding.basic` stays pure routing glue: it hosts the
 shared maintenance mixin from :mod:`repro.anonymizer.policies.basic` by
 routing each touched cell to its owning core or the spine.
@@ -29,27 +30,21 @@ from repro.anonymizer.engine import PyramidEngine
 from repro.anonymizer.profile import PrivacyProfile
 from repro.errors import UnknownUserError
 from repro.geometry import Point, Rect
-from repro.observability import runtime as _telemetry
-from repro.sharding.core import (
-    CACHE_KEYS,
-    BasicShardCore,
-    SpineState,
-    cache_counters,
-)
-from repro.sharding.router import ShardRouter
+from repro.sharding.core import BasicShardCore, SpineState, cache_counters
 from repro.sharding.soa import MortonSlice
+from repro.sharding.surface import ShardSurface
 
 __all__ = ["ShardedFleet"]
 
 
-class ShardedFleet(PyramidEngine):
+class ShardedFleet(ShardSurface, PyramidEngine):
     """Routing/spine glue of the partitioned anonymizer."""
 
     def _init_fleet(
         self, bounds: Rect, height: int, num_shards: int, cloak_cache_size: int
     ) -> None:
         self._init_engine(bounds, height)
-        self.router = ShardRouter(num_shards, height)
+        self._init_surface(num_shards, height)
         self._spine = SpineState()
         # Counters as contiguous Morton slices over each shard's blocks
         # (the spine stays a dict: it holds at most 4**S / 3 cells, far
@@ -66,53 +61,18 @@ class ShardedFleet(PyramidEngine):
                     gens=MortonSlice(height, spine_level, lo, hi),
                 )
             )
-        self._directory: dict[object, int] = {}
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        return self.router.num_shards
-
-    @property
-    def num_users(self) -> int:
-        return len(self._directory)
-
-    def __contains__(self, uid: object) -> bool:
-        return uid in self._directory
-
-    def shard_of_user(self, uid: object) -> int:
-        """The shard currently homing ``uid`` (the routing seam the
-        server facade exposes)."""
-        try:
-            return self._directory[uid]
-        except KeyError:
-            raise UnknownUserError(uid) from None
-
-    def shard_occupancy(self) -> list[int]:
-        """Registered users homed per shard, indexed by shard id."""
-        return [len(core.users) for core in self._cores]
-
-    def cache_stats(self) -> dict[str, int]:
-        """Aggregate cloak-cache traffic across all cores."""
-        return {
-            key: sum(getattr(core.cache, key) for core in self._cores)
-            for key in CACHE_KEYS
-        }
-
     def cache_stats_per_shard(self) -> dict[str, dict[str, int]]:
         """Cloak-cache traffic per shard core, keyed ``"0"``..``"N-1"``
         — the unblended numbers the ``shard_scaling`` bench and the
-        ``metrics`` CLI report.  The ``"spine"`` row is part of the
-        report shape and always zero: every cloak starts at a
-        lowest-level cell, which some core owns."""
-        stats = {
-            str(core.index): cache_counters(core.cache)
-            for core in self._cores
-        }
-        stats["spine"] = dict.fromkeys(CACHE_KEYS, 0)
-        return stats
+        ``metrics`` CLI report (plus the always-zero ``"spine"`` row of
+        the report shape)."""
+        return self._shard_rows(
+            {core.index: cache_counters(core.cache) for core in self._cores}
+        )
 
     def profile_of(self, uid: object) -> PrivacyProfile:
         return self._record(uid).profile
@@ -127,7 +87,7 @@ class ShardedFleet(PyramidEngine):
             raise UnknownUserError(uid) from None
 
     # ------------------------------------------------------------------
-    # Epochs, generations and telemetry
+    # Epochs and generations
     # ------------------------------------------------------------------
     def _commit(self, touched: Sequence[CellId]) -> None:
         """Epoch effects of one completed maintenance primitive: bump
@@ -153,15 +113,6 @@ class ShardedFleet(PyramidEngine):
             return self._spine.gens.get(cell, 0)
         return self._cores[self.router.shard_of(cell)].gens.get(cell, 0)
 
-    def _notify_op(self, shard: int, op: str, *, occupancy: bool = True) -> None:
-        """Record one shard operation (and, for population-changing
-        ops, the resulting occupancy) when telemetry is active."""
-        obs = _telemetry.active()
-        if obs is not None:
-            _telemetry.record_shard_op(obs, shard, op)
-            if occupancy:
-                _telemetry.record_shard_occupancy(obs, self.shard_occupancy())
-
     # ------------------------------------------------------------------
     # Cloaking
     # ------------------------------------------------------------------
@@ -174,11 +125,3 @@ class ShardedFleet(PyramidEngine):
             (core.epoch, self._spine.boundary_epoch), profile, cell,
             shard=shard,
         )
-
-    def _route_of(self, region: CloakedRegion) -> str:
-        settled = min(c.level for c in region.cells)
-        if settled > self.router.spine_level:
-            return "local"
-        if settled == self.router.spine_level:
-            return "boundary"
-        return "spine"

@@ -6,8 +6,19 @@ pluggable: a remote client (or another anonymizer runtime) can drive a
 local anonymizer with exactly the byte format, CRC discipline and
 stop-and-wait semantics the workers use — one
 :class:`~repro.sharding.wire.FrameDecoder` per connection reassembles
-frames out of arbitrary TCP segmentation, and a repeated sequence
-number replays the cached reply instead of re-applying the batch.
+frames out of arbitrary TCP segmentation, and each connection is one
+:class:`~repro.sharding.workers.FrameEndpoint`, the same server role a
+worker runs over its pipe (a repeated sequence number replays the
+cached reply instead of re-applying the batch).
+
+The front door serves the **data plane only** (see the op table,
+:data:`repro.sharding.wire.OPS`).  The anonymizer is the trusted third
+party that alone holds every exact location, so the control plane —
+serialized snapshot/install/stats blobs, invariant sweeps, chaos hangs,
+shutdown — stays between a parent and the workers it spawned: a TCP
+peer that sends a control opcode gets an ``RE_ERROR`` envelope, and
+nothing is decoded, deserialized or slept on.  (User ids are not
+authenticated; that is outside this model.)
 
 All connections share one backing anonymizer.  The event loop
 serializes request handling (operations apply between awaits, never
@@ -21,18 +32,8 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.messages import ShardEnvelope
-from repro.sharding.wire import (
-    KIND_NACK,
-    KIND_REQUEST,
-    KIND_RESPONSE,
-    FrameDecoder,
-    WireError,
-    decode_op,
-    encode_frame,
-    response_ack,
-)
-from repro.sharding.workers import ShardWorker, _WorkerConfig
+from repro.sharding.wire import KIND_NACK, FrameDecoder, WireError, encode_frame
+from repro.sharding.workers import FrameEndpoint
 
 __all__ = ["ShardFrontDoor"]
 
@@ -85,48 +86,11 @@ class ShardFrontDoor:
     async def __aexit__(self, *exc_info: object) -> None:
         await self.stop()
 
-    def _executor(self) -> ShardWorker:
-        """A per-connection executor sharing the backing anonymizer.
-
-        Reuses :class:`ShardWorker`'s operation dispatch; the config is
-        only consulted by ``reset``/``bootstrap`` (which rebuild the
-        shared replica in place with the same shape).
-        """
-        anonymizer = self._anonymizer
-        config = _WorkerConfig(
-            kind=anonymizer.kind,
-            bounds=anonymizer.bounds,
-            height=anonymizer.height,
-            num_shards=anonymizer.num_shards,
-            cloak_cache_size=8192,
-        )
-        return ShardWorker(config, shard=0, conn=None, replica=anonymizer)
-
-    async def _dispatch(self, executor: ShardWorker, payload: bytes) -> bytes:
-        """Apply one operation without stalling the shared event loop.
-
-        The chaos-injection ``hang`` op sleeps for ``op[1]`` seconds;
-        routed through ``ShardWorker._apply`` that would be a
-        ``time.sleep`` on the loop, freezing *every* connection, so it
-        is intercepted and awaited here.  Every other op is CPU-bound
-        dispatch into the in-process replica.
-        """
-        try:
-            op = decode_op(payload)
-        except WireError:
-            op = ()
-        if op and op[0] == "hang":
-            await asyncio.sleep(op[1])
-            return response_ack()
-        return executor._apply(payload)[0]  # casperlint: ignore[CSP010] hang intercepted above; remaining ops are CPU-bound replica dispatch
-
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         decoder = FrameDecoder()
-        executor = self._executor()
-        last_seq: int | None = None
-        last_reply: bytes = b""
+        endpoint = FrameEndpoint(self._anonymizer)
         try:
             while True:
                 data = await reader.read(65536)
@@ -139,24 +103,9 @@ class ShardFrontDoor:
                     await writer.drain()
                     return
                 for frame in frames:
-                    if frame.kind != KIND_REQUEST:
-                        continue
-                    if last_seq is not None:
-                        if frame.seq == last_seq:
-                            writer.write(last_reply)
-                            continue
-                        if frame.seq < last_seq:
-                            continue
-                    replies = [
-                        ShardEnvelope(
-                            envelope.shard,
-                            await self._dispatch(executor, envelope.payload),
-                        )
-                        for envelope in frame.envelopes
-                    ]
-                    last_seq = frame.seq
-                    last_reply = encode_frame(KIND_RESPONSE, frame.seq, replies)
-                    writer.write(last_reply)
+                    reply = endpoint.step(frame)
+                    if reply is not None:
+                        writer.write(reply)
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             return

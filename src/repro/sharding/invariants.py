@@ -52,6 +52,7 @@ def check_basic_fleet(fleet: "ShardedBasicAnonymizer") -> None:
                         expected[shard].get(ancestor, 0) + 1
                     )
     assert population == len(fleet._directory), "directory population drift"
+    fleet._check_directory()
     for shard, core in enumerate(fleet._cores):
         assert core.counts == expected[shard], (
             f"shard {shard} counters inconsistent with its user table"

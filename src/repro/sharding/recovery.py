@@ -81,7 +81,7 @@ def basic_restore(fleet: "ShardedBasicAnonymizer", state: object) -> None:
         core.cache.clear()
     fleet._spine.counts = dict(state.spine_counts)
     fleet._spine.boundary_epoch += 1
-    fleet._directory = dict(state.directory)
+    fleet._load_directory(state.directory)
 
 
 def basic_restore_shard(
@@ -113,7 +113,7 @@ def basic_restore_shard(
         if home == shard and uid not in users
     ]
     for uid in purged:
-        del fleet._directory[uid]
+        fleet._drop_home(uid)
     # Rebuild this core's counters from the surviving records.
     spine_level = fleet.router.spine_level
     counts: dict[CellId, int] = {}

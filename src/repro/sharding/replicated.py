@@ -8,8 +8,9 @@ pyramid, whose cut is reshaped from *global* counts and therefore has
 no partitioned form, the related-work baselines, or a user-registered
 cloaker — runs behind ``make_sharded`` and the parallel worker runtime
 through this adapter: it wraps one *whole* single-instance policy per
-replica and adds the sharded surface on top (shard directory,
-occupancy, per-shard cache stats, shard-count-tagged snapshots), using
+replica and adds the sharded surface on top
+(:class:`~repro.sharding.surface.ShardSurface`: shard directory,
+occupancy, per-shard cache stats; plus shard-count-tagged snapshots), using
 broadcast replication — every worker applies every mutation, so every
 replica answers every question.  A policy gains process parallelism
 from nothing but its registry entry.
@@ -29,11 +30,10 @@ from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.policy import CloakingPolicy, PolicySpec
 from repro.anonymizer.profile import PrivacyProfile
 from repro.anonymizer.stats import MaintenanceStats
-from repro.errors import UnknownUserError
 from repro.geometry import Point, Rect
 from repro.observability import runtime as _telemetry
 from repro.sharding.core import CACHE_KEYS, cache_counters
-from repro.sharding.router import ShardRouter
+from repro.sharding.surface import ShardSurface
 
 __all__ = ["ReplicatedShardedAnonymizer"]
 
@@ -46,7 +46,7 @@ class _ReplicatedSnapshot:
     directory: dict[object, int]
 
 
-class ReplicatedShardedAnonymizer:
+class ReplicatedShardedAnonymizer(ShardSurface):
     """One whole-policy replica with the sharded-anonymizer surface.
 
     ``shard`` tags which worker this replica serves (its cloak-cache
@@ -64,36 +64,14 @@ class ReplicatedShardedAnonymizer:
         shard: int | None = None,
     ) -> None:
         self.kind = spec.name
-        self.label = spec.name
-        self.spec = spec
         self.grid = CellGrid(bounds, height)
-        self.router = ShardRouter(num_shards, height)
+        self._init_surface(num_shards, height)
         self.shard = shard
         self._inner: CloakingPolicy = spec.single(bounds, height, cloak_cache_size)
-        self._directory: dict[object, int] = {}
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def bounds(self) -> Rect:
-        return self.grid.bounds
-
-    @property
-    def height(self) -> int:
-        return self.grid.height
-
-    @property
-    def num_shards(self) -> int:
-        return self.router.num_shards
-
-    @property
-    def num_users(self) -> int:
-        return self._inner.num_users
-
-    def __contains__(self, uid: object) -> bool:
-        return uid in self._inner
-
     @property
     def stats(self) -> MaintenanceStats:
         return self._inner.stats
@@ -101,18 +79,6 @@ class ReplicatedShardedAnonymizer:
     @stats.setter
     def stats(self, value: MaintenanceStats) -> None:
         self._inner.stats = value
-
-    def shard_of_user(self, uid: object) -> int:
-        try:
-            return self._directory[uid]
-        except KeyError:
-            raise UnknownUserError(uid) from None
-
-    def shard_occupancy(self) -> list[int]:
-        occupancy = [0] * self.num_shards
-        for home in self._directory.values():
-            occupancy[home] += 1
-        return occupancy
 
     def profile_of(self, uid: object) -> PrivacyProfile:
         return self._inner.profile_of(uid)
@@ -147,14 +113,9 @@ class ReplicatedShardedAnonymizer:
         """Per-shard traffic in the fleet shape (``"0"``..``"N-1"`` +
         ``"spine"``).  The single wrapped cache reports under this
         replica's worker shard; everything else is zero."""
-        stats = {
-            str(shard): dict.fromkeys(CACHE_KEYS, 0)
-            for shard in range(self.num_shards)
-        }
-        stats["spine"] = dict.fromkeys(CACHE_KEYS, 0)
-        if self.shard is not None:
-            stats[str(self.shard)] = self.cache_stats()
-        return stats
+        if self.shard is None:
+            return self._shard_rows({})
+        return self._shard_rows({self.shard: self.cache_stats()})
 
     def _home_of(self, point: Point) -> int:
         return self.router.shard_of(self.grid.cell_of(point))
@@ -164,14 +125,11 @@ class ReplicatedShardedAnonymizer:
     # ------------------------------------------------------------------
     def register(self, uid: object, point: Point, profile: PrivacyProfile) -> None:
         self._inner.register(uid, point, profile)
-        shard = self._home_of(point)
-        self._directory[uid] = shard
-        self._notify_op(shard, "register")
+        self._set_home(uid, self._home_of(point))
 
     def deregister(self, uid: object) -> None:
         self._inner.deregister(uid)
-        shard = self._directory.pop(uid)
-        self._notify_op(shard, "deregister")
+        self._notify_op(self._drop_home(uid), "deregister")
 
     def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
         self._inner.set_profile(uid, profile)
@@ -179,23 +137,12 @@ class ReplicatedShardedAnonymizer:
     def update(self, uid: object, point: Point) -> int:
         home = self.shard_of_user(uid)
         cost = self._inner.update(uid, point)
-        obs = _telemetry.active()
-        if obs is not None:
-            _telemetry.record_shard_op(obs, home, "update")
-        new_home = self._home_of(point)
-        if new_home != home:
-            self._directory[uid] = new_home
-            self._notify_op(new_home, "rehome")
+        self._notify_op(home, "update", occupancy=False)
+        self._set_home(uid, self._home_of(point))
         return cost
 
     def update_batch(self, moves: list[tuple[object, Point]]) -> list[int]:
         return [self.update(uid, point) for uid, point in moves]
-
-    def _notify_op(self, shard: int, op: str) -> None:
-        obs = _telemetry.active()
-        if obs is not None:
-            _telemetry.record_shard_op(obs, shard, op)
-            _telemetry.record_shard_occupancy(obs, self.shard_occupancy())
 
     # ------------------------------------------------------------------
     # Cloaking
@@ -216,18 +163,6 @@ class ReplicatedShardedAnonymizer:
         obs = _telemetry.active()
         if obs is not None:
             _telemetry.record_shard_cloak(obs, shard, self._route_of(region))
-
-    def _route_of(self, region: CloakedRegion) -> str:
-        if not region.cells:
-            # Non-pyramid answer (no settled cells): the whole replica
-            # served it, which is what "local" means here.
-            return "local"
-        settled = min(c.level for c in region.cells)
-        if settled > self.router.spine_level:
-            return "local"
-        if settled == self.router.spine_level:
-            return "boundary"
-        return "spine"
 
     # ------------------------------------------------------------------
     # Crash recovery and diagnostics
@@ -255,13 +190,14 @@ class ReplicatedShardedAnonymizer:
             # count that computed them.
             raise ValueError("snapshot shard count mismatch")
         self._inner.restore(state.inner)
-        self._directory = dict(state.directory)
+        self._load_directory(state.directory)
 
     def check_invariants(self) -> None:
         self._inner.check_invariants()
-        assert self.num_users == len(self._directory), (
+        assert self._inner.num_users == len(self._directory), (
             "directory population drift"
         )
+        self._check_directory()
         for uid, home in self._directory.items():
             assert uid in self._inner, f"directory ghost {uid!r}"
             assert self._home_of(self._inner.location_of(uid)) == home, (

@@ -65,11 +65,14 @@ __all__ = [
     "KIND_NACK",
     "KIND_REQUEST",
     "KIND_RESPONSE",
+    "OPS",
+    "OpSpec",
     "WireError",
     "decode_frame",
     "decode_op",
     "decode_response",
     "encode_frame",
+    "op_spec",
 ]
 
 
@@ -215,11 +218,64 @@ OP_CELL_COUNT = 7
 OP_STATS = 8
 OP_SNAPSHOT = 9
 OP_INSTALL = 10
-OP_RESET = 11
 OP_CHECK = 12
 OP_PING = 13
 OP_HANG = 14
 OP_SHUTDOWN = 15
+# 11 is retired and stays unassigned: opcode values are wire surface.
+
+
+@dataclass(frozen=True, slots=True)
+class OpSpec:
+    """What the protocol promises about one opcode."""
+
+    #: The name :func:`decode_op` returns for it.
+    name: str
+    #: The :func:`decode_response` kind a successful reply carries
+    #: (``cloak`` ops may also answer ``unsat``; any op may answer
+    #: ``error``).
+    reply: str
+    #: Side-effect-free, so safe to re-issue to a healed worker when an
+    #: exchange dies mid-flight (mutations never are: see the parent's
+    #: ``ParallelShardedAnonymizer._exchange``).
+    reissuable: bool
+    #: Data plane (what any peer of the anonymizer may ask) or control
+    #: plane (worker supervision: pickled state, invariant sweeps, chaos
+    #: and lifecycle — served only to the parent that spawned the worker).
+    data_plane: bool
+
+
+#: The one statement of each opcode's contract.  The parent reads the
+#: reply kind and re-issuability from it, the servers read the plane.
+OPS: dict[int, OpSpec] = {
+    # opcode: (name, reply, reissuable, data_plane)
+    OP_REGISTER: OpSpec("register", "ack", False, True),
+    OP_MOVE: OpSpec("move", "cost", False, True),
+    OP_DEREGISTER: OpSpec("deregister", "ack", False, True),
+    OP_SET_PROFILE: OpSpec("set_profile", "ack", False, True),
+    OP_CLOAK: OpSpec("cloak", "cloak", True, True),
+    OP_CLOAK_LOCATION: OpSpec("cloak_location", "cloak", True, True),
+    OP_CELL_COUNT: OpSpec("cell_count", "count", True, True),
+    OP_PING: OpSpec("ping", "ack", True, True),
+    OP_STATS: OpSpec("stats", "blob", True, False),
+    OP_SNAPSHOT: OpSpec("snapshot", "blob", True, False),
+    OP_INSTALL: OpSpec("install", "ack", False, False),
+    OP_CHECK: OpSpec("check", "ack", True, False),
+    OP_HANG: OpSpec("hang", "ack", False, False),
+    OP_SHUTDOWN: OpSpec("shutdown", "ack", False, False),
+}
+
+
+def op_spec(payload: bytes) -> OpSpec:
+    """The table entry of an encoded operation, read off its opcode
+    byte alone — nothing else in the payload is interpreted."""
+    if not payload:
+        raise WireError("empty operation payload")
+    try:
+        return OPS[payload[0]]
+    except KeyError:
+        raise WireError(f"unknown shard opcode {payload[0]}") from None
+
 
 _UID_INT = 0
 _UID_STR = 1
@@ -301,10 +357,6 @@ def op_install(blob: bytes) -> bytes:
     return struct.pack("<B", OP_INSTALL) + blob
 
 
-def op_reset() -> bytes:
-    return struct.pack("<B", OP_RESET)
-
-
 def op_check() -> bytes:
     return struct.pack("<B", OP_CHECK)
 
@@ -356,8 +408,6 @@ def decode_op(data: bytes) -> tuple:
         return ("snapshot",)
     if opcode == OP_INSTALL:
         return ("install", data[1:])
-    if opcode == OP_RESET:
-        return ("reset",)
     if opcode == OP_CHECK:
         return ("check",)
     if opcode == OP_PING:

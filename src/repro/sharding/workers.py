@@ -2,14 +2,18 @@
 
 This module runs each shard's pyramid subtree in its own worker
 process, connected to the parent runtime over the framed wire protocol
-of :mod:`repro.sharding.wire`.  Three pieces compose the subsystem:
+of :mod:`repro.sharding.wire`.  Four pieces compose the subsystem:
 
-* :class:`ShardWorker` — the loop a worker process runs: receive a
-  frame, apply its batch of shard operations to a local replica,
-  answer with a response frame (or a ``NACK`` when the request failed
-  its CRC).  Stop-and-wait sequence numbers make redelivery safe: a
-  repeated sequence replays the cached reply instead of re-applying
-  the batch.
+* :class:`FrameEndpoint` — the server role of the protocol, stated
+  once: apply a request frame's batch of *data-plane* operations to a
+  replica and answer with a response frame.  Stop-and-wait sequence
+  numbers make redelivery safe: a repeated sequence replays the cached
+  reply instead of re-applying the batch.  The TCP front door
+  (:mod:`repro.sharding.frontdoor`) serves exactly this.
+* :class:`ShardWorker` — the endpoint a worker process runs over its
+  pipe: it adds the *control plane* (pickled stats/snapshot/install
+  blobs, invariant sweeps, chaos hangs, shutdown) and the ``NACK``
+  answer to a request that failed its CRC.
 * :class:`WorkerPool` — the supervisor: spawns one process per shard
   over a duplex pipe, health-checks, kills, respawns and tears the
   fleet down deterministically (idempotent, exception-safe).
@@ -65,8 +69,10 @@ mirror (partition) or from the lowest surviving replica's snapshot
 (broadcast) — degrading availability for the duration, never privacy.
 
 Pickle travels only inside ``install``/``snapshot``/``stats`` blobs
-between a parent and the worker processes it spawned, and is parsed
-only after the enclosing frame's CRC verified.
+between a parent and the worker processes it spawned — those are
+control-plane operations (:data:`repro.sharding.wire.OPS`), which only a
+:class:`ShardWorker` executes and only for the peer on its own pipe —
+and is parsed only after the enclosing frame's CRC verified.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ import time
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 
+from repro.anonymizer.basic import _UserRecord
 from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.policy import get_policy
@@ -91,9 +98,9 @@ from repro.errors import (
 from repro.geometry import Point, Rect
 from repro.messages import ShardEnvelope
 from repro.observability import runtime as _telemetry
-from repro.sharding.core import CACHE_KEYS
 from repro.sharding.invariants import check_basic_replica
-from repro.sharding.router import ShardRouter
+from repro.sharding.replicated import ReplicatedShardedAnonymizer
+from repro.sharding.surface import ShardSurface
 from repro.sharding.wire import (
     KIND_NACK,
     KIND_REQUEST,
@@ -116,6 +123,7 @@ from repro.sharding.wire import (
     op_set_profile,
     op_shutdown,
     op_snapshot,
+    op_spec,
     op_stats,
     response_ack,
     response_blob,
@@ -128,6 +136,7 @@ from repro.sharding.wire import (
 from repro.utils.timer import monotonic
 
 __all__ = [
+    "FrameEndpoint",
     "ParallelShardedAnonymizer",
     "ShardWorker",
     "WorkerPool",
@@ -143,13 +152,6 @@ _RETRY_LIMIT = 1000
 
 #: Consecutive heal attempts per exchange before giving up.
 _HEAL_LIMIT = 5
-
-# Reply specs whose results the parent actually consumes; these are the
-# (side-effect-free) operations re-issued to a healed worker when an
-# exchange dies mid-flight.  Mutations are never re-issued: the heal
-# rebuilds the worker to post-batch state from the parent mirror or a
-# flushed survivor, so re-applying them would double-count.
-_READ_SPECS = frozenset({"cloak", "count", "blob", "check", "ping"})
 
 #: Sentinel for a cloak answered "profile unsatisfiable".
 _UNSAT = object()
@@ -167,9 +169,10 @@ class _WorkerConfig:
 
 
 def _build_replica(config: _WorkerConfig, shard: int | None = None) -> object:
-    """Build one worker's replica for ``config.kind`` via the policy
-    registry: the native partitioned fleet when the policy ships one,
-    else a whole-policy :class:`~repro.sharding.replicated
+    """Build the in-process deployment of ``config.kind`` — what
+    ``make_sharded`` returns and what every worker replicates — via the
+    policy registry: the native partitioned fleet when the policy ships
+    one, else a whole-policy :class:`~repro.sharding.replicated
     .ReplicatedShardedAnonymizer` tagged with the worker's shard."""
     spec = get_policy(config.kind)
     if spec.sharded is not None:
@@ -179,8 +182,6 @@ def _build_replica(config: _WorkerConfig, shard: int | None = None) -> object:
             config.num_shards,
             config.cloak_cache_size,
         )
-    from repro.sharding.replicated import ReplicatedShardedAnonymizer
-
     return ReplicatedShardedAnonymizer(
         spec,
         config.bounds,
@@ -191,143 +192,158 @@ def _build_replica(config: _WorkerConfig, shard: int | None = None) -> object:
     )
 
 
-class ShardWorker:
-    """The loop one shard's worker process runs.
+class FrameEndpoint:
+    """The server role of the wire protocol over one replica.
 
-    Applies each request frame's operations to a local replica and
-    answers with one response envelope per operation.  Redelivery-safe:
-    the last ``(sequence, reply)`` pair is cached, a repeated sequence
-    replays the cached reply bytes, an *older* sequence (a delayed
-    duplicate of a finished exchange) is dropped silently, and a frame
-    that fails its CRC is answered with a ``NACK`` so the parent
-    retransmits instead of timing out.
+    One endpoint serves one peer.  :meth:`step` owns the stop-and-wait
+    state: the last ``(sequence, reply)`` pair is cached, a repeated
+    sequence replays the cached reply bytes and an *older* sequence (a
+    delayed duplicate of a finished exchange) gets no answer.
+
+    An endpoint executes the **data plane** only.  A control opcode is
+    refused with an ``RE_ERROR`` reply off its opcode byte alone:
+    nothing is decoded, unpickled, pickled or slept on.  Only
+    :class:`ShardWorker` serves the control plane, to the parent at the
+    other end of its pipe.
+    """
+
+    def __init__(self, replica: object) -> None:
+        self._replica = replica
+        self._last_seq: int | None = None
+        self._last_reply: bytes = b""
+
+    def step(self, frame: Frame) -> bytes | None:
+        """The reply bytes one decoded frame earns; ``None`` when it
+        earns none (not a request, or a stale sequence)."""
+        if frame.kind != KIND_REQUEST:
+            return None
+        if self._last_seq is not None:
+            if frame.seq == self._last_seq:
+                return self._last_reply
+            if frame.seq < self._last_seq:
+                return None
+        replies = [
+            ShardEnvelope(envelope.shard, self.execute(envelope.payload))
+            for envelope in frame.envelopes
+        ]
+        self._last_seq = frame.seq
+        self._last_reply = encode_frame(KIND_RESPONSE, frame.seq, replies)
+        return self._last_reply
+
+    def execute(self, payload: bytes) -> bytes:
+        """Apply one operation; returns its response payload (an
+        ``RE_ERROR`` one for anything that goes wrong)."""
+        try:
+            if op_spec(payload).data_plane:
+                return self._apply_data(payload)
+            return self._apply_control(payload)
+        except AssertionError as exc:
+            return response_error(f"invariant violation: {exc}")
+        except Exception as exc:  # casperlint: ignore[CSP006] propagated as an RE_ERROR reply the parent re-raises
+            return response_error(f"{type(exc).__name__}: {exc}")
+
+    def _apply_data(self, payload: bytes) -> bytes:
+        op = decode_op(payload)
+        name = op[0]
+        if name == "move":
+            return response_cost(self._replica.update(op[1], op[2]))
+        if name in ("cloak", "cloak_location"):
+            try:
+                region = getattr(self._replica, name)(*op[1:])
+            except ProfileUnsatisfiableError:
+                return response_cloak_unsatisfiable()
+            return response_cloak(region)
+        if name in ("register", "deregister", "set_profile"):
+            # The replica method of the same name, acknowledged.
+            getattr(self._replica, name)(*op[1:])
+            return response_ack()
+        if name == "cell_count":
+            return response_count(self._replica.cell_count(op[1]))
+        if name == "ping":
+            return response_ack()
+        return response_error(f"unsupported operation {name!r}")
+
+    def _apply_control(self, payload: bytes) -> bytes:
+        return response_error(
+            f"control-plane operation {op_spec(payload).name!r} refused: "
+            "this endpoint serves the data plane only"
+        )
+
+
+class ShardWorker(FrameEndpoint):
+    """The endpoint one shard's worker process runs over its pipe.
+
+    Builds its own replica from the config, serves the control plane on
+    top of :class:`FrameEndpoint`'s data plane, and answers a frame
+    that fails its CRC with a ``NACK`` so the parent retransmits
+    instead of timing out.
     """
 
     def __init__(
-        self,
-        config: _WorkerConfig,
-        shard: int,
-        conn: Connection | None,
-        replica: object | None = None,
+        self, config: _WorkerConfig, shard: int, conn: Connection | None
     ) -> None:
+        super().__init__(_build_replica(config, shard))
         self.config = config
         self.shard = shard
         self._conn = conn
         self._partitioned = get_policy(config.kind).sharded is not None
-        # The socket front door injects an existing anonymizer as the
-        # replica and drives :meth:`_apply` directly (no pipe).
-        self._replica = (
-            replica if replica is not None else _build_replica(config, shard)
-        )
-        self._last_seq: int | None = None
-        self._last_reply: bytes = b""
+        self._stopping = False
 
     def run(self) -> None:
         """Serve frames until shutdown or a closed pipe."""
-        while True:
+        while not self._stopping:
             try:
                 raw = self._conn.recv_bytes()
             except (EOFError, OSError):
                 return
             try:
-                frame = decode_frame(raw)
+                reply = self.step(decode_frame(raw))
             except WireError:
-                if not self._send(encode_frame(KIND_NACK, 0, [])):
+                reply = encode_frame(KIND_NACK, 0, [])
+            if reply is not None:
+                try:
+                    self._conn.send_bytes(reply)
+                except (BrokenPipeError, OSError):
                     return
-                continue
-            if frame.kind != KIND_REQUEST:
-                continue
-            if self._last_seq is not None:
-                if frame.seq == self._last_seq:
-                    if not self._send(self._last_reply):
-                        return
-                    continue
-                if frame.seq < self._last_seq:
-                    continue
-            replies: list[ShardEnvelope] = []
-            stop = False
-            for envelope in frame.envelopes:
-                payload, quit_now = self._apply(envelope.payload)
-                replies.append(ShardEnvelope(self.shard, payload))
-                stop = stop or quit_now
-            self._last_seq = frame.seq
-            self._last_reply = encode_frame(KIND_RESPONSE, frame.seq, replies)
-            if not self._send(self._last_reply) or stop:
-                return
 
-    def _send(self, data: bytes) -> bool:
-        try:
-            self._conn.send_bytes(data)
-        except (BrokenPipeError, OSError):
-            return False
-        return True
-
-    def _apply(self, payload: bytes) -> tuple[bytes, bool]:
-        """Apply one operation; returns ``(response payload, stop?)``."""
-        try:
-            op = decode_op(payload)
-            name = op[0]
-            if name == "move":
-                return response_cost(self._replica.update(op[1], op[2])), False
-            if name == "cloak":
-                try:
-                    region = self._replica.cloak(op[1])
-                except ProfileUnsatisfiableError:
-                    return response_cloak_unsatisfiable(), False
-                return response_cloak(region), False
-            if name == "register":
-                self._replica.register(op[1], op[2], op[3])
-                return response_ack(), False
-            if name == "deregister":
-                self._replica.deregister(op[1])
-                return response_ack(), False
-            if name == "set_profile":
-                self._replica.set_profile(op[1], op[2])
-                return response_ack(), False
-            if name == "cloak_location":
-                try:
-                    region = self._replica.cloak_location(op[1], op[2])
-                except ProfileUnsatisfiableError:
-                    return response_cloak_unsatisfiable(), False
-                return response_cloak(region), False
-            if name == "cell_count":
-                return response_count(self._replica.cell_count(op[1])), False
-            if name == "stats":
-                return response_blob(pickle.dumps(self._stats_payload())), False
-            if name == "snapshot":
-                blob = pickle.dumps(
-                    (
-                        self._replica.snapshot(),
-                        dataclasses.asdict(self._replica.stats),
-                    )
+    def _apply_control(self, payload: bytes) -> bytes:
+        op = decode_op(payload)
+        name = op[0]
+        if name == "stats":
+            report = {
+                "stats": dataclasses.asdict(self._replica.stats),
+                "own_cache": self._replica.cache_stats_per_shard()[str(self.shard)],
+                "num_maintained_cells": getattr(
+                    self._replica, "num_maintained_cells", None
+                ),
+            }
+            return response_blob(pickle.dumps(report))
+        if name == "snapshot":
+            blob = pickle.dumps(
+                (
+                    self._replica.snapshot(),
+                    dataclasses.asdict(self._replica.stats),
                 )
-                return response_blob(blob), False
-            if name == "install":
-                self._install(pickle.loads(op[1]))
-                return response_ack(), False
-            if name == "reset":
-                self._replica = _build_replica(self.config, self.shard)
-                return response_ack(), False
-            if name == "check":
-                if self._partitioned:
-                    # Partition replication: foreign interior cells may
-                    # be stale, so run the partial-replication check.
-                    check_basic_replica(self._replica, self.shard)  # type: ignore[arg-type]
-                else:
-                    self._replica.check_invariants()
-                return response_ack(), False
-            if name == "ping":
-                return response_ack(), False
-            if name == "hang":
-                time.sleep(op[1])
-                return response_ack(), False
-            if name == "shutdown":
-                return response_ack(), True
-            return response_error(f"unsupported operation {name!r}"), False
-        except AssertionError as exc:
-            return response_error(f"invariant violation: {exc}"), False
-        except Exception as exc:  # casperlint: ignore[CSP006] propagated as an RE_ERROR reply the parent re-raises
-            return response_error(f"{type(exc).__name__}: {exc}"), False
+            )
+            return response_blob(blob)
+        if name == "install":
+            self._install(pickle.loads(op[1]))
+            return response_ack()
+        if name == "check":
+            if self._partitioned:
+                # Partition replication: foreign interior cells may
+                # be stale, so run the partial-replication check.
+                check_basic_replica(self._replica, self.shard)  # type: ignore[arg-type]
+            else:
+                self._replica.check_invariants()
+            return response_ack()
+        if name == "hang":
+            time.sleep(op[1])
+            return response_ack()
+        if name == "shutdown":
+            self._stopping = True
+            return response_ack()
+        return response_error(f"unsupported operation {name!r}")
 
     def _install(self, package: object) -> None:
         """Replace replica state from an ``install`` blob.
@@ -351,16 +367,6 @@ class ShardWorker:
                 self._replica.stats = MaintenanceStats(**stats)
         else:
             raise ValueError(f"unknown install package tag {tag!r}")
-
-    def _stats_payload(self) -> dict:
-        per_shard = self._replica.cache_stats_per_shard()
-        return {
-            "stats": dataclasses.asdict(self._replica.stats),
-            "own_cache": per_shard[str(self.shard)],
-            "num_maintained_cells": getattr(
-                self._replica, "num_maintained_cells", None
-            ),
-        }
 
 
 def _worker_main(config: _WorkerConfig, shard: int, conn: Connection) -> None:
@@ -475,19 +481,6 @@ class _WorkerDied(Exception):
         self.reason = reason
 
 
-class _MirrorRecord:
-    """The parent's authoritative copy of one user's state."""
-
-    __slots__ = ("profile", "point", "cell")
-
-    def __init__(
-        self, profile: PrivacyProfile, point: Point, cell: CellId
-    ) -> None:
-        self.profile = profile
-        self.point = point
-        self.cell = cell
-
-
 @dataclass(frozen=True)
 class _ParallelSnapshot:
     """Parent-side snapshot: the user mirror (always sufficient to
@@ -500,7 +493,7 @@ class _ParallelSnapshot:
     blob: bytes | None = None
 
 
-class ParallelShardedAnonymizer:
+class ParallelShardedAnonymizer(ShardSurface):
     """The sharded-anonymizer interface over real worker processes.
 
     Seeded operation streams produce byte-identical cloaks, costs and
@@ -531,13 +524,11 @@ class ParallelShardedAnonymizer:
         #: stats/costs off the wire.
         self._partitioned = spec.sharded is not None
         self.grid = CellGrid(bounds, height)
-        self.router = ShardRouter(num_shards, height)
+        self._init_surface(num_shards, height)
         self._stats = MaintenanceStats()
-        self._records: dict[object, _MirrorRecord] = {}
-        self._directory: dict[object, int] = {}
-        self._pending: list[list[tuple[bytes, str]]] = [
-            [] for _ in range(num_shards)
-        ]
+        #: The parent's authoritative copy of every user's state.
+        self._records: dict[object, _UserRecord] = {}
+        self._pending: list[list[bytes]] = [[] for _ in range(num_shards)]
         self._seq = 0
         self._injector = None
         self._hang_timeout = hang_timeout
@@ -553,33 +544,12 @@ class ParallelShardedAnonymizer:
         #: (empty) replica and propagates the emptiness fleet-wide.
         self._authoritative = [True] * num_shards
         self._pool.spawn_all()
-        obs = _telemetry.active()
-        if obs is not None:
-            for shard in range(num_shards):
-                _telemetry.record_worker_event(obs, shard, "spawn")
+        for shard in range(num_shards):
+            self._note_event(shard, "spawn")
 
     # ------------------------------------------------------------------
     # Introspection (all answered from the parent mirror — no IPC)
     # ------------------------------------------------------------------
-    @property
-    def bounds(self) -> Rect:
-        return self.grid.bounds
-
-    @property
-    def height(self) -> int:
-        return self.grid.height
-
-    @property
-    def num_shards(self) -> int:
-        return self.router.num_shards
-
-    @property
-    def num_users(self) -> int:
-        return len(self._directory)
-
-    def __contains__(self, uid: object) -> bool:
-        return uid in self._directory
-
     def __enter__(self) -> "ParallelShardedAnonymizer":
         return self
 
@@ -598,18 +568,6 @@ class ParallelShardedAnonymizer:
         payload = self._fetch_stats()[0]["stats"]
         payload["cloak_requests"] = self._stats.cloak_requests
         return MaintenanceStats(**payload)
-
-    def shard_of_user(self, uid: object) -> int:
-        try:
-            return self._directory[uid]
-        except KeyError:
-            raise UnknownUserError(uid) from None
-
-    def shard_occupancy(self) -> list[int]:
-        occupancy = [0] * self.num_shards
-        for home in self._directory.values():
-            occupancy[home] += 1
-        return occupancy
 
     def profile_of(self, uid: object) -> PrivacyProfile:
         return self._require(uid).profile
@@ -632,33 +590,28 @@ class ParallelShardedAnonymizer:
             raise AttributeError("num_maintained_cells")
         return cells
 
-    def cache_stats(self) -> dict[str, int]:
-        """Aggregate cloak-cache traffic across the worker fleet.
+    def cache_stats_per_shard(self) -> dict[str, dict[str, int]]:
+        """Per-worker cloak-cache traffic (each worker's own cache),
+        in the report shape of the in-process deployments.
 
         Partitioned: byte-identical to the in-process fleet (each
         worker's own core sees exactly the in-process traffic).
         Broadcast: each worker's whole-replica cache sees only its own
-        shard's cloaks, so hit/miss splits may differ from the
-        in-process deployment's single cache.
+        shard's cloaks, so hit/miss splits — and their
+        :meth:`cache_stats` sum — may differ from the in-process
+        deployment's single cache.
         """
-        payloads = self._fetch_stats()
-        return {
-            key: sum(payload["own_cache"][key] for payload in payloads)
-            for key in CACHE_KEYS
-        }
+        own = (payload["own_cache"] for payload in self._fetch_stats())
+        return self._shard_rows(dict(enumerate(own)))
 
-    def cache_stats_per_shard(self) -> dict[str, dict[str, int]]:
-        """Per-worker cloak-cache traffic, keyed like the in-process
-        deployments: ``"0"``..``"N-1"`` for each worker's own cache
-        plus the always-zero ``"spine"`` row of the report shape."""
-        stats: dict[str, dict[str, int]] = {
-            str(shard): dict(payload["own_cache"])
-            for shard, payload in enumerate(self._fetch_stats())
-        }
-        stats["spine"] = dict.fromkeys(CACHE_KEYS, 0)
-        return stats
+    def _record_rows(self) -> tuple[tuple[object, Point, PrivacyProfile], ...]:
+        """The mirror as ``(uid, point, profile)`` rows: what a snapshot
+        keeps and what a ``bootstrap`` install re-registers."""
+        return tuple(
+            (uid, rec.point, rec.profile) for uid, rec in self._records.items()
+        )
 
-    def _require(self, uid: object) -> _MirrorRecord:
+    def _require(self, uid: object) -> _UserRecord:
         try:
             return self._records[uid]
         except KeyError:
@@ -673,93 +626,68 @@ class ParallelShardedAnonymizer:
         if uid in self._directory:
             raise DuplicateUserError(uid)
         cell = self.grid.cell_of(point)
-        shard = self.router.shard_of(cell)
-        self._records[uid] = _MirrorRecord(profile, point, cell)
-        self._directory[uid] = shard
+        self._records[uid] = _UserRecord(profile, point, cell)
+        self._set_home(uid, self.router.shard_of(cell))
         if self._partitioned:
             self._stats.registrations += 1
             self._stats.counter_updates += cell.level + 1
-        obs = _telemetry.active()
-        if obs is not None:
-            _telemetry.record_shard_op(obs, shard, "register")
-            _telemetry.record_shard_occupancy(obs, self.shard_occupancy())
-        self._broadcast(op_register(uid, point, profile), "ack")
+        self._broadcast(op_register(uid, point, profile))
 
     def deregister(self, uid: object) -> None:
         record = self._require(uid)
-        shard = self._directory[uid]
         if self._partitioned:
             self._stats.deregistrations += 1
             self._stats.counter_updates += record.cell.level + 1
         del self._records[uid]
-        del self._directory[uid]
-        obs = _telemetry.active()
-        if obs is not None:
-            _telemetry.record_shard_op(obs, shard, "deregister")
-            _telemetry.record_shard_occupancy(obs, self.shard_occupancy())
-        self._broadcast(op_deregister(uid), "ack")
+        self._notify_op(self._drop_home(uid), "deregister")
+        self._broadcast(op_deregister(uid))
 
     def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
         self._require(uid).profile = profile
-        self._broadcast(op_set_profile(uid, profile), "ack")
+        self._broadcast(op_set_profile(uid, profile))
 
     def update(self, uid: object, point: Point) -> int:
         """Process a location update; returns its counter-update cost
         (identical to the in-process cost)."""
-        if not self._partitioned:
-            return self._update_broadcast(uid, point)
         record = self._require(uid)
         shard = self._directory[uid]
+        old_cell = record.cell
         new_cell = self.grid.cell_of(point)
         record.point = point
-        self._stats.location_updates += 1
-        if new_cell == record.cell:
-            # Same lowest-level cell: zero cost, but the owner still
-            # needs the fresh coordinates for its record.
-            self._enqueue(shard, op_move(uid, point), "cost")
-            return 0
-        ancestor_level = self.grid.common_ancestor_level(record.cell, new_cell)
-        cost = 2 * (record.cell.level - ancestor_level)
+        if self._partitioned:
+            self._stats.location_updates += 1
+            if new_cell == old_cell:
+                # Same lowest-level cell: zero cost, but the owner still
+                # needs the fresh coordinates for its record.
+                self._enqueue(shard, op_move(uid, point))
+                return 0
+        # Mirror the move and rehome the user, as the replicas will
+        # (only a move that leaves its level-S block can change homes).
         record.cell = new_cell
-        obs = _telemetry.active()
-        if obs is not None:
-            _telemetry.record_shard_op(obs, shard, "update")
-        if self.router.crosses_boundary(ancestor_level):
+        self._notify_op(shard, "update", occupancy=False)
+        ancestor_level = self.grid.common_ancestor_level(old_cell, new_cell)
+        crossing = self.router.crosses_boundary(ancestor_level)
+        if crossing:
+            self._set_home(uid, self.router.shard_of(new_cell))
+        if not self._partitioned:
+            return self._broadcast_move(uid, point)
+        cost = 2 * (old_cell.level - ancestor_level)
+        if crossing:
             # Spine/block-root state changed: every replica must see it.
-            self._broadcast(op_move(uid, point), "cost")
-            new_shard = self.router.shard_of(new_cell)
-            if new_shard != shard:
-                self._directory[uid] = new_shard
-                if obs is not None:
-                    _telemetry.record_shard_op(obs, new_shard, "rehome")
-                    _telemetry.record_shard_occupancy(
-                        obs, self.shard_occupancy()
-                    )
+            self._broadcast(op_move(uid, point))
         else:
-            self._enqueue(shard, op_move(uid, point), "cost")
+            self._enqueue(shard, op_move(uid, point))
         self._stats.counter_updates += cost
         self._stats.cell_changes += 1
         return cost
 
-    def _update_broadcast(self, uid: object, point: Point) -> int:
-        record = self._require(uid)
-        home = self._directory[uid]
-        new_cell = self.grid.cell_of(point)
-        record.point = point
-        record.cell = new_cell
-        obs = _telemetry.active()
-        if obs is not None:
-            _telemetry.record_shard_op(obs, home, "update")
-        new_home = self.router.shard_of(new_cell)
-        if new_home != home:
-            self._directory[uid] = new_home
-            if obs is not None:
-                _telemetry.record_shard_op(obs, new_home, "rehome")
-                _telemetry.record_shard_occupancy(obs, self.shard_occupancy())
-        # The cost depends on split/merge cascades only the replicas
-        # can evaluate, so broadcast updates flush synchronously; any
-        # replica's answer is authoritative (identical op streams).
-        self._broadcast(op_move(uid, point), "cost")
+    def _broadcast_move(self, uid: object, point: Point) -> int:
+        """Ship one move to every whole replica and read its cost back.
+
+        The cost depends on split/merge cascades only the replicas can
+        evaluate, so broadcast updates flush synchronously; any
+        replica's answer is authoritative (identical op streams)."""
+        self._broadcast(op_move(uid, point))
         results = self.flush()
         for shard in sorted(results):
             shard_results = results[shard]
@@ -787,48 +715,16 @@ class ParallelShardedAnonymizer:
     # Cloaking
     # ------------------------------------------------------------------
     def cloak(self, uid: object) -> CloakedRegion:
-        record = self._require(uid)
-        shard = self._directory[uid]
-        self._stats.cloak_requests += 1
-        obs = _telemetry.active()
-        start = monotonic()
-        self._enqueue(shard, op_cloak(uid), "cloak")
-        region = self._flush_shard(shard)[-1]
-        if region is _UNSAT:
-            raise ProfileUnsatisfiableError(
-                f"profile unsatisfiable for user {uid!r} "
-                f"(reported by shard worker {shard})"
-            )
-        if obs is not None:
-            _telemetry.record_cloak(
-                obs, self.kind, monotonic() - start, region.area,
-                record.profile.a_min, region.achieved_k, record.profile.k,
-            )
-            _telemetry.record_shard_cloak(obs, shard, self._route_of(region))
-        return region
+        """Cloak one user: a one-entry :meth:`cloak_many` (the same
+        frame on the wire, the same accounting and errors)."""
+        return self.cloak_many([uid])[0]
 
     def cloak_location(
         self, point: Point, profile: PrivacyProfile
     ) -> CloakedRegion:
-        cell = self.grid.cell_of(point)
-        shard = self.router.shard_of(cell)
-        self._stats.cloak_requests += 1
-        obs = _telemetry.active()
-        start = monotonic()
-        self._enqueue(shard, op_cloak_location(point, profile), "cloak")
-        region = self._flush_shard(shard)[-1]
-        if region is _UNSAT:
-            raise ProfileUnsatisfiableError(
-                "profile unsatisfiable for ad-hoc location "
-                f"(reported by shard worker {shard})"
-            )
-        if obs is not None:
-            _telemetry.record_cloak(
-                obs, self.kind, monotonic() - start, region.area,
-                profile.a_min, region.achieved_k, profile.k,
-            )
-            _telemetry.record_shard_cloak(obs, shard, self._route_of(region))
-        return region
+        shard = self.router.shard_of(self.grid.cell_of(point))
+        request = (profile, shard, op_cloak_location(point, profile), None)
+        return self._cloak_requests([request])[0]
 
     def cloak_many(self, uids: list[object]) -> list[CloakedRegion]:
         """Cloak a batch of users with one frame per involved shard.
@@ -839,38 +735,42 @@ class ParallelShardedAnonymizer:
         one divergence from looping :meth:`cloak`, which stops at the
         first failure).
         """
-        placements: list[tuple[int, int]] = []
-        for uid in uids:
-            self._require(uid)
-            shard = self._directory[uid]
+        return self._cloak_requests(
+            (self._require(uid).profile, self._directory[uid], op_cloak(uid), uid)
+            for uid in uids
+        )
+
+    def _cloak_requests(self, requests) -> list[CloakedRegion]:
+        """Ship ``(profile, shard, op, uid)`` cloak requests (``uid``
+        is ``None`` for an ad-hoc location) and collect their regions,
+        with the accounting and telemetry of the in-process cloak."""
+        placed = []
+        for profile, shard, op, uid in requests:
             self._stats.cloak_requests += 1
-            position = self._enqueue(shard, op_cloak(uid), "cloak")
-            placements.append((shard, position))
+            placed.append((profile, shard, self._enqueue(shard, op), uid))
         obs = _telemetry.active()
         start = monotonic()
         flushed: dict[int, list] = {}
         regions: list[CloakedRegion] = []
-        for index, (shard, position) in enumerate(placements):
+        for _, shard, position, uid in placed:
             if shard not in flushed:
                 flushed[shard] = self._flush_shard(shard)
             region = flushed[shard][position]
             if region is _UNSAT:
+                subject = "ad-hoc location" if uid is None else f"user {uid!r}"
                 raise ProfileUnsatisfiableError(
-                    f"profile unsatisfiable for user {uids[index]!r} "
+                    f"profile unsatisfiable for {subject} "
                     f"(reported by shard worker {shard})"
                 )
             regions.append(region)
         if obs is not None:
-            elapsed = monotonic() - start
-            for uid, region, (shard, _) in zip(uids, regions, placements):
-                profile = self._records[uid].profile
+            share = (monotonic() - start) / max(len(placed), 1)
+            for region, (profile, shard, _, _) in zip(regions, placed):
                 _telemetry.record_cloak(
-                    obs, self.kind, elapsed / max(len(uids), 1), region.area,
+                    obs, self.kind, share, region.area,
                     profile.a_min, region.achieved_k, profile.k,
                 )
-                _telemetry.record_shard_cloak(
-                    obs, shard, self._route_of(region)
-                )
+                _telemetry.record_shard_cloak(obs, shard, self._route_of(region))
         return regions
 
     def cell_count(self, cell: CellId) -> int:
@@ -880,16 +780,8 @@ class ParallelShardedAnonymizer:
             shard = 0
         else:
             shard = self.router.shard_of(cell)
-        self._enqueue(shard, op_cell_count(cell), "count")
+        self._enqueue(shard, op_cell_count(cell))
         return self._flush_shard(shard)[-1]
-
-    def _route_of(self, region: CloakedRegion) -> str:
-        settled = min(c.level for c in region.cells)
-        if settled > self.router.spine_level:
-            return "local"
-        if settled == self.router.spine_level:
-            return "boundary"
-        return "spine"
 
     # ------------------------------------------------------------------
     # Crash recovery and diagnostics
@@ -899,13 +791,11 @@ class ParallelShardedAnonymizer:
         state (cheap — no wire traffic); broadcast snapshots
         additionally capture worker 0's replica, which point data alone
         cannot rebuild (the adaptive cut is history-dependent)."""
-        records = tuple(
-            (uid, rec.point, rec.profile) for uid, rec in self._records.items()
-        )
+        records = self._record_rows()
         if self._partitioned:
             return _ParallelSnapshot(self.kind, records)
         self.flush()
-        self._enqueue(0, op_snapshot(), "blob")
+        self._enqueue(0, op_snapshot())
         blob = self._flush_shard(0)[-1]
         return _ParallelSnapshot(self.kind, records, blob)
 
@@ -922,15 +812,17 @@ class ParallelShardedAnonymizer:
             raise TypeError("not a ParallelShardedAnonymizer snapshot")
         self._discard_pending()
         self._records = {
-            uid: _MirrorRecord(profile, point, self.grid.cell_of(point))
+            uid: _UserRecord(profile, point, self.grid.cell_of(point))
             for uid, point, profile in state.records
         }
-        self._directory = {
-            uid: self.router.shard_of(rec.cell)
-            for uid, rec in self._records.items()
-        }
+        self._load_directory(
+            {
+                uid: self.router.shard_of(rec.cell)
+                for uid, rec in self._records.items()
+            }
+        )
         if self._partitioned:
-            package = ("bootstrap", list(state.records))
+            package = ("bootstrap", state.records)
         else:
             snapshot, _stats = pickle.loads(state.blob)
             package = ("install", (snapshot, None))
@@ -941,11 +833,10 @@ class ParallelShardedAnonymizer:
         # caught it rebuilt the worker from a *peer*, which may itself
         # be pre-restore here), so re-issue it until it lands — the
         # install is a full state replacement, safe to repeat.
-        for shard in range(self.num_shards):
-            self._authoritative[shard] = False
+        self._authoritative = [False] * self.num_shards
         for shard in range(self.num_shards):
             for _ in range(_HEAL_LIMIT):
-                self._enqueue(shard, op_install(blob), "ack")
+                self._enqueue(shard, op_install(blob))
                 if self._flush_shard(shard)[-1] is not None:
                     break
             else:
@@ -970,6 +861,7 @@ class ParallelShardedAnonymizer:
         assert set(self._records) == set(self._directory), (
             "parent mirror/directory key drift"
         )
+        self._check_directory()
         for uid, rec in self._records.items():
             assert rec.cell == self.grid.cell_of(rec.point), (
                 f"parent mirror stale cell for {uid!r}"
@@ -977,14 +869,12 @@ class ParallelShardedAnonymizer:
             assert self._directory[uid] == self.router.shard_of(rec.cell), (
                 f"parent directory mis-homes {uid!r}"
             )
-        for shard in range(self.num_shards):
-            self._enqueue(shard, op_check(), "check")
+        self._broadcast(op_check())
         self.flush()
 
     def ping(self) -> bool:
         """Health-check every worker with a real round trip."""
-        for shard in range(self.num_shards):
-            self._enqueue(shard, op_ping(), "ping")
+        self._broadcast(op_ping())
         self.flush()
         return all(self._pool.alive(shard) for shard in range(self.num_shards))
 
@@ -1003,42 +893,36 @@ class ParallelShardedAnonymizer:
         self._closed = True
         try:
             self._discard_pending()
+            # Teardown is not a chaos target: the handshake goes
+            # straight down the pipe.
+            self._injector = None
             for shard in range(self.num_shards):
                 if not self._pool.alive(shard):
                     continue
                 try:
-                    self._seq += 1
-                    frame = encode_frame(
-                        KIND_REQUEST,
-                        self._seq,
-                        [ShardEnvelope(shard, op_shutdown())],
-                    )
-                    conn = self._pool.conn(shard)
-                    conn.send_bytes(frame)
-                    if conn.poll(1.0):
-                        conn.recv_bytes()
-                except (OSError, EOFError, RuntimeError, WireError):
+                    self._roundtrip(shard, [op_shutdown()])
+                except (_WorkerDied, RuntimeError, WireError):
                     pass
-                obs = _telemetry.active()
-                if obs is not None:
-                    _telemetry.record_worker_event(obs, shard, "shutdown")
+                self._note_event(shard, "shutdown")
         finally:
             self._pool.shutdown()
 
     # ------------------------------------------------------------------
     # Transport: pending batches, stop-and-wait exchange, healing
     # ------------------------------------------------------------------
-    def _enqueue(self, shard: int, op: bytes, spec: str) -> int:
+    def _enqueue(self, shard: int, op: bytes) -> int:
         """Queue one operation for a shard; returns its position in the
-        shard's pending batch (stable across the closing flush)."""
+        shard's pending batch (stable across the closing flush).  What
+        reply it earns is the op table's business
+        (:data:`repro.sharding.wire.OPS`), not the caller's."""
         if self._closed:
             raise RuntimeError("parallel anonymizer is closed")
-        self._pending[shard].append((op, spec))
+        self._pending[shard].append(op)
         return len(self._pending[shard]) - 1
 
-    def _broadcast(self, op: bytes, spec: str) -> None:
+    def _broadcast(self, op: bytes) -> None:
         for shard in range(self.num_shards):
-            self._enqueue(shard, op, spec)
+            self._enqueue(shard, op)
 
     def _discard_pending(self) -> None:
         for shard in range(self.num_shards):
@@ -1059,13 +943,8 @@ class ParallelShardedAnonymizer:
         self._pending[shard] = []
         results: list = []
         for start in range(0, len(pending), MAX_BATCH):
-            chunk = pending[start : start + MAX_BATCH]
             results.extend(
-                self._exchange(
-                    shard,
-                    [op for op, _ in chunk],
-                    [spec for _, spec in chunk],
-                )
+                self._exchange(shard, pending[start : start + MAX_BATCH])
             )
         return results
 
@@ -1073,50 +952,46 @@ class ParallelShardedAnonymizer:
         self._seq = (self._seq + 1) % 2**32 or 1
         return self._seq
 
-    def _exchange(
-        self, shard: int, ops: list[bytes], specs: list[str], depth: int = 0
-    ) -> list:
+    def _exchange(self, shard: int, ops: list[bytes], depth: int = 0) -> list:
         """One stop-and-wait exchange, healing through worker deaths.
 
         Returns one result per op.  After a mid-exchange death the
         victim is rebuilt to *post-batch* state (survivors were flushed
         first, so a parent-mirror or survivor-snapshot heal already
-        reflects this batch's mutations); only side-effect-free reads
-        re-run, and lost mutation results surface as ``None``.
+        reflects this batch's mutations); only the ops the table marks
+        re-issuable re-run, and lost mutation results surface as
+        ``None``.
         """
-        seq = self._next_seq()
-        wire_bytes = encode_frame(
-            KIND_REQUEST, seq, [ShardEnvelope(shard, op) for op in ops]
-        )
         try:
-            reply = self._roundtrip(shard, wire_bytes, seq)
+            reply = self._roundtrip(shard, ops)
         except _WorkerDied:
             if depth >= _HEAL_LIMIT:
                 raise RuntimeError(
                     f"shard worker {shard} kept dying; giving up"
                 ) from None
             self._crash_and_heal(shard)
-            results: list = [None] * len(specs)
+            results: list = [None] * len(ops)
             retry = [
-                (index, op)
-                for index, (op, spec) in enumerate(zip(ops, specs))
-                if spec in _READ_SPECS
+                index
+                for index, op in enumerate(ops)
+                if op_spec(op).reissuable
             ]
             if retry:
                 retried = self._exchange(
-                    shard,
-                    [op for _, op in retry],
-                    [specs[index] for index, _ in retry],
-                    depth + 1,
+                    shard, [ops[index] for index in retry], depth + 1
                 )
-                for (index, _), value in zip(retry, retried):
+                for index, value in zip(retry, retried):
                     results[index] = value
             return results
-        return self._decode_replies(shard, reply, specs)
+        return self._decode_replies(shard, reply, ops)
 
-    def _roundtrip(self, shard: int, wire_bytes: bytes, seq: int) -> Frame:
+    def _roundtrip(self, shard: int, ops: list[bytes]) -> Frame:
         """Deliver one request frame and wait for its matching reply,
         retransmitting through injected drops, corruption and NACKs."""
+        seq = self._next_seq()
+        wire_bytes = encode_frame(
+            KIND_REQUEST, seq, [ShardEnvelope(shard, op) for op in ops]
+        )
         conn = self._pool.conn(shard)
         start = monotonic()
         attempts = self._transmit(shard, conn, wire_bytes)
@@ -1218,58 +1093,38 @@ class ParallelShardedAnonymizer:
         return [delivery.payload for delivery in deliveries]
 
     def _decode_replies(
-        self, shard: int, reply: Frame, specs: list[str]
+        self, shard: int, reply: Frame, ops: list[bytes]
     ) -> list:
-        if len(reply.envelopes) != len(specs):
+        """One result per op, each reply checked against the kind the
+        op table says its op earns."""
+        if len(reply.envelopes) != len(ops):
             raise RuntimeError(
-                f"shard worker {shard}: expected {len(specs)} replies, "
+                f"shard worker {shard}: expected {len(ops)} replies, "
                 f"got {len(reply.envelopes)}"
             )
         results: list = []
-        for envelope, spec in zip(reply.envelopes, specs):
+        for envelope, op in zip(reply.envelopes, ops):
+            spec = op_spec(op)
             decoded = decode_response(envelope.payload)
             name = decoded[0]
             if name == "error":
-                if spec == "check":
+                if spec.name == "check":
                     raise AssertionError(decoded[1])
                 raise RuntimeError(
                     f"shard worker {shard} rejected an operation: {decoded[1]}"
                 )
-            if spec in ("ack", "ping", "check"):
-                if name != "ack":
-                    raise RuntimeError(
-                        f"shard worker {shard}: expected ack, got {name}"
-                    )
+            if name == "unsat" and spec.reply == "cloak":
+                results.append(_UNSAT)
+            elif name != spec.reply:
+                raise RuntimeError(
+                    f"shard worker {shard}: expected {spec.reply}, got {name}"
+                )
+            elif name == "ack":
                 results.append(True)
-            elif spec == "cost":
-                if name != "cost":
-                    raise RuntimeError(
-                        f"shard worker {shard}: expected cost, got {name}"
-                    )
-                results.append(decoded[1])
-            elif spec == "cloak":
-                if name == "cloak":
-                    results.append(decoded[1])
-                elif name == "unsat":
-                    results.append(_UNSAT)
-                else:
-                    raise RuntimeError(
-                        f"shard worker {shard}: expected cloak, got {name}"
-                    )
-            elif spec == "count":
-                if name != "count":
-                    raise RuntimeError(
-                        f"shard worker {shard}: expected count, got {name}"
-                    )
-                results.append(decoded[1])
-            elif spec == "blob":
-                if name != "blob":
-                    raise RuntimeError(
-                        f"shard worker {shard}: expected blob, got {name}"
-                    )
+            elif name in ("cost", "cloak", "count", "blob"):
                 results.append(decoded[1])
             else:
-                raise RuntimeError(f"unknown reply spec {spec!r}")
+                raise RuntimeError(f"unknown reply kind {name!r}")
         return results
 
     # ------------------------------------------------------------------
@@ -1279,10 +1134,8 @@ class ParallelShardedAnonymizer:
         """Reap a dead (or deliberately killed) worker, flush the
         survivors, respawn and rebuild the victim's replica."""
         self.worker_crashes += 1
-        obs = _telemetry.active()
-        if obs is not None:
-            _telemetry.record_worker_event(obs, victim, "crash")
-            _telemetry.note_recovery("worker_respawn")
+        self._note_event(victim, "crash")
+        _telemetry.note_recovery("worker_respawn")
         self._pool.kill(victim)
         self._authoritative[victim] = False
         # Survivors must apply their queued traffic first: the heal
@@ -1292,8 +1145,7 @@ class ParallelShardedAnonymizer:
             if shard != victim:
                 self._flush_shard(shard)
         self._pool.spawn(victim)
-        if obs is not None:
-            _telemetry.record_worker_event(obs, victim, "spawn")
+        self._note_event(victim, "spawn")
         survivors = [
             shard
             for shard in range(self.num_shards)
@@ -1303,7 +1155,7 @@ class ParallelShardedAnonymizer:
         ]
         if not self._partitioned and survivors:
             source = survivors[0]
-            self._enqueue(source, op_snapshot(), "blob")
+            self._enqueue(source, op_snapshot())
             blob = self._flush_shard(source)[-1]
             snapshot, stats = pickle.loads(blob)
             package = ("install", (snapshot, stats))
@@ -1313,27 +1165,19 @@ class ParallelShardedAnonymizer:
             # Broadcast policies fall back to it only with no survivor;
             # history-dependent structure (the adaptive cut) re-deepens
             # from current points, and worker stats restart.
-            package = (
-                "bootstrap",
-                [
-                    (uid, rec.point, rec.profile)
-                    for uid, rec in self._records.items()
-                ],
-            )
-        self._enqueue(victim, op_install(pickle.dumps(package)), "ack")
+            package = ("bootstrap", self._record_rows())
+        self._enqueue(victim, op_install(pickle.dumps(package)))
         self._flush_shard(victim)
         # If the install exchange itself died, the nested heal that
         # caught it already re-installed the victim, so authority is
         # restored either way.
         self._authoritative[victim] = True
         self.worker_heals += 1
-        if obs is not None:
-            _telemetry.record_worker_event(obs, victim, "heal")
+        self._note_event(victim, "heal")
 
     def _fetch_stats(self) -> list[dict]:
         """One decoded stats payload per worker (flushes everything)."""
-        for shard in range(self.num_shards):
-            self._enqueue(shard, op_stats(), "blob")
+        self._broadcast(op_stats())
         results = self.flush()
         return [
             pickle.loads(results[shard][-1])

@@ -209,25 +209,6 @@ class ReferenceAdaptive(_ReferenceHost, CutMaintainer):
         entry = self._cells.get(cell)
         return entry.count if entry is not None else 0
 
-    # CutMaintainer storage hooks: local dicts.
-    def _entry(self, cell: CellId) -> CutCell | None:
-        return self._cells.get(cell)
-
-    def _entry_required(self, cell: CellId) -> CutCell:
-        return self._cells[cell]
-
-    def _set_entry(self, cell: CellId, entry: CutCell) -> None:
-        self._cells[cell] = entry
-
-    def _del_entry(self, cell: CellId) -> None:
-        del self._cells[cell]
-
-    def _set_leaf(self, uid: object, leaf: CellId) -> None:
-        self._users[uid].leaf = leaf
-
-    def _bump_gen(self, cell: CellId) -> None:
-        self._gens[cell] = self._gens.get(cell, 0) + 1
-
     def _gen_of(self, cell: CellId) -> int:
         return self._gens.get(cell, 0)
 

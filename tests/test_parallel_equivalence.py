@@ -18,9 +18,16 @@ import dataclasses
 import pytest
 
 from repro.anonymizer import PrivacyProfile
-from repro.errors import ProfileUnsatisfiableError
+from repro.anonymizer.policy import get_policy
+from repro.errors import ProfileUnsatisfiableError, UnknownUserError
 from repro.geometry import Point
-from repro.sharding import make_sharded
+from repro.observability import runtime as telemetry
+from repro.sharding import (
+    ParallelShardedAnonymizer,
+    ReplicatedShardedAnonymizer,
+    ShardedBasicAnonymizer,
+    make_sharded,
+)
 from repro.utils.rng import ensure_rng
 from tests.conftest import UNIT
 
@@ -141,6 +148,90 @@ class TestSeededEquivalence:
         # Kill a worker mid-stream on every parallel fleet; the healed
         # replacement must keep answering byte-identically.
         _drive(kind, _script(seed=23, steps=40), crash_at=30)
+
+
+def _surface_fingerprint(anonymizer) -> dict:
+    """Drive one deployment through a seeded stream — registers,
+    confined moves, a rehoming move, cloaks, deregisters — and return
+    every shard-surface fact it exposes on the way."""
+    rng = ensure_rng(41)
+    points = {
+        uid: Point(float(rng.random()), float(rng.random()))
+        for uid in range(NUM_USERS)
+    }
+    homes, occupancy, errors = [], [], []
+
+    def observe(alive) -> None:
+        homes.append([anonymizer.shard_of_user(uid) for uid in alive])
+        occupancy.append(anonymizer.shard_occupancy())
+
+    with telemetry.enabled() as obs:
+        for uid, point in points.items():
+            anonymizer.register(uid, point, PrivacyProfile(k=1 + uid % 5))
+        observe(points)
+        for uid, point in points.items():  # jitter: mostly confined moves
+            jitter = Point(min(point.x + 1 / 256, 1.0), point.y)
+            anonymizer.update(uid, jitter)
+        observe(points)
+        mirrored = Point(1.0 - points[0].x, 1.0 - points[0].y)
+        anonymizer.update(0, mirrored)  # opposite quadrant: a rehome
+        observe(points)
+        assert homes[-1][0] != homes[0][0]
+        for uid in range(0, NUM_USERS, 2):
+            anonymizer.cloak(uid)
+        for uid in (3, 4):
+            anonymizer.deregister(uid)
+        observe(uid for uid in points if uid not in (3, 4))
+        for call in (
+            lambda: anonymizer.shard_of_user("ghost"),
+            lambda: anonymizer.cloak("ghost"),
+            lambda: anonymizer.update(3, mirrored),
+            lambda: anonymizer.deregister(4),
+        ):
+            with pytest.raises(UnknownUserError) as caught:
+                call()
+            errors.append(str(caught.value))
+        rows = sorted(anonymizer.cache_stats_per_shard())
+    routes = {
+        metric.labels: metric.value
+        for metric in obs.metrics
+        if metric.name == "casper_shard_cloaks_total"
+    }
+    users = {
+        metric.labels: metric.value
+        for metric in obs.metrics
+        if metric.name == "casper_shard_users"
+    }
+    return {
+        "homes": homes, "occupancy": occupancy, "errors": errors,
+        "rows": rows, "routes": routes, "users": users,
+    }
+
+
+class TestShardSurface:
+    """Where users live and how that is reported is one definition
+    (``ShardSurface``) under three deployments of the same policy."""
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_three_deployments_expose_one_surface(self, shards) -> None:
+        partitioned = make_sharded(UNIT, height=HEIGHT, num_shards=shards)
+        broadcast = ReplicatedShardedAnonymizer(
+            get_policy("basic"), UNIT, height=HEIGHT, num_shards=shards
+        )
+        parallel = make_sharded(
+            UNIT, height=HEIGHT, num_shards=shards, parallel=True
+        )
+        try:
+            assert isinstance(partitioned, ShardedBasicAnonymizer)
+            assert isinstance(parallel, ParallelShardedAnonymizer)
+            expected = _surface_fingerprint(partitioned)
+            assert expected["routes"] and expected["rows"][-1] == "spine"
+            assert _surface_fingerprint(broadcast) == expected
+            assert _surface_fingerprint(parallel) == expected
+            for deployment in (partitioned, broadcast, parallel):
+                deployment.check_invariants()
+        finally:
+            parallel.close()
 
 
 class TestBatchedPaths:

@@ -10,27 +10,48 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import pathlib
+import pickle
+import re
+import struct
 
 import pytest
 
 from repro.anonymizer import PrivacyProfile
+from repro.anonymizer.cells import CellId
 from repro.geometry import Point, Rect
+from repro.messages import ShardEnvelope
 from repro.server import Casper
-from repro.sharding import make_sharded
+from repro.sharding import make_sharded, wire
 from repro.sharding.frontdoor import ShardFrontDoor
 from repro.sharding.wire import (
     KIND_NACK,
     KIND_REQUEST,
     KIND_RESPONSE,
+    OPS,
+    Frame,
     FrameDecoder,
-    encode_frame,
+    OpSpec,
+    decode_frame,
+    decode_op,
     decode_response,
+    encode_frame,
+    op_cell_count,
+    op_check,
     op_cloak,
+    op_cloak_location,
+    op_deregister,
     op_hang,
+    op_install,
+    op_move,
     op_ping,
     op_register,
+    op_set_profile,
+    op_shutdown,
+    op_snapshot,
+    op_stats,
 )
-from repro.messages import ShardEnvelope
+from repro.sharding.workers import FrameEndpoint, ShardWorker, _WorkerConfig
 from tests.conftest import UNIT
 
 PROFILE = PrivacyProfile(k=2)
@@ -92,7 +113,7 @@ class TestHangDetection:
             # A worker stuck longer than the hang timeout is killed and
             # rebuilt; the op itself reports no result (None), reads
             # re-issued after the heal answer normally.
-            fleet._enqueue(0, op_hang(30.0), "ack")
+            fleet._enqueue(0, op_hang(30.0))
             results = fleet._flush_shard(0)
             assert results == [None]
             assert fleet.ping()
@@ -221,3 +242,203 @@ class TestFrontDoor:
         assert len(frames) == 1
         assert frames[0].kind == KIND_NACK
         assert eof == b""  # desynchronized peers must reconnect
+
+    @pytest.mark.parametrize(
+        "kind, parallel",
+        [("basic", False), ("adaptive", False), ("basic", True)],
+        ids=["basic", "adaptive-broadcast", "basic-parallel"],
+    )
+    def test_control_plane_is_refused_over_tcp(
+        self, tmp_path, kind: str, parallel: bool
+    ) -> None:
+        """The front door serves the data plane only: snapshot/stats
+        blobs (every user's exact location), install pickles (code
+        execution), check, hang and shutdown are answered with an error
+        envelope and have no effect."""
+        sentinel = tmp_path / "unpickled"
+
+        class Touch:
+            def __reduce__(self):
+                return (pathlib.Path.touch, (sentinel,))
+
+        control = [
+            op_snapshot(),
+            op_stats(),
+            op_install(pickle.dumps(Touch())),
+            op_check(),
+            op_shutdown(),
+            op_hang(30.0),
+        ]
+        anonymizer = make_sharded(
+            UNIT, height=5, num_shards=2, kind=kind, parallel=parallel
+        )
+
+        def assert_refused(payload: bytes, coordinates: set[float]) -> None:
+            assert decode_response(payload)[0] == "error"
+            assert b"\x80\x04" not in payload  # no pickle stream
+            for value in coordinates:
+                assert struct.pack("<d", value) not in payload
+                assert repr(value).encode() not in payload
+
+        async def ask(reader, writer, decoder, seq, op):
+            writer.write(encode_frame(KIND_REQUEST, seq, [ShardEnvelope(0, op)]))
+            await writer.drain()
+            while True:
+                # One second bounds every reply: hang(30) must not sleep.
+                data = await asyncio.wait_for(reader.read(65536), 1.0)
+                assert data, "server closed mid-exchange"
+                frames = decoder.feed(data)
+                if frames:
+                    (envelope,) = frames[0].envelopes
+                    return envelope.payload
+
+        async def scenario(coordinates):
+            async with ShardFrontDoor(anonymizer) as door:
+                reader, writer = await asyncio.open_connection(*door.address)
+                decoder = FrameDecoder()
+                try:
+                    for seq, op in enumerate(control, start=1):
+                        assert_refused(
+                            await ask(reader, writer, decoder, seq, op),
+                            coordinates,
+                        )
+                    same = await ask(reader, writer, decoder, 99, op_ping())
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                (second,) = await self._roundtrip(
+                    door.address,
+                    [encode_frame(KIND_REQUEST, 1, [ShardEnvelope(0, op_ping())])],
+                )
+                return same, second.envelopes[0].payload
+
+        try:
+            _populate(anonymizer)
+            coordinates = {
+                value
+                for uid in range(12)
+                for value in (
+                    anonymizer.location_of(uid).x,
+                    anonymizer.location_of(uid).y,
+                )
+            }
+            same, second = asyncio.run(scenario(coordinates))
+            assert not sentinel.exists()
+            assert decode_response(same) == ("ack",)
+            assert decode_response(second) == ("ack",)
+            assert anonymizer.num_users == 12
+        finally:
+            if parallel:
+                anonymizer.close()
+
+
+def _one_of_each() -> dict[int, bytes]:
+    """One encoded operation per opcode (the install one rebuilds the
+    replica with a single far-away user, so it visibly mutates)."""
+    profile = PrivacyProfile(k=3)
+    bootstrap = ("bootstrap", [(99, Point(0.9, 0.9), PROFILE)])
+    return {
+        wire.OP_REGISTER: op_register(50, Point(0.7, 0.2), PROFILE),
+        wire.OP_MOVE: op_move(3, Point(0.8, 0.8)),
+        wire.OP_DEREGISTER: op_deregister(4),
+        wire.OP_SET_PROFILE: op_set_profile(5, profile),
+        wire.OP_CLOAK: op_cloak(6),
+        wire.OP_CLOAK_LOCATION: op_cloak_location(Point(0.3, 0.3), PROFILE),
+        wire.OP_CELL_COUNT: op_cell_count(CellId(0, 0, 0)),
+        wire.OP_STATS: op_stats(),
+        wire.OP_SNAPSHOT: op_snapshot(),
+        wire.OP_INSTALL: op_install(pickle.dumps(bootstrap)),
+        wire.OP_CHECK: op_check(),
+        wire.OP_PING: op_ping(),
+        wire.OP_HANG: op_hang(0.0),
+        wire.OP_SHUTDOWN: op_shutdown(),
+    }
+
+
+OPCODES = {
+    value: name
+    for name, value in vars(wire).items()
+    if name.startswith("OP_") and isinstance(value, int)
+}
+
+
+class TestProtocolTable:
+    """``wire.OPS`` is the one statement of each opcode's contract; the
+    servers and the parent must behave as it says."""
+
+    @staticmethod
+    def _worker() -> ShardWorker:
+        worker = ShardWorker(_WorkerConfig("basic", UNIT, 4, 2, 64), 0, None)
+        _populate(worker._replica)
+        return worker
+
+    @staticmethod
+    def _reply(endpoint: FrameEndpoint, seq: int, op: bytes) -> tuple:
+        raw = endpoint.step(Frame(KIND_REQUEST, seq, (ShardEnvelope(0, op),)))
+        (envelope,) = decode_frame(raw).envelopes
+        return decode_response(envelope.payload)
+
+    def test_every_opcode_has_an_entry_and_an_example(self) -> None:
+        assert set(OPS) == set(OPCODES) == set(_one_of_each())
+
+    def test_docs_table_is_the_wire_table(self) -> None:
+        docs = pathlib.Path(__file__).parent.parent / "docs" / "sharding.md"
+        rows = re.findall(
+            r"^\| (\d+) \| `(\w+)` \| (data|control) \| `(\w+)` \| (yes|no) \|$",
+            docs.read_text(),
+            re.MULTILINE,
+        )
+        documented = {
+            int(opcode): OpSpec(name, reply, again == "yes", plane == "data")
+            for opcode, name, plane, reply, again in rows
+        }
+        assert documented == OPS
+
+    @pytest.mark.parametrize("opcode", sorted(OPCODES), ids=OPCODES.get)
+    def test_opcode_behaves_as_the_table_says(self, opcode: int) -> None:
+        spec = OPS[opcode]
+        op = _one_of_each()[opcode]
+        assert decode_op(op)[0] == spec.name
+        # The worker (pipe server) executes every op and earns the
+        # table's reply kind.
+        worker = self._worker()
+        before = worker._replica.snapshot()
+        assert self._reply(worker, 1, op)[0] == spec.reply
+        changed = worker._replica.snapshot() != before
+        # Re-issuable == leaves the replica's state alone (and keeps
+        # the worker serving: hang/shutdown mutate nothing either, but
+        # re-sending them to a healed worker would stall or stop it).
+        lifecycle = opcode in (wire.OP_HANG, wire.OP_SHUTDOWN)
+        assert spec.reissuable is (not changed and not lifecycle)
+        assert worker._stopping is (opcode == wire.OP_SHUTDOWN)
+        # The front-door path (a bare endpoint) accepts exactly the
+        # data plane, and a refusal touches nothing.
+        fleet = make_sharded(UNIT, height=4, num_shards=2, kind="basic")
+        _populate(fleet)
+        before = fleet.snapshot()
+        reply = self._reply(FrameEndpoint(fleet), 1, op)
+        if spec.data_plane:
+            assert reply[0] == spec.reply
+        else:
+            assert reply[0] == "error" and spec.name in reply[1]
+            assert fleet.snapshot() == before
+
+    def test_both_transports_dedupe_through_the_same_step(self) -> None:
+        assert ShardWorker.step is FrameEndpoint.step
+        for endpoint in (
+            self._worker(),
+            FrameEndpoint(make_sharded(UNIT, height=4, num_shards=2)),
+        ):
+            register = op_register(70, Point(0.5, 0.5), PROFILE)
+            frame = Frame(KIND_REQUEST, 5, (ShardEnvelope(0, register),))
+            first = endpoint.step(frame)
+            assert decode_response(decode_frame(first).envelopes[0].payload) == (
+                "ack",
+            )
+            # Same sequence again: the cached bytes, not a second
+            # register (which would answer DuplicateUserError).
+            assert endpoint.step(frame) is first
+            # An older sequence is a delayed duplicate: no answer.
+            stale = Frame(KIND_REQUEST, 4, (ShardEnvelope(0, op_ping()),))
+            assert endpoint.step(stale) is None
+            assert endpoint.step(Frame(KIND_RESPONSE, 6, ())) is None
