@@ -47,14 +47,7 @@ from dataclasses import dataclass, field
 from repro.errors import DegradedModeError
 from repro.geometry import Point, Rect
 from repro.observability import runtime as _telemetry
-from repro.processor import (
-    BatchRequest,
-    CandidateList,
-    SafeRegionResult,
-    default_margin,
-    private_nn_over_public,
-    private_range_over_public,
-)
+from repro.processor import BatchRequest, CandidateList, default_margin
 from repro.server.casper import Casper
 from repro.spatial import GridIndex
 from repro.utils.timer import monotonic
@@ -226,60 +219,9 @@ class ContinuousQueryMonitor:
     ) -> CandidateList:
         if query_id in self._queries:
             raise ValueError(f"query id {query_id!r} already registered")
-        try:
-            cloak = self.casper.cloak_for(uid)
-        except DegradedModeError:
-            # Resilient deployments may be unable to cloak the user at
-            # registration time (state lost, ladder exhausted).  The
-            # query registers *degraded*: empty answer, the whole
-            # service area as its conservative A_EXT, and dirty — the
-            # first flush after the user heals evaluates it for real.
-            return self._register_degraded(
-                query_id, uid, kind, num_filters, radius,
-                k=k, margin=margin, use_safe_region=use_safe_region,
-            )
-        validity: Rect | None = None
-        if kind == "knn":
-            result = self._evaluate_knn(
-                cloak.region, k, num_filters, margin, use_safe_region
-            )
-            candidates = result.candidates
-            watch = self._watch_region(result)
-            if use_safe_region:
-                validity = result.validity
-        else:
-            candidates = self._evaluate(kind, cloak.region, num_filters, radius, uid)
-            watch = candidates.search_region
-        query = _Query(
-            query_id=query_id,
-            uid=uid,
-            kind=kind,
-            num_filters=num_filters,
-            radius=radius,
-            cloak=cloak.region,
-            a_ext=watch,
-            answer=frozenset(candidates.oids()),
-            last_candidates=candidates,
-            k=k,
-            margin=margin,
-            use_safe_region=use_safe_region,
-            validity=validity,
-            eval_tick=self.counters["ticks"],
-        )
-        self._queries[query_id] = query
-        self._queries_of_user.setdefault(uid, set()).add(query_id)
-        self._regions.insert(query_id, watch)
-        return candidates
-
-    def _register_degraded(
-        self, query_id: object, uid: object, kind: str, num_filters: int,
-        radius: float, k: int = 1, margin: float | None = None,
-        use_safe_region: bool = False,
-    ) -> CandidateList:
         bounds = self.casper.bounds
-        candidates = CandidateList(
-            items=(), search_region=bounds, num_filters=num_filters
-        )
+        # Until its first evaluation a query is *degraded*: empty
+        # answer, the whole service area as its conservative A_EXT.
         query = _Query(
             query_id=query_id,
             uid=uid,
@@ -289,16 +231,27 @@ class ContinuousQueryMonitor:
             cloak=bounds,
             a_ext=bounds,
             answer=frozenset(),
-            last_candidates=candidates,
+            last_candidates=CandidateList(
+                items=(), search_region=bounds, num_filters=num_filters
+            ),
             k=k,
             margin=margin,
             use_safe_region=use_safe_region,
         )
+        try:
+            cloak = self.casper.cloak_for(uid)
+        except DegradedModeError:
+            # Resilient deployments may be unable to cloak the user at
+            # registration time (state lost, ladder exhausted).  The
+            # query stays degraded and dirty — the first flush after the
+            # user heals evaluates it for real.
+            self._dirty.add(query_id)
+        else:
+            self._evaluate(query, cloak.region)
         self._queries[query_id] = query
         self._queries_of_user.setdefault(uid, set()).add(query_id)
-        self._regions.insert(query_id, bounds)
-        self._dirty.add(query_id)
-        return candidates
+        self._regions.insert(query_id, query.a_ext)
+        return query.last_candidates
 
     def deregister(self, query_id: object) -> None:
         query = self._queries.pop(query_id)
@@ -452,63 +405,38 @@ class ContinuousQueryMonitor:
         # Dirty nn/range queries go through the server's batch engine:
         # queries whose users share a cloak (one crowded cell going
         # dirty at once) collapse to a single processor execution.
-        # Buddy queries exclude the requester's own record, so each one
-        # runs against a momentarily different index and stays
-        # un-batched.  kNN queries need the validity/watch geometry the
-        # batch engine does not carry, so they also run directly.
         batched = [
             query_id for query_id in dirty
-            if self._queries[query_id].kind not in ("buddy", "knn")
+            if self._queries[query_id].kind in ("nn", "range")
         ]
         batch_results = dict(
             zip(
                 batched,
                 self.casper.server.run_batch(
-                    [self._batch_request(query_id, fresh_cloaks) for query_id in batched]
+                    [
+                        self._request(self._queries[query_id], fresh_cloaks[query_id])
+                        for query_id in batched
+                    ]
                 ),
             )
         )
         for query_id in dirty:
             query = self._queries[query_id]
-            cloak_region = fresh_cloaks[query_id]
+            lifetime = self.counters["ticks"] - query.eval_tick
+            watched = query.a_ext
+            change = self._evaluate(
+                query, fresh_cloaks[query_id], batch_results.get(query_id)
+            )
             self.counters["evaluations"] += 1
             if query.kind == "knn":
-                result = self._evaluate_knn(
-                    cloak_region, query.k, query.num_filters, query.margin,
-                    query.use_safe_region,
-                )
-                candidates = result.candidates
-                watch = self._watch_region(result)
                 self.counters["knn_evaluations"] += 1
                 if query.use_safe_region:
-                    lifetime = self.counters["ticks"] - query.eval_tick
                     self.validity_lifetimes.append(lifetime)
-                    query.validity = result.validity
                     if obs is not None:
                         _telemetry.record_safe_region_event(obs, "evaluation")
                         _telemetry.record_validity_lifetime(obs, lifetime)
-                query.eval_tick = self.counters["ticks"]
-            else:
-                candidates = batch_results.get(query_id)
-                if candidates is None:
-                    candidates = self._evaluate(
-                        query.kind, cloak_region, query.num_filters,
-                        query.radius, query.uid,
-                    )
-                watch = candidates.search_region
-            new_answer = frozenset(candidates.oids())
-            change = AnswerChange(
-                query_id=query_id,
-                added=new_answer - query.answer,
-                removed=query.answer - new_answer,
-                candidates=candidates,
-            )
-            query.cloak = cloak_region
-            query.answer = new_answer
-            query.last_candidates = candidates
-            if query.a_ext != watch:
-                self._regions.insert(query_id, watch)
-                query.a_ext = watch
+            if query.a_ext != watched:
+                self._regions.insert(query_id, query.a_ext)
             if change.changed:
                 changes.append(change)
         if obs is not None:
@@ -524,18 +452,6 @@ class ContinuousQueryMonitor:
         self._dirty |= degraded
         self.last_degraded = frozenset(degraded)
         return changes
-
-    def _batch_request(
-        self, query_id: object, fresh_cloaks: dict[object, Rect]
-    ) -> BatchRequest:
-        query = self._queries[query_id]
-        if query.kind == "nn":
-            return BatchRequest(
-                "nn_public", fresh_cloaks[query_id], num_filters=query.num_filters
-            )
-        return BatchRequest(
-            "range_public", fresh_cloaks[query_id], radius=query.radius
-        )
 
     def answer_of(self, query_id: object) -> frozenset:
         """The current (last flushed) answer set of a query."""
@@ -565,36 +481,67 @@ class ContinuousQueryMonitor:
             return 0.0
         return sum(self.validity_lifetimes) / len(self.validity_lifetimes)
 
-    def _evaluate_knn(
-        self, cloak: Rect, k: int, num_filters: int, margin: float | None,
-        use_safe_region: bool,
-    ) -> SafeRegionResult:
-        if not use_safe_region:
-            effective = 0.0  # oracle mode: plain snapshot kNN geometry
-        elif margin is not None:
-            effective = margin
-        else:
-            effective = default_margin(cloak, self.validity_margin_factor)
-        return self.casper.server.knn_public_with_validity(
-            cloak, k, num_filters, effective
+    @staticmethod
+    def _request(query: _Query, cloak: Rect) -> BatchRequest:
+        """The processor request of an ``nn`` / ``range`` query."""
+        return BatchRequest(
+            f"{query.kind}_public", cloak,
+            num_filters=query.num_filters, radius=query.radius,
         )
 
-    def _watch_region(self, result: SafeRegionResult) -> Rect:
-        # A clamped k (fewer targets than requested) makes any insert
-        # anywhere answer-changing; watch the whole service area then.
-        if result.clamped:
-            return self.casper.bounds
-        return result.watch_region.clipped_to(self.casper.bounds)
-
     def _evaluate(
-        self, kind: str, cloak: Rect, num_filters: int, radius: float,
-        uid: object,
-    ) -> CandidateList:
-        if kind == "buddy":
-            return self.casper.server.nn_private(
-                cloak, num_filters, exclude=uid
+        self, query: _Query, cloak: Rect, served: CandidateList | None = None
+    ) -> AnswerChange:
+        """Serve ``query`` at ``cloak`` and move its state there;
+        ``served`` is the candidate list when a batch already holds it.
+
+        nn / range queries are plain processor requests.  Buddy queries
+        exclude the requester's own record, so each one runs against a
+        momentarily different index; kNN queries need the validity /
+        watch geometry a candidate list does not carry — both keep their
+        dedicated server calls and stay un-batched.
+        """
+        server = self.casper.server
+        if query.kind == "knn":
+            if not query.use_safe_region:
+                margin = 0.0  # oracle mode: plain snapshot kNN geometry
+            elif query.margin is not None:
+                margin = query.margin
+            else:
+                margin = default_margin(cloak, self.validity_margin_factor)
+            result = server.knn_public_with_validity(
+                cloak, query.k, query.num_filters, margin
             )
-        index = self.casper.server.public_index
-        if kind == "nn":
-            return private_nn_over_public(index, cloak, num_filters)
-        return private_range_over_public(index, cloak, radius)
+            candidates = result.candidates
+            # A clamped k (fewer targets than requested) makes any insert
+            # anywhere answer-changing; watch the whole service area then.
+            watch = (
+                self.casper.bounds
+                if result.clamped
+                else result.watch_region.clipped_to(self.casper.bounds)
+            )
+            if query.use_safe_region:
+                query.validity = result.validity
+        else:
+            if served is not None:
+                candidates = served
+            elif query.kind == "buddy":
+                candidates = server.nn_private(
+                    cloak, query.num_filters, exclude=query.uid
+                )
+            else:
+                (candidates,) = server.run_batch([self._request(query, cloak)])
+            watch = candidates.search_region
+        new_answer = frozenset(candidates.oids())
+        change = AnswerChange(
+            query_id=query.query_id,
+            added=new_answer - query.answer,
+            removed=query.answer - new_answer,
+            candidates=candidates,
+        )
+        query.cloak = cloak
+        query.a_ext = watch
+        query.answer = new_answer
+        query.last_candidates = candidates
+        query.eval_tick = self.counters["ticks"]
+        return change

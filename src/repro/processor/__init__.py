@@ -11,9 +11,19 @@ Supports the paper's three novel query types:
 
 All of them work on any :class:`~repro.spatial.SpatialIndex` and return
 candidate lists that are inclusive and minimal.
+
+Algorithm 2 exists once, in :mod:`repro.processor.executor`: every
+private query — called by name, through
+:class:`~repro.server.LocationServer`, or inside a
+:class:`BatchQueryEngine` run — is one :class:`BatchRequest` handed to
+the same ``answer`` function.  :mod:`~repro.processor.filters`,
+:mod:`~repro.processor.extension` and :mod:`~repro.processor.knn` hold
+the steps it composes; the safe-region kNN
+(:func:`private_knn_with_validity`) builds its own inflated search
+region and shares the candidate step.
 """
 
-from repro.processor.batch import BatchQueryEngine, BatchRequest
+from repro.processor.batch import BatchQueryEngine
 from repro.processor.candidate import CandidateList
 from repro.processor.density import DensityMap, density_map_over_private
 from repro.processor.extension import (
@@ -26,9 +36,14 @@ from repro.processor.filters import (
     select_filters_private,
     select_filters_public,
 )
-from repro.processor.knn import (
+from repro.processor.executor import (
+    BatchRequest,
     private_knn_over_private,
     private_knn_over_public,
+    private_nn_over_private,
+    private_nn_over_public,
+    private_range_over_private,
+    private_range_over_public,
 )
 from repro.processor.naive import naive_center_nn, naive_send_all
 from repro.processor.safe_region import (
@@ -36,8 +51,6 @@ from repro.processor.safe_region import (
     default_margin,
     private_knn_with_validity,
 )
-from repro.processor.nn_private import private_nn_over_private
-from repro.processor.nn_public import private_nn_over_public
 from repro.processor.probabilistic import (
     AnyOverlap,
     ContainmentOnly,
@@ -49,10 +62,6 @@ from repro.processor.public_private import (
     public_range_count_over_private,
 )
 from repro.processor.uncertain_nn import UncertainNNResult, public_nn_over_private
-from repro.processor.range_queries import (
-    private_range_over_private,
-    private_range_over_public,
-)
 
 __all__ = [
     "BatchQueryEngine",

@@ -5,93 +5,39 @@ cloaked area — every user sharing a pyramid cell and profile cloaks to
 an identical rectangle — and Algorithm 2 spends most of its time on
 per-area work (filter selection and ``A_EXT`` construction) that does
 not depend on which user asked.  :class:`BatchQueryEngine` exploits
-this: it accepts many requests at once, answers each *distinct* request
-exactly once, shares the filter/extension computation between requests
-that differ only in their final candidate step (e.g. the same cloaked
-area under different overlap policies), and fans the resulting frozen
-:class:`~repro.processor.candidate.CandidateList` objects back out in
-request order.
+this and nothing else: it answers each *distinct* request exactly once
+and hands :func:`repro.processor.executor.answer` one memo per run, so
+requests that differ only in their final candidate step (the same
+cloaked area under different overlap policies) share one ``(A_EXT,
+filter oids)`` entry.  The frozen
+:class:`~repro.processor.candidate.CandidateList` objects fan back out
+in request order.
 
-Results are item-for-item identical to the corresponding per-query
+There is no batch implementation of any query kind: a batched request
+runs the same :func:`~repro.processor.executor.answer` as the per-query
 functions (``private_nn_over_*``, ``private_knn_over_*``,
-``private_range_over_*``); the batch layer changes only how often the
-shared work runs.
+``private_range_over_*``), phase telemetry included — a memo hit simply
+skips the phases whose work it saved.
 
 This engine is the downstream half of the per-tick batch pipeline: a
 tick of moves enters through the anonymizer's batched update kernel
-(:meth:`repro.server.casper.Casper.update_locations`, vectorized on the
-numpy backend — see ``docs/vectorization.md``), and the dirty queries it
-produces drain through :meth:`BatchQueryEngine.run` at the continuous
-monitor's flush, where movers sharing a cloaked cell collapse to one
-execution.
+(:meth:`repro.server.casper.Casper.update_locations` — see
+``docs/vectorization.md``), and the dirty queries it produces drain
+through :meth:`BatchQueryEngine.run` at the continuous monitor's flush,
+where movers sharing a cloaked cell collapse to one execution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.errors import EmptyDatasetError
-from repro.geometry import Rect
 from repro.observability import runtime as _telemetry
 from repro.processor.candidate import CandidateList
-from repro.processor.extension import (
-    compute_extension_private,
-    compute_extension_public,
-)
-from repro.processor.filters import (
-    VertexFilters,
-    select_filters_private,
-    select_filters_public,
-)
-from repro.processor.knn import (
-    _extended_region,
-    _kth_distance_private,
-    _kth_distance_public,
-)
-from repro.processor.probabilistic import OverlapPolicy
+from repro.processor.executor import BatchRequest, answer
 from repro.spatial import SpatialIndex
 from repro.utils.timer import monotonic
 
-__all__ = ["BatchRequest", "BatchQueryEngine", "QUERY_TYPES"]
-
-QUERY_TYPES = (
-    "nn_public",
-    "nn_private",
-    "knn_public",
-    "knn_private",
-    "range_public",
-    "range_private",
-)
-
-
-@dataclass(frozen=True)
-class BatchRequest:
-    """One query in a batch.
-
-    ``query_type`` selects the per-query function the request is
-    equivalent to; ``k`` applies to the kNN types, ``radius`` to the
-    range types, and ``policy`` to the private-data types.  The class is
-    frozen (and :class:`~repro.geometry.Rect` / the overlap policies are
-    frozen dataclasses), so a request is its own deduplication key.
-    """
-
-    query_type: str
-    cloaked_area: Rect
-    k: int = 1
-    num_filters: int = 4
-    radius: float = 0.0
-    policy: OverlapPolicy | None = None
-
-    def __post_init__(self) -> None:
-        if self.query_type not in QUERY_TYPES:
-            raise ValueError(
-                f"query_type must be one of {QUERY_TYPES}, got {self.query_type!r}"
-            )
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.radius < 0:
-            raise ValueError("radius must be non-negative")
+__all__ = ["BatchQueryEngine"]
 
 
 class BatchQueryEngine:
@@ -124,19 +70,17 @@ class BatchQueryEngine:
         start = monotonic() if obs is not None else 0.0
         computed_before = self.requests_computed
         results: dict[BatchRequest, CandidateList] = {}
-        # Per-run memos for the shareable stages of Algorithm 2.  Keyed
-        # by (cloaked area, num_filters[, k]); valid only within this
-        # run because the indexes may mutate between runs.
-        filters_memo: dict[tuple, VertexFilters] = {}
-        ext_memo: dict[tuple, Rect] = {}
+        # Valid only within this run: the indexes may mutate between runs.
+        memo: dict = {}
         out: list[CandidateList] = []
         for request in requests:
             self.requests_seen += 1
             cached = results.get(request)
             if cached is None:
                 self.requests_computed += 1
-                cached = self._execute(request, filters_memo, ext_memo)
-                results[request] = cached
+                cached = results[request] = answer(
+                    self._index_for(request), request, memo
+                )
             out.append(cached)
         if obs is not None:
             _telemetry.record_batch(
@@ -154,9 +98,6 @@ class BatchQueryEngine:
             return 0.0
         return 1.0 - self.requests_computed / self.requests_seen
 
-    # ------------------------------------------------------------------
-    # Per-request execution with shared stages
-    # ------------------------------------------------------------------
     def _index_for(self, request: BatchRequest) -> SpatialIndex:
         index = (
             self.public_index
@@ -168,81 +109,3 @@ class BatchQueryEngine:
                 f"engine has no index for query type {request.query_type!r}"
             )
         return index
-
-    def _execute(
-        self,
-        request: BatchRequest,
-        filters_memo: dict[tuple, VertexFilters],
-        ext_memo: dict[tuple, Rect],
-    ) -> CandidateList:
-        index = self._index_for(request)
-        kind = request.query_type
-        area = request.cloaked_area
-        if kind == "range_public":
-            a_ext = area.expanded_uniform(request.radius)
-            return self._collect(index, a_ext, None, 0, None)
-        if kind == "range_private":
-            a_ext = area.expanded_uniform(request.radius)
-            return self._collect(index, a_ext, request.policy, 0, None)
-        if kind in ("nn_public", "nn_private"):
-            private = kind == "nn_private"
-            key = (kind, area, request.num_filters)
-            filters = filters_memo.get(key)
-            if filters is None:
-                select = select_filters_private if private else select_filters_public
-                filters = select(index, area, request.num_filters)
-                filters_memo[key] = filters
-            a_ext = ext_memo.get(key)
-            if a_ext is None:
-                extend = (
-                    compute_extension_private if private else compute_extension_public
-                )
-                a_ext, _extensions = extend(index, area, filters)
-                ext_memo[key] = a_ext
-            policy = request.policy if private else None
-            return self._collect(
-                index, a_ext, policy, request.num_filters, filters.distinct_oids()
-            )
-        # kNN types: the extension comes from the k-th anchor distances;
-        # no filter assignment is attached to the result (matching
-        # private_knn_over_*).
-        private = kind == "knn_private"
-        if len(index) == 0:
-            raise EmptyDatasetError("no target objects stored")
-        k = min(request.k, len(index))
-        key = (kind, area, request.num_filters, k)
-        a_ext = ext_memo.get(key)
-        if a_ext is None:
-            kth = _kth_distance_private if private else _kth_distance_public
-            a_ext = _extended_region(
-                area, lambda v: kth(index, v, k), request.num_filters, k
-            )
-            ext_memo[key] = a_ext
-        policy = request.policy if private else None
-        return self._collect(index, a_ext, policy, request.num_filters, None)
-
-    @staticmethod
-    def _collect(
-        index: SpatialIndex,
-        a_ext: Rect,
-        policy: OverlapPolicy | None,
-        num_filters: int,
-        filter_oids: tuple | None,
-    ) -> CandidateList:
-        candidates = [(oid, index.rect_of(oid)) for oid in index.range_search(a_ext)]
-        if policy is not None:
-            candidates = [
-                (oid, rect) for oid, rect in candidates if policy.admits(rect, a_ext)
-            ]
-        items = tuple(sorted(candidates, key=lambda item: str(item[0])))
-        _telemetry.note_candidates(len(items))
-        if filter_oids is None:
-            return CandidateList(
-                items=items, search_region=a_ext, num_filters=num_filters
-            )
-        return CandidateList(
-            items=items,
-            search_region=a_ext,
-            num_filters=num_filters,
-            filters=filter_oids,
-        )

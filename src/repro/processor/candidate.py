@@ -16,6 +16,20 @@ from repro.utils.units import transmission_seconds
 
 __all__ = ["CandidateList"]
 
+#: ``by`` -> sort key over ``(oid, rect)`` items, given the client's
+#: exact location: optimistic, pessimistic, or center distance.
+_RANKINGS = {
+    "min": lambda at: lambda item: item[1].min_distance_to_point(at),
+    "max": lambda at: lambda item: item[1].max_distance_to_point(at),
+    "center": lambda at: lambda item: item[1].center.distance_to(at),
+}
+
+
+def _ranking(by: str, location: Point):
+    if by not in _RANKINGS:
+        raise ValueError(f"unknown ranking {by!r}")
+    return _RANKINGS[by](location)
+
 
 @dataclass(frozen=True)
 class CandidateList:
@@ -64,15 +78,7 @@ class CandidateList:
         """
         if not self.items:
             raise ValueError("cannot refine an empty candidate list")
-        if by == "min":
-            key = lambda item: item[1].min_distance_to_point(location)  # noqa: E731
-        elif by == "max":
-            key = lambda item: item[1].max_distance_to_point(location)  # noqa: E731
-        elif by == "center":
-            key = lambda item: item[1].center.distance_to(location)  # noqa: E731
-        else:
-            raise ValueError(f"unknown ranking {by!r}")
-        return min(self.items, key=key)[0]
+        return min(self.items, key=_ranking(by, location))[0]
 
     def refine_k_nearest(
         self, location: Point, k: int, by: str = "min"
@@ -83,15 +89,7 @@ class CandidateList:
             raise ValueError("k must be >= 1")
         if not self.items:
             raise ValueError("cannot refine an empty candidate list")
-        if by == "min":
-            key = lambda item: item[1].min_distance_to_point(location)  # noqa: E731
-        elif by == "max":
-            key = lambda item: item[1].max_distance_to_point(location)  # noqa: E731
-        elif by == "center":
-            key = lambda item: item[1].center.distance_to(location)  # noqa: E731
-        else:
-            raise ValueError(f"unknown ranking {by!r}")
-        ranked = sorted(self.items, key=key)
+        ranked = sorted(self.items, key=_ranking(by, location))
         return [oid for oid, _rect in ranked[:k]]
 
     def refine_within(self, location: Point, radius: float) -> list[object]:

@@ -62,27 +62,39 @@ def _require_valid(index: SpatialIndex, num_filters: int) -> None:
         raise EmptyDatasetError("no target objects stored")
 
 
+def _select(
+    index: SpatialIndex, area: Rect, num_filters: int, nearest, distance
+) -> VertexFilters:
+    """The three filter variants over a ``nearest(anchor) -> oid`` search
+    and a ``distance(oid, vertex)`` metric."""
+    _require_valid(index, num_filters)
+    v1, v2, v3, v4 = area.vertices()
+    if num_filters == 4:
+        assignment = {v: nearest(v) for v in (v1, v2, v3, v4)}
+    elif num_filters == 2:
+        # Two reverse corners: top-left (v1) and bottom-right (v4).
+        t1 = nearest(v1)
+        t4 = nearest(v4)
+        assignment = {v1: t1, v4: t4}
+        for v in (v2, v3):
+            assignment[v] = t1 if distance(t1, v) <= distance(t4, v) else t4
+    else:  # 1 filter: nearest to the center, shared by all vertices.
+        t = nearest(area.center)
+        assignment = {v: t for v in (v1, v2, v3, v4)}
+    return VertexFilters(assignment, num_filters)
+
+
 def select_filters_public(
     index: SpatialIndex, area: Rect, num_filters: int = 4
 ) -> VertexFilters:
     """Assign filter targets for *public* (exact point) target data."""
-    _require_valid(index, num_filters)
-    v1, v2, v3, v4 = area.vertices()
-    if num_filters == 4:
-        assignment = {v: index.nearest(v) for v in (v1, v2, v3, v4)}
-    elif num_filters == 2:
-        # Two reverse corners: top-left (v1) and bottom-right (v4).
-        t1 = index.nearest(v1)
-        t4 = index.nearest(v4)
-        assignment = {v1: t1, v4: t4}
-        for v in (v2, v3):
-            d1 = index.rect_of(t1).min_distance_to_point(v)
-            d4 = index.rect_of(t4).min_distance_to_point(v)
-            assignment[v] = t1 if d1 <= d4 else t4
-    else:  # 1 filter: nearest to the center, shared by all vertices.
-        t = index.nearest(area.center)
-        assignment = {v: t for v in (v1, v2, v3, v4)}
-    return VertexFilters(assignment, num_filters)
+    return _select(
+        index,
+        area,
+        num_filters,
+        index.nearest,
+        lambda oid, v: index.rect_of(oid).min_distance_to_point(v),
+    )
 
 
 def select_filters_private(
@@ -97,23 +109,10 @@ def select_filters_private(
     (:meth:`~repro.spatial.SpatialIndex.k_nearest_by_max_distance`)
     rather than a scan over every stored region.
     """
-    _require_valid(index, num_filters)
-
-    def pessimistic_nn(anchor: Point) -> object:
-        return index.k_nearest_by_max_distance(anchor, 1)[0]
-
-    v1, v2, v3, v4 = area.vertices()
-    if num_filters == 4:
-        assignment = {v: pessimistic_nn(v) for v in (v1, v2, v3, v4)}
-    elif num_filters == 2:
-        t1 = pessimistic_nn(v1)
-        t4 = pessimistic_nn(v4)
-        assignment = {v1: t1, v4: t4}
-        for v in (v2, v3):
-            d1 = index.rect_of(t1).max_distance_to_point(v)
-            d4 = index.rect_of(t4).max_distance_to_point(v)
-            assignment[v] = t1 if d1 <= d4 else t4
-    else:
-        t = pessimistic_nn(area.center)
-        assignment = {v: t for v in (v1, v2, v3, v4)}
-    return VertexFilters(assignment, num_filters)
+    return _select(
+        index,
+        area,
+        num_filters,
+        lambda anchor: index.k_nearest_by_max_distance(anchor, 1)[0],
+        lambda oid, v: index.rect_of(oid).max_distance_to_point(v),
+    )

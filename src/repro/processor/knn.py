@@ -28,18 +28,18 @@ With ``k = 1`` this bound is slightly more conservative than Algorithm
 a bound that generalises to any k.  The private-data variant replaces
 point distances with pessimistic max-distances throughout, exactly as
 Section 5.2 does for the k = 1 case.
+
+This module holds only that geometry; the query functions themselves
+(``private_knn_over_*``) are requests to
+:func:`repro.processor.executor.answer`.
 """
 
 from __future__ import annotations
 
-from repro.errors import EmptyDatasetError
 from repro.geometry import Point, Rect
-from repro.observability import runtime as _telemetry
-from repro.processor.candidate import CandidateList
-from repro.processor.probabilistic import OverlapPolicy
 from repro.spatial import SpatialIndex
 
-__all__ = ["private_knn_over_public", "private_knn_over_private"]
+__all__: list[str] = []
 
 
 def _kth_distance_public(index: SpatialIndex, anchor: Point, k: int) -> float:
@@ -105,55 +105,3 @@ def _extended_region(
         bottom=amounts.get("bottom", 0.0),
         top=amounts.get("top", 0.0),
     )
-
-
-def private_knn_over_public(
-    index: SpatialIndex, cloaked_area: Rect, k: int, num_filters: int = 4
-) -> CandidateList:
-    """Candidates for "what are my k nearest public targets?".
-
-    Inclusive for every user position in ``cloaked_area``; the client
-    refines with :meth:`CandidateList.refine_k_nearest`.
-    """
-    if len(index) == 0:
-        raise EmptyDatasetError("no target objects stored")
-    k = min(k, len(index))
-    with _telemetry.phase_scope("extension", "public"):
-        a_ext = _extended_region(
-            cloaked_area, lambda v: _kth_distance_public(index, v, k), num_filters, k
-        )
-    with _telemetry.phase_scope("candidates", "public"):
-        items = tuple(
-            sorted(
-                ((oid, index.rect_of(oid)) for oid in index.range_search(a_ext)),
-                key=lambda item: str(item[0]),
-            )
-        )
-    _telemetry.note_candidates(len(items))
-    return CandidateList(items=items, search_region=a_ext, num_filters=num_filters)
-
-
-def private_knn_over_private(
-    index: SpatialIndex,
-    cloaked_area: Rect,
-    k: int,
-    num_filters: int = 4,
-    policy: OverlapPolicy | None = None,
-) -> CandidateList:
-    """Candidates for "who are my k nearest private users?"."""
-    if len(index) == 0:
-        raise EmptyDatasetError("no target objects stored")
-    k = min(k, len(index))
-    with _telemetry.phase_scope("extension", "private"):
-        a_ext = _extended_region(
-            cloaked_area, lambda v: _kth_distance_private(index, v, k), num_filters, k
-        )
-    with _telemetry.phase_scope("candidates", "private"):
-        candidates = [(oid, index.rect_of(oid)) for oid in index.range_search(a_ext)]
-        if policy is not None:
-            candidates = [
-                (oid, rect) for oid, rect in candidates if policy.admits(rect, a_ext)
-            ]
-        items = tuple(sorted(candidates, key=lambda item: str(item[0])))
-    _telemetry.note_candidates(len(items))
-    return CandidateList(items=items, search_region=a_ext, num_filters=num_filters)

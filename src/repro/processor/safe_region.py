@@ -54,6 +54,7 @@ from repro.errors import EmptyDatasetError
 from repro.geometry import Point, Rect
 from repro.observability import runtime as _telemetry
 from repro.processor.candidate import CandidateList
+from repro.processor.executor import collect
 from repro.processor.knn import _extended_region, _kth_distance_public
 from repro.spatial import SpatialIndex
 
@@ -158,21 +159,11 @@ def private_knn_with_validity(
             num_filters,
             k_effective,
         )
-    with _telemetry.phase_scope("candidates", "public"):
-        items = tuple(
-            sorted(
-                ((oid, index.rect_of(oid)) for oid in index.range_search(a_ext)),
-                key=lambda item: str(item[0]),
-            )
-        )
-    _telemetry.note_candidates(len(items))
     watch = a_ext
     for anchor, distance in distance_of.items():
         watch = watch.union(_disc_bbox(anchor, distance))
     return SafeRegionResult(
-        candidates=CandidateList(
-            items=items, search_region=a_ext, num_filters=num_filters
-        ),
+        candidates=collect(index, a_ext, "public", num_filters),
         validity=cloaked_area.expanded_uniform(margin),
         watch_region=watch,
         k=k,

@@ -16,7 +16,7 @@ private query.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 # Justified CSP001 suppression: the facade *is* the trusted boundary —
 # it plays the mobile-user + anonymizer roles of Figure 1 in-process and
@@ -60,6 +60,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only, the runtime is injected
     )
 
 __all__ = ["Casper"]
+
+#: Query kind -> the client's local refinement of its candidate list at
+#: the exact location, shared by the one-at-a-time methods and
+#: :meth:`Casper.query_batch`.  Keyword parameters are the query's own
+#: (``k`` / ``radius``).
+_REFINE: dict[str, Callable[..., object]] = {
+    "nn_public": lambda candidates, at: candidates.refine_nearest(at),
+    "knn_public": lambda candidates, at, k: tuple(
+        candidates.refine_k_nearest(at, k)
+    ),
+    "range_public": lambda candidates, at, radius: candidates.refine_within(
+        at, radius
+    ),
+    "nn_private": lambda candidates, at: (
+        candidates.refine_nearest(at, by="center") if len(candidates) else None
+    ),
+}
+
+#: :meth:`Casper.query_batch` kind -> the request fields its optional
+#: ``param`` fills (also the refinement's keyword parameters).
+_BATCH_PARAMS: dict[str, Callable[..., dict]] = {
+    "nn_public": lambda param=None: {},
+    "knn_public": lambda param=1: {"k": int(param)},
+    "range_public": lambda param=0.0: {"radius": float(param)},
+}
 
 AnonymizerKind = str
 """A registered policy name (see
@@ -340,29 +365,54 @@ ContinuousQueryMonitor` flushes at.  With a resilience runtime
     # ------------------------------------------------------------------
     # Private queries (through the anonymizer, timed end to end)
     # ------------------------------------------------------------------
+    def _result(
+        self,
+        uid: object,
+        kind: str,
+        params: dict,
+        cloak: CloakedRegion,
+        candidates: CandidateList,
+        anonymizer_seconds: float,
+        processing_seconds: float,
+    ) -> PrivateQueryResult:
+        """Refine ``candidates`` at the client and attach the Figure 17
+        timing decomposition.  The client's exact location never left
+        the client; the facade borrows it from the trusted anonymizer to
+        emulate the local refinement step."""
+        return PrivateQueryResult(
+            cloak=cloak,
+            candidates=candidates,
+            answer=_REFINE[kind](candidates, self._refine_location(uid), **params),
+            anonymizer_seconds=anonymizer_seconds,
+            processing_seconds=processing_seconds,
+            transmission_seconds=self.transmission.time_for(len(candidates)),
+        )
+
+    def _query(
+        self,
+        uid: object,
+        kind: str,
+        serve: Callable[[Rect], CandidateList],
+        **params: object,
+    ) -> PrivateQueryResult:
+        """One private query end to end: cloak, serve, deliver, refine."""
+        with _telemetry.query_scope(kind):
+            t0 = monotonic()
+            cloak = self.cloak_for(uid)
+            t1 = monotonic()
+            candidates = serve(cloak.region)
+            t2 = monotonic()
+            return self._result(
+                uid, kind, params, cloak, self._deliver(candidates), t1 - t0, t2 - t1
+            )
+
     def query_nearest_public(
         self, uid: object, num_filters: int = 4
     ) -> PrivateQueryResult:
         """"Where is my nearest gas station?" — private query over
         public data, with the Figure 17 timing decomposition."""
-        with _telemetry.query_scope("nn_public"):
-            t0 = monotonic()
-            cloak = self.cloak_for(uid)
-            t1 = monotonic()
-            candidates = self.server.nn_public(cloak.region, num_filters)
-            t2 = monotonic()
-            candidates = self._deliver(candidates)
-            # The client's exact location never left the client; the
-            # facade borrows it from the trusted anonymizer to emulate
-            # the local refinement step.
-            answer = candidates.refine_nearest(self._refine_location(uid))
-        return PrivateQueryResult(
-            cloak=cloak,
-            candidates=candidates,
-            answer=answer,
-            anonymizer_seconds=t1 - t0,
-            processing_seconds=t2 - t1,
-            transmission_seconds=self.transmission.time_for(len(candidates)),
+        return self._query(
+            uid, "nn_public", lambda area: self.server.nn_public(area, num_filters)
         )
 
     def query_k_nearest_public(
@@ -370,23 +420,11 @@ ContinuousQueryMonitor` flushes at.  With a resilience runtime
     ) -> PrivateQueryResult:
         """"Where are my k nearest gas stations?" — the kNN extension,
         refined locally to the exact ordered answer."""
-        with _telemetry.query_scope("knn_public"):
-            t0 = monotonic()
-            cloak = self.cloak_for(uid)
-            t1 = monotonic()
-            candidates = self.server.knn_public(cloak.region, k, num_filters)
-            t2 = monotonic()
-            candidates = self._deliver(candidates)
-            answer = tuple(
-                candidates.refine_k_nearest(self._refine_location(uid), k)
-            )
-        return PrivateQueryResult(
-            cloak=cloak,
-            candidates=candidates,
-            answer=answer,
-            anonymizer_seconds=t1 - t0,
-            processing_seconds=t2 - t1,
-            transmission_seconds=self.transmission.time_for(len(candidates)),
+        return self._query(
+            uid,
+            "knn_public",
+            lambda area: self.server.knn_public(area, k, num_filters),
+            k=k,
         )
 
     def query_nearest_private(
@@ -397,50 +435,21 @@ ContinuousQueryMonitor` flushes at.  With a resilience runtime
     ) -> PrivateQueryResult:
         """"Where is my nearest buddy?" — private query over private
         data; the requester's own record is excluded."""
-        with _telemetry.query_scope("nn_private"):
-            t0 = monotonic()
-            cloak = self.cloak_for(uid)
-            t1 = monotonic()
-            candidates = self.server.nn_private(
-                cloak.region, num_filters, policy=policy, exclude=uid
-            )
-            t2 = monotonic()
-            candidates = self._deliver(candidates)
-            answer = (
-                candidates.refine_nearest(
-                    self._refine_location(uid), by="center"
-                )
-                if len(candidates)
-                else None
-            )
-        return PrivateQueryResult(
-            cloak=cloak,
-            candidates=candidates,
-            answer=answer,
-            anonymizer_seconds=t1 - t0,
-            processing_seconds=t2 - t1,
-            transmission_seconds=self.transmission.time_for(len(candidates)),
+        return self._query(
+            uid,
+            "nn_private",
+            lambda area: self.server.nn_private(
+                area, num_filters, policy=policy, exclude=uid
+            ),
         )
 
     def query_range_public(self, uid: object, radius: float) -> PrivateQueryResult:
         """"Which gas stations are within `radius` of me?" """
-        with _telemetry.query_scope("range_public"):
-            t0 = monotonic()
-            cloak = self.cloak_for(uid)
-            t1 = monotonic()
-            candidates = self.server.range_public(cloak.region, radius)
-            t2 = monotonic()
-            candidates = self._deliver(candidates)
-            exact = candidates.refine_within(
-                self._refine_location(uid), radius
-            )
-        return PrivateQueryResult(
-            cloak=cloak,
-            candidates=candidates,
-            answer=exact,
-            anonymizer_seconds=t1 - t0,
-            processing_seconds=t2 - t1,
-            transmission_seconds=self.transmission.time_for(len(candidates)),
+        return self._query(
+            uid,
+            "range_public",
+            lambda area: self.server.range_public(area, radius),
+            radius=radius,
         )
 
     def query_batch(
@@ -455,21 +464,22 @@ ContinuousQueryMonitor` flushes at.  With a resilience runtime
         a cloak (co-located, same profile) hit the anonymizer's cloak
         cache and then collapse to a single processor execution inside
         the server's :class:`~repro.processor.BatchQueryEngine`; answers
-        are refined per user exactly as in the one-at-a-time facade
-        methods.  The timing decomposition is amortized: each result
-        carries an equal share of the batch's phase times.
+        are refined per user by the same table as the one-at-a-time
+        facade methods.  The timing decomposition is amortized: each
+        result carries an equal share of the batch's phase times.
         """
         if not queries:
             return []
         with _telemetry.query_scope("batch_public"):
             t0 = monotonic()
-            parsed: list[tuple[object, str, float]] = []
-            for spec in queries:
-                uid, query_type = spec[0], spec[1]
-                param = spec[2] if len(spec) > 2 else (
-                    1 if query_type == "knn_public" else 0.0
-                )
-                parsed.append((uid, query_type, param))
+            parsed: list[tuple[object, str, dict]] = []
+            for uid, query_type, *param in queries:
+                if query_type not in _BATCH_PARAMS:
+                    raise ValueError(
+                        "query_batch supports public-data query types, "
+                        f"got {query_type!r}"
+                    )
+                parsed.append((uid, query_type, _BATCH_PARAMS[query_type](*param)))
             # Batched cloaking: the parallel runtime groups the batch by
             # owning shard and ships one frame per worker instead of one
             # round trip per query.  Results are identical to the
@@ -481,60 +491,30 @@ ContinuousQueryMonitor` flushes at.  With a resilience runtime
             else:
                 cloaks = [self.cloak_for(uid) for uid, _, _ in parsed]
             t1 = monotonic()
-            requests = []
-            for (uid, query_type, param), cloak in zip(parsed, cloaks):
-                if query_type == "knn_public":
-                    requests.append(
-                        BatchRequest(
-                            query_type, cloak.region, k=int(param),
-                            num_filters=num_filters,
-                        )
+            candidate_lists = self.server.run_batch(
+                [
+                    BatchRequest(
+                        query_type, cloak.region, num_filters=num_filters, **params
                     )
-                elif query_type == "range_public":
-                    requests.append(
-                        BatchRequest(query_type, cloak.region, radius=float(param))
-                    )
-                elif query_type == "nn_public":
-                    requests.append(
-                        BatchRequest(
-                            query_type, cloak.region, num_filters=num_filters
-                        )
-                    )
-                else:
-                    raise ValueError(
-                        "query_batch supports public-data query types, "
-                        f"got {query_type!r}"
-                    )
-            candidate_lists = self.server.run_batch(requests)
+                    for (_, query_type, params), cloak in zip(parsed, cloaks)
+                ]
+            )
             t2 = monotonic()
         anonymizer_share = (t1 - t0) / len(queries)
         processing_share = (t2 - t1) / len(queries)
-        results = []
         # Batch answers return over the trusted in-process path even
         # under a resilience runtime: the batch engine is a server-side
         # aggregation whose per-query response-channel emulation is the
         # single-query facade's job.
-        for (uid, query_type, param), cloak, candidates in zip(
-            parsed, cloaks, candidate_lists
-        ):
-            location = self._refine_location(uid)
-            if query_type == "nn_public":
-                answer = candidates.refine_nearest(location)
-            elif query_type == "knn_public":
-                answer = candidates.refine_k_nearest(location, int(param))
-            else:
-                answer = candidates.refine_within(location, float(param))
-            results.append(
-                PrivateQueryResult(
-                    cloak=cloak,
-                    candidates=candidates,
-                    answer=answer,
-                    anonymizer_seconds=anonymizer_share,
-                    processing_seconds=processing_share,
-                    transmission_seconds=self.transmission.time_for(len(candidates)),
-                )
+        return [
+            self._result(
+                uid, query_type, params, cloak, candidates,
+                anonymizer_share, processing_share,
             )
-        return results
+            for (uid, query_type, params), cloak, candidates in zip(
+                parsed, cloaks, candidate_lists
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Public queries (no anonymizer involved)

@@ -44,9 +44,9 @@ _FLAG_POINT = 0x0001
 _STRUCT = struct.Struct("<4sHH4d24s")
 assert _STRUCT.size == RECORD_SIZE
 
-# magic, version, num_filters, count, CRC-32 of the body (uint32 in a
-# q slot for layout compatibility; it was a reserved-zero field before
-# integrity checking landed, and 0 still means "no checksum").
+# magic, version, num_filters, count, CRC-32 of the payload (uint32 in a
+# q slot: the field was reserved-zero before integrity checking landed
+# and kept its width).
 _HEADER = struct.Struct("<4sHHIq")
 _LIST_MAGIC = b"CLST"
 
@@ -126,12 +126,9 @@ def decode_candidate_list(payload: bytes) -> CandidateList:
         raise ValueError(
             f"payload length {len(payload)} does not match {count} records"
         )
-    if crc != 0:  # 0 = legacy payload without a checksum
-        blanked = payload[:12] + b"\x00" * 8 + payload[20:]
-        if crc != zlib.crc32(blanked):
-            raise ValueError(
-                "candidate list failed its CRC check (corrupt payload)"
-            )
+    blanked = payload[:12] + b"\x00" * 8 + payload[20:]
+    if crc != zlib.crc32(blanked):
+        raise ValueError("candidate list failed its CRC check (corrupt payload)")
     items = []
     for i in range(count):
         start = _HEADER.size + i * RECORD_SIZE

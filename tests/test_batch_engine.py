@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Point, Rect
+from repro.observability import runtime as telemetry
 from repro.processor import (
     AnyOverlap,
     BatchQueryEngine,
@@ -19,7 +20,8 @@ from repro.processor import (
     private_range_over_private,
     private_range_over_public,
 )
-from repro.server.casper import Casper
+from repro.processor.executor import QUERY_TYPES
+from repro.server import Casper, LocationServer
 from repro.spatial import RTreeIndex
 from tests.conftest import UNIT, random_points, random_rects
 
@@ -46,49 +48,76 @@ def _assert_same(batch_result, expected):
     assert batch_result.filters == expected.filters
 
 
-def test_batch_matches_per_query_functions(indexes, rng):
-    public, private = indexes
-    engine = BatchQueryEngine(public, private)
-    policy = FractionOverlap(0.25)
-    requests, expected = [], []
-    for area in _areas(rng):
-        for num_filters in (1, 2, 4):
-            requests.append(
-                BatchRequest("nn_public", area, num_filters=num_filters)
-            )
-            expected.append(private_nn_over_public(public, area, num_filters))
-            requests.append(
-                BatchRequest("nn_private", area, num_filters=num_filters)
-            )
-            expected.append(private_nn_over_private(private, area, num_filters))
-        for num_filters in (1, 4):
-            requests.append(
-                BatchRequest("knn_public", area, k=5, num_filters=num_filters)
-            )
-            expected.append(
-                private_knn_over_public(public, area, 5, num_filters)
-            )
-            requests.append(
-                BatchRequest(
-                    "knn_private", area, k=3, num_filters=num_filters,
-                    policy=policy,
-                )
-            )
-            expected.append(
-                private_knn_over_private(
-                    private, area, 3, num_filters, policy=policy
-                )
-            )
-        requests.append(BatchRequest("range_public", area, radius=0.1))
-        expected.append(private_range_over_public(public, area, 0.1))
-        requests.append(
-            BatchRequest("range_private", area, radius=0.1, policy=policy)
+POLICY = FractionOverlap(0.25)
+
+#: query type -> (per-query function, LocationServer method if it has
+#: one, the argument rows to try).  The arguments are spelled once: they
+#: are keyword arguments of both callables and BatchRequest fields.
+ENTRY_POINTS = {
+    "nn_public": (
+        private_nn_over_public, "nn_public",
+        [{"num_filters": n} for n in (1, 2, 4)],
+    ),
+    "nn_private": (
+        private_nn_over_private, "nn_private",
+        [{"num_filters": n} for n in (1, 2, 4)]
+        + [{"num_filters": 4, "policy": POLICY}],
+    ),
+    "knn_public": (
+        private_knn_over_public, "knn_public",
+        [{"k": 5, "num_filters": n} for n in (1, 4)],
+    ),
+    "knn_private": (
+        private_knn_over_private, None,
+        [{"k": 3, "num_filters": n, "policy": POLICY} for n in (1, 4)],
+    ),
+    "range_public": (private_range_over_public, "range_public", [{"radius": 0.1}]),
+    "range_private": (
+        private_range_over_private, "range_private",
+        [{"radius": 0.1, "policy": POLICY}],
+    ),
+}
+
+
+def _phases_recorded(run):
+    """Label sets of the processor phase histograms ``run`` touched."""
+    with telemetry.enabled() as obs:
+        run()
+        return {
+            metric.labels
+            for metric in obs.metrics
+            if metric.name == "casper_processor_phase_seconds"
+        }
+
+
+def test_batch_matches_per_query_functions(rng):
+    """Every door into the processor — the per-query function, the
+    LocationServer method, a run_batch request — gives the same
+    candidate list and times the same Algorithm 2 phases."""
+    assert set(ENTRY_POINTS) == set(QUERY_TYPES)
+    server = LocationServer()
+    for oid, point in enumerate(random_points(rng, 250)):
+        server.add_public(f"p{oid}", point)
+    for oid, rect in enumerate(random_rects(rng, 250, max_side=0.05)):
+        server.store_private(f"u{oid}", rect)
+    areas = _areas(rng)
+    for kind, (function, method, rows) in ENTRY_POINTS.items():
+        index = (
+            server.public_index if kind.endswith("public") else server.private_index
         )
-        expected.append(private_range_over_private(private, area, 0.1, policy))
-    results = engine.run(requests)
-    assert len(results) == len(expected)
-    for got, want in zip(results, expected):
-        _assert_same(got, want)
+        for arguments in rows:
+            requests = [BatchRequest(kind, area, **arguments) for area in areas]
+            batched = server.run_batch(requests)
+            for area, got in zip(areas, batched):
+                want = function(index, area, **arguments)
+                _assert_same(got, want)
+                if method is not None:
+                    _assert_same(getattr(server, method)(area, **arguments), want)
+            single_phases = _phases_recorded(
+                lambda: function(index, areas[0], **arguments)
+            )
+            assert single_phases, kind
+            assert _phases_recorded(lambda: server.run_batch(requests)) == single_phases
 
 
 def test_duplicate_requests_computed_once(indexes, rng):
@@ -182,11 +211,7 @@ def test_casper_query_batch_matches_facade(rng):
         if kind == "nn_public":
             single = casper.query_nearest_public(uid)
         elif kind == "knn_public":
-            single = casper.server.nn_public(result.cloak.region)  # same cloak
-            assert result.answer == result.candidates.refine_k_nearest(
-                casper.anonymizer.location_of(uid), param[0]
-            )
-            continue
+            single = casper.query_k_nearest_public(uid, param[0])
         else:
             single = casper.query_range_public(uid, param[0])
         assert result.candidates.items == single.candidates.items

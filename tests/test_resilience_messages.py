@@ -112,9 +112,13 @@ class TestResponseChecksum:
             with pytest.raises(ValueError):
                 decode_candidate_list(bytes(corrupted))
 
-    def test_legacy_payload_without_checksum_still_decodes(self):
-        """crc == 0 marks a pre-checksum payload; it must stay readable."""
+    def test_zeroed_checksum_slot_is_rejected(self):
+        """A zero crc slot is not a "no checksum" marker: corruption that
+        also zeroes the slot must not decode as valid."""
         payload = bytearray(encode_candidate_list(self.make_candidates()))
         payload[12:20] = b"\x00" * 8  # zero the crc slot
-        decoded = decode_candidate_list(bytes(payload))
-        assert len(decoded.items) == 2
+        with pytest.raises(ValueError, match="CRC"):
+            decode_candidate_list(bytes(payload))
+        payload[40] ^= 0x10  # ...and damage a record's coordinates too
+        with pytest.raises(ValueError, match="CRC"):
+            decode_candidate_list(bytes(payload))

@@ -34,21 +34,21 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: path (repo-relative file, or package directory counted recursively)
-#: -> frozen baseline line count (PR 14, after the op table, the one
-#: frame endpoint and the shared shard surface thinned the parallel
-#: runtime; packages that did not shrink keep their PR 13 count).
+#: -> frozen baseline line count (PR 15 re-froze processor, server and
+#: continuous after Algorithm 2 collapsed onto one executor; packages
+#: that did not shrink keep their earlier count).
 BASELINES = {
     "src/repro/analysis": 4466,
     "src/repro/anonymizer": 3390,
-    "src/repro/continuous": 605,
+    "src/repro/continuous": 552,
     "src/repro/evaluation": 1263,
     "src/repro/geometry": 560,
     "src/repro/mobility": 835,
     "src/repro/observability": 1633,
     "src/repro/privacy": 178,
-    "src/repro/processor": 1647,
+    "src/repro/processor": 1543,
     "src/repro/resilience": 1560,
-    "src/repro/server": 1057,
+    "src/repro/server": 1034,
     "src/repro/sharding": 3419,
     "src/repro/sharding/basic.py": 286,
     "src/repro/sharding/frontdoor.py": 117,
