@@ -34,7 +34,7 @@ from typing import MutableMapping
 from repro.errors import EmptyDatasetError
 from repro.geometry import Rect
 from repro.observability import runtime as _telemetry
-from repro.processor.candidate import CandidateList
+from repro.processor.candidate import CandidateColumns, CandidateList
 from repro.processor.extension import (
     compute_extension_private,
     compute_extension_public,
@@ -120,12 +120,13 @@ def collect(
     """The candidate step: every target whose region touches ``a_ext``
     (thinned by ``policy`` when given), in ``str(oid)`` order."""
     with _telemetry.phase_scope("candidates", data):
-        candidates = [(oid, index.rect_of(oid)) for oid in index.range_search(a_ext)]
+        oids = sorted(index.range_search(a_ext), key=str)
+        rects = [index.rect_of(oid) for oid in oids]
         if policy is not None:
-            candidates = [
-                (oid, rect) for oid, rect in candidates if policy.admits(rect, a_ext)
-            ]
-        items = tuple(sorted(candidates, key=lambda item: str(item[0])))
+            admitted = [i for i, rect in enumerate(rects) if policy.admits(rect, a_ext)]
+            oids = [oids[i] for i in admitted]
+            rects = [rects[i] for i in admitted]
+        items = CandidateColumns.from_rects(oids, rects)
     _telemetry.note_candidates(len(items))
     return CandidateList(
         items=items, search_region=a_ext, num_filters=num_filters, filters=filters

@@ -19,15 +19,26 @@ offset    size   field
 
 Object ids longer than 24 UTF-8 bytes are rejected rather than silently
 truncated — ids are identity, not payload.
+
+The layout is also the in-memory one: a list's records are one numpy
+structured array (:data:`_RECORD`) over the payload buffer, so encoding
+writes the list's columns straight into it, and decoding is one
+``np.frombuffer`` plus whole-column validity checks.  Every check runs
+before a decoded list is returned — a payload that is going to be
+refused is refused here, where the resilience layer's retry loop
+catches it.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Iterator, Sequence
+
+import numpy as np
 
 from repro.geometry import Rect
-from repro.processor.candidate import CandidateList
+from repro.processor.candidate import CandidateColumns, CandidateList
 
 __all__ = [
     "RECORD_SIZE",
@@ -38,50 +49,110 @@ __all__ = [
 ]
 
 RECORD_SIZE = 64
-_MAGIC = b"CSPR"
+_MAGIC = int.from_bytes(b"CSPR", "little")
 _VERSION = 1
-_FLAG_POINT = 0x0001
-_STRUCT = struct.Struct("<4sHH4d24s")
-assert _STRUCT.size == RECORD_SIZE
+_OID_BYTES = 24
+_RECORD = np.dtype(
+    [
+        ("magic", "<u4"),
+        ("version", "<u2"),
+        ("flags", "<u2"),
+        ("region", "<f8", (4,)),
+        ("oid", f"S{_OID_BYTES}"),
+    ]
+)
+assert _RECORD.itemsize == RECORD_SIZE
+#: Magic and version in place, everything else zero.
+_BLANK_RECORD = np.array([(_MAGIC, _VERSION, 0, (0.0,) * 4, b"")], dtype=_RECORD).tobytes()
 
 # magic, version, num_filters, count, CRC-32 of the payload (uint32 in a
 # q slot: the field was reserved-zero before integrity checking landed
 # and kept its width).
 _HEADER = struct.Struct("<4sHHIq")
 _LIST_MAGIC = b"CLST"
+_CRC_SLOT = slice(12, 20)
+
+
+def _least_extent(coords: np.ndarray) -> np.ndarray:
+    """``min(width, height)`` per region, NaN only where both are
+    (``inf - inf``): negative exactly where ``Rect`` would refuse the
+    coordinates, ``<= 0`` exactly where ``Rect.is_degenerate`` holds —
+    which, as 0 / 1, is the flags field (bit 0 is its only bit)."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return np.fmin(coords[:, 2] - coords[:, 0], coords[:, 3] - coords[:, 1])
+
+
+class _WireIds(Sequence):
+    """The id column of a decoded list: the payload's ``S24`` field,
+    validated when the list was decoded, turned into ``str`` per access —
+    a refinement reads a handful of ids out of hundreds."""
+
+    __slots__ = ("_field",)
+
+    def __init__(self, field: np.ndarray) -> None:
+        self._field = field
+
+    def __len__(self) -> int:
+        return len(self._field)
+
+    def __getitem__(self, i: int) -> str:  # type: ignore[override]
+        return self._field[i].decode("utf-8")
+
+    def __iter__(self) -> Iterator[str]:
+        return map(bytes.decode, self._field.tolist())
+
+
+def _fill_records(records: np.ndarray, columns: CandidateColumns) -> None:
+    """Write the columns into records that start as ``_BLANK_RECORD``."""
+    oids = [str(oid).encode() for oid in columns.ids]  # UTF-8
+    if max(map(len, oids), default=0) > _OID_BYTES:
+        long = next(o for o, e in zip(columns.ids, oids) if len(e) > _OID_BYTES)
+        raise ValueError(f"object id too long for the wire format: {long!r}")
+    records["flags"] = _least_extent(columns.coords) <= 0.0
+    records["region"] = columns.coords
+    records["oid"] = oids
+
+
+def _decode_records(body: memoryview) -> CandidateColumns:
+    """Parse and fully validate a run of 64-byte records."""
+    records = np.frombuffer(body, dtype=_RECORD)
+    if (records["magic"] != _MAGIC).any():
+        raise ValueError("bad record magic")
+    unsupported = records["version"][records["version"] != _VERSION]
+    if unsupported.size:
+        raise ValueError(f"unsupported record version {unsupported[0]}")
+    # Aligned copies of the two columns (records sit at offset 20 + 64 i,
+    # so the in-place region view is unaligned for float64); the payload
+    # itself is not retained.
+    coords = np.ascontiguousarray(records["region"])
+    coords.flags.writeable = False
+    extent = _least_extent(coords)
+    if (extent < 0.0).any():
+        raise ValueError("invalid rect in a candidate record")
+    if (records["flags"] != (extent <= 0.0)).any():
+        raise ValueError("record flags contradict the record's region")
+    oids = np.ascontiguousarray(records["oid"])
+    if not oids.tobytes().isascii():
+        for oid in oids.tolist():
+            oid.decode("utf-8")  # strict, each id alone; UnicodeDecodeError is a ValueError
+    return CandidateColumns(_WireIds(oids), coords)
 
 
 def encode_record(oid: object, region: Rect) -> bytes:
     """Serialize one candidate entry to exactly 64 bytes."""
-    oid_bytes = str(oid).encode("utf-8")
-    if len(oid_bytes) > 24:
-        raise ValueError(f"object id too long for the wire format: {oid!r}")
-    flags = _FLAG_POINT if region.is_degenerate() else 0
-    return _STRUCT.pack(
-        _MAGIC,
-        _VERSION,
-        flags,
-        region.x_min,
-        region.y_min,
-        region.x_max,
-        region.y_max,
-        oid_bytes,
+    payload = bytearray(_BLANK_RECORD)
+    _fill_records(
+        np.frombuffer(payload, dtype=_RECORD),
+        CandidateColumns.from_rects((oid,), (region,)),
     )
+    return bytes(payload)
 
 
 def decode_record(payload: bytes) -> tuple[str, Rect]:
     """Deserialize one 64-byte record to ``(oid, region)``."""
     if len(payload) != RECORD_SIZE:
         raise ValueError(f"record must be {RECORD_SIZE} bytes, got {len(payload)}")
-    magic, version, _flags, x_min, y_min, x_max, y_max, oid_bytes = _STRUCT.unpack(
-        payload
-    )
-    if magic != _MAGIC:
-        raise ValueError("bad record magic")
-    if version != _VERSION:
-        raise ValueError(f"unsupported record version {version}")
-    oid = oid_bytes.rstrip(b"\x00").decode("utf-8")
-    return oid, Rect(x_min, y_min, x_max, y_max)
+    return _decode_records(memoryview(payload))[0]
 
 
 def encode_candidate_list(candidates: CandidateList) -> bytes:
@@ -96,15 +167,23 @@ def encode_candidate_list(candidates: CandidateList) -> bytes:
     makes the whole list undecodable; the resilience layer's retry loop
     re-requests it instead of refining wrong candidates.
     """
-    body = b"".join(encode_record(oid, rect) for oid, rect in candidates.items)
-    blank_header = _HEADER.pack(
-        _LIST_MAGIC, _VERSION, candidates.num_filters, len(candidates), 0
+    count = len(candidates)
+    payload = bytearray(_HEADER.size) + _BLANK_RECORD * count
+    try:
+        _HEADER.pack_into(
+            payload, 0, _LIST_MAGIC, _VERSION, candidates.num_filters, count, 0
+        )
+    except struct.error:
+        raise ValueError(
+            f"num_filters {candidates.num_filters!r} / {count} records do not "
+            "fit the list header (uint16 / uint32)"
+        ) from None
+    _fill_records(
+        np.frombuffer(payload, dtype=_RECORD, offset=_HEADER.size), candidates.items
     )
-    crc = zlib.crc32(blank_header + body)
-    header = _HEADER.pack(
-        _LIST_MAGIC, _VERSION, candidates.num_filters, len(candidates), crc
-    )
-    return header + body
+    # The slot still reads zero, which is how the CRC is defined.
+    struct.pack_into("<q", payload, _CRC_SLOT.start, zlib.crc32(payload))
+    return bytes(payload)
 
 
 def decode_candidate_list(payload: bytes) -> CandidateList:
@@ -126,19 +205,16 @@ def decode_candidate_list(payload: bytes) -> CandidateList:
         raise ValueError(
             f"payload length {len(payload)} does not match {count} records"
         )
-    blanked = payload[:12] + b"\x00" * 8 + payload[20:]
-    if crc != zlib.crc32(blanked):
+    view = memoryview(payload)
+    blanked = zlib.crc32(bytes(8), zlib.crc32(view[: _CRC_SLOT.start]))
+    if crc != zlib.crc32(view[_CRC_SLOT.stop :], blanked):
         raise ValueError("candidate list failed its CRC check (corrupt payload)")
-    items = []
-    for i in range(count):
-        start = _HEADER.size + i * RECORD_SIZE
-        items.append(decode_record(payload[start : start + RECORD_SIZE]))
-    if items:
-        region = items[0][1]
-        for _oid, rect in items[1:]:
-            region = region.union(rect)
+    columns = _decode_records(view[_HEADER.size :])
+    if count:
+        x_min, y_min, x_max, y_max = columns.coords.T
+        region = Rect(
+            float(x_min.min()), float(y_min.min()), float(x_max.max()), float(y_max.max())
+        )
     else:
         region = Rect(0.0, 0.0, 0.0, 0.0)
-    return CandidateList(
-        items=tuple(items), search_region=region, num_filters=num_filters
-    )
+    return CandidateList(items=columns, search_region=region, num_filters=num_filters)

@@ -33,6 +33,8 @@ def make_report(quick: bool = True, **ratios: float) -> dict:
     # its cloak and update quotients); every key gets the section value.
     for section, key in bench_gate.GATED_RATIOS:
         report.setdefault(section, {})[key] = base[section]
+    for section, key, floor in bench_gate.FLOORS:
+        report.setdefault(section, {})[key] = ratios.get(key, 2 * floor)
     return report
 
 
@@ -41,7 +43,7 @@ class TestCompare:
         report = make_report()
         lines, failures = bench_gate.compare(report, report, 0.25)
         assert failures == []
-        assert len(lines) == len(bench_gate.GATED_RATIOS)
+        assert len(lines) == len(bench_gate.GATED_RATIOS) + len(bench_gate.FLOORS)
 
     def test_within_tolerance_passes(self):
         reference = make_report()
@@ -68,6 +70,20 @@ class TestCompare:
         _lines, failures = bench_gate.compare(make_report(), reference, 0.25)
         assert any("not positive" in f for f in failures)
 
+    def test_below_an_absolute_floor_fails_whatever_the_reference_reads(self):
+        low = make_report(decode_speedup=9.0)
+        _lines, failures = bench_gate.compare(low, low, 0.25)
+        assert failures == ["candidate_codec.decode_speedup below its floor: 9.00x < 10x"]
+
+    def test_missing_floored_section_fails(self):
+        current = make_report()
+        del current["candidate_codec"]
+        _lines, failures = bench_gate.compare(current, make_report(), 0.25)
+        assert [f for f in failures if "missing from report" in f] == [
+            "candidate_codec.decode_speedup: missing from report",
+            "candidate_codec.refine_speedup: missing from report",
+        ]
+
     def test_improvements_always_pass(self):
         reference = make_report()
         current = make_report(cloak=100.0, knn_private=80.0, batch=60.0)
@@ -92,6 +108,9 @@ class TestReferenceSelection:
         for section, key in bench_gate.GATED_RATIOS:
             assert quick[section][key] > 1.0
             assert full[section][key] > 1.0
+        for section, key, floor in bench_gate.FLOORS:
+            assert quick[section][key] >= floor
+            assert full[section][key] >= floor
 
 
 class TestMain:

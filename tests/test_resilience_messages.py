@@ -8,6 +8,8 @@ poison an answer.  Both codecs carry a CRC-32 for exactly that.
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -121,4 +123,36 @@ class TestResponseChecksum:
             decode_candidate_list(bytes(payload))
         payload[40] ^= 0x10  # ...and damage a record's coordinates too
         with pytest.raises(ValueError, match="CRC"):
+            decode_candidate_list(bytes(payload))
+
+    @pytest.mark.parametrize(
+        "flags",
+        [0x0001, 0x0002, 0x8000],
+        ids=["point flag on a region with area", "unknown bit 1", "unknown bit 15"],
+    )
+    def test_flags_that_contradict_the_region_are_rejected(self, flags):
+        """The flags field is written from the region, so it is checked
+        against the region: a record whose flags lie decodes as invalid
+        even when the payload's CRC is intact."""
+        payload = bytearray(encode_candidate_list(self.make_candidates()))
+        record = 20 + 64  # the second record: t002, a region with area
+        assert payload[record + 6 : record + 8] == b"\x00\x00"
+        payload[record + 6 : record + 8] = flags.to_bytes(2, "little")
+        payload[12:20] = bytes(8)
+        payload[12:16] = zlib.crc32(bytes(payload)).to_bytes(4, "little")
+        with pytest.raises(ValueError, match="flags"):
+            decode_candidate_list(bytes(payload))
+
+    def test_cleared_point_flag_is_rejected(self):
+        point = CandidateList(
+            items=(("t001", Rect.point(Point(0.1, 0.1))),),
+            search_region=Rect(0.0, 0.0, 0.5, 0.5),
+            num_filters=1,
+        )
+        payload = bytearray(encode_candidate_list(point))
+        assert payload[26:28] == b"\x01\x00"
+        payload[26:28] = bytes(2)
+        payload[12:20] = bytes(8)
+        payload[12:16] = zlib.crc32(bytes(payload)).to_bytes(4, "little")
+        with pytest.raises(ValueError, match="flags"):
             decode_candidate_list(bytes(payload))

@@ -23,7 +23,11 @@ track the trajectory:
 * **continuous_mobility** — re-query rate of the safe-region
   continuous-kNN monitor vs the naive re-issue-every-tick client on
   the commuter trajectory workload (identical recorded ticks, refined
-  answers asserted equal at the end).
+  answers asserted equal at the end);
+* **candidate_codec** — the columnar candidate list (encode, decode and
+  the three local refinements) vs the scalar per-pair definitions kept
+  in ``tests/reference_candidates.py``, µs per list at 200 / 400 / 600
+  records (bytes and answers asserted identical).
 
 Usage::
 
@@ -48,7 +52,9 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO_ROOT = Path(__file__).resolve().parent.parent
+# src/ for the package, the root for the scalar oracles under tests/.
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
 from repro.anonymizer import BasicAnonymizer, PrivacyProfile  # noqa: E402
 from repro.geometry import Point, Rect  # noqa: E402
@@ -648,6 +654,77 @@ def bench_continuous_mobility(quick: bool) -> dict:
     }
 
 
+# ----------------------------------------------------------------------
+# 9. Columnar candidate lists vs the scalar per-pair definitions
+# ----------------------------------------------------------------------
+def bench_candidate_codec(quick: bool) -> dict:
+    """µs per list for the five things done to a candidate list between
+    the processor and the client's answer, on the column kernels and on
+    the scalar oracle the tests hold them to — same records, same run,
+    so the speedups are dimensionless.  Lists are half points, half
+    regions, in ``str(oid)`` order like the processor's."""
+    from repro.processor import CandidateList
+    from repro.server.codec import decode_candidate_list, encode_candidate_list
+    from tests import reference_candidates as scalar
+
+    loops = 40 if quick else 200
+    location, k, radius = Point(0.5, 0.5), 5, 0.2
+    rng = ensure_rng(9)
+
+    def best_us(fn) -> float:
+        batches = [_timed(lambda: [fn() for _ in range(loops)])[0] for _ in range(5)]
+        return 1e6 * min(batches) / loops
+
+    columnar_us: dict[str, dict[str, float]] = {}
+    scalar_us: dict[str, dict[str, float]] = {}
+    for size in (200, 400, 600):
+        items = []
+        for oid in range(size):
+            x, y = float(rng.random()), float(rng.random())
+            side = 0.0 if oid % 2 else 0.02
+            items.append((1000 + oid, Rect(x, y, x + side, y + side)))
+        items = tuple(sorted(items, key=lambda item: str(item[0])))
+        produced = CandidateList(items, BOUNDS, 4)
+        payload = encode_candidate_list(produced)
+        assert payload == scalar.encode_candidate_list(items, 4)
+        decoded = decode_candidate_list(payload)
+        wire_items = scalar.decode_candidate_list(payload)[0]
+        assert tuple(decoded.items) == wire_items
+        pairs = (
+            ("encode", lambda: encode_candidate_list(produced),
+             lambda: scalar.encode_candidate_list(items, 4)),
+            ("decode", lambda: decode_candidate_list(payload),
+             lambda: scalar.decode_candidate_list(payload)),
+            ("refine_nearest", lambda: decoded.refine_nearest(location),
+             lambda: scalar.refine_nearest(wire_items, location)),
+            ("refine_k_nearest", lambda: decoded.refine_k_nearest(location, k),
+             lambda: scalar.refine_k_nearest(wire_items, location, k)),
+            ("refine_within", lambda: decoded.refine_within(location, radius),
+             lambda: scalar.refine_within(wire_items, location, radius)),
+        )
+        for name, columnar_fn, scalar_fn in pairs[2:]:
+            assert columnar_fn() == scalar_fn(), f"{name} diverged from the oracle"
+        columnar_us[str(size)] = {name: best_us(fn) for name, fn, _ in pairs}
+        scalar_us[str(size)] = {name: best_us(fn) for name, _, fn in pairs}
+
+    def speedup(*names: str) -> float:
+        def total(table: dict[str, dict[str, float]]) -> float:
+            return sum(row[name] for row in table.values() for name in names)
+
+        return total(scalar_us) / total(columnar_us)
+
+    return {
+        "record_counts": [200, 400, 600],
+        "columnar_us_per_list": columnar_us,
+        "scalar_us_per_list": scalar_us,
+        "encode_speedup": speedup("encode"),
+        "decode_speedup": speedup("decode"),
+        "refine_speedup": speedup(
+            "refine_nearest", "refine_k_nearest", "refine_within"
+        ),
+    }
+
+
 def _median_run(results: list[dict]) -> dict:
     """Pick the run with the median gated statistic.
 
@@ -661,6 +738,7 @@ def _median_run(results: list[dict]) -> dict:
             "speedup",
             "cloak_scaling_8x",
             "evaluation_suppression",
+            "decode_speedup",
             "mean_latency_ms",
         )
         if k in results[0]
@@ -725,6 +803,7 @@ def main(argv: list[str] | None = None) -> int:
         ("shard_scaling", bench_shard_scaling),
         ("shard_parallel", bench_shard_parallel),
         ("continuous_mobility", bench_continuous_mobility),
+        ("candidate_codec", bench_candidate_codec),
     )
     if args.only:
         known = {name for name, _ in benches}

@@ -11,6 +11,11 @@ re-query baseline).  Each ratio is a
 same-machine, same-run quotient, so it is stable across hardware — a
 drop means the optimization itself regressed, not the runner.
 
+The columnar candidate list is gated by absolute floors instead
+(``FLOORS``): its quotients are column kernel vs the scalar per-pair
+oracle, and what must hold is the claim itself — decode at least 10x,
+local refinement at least 3x — not closeness to one host's reading.
+
 The reference is auto-selected by the report's ``quick`` flag:
 ``BENCH_engine_quick.json`` for ``--quick`` CI smoke runs,
 ``BENCH_engine.json`` for full runs.
@@ -42,6 +47,13 @@ GATED_RATIOS = (
     ("shard_parallel", "cloak_scaling_8x"),
     ("shard_parallel", "update_scaling_8x"),
     ("continuous_mobility", "evaluation_suppression"),
+)
+
+#: (section, key, floor): same-run quotients that must stay above an
+#: absolute floor, whatever the reference reads.
+FLOORS = (
+    ("candidate_codec", "decode_speedup", 10.0),
+    ("candidate_codec", "refine_speedup", 3.0),
 )
 
 
@@ -90,6 +102,17 @@ def compare(
                 f"{label} regressed: {current:.2f}x < {floor:.2f}x "
                 f"({max_slowdown:.0%} below the reference {baseline:.2f}x)"
             )
+    for section, key, floor in FLOORS:
+        label = f"{section}.{key}"
+        try:
+            current = float(report[section][key])
+        except (KeyError, TypeError, ValueError):
+            failures.append(f"{label}: missing from report")
+            continue
+        verdict = "ok" if current >= floor else "BELOW FLOOR"
+        lines.append(f"{label}: {current:.2f}x (floor {floor:g}x) -> {verdict}")
+        if current < floor:
+            failures.append(f"{label} below its floor: {current:.2f}x < {floor:g}x")
     return lines, failures
 
 
