@@ -25,7 +25,7 @@ from repro.anonymizer.cells import CellId
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.engine import PyramidEngine
 from repro.anonymizer.profile import PrivacyProfile
-from repro.anonymizer.soa import PyramidSoA, UserTable
+from repro.anonymizer.soa import IntArray, PyramidSoA, UserTable
 from repro.errors import DuplicateUserError, UnknownUserError
 from repro.geometry import Point, Rect
 from repro.morton import cell_of_morton, morton_encode, morton_of_xy
@@ -40,18 +40,29 @@ class _UserRecord:
     cell: CellId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _BasicSnapshot:
     """Deep copy of a :class:`BasicAnonymizer`'s population state.
 
     The format is representation-independent — counts as per-level
     ``(side, side)`` arrays indexed ``[ix, iy]`` plus a user-record
     dict — so the reference pyramid and this class restore each
-    other's snapshots (part of the equivalence contract).
+    other's snapshots (part of the equivalence contract).  Snapshots
+    compare by value (the generated dataclass ``==`` cannot compare a
+    list of arrays) and, holding mutable state, do not hash.
     """
 
-    counts: list[np.ndarray]
+    counts: list[IntArray]
     users: dict[object, _UserRecord]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _BasicSnapshot):
+            return NotImplemented
+        return (
+            self.users == other.users
+            and len(self.counts) == len(other.counts)
+            and all(map(np.array_equal, self.counts, other.counts))
+        )
 
 
 class BasicAnonymizer(PyramidEngine):
@@ -76,14 +87,52 @@ class BasicAnonymizer(PyramidEngine):
         height: int = 9,
         cloak_cache_size: int = 8192,
     ) -> None:
-        self._init_engine(bounds, height)
-        # Flat Morton-indexed per-level count/generation arrays (the
-        # constructor enforces the height cap) + slot-indexed user
-        # table; see repro.anonymizer.soa for the layout.
-        self._soa = PyramidSoA(height)
-        self._table = UserTable()
+        self._init_pyramid(bounds, height)
         self._epoch = 0
         self.cloak_cache = CloakCache(cloak_cache_size)
+
+    def _init_pyramid(self, bounds: Rect, height: int) -> None:
+        """The population state: grid, statistics, flat Morton-indexed
+        per-level count/generation arrays (the constructor enforces the
+        height cap) and the slot-indexed user table; see
+        :mod:`repro.anonymizer.soa` for the layout.  Cache and epoch
+        state is the host's — one of each here, one per shard in
+        :class:`~repro.sharding.basic.ShardedBasicAnonymizer`."""
+        self._init_engine(bounds, height)
+        self._soa = PyramidSoA(height)
+        self._table = UserTable()
+
+    # ------------------------------------------------------------------
+    # The mutation seam: what did this mutation touch?
+    #
+    # Every count write funnels through one of these four calls — once
+    # per mutation or per batch, never per level — so a host that keys
+    # its caches more finely than "anything changed" (the sharded
+    # fleet's per-shard and boundary epochs) overrides them and inherits
+    # the kernels untouched.
+    # ------------------------------------------------------------------
+    def _touched_chain(self, uid: object, m: int, delta: int) -> None:
+        """``uid`` registered (``delta`` +1) or deregistered (-1) at
+        leaf ``m``: its whole ancestor chain changed."""
+        self._epoch += 1
+
+    def _touched_move(self, uid: object, old_m: int, new_m: int) -> None:
+        """``uid`` moved between two different leaves: both branches
+        below their common ancestor changed."""
+        self._epoch += 1
+
+    def _touched_moves(
+        self, uids: list[object], old_ms: IntArray, new_ms: IntArray
+    ) -> None:
+        """A batch of distinct users moved (``old_ms[i] == new_ms[i]``
+        where a move stayed in its cell)."""
+        self._epoch += int(np.count_nonzero(old_ms != new_ms))
+
+    def _touched_all(self) -> None:
+        """A restore rewrote counts without generation bumps: every
+        cached cloak is suspect."""
+        self._epoch += 1
+        self.cloak_cache.clear()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -148,7 +197,7 @@ class BasicAnonymizer(PyramidEngine):
         m = morton_of_xy(cell.ix, cell.iy)
         self._table.add(uid, point.x, point.y, profile.k, profile.a_min, m)
         self._soa.apply_chain(m, +1)
-        self._epoch += 1
+        self._touched_chain(uid, m, +1)
         self.stats.counter_updates += self.height + 1
         self.stats.registrations += 1
 
@@ -158,7 +207,7 @@ class BasicAnonymizer(PyramidEngine):
         m = int(self._table.cells[slot])
         self._table.remove(uid)
         self._soa.apply_chain(m, -1)
-        self._epoch += 1
+        self._touched_chain(uid, m, -1)
         self.stats.counter_updates += self.height + 1
         self.stats.deregistrations += 1
 
@@ -183,7 +232,7 @@ class BasicAnonymizer(PyramidEngine):
             return 0
         cost = self._soa.move_chain(old_m, new_m)
         table.cells[slot] = new_m
-        self._epoch += 1
+        self._touched_move(uid, old_m, new_m)
         self.stats.counter_updates += cost
         self.stats.cell_changes += 1
         return cost
@@ -224,7 +273,9 @@ class BasicAnonymizer(PyramidEngine):
             if slot_list[index] is None or not in_bounds[index]:
                 stop = index
                 break
-        costs = self._apply_move_arrays(slot_list[:stop], xs[:stop], ys[:stop])
+        costs = self._apply_move_arrays(
+            uids[:stop], slot_list[:stop], xs[:stop], ys[:stop]
+        )
         if stop < n:
             # Replay the failing move through the single-move path so the
             # exception (unknown uid before out-of-bounds, matching the
@@ -235,7 +286,11 @@ class BasicAnonymizer(PyramidEngine):
         return costs
 
     def _apply_move_arrays(
-        self, slot_list: list[int | None], xs: np.ndarray, ys: np.ndarray
+        self,
+        uids: list[object],
+        slot_list: list[int | None],
+        xs: np.ndarray,
+        ys: np.ndarray,
     ) -> list[int]:
         """The batched-update kernel over validated moves."""
         if not len(xs):
@@ -248,11 +303,10 @@ class BasicAnonymizer(PyramidEngine):
         table.ys[slots] = ys
         costs = self._soa.apply_moves(old_ms, new_ms)
         table.cells[slots] = new_ms
-        changed = int(np.count_nonzero(costs))
+        self._touched_moves(uids, old_ms, new_ms)
         self.stats.location_updates += len(xs)
-        self._epoch += changed
         self.stats.counter_updates += int(costs.sum())
-        self.stats.cell_changes += changed
+        self.stats.cell_changes += int(np.count_nonzero(costs))
         return [int(cost) for cost in costs]
 
     def _leaf_mortons(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -326,22 +380,26 @@ class BasicAnonymizer(PyramidEngine):
                 rec.profile.k, rec.profile.a_min,
                 morton_of_xy(rec.cell.ix, rec.cell.iy),
             )
-        self._epoch += 1
-        self.cloak_cache.clear()
+        self._touched_all()
 
     # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Assert pyramid consistency; O(cells + users)."""
-        # Each non-leaf counter equals the sum of its children, the root
-        # the registered population, and every table cell contains its
+        # Each non-leaf counter equals the sum of its children, the
+        # lowest level counts the table's cells (so the root counts the
+        # registered population), and every table cell contains its
         # user's point.
-        self._soa.check_child_sums()
-        assert self._soa.count_of(0, 0) == len(self._table)
-        table = self._table
+        soa, table = self._soa, self._table
+        soa.check_child_sums()
+        assert soa.count_of(0, 0) == len(table)
         active = table.active
+        leaves = table.cells[active]
         assert np.array_equal(
-            self._leaf_mortons(table.xs[active], table.ys[active]),
-            table.cells[active],
+            soa.counts[self.height],
+            np.bincount(leaves, minlength=4**self.height),
+        ), "lowest-level counters inconsistent with the user table"
+        assert np.array_equal(
+            self._leaf_mortons(table.xs[active], table.ys[active]), leaves
         ), "stale cell in the user table"

@@ -15,12 +15,11 @@ one of each, reachable by flipping the low bit of one coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import OutOfBoundsError
 from repro.geometry import Point, Rect
 
-__all__ = ["CellId", "CellGrid", "branch_pairs"]
+__all__ = ["CellId", "CellGrid"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,24 +105,6 @@ class CellId:
         v = self.vertical_neighbor()
         d = CellId._trusted(self.level, self.ix ^ 1, self.iy ^ 1)
         return (h, v, d)
-
-
-def branch_pairs(
-    a: CellId, b: CellId, ancestor_level: int
-) -> Iterator[tuple[CellId, CellId]]:
-    """The ``(a-branch, b-branch)`` cell pairs at every level strictly
-    below ``ancestor_level``, deepest first.
-
-    These are exactly the counters a location update from cell ``a`` to
-    cell ``b`` must touch (decrement the first of each pair, increment
-    the second).  Shared by the single-pyramid and sharded basic
-    anonymizers so both walk byte-identical update paths.
-    """
-    for level in range(a.level, ancestor_level, -1):
-        yield a, b
-        if level - 1 > ancestor_level:
-            a = a.parent()
-            b = b.parent()
 
 
 class CellGrid:

@@ -19,15 +19,14 @@ under this package mutates another object's underscore attributes
 directly.
 """
 
+from repro.anonymizer.policies import basic as _basic  # noqa: F401  (registers "basic")
 from repro.anonymizer.policies.adaptive import CutCell, CutMaintainer
-from repro.anonymizer.policies.basic import CompletePyramidMaintainer
 from repro.anonymizer.policies.clique import CliquePolicy
 from repro.anonymizer.policies.interval import IntervalPolicy
 from repro.anonymizer.policies.temporal import TemporalPolicy
 
 __all__ = [
     "CliquePolicy",
-    "CompletePyramidMaintainer",
     "CutCell",
     "CutMaintainer",
     "IntervalPolicy",

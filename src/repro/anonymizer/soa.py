@@ -220,6 +220,29 @@ class PyramidSoA:
             ix, iy = _level_decode(level)
             self.counts[level] = grid[ix, iy].astype(np.int64)
 
+    def rebuild_subtrees(
+        self, level: int, lo: int, hi: int, leaves: IntArray
+    ) -> None:
+        """Recount the subtrees rooted at cells ``[lo, hi)`` of
+        ``level`` from ``leaves`` — the leaf Morton codes of every user
+        inside them — then every level above from child sums (a
+        crashed shard's slice, then the spine).  A subtree is a
+        contiguous Morton run at every depth, so each level is one
+        slice; generations bump only where a count actually changed."""
+        for depth in range(self.height, -1, -1):
+            scale = 2 * (depth - level)
+            start, stop = (
+                (lo << scale, hi << scale) if scale >= 0 else (0, 4**depth)
+            )
+            if depth == self.height:
+                rebuilt = np.bincount(leaves - start, minlength=stop - start)
+            else:
+                children = self.counts[depth + 1][4 * start : 4 * stop]
+                rebuilt = children.reshape(-1, 4).sum(axis=1)
+            counts = self.counts[depth][start:stop]
+            self.gens[depth][start:stop] += counts != rebuilt
+            counts[:] = rebuilt
+
     # -- diagnostics ----------------------------------------------------
     def check_child_sums(self) -> None:
         """Assert every non-leaf counter equals the sum of its four

@@ -429,9 +429,12 @@ def record_shard_cloak(obs: Observability, shard: int, route: str) -> None:
     handle.inc()
 
 
-def record_shard_op(obs: Observability, shard: int, op: str) -> None:
-    """One maintenance operation routed to a shard (``op``: ``register``
-    / ``deregister`` / ``update`` / ``rehome`` / ``restore``)."""
+def record_shard_op(
+    obs: Observability, shard: int, op: str, times: int = 1
+) -> None:
+    """``times`` maintenance operations of one kind routed to a shard
+    (``op``: ``register`` / ``deregister`` / ``update`` / ``rehome`` /
+    ``restore``)."""
     m = obs.metrics
     key = ("shard_op", shard, op)
     handle = m.handle_cache.get(key)
@@ -442,7 +445,7 @@ def record_shard_op(obs: Observability, shard: int, op: str) -> None:
             help="maintenance operations routed per shard, by kind",
         )
         m.handle_cache[key] = handle
-    handle.inc()
+    handle.inc(times)
 
 
 def record_shard_occupancy(obs: Observability, occupancy: list[int]) -> None:

@@ -1,8 +1,8 @@
 """The sharded deployment of every policy without a native fleet.
 
-The complete pyramid ships a purpose-built sharded implementation
-(:mod:`repro.sharding.basic`) whose cores partition the actual counter
-state.  Every other registered
+The complete pyramid ships a purpose-built sharded deployment
+(:mod:`repro.sharding.basic`) whose shards are slices of the actual
+counter arrays.  Every other registered
 :class:`~repro.anonymizer.policy.CloakingPolicy` — the adaptive
 pyramid, whose cut is reshaped from *global* counts and therefore has
 no partitioned form, the related-work baselines, or a user-registered
@@ -32,8 +32,7 @@ from repro.anonymizer.profile import PrivacyProfile
 from repro.anonymizer.stats import MaintenanceStats
 from repro.geometry import Point, Rect
 from repro.observability import runtime as _telemetry
-from repro.sharding.core import CACHE_KEYS, cache_counters
-from repro.sharding.surface import ShardSurface
+from repro.sharding.surface import CACHE_KEYS, ShardSurface, cache_counters
 
 __all__ = ["ReplicatedShardedAnonymizer"]
 

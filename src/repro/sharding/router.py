@@ -22,7 +22,10 @@ identically — the foundation of the shard-count-invariance guarantee.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.anonymizer.cells import CellId
+from repro.anonymizer.soa import IntArray
 
 # The rank helpers share their implementation with the vectorized
 # pyramid's Morton codes (repro.morton); re-exported for compatibility.
@@ -62,6 +65,12 @@ class ShardRouter:
         self._owner_by_rank = [
             rank * num_shards // self.num_blocks for rank in range(self.num_blocks)
         ]
+        # The same table as an array, for routing a whole tick at once
+        # (the list stays: scalar lookups want python ints).
+        self._owner_array: IntArray = np.array(self._owner_by_rank, dtype=np.int64)
+        #: Right shift taking a lowest-level Morton code to the rank of
+        #: its level-``S`` block.
+        self.leaf_shift = 2 * (height - spine_level)
 
     def is_spine(self, cell: CellId) -> bool:
         """True for shared spine cells (strictly above the block level)."""
@@ -81,44 +90,20 @@ class ShardRouter:
             raise ValueError(f"{cell} is a spine cell, owned by no shard")
         return owner
 
-    def route_batch(
-        self, cells: list[CellId]
-    ) -> tuple[list[int], dict[int, list[int]]]:
-        """Owner shard of every cell in one routing pass.
+    def owner_of_leaf(self, m: int) -> int:
+        """The shard owning the lowest-level cell with Morton code
+        ``m``: its block's rank is the code's top ``2S`` bits."""
+        return self._owner_by_rank[m >> self.leaf_shift]
 
-        Returns ``(owners, by_shard)``: the owning shard per cell in
-        arrival order, and arrival-ordered cell *indexes* grouped per
-        shard (only shards that own something appear).  The Morton rank
-        is memoized per level-``S`` block, so a tick's worth of moves
-        clustered in a few blocks pays one rank computation per block
-        instead of one full bit-interleave per move — the fix for the
-        sequential runtime's per-update routing overhead, and the
-        grouping the process pool uses to build one frame per shard.
-        """
-        owners: list[int] = []
-        by_shard: dict[int, list[int]] = {}
-        spine_level = self.spine_level
-        owner_cache: dict[CellId, int] = {}
-        for index, cell in enumerate(cells):
-            if cell.level < spine_level:
-                raise ValueError(f"{cell} is a spine cell, owned by no shard")
-            block = cell.ancestor(spine_level)
-            owner = owner_cache.get(block)
-            if owner is None:
-                owner = self._owner_by_rank[morton_rank(block)]
-                owner_cache[block] = owner
-            owners.append(owner)
-            group = by_shard.get(owner)
-            if group is None:
-                by_shard[owner] = [index]
-            else:
-                group.append(index)
-        return owners, by_shard
+    def owners_of_leaves(self, ms: IntArray) -> IntArray:
+        """:meth:`owner_of_leaf` for an array of Morton codes — a whole
+        tick routed in one pass."""
+        return self._owner_array[ms >> self.leaf_shift]
 
     def block_rank_range(self, shard: int) -> tuple[int, int]:
         """The contiguous Morton rank range ``[lo, hi)`` of the blocks
-        owned by ``shard`` — contiguity is what lets the array-backed
-        core store each level as one flat slice."""
+        owned by ``shard`` — contiguity is what makes the shard's part
+        of every level one slice of the pyramid's arrays."""
         if not 0 <= shard < self.num_shards:
             raise ValueError(f"no shard {shard} in a {self.num_shards}-shard fleet")
         ranks = [

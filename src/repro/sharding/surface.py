@@ -3,9 +3,9 @@
 Where a user is homed, how many users each shard homes, which routing
 class a cloak answer falls in and how per-shard cache traffic is
 reported are the same facts for the partitioned fleet
-(:class:`~repro.sharding.fleet.ShardedFleet`), the broadcast replica
-(:class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`) and
-the worker-pool parent (:class:`~repro.sharding.workers
+(:class:`~repro.sharding.basic.ShardedBasicAnonymizer`), the broadcast
+replica (:class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`)
+and the worker-pool parent (:class:`~repro.sharding.workers
 .ParallelShardedAnonymizer`); all three mix this class in.
 """
 
@@ -13,15 +13,23 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellGrid
 from repro.anonymizer.cloak import CloakedRegion
 from repro.errors import UnknownUserError
 from repro.geometry import Rect
 from repro.observability import runtime as _telemetry
-from repro.sharding.core import CACHE_KEYS
 from repro.sharding.router import ShardRouter
 
-__all__ = ["ShardSurface"]
+__all__ = ["CACHE_KEYS", "ShardSurface", "cache_counters"]
+
+#: The counters of one ``cache_stats()`` row.
+CACHE_KEYS = ("hits", "misses", "invalidations", "evictions")
+
+
+def cache_counters(cache: CloakCache) -> dict[str, int]:
+    """One cache's traffic counters in the ``cache_stats()`` shape."""
+    return {key: getattr(cache, key) for key in CACHE_KEYS}
 
 
 class ShardSurface:
@@ -108,12 +116,15 @@ class ShardSurface:
             "occupancy drifted from the directory"
         )
 
-    def _notify_op(self, shard: int, op: str, *, occupancy: bool = True) -> None:
-        """Record one shard operation (and, for population-changing
-        ops, the resulting occupancy) when telemetry is active."""
+    def _notify_op(
+        self, shard: int, op: str, *, occupancy: bool = True, times: int = 1
+    ) -> None:
+        """Record ``times`` shard operations of one kind (and, for
+        population-changing ops, the resulting occupancy) when
+        telemetry is active."""
         obs = _telemetry.active()
         if obs is not None:
-            _telemetry.record_shard_op(obs, shard, op)
+            _telemetry.record_shard_op(obs, shard, op, times)
             if occupancy:
                 _telemetry.record_shard_occupancy(obs, self._occupancy)
 

@@ -29,20 +29,21 @@ in-process deployment the workers replicate:
 
 * **partition** (``basic``: :class:`~repro.sharding.basic
   .ShardedBasicAnonymizer` replicas) — every worker holds a full fleet
-  replica but receives only the traffic that can affect what it
-  serves: registrations, deregistrations, profile changes and
-  boundary-crossing moves are broadcast (they touch spine/block-root
-  state every shard can read), while a move confined to one shard's
-  blocks goes to that worker alone.  A worker's *own* core — its
-  counts, generations, epoch and cloak cache — then evolves exactly
-  like the in-process core, because foreign confined moves never touch
-  spine cells, block roots, or the worker's own blocks.  Foreign
-  *interior* counts on a replica may go stale, which is why workers
-  run a partial-replication invariant check
-  (:func:`~repro.sharding.invariants.check_basic_replica`) instead of
-  the full one.  The parent computes all maintenance statistics itself
-  (basic costs are pure functions of the cell walk), so ``stats``
-  needs no wire round trip.
+  replica (one complete pyramid) but receives only the traffic that
+  can affect what it serves: registrations, deregistrations, profile
+  changes and boundary-crossing moves are broadcast (they touch
+  spine/block-root state every shard can read), while a move confined
+  to one shard's blocks goes to that worker alone.  A worker's *own*
+  shard — its slice of the counts and generations, its epoch and its
+  cloak cache — then evolves exactly like the in-process fleet's,
+  because foreign confined moves never touch spine cells, block roots,
+  or the worker's own blocks.  Foreign users' rows go stale on a
+  replica — point and cell together, always inside the true block —
+  and its foreign *interior* counts stay consistent with those rows,
+  so every replica is a self-consistent fleet and passes the same
+  ``check_invariants`` audit as the in-process one.  The parent computes
+  all maintenance statistics itself (basic costs are pure functions of
+  the cell walk), so ``stats`` needs no wire round trip.
 * **broadcast** (every other policy — ``adaptive`` and the baselines:
   :class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`
   replicas) — the policy's state has no partitioned form (adaptive
@@ -98,7 +99,6 @@ from repro.errors import (
 from repro.geometry import Point, Rect
 from repro.messages import ShardEnvelope
 from repro.observability import runtime as _telemetry
-from repro.sharding.invariants import check_basic_replica
 from repro.sharding.replicated import ReplicatedShardedAnonymizer
 from repro.sharding.surface import ShardSurface
 from repro.sharding.wire import (
@@ -330,12 +330,7 @@ class ShardWorker(FrameEndpoint):
             self._install(pickle.loads(op[1]))
             return response_ack()
         if name == "check":
-            if self._partitioned:
-                # Partition replication: foreign interior cells may
-                # be stale, so run the partial-replication check.
-                check_basic_replica(self._replica, self.shard)  # type: ignore[arg-type]
-            else:
-                self._replica.check_invariants()
+            self._replica.check_invariants()
             return response_ack()
         if name == "hang":
             time.sleep(op[1])
@@ -595,7 +590,7 @@ class ParallelShardedAnonymizer(ShardSurface):
         in the report shape of the in-process deployments.
 
         Partitioned: byte-identical to the in-process fleet (each
-        worker's own core sees exactly the in-process traffic).
+        worker's own shard sees exactly the in-process traffic).
         Broadcast: each worker's whole-replica cache sees only its own
         shard's cloaks, so hit/miss splits — and their
         :meth:`cache_stats` sum — may differ from the in-process
@@ -856,8 +851,7 @@ class ParallelShardedAnonymizer(ShardSurface):
 
     def check_invariants(self) -> None:
         """Assert parent-mirror consistency, then every worker's
-        replica invariants (full check on broadcast replicas, the
-        partial-replication check on partitioned ones)."""
+        replica invariants (each replica's own ``check_invariants``)."""
         assert set(self._records) == set(self._directory), (
             "parent mirror/directory key drift"
         )

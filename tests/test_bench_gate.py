@@ -35,6 +35,19 @@ def make_report(quick: bool = True, **ratios: float) -> dict:
         report.setdefault(section, {})[key] = base[section]
     for section, key, floor in bench_gate.FLOORS:
         report.setdefault(section, {})[key] = ratios.get(key, 2 * floor)
+    for section in bench_gate.EXACT_TABLES:
+        report[section]["shards"] = {
+            "1": {
+                "cache_hit_rate": 0.75,
+                "cache_hit_rate_per_shard": {"0": 0.75, "spine": 0.0},
+                "query_cloaks_per_second": 1e4,
+            },
+            "8": {
+                "cache_hit_rate": 0.75,
+                "cache_hit_rate_per_shard": {"0": 0.5, "7": 0.875, "spine": 0.0},
+                "query_cloaks_per_second": 2e4,
+            },
+        }
     return report
 
 
@@ -43,7 +56,11 @@ class TestCompare:
         report = make_report()
         lines, failures = bench_gate.compare(report, report, 0.25)
         assert failures == []
-        assert len(lines) == len(bench_gate.GATED_RATIOS) + len(bench_gate.FLOORS)
+        assert len(lines) == (
+            len(bench_gate.GATED_RATIOS)
+            + len(bench_gate.FLOORS)
+            + len(bench_gate.EXACT_TABLES)
+        )
 
     def test_within_tolerance_passes(self):
         reference = make_report()
@@ -82,6 +99,28 @@ class TestCompare:
         assert [f for f in failures if "missing from report" in f] == [
             "candidate_codec.decode_speedup: missing from report",
             "candidate_codec.refine_speedup: missing from report",
+        ]
+
+    def test_hit_rate_tables_are_gated_for_identity(self):
+        """The hit-rate tables are gated for identity, not tolerance:
+        absolute rates may move freely, one changed digit may not."""
+        reference = make_report()
+        current = make_report()
+        current["shard_parallel"]["shards"]["8"]["query_cloaks_per_second"] *= 3
+        _lines, failures = bench_gate.compare(current, reference, 0.25)
+        assert failures == []
+        current["shard_parallel"]["shards"]["8"]["cache_hit_rate_per_shard"]["7"] = 0.8751
+        _lines, failures = bench_gate.compare(current, reference, 0.25)
+        assert len(failures) == 1
+        assert "shard_parallel.shards hit rates differ" in failures[0]
+        assert "N = 8" in failures[0]
+
+    def test_missing_hit_rate_table_fails(self):
+        current = make_report()
+        del current["shard_scaling"]["shards"]
+        _lines, failures = bench_gate.compare(current, make_report(), 0.25)
+        assert failures == [
+            "shard_scaling.shards hit rates: missing from report or reference"
         ]
 
     def test_improvements_always_pass(self):

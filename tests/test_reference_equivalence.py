@@ -6,9 +6,10 @@ for any operation stream, every cloak, count, per-move cost,
 maintenance statistic, cache counter, and snapshot must be
 bit-identical — for both anonymizer kinds, across a mid-stream
 oracle <-> production snapshot swap, and on the batched update path.
-Sharded == single is held by ``test_sharding_equivalence.py`` and
-parallel == in-process by ``test_parallel_equivalence.py``, so the
-oracle only ever needs to pin the two single anonymizers.
+Sharded == single is held by ``test_sharding_equivalence.py`` (which
+also runs the N-shard oracle against the fleet's composite epochs) and
+parallel == in-process by ``test_parallel_equivalence.py``, so this
+file only needs to pin the two single anonymizers.
 """
 
 from __future__ import annotations

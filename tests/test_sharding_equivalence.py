@@ -22,6 +22,7 @@ from repro.errors import ProfileUnsatisfiableError
 from repro.geometry import Point, Rect
 from repro.sharding import make_sharded
 from tests.conftest import UNIT
+from tests.reference_pyramid import ReferenceBasic
 
 HEIGHT = 5
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -123,6 +124,144 @@ class TestLockstepEquivalence:
     @given(ops=op_lists)
     def test_adaptive(self, ops) -> None:
         _drive_lockstep("adaptive", ops)
+
+
+class TestFailingBatchIsTheSequentialLoop:
+    """``update_batch`` promises the sequential loop's error semantics:
+    on the first bad move every earlier move has been applied, no later
+    one has, and the same exception is raised — on every deployment."""
+
+    HOMES = [
+        Point(0.10, 0.10), Point(0.80, 0.15), Point(0.20, 0.85),
+        Point(0.90, 0.90), Point(0.45, 0.55), Point(0.60, 0.30),
+    ]
+    # The move *after* the failing one lands in the lowest shard and the
+    # failing one in the highest, so a fleet applying per-shard groups
+    # in shard order would run it before raising.
+    BAD = {
+        "out_of_bounds": (3, Point(1.5, 0.95)),
+        "unknown_uid": ("ghost", Point(0.95, 0.95)),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_prefix_applied_and_same_exception(self, bad) -> None:
+        moves = [
+            (0, Point(0.85, 0.20)),
+            (1, Point(0.12, 0.80)),
+            (2, Point(0.55, 0.45)),
+            self.BAD[bad],
+            (4, Point(0.05, 0.05)),
+        ]
+        outcomes = []
+        for impl in _build("basic"):
+            for uid, home in enumerate(self.HOMES):
+                impl.register(uid, home, PrivacyProfile(k=2))
+            with pytest.raises(Exception) as raised:
+                impl.update_batch(moves)
+            outcomes.append(
+                (
+                    type(raised.value),
+                    str(raised.value),
+                    [impl.location_of(uid) for uid in range(len(self.HOMES))],
+                    dataclasses.asdict(impl.stats),
+                )
+            )
+            assert impl.stats.location_updates == 3
+        assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+snapshot_ops = st.just(("snapshot",))
+restore_ops = st.just(("restore",))
+batch_ops = st.tuples(
+    st.just("batch"),
+    st.lists(
+        st.tuples(uids, coords, coords),
+        min_size=2, max_size=8, unique_by=lambda move: move[0],
+    ),
+)
+epoch_op_lists = st.lists(
+    st.one_of(
+        register_ops, move_ops, batch_ops, cloak_ops, deregister_ops,
+        snapshot_ops, restore_ops,
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestCompositeEpochOracle:
+    """The production fleet and its worker replicas are one class, so
+    the composite-epoch rule is pinned against an independent
+    statement of it: ``ReferenceBasic(num_shards=N)`` bumps epochs from
+    the *set of cells* each per-cell walk touched, production from
+    Morton arithmetic (one bincount for a whole batch).  Cloaks, costs,
+    per-shard cache rows and the epochs themselves agree at every
+    step."""
+
+    @staticmethod
+    def _observe(impl) -> tuple:
+        return (
+            impl.cache_stats_per_shard(),
+            impl._shard_epochs,
+            impl._boundary_epoch,
+            dataclasses.asdict(impl.stats),
+        )
+
+    @settings(max_examples=25)
+    @given(ops=epoch_op_lists)
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_lockstep(self, num_shards, ops) -> None:
+        oracle = ReferenceBasic(UNIT, height=HEIGHT, num_shards=num_shards)
+        fleet = make_sharded(UNIT, height=HEIGHT, num_shards=num_shards)
+        pair = (oracle, fleet)
+        # A standing population, so every drawn batch has members.
+        alive = set(range(8))
+        for uid in alive:
+            for impl in pair:
+                impl.register(
+                    uid,
+                    Point(uid % 4 / 4 + 0.1, uid // 4 / 2 + 0.2),
+                    PrivacyProfile(k=2 + uid % 3),
+                )
+        saved = (set(alive), [impl.snapshot() for impl in pair])
+        for op in ops:
+            kind = op[0]
+            if kind == "register":
+                _, uid, x, y, k, a_min = op
+                if uid in alive:
+                    continue
+                for impl in pair:
+                    impl.register(uid, Point(x, y), PrivacyProfile(k, a_min))
+                alive.add(uid)
+            elif kind == "move":
+                _, uid, x, y = op
+                if uid not in alive:
+                    continue
+                assert oracle.update(uid, Point(x, y)) == fleet.update(
+                    uid, Point(x, y)
+                )
+            elif kind == "batch":
+                moves = [(u, Point(x, y)) for u, x, y in op[1] if u in alive]
+                assert oracle.update_batch(moves) == fleet.update_batch(moves)
+            elif kind == "cloak":
+                if op[1] not in alive:
+                    continue
+                assert _cloak_bytes(oracle, op[1]) == _cloak_bytes(fleet, op[1])
+            elif kind == "deregister":
+                if op[1] not in alive:
+                    continue
+                for impl in pair:
+                    impl.deregister(op[1])
+                alive.discard(op[1])
+            elif kind == "snapshot":
+                saved = (set(alive), [impl.snapshot() for impl in pair])
+            else:  # restore
+                alive = set(saved[0])
+                for impl, state in zip(pair, saved[1]):
+                    impl.restore(state)
+            assert self._observe(oracle) == self._observe(fleet), op
+        fleet.check_invariants()
+        oracle.check_invariants()
 
 
 class TestCrossBoundaryEscalation:
@@ -241,3 +380,46 @@ class TestSloCountersMatch:
                     _cloak_bytes(impl, i)
                 streams.append(self._deterministic_metrics(session))
         assert all(stream == streams[0] for stream in streams[1:])
+
+    def test_update_batch_records_the_scalar_loops_shard_telemetry(self) -> None:
+        """One code path whether or not telemetry is on: a batch (the
+        bincount form of the epoch rule) records the same per-(shard,
+        op) counts and occupancy gauges as the scalar loop."""
+        from repro.observability import enabled
+
+        moves = [
+            (i, Point((i * 7 % 12) / 12 + 0.03, (i * 5 % 12) / 12 + 0.04))
+            for i in range(12)
+        ]
+        streams = []
+        for batched in (False, True):
+            fleet = make_sharded(UNIT, height=HEIGHT, num_shards=4)
+            with enabled() as session:
+                for i in range(12):
+                    fleet.register(
+                        i,
+                        Point((i % 4) / 4 + 0.1, (i // 4) / 3 + 0.05),
+                        PrivacyProfile(k=2),
+                    )
+                if batched:
+                    fleet.update_batch(moves)
+                else:
+                    for uid, point in moves:
+                        fleet.update(uid, point)
+                streams.append(
+                    {
+                        (entry["name"], tuple(map(tuple, entry["labels"]))):
+                            entry["value"]
+                        for entry in session.metrics.snapshot()["metrics"]
+                        if entry["name"]
+                        in ("casper_shard_ops_total", "casper_shard_users")
+                    }
+                )
+        scalar, batch = streams
+        assert scalar == batch
+        ops = {key[1]: value for key, value in scalar.items() if "ops" in key[0]}
+        assert any(dict(labels)["op"] == "rehome" for labels in ops)
+        assert sum(
+            value for labels, value in ops.items()
+            if dict(labels)["op"] == "update"
+        ) == len(moves)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.anonymizer import PrivacyProfile
+from repro.anonymizer import BasicAnonymizer, PrivacyProfile
 from repro.errors import UnknownUserError
 from repro.geometry import Point
 from repro.server import Casper
@@ -85,6 +85,28 @@ class TestFleetSnapshot:
         with pytest.raises(TypeError):
             fleet.restore_shard(0, object())
 
+    @pytest.mark.parametrize("num_shards", [None, 1, 2, 4])
+    def test_basic_snapshots_compare_by_value(self, num_shards) -> None:
+        """Two snapshots of one state are ``==`` (the generated
+        dataclass equality raised ``ValueError`` over the count
+        arrays), a move makes them differ, and — holding mutable state
+        — they do not hash."""
+        if num_shards is None:
+            anonymizer = BasicAnonymizer(UNIT, height=HEIGHT)
+        else:
+            anonymizer = make_sharded(UNIT, height=HEIGHT, num_shards=num_shards)
+        for i in range(10):
+            anonymizer.register(i, Point(0.05 + 0.09 * i, 0.5), PrivacyProfile(k=2))
+        before = anonymizer.snapshot()
+        assert before == anonymizer.snapshot()
+        assert not before != anonymizer.snapshot()
+        anonymizer.update(3, Point(0.9, 0.9))
+        assert before != anonymizer.snapshot()
+        anonymizer.restore(before)
+        assert before == anonymizer.snapshot()
+        with pytest.raises(TypeError):
+            hash(before)
+
 
 @pytest.mark.parametrize("kind", ["basic"])  # broadcast replicas restore whole
 class TestShardCrashRecovery:
@@ -159,6 +181,82 @@ class TestShardCrashRecovery:
         assert list(map(str, purged)) == ["late"]
         fleet.check_invariants()
         assert fleet.num_users == 10
+
+
+class TestReplicaAudit:
+    """A partition-mode worker sees every broadcast op but only its own
+    confined moves, so foreign users' rows go stale — point and cell
+    together, inside their true block.  Such a replica is still a
+    self-consistent fleet: it passes the same ``check_invariants`` the
+    in-process fleet does (which is what the ``check`` op runs), serves
+    exact answers for its own shard — and the audit can still fail."""
+
+    NUM_SHARDS = 4
+    SHARD = 0
+
+    def _replica_fed_like_worker_zero(self):
+        """An in-process replica given exactly worker 0's traffic, next
+        to the full fleet that decides the routing as the parent does."""
+        truth = _populated_fleet("basic", self.NUM_SHARDS)
+        replica = _populated_fleet("basic", self.NUM_SHARDS)
+        router = truth.router
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            uid = f"u{int(rng.integers(40)):02d}"
+            old = truth.location_of(uid)
+            step = 0.02 if rng.random() < 0.8 else 0.5
+            point = Point(
+                float(np.clip(old.x + rng.uniform(-step, step), 0.0, 1.0)),
+                float(np.clip(old.y + rng.uniform(-step, step), 0.0, 1.0)),
+            )
+            home = truth.shard_of_user(uid)
+            blocks = {
+                truth.grid.cell_of(p).ancestor(router.spine_level)
+                for p in (old, point)
+            }
+            cost = truth.update(uid, point)
+            if len(blocks) == 2 or home == self.SHARD:
+                assert replica.update(uid, point) == cost
+        truth.check_invariants()
+        return truth, replica
+
+    def test_stale_replica_passes_and_serves_its_shard_exactly(self) -> None:
+        truth, replica = self._replica_fed_like_worker_zero()
+        uids = [f"u{i:02d}" for i in range(40)]
+        stale = [u for u in uids if replica.location_of(u) != truth.location_of(u)]
+        assert stale, "the stream must leave stale foreign rows behind"
+        assert all(truth.shard_of_user(u) != self.SHARD for u in stale)
+        replica.check_invariants()
+        assert replica.shard_occupancy() == truth.shard_occupancy()
+        assert replica.stats.counter_updates < truth.stats.counter_updates
+        for uid in uids:
+            assert replica.shard_of_user(uid) == truth.shard_of_user(uid)
+            if truth.shard_of_user(uid) == self.SHARD:
+                assert replica.cloak(uid) == truth.cloak(uid)
+
+    def test_each_corruption_is_caught(self) -> None:
+        _truth, replica = self._replica_fed_like_worker_zero()
+        router = replica.router
+        lo, hi = router.block_rank_range(self.SHARD)
+        counts = replica._soa.counts
+        corruptions = {
+            "own-slice count": (HEIGHT, lo << router.leaf_shift),
+            "foreign block root": (router.spine_level, hi),
+            "spine count": (0, 0),
+        }
+        for level, index in corruptions.values():
+            counts[level][index] += 1
+            with pytest.raises(AssertionError):
+                replica.check_invariants()
+            counts[level][index] -= 1
+            replica.check_invariants()  # and only that: clean again
+        victim = next(iter(replica._directory))
+        home = replica._directory[victim]
+        replica._directory[victim] = (home + 1) % self.NUM_SHARDS
+        with pytest.raises(AssertionError):
+            replica.check_invariants()
+        replica._directory[victim] = home
+        replica.check_invariants()
 
 
 class TestCasperSeam:

@@ -16,7 +16,9 @@ track the trajectory:
 * **batch** — ``BatchQueryEngine`` over a duplicate-heavy request
   stream vs. the same stream issued one query at a time;
 * **shard_scaling** — in-process sharded anonymizer throughput at
-  N = 1/2/4/8 shards (invalidation-locality effect);
+  N = 1/2/4/8 shards (invalidation-locality effect), plus the shard
+  layer's own price: the bare engine vs the 1-shard fleet on the same
+  script (``fleet_vs_engine``);
 * **shard_parallel** — the multi-process shard runtime at
   N = 1/2/4/8 worker processes, paired-chunk ratios for cloak and
   update throughput;
@@ -224,13 +226,16 @@ def bench_shard_scaling(quick: bool) -> dict:
     One identical workload per shard count: local (within-block) moves
     concentrated in a single spatial block, interleaved with cloak
     bursts spread over the whole population.  Sharding confines each
-    move's epoch bump to the owning core, so cloaks homed in untouched
+    move's epoch bump to the owning shard, so cloaks homed in untouched
     shards revalidate their cache entries with an O(1) epoch compare
     instead of walking per-cell generation snapshots — the throughput
     gain is the point of the partition, and the gated ratios are
     same-run quotients (N-shard vs 1-shard) so they survive host
     changes.
     """
+    import statistics
+
+    from repro.anonymizer.policy import get_policy
     from repro.sharding import make_sharded
 
     num_users = 2_000 if quick else 10_000
@@ -247,21 +252,26 @@ def bench_shard_scaling(quick: bool) -> dict:
     ]
     # Movers live in one level-2 block ([0, 0.25)^2), so their updates
     # land on exactly one shard at every N here; tiny jitters keep each
-    # move inside the block (and its epoch bump inside that core).
+    # move inside the block (and its epoch bump inside that shard).
     movers = [uid for uid, p in enumerate(homes) if p.x < 0.25 and p.y < 0.25]
-    move_script = []
-    for _ in range(chunks * moves_per_chunk):
-        uid = movers[int(rng.integers(len(movers)))]
-        home = homes[uid]
-        move_script.append(
-            (
-                uid,
-                Point(
-                    min(0.249, max(0.001, home.x + float(rng.uniform(-0.002, 0.002)))),
-                    min(0.249, max(0.001, home.y + float(rng.uniform(-0.002, 0.002)))),
-                ),
+
+    def jittered_moves() -> list:
+        script = []
+        for _ in range(chunks * moves_per_chunk):
+            uid = movers[int(rng.integers(len(movers)))]
+            home = homes[uid]
+            script.append(
+                (
+                    uid,
+                    Point(
+                        min(0.249, max(0.001, home.x + float(rng.uniform(-0.002, 0.002)))),
+                        min(0.249, max(0.001, home.y + float(rng.uniform(-0.002, 0.002)))),
+                    ),
+                )
             )
-        )
+        return script
+
+    move_script = jittered_moves()
     # Cloak bursts sample a "hot" quarter of the population spread over
     # every shard: their cache entries stay resident, so the timed path
     # is dominated by revalidation cost — exactly what sharding changes.
@@ -270,37 +280,61 @@ def bench_shard_scaling(quick: bool) -> dict:
         hot[int(rng.integers(len(hot)))] for _ in range(chunks * cloaks_per_chunk)
     ]
 
+    # A second, untouched move script for the batched-update pass of the
+    # fleet-vs-engine row (drawn last, so the scripts above — and the
+    # hit-rate tables they determine — are what they always were).
+    batch_script = jittered_moves()
+
+    def chunk_of(script: list, chunk: int, size: int) -> list:
+        return script[chunk * size : (chunk + 1) * size]
+
+    def run(deployment) -> dict[str, list[float]]:
+        """The scripted workload on one deployment: per-chunk seconds
+        of the scalar-update and cloak phases, per-move seconds of the
+        batched-update phase (a deduplicated chunk varies in size)."""
+        for uid, point in enumerate(homes):
+            deployment.register(uid, point, profile)
+        for uid in cloak_script[:cloaks_per_chunk]:  # warm the caches
+            deployment.cloak(uid)
+        times: dict[str, list[float]] = {"update": [], "cloak": [], "batch": []}
+        for chunk in range(chunks):
+            start = time.perf_counter()
+            for uid, point in chunk_of(move_script, chunk, moves_per_chunk):
+                deployment.update(uid, point)
+            times["update"].append(time.perf_counter() - start)
+            start = time.perf_counter()
+            for uid in chunk_of(cloak_script, chunk, cloaks_per_chunk):
+                deployment.cloak(uid)
+            times["cloak"].append(time.perf_counter() - start)
+        for chunk in range(chunks):
+            # A chunk may name a mover twice; the kernel takes distinct
+            # users, so keep each user's last move of the chunk.
+            batch = list(dict(chunk_of(batch_script, chunk, moves_per_chunk)).items())
+            start = time.perf_counter()
+            deployment.update_batch(batch)
+            times["batch"].append((time.perf_counter() - start) / len(batch))
+        deployment.check_invariants()
+        return times
+
+    # One deployment at a time, each with the CPU caches to itself
+    # (interleaving them chunk by chunk was tried: five working sets
+    # evicting each other flatten the very effect being measured).
+    engine_times = run(get_policy("basic").single(BOUNDS, height, 8192))
     per_shard: dict[str, dict] = {}
     cloaks_per_second: dict[int, float] = {}
     updates_per_second: dict[int, float] = {}
+    fleet_times: dict[int, dict[str, list[float]]] = {}
     for num_shards in shard_counts:
         fleet = make_sharded(
             BOUNDS, height=height, num_shards=num_shards, kind="basic"
         )
-        for uid, point in enumerate(homes):
-            fleet.register(uid, point, profile)
-        for uid in cloak_script[:cloaks_per_chunk]:  # warm the caches
-            fleet.cloak(uid)
-        move_s = 0.0
-        cloak_s = 0.0
-        for chunk in range(chunks):
-            start = time.perf_counter()
-            for uid, point in move_script[
-                chunk * moves_per_chunk : (chunk + 1) * moves_per_chunk
-            ]:
-                fleet.update(uid, point)
-            move_s += time.perf_counter() - start
-            start = time.perf_counter()
-            for uid in cloak_script[
-                chunk * cloaks_per_chunk : (chunk + 1) * cloaks_per_chunk
-            ]:
-                fleet.cloak(uid)
-            cloak_s += time.perf_counter() - start
-        fleet.check_invariants()
-        # Per-core counters, not the blended aggregate: `cache_stats()`
-        # sums every core, which reports the *same* hit rate at every
+        fleet_times[num_shards] = times = run(fleet)
+        move_s = sum(times["update"])
+        cloak_s = sum(times["cloak"])
+        # Per-shard counters, not the blended aggregate: `cache_stats()`
+        # sums every shard, which reports the *same* hit rate at every
         # shard count and hides the effect being measured — the mover
-        # shard absorbing all invalidations while the other cores
+        # shard absorbing all invalidations while the other shards
         # revalidate at ~100%.
         per_core = fleet.cache_stats_per_shard()
 
@@ -324,6 +358,23 @@ def bench_shard_scaling(quick: bool) -> dict:
                 for name, counters in sorted(per_core.items())
             },
         }
+
+    # The shard layer's own price: the 1-shard fleet (same epochs, same
+    # cache, same kernels) against the bare engine on the same script —
+    # medians of per-chunk quotients, engine time / fleet time, so 1.0
+    # means free and a second implementation of the pyramid underneath
+    # the fleet would read ~0.25.
+    per_op = {"update": moves_per_chunk, "cloak": cloaks_per_chunk, "batch": 1}
+    fleet_vs_engine = {
+        phase: {
+            "engine_us": 1e6 * statistics.median(engine_times[phase]) / ops,
+            "fleet_us": 1e6 * statistics.median(fleet_times[1][phase]) / ops,
+            "engine_over_fleet": statistics.median(
+                e / f for e, f in zip(engine_times[phase], fleet_times[1][phase])
+            ),
+        }
+        for phase, ops in per_op.items()
+    }
     return {
         "num_users": num_users,
         "height": height,
@@ -334,6 +385,10 @@ def bench_shard_scaling(quick: bool) -> dict:
         "cloak_scaling_4x": cloaks_per_second[4] / cloaks_per_second[1],
         "cloak_scaling_8x": cloaks_per_second[8] / cloaks_per_second[1],
         "update_scaling_8x": updates_per_second[8] / updates_per_second[1],
+        "fleet_vs_engine_us": fleet_vs_engine,
+        "fleet_vs_engine": min(
+            row["engine_over_fleet"] for row in fleet_vs_engine.values()
+        ),
     }
 
 
@@ -831,11 +886,20 @@ def main(argv: list[str] | None = None) -> int:
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     print(f"\nwrote {args.out}")
+    # The two shard quotients are (8-shard / 1-shard) cloak throughput,
+    # so a cheaper cloak-miss path — which speeds the miss-heavy 1-shard
+    # denominator most — lowers them without anything getting slower.
+    # shard_parallel's target is what eight workers give on the 2-core
+    # reference box since the fleet became a view over the engine's
+    # arrays: 2.7x full (17.5k -> 45.5k cloaks/s), 2.2-2.4x quick
+    # (18-20k -> 42-43k); before, 4.7x / 3.8x over a 9.9k / 12.3k
+    # denominator and the same ~46k at eight.  The locality effect
+    # itself is gated exactly, as hit-rate tables, by bench_gate.py.
     checks = (
         ("cloak", "speedup", 5.0),
         ("knn_private", "speedup", 2.0),
         ("shard_scaling", "cloak_scaling_8x", 1.0),
-        ("shard_parallel", "cloak_scaling_8x", 3.0),
+        ("shard_parallel", "cloak_scaling_8x", 1.75),
         ("continuous_mobility", "evaluation_suppression", 5.0),
     )
     ok = True

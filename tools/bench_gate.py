@@ -15,6 +15,17 @@ The columnar candidate list is gated by absolute floors instead
 (``FLOORS``): its quotients are column kernel vs the scalar per-pair
 oracle, and what must hold is the claim itself — decode at least 10x,
 local refinement at least 3x — not closeness to one host's reading.
+So is the shard layer's price (``shard_scaling.fleet_vs_engine``, bare
+engine time / 1-shard fleet time on one script): at least 0.5, so a
+second implementation of the pyramid cannot quietly grow back under the
+fleet.
+
+The sharded benches' cloak-cache hit-rate tables (``EXACT_TABLES``) are
+gated for *exact* equality with the reference: they are the
+invalidation-locality effect itself and depend only on the seeded
+operation stream, never on the host — unlike the ``cloak_scaling_8x``
+quotients beside them, whose denominator moves whenever the 1-shard
+path gets cheaper.
 
 The reference is auto-selected by the report's ``quick`` flag:
 ``BENCH_engine_quick.json`` for ``--quick`` CI smoke runs,
@@ -26,7 +37,8 @@ Usage::
         [--max-slowdown 0.25]
 
 Exit codes: 0 — every ratio within tolerance; 1 — a regression beyond
-``--max-slowdown``; 2 — a malformed or missing report/reference.
+``--max-slowdown``, a quotient below its floor or a hit-rate table that
+differs; 2 — a malformed or missing report/reference.
 """
 
 from __future__ import annotations
@@ -54,7 +66,13 @@ GATED_RATIOS = (
 FLOORS = (
     ("candidate_codec", "decode_speedup", 10.0),
     ("candidate_codec", "refine_speedup", 3.0),
+    ("shard_scaling", "fleet_vs_engine", 0.5),
 )
+
+#: Sections whose per-shard-count hit-rate tables must equal the
+#: reference's to the last digit, and the keys of one table row.
+EXACT_TABLES = ("shard_scaling", "shard_parallel")
+EXACT_KEYS = ("cache_hit_rate", "cache_hit_rate_per_shard")
 
 
 def load_report(path: Path) -> dict:
@@ -113,6 +131,35 @@ def compare(
         lines.append(f"{label}: {current:.2f}x (floor {floor:g}x) -> {verdict}")
         if current < floor:
             failures.append(f"{label} below its floor: {current:.2f}x < {floor:g}x")
+    for section in EXACT_TABLES:
+        label = f"{section}.shards hit rates"
+        try:
+            current_table, baseline_table = (
+                {
+                    count: {key: row[key] for key in EXACT_KEYS}
+                    for count, row in source[section]["shards"].items()
+                }
+                for source in (report, reference)
+            )
+        except (KeyError, TypeError, AttributeError):
+            failures.append(f"{label}: missing from report or reference")
+            continue
+        differing = sorted(
+            count
+            for count in current_table.keys() | baseline_table.keys()
+            if current_table.get(count) != baseline_table.get(count)
+        )
+        verdict = "DIFFERS" if differing else "identical"
+        lines.append(
+            f"{label}: {len(baseline_table)} shard counts vs reference "
+            f"-> {verdict}"
+        )
+        if differing:
+            failures.append(
+                f"{label} differ from the reference at N = "
+                f"{', '.join(differing)} (they depend only on the seeded "
+                f"op stream, so the cache or epoch behaviour changed)"
+            )
     return lines, failures
 
 
