@@ -25,10 +25,10 @@ from repro.anonymizer.cells import CellId
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.engine import PyramidEngine
 from repro.anonymizer.profile import PrivacyProfile
-from repro.anonymizer.soa import IntArray, PyramidSoA, UserTable
-from repro.errors import DuplicateUserError, UnknownUserError
+from repro.anonymizer.soa import IntArray, PyramidSoA, UserTable, leaf_mortons
+from repro.errors import DuplicateUserError
 from repro.geometry import Point, Rect
-from repro.morton import cell_of_morton, morton_encode, morton_of_xy
+from repro.morton import cell_of_morton, morton_of_xy
 
 __all__ = ["BasicAnonymizer"]
 
@@ -146,13 +146,12 @@ class BasicAnonymizer(PyramidEngine):
 
     def profile_of(self, uid: object) -> PrivacyProfile:
         """The registered privacy profile of ``uid``."""
-        return self._profile_at(self._slot(uid))
+        return self._table.profile_at(self._table.require(uid))
 
     def location_of(self, uid: object) -> Point:
         """The exact location of ``uid`` — known only to this trusted
         third party, never shipped to the database server."""
-        slot = self._slot(uid)
-        return Point(float(self._table.xs[slot]), float(self._table.ys[slot]))
+        return self._table.point_at(self._table.require(uid))
 
     def cell_count(self, cell: CellId) -> int:
         """The number of users currently inside ``cell``."""
@@ -163,28 +162,17 @@ class BasicAnonymizer(PyramidEngine):
         reduction over the user table)."""
         return self._table.count_in_rect(rect)
 
-    def _slot(self, uid: object) -> int:
-        slot = self._table.slot_of(uid)
-        if slot is None:
-            raise UnknownUserError(uid)
-        return slot
-
-    def _profile_at(self, slot: int) -> PrivacyProfile:
-        return PrivacyProfile(
-            int(self._table.ks[slot]), float(self._table.a_mins[slot])
-        )
-
     def _record_at(self, slot: int) -> _UserRecord:
         """The table row as a record — a value copy, not live state."""
         table = self._table
         return _UserRecord(
-            self._profile_at(slot),
-            Point(float(table.xs[slot]), float(table.ys[slot])),
+            table.profile_at(slot),
+            table.point_at(slot),
             cell_of_morton(self.height, int(table.cells[slot])),
         )
 
     def _record(self, uid: object) -> _UserRecord:
-        return self._record_at(self._slot(uid))
+        return self._record_at(self._table.require(uid))
 
     # ------------------------------------------------------------------
     # Registration and location updates
@@ -203,7 +191,7 @@ class BasicAnonymizer(PyramidEngine):
 
     def deregister(self, uid: object) -> None:
         """Remove a user entirely (quitting the service)."""
-        slot = self._slot(uid)
+        slot = self._table.require(uid)
         m = int(self._table.cells[slot])
         self._table.remove(uid)
         self._soa.apply_chain(m, -1)
@@ -213,14 +201,14 @@ class BasicAnonymizer(PyramidEngine):
 
     def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
         """Change a user's privacy profile (the flexibility requirement)."""
-        slot = self._slot(uid)
+        slot = self._table.require(uid)
         self._table.ks[slot] = profile.k
         self._table.a_mins[slot] = profile.a_min
 
     def update(self, uid: object, point: Point) -> int:
         """Process a location update; returns the number of counter
         updates it required (the Figure 10b cost unit)."""
-        slot = self._slot(uid)
+        slot = self._table.require(uid)
         new_cell = self.grid.cell_of(point)
         table = self._table
         table.xs[slot] = point.x
@@ -256,69 +244,20 @@ class BasicAnonymizer(PyramidEngine):
         uids = [uid for uid, _ in moves]
         if len(set(uids)) != len(moves):
             return [self.update(uid, point) for uid, point in moves]
-        n = len(moves)
-        xs = np.fromiter((p.x for _, p in moves), dtype=np.float64, count=n)
-        ys = np.fromiter((p.y for _, p in moves), dtype=np.float64, count=n)
-        slot_list = [self._table.slot_of(uid) for uid in uids]
-        bounds = self.bounds
-        tol = 1e-12
-        in_bounds = (
-            (xs >= bounds.x_min - tol)
-            & (xs <= bounds.x_max + tol)
-            & (ys >= bounds.y_min - tol)
-            & (ys <= bounds.y_max + tol)
-        )
-        stop = n
-        for index in range(n):
-            if slot_list[index] is None or not in_bounds[index]:
-                stop = index
-                break
-        costs = self._apply_move_arrays(
-            uids[:stop], slot_list[:stop], xs[:stop], ys[:stop]
-        )
-        if stop < n:
+        old_ms, new_ms = self._table.apply_moves(moves, self.grid)
+        stop = len(old_ms)
+        costs = self._soa.apply_moves(old_ms, new_ms)
+        self._touched_moves(uids[:stop], old_ms, new_ms)
+        self.stats.add_moves(costs)
+        if stop < len(moves):
             # Replay the failing move through the single-move path so the
             # exception (unknown uid before out-of-bounds, matching the
             # sequential loop) is raised with applied-prefix state.
             uid, point = moves[stop]
             self.update(uid, point)
             raise AssertionError("unreachable: single-move replay must raise")
-        return costs
-
-    def _apply_move_arrays(
-        self,
-        uids: list[object],
-        slot_list: list[int | None],
-        xs: np.ndarray,
-        ys: np.ndarray,
-    ) -> list[int]:
-        """The batched-update kernel over validated moves."""
-        if not len(xs):
-            return []
-        table = self._table
-        slots = np.asarray(slot_list, dtype=np.int64)
-        new_ms = self._leaf_mortons(xs, ys)
-        old_ms = table.cells[slots]
-        table.xs[slots] = xs
-        table.ys[slots] = ys
-        costs = self._soa.apply_moves(old_ms, new_ms)
-        table.cells[slots] = new_ms
-        self._touched_moves(uids, old_ms, new_ms)
-        self.stats.location_updates += len(xs)
-        self.stats.counter_updates += int(costs.sum())
-        self.stats.cell_changes += int(np.count_nonzero(costs))
-        return [int(cost) for cost in costs]
-
-    def _leaf_mortons(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Lowest-level Morton cells of many in-bounds points: the same
-        truncation-then-clamp as ``CellGrid.cell_of`` (``astype``
-        truncates toward zero exactly like ``int()``)."""
-        side = 1 << self.height
-        fx = (xs - self.bounds.x_min) / self.bounds.width
-        fy = (ys - self.bounds.y_min) / self.bounds.height
-        ix = np.clip((fx * side).astype(np.int64), 0, side - 1)
-        iy = np.clip((fy * side).astype(np.int64), 0, side - 1)
-        return morton_encode(ix, iy)
+        per_move: list[int] = costs.tolist()
+        return per_move
 
     def _gen_of(self, cell: CellId) -> int:
         return self._soa.gen_of(cell.level, morton_of_xy(cell.ix, cell.iy))
@@ -328,9 +267,9 @@ class BasicAnonymizer(PyramidEngine):
     # ------------------------------------------------------------------
     def cloak(self, uid: object) -> CloakedRegion:
         """Blur ``uid``'s current location per their privacy profile."""
-        slot = self._slot(uid)
+        slot = self._table.require(uid)
         cell = cell_of_morton(self.height, int(self._table.cells[slot]))
-        return self._cloak_cell(self._profile_at(slot), cell)
+        return self._cloak_cell(self._table.profile_at(slot), cell)
 
     def cloak_location(self, point: Point, profile: PrivacyProfile) -> CloakedRegion:
         """Blur an arbitrary location under ``profile`` without
@@ -401,5 +340,5 @@ class BasicAnonymizer(PyramidEngine):
             np.bincount(leaves, minlength=4**self.height),
         ), "lowest-level counters inconsistent with the user table"
         assert np.array_equal(
-            self._leaf_mortons(table.xs[active], table.ys[active]), leaves
+            leaf_mortons(self.grid, table.xs[active], table.ys[active]), leaves
         ), "stale cell in the user table"

@@ -145,6 +145,14 @@ class CellGrid:
     # ------------------------------------------------------------------
     # Point location
     # ------------------------------------------------------------------
+    def contains(self, point: Point) -> bool:
+        """Whether ``point`` can be located (inside the service area,
+        within the package's geometric tolerance): :meth:`cell_of`
+        refuses exactly the points this rejects, so a batch path that
+        must know *beforehand* which moves a pyramid will refuse asks
+        here.  ``soa.points_in_rect`` is the array form."""
+        return self.bounds.contains_point(point)
+
     def cell_of(self, point: Point, level: int | None = None) -> CellId:
         """The cell containing ``point`` at ``level`` (default: lowest).
 
@@ -157,7 +165,7 @@ class CellGrid:
             level = self.height
         if not 0 <= level <= self.height:
             raise ValueError(f"level {level} outside pyramid of height {self.height}")
-        if not self.bounds.contains_point(point, tol=1e-12):
+        if not self.contains(point):
             # the offending coordinates stay out of the message: exception
             # strings travel (RE_ERROR wire replies, logs at the caller)
             raise OutOfBoundsError("point outside service area")

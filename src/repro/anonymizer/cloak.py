@@ -17,14 +17,14 @@ Faithful to the paper's Algorithm 1:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.profile import PrivacyProfile
 from repro.errors import ProfileUnsatisfiableError
 from repro.geometry import Rect
 
-__all__ = ["CloakedRegion", "bottom_up_cloak"]
+__all__ = ["BatchCloaking", "CloakedRegion", "bottom_up_cloak"]
 
 CountFn = Callable[[CellId], int]
 
@@ -74,6 +74,44 @@ class CloakedRegion:
         if profile.a_min <= 0:
             return float("inf")
         return self.area / profile.a_min
+
+
+class BatchCloaking:
+    """``cloak_many`` for every host whose batch *is* its single cloaks
+    in order — the single policies and the in-process sharded
+    deployments.  (The worker-pool parent overrides it with one frame
+    per involved shard; the contract is the same.)"""
+
+    def cloak(self, uid: object) -> CloakedRegion:
+        raise NotImplementedError
+
+    def cloak_many(
+        self, uids: Iterable[object], unsatisfiable: CloakedRegion | None = None
+    ) -> list[CloakedRegion]:
+        """Cloak a batch of users; regions come back in input order.
+
+        Outcomes are per item.  Where a profile cannot be satisfied,
+        ``unsatisfiable`` stands in for that user's region and the rest
+        of the batch is unaffected (the facade passes its cold-start
+        region, a frame endpoint the marker of its ``unsat`` reply).
+        Without a stand-in the earliest such user's
+        :class:`~repro.errors.ProfileUnsatisfiableError` is raised —
+        after the whole batch ran, so ``cloak_requests`` counts every
+        entry.  An unknown uid raises, as it does from :meth:`cloak`.
+        """
+        regions: list[CloakedRegion] = []
+        failure: ProfileUnsatisfiableError | None = None
+        for uid in uids:
+            try:
+                regions.append(self.cloak(uid))
+            except ProfileUnsatisfiableError as exc:
+                if unsatisfiable is None:
+                    failure = failure or exc
+                else:
+                    regions.append(unsatisfiable)
+        if failure is not None:
+            raise failure
+        return regions
 
 
 def bottom_up_cloak(

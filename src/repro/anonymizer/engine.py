@@ -22,7 +22,7 @@ from typing import Callable
 
 from repro.anonymizer.cache import CloakCache, Epoch
 from repro.anonymizer.cells import CellGrid, CellId
-from repro.anonymizer.cloak import CloakedRegion
+from repro.anonymizer.cloak import BatchCloaking, CloakedRegion
 from repro.anonymizer.profile import PrivacyProfile
 from repro.anonymizer.stats import MaintenanceStats
 from repro.geometry import Rect
@@ -32,7 +32,7 @@ from repro.utils.timer import monotonic
 __all__ = ["PyramidEngine"]
 
 
-class PyramidEngine:
+class PyramidEngine(BatchCloaking):
     """Shared state and instrumented cloaking for pyramid anonymizers.
 
     Subclasses call :meth:`_init_engine` from their constructor and set

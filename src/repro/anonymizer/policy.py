@@ -28,6 +28,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Iterable,
     Protocol,
     runtime_checkable,
 )
@@ -79,6 +80,10 @@ class CloakingPolicy(Protocol):
     def update_batch(self, moves: list[tuple[object, Point]]) -> list[int]: ...
 
     def cloak(self, uid: object) -> CloakedRegion: ...
+
+    def cloak_many(
+        self, uids: Iterable[object], unsatisfiable: CloakedRegion | None = None
+    ) -> list[CloakedRegion]: ...
 
     def cloak_location(
         self, point: Point, profile: PrivacyProfile

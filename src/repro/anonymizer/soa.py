@@ -32,8 +32,10 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.anonymizer.cells import CellGrid, CellId
-from repro.geometry import EPSILON, Rect
-from repro.morton import morton_decode
+from repro.anonymizer.profile import PrivacyProfile
+from repro.errors import UnknownUserError
+from repro.geometry import EPSILON, Point, Rect
+from repro.morton import morton_decode, morton_encode
 
 __all__ = [
     "MAX_SOA_HEIGHT",
@@ -41,7 +43,11 @@ __all__ = [
     "UserTable",
     "check_soa_height",
     "choose_split_vec",
+    "leaf_mortons",
     "merge_blocked_vec",
+    "move_level",
+    "move_levels",
+    "points_in_rect",
 ]
 
 IntArray = npt.NDArray[np.int64]
@@ -80,6 +86,73 @@ def _level_decode(level: int) -> tuple[IntArray, IntArray]:
         cached = morton_decode(np.arange(4**level, dtype=np.int64))
         _DECODE_CACHE[level] = cached
     return cached
+
+
+# ----------------------------------------------------------------------
+# Point location and the move rule, for a whole batch at once
+#
+# Each is the array statement of one scalar rule, and every host that
+# handles a tick of moves — the pyramid kernels below, the sharded fleet
+# and the worker pool's parent mirror, which keeps no counters at all —
+# takes it from here.
+# ----------------------------------------------------------------------
+def points_in_rect(
+    rect: Rect, xs: FloatArray, ys: FloatArray, tol: float = EPSILON
+) -> BoolArray:
+    """Closed-rectangle membership of many points: the array form of
+    :meth:`repro.geometry.Rect.contains_point`, same default tolerance
+    (so ``points_in_rect(grid.bounds, ...)`` is exactly
+    :meth:`~repro.anonymizer.cells.CellGrid.contains`)."""
+    return (
+        (xs >= rect.x_min - tol)
+        & (xs <= rect.x_max + tol)
+        & (ys >= rect.y_min - tol)
+        & (ys <= rect.y_max + tol)
+    )
+
+
+def _grid_coords(
+    grid: CellGrid, xs: FloatArray, ys: FloatArray, level: int
+) -> tuple[IntArray, IntArray]:
+    """``(ix, iy)`` at ``level`` of many in-bounds points: the same
+    truncation-then-clamp as ``CellGrid.cell_of`` (``astype`` truncates
+    toward zero exactly like ``int()``)."""
+    side = 1 << level
+    bounds = grid.bounds
+    fx = (xs - bounds.x_min) / bounds.width
+    fy = (ys - bounds.y_min) / bounds.height
+    ix = np.clip((fx * side).astype(np.int64), 0, side - 1)
+    iy = np.clip((fy * side).astype(np.int64), 0, side - 1)
+    return ix, iy
+
+
+def leaf_mortons(grid: CellGrid, xs: FloatArray, ys: FloatArray) -> IntArray:
+    """Morton codes of the lowest-level cells of many in-bounds points."""
+    return morton_encode(*_grid_coords(grid, xs, ys, grid.height))
+
+
+def move_levels(
+    height: int, old_ms: IntArray, new_ms: IntArray
+) -> tuple[IntArray, IntArray]:
+    """``(ancestor_levels, costs)`` of many leaf-to-leaf moves.
+
+    A move touches both branches strictly below the deepest common
+    ancestor of its old and new leaf, and the highest differing bit
+    pair of the XOR'd Morton codes names that ancestor's level, so the
+    counter-update cost is ``2 * (height - level)`` — level ``height``
+    and cost 0 for a move that stays in its cell.  ``bit_length`` via
+    ``frexp`` is exact below ``2**53``; Morton codes have
+    ``2 * height <= 52`` bits under :data:`MAX_SOA_HEIGHT`.
+    """
+    _mant, exp = np.frexp((old_ms ^ new_ms).astype(np.float64))
+    levels = height - ((exp.astype(np.int64) + 1) >> 1)
+    return levels, 2 * (height - levels)
+
+
+def move_level(height: int, old_m: int, new_m: int) -> tuple[int, int]:
+    """:func:`move_levels` for one move, on python ints."""
+    level = height - (((old_m ^ new_m).bit_length() + 1) >> 1)
+    return level, 2 * (height - level)
 
 
 # ----------------------------------------------------------------------
@@ -137,9 +210,8 @@ class PyramidSoA:
 
         For every move the touched levels are exactly those strictly
         below the common ancestor of ``old`` and ``new`` — computed for
-        the whole batch from the XOR'd Morton codes (the highest
-        differing bit pair names the divergence level).  Counter deltas
-        and generation bumps are ``np.add.at`` scatters per level, which
+        the whole batch by :func:`move_levels`.  Counter deltas and
+        generation bumps are ``np.add.at`` scatters per level, which
         commute across distinct users, so the resulting state is
         identical to the sequential scalar walk in any order.
 
@@ -152,13 +224,7 @@ class PyramidSoA:
             return costs
         old_c = old_ms[changed]
         new_c = new_ms[changed]
-        diff = old_c ^ new_c
-        # bit_length via frexp is exact below 2**53; Morton codes have
-        # 2*height <= 52 bits under MAX_SOA_HEIGHT.
-        _mant, exp = np.frexp(diff.astype(np.float64))
-        bit_length = exp.astype(np.int64)
-        ancestor_level = self.height - ((bit_length + 1) >> 1)
-        costs[changed] = 2 * (self.height - ancestor_level)
+        ancestor_level, costs[changed] = move_levels(self.height, old_c, new_c)
         deepest_shared = int(ancestor_level.min())
         for level in range(self.height, deepest_shared, -1):
             mask = ancestor_level < level
@@ -296,6 +362,13 @@ class UserTable:
     def slot_of(self, uid: object) -> int | None:
         return self._slots.get(uid)
 
+    def require(self, uid: object) -> int:
+        """The slot of a registered ``uid``; raises for a stranger."""
+        slot = self._slots.get(uid)
+        if slot is None:
+            raise UnknownUserError(uid)
+        return slot
+
     def uids(self) -> Iterator[object]:
         """Registered uids in insertion order."""
         return iter(self._slots)
@@ -347,26 +420,52 @@ class UserTable:
         self.active[:] = False
         self._free = list(range(n - 1, -1, -1))
 
+    def point_at(self, slot: int) -> Point:
+        return Point(float(self.xs[slot]), float(self.ys[slot]))
+
+    def profile_at(self, slot: int) -> PrivacyProfile:
+        return PrivacyProfile(int(self.ks[slot]), float(self.a_mins[slot]))
+
     def count_in_rect(self, rect: Rect, tol: float = EPSILON) -> int:
         """Exact population of a closed rectangle — the vectorized
-        ``users_in_rect`` kernel, same tolerance as
-        :meth:`repro.geometry.Rect.contains_point`."""
-        inside = (
-            self.active
-            & (self.xs >= rect.x_min - tol)
-            & (self.xs <= rect.x_max + tol)
-            & (self.ys >= rect.y_min - tol)
-            & (self.ys <= rect.y_max + tol)
-        )
+        ``users_in_rect`` kernel."""
+        inside = self.active & points_in_rect(rect, self.xs, self.ys, tol)
         return int(np.count_nonzero(inside))
 
+    def apply_moves(
+        self, moves: list[tuple[object, Point]], grid: CellGrid
+    ) -> tuple[IntArray, IntArray]:
+        """Write the longest prefix of ``moves`` that names registered
+        users at points inside the service area — what a batched update
+        applies before the first move the sequential loop would refuse
+        (the caller replays that one for its exception) — and return
+        those moves' ``(old, new)`` lowest-level Morton cells."""
+        n = len(moves)
+        slot_list = [self._slots.get(uid) for uid, _ in moves]
+        xs = np.fromiter((p.x for _, p in moves), dtype=np.float64, count=n)
+        ys = np.fromiter((p.y for _, p in moves), dtype=np.float64, count=n)
+        stop = slot_list.index(None) if None in slot_list else n
+        inside = points_in_rect(grid.bounds, xs, ys)
+        if not bool(inside.all()):
+            stop = min(stop, int(inside.argmin()))
+        slots = np.asarray(slot_list[:stop], dtype=np.int64)
+        old_ms = self.cells[slots]
+        new_ms = leaf_mortons(grid, xs[:stop], ys[:stop])
+        self.xs[slots] = xs[:stop]
+        self.ys[slots] = ys[:stop]
+        self.cells[slots] = new_ms
+        return old_ms, new_ms
+
     def slots_array(self, uids: list[object]) -> IntArray:
-        """The slots of many uids as one array; raises ``KeyError`` on
-        the first unknown uid (callers translate)."""
+        """The slots of many uids as one array; raises for the first
+        stranger among them."""
         slots = self._slots
-        return np.fromiter(
-            (slots[uid] for uid in uids), dtype=np.int64, count=len(uids)
-        )
+        try:
+            return np.fromiter(
+                (slots[uid] for uid in uids), dtype=np.int64, count=len(uids)
+            )
+        except KeyError as exc:
+            raise UnknownUserError(exc.args[0]) from None
 
     def nbytes(self) -> int:
         """Resident bytes of the parallel arrays (the dict and freelist
@@ -417,13 +516,7 @@ def choose_split_vec(
     # Distribute users over the children: same truncate-and-clamp as
     # CellGrid.cell_of at level + 1 (points are in bounds by
     # construction — they were located when registered).
-    level = leaf.level + 1
-    side = 1 << level
-    bounds = grid.bounds
-    fx = (table.xs[slots] - bounds.x_min) / bounds.width
-    fy = (table.ys[slots] - bounds.y_min) / bounds.height
-    ix = np.clip((fx * side).astype(np.int64), 0, side - 1)
-    iy = np.clip((fy * side).astype(np.int64), 0, side - 1)
+    ix, iy = _grid_coords(grid, table.xs[slots], table.ys[slots], leaf.level + 1)
     # Index each user's child in CellId.children order:
     # (x, y), (x+1, y), (x, y+1), (x+1, y+1).
     order = (iy - (leaf.iy << 1)) * 2 + (ix - (leaf.ix << 1))

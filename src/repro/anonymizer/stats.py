@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+import numpy.typing as npt
+
 __all__ = ["MaintenanceStats"]
 
 
@@ -40,6 +43,13 @@ class MaintenanceStats:
         if self.location_updates == 0:
             return 0.0
         return self.counter_updates / self.location_updates
+
+    def add_moves(self, costs: npt.NDArray[np.int64]) -> None:
+        """Account a batch of location updates by their per-move costs
+        (0 for a move that stayed in its cell)."""
+        self.location_updates += len(costs)
+        self.counter_updates += int(costs.sum())
+        self.cell_changes += int(np.count_nonzero(costs))
 
     def reset(self) -> None:
         """Zero all counters (e.g. after a warm-up phase)."""

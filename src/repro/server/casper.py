@@ -214,34 +214,34 @@ class Casper:
     # ------------------------------------------------------------------
     # User lifecycle (through the anonymizer)
     # ------------------------------------------------------------------
-    def _stored_cloak(self, uid: object) -> CloakedRegion:
-        """Cloak ``uid`` for server-side storage.
+    def refresh_stored_cloaks(self, uids: list[object]) -> list[CloakedRegion]:
+        """Re-cloak ``uids`` — one batch cloak, so one exchange per
+        involved shard on the worker pool — and refresh the server's
+        stored private regions in order (the anonymizer -> server push
+        of Figure 1).
 
         Cold-start policy: while the registered population is still too
-        small to satisfy the user's ``k`` (Algorithm 1's precondition),
+        small to satisfy a user's ``k`` (Algorithm 1's precondition),
         the most private consistent choice — the whole service area — is
         stored instead.  It resolves to a proper cloak as soon as enough
         users join and the next update re-cloaks.  A resilience runtime
-        additionally degrades through its ladder (stale grace window,
+        instead cloaks each user through its ladder (stale grace window,
         parent-cell escalation) before the cold-start bottom.
         """
-        from repro.errors import ProfileUnsatisfiableError
-
         if self.resilience is not None:
-            return self.resilience.storage_cloak(uid)
-        try:
-            return self.anonymizer.cloak(uid)
-        except ProfileUnsatisfiableError:
-            return CloakedRegion(
+            regions = [self.resilience.storage_cloak(uid) for uid in uids]
+        else:
+            cold_start = CloakedRegion(
                 self.bounds, self.anonymizer.num_users, cells=()
             )
+            regions = self.anonymizer.cloak_many(uids, unsatisfiable=cold_start)
+        for uid, region in zip(uids, regions):
+            self.server.store_private(uid, region.region)
+        return regions
 
     def refresh_stored_cloak(self, uid: object) -> CloakedRegion:
-        """Re-cloak ``uid`` and refresh the server's stored private
-        region (the anonymizer -> server push of Figure 1)."""
-        region = self._stored_cloak(uid)
-        self.server.store_private(uid, region.region)
-        return region
+        """:meth:`refresh_stored_cloaks` for one user."""
+        return self.refresh_stored_cloaks([uid])[0]
 
     def cloak_for(self, uid: object) -> CloakedRegion:
         """The cloak a query for ``uid`` should use right now.
@@ -304,7 +304,7 @@ class Casper:
     ) -> "list[CloakedRegion]":
         """Apply one tick's worth of location updates through the
         anonymizer's batched kernel, then refresh every mover's stored
-        cloak in arrival order.
+        cloak in arrival order, through one batch cloak.
 
         Batch semantics: all pyramid updates land before any re-cloak,
         so each stored region reflects the *end-of-tick* population —
@@ -315,7 +315,7 @@ ContinuousQueryMonitor` flushes at.  With a resilience runtime
         if self.resilience is not None:
             return [self.update_location(uid, point) for uid, point in moves]
         self.anonymizer.update_batch(list(moves))
-        return [self.refresh_stored_cloak(uid) for uid, _ in moves]
+        return self.refresh_stored_cloaks([uid for uid, _ in moves])
 
     def submit_location_update(
         self, uid: object, point: Point, seq: int, profile: PrivacyProfile
@@ -485,9 +485,8 @@ ContinuousQueryMonitor` flushes at.  With a resilience runtime
             # round trip per query.  Results are identical to the
             # one-at-a-time path, so only transport changes; resilient
             # deployments keep the per-query guarded path.
-            cloak_many = getattr(self.anonymizer, "cloak_many", None)
-            if self.resilience is None and cloak_many is not None:
-                cloaks = cloak_many([uid for uid, _, _ in parsed])
+            if self.resilience is None:
+                cloaks = self.anonymizer.cloak_many([uid for uid, _, _ in parsed])
             else:
                 cloaks = [self.cloak_for(uid) for uid, _, _ in parsed]
             t1 = monotonic()

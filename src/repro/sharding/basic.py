@@ -143,11 +143,8 @@ class ShardedBasicAnonymizer(ShardSurface, BasicAnonymizer):
         router = self.router
         homes = router.owners_of_leaves(old_ms)
         differing = old_ms ^ new_ms
-        moved = np.bincount(homes[differing != 0], minlength=self.num_shards)
-        for shard, count in enumerate(moved.tolist()):
-            if count:
-                self._shard_epochs[shard] += count
-                self._notify_op(shard, "update", occupancy=False, times=count)
+        for shard, count in enumerate(self._notify_updates(homes[differing != 0])):
+            self._shard_epochs[shard] += count
         crossing = np.flatnonzero(differing >> router.leaf_shift)
         self._boundary_epoch += len(crossing)
         new_homes = router.owners_of_leaves(new_ms[crossing]).tolist()
@@ -238,7 +235,7 @@ class ShardedBasicAnonymizer(ShardSurface, BasicAnonymizer):
             table.remove(uid)
         leaves = np.empty(len(survivors), dtype=np.int64)
         for index, (uid, rec) in enumerate(survivors.items()):
-            slot = self._slot(uid)
+            slot = table.require(uid)
             table.xs[slot] = rec.point.x
             table.ys[slot] = rec.point.y
             table.ks[slot] = rec.profile.k
@@ -270,13 +267,4 @@ class ShardedBasicAnonymizer(ShardSurface, BasicAnonymizer):
         whole, self-consistent fleet of the operations it was sent.
         """
         super().check_invariants()
-        table, directory = self._table, self._directory
-        assert set(table.uids()) == set(directory), "directory population drift"
-        self._check_directory()
-        homes = np.fromiter(
-            directory.values(), dtype=np.int64, count=len(directory)
-        )
-        leaves = table.cells[table.slots_array(list(directory))]
-        assert np.array_equal(self.router.owners_of_leaves(leaves), homes), (
-            "user homed in the wrong shard"
-        )
+        self._check_homes(self._table)

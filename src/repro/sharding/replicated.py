@@ -135,9 +135,12 @@ class ReplicatedShardedAnonymizer(ShardSurface):
 
     def update(self, uid: object, point: Point) -> int:
         home = self.shard_of_user(uid)
+        # Located first: a point outside the service area is refused
+        # before the wrapped policy has written it into its records.
+        new_home = self._home_of(point)
         cost = self._inner.update(uid, point)
         self._notify_op(home, "update", occupancy=False)
-        self._set_home(uid, self._home_of(point))
+        self._set_home(uid, new_home)
         return cost
 
     def update_batch(self, moves: list[tuple[object, Point]]) -> list[int]:

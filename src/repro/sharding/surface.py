@@ -13,9 +13,12 @@ from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
+
 from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellGrid
-from repro.anonymizer.cloak import CloakedRegion
+from repro.anonymizer.cloak import BatchCloaking, CloakedRegion
+from repro.anonymizer.soa import IntArray, UserTable
 from repro.errors import UnknownUserError
 from repro.geometry import Rect
 from repro.observability import runtime as _telemetry
@@ -32,7 +35,7 @@ def cache_counters(cache: CloakCache) -> dict[str, int]:
     return {key: getattr(cache, key) for key in CACHE_KEYS}
 
 
-class ShardSurface:
+class ShardSurface(BatchCloaking):
     """Router, uid -> home-shard directory and per-shard reporting
     over the host's ``grid``."""
 
@@ -116,6 +119,21 @@ class ShardSurface:
             "occupancy drifted from the directory"
         )
 
+    def _check_homes(self, table: UserTable) -> None:
+        """Assert the directory, its occupancy counters and the host's
+        user table agree on who is registered, and that every user is
+        homed where their lowest-level cell lives."""
+        directory = self._directory
+        assert set(table.uids()) == set(directory), "directory population drift"
+        self._check_directory()
+        homes = np.fromiter(
+            directory.values(), dtype=np.int64, count=len(directory)
+        )
+        leaves = table.cells[table.slots_array(list(directory))]
+        assert np.array_equal(self.router.owners_of_leaves(leaves), homes), (
+            "user homed in the wrong shard"
+        )
+
     def _notify_op(
         self, shard: int, op: str, *, occupancy: bool = True, times: int = 1
     ) -> None:
@@ -127,6 +145,16 @@ class ShardSurface:
             _telemetry.record_shard_op(obs, shard, op, times)
             if occupancy:
                 _telemetry.record_shard_occupancy(obs, self._occupancy)
+
+    def _notify_updates(self, homes: IntArray) -> list[int]:
+        """Record one ``update`` per entry of ``homes`` — the home
+        shards of a batch's cell-changing moves — and return the
+        per-shard counts."""
+        counts = np.bincount(homes, minlength=self.num_shards).tolist()
+        for shard, count in enumerate(counts):
+            if count:
+                self._notify_op(shard, "update", occupancy=False, times=count)
+        return counts
 
     def _route_of(self, region: CloakedRegion) -> str:
         """Routing class of a cloak answer: settled inside one shard's

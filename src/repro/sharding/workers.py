@@ -1,15 +1,17 @@
 """True parallel sharding: shard workers as separate OS processes.
 
-This module runs each shard's pyramid subtree in its own worker
-process, connected to the parent runtime over the framed wire protocol
-of :mod:`repro.sharding.wire`.  Four pieces compose the subsystem:
+Each shard's pyramid subtree runs in its own worker process, connected
+to the parent runtime over the framed wire protocol of
+:mod:`repro.sharding.wire`.  Four pieces compose the subsystem:
 
 * :class:`FrameEndpoint` — the server role of the protocol, stated
-  once: apply a request frame's batch of *data-plane* operations to a
-  replica and answer with a response frame.  Stop-and-wait sequence
-  numbers make redelivery safe: a repeated sequence replays the cached
-  reply instead of re-applying the batch.  The TCP front door
-  (:mod:`repro.sharding.frontdoor`) serves exactly this.
+  once: apply a request frame's *data-plane* operations to a replica —
+  run by run, consecutive moves as one ``update_batch`` and consecutive
+  cloaks as one ``cloak_many`` — and answer with a response frame.
+  Stop-and-wait sequence numbers make redelivery safe: a repeated
+  sequence replays the cached reply instead of re-applying the batch.
+  The TCP front door (:mod:`repro.sharding.frontdoor`) serves exactly
+  this.
 * :class:`ShardWorker` — the endpoint a worker process runs over its
   pipe: it adds the *control plane* (pickled stats/snapshot/install
   blobs, invariant sweeps, chaos hangs, shutdown) and the ``NACK``
@@ -21,6 +23,13 @@ of :mod:`repro.sharding.wire`.  Four pieces compose the subsystem:
   implementing the exact sharded-anonymizer interface, so
   ``Casper(shards=N, parallel=True)``, batch queries and the
   continuous monitor work unchanged on top of real processes.
+
+Delivery rule: mutations *queue* in the parent, per shard; a read (or
+an explicit ``flush()``) *delivers* them — scatter, then gather: every
+involved shard's frame is sent before any reply is awaited, one
+``MAX_BATCH`` chunk per shard per round, so the workers compute
+concurrently and each pipe carries at most one unanswered frame.  A
+write-only peer therefore grows the queues until someone reads.
 
 Replication model — one per in-process deployment, chosen by whether
 the policy's registry entry ships a native partitioned fleet
@@ -35,28 +44,23 @@ in-process deployment the workers replicate:
   spine/block-root state every shard can read), while a move confined
   to one shard's blocks goes to that worker alone.  A worker's *own*
   shard — its slice of the counts and generations, its epoch and its
-  cloak cache — then evolves exactly like the in-process fleet's,
-  because foreign confined moves never touch spine cells, block roots,
-  or the worker's own blocks.  Foreign users' rows go stale on a
-  replica — point and cell together, always inside the true block —
-  and its foreign *interior* counts stay consistent with those rows,
-  so every replica is a self-consistent fleet and passes the same
-  ``check_invariants`` audit as the in-process one.  The parent computes
-  all maintenance statistics itself (basic costs are pure functions of
-  the cell walk), so ``stats`` needs no wire round trip.
+  cloak cache — then evolves exactly like the in-process fleet's.
+  Foreign users' rows go stale on a replica — point and cell together,
+  always inside the true block — and its foreign *interior* counts
+  stay consistent with those rows, so every replica passes the same
+  ``check_invariants`` audit as the in-process fleet.  The parent
+  computes all maintenance statistics itself (basic costs are pure
+  functions of the cell walk), so ``stats`` needs no wire round trip.
 * **broadcast** (every other policy — ``adaptive`` and the baselines:
   :class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`
-  replicas) — the policy's state has no partitioned form (adaptive
-  split/merge cascades read global counts, foreign points and
-  profiles), so every mutation is broadcast and every worker holds one
-  whole single-instance policy.  Identical operation streams keep
-  every replica identical; cloaks route to the user's home shard, so
-  each worker's cloak cache sees only its own shard's requests —
-  cloaks are byte-identical, but aggregate ``cache_stats()`` hit/miss
-  splits are the one number the parallel broadcast runtime does not
-  reproduce from the in-process single cache.  Update costs come back
-  on the wire (cost accounting inside split/merge cascades cannot be
-  recomputed parent-side), which is why broadcast updates flush
+  replicas) — the policy's state has no partitioned form, so every
+  mutation is broadcast and every worker holds one whole
+  single-instance policy.  Cloaks route to the user's home shard, so
+  each worker's cloak cache sees only its own shard's requests: cloaks
+  are byte-identical, but aggregate ``cache_stats()`` hit/miss splits
+  are the one number not reproduced from the in-process single cache.
+  Update costs come back on the wire (cascade costs cannot be
+  recomputed parent-side), which is why broadcast updates deliver
   synchronously.
 
 Failure model: the parent's transmit seam feeds every frame — in both
@@ -70,8 +74,8 @@ mirror (partition) or from the lowest surviving replica's snapshot
 (broadcast) — degrading availability for the duration, never privacy.
 
 Pickle travels only inside ``install``/``snapshot``/``stats`` blobs
-between a parent and the worker processes it spawned — those are
-control-plane operations (:data:`repro.sharding.wire.OPS`), which only a
+between a parent and the worker processes it spawned — control-plane
+operations (:data:`repro.sharding.wire.OPS`), which only a
 :class:`ShardWorker` executes and only for the peer on its own pipe —
 and is parsed only after the enclosing frame's CRC verified.
 """
@@ -81,23 +85,26 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import pickle
+import struct
 import time
 from dataclasses import dataclass
+from itertools import groupby
 from multiprocessing.connection import Connection
+from operator import itemgetter
+from typing import Any, Callable, Iterable
 
-from repro.anonymizer.basic import _UserRecord
+import numpy as np
+
 from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.policy import get_policy
 from repro.anonymizer.profile import PrivacyProfile
+from repro.anonymizer.soa import UserTable, leaf_mortons, move_level, move_levels
 from repro.anonymizer.stats import MaintenanceStats
-from repro.errors import (
-    DuplicateUserError,
-    ProfileUnsatisfiableError,
-    UnknownUserError,
-)
+from repro.errors import DuplicateUserError, ProfileUnsatisfiableError
 from repro.geometry import Point, Rect
 from repro.messages import ShardEnvelope
+from repro.morton import morton_of_cell
 from repro.observability import runtime as _telemetry
 from repro.sharding.replicated import ReplicatedShardedAnonymizer
 from repro.sharding.surface import ShardSurface
@@ -105,6 +112,8 @@ from repro.sharding.wire import (
     KIND_NACK,
     KIND_REQUEST,
     KIND_RESPONSE,
+    OP_CLOAK,
+    OP_MOVE,
     Frame,
     WireError,
     decode_frame,
@@ -153,8 +162,16 @@ _RETRY_LIMIT = 1000
 #: Consecutive heal attempts per exchange before giving up.
 _HEAL_LIMIT = 5
 
-#: Sentinel for a cloak answered "profile unsatisfiable".
-_UNSAT = object()
+#: A payload's opcode byte (``b""`` for an empty payload), and the
+#: opcodes whose runs an endpoint coalesces.
+_OPCODE = itemgetter(slice(0, 1))
+_MOVE, _CLOAK = bytes([OP_MOVE]), bytes([OP_CLOAK])
+
+#: Stand-in for the region of a cloak answered "profile unsatisfiable"
+#: (what an endpoint hands ``cloak_many`` to learn which envelopes earn
+#: the ``unsat`` reply, and what the parent decodes that reply to).
+_UNSAT: Any = object()
+_UNSAT_REPLY = response_cloak_unsatisfiable()
 
 
 @dataclass(frozen=True)
@@ -200,6 +217,13 @@ class FrameEndpoint:
     sequence replays the cached reply bytes and an *older* sequence (a
     delayed duplicate of a finished exchange) gets no answer.
 
+    A frame executes as **runs**: consecutive ``move`` envelopes are
+    one ``replica.update_batch``, consecutive ``cloak`` envelopes one
+    ``replica.cloak_many`` (the batched kernel in a worker; one
+    exchange per shard over a worker-pool replica).  Runs never reorder
+    across opcodes — ``move, cloak, move`` is three — and the reply is,
+    envelope for envelope, the bytes a per-envelope loop would produce.
+
     An endpoint executes the **data plane** only.  A control opcode is
     refused with an ``RE_ERROR`` reply off its opcode byte alone:
     nothing is decoded, unpickled, pickled or slept on.  Only
@@ -222,34 +246,103 @@ class FrameEndpoint:
                 return self._last_reply
             if frame.seq < self._last_seq:
                 return None
-        replies = [
-            ShardEnvelope(envelope.shard, self.execute(envelope.payload))
-            for envelope in frame.envelopes
-        ]
+        replies: list[bytes] = []
+        payloads = [envelope.payload for envelope in frame.envelopes]
+        for opcode, run in groupby(payloads, key=_OPCODE):
+            replies += self._run(opcode, list(run))
         self._last_seq = frame.seq
-        self._last_reply = encode_frame(KIND_RESPONSE, frame.seq, replies)
+        self._last_reply = encode_frame(
+            KIND_RESPONSE,
+            frame.seq,
+            [
+                ShardEnvelope(envelope.shard, reply)
+                for envelope, reply in zip(frame.envelopes, replies)
+            ],
+        )
         return self._last_reply
+
+    def _run(self, opcode: bytes, payloads: list[bytes]) -> list[bytes]:
+        """One response payload per envelope of a run.  A stretch of
+        moves (or cloaks) the replica will accept is one batch call;
+        one it would refuse splits the run and earns its ``RE_ERROR``
+        alone, in place — ``update_batch`` raises on the first refused
+        move without returning the costs of the prefix it applied, so
+        a refusal must be known *before* the call."""
+        batch = {_MOVE: self._moves, _CLOAK: self._cloaks}.get(opcode)
+        if batch is None:
+            return [self.execute(payload) for payload in payloads]
+        replies: list[bytes] = []
+        stretch: list[tuple] = []
+        for payload in payloads:
+            args = self._accepted(payload)
+            if args is None:
+                replies += self._guarded(batch, stretch) + [self.execute(payload)]
+                stretch = []
+            else:
+                stretch.append(args)
+        return replies + self._guarded(batch, stretch)
+
+    def _accepted(self, payload: bytes) -> tuple | None:
+        """``(uid, point)`` of a move / ``(uid,)`` of a cloak the
+        replica will accept; ``None`` for one it would refuse (unknown
+        uid, point outside the service area, undecodable payload).
+        Neither op changes who is registered, so the answer holds for
+        the whole run."""
+        try:
+            _name, uid, *rest = decode_op(payload)
+        except (ValueError, struct.error):
+            return None
+        replica = self._replica
+        if uid not in replica or (rest and not replica.grid.contains(rest[0])):
+            return None
+        return (uid, *rest)
+
+    def _moves(self, moves: list[tuple]) -> list[bytes]:
+        return [response_cost(cost) for cost in self._replica.update_batch(moves)]
+
+    def _cloaks(self, cloaks: list[tuple]) -> list[bytes]:
+        uids = [uid for (uid,) in cloaks]
+        regions = self._replica.cloak_many(uids, unsatisfiable=_UNSAT)
+        return [_UNSAT_REPLY if r is _UNSAT else response_cloak(r) for r in regions]
+
+    def _guarded(
+        self, apply: Callable[[list], list[bytes]], items: list
+    ) -> list[bytes]:
+        """``apply(items)`` — one response payload per item — or, for
+        anything that goes wrong, one ``RE_ERROR`` payload per item."""
+        if not items:
+            return []
+        try:
+            return apply(items)
+        except AssertionError as exc:
+            text = f"invariant violation: {exc}"
+        except Exception as exc:  # casperlint: ignore[CSP006] propagated as RE_ERROR replies the parent re-raises
+            text = f"{type(exc).__name__}: {exc}"
+        return [response_error(text)] * len(items)
 
     def execute(self, payload: bytes) -> bytes:
         """Apply one operation; returns its response payload (an
         ``RE_ERROR`` one for anything that goes wrong)."""
-        try:
-            if op_spec(payload).data_plane:
-                return self._apply_data(payload)
-            return self._apply_control(payload)
-        except AssertionError as exc:
-            return response_error(f"invariant violation: {exc}")
-        except Exception as exc:  # casperlint: ignore[CSP006] propagated as an RE_ERROR reply the parent re-raises
-            return response_error(f"{type(exc).__name__}: {exc}")
+        return self._guarded(self._apply, [payload])[0]
+
+    def _apply(self, payloads: list[bytes]) -> list[bytes]:
+        return [
+            self._apply_data(payload)
+            if op_spec(payload).data_plane
+            else self._apply_control(payload)
+            for payload in payloads
+        ]
 
     def _apply_data(self, payload: bytes) -> bytes:
         op = decode_op(payload)
         name = op[0]
         if name == "move":
-            return response_cost(self._replica.update(op[1], op[2]))
-        if name in ("cloak", "cloak_location"):
+            return self._moves([op[1:]])[0]
+        if name == "cloak":
+            return self._cloaks([op[1:]])[0]
+        if name == "cloak_location":
             try:
-                region = getattr(self._replica, name)(*op[1:])
+                region = self._replica.cloak_location(op[1], op[2])
             except ProfileUnsatisfiableError:
                 return response_cloak_unsatisfiable()
             return response_cloak(region)
@@ -512,17 +605,17 @@ class ParallelShardedAnonymizer(ShardSurface):
             # In the parent, before any worker exists to discover it.
             spec.check_height(height)
         self.kind = kind
-        #: How worker replicas stay consistent.  A policy with a native
-        #: partitioned fleet routes confined mutations to one worker and
-        #: lets the parent compute maintenance stats; every other policy
-        #: broadcasts every mutation to whole replicas and reads
-        #: stats/costs off the wire.
+        #: How worker replicas stay consistent (module docstring):
+        #: partitioned when the policy ships a native fleet, else
+        #: broadcast to whole replicas, stats/costs read off the wire.
         self._partitioned = spec.sharded is not None
         self.grid = CellGrid(bounds, height)
         self._init_surface(num_shards, height)
         self._stats = MaintenanceStats()
-        #: The parent's authoritative copy of every user's state.
-        self._records: dict[object, _UserRecord] = {}
+        #: The parent's authoritative copy of every user's state: the
+        #: engine's own user table (exact point, profile and lowest-level
+        #: Morton cell per slot) with no pyramid over it.
+        self._table = UserTable()
         self._pending: list[list[bytes]] = [[] for _ in range(num_shards)]
         self._seq = 0
         self._injector = None
@@ -565,17 +658,13 @@ class ParallelShardedAnonymizer(ShardSurface):
         return MaintenanceStats(**payload)
 
     def profile_of(self, uid: object) -> PrivacyProfile:
-        return self._require(uid).profile
+        return self._table.profile_at(self._table.require(uid))
 
     def location_of(self, uid: object) -> Point:
-        return self._require(uid).point
+        return self._table.point_at(self._table.require(uid))
 
     def users_in_rect(self, rect: Rect) -> int:
-        return sum(
-            1
-            for rec in self._records.values()
-            if rect.contains_point(rec.point)
-        )
+        return self._table.count_in_rect(rect)
 
     @property
     def num_maintained_cells(self) -> int:
@@ -587,30 +676,22 @@ class ParallelShardedAnonymizer(ShardSurface):
 
     def cache_stats_per_shard(self) -> dict[str, dict[str, int]]:
         """Per-worker cloak-cache traffic (each worker's own cache),
-        in the report shape of the in-process deployments.
-
-        Partitioned: byte-identical to the in-process fleet (each
-        worker's own shard sees exactly the in-process traffic).
-        Broadcast: each worker's whole-replica cache sees only its own
-        shard's cloaks, so hit/miss splits — and their
-        :meth:`cache_stats` sum — may differ from the in-process
-        deployment's single cache.
-        """
+        in the report shape of the in-process deployments: equal to the
+        in-process fleet's for the partitioned kind; for broadcast
+        policies each whole-replica cache sees only its own shard's
+        cloaks, so hit/miss splits (and their :meth:`cache_stats` sum)
+        may differ from the in-process deployment's single cache."""
         own = (payload["own_cache"] for payload in self._fetch_stats())
         return self._shard_rows(dict(enumerate(own)))
 
     def _record_rows(self) -> tuple[tuple[object, Point, PrivacyProfile], ...]:
         """The mirror as ``(uid, point, profile)`` rows: what a snapshot
         keeps and what a ``bootstrap`` install re-registers."""
+        table = self._table
         return tuple(
-            (uid, rec.point, rec.profile) for uid, rec in self._records.items()
+            (uid, table.point_at(slot), table.profile_at(slot))
+            for uid, slot in table.items()
         )
-
-    def _require(self, uid: object) -> _UserRecord:
-        try:
-            return self._records[uid]
-        except KeyError:
-            raise UnknownUserError(uid) from None
 
     # ------------------------------------------------------------------
     # Registration and location updates
@@ -620,72 +701,70 @@ class ParallelShardedAnonymizer(ShardSurface):
     ) -> None:
         if uid in self._directory:
             raise DuplicateUserError(uid)
-        cell = self.grid.cell_of(point)
-        self._records[uid] = _UserRecord(profile, point, cell)
-        self._set_home(uid, self.router.shard_of(cell))
+        leaf = self._admit(uid, point, profile)
+        self._set_home(uid, self.router.owner_of_leaf(leaf))
         if self._partitioned:
             self._stats.registrations += 1
-            self._stats.counter_updates += cell.level + 1
+            self._stats.counter_updates += self.height + 1
         self._broadcast(op_register(uid, point, profile))
 
+    def _admit(self, uid: object, point: Point, profile: PrivacyProfile) -> int:
+        """Give ``uid`` a mirror row; returns their lowest-level cell."""
+        leaf = morton_of_cell(self.grid.cell_of(point))
+        self._table.add(uid, point.x, point.y, profile.k, profile.a_min, leaf)
+        return leaf
+
     def deregister(self, uid: object) -> None:
-        record = self._require(uid)
+        self._table.require(uid)
         if self._partitioned:
             self._stats.deregistrations += 1
-            self._stats.counter_updates += record.cell.level + 1
-        del self._records[uid]
+            self._stats.counter_updates += self.height + 1
+        self._table.remove(uid)
         self._notify_op(self._drop_home(uid), "deregister")
         self._broadcast(op_deregister(uid))
 
     def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
-        self._require(uid).profile = profile
+        slot = self._table.require(uid)
+        self._table.ks[slot] = profile.k
+        self._table.a_mins[slot] = profile.a_min
         self._broadcast(op_set_profile(uid, profile))
 
     def update(self, uid: object, point: Point) -> int:
         """Process a location update; returns its counter-update cost
-        (identical to the in-process cost)."""
-        record = self._require(uid)
-        shard = self._directory[uid]
-        old_cell = record.cell
-        new_cell = self.grid.cell_of(point)
-        record.point = point
-        if self._partitioned:
-            self._stats.location_updates += 1
-            if new_cell == old_cell:
-                # Same lowest-level cell: zero cost, but the owner still
-                # needs the fresh coordinates for its record.
-                self._enqueue(shard, op_move(uid, point))
-                return 0
-        # Mirror the move and rehome the user, as the replicas will
-        # (only a move that leaves its level-S block can change homes).
-        record.cell = new_cell
-        self._notify_op(shard, "update", occupancy=False)
-        ancestor_level = self.grid.common_ancestor_level(old_cell, new_cell)
-        crossing = self.router.crosses_boundary(ancestor_level)
+        (identical to the in-process cost).  The lean one-move form of
+        :meth:`update_batch`'s mirror: the same rule on python ints."""
+        table, router = self._table, self.router
+        slot, home = table.require(uid), self._directory[uid]
+        new_leaf = morton_of_cell(self.grid.cell_of(point))
+        level, cost = move_level(self.height, int(table.cells[slot]), new_leaf)
+        table.xs[slot], table.ys[slot], table.cells[slot] = point.x, point.y, new_leaf
+        if cost or not self._partitioned:
+            self._notify_op(home, "update", occupancy=False)
+        # Only a move that leaves its level-S block can change homes,
+        # and it changes spine/block-root state every replica reads.
+        crossing = router.crosses_boundary(level)
         if crossing:
-            self._set_home(uid, self.router.shard_of(new_cell))
-        if not self._partitioned:
-            return self._broadcast_move(uid, point)
-        cost = 2 * (old_cell.level - ancestor_level)
-        if crossing:
-            # Spine/block-root state changed: every replica must see it.
+            self._set_home(uid, router.owner_of_leaf(new_leaf))
+        if crossing or not self._partitioned:
             self._broadcast(op_move(uid, point))
         else:
-            self._enqueue(shard, op_move(uid, point))
+            # Confined (even to its cell: the owner still needs the
+            # fresh coordinates for its record): one worker's business.
+            self._enqueue(home, op_move(uid, point))
+        if not self._partitioned:
+            return self._broadcast_cost()
+        self._stats.location_updates += 1
         self._stats.counter_updates += cost
-        self._stats.cell_changes += 1
+        self._stats.cell_changes += cost > 0
         return cost
 
-    def _broadcast_move(self, uid: object, point: Point) -> int:
-        """Ship one move to every whole replica and read its cost back.
+    def _broadcast_cost(self) -> int:
+        """Deliver a broadcast move and read its cost back.
 
         The cost depends on split/merge cascades only the replicas can
         evaluate, so broadcast updates flush synchronously; any
         replica's answer is authoritative (identical op streams)."""
-        self._broadcast(op_move(uid, point))
-        results = self.flush()
-        for shard in sorted(results):
-            shard_results = results[shard]
+        for shard_results in self.flush().values():
             if shard_results and shard_results[-1] is not None:
                 return shard_results[-1]
         # Only reachable when every worker died mid-exchange and healed
@@ -693,18 +772,48 @@ class ParallelShardedAnonymizer(ShardSurface):
         return 0
 
     def update_batch(self, moves: list[tuple[object, Point]]) -> list[int]:
-        """Apply a tick's worth of location updates.
+        """Apply a tick's worth of location updates; returns their
+        costs — like the end state and, on the first unknown uid or
+        out-of-bounds point, the exception and the applied prefix,
+        identical to the sequential :meth:`update` loop.
 
-        Partitioned updates defer into per-shard pending batches — the
-        whole tick ships as one frame per shard at the closing flush,
-        which is where the process pool's throughput comes from.
-        Broadcast updates are inherently synchronous (costs come back
-        on the wire) and apply in arrival order.
+        Partitioned: one numpy pass mirrors the batch (leaf Morton
+        codes, ancestor levels, costs, crossing flags, owners); only
+        encoding and queueing each ``move`` stays per move.  Like every
+        mutation the moves *queue*: a read or :meth:`flush` delivers
+        them (costs and stats are parent-computed, so nothing
+        observable waits).  Broadcast policies are synchronous — costs
+        come back on the wire — and, like a batch naming one user
+        twice, apply in arrival order.
         """
-        costs = [self.update(uid, point) for uid, point in moves]
-        if self._partitioned:
-            self.flush()
-        return costs
+        if not self._partitioned or len({uid for uid, _ in moves}) != len(moves):
+            return [self.update(uid, point) for uid, point in moves]
+        if self._closed:
+            raise RuntimeError("parallel anonymizer is closed")
+        router, pending = self.router, self._pending
+        old_leaves, new_leaves = self._table.apply_moves(moves, self.grid)
+        levels, costs = move_levels(self.height, old_leaves, new_leaves)
+        homes = router.owners_of_leaves(old_leaves)
+        self._notify_updates(homes[costs != 0])
+        for (uid, point), home, new_home, crossing in zip(
+            moves,
+            homes.tolist(),
+            router.owners_of_leaves(new_leaves).tolist(),
+            (levels < router.spine_level).tolist(),
+        ):
+            op = op_move(uid, point)
+            if crossing:
+                self._set_home(uid, new_home)
+                self._broadcast(op)
+            else:
+                pending[home].append(op)
+        self._stats.add_moves(costs)
+        if len(costs) < len(moves):
+            # Replay the refused move alone for its exception (unknown
+            # uid before out-of-bounds, as in the sequential loop).
+            self.update(*moves[len(costs)])
+            raise AssertionError("unreachable: the refused move must raise")
+        return costs.tolist()
 
     # ------------------------------------------------------------------
     # Cloaking
@@ -718,63 +827,70 @@ class ParallelShardedAnonymizer(ShardSurface):
         self, point: Point, profile: PrivacyProfile
     ) -> CloakedRegion:
         shard = self.router.shard_of(self.grid.cell_of(point))
-        request = (profile, shard, op_cloak_location(point, profile), None)
-        return self._cloak_requests([request])[0]
+        request = (shard, op_cloak_location(point, profile), None)
+        return self._cloak_requests([request], None, profile)[0]
 
-    def cloak_many(self, uids: list[object]) -> list[CloakedRegion]:
-        """Cloak a batch of users with one frame per involved shard.
-
-        Results come back in input order.  If any profile is
-        unsatisfiable the earliest such user raises — after the whole
-        batch executed, so ``cloak_requests`` counts every entry (the
-        one divergence from looping :meth:`cloak`, which stops at the
-        first failure).
-        """
+    def cloak_many(
+        self, uids: Iterable[object], unsatisfiable: CloakedRegion | None = None
+    ) -> list[CloakedRegion]:
+        """Cloak a batch of users with one exchange per involved shard
+        (per ``MAX_BATCH`` chunk), the shards working concurrently —
+        the contract of :meth:`~repro.anonymizer.cloak.BatchCloaking
+        .cloak_many`: regions in input order, ``unsatisfiable`` standing
+        in per item, else the earliest unsatisfiable user raising after
+        the whole batch executed.  An unknown uid raises before
+        anything is sent."""
+        uids = list(uids)
+        homes = map(self.shard_of_user, uids)
         return self._cloak_requests(
-            (self._require(uid).profile, self._directory[uid], op_cloak(uid), uid)
-            for uid in uids
+            list(zip(homes, map(op_cloak, uids), uids)), unsatisfiable
         )
 
-    def _cloak_requests(self, requests) -> list[CloakedRegion]:
-        """Ship ``(profile, shard, op, uid)`` cloak requests (``uid``
-        is ``None`` for an ad-hoc location) and collect their regions,
-        with the accounting and telemetry of the in-process cloak."""
-        placed = []
-        for profile, shard, op, uid in requests:
-            self._stats.cloak_requests += 1
-            placed.append((profile, shard, self._enqueue(shard, op), uid))
+    def _cloak_requests(
+        self,
+        requests: list[tuple[int, bytes, object]],
+        unsatisfiable: CloakedRegion | None,
+        profile: PrivacyProfile | None = None,
+    ) -> list[CloakedRegion]:
+        """Ship ``(shard, op, uid)`` cloak requests (``uid`` is ``None``
+        for an ad-hoc location under ``profile``) and collect their
+        regions, with the accounting and telemetry of the in-process
+        cloak."""
+        self._stats.cloak_requests += len(requests)
+        positions = [self._enqueue(request[0], request[1]) for request in requests]
         obs = _telemetry.active()
         start = monotonic()
-        flushed: dict[int, list] = {}
+        flushed = self._deliver({request[0] for request in requests})
+        share = (monotonic() - start) / max(len(requests), 1)
         regions: list[CloakedRegion] = []
-        for _, shard, position, uid in placed:
-            if shard not in flushed:
-                flushed[shard] = self._flush_shard(shard)
+        failure: ProfileUnsatisfiableError | None = None
+        for (shard, _, uid), position in zip(requests, positions):
             region = flushed[shard][position]
             if region is _UNSAT:
-                subject = "ad-hoc location" if uid is None else f"user {uid!r}"
-                raise ProfileUnsatisfiableError(
-                    f"profile unsatisfiable for {subject} "
-                    f"(reported by shard worker {shard})"
-                )
-            regions.append(region)
-        if obs is not None:
-            share = (monotonic() - start) / max(len(placed), 1)
-            for region, (profile, shard, _, _) in zip(regions, placed):
+                if unsatisfiable is None and failure is None:
+                    subject = "ad-hoc location" if uid is None else f"user {uid!r}"
+                    failure = ProfileUnsatisfiableError(
+                        f"profile unsatisfiable for {subject} "
+                        f"(reported by shard worker {shard})"
+                    )
+                region = unsatisfiable
+            elif obs is not None:
+                asked = profile or self.profile_of(uid)
                 _telemetry.record_cloak(
                     obs, self.kind, share, region.area,
-                    profile.a_min, region.achieved_k, profile.k,
+                    asked.a_min, region.achieved_k, asked.k,
                 )
                 _telemetry.record_shard_cloak(obs, shard, self._route_of(region))
+            regions.append(region)
+        if failure is not None:
+            raise failure
         return regions
 
     def cell_count(self, cell: CellId) -> int:
         """Population of one maintained cell, read from the replica
         that is authoritative for it."""
-        if not self._partitioned or cell.level < self.router.spine_level:
-            shard = 0
-        else:
-            shard = self.router.shard_of(cell)
+        shared = not self._partitioned or cell.level < self.router.spine_level
+        shard = 0 if shared else self.router.shard_of(cell)
         self._enqueue(shard, op_cell_count(cell))
         return self._flush_shard(shard)[-1]
 
@@ -806,14 +922,11 @@ class ParallelShardedAnonymizer(ShardSurface):
         if not isinstance(state, _ParallelSnapshot) or state.kind != self.kind:
             raise TypeError("not a ParallelShardedAnonymizer snapshot")
         self._discard_pending()
-        self._records = {
-            uid: _UserRecord(profile, point, self.grid.cell_of(point))
-            for uid, point, profile in state.records
-        }
+        self._table.clear()
         self._load_directory(
             {
-                uid: self.router.shard_of(rec.cell)
-                for uid, rec in self._records.items()
+                uid: self.router.owner_of_leaf(self._admit(uid, point, profile))
+                for uid, point, profile in state.records
             }
         )
         if self._partitioned:
@@ -852,17 +965,13 @@ class ParallelShardedAnonymizer(ShardSurface):
     def check_invariants(self) -> None:
         """Assert parent-mirror consistency, then every worker's
         replica invariants (each replica's own ``check_invariants``)."""
-        assert set(self._records) == set(self._directory), (
-            "parent mirror/directory key drift"
-        )
-        self._check_directory()
-        for uid, rec in self._records.items():
-            assert rec.cell == self.grid.cell_of(rec.point), (
-                f"parent mirror stale cell for {uid!r}"
-            )
-            assert self._directory[uid] == self.router.shard_of(rec.cell), (
-                f"parent directory mis-homes {uid!r}"
-            )
+        table = self._table
+        self._check_homes(table)
+        active = table.active
+        assert np.array_equal(
+            leaf_mortons(self.grid, table.xs[active], table.ys[active]),
+            table.cells[active],
+        ), "parent mirror holds a stale cell"
         self._broadcast(op_check())
         self.flush()
 
@@ -894,7 +1003,7 @@ class ParallelShardedAnonymizer(ShardSurface):
                 if not self._pool.alive(shard):
                     continue
                 try:
-                    self._roundtrip(shard, [op_shutdown()])
+                    self._receive(shard, *self._send(shard, [op_shutdown()]))
                 except (_WorkerDied, RuntimeError, WireError):
                     pass
                 self._note_event(shard, "shutdown")
@@ -925,81 +1034,105 @@ class ParallelShardedAnonymizer(ShardSurface):
     def flush(self) -> dict[int, list]:
         """Deliver every shard's pending batch; per-shard result lists
         align with enqueue order."""
-        return {
-            shard: self._flush_shard(shard)
-            for shard in range(self.num_shards)
-        }
+        return self._deliver(range(self.num_shards))
 
     def _flush_shard(self, shard: int) -> list:
-        pending = self._pending[shard]
-        if not pending:
-            return []
-        self._pending[shard] = []
-        results: list = []
-        for start in range(0, len(pending), MAX_BATCH):
-            results.extend(
-                self._exchange(shard, pending[start : start + MAX_BATCH])
-            )
-        return results
+        return self._deliver((shard,))[shard]
 
-    def _next_seq(self) -> int:
-        self._seq = (self._seq + 1) % 2**32 or 1
-        return self._seq
+    def _deliver(self, shards: Iterable[int], depth: int = 0) -> dict[int, list]:
+        """Deliver the pending batches of ``shards``: scatter, then
+        gather, one ``MAX_BATCH`` chunk per shard per round — every
+        frame is on its pipe before any reply is awaited, so the
+        workers compute concurrently, one unanswered frame per pipe.
 
-    def _exchange(self, shard: int, ops: list[bytes], depth: int = 0) -> list:
-        """One stop-and-wait exchange, healing through worker deaths.
-
-        Returns one result per op.  After a mid-exchange death the
-        victim is rebuilt to *post-batch* state (survivors were flushed
-        first, so a parent-mirror or survivor-snapshot heal already
-        reflects this batch's mutations); only the ops the table marks
-        re-issuable re-run, and lost mutation results surface as
-        ``None``.
+        A worker that dies sits out the remaining rounds.  Once the
+        survivors are gathered and drained it is healed, to a state
+        that already holds *all* its undelivered mutations (the heal
+        source has every pending one), so of its lost and remaining
+        chunks only the ops the table marks re-issuable re-run; lost
+        mutation results surface as ``None``.
         """
-        try:
-            reply = self._roundtrip(shard, ops)
-        except _WorkerDied:
+        pending = self._pending
+        results: dict[int, list] = {shard: [] for shard in sorted(shards)}
+        died: dict[int, list[bytes]] = {}
+        while True:
+            chunks = {
+                shard: pending[shard][:MAX_BATCH]
+                for shard in results
+                if pending[shard] and shard not in died
+            }
+            if not chunks:
+                break
+            in_flight, replies = {}, {}
+            for shard, ops in chunks.items():
+                del pending[shard][:MAX_BATCH]
+                try:
+                    in_flight[shard] = self._send(shard, ops)
+                except _WorkerDied:
+                    died[shard] = ops
+            for shard, sent in in_flight.items():
+                try:
+                    replies[shard] = self._receive(shard, *sent)
+                except _WorkerDied:
+                    died[shard] = chunks[shard]
+            for shard, reply in replies.items():
+                results[shard] += self._decode_replies(shard, reply, chunks[shard])
+        for victim, lost in died.items():
             if depth >= _HEAL_LIMIT:
                 raise RuntimeError(
-                    f"shard worker {shard} kept dying; giving up"
-                ) from None
-            self._crash_and_heal(shard)
-            results: list = [None] * len(ops)
-            retry = [
-                index
-                for index, op in enumerate(ops)
-                if op_spec(op).reissuable
-            ]
-            if retry:
-                retried = self._exchange(
-                    shard, [ops[index] for index in retry], depth + 1
+                    f"shard worker {victim} kept dying; giving up"
                 )
-                for index, value in zip(retry, retried):
-                    results[index] = value
-            return results
-        return self._decode_replies(shard, reply, ops)
+            # Out of the queue before any heal flushes "the survivors".
+            lost += pending[victim]
+            pending[victim] = []
+        for victim, lost in died.items():
+            self._crash_and_heal(victim)
+            outcome: list = [None] * len(lost)
+            retry = [i for i, op in enumerate(lost) if op_spec(op).reissuable]
+            pending[victim] = [lost[i] for i in retry]
+            retried = self._deliver((victim,), depth + 1)[victim]
+            for i, value in zip(retry, retried):
+                outcome[i] = value
+            results[victim] += outcome
+        return results
 
-    def _roundtrip(self, shard: int, ops: list[bytes]) -> Frame:
-        """Deliver one request frame and wait for its matching reply,
-        retransmitting through injected drops, corruption and NACKs."""
-        seq = self._next_seq()
+    def _send(self, shard: int, ops: list[bytes]) -> tuple:
+        """Put one request frame on a shard's pipe; returns what
+        :meth:`_receive` needs to wait for (and re-ask for) its reply."""
+        seq = self._seq = (self._seq + 1) % 2**32 or 1
         wire_bytes = encode_frame(
             KIND_REQUEST, seq, [ShardEnvelope(shard, op) for op in ops]
         )
         conn = self._pool.conn(shard)
         start = monotonic()
-        attempts = self._transmit(shard, conn, wire_bytes)
+        return seq, wire_bytes, conn, start, self._transmit(shard, conn, wire_bytes)
+
+    def _receive(
+        self,
+        shard: int,
+        seq: int,
+        wire_bytes: bytes,
+        conn: Connection,
+        start: float,
+        attempts: int,
+    ) -> Frame:
+        """Wait for the reply matching a sent frame, retransmitting
+        through injected drops, corruption and NACKs."""
         deadline = start + self._hang_timeout
         while True:
-            remaining = deadline - monotonic()
-            if remaining <= 0 or not conn.poll(remaining):
+            # (A reply that arrived while another shard's was awaited
+            # is read even past the deadline: ``poll(0)`` sees it.)
+            if not conn.poll(max(deadline - monotonic(), 0.0)):
                 self._note_event(shard, "timeout")
                 raise _WorkerDied(shard, "no reply within the hang timeout")
             try:
                 raw = conn.recv_bytes()
             except (EOFError, OSError) as exc:
                 raise _WorkerDied(shard, f"pipe closed ({exc!r})") from None
-            payloads = self._deliver_response(shard, raw)
+            payloads = [raw]
+            if self._injector is not None:
+                deliveries = self._injector.transmit(f"shard-resp:{shard}", raw)
+                payloads = [delivery.payload for delivery in deliveries]
             if not payloads:
                 # The injector dropped/held the reply; ask for a replay.
                 attempts += self._transmit(shard, conn, wire_bytes, attempts)
@@ -1008,12 +1141,10 @@ class ParallelShardedAnonymizer(ShardSurface):
                 try:
                     reply = decode_frame(payload)
                 except WireError:
-                    # Reply corrupted on the wire: replay, like a NACK.
-                    self._note_event(shard, "nack")
-                    attempts += self._transmit(shard, conn, wire_bytes, attempts)
-                    continue
-                if reply.kind == KIND_NACK:
-                    # The worker CRC-rejected our (corrupted) request.
+                    reply = None
+                if reply is None or reply.kind == KIND_NACK:
+                    # The reply was corrupted on the wire, or the worker
+                    # CRC-rejected our (corrupted) request: replay.
                     self._note_event(shard, "nack")
                     attempts += self._transmit(shard, conn, wire_bytes, attempts)
                     continue
@@ -1061,12 +1192,10 @@ class ParallelShardedAnonymizer(ShardSurface):
                     return attempts
                 for delivery in deliveries:
                     conn.send_bytes(delivery.payload)
-                # Only a copy of the *current* frame counts as delivered.
-                # A late (held-back) delivery may be stale traffic from an
-                # earlier exchange, which the worker drops without
-                # replying — counting it would leave the parent waiting
-                # for a reply that never comes until the hang timeout
-                # declares a perfectly healthy worker dead.  Fresh
+                # Only a copy of the *current* frame counts as delivered:
+                # a late (held-back) one may be stale traffic the worker
+                # drops without replying, and waiting on it would end in
+                # the hang timeout declaring a healthy worker dead.  Fresh
                 # deliveries always elicit a reply or a NACK, so they
                 # count even when corrupted.
                 if any(
@@ -1079,12 +1208,6 @@ class ParallelShardedAnonymizer(ShardSurface):
             # Every copy of the current frame dropped or held: transmit
             # again (releasing any ripe held copies is itself
             # deterministic).
-
-    def _deliver_response(self, shard: int, raw: bytes) -> list[bytes]:
-        if self._injector is None:
-            return [raw]
-        deliveries = self._injector.transmit(f"shard-resp:{shard}", raw)
-        return [delivery.payload for delivery in deliveries]
 
     def _decode_replies(
         self, shard: int, reply: Frame, ops: list[bytes]
@@ -1135,9 +1258,9 @@ class ParallelShardedAnonymizer(ShardSurface):
         # Survivors must apply their queued traffic first: the heal
         # source (parent mirror or survivor snapshot) has to reflect
         # every mutation the victim's lost batch carried.
-        for shard in range(self.num_shards):
-            if shard != victim:
-                self._flush_shard(shard)
+        self._deliver(
+            shard for shard in range(self.num_shards) if shard != victim
+        )
         self._pool.spawn(victim)
         self._note_event(victim, "spawn")
         survivors = [

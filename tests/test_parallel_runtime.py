@@ -51,7 +51,12 @@ from repro.sharding.wire import (
     op_snapshot,
     op_stats,
 )
-from repro.sharding.workers import FrameEndpoint, ShardWorker, _WorkerConfig
+from repro.sharding.workers import (
+    MAX_BATCH,
+    FrameEndpoint,
+    ShardWorker,
+    _WorkerConfig,
+)
 from tests.conftest import UNIT
 
 PROFILE = PrivacyProfile(k=2)
@@ -119,6 +124,100 @@ class TestHangDetection:
             assert fleet.ping()
             healed = fleet.cloak(5)
             assert healed == reference
+        finally:
+            fleet.close()
+
+
+    def test_a_hang_does_not_take_the_gathered_peers_with_it(self) -> None:
+        """Frames are scattered before any reply is awaited, so worker
+        1's reply sits in its pipe for the whole of worker 0's hang
+        timeout; it must still be read, not declared late."""
+        from repro.sharding.workers import ParallelShardedAnonymizer
+
+        fleet = ParallelShardedAnonymizer(
+            UNIT, height=4, num_shards=2, hang_timeout=0.4
+        )
+        try:
+            _populate(fleet)
+            fleet.flush()
+            fleet._enqueue(0, op_hang(30.0))
+            fleet._enqueue(1, op_ping())
+            assert fleet.flush() == {0: [None], 1: [True]}
+            assert fleet.worker_crashes == 1
+            fleet.check_invariants()
+        finally:
+            fleet.close()
+
+
+class _KillOnTransmit:
+    """A transmit seam that delivers every frame untouched and hard-kills
+    one worker just before the ``nth`` request frame to it enters the
+    pipe — a worker death at a chosen chunk of a multi-chunk flush."""
+
+    def __init__(self, fleet, victim: int, nth: int) -> None:
+        self._fleet, self._victim, self._left = fleet, victim, nth
+
+    def transmit(self, channel: str, payload: bytes):
+        from repro.resilience.faults import Delivery
+
+        if channel == f"shard:{self._victim}":
+            self._left -= 1
+            if self._left == 0:
+                proc = self._fleet._pool._procs[self._victim]
+                proc.kill()
+                proc.join(5.0)
+        return [Delivery(payload)]
+
+
+class TestDeathInsideAMultiChunkFlush:
+    """Once a shard healed inside a flush, the rest of that flush's
+    mutations for it are already in its state (the heal source holds
+    every pending mutation): only re-issuable ops re-run.  Re-sending
+    the later chunks' registers made the flush raise
+    ``DuplicateUserError`` — during bulk registration, of all times."""
+
+    USERS = 1200  # 3 chunks of <= MAX_BATCH broadcast ops per shard
+
+    @staticmethod
+    def _point(uid: int) -> Point:
+        return Point((uid * 37 % 101) / 101, (uid * 53 % 103) / 103)
+
+    @pytest.mark.parametrize("kind", ["basic", "adaptive"])
+    @pytest.mark.parametrize("dies_at_chunk", [1, 2, 3])
+    def test_flush_heals_instead_of_raising(self, kind: str, dies_at_chunk: int) -> None:
+        profile = PrivacyProfile(k=7)
+        reference = make_sharded(UNIT, height=5, num_shards=2, kind=kind)
+        fleet = make_sharded(UNIT, height=5, num_shards=2, kind=kind, parallel=True)
+        try:
+            for uid in range(self.USERS):
+                reference.register(uid, self._point(uid), profile)
+                fleet.register(uid, self._point(uid), profile)
+            gone = range(0, self.USERS, 100)
+            fleet.attach_injector(_KillOnTransmit(fleet, 0, dies_at_chunk))
+            results = fleet.flush()
+            fleet.attach_injector(None)
+            assert fleet.worker_crashes >= 1 and fleet.worker_heals >= 1
+            # The survivor acknowledged everything; the victim's lost
+            # mutations report no result.
+            assert results[1] == [True] * self.USERS
+            delivered = MAX_BATCH * (dies_at_chunk - 1)
+            assert results[0] == [True] * delivered + [None] * (
+                self.USERS - delivered
+            )
+            # ``deregister`` fails the same way (``UnknownUserError``).
+            for uid in range(self.USERS, 2 * self.USERS):
+                reference.register(uid, self._point(uid), profile)
+                fleet.register(uid, self._point(uid), profile)
+            for uid in gone:
+                reference.deregister(uid)
+                fleet.deregister(uid)
+            fleet.attach_injector(_KillOnTransmit(fleet, 1, dies_at_chunk))
+            fleet.flush()
+            fleet.attach_injector(None)
+            fleet.check_invariants()
+            assert fleet.num_users == reference.num_users
+            for uid in range(1, 2 * self.USERS, 97):
+                assert fleet.cloak(uid) == reference.cloak(uid)
         finally:
             fleet.close()
 

@@ -22,7 +22,7 @@ from repro.anonymizer import (
 )
 from repro.anonymizer.profile import PrivacyProfile
 from repro.anonymizer.soa import MAX_SOA_HEIGHT
-from repro.errors import UnknownUserError
+from repro.errors import ProfileUnsatisfiableError, UnknownUserError
 from repro.geometry import Point
 from repro.server import Casper
 from repro.sharding import ReplicatedShardedAnonymizer, make_sharded
@@ -94,6 +94,23 @@ class TestCloakContract:
             anonymizer.cloak_location(points[3], profile).region
             == anonymizer.cloak(3).region
         )
+
+    def test_cloak_many_is_the_cloaks_with_per_item_outcomes(self, policy_name):
+        a, b = build(policy_name), build(policy_name)
+        for anonymizer in (a, b):
+            populate(anonymizer, n=40)
+            anonymizer.set_profile(5, PrivacyProfile(k=1000))  # unsatisfiable
+        uids = [3, 5, 7, 3, 11]
+        stand_in = a.cloak(0)
+        expected = [b.cloak(uid) if uid != 5 else stand_in for uid in uids]
+        assert a.cloak_many(uids, unsatisfiable=stand_in) == expected
+        with pytest.raises(ProfileUnsatisfiableError):
+            a.cloak_many(uids)
+        # The whole batch ran before the earliest failure was raised.
+        assert a.stats.cloak_requests == 1 + 2 * len(uids)
+        assert a.cloak_many([]) == []
+        with pytest.raises(UnknownUserError):
+            a.cloak_many([3, "ghost"])
 
     def test_unknown_user_raises(self, policy_name):
         anonymizer = build(policy_name)
