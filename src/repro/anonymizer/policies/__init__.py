@@ -11,7 +11,10 @@ decision logic and maintenance mixin, plus its :class:`PolicySpec`.
 * :mod:`~repro.anonymizer.policies.interval` /
   :mod:`~repro.anonymizer.policies.clique` /
   :mod:`~repro.anonymizer.policies.temporal` — the related-work
-  baselines ported onto the protocol.
+  baselines on the protocol; the two published behaviours that have no
+  standalone ``cloak(uid)`` form — the request-batched clique search
+  (:class:`CliqueCloak`) and the delay-until-``k`` model
+  (:class:`TemporalCloak`) — live beside their ports.
 
 Policy implementations may touch pyramid state only through the engine
 and mixin hook APIs — casperlint rule CSP014 enforces that no module
@@ -21,14 +24,22 @@ directly.
 
 from repro.anonymizer.policies import basic as _basic  # noqa: F401  (registers "basic")
 from repro.anonymizer.policies.adaptive import CutCell, CutMaintainer
-from repro.anonymizer.policies.clique import CliquePolicy
+from repro.anonymizer.policies.clique import CliqueCloak, CliquePolicy, CliqueRequest
 from repro.anonymizer.policies.interval import IntervalPolicy
-from repro.anonymizer.policies.temporal import TemporalPolicy
+from repro.anonymizer.policies.temporal import (
+    TemporalCloak,
+    TemporalCloakResult,
+    TemporalPolicy,
+)
 
 __all__ = [
+    "CliqueCloak",
     "CliquePolicy",
+    "CliqueRequest",
     "CutCell",
     "CutMaintainer",
     "IntervalPolicy",
+    "TemporalCloak",
+    "TemporalCloakResult",
     "TemporalPolicy",
 ]

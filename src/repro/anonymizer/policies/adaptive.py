@@ -3,7 +3,7 @@
 This module is the single definition site of the adaptive pyramid's
 *algorithm*: :class:`CutMaintainer`, the maintenance mixin that keeps a
 quadtree cut consistent under registration, deregistration and
-movement, deciding splits and merges with the gate-table reductions of
+movement, deciding splits and merges with the user-table reductions of
 :mod:`repro.anonymizer.soa`.
 ``repro.anonymizer.adaptive`` (the single pyramid) is its one
 production host.  The cut is reshaped from *global* counts, so it has
@@ -17,20 +17,22 @@ State a host holds, which the walk reads and writes directly:
   (they outlive the cells they describe);
 * ``_epoch`` — the mutation epoch, ticked once per maintenance
   primitive;
-* ``_users`` — the user records, each with a ``leaf`` field;
-* ``_table`` — the gate table (parallel ``(x, y, k, A_min)`` arrays
-  mirroring the user records) the production split/merge decisions
-  scan.
+* ``table`` — the engine's user table, whose ``(x, y, k, A_min)``
+  columns the production split/merge decisions scan.
 
-The two decisions are methods (:meth:`CutMaintainer._split_decision`,
-:meth:`CutMaintainer._merge_blocked`) so the reference pyramid in
-``tests/reference_pyramid.py`` can drive this same walk with the scalar
-per-user decision functions.
+Two seams let the reference pyramid in ``tests/reference_pyramid.py``
+drive this same walk over a plain record dict: the decisions are
+methods (:meth:`CutMaintainer._split_decision`,
+:meth:`CutMaintainer._merge_blocked`, scalar per-user functions there),
+and the per-user pointer at the lowest maintained cell is written
+through one hook, :meth:`CutMaintainer._set_leaf`, wherever a split or
+merge re-points a cell's users.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.policy import CloakingPolicy, PolicySpec, register_policy
@@ -38,9 +40,9 @@ from repro.anonymizer.soa import UserTable, choose_split_vec, merge_blocked_vec
 from repro.anonymizer.stats import MaintenanceStats
 from repro.geometry import Point, Rect
 
-__all__ = ["CutCell", "CutMaintainer"]
+__all__ = ["ROOT", "CutCell", "CutMaintainer"]
 
-_ROOT = CellId(0, 0, 0)
+ROOT = CellId(0, 0, 0)
 
 
 @dataclass
@@ -58,30 +60,41 @@ class CutCell:
 
 
 class CutMaintainer:
-    """Quadtree-cut maintenance over the host's cut, generation, epoch
-    and user-record state."""
+    """Quadtree-cut maintenance over the host's cut, generation and
+    epoch state."""
 
     grid: CellGrid
     stats: MaintenanceStats
+    table: UserTable
     _cells: dict[CellId, CutCell]
     _gens: dict[CellId, int]
     _epoch: int
-    _users: dict
-    # Gate table: parallel (x, y, k, A_min) arrays mirroring the user
-    # records, scanned by the split/merge decisions.
-    _table: UserTable
 
     def _bump_gen(self, cell: CellId) -> None:
         self._gens[cell] = self._gens.get(cell, 0) + 1
+
+    def _set_leaf(self, uids: Iterable[object], leaf: CellId) -> None:
+        """Point every user of ``uids`` at ``leaf``, now their lowest
+        maintained cell."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Leaf location
     # ------------------------------------------------------------------
     def leaf_for_point(self, point: Point) -> CellId:
         """Descend the maintained cut to the leaf containing ``point``."""
-        cell = _ROOT
-        while not self._cells[cell].is_leaf:
-            cell = self.grid.cell_of(point, cell.level + 1)
+        return self.leaf_above(self.grid.cell_of(point))
+
+    def leaf_above(self, lowest: CellId) -> CellId:
+        """Descend the maintained cut to the leaf over the lowest-level
+        cell ``lowest``.  A point's cell at level ``L`` is the level-``L``
+        ancestor of its lowest-level cell — scaling by a power of two is
+        exact and ``cell_of``'s clamp commutes with the shift — so one
+        point location serves the whole descent."""
+        cells, level, cell = self._cells, 0, ROOT
+        while not cells[cell].is_leaf:
+            level += 1
+            cell = lowest.ancestor(level)
         return cell
 
     # ------------------------------------------------------------------
@@ -145,14 +158,14 @@ class CutMaintainer:
         distribution over its children plus the first satisfiable
         child, or ``None`` when the leaf stays."""
         return choose_split_vec(
-            self.grid, leaf, entry.count, entry.users, self._table
+            self.grid, leaf, entry.count, entry.users, self.table
         )
 
     def _merge_blocked(
         self, child_area: float, child_stats: list[tuple[int, set[object]]]
     ) -> bool:
         """Section 4.2's merge blocker for one sibling-leaf group."""
-        return merge_blocked_vec(self._table, child_area, child_stats)
+        return merge_blocked_vec(self.table, child_area, child_stats)
 
     def _maybe_split(self, leaf: CellId) -> None:
         """Split ``leaf`` (recursively) while Section 4.2's criterion
@@ -180,8 +193,7 @@ class CutMaintainer:
             # The child's count was readable as 0 while unmaintained;
             # materialising it is a visible change for cached cloaks.
             self._bump_gen(child)
-            for uid in members:
-                self._users[uid].leaf = child
+            self._set_leaf(members, child)
         self._epoch += 1
         self.stats.splits += 1
         # Restructuring cost: four new counters plus one hash-table
@@ -211,8 +223,7 @@ class CutMaintainer:
             parent_entry = self._cells[parent]
             parent_entry.is_leaf = True
             parent_entry.users = merged_users
-            for uid in merged_users:
-                self._users[uid].leaf = parent
+            self._set_leaf(merged_users, parent)
             for child in children:
                 del self._cells[child]
                 # Deleted cells read as count 0 from now on.

@@ -1,17 +1,36 @@
-"""Nearest-neighbour MBR cloaking policy — a CliqueCloak-style
-(Gedik & Liu, ICDCS 2005) competitor on the :class:`CloakingPolicy`
-protocol.
+"""CliqueCloak (Gedik & Liu, ICDCS 2005), twice: the request-batched
+engine the paper's related work describes, and its cloaking geometry as
+a registered :class:`CloakingPolicy`.
 
-The faithful message-perturbation engine lives in
-``anonymizer/baselines/clique_cloak.py`` (pending requests, constraint
-graph, clique search).  That model is request-batched and cannot answer
-a standalone ``cloak(uid)`` — so this policy ports its *cloaking
-geometry* instead: the user plus their ``k - 1`` nearest neighbours
-share the group's minimum bounding rectangle, grown to ``A_min`` and
-clamped to the service area.  It keeps CliqueCloak's characteristic
-weakness (group members can sit exactly on the rectangle's boundary)
-while gaining the protocol surface that the sharding, parallelism and
-conformance harnesses require.
+**The engine** (:class:`CliqueCloak`, :class:`CliqueRequest`).  Each
+user has her own ``k``-anonymity requirement; pending requests are
+combined by building a constraint graph and finding a clique whose
+members can share one cloaked region — the members' minimum bounding
+rectangle.  Its two weaknesses, which the ablation benchmark
+reproduces, are (1) the clique search is expensive, limiting it to
+small ``k`` (the original evaluation used k in [5, 10]), and (2) the
+MBR leaks information: some users must lie on the rectangle's boundary.
+Model implemented (faithful to the published message-perturbation
+engine at the granularity this reproduction needs):
+
+* each request carries ``(uid, point, k, tolerance)`` where ``tolerance``
+  is the maximum cloaking box half-width the user accepts;
+* two pending requests are *compatible* (graph edge) when each lies
+  within the other's tolerance box;
+* a request is served when a clique of size ``max(k of members)`` exists
+  among it and its compatible neighbours; served members are removed and
+  share the clique's MBR;
+* unserved requests stay pending (and would expire in the original —
+  ``drop_pending`` models that).
+
+**The policy** (:class:`CliquePolicy`, registry entry ``"clique"``).
+The engine is request-batched and cannot answer a standalone
+``cloak(uid)`` — so the policy ports its *cloaking geometry* instead:
+the user plus their nearest neighbours share the group's minimum
+bounding rectangle, grown to ``A_min`` and clamped to the service area.
+It keeps CliqueCloak's characteristic weakness (group members can sit
+exactly on the rectangle's boundary) while gaining the protocol surface
+that the sharding, parallelism and conformance harnesses require.
 """
 
 from __future__ import annotations
@@ -19,25 +38,123 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.engine import PyramidEngine
 from repro.anonymizer.policy import CloakingPolicy, PolicySpec, register_policy
 from repro.anonymizer.profile import PrivacyProfile
-from repro.errors import DuplicateUserError, ProfileUnsatisfiableError, UnknownUserError
+from repro.errors import ProfileUnsatisfiableError
 from repro.geometry import Point, Rect
 
-__all__ = ["CliquePolicy"]
+__all__ = ["CliqueCloak", "CliquePolicy", "CliqueRequest"]
 
 
-@dataclass
-class _Rec:
-    profile: PrivacyProfile
+@dataclass(frozen=True, slots=True)
+class CliqueRequest:
+    """A pending anonymization request."""
+
+    uid: object
     point: Point
+    k: int
+    tolerance: float
+
+    def accepts(self, other: "Point") -> bool:
+        """True when ``other`` lies within this request's tolerance box."""
+        return (
+            abs(other.x - self.point.x) <= self.tolerance
+            and abs(other.y - self.point.y) <= self.tolerance
+        )
 
 
-@dataclass(frozen=True)
-class _CliqueSnapshot:
-    users: dict[object, _Rec]
+class CliqueCloak:
+    """Clique-graph message perturbation engine."""
+
+    def __init__(self, bounds: Rect, max_clique_candidates: int = 24) -> None:
+        """``max_clique_candidates`` caps the neighbourhood examined by
+        the exponential clique search — the original engine bounds its
+        search similarly to stay real-time."""
+        self.bounds = bounds
+        self.max_clique_candidates = max_clique_candidates
+        self._pending: dict[object, CliqueRequest] = {}
+
+    # ------------------------------------------------------------------
+    # Request stream
+    # ------------------------------------------------------------------
+    @property
+    def num_pending(self) -> int:
+        return len(self._pending)
+
+    def submit(self, request: CliqueRequest) -> dict[object, CloakedRegion] | None:
+        """Add a request; returns the served group's regions when the new
+        request completes a clique, else ``None`` (request stays pending).
+        """
+        if request.k < 1:
+            raise ValueError("k must be >= 1")
+        self._pending[request.uid] = request
+        clique = self._find_clique(request)
+        if clique is None:
+            return None
+        mbr = self._mbr(clique)
+        served = {}
+        for member in clique:
+            served[member.uid] = CloakedRegion(mbr, len(clique), ())
+            del self._pending[member.uid]
+        return served
+
+    def drop_pending(self, uid: object) -> None:
+        """Expire a pending request (the original engine's deadline)."""
+        self._pending.pop(uid, None)
+
+    # ------------------------------------------------------------------
+    # Clique machinery
+    # ------------------------------------------------------------------
+    def _compatible(self, a: CliqueRequest, b: CliqueRequest) -> bool:
+        return a.accepts(b.point) and b.accepts(a.point)
+
+    def _find_clique(self, seed: CliqueRequest) -> list[CliqueRequest] | None:
+        """Search for a serving clique containing ``seed``.
+
+        A set S ∋ seed serves its members when it is a clique in the
+        compatibility graph and ``|S| >= max(k of S)``.  We enumerate
+        cliques over the (capped) neighbourhood of the seed,
+        smallest-first, so the returned group is minimal.
+        """
+        neighbors = [
+            r
+            for r in self._pending.values()
+            if r.uid != seed.uid and self._compatible(seed, r)
+        ]
+        # Nearest candidates first: compatible users close to the seed
+        # are most likely to form small cliques.
+        neighbors.sort(key=lambda r: r.point.squared_distance_to(seed.point))
+        neighbors = neighbors[: self.max_clique_candidates]
+
+        best: list[CliqueRequest] | None = None
+
+        def extend(clique: list[CliqueRequest], pool: list[CliqueRequest]) -> None:
+            nonlocal best
+            need = max(r.k for r in clique)
+            if len(clique) >= need:
+                if best is None or len(clique) < len(best):
+                    best = list(clique)
+                return
+            if best is not None and len(clique) >= len(best):
+                return  # cannot improve
+            for idx, candidate in enumerate(pool):
+                if all(self._compatible(candidate, member) for member in clique):
+                    clique.append(candidate)
+                    extend(clique, pool[idx + 1 :])
+                    clique.pop()
+
+        extend([seed], neighbors)
+        return best
+
+    @staticmethod
+    def _mbr(clique: list[CliqueRequest]) -> Rect:
+        xs = [r.point.x for r in clique]
+        ys = [r.point.y for r in clique]
+        return Rect(min(xs), min(ys), max(xs), max(ys))
 
 
 def _expand_to_area(rect: Rect, a_min: float, bounds: Rect) -> Rect:
@@ -63,7 +180,8 @@ def _expand_to_area(rect: Rect, a_min: float, bounds: Rect) -> Rect:
 
 
 class CliquePolicy(PyramidEngine):
-    """k-nearest-group MBR cloaker."""
+    """k-nearest-group MBR cloaker (maintains nothing beyond the
+    engine's user table)."""
 
     label = "clique"
 
@@ -74,65 +192,6 @@ class CliquePolicy(PyramidEngine):
         cloak_cache_size: int = 8192,
     ) -> None:
         self._init_engine(bounds, height)
-        self._users: dict[object, _Rec] = {}
-
-    # ------------------------------------------------------------------
-    # Population
-    # ------------------------------------------------------------------
-    @property
-    def num_users(self) -> int:
-        return len(self._users)
-
-    def __contains__(self, uid: object) -> bool:
-        return uid in self._users
-
-    def _record(self, uid: object) -> _Rec:
-        try:
-            return self._users[uid]
-        except KeyError:
-            raise UnknownUserError(uid) from None
-
-    def profile_of(self, uid: object) -> PrivacyProfile:
-        return self._record(uid).profile
-
-    def location_of(self, uid: object) -> Point:
-        return self._record(uid).point
-
-    def users_in_rect(self, rect: Rect) -> int:
-        return sum(
-            1 for rec in self._users.values() if rect.contains_point(rec.point)
-        )
-
-    def register(self, uid: object, point: Point, profile: PrivacyProfile) -> None:
-        if uid in self._users:
-            raise DuplicateUserError(uid)
-        self._users[uid] = _Rec(profile, point)
-        self.stats.registrations += 1
-
-    def deregister(self, uid: object) -> None:
-        self._record(uid)
-        del self._users[uid]
-        self.stats.deregistrations += 1
-
-    def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
-        self._record(uid).profile = profile
-
-    def update(self, uid: object, point: Point) -> int:
-        self._record(uid).point = point
-        self.stats.location_updates += 1
-        return 0
-
-    def update_batch(self, moves: list[tuple[object, Point]]) -> list[int]:
-        return [self.update(uid, point) for uid, point in moves]
-
-    # ------------------------------------------------------------------
-    # Cloaking
-    # ------------------------------------------------------------------
-    def cloak(self, uid: object) -> CloakedRegion:
-        record = self._record(uid)
-        return self._instrumented_cloak(
-            lambda: self._group_cloak(record.point, record.profile), record.profile
-        )
 
     def cloak_location(self, point: Point, profile: PrivacyProfile) -> CloakedRegion:
         return self._instrumented_cloak(
@@ -140,47 +199,28 @@ class CliquePolicy(PyramidEngine):
         )
 
     def _group_cloak(self, location: Point, profile: PrivacyProfile) -> CloakedRegion:
-        """MBR of ``location`` plus its ``k - 1`` nearest users, grown
-        to ``A_min`` and clamped to the service area."""
-        points = [rec.point for rec in self._users.values()]
-        if len(points) < profile.k:
+        """MBR of ``location`` plus its ``k`` nearest users, grown to
+        ``A_min`` and clamped to the service area."""
+        table = self.table
+        # Registration order: the stable sort breaks distance ties by it.
+        slots = table.ordered_slots()
+        if len(slots) < profile.k:
             raise ProfileUnsatisfiableError(
-                f"population {len(points)} below k={profile.k}"
+                f"population {len(slots)} below k={profile.k}"
             )
         if self.bounds.area < profile.a_min - 1e-15:
             raise ProfileUnsatisfiableError(
                 f"A_min {profile.a_min} exceeds the service area"
             )
-        points.sort(key=location.squared_distance_to)
-        group = points[: profile.k]
-        xs = [p.x for p in group] + [location.x]
-        ys = [p.y for p in group] + [location.y]
+        xs, ys = table.xs[slots], table.ys[slots]
+        dx, dy = location.x - xs, location.y - ys
+        group = np.argsort(dx * dx + dy * dy, kind="stable")[: profile.k]
+        gx = xs[group].tolist() + [location.x]
+        gy = ys[group].tolist() + [location.y]
         rect = _expand_to_area(
-            Rect(min(xs), min(ys), max(xs), max(ys)), profile.a_min, self.bounds
+            Rect(min(gx), min(gy), max(gx), max(gy)), profile.a_min, self.bounds
         )
-        achieved = sum(
-            1 for rec in self._users.values() if rect.contains_point(rec.point)
-        )
-        return CloakedRegion(rect, achieved, ())
-
-    # ------------------------------------------------------------------
-    # Recovery and diagnostics
-    # ------------------------------------------------------------------
-    def snapshot(self) -> object:
-        return _CliqueSnapshot(
-            users={uid: _Rec(r.profile, r.point) for uid, r in self._users.items()}
-        )
-
-    def restore(self, state: object) -> None:
-        if not isinstance(state, _CliqueSnapshot):
-            raise TypeError("not a CliquePolicy snapshot")
-        self._users = {
-            uid: _Rec(r.profile, r.point) for uid, r in state.users.items()
-        }
-
-    def check_invariants(self) -> None:
-        for uid, rec in self._users.items():
-            assert self.bounds.contains_point(rec.point), f"{uid!r} out of bounds"
+        return CloakedRegion(rect, table.count_in_rect(rect), ())
 
 
 def _single(bounds: Rect, height: int, cloak_cache_size: int) -> CloakingPolicy:

@@ -1,40 +1,34 @@
 """Interval cloaking policy — the Gruteser & Grunwald (MobiSys 2003)
-spatial baseline ported onto the :class:`CloakingPolicy` protocol.
+spatial baseline on the :class:`CloakingPolicy` protocol.
 
-The original ``anonymizer/baselines/interval_cloak.py`` keeps the
-published contract verbatim (one global ``k``, no profiles); this port
-is the same KD-halving search made a first-class policy: per-user
-``(k, A_min)`` profiles, the standard register/update/cloak surface,
-and registry entry ``"interval"`` — so it runs through sharding,
-process parallelism and the conformance matrix like the pyramid
-cloakers.  It maintains no structure at all; every cloak pays a linear
-scan per halving, which is exactly the scalability weakness the paper's
-related-work section calls out.
+The paper's related work: "For each user location update, the spatial
+space is recursively divided in a KD-tree-like format till a suitable
+subspace is found.  Such technique lacks scalability as it deals with
+each single movement of each user individually."  This is that
+KD-halving search as a first-class policy: per-user ``(k, A_min)``
+profiles (the published contract — one global ``k`` for everyone — is
+the special case of registering every user under the same profile), the
+standard register/update/cloak surface, and registry entry
+``"interval"`` — so it runs through sharding, process parallelism and
+the conformance matrix like the pyramid cloakers.  It maintains nothing
+beyond the engine's user table; every cloak pays a linear scan per
+halving, which is exactly the scalability weakness the paper calls out
+and the ablation benchmark surfaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.engine import PyramidEngine
 from repro.anonymizer.policy import CloakingPolicy, PolicySpec, register_policy
 from repro.anonymizer.profile import PrivacyProfile
-from repro.errors import DuplicateUserError, ProfileUnsatisfiableError, UnknownUserError
+from repro.anonymizer.soa import points_in_rect
+from repro.errors import ProfileUnsatisfiableError
 from repro.geometry import Point, Rect
 
 __all__ = ["IntervalPolicy"]
-
-
-@dataclass
-class _Rec:
-    profile: PrivacyProfile
-    point: Point
-
-
-@dataclass(frozen=True)
-class _IntervalSnapshot:
-    users: dict[object, _Rec]
 
 
 class IntervalPolicy(PyramidEngine):
@@ -49,73 +43,14 @@ class IntervalPolicy(PyramidEngine):
         cloak_cache_size: int = 8192,
         min_side: float = 1e-6,
     ) -> None:
-        # The pyramid height bounds nothing here (no index is kept) and
-        # nothing is cached; the engine still provides the grid for
-        # bounds introspection.
+        # The pyramid height only sets the resolution of the table's
+        # cell column (a sharded deployment's homes); nothing is cached.
         self._init_engine(bounds, height)
         self.min_side = min_side
-        self._users: dict[object, _Rec] = {}
-
-    # ------------------------------------------------------------------
-    # Population
-    # ------------------------------------------------------------------
-    @property
-    def num_users(self) -> int:
-        return len(self._users)
-
-    def __contains__(self, uid: object) -> bool:
-        return uid in self._users
-
-    def _record(self, uid: object) -> _Rec:
-        try:
-            return self._users[uid]
-        except KeyError:
-            raise UnknownUserError(uid) from None
-
-    def profile_of(self, uid: object) -> PrivacyProfile:
-        return self._record(uid).profile
-
-    def location_of(self, uid: object) -> Point:
-        return self._record(uid).point
-
-    def users_in_rect(self, rect: Rect) -> int:
-        return sum(
-            1 for rec in self._users.values() if rect.contains_point(rec.point)
-        )
-
-    def register(self, uid: object, point: Point, profile: PrivacyProfile) -> None:
-        if uid in self._users:
-            raise DuplicateUserError(uid)
-        self._users[uid] = _Rec(profile, point)
-        self.stats.registrations += 1
-
-    def deregister(self, uid: object) -> None:
-        self._record(uid)
-        del self._users[uid]
-        self.stats.deregistrations += 1
-
-    def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
-        self._record(uid).profile = profile
-
-    def update(self, uid: object, point: Point) -> int:
-        """Location update; returns 0 — this policy maintains nothing,
-        all its cost sits in :meth:`cloak`."""
-        self._record(uid).point = point
-        self.stats.location_updates += 1
-        return 0
-
-    def update_batch(self, moves: list[tuple[object, Point]]) -> list[int]:
-        return [self.update(uid, point) for uid, point in moves]
 
     # ------------------------------------------------------------------
     # Cloaking
     # ------------------------------------------------------------------
-    def cloak(self, uid: object) -> CloakedRegion:
-        record = self._record(uid)
-        return self._instrumented_cloak(
-            lambda: self._kd_cloak(record.point, record.profile), record.profile
-        )
-
     def cloak_location(self, point: Point, profile: PrivacyProfile) -> CloakedRegion:
         return self._instrumented_cloak(
             lambda: self._kd_cloak(point, profile), profile
@@ -126,10 +61,11 @@ class IntervalPolicy(PyramidEngine):
         ``location``; stop at the last subspace still satisfying the
         profile's ``(k, A_min)``."""
         region = self.bounds
-        members = [rec.point for rec in self._users.values()]
-        if len(members) < profile.k:
+        table = self.table
+        xs, ys = table.xs[table.active], table.ys[table.active]
+        if len(xs) < profile.k:
             raise ProfileUnsatisfiableError(
-                f"population {len(members)} below k={profile.k}"
+                f"population {len(xs)} below k={profile.k}"
             )
         if region.area < profile.a_min - 1e-15:
             raise ProfileUnsatisfiableError(
@@ -149,35 +85,16 @@ class IntervalPolicy(PyramidEngine):
                     half = Rect(region.x_min, region.y_min, region.x_max, mid)
                 else:
                     half = Rect(region.x_min, mid, region.x_max, region.y_max)
-            inside = [p for p in members if half.contains_point(p, tol=0.0)]
+            inside = points_in_rect(half, xs, ys, tol=0.0)
             if (
-                len(inside) < profile.k
+                int(np.count_nonzero(inside)) < profile.k
                 or half.area < profile.a_min - 1e-15
                 or min(half.width, half.height) < self.min_side
             ):
-                return CloakedRegion(region, len(members), ())
+                return CloakedRegion(region, len(xs), ())
             region = half
-            members = inside
+            xs, ys = xs[inside], ys[inside]
             vertical_cut = not vertical_cut
-
-    # ------------------------------------------------------------------
-    # Recovery and diagnostics
-    # ------------------------------------------------------------------
-    def snapshot(self) -> object:
-        return _IntervalSnapshot(
-            users={uid: _Rec(r.profile, r.point) for uid, r in self._users.items()}
-        )
-
-    def restore(self, state: object) -> None:
-        if not isinstance(state, _IntervalSnapshot):
-            raise TypeError("not an IntervalPolicy snapshot")
-        self._users = {
-            uid: _Rec(r.profile, r.point) for uid, r in state.users.items()
-        }
-
-    def check_invariants(self) -> None:
-        for uid, rec in self._users.items():
-            assert self.bounds.contains_point(rec.point), f"{uid!r} out of bounds"
 
 
 def _single(bounds: Rect, height: int, cloak_cache_size: int) -> CloakingPolicy:

@@ -13,12 +13,13 @@ seam resolves policies by name through :func:`get_policy`:
 * the simulate/chaos/bench CLIs, whose ``--anonymizer`` choices are
   :func:`available_policies`.
 
-A new cloaker is therefore one module: implement the
-:class:`CloakingPolicy` surface (typically by composing
-:class:`repro.anonymizer.engine.PyramidEngine` with a maintenance mixin
-from :mod:`repro.anonymizer.policies`), register a spec, and every
-harness — sharding, process parallelism, resilience, conformance tests
-— picks it up by name.
+A new cloaker is therefore one module: compose
+:class:`repro.anonymizer.engine.PyramidEngine` — which brings the
+population (one :class:`~repro.anonymizer.soa.UserTable` row per user,
+one admission rule) and its whole surface — add ``cloak`` /
+``cloak_location`` and whatever the algorithm maintains, register a
+spec, and every harness — sharding, process parallelism, resilience,
+conformance tests — picks it up by name.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import (
 if TYPE_CHECKING:
     from repro.anonymizer.cloak import CloakedRegion
     from repro.anonymizer.profile import PrivacyProfile
+    from repro.anonymizer.soa import UserTable
     from repro.anonymizer.stats import MaintenanceStats
     from repro.geometry import Point, Rect
 
@@ -58,6 +60,9 @@ class CloakingPolicy(Protocol):
     """
 
     stats: MaintenanceStats
+    #: The population, one row per user; sharded wrappers read a user's
+    #: home shard off its ``cells`` column.
+    table: UserTable
 
     @property
     def bounds(self) -> Rect: ...

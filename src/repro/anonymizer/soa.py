@@ -26,20 +26,25 @@ testing story.
 
 from __future__ import annotations
 
-from typing import Iterator
+from dataclasses import dataclass
+from itertools import compress
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.profile import PrivacyProfile
-from repro.errors import UnknownUserError
+from repro.errors import DuplicateUserError, UnknownUserError
 from repro.geometry import EPSILON, Point, Rect
-from repro.morton import morton_decode, morton_encode
+from repro.morton import morton_decode, morton_encode, morton_rank
 
 __all__ = [
     "MAX_SOA_HEIGHT",
+    "MAX_TABLE_HEIGHT",
+    "Population",
     "PyramidSoA",
+    "TableSnapshot",
     "UserTable",
     "check_soa_height",
     "choose_split_vec",
@@ -53,12 +58,20 @@ __all__ = [
 IntArray = npt.NDArray[np.int64]
 FloatArray = npt.NDArray[np.float64]
 BoolArray = npt.NDArray[np.bool_]
+#: One user as ``(uid, point, profile)``.
+Row = tuple[object, Point, PrivacyProfile]
+#: The row: a user table's (and its snapshot's) parallel columns.
+_COLUMNS = ("xs", "ys", "ks", "a_mins", "cells")
 
 #: Deepest complete pyramid supported: level arrays are allocated
 #: *complete* (``4**level`` slots), so the cap keeps the worst case
 #: (level 13: ~67M cells) inside commodity memory.  The adaptive
 #: policy's dict-held cut is sparse and has no such cap.
 MAX_SOA_HEIGHT = 13
+
+#: Deepest pyramid any policy supports: a :class:`UserTable` row holds
+#: its lowest-level Morton code (``2 * height`` bits) in an int64.
+MAX_TABLE_HEIGHT = 31
 
 
 def check_soa_height(height: int) -> None:
@@ -69,7 +82,8 @@ def check_soa_height(height: int) -> None:
         raise ValueError(
             f"the basic policy keeps complete per-level arrays and supports "
             f"pyramid heights 0..{MAX_SOA_HEIGHT}, got {height}; use the "
-            f"adaptive policy (sparse cut, no height cap) for deeper pyramids"
+            f"adaptive policy (sparse cut, heights up to {MAX_TABLE_HEIGHT}) "
+            f"for deeper pyramids"
         )
 
 
@@ -330,19 +344,77 @@ class PyramidSoA:
 # ----------------------------------------------------------------------
 # The user hash table as parallel arrays
 # ----------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
+class TableSnapshot:
+    """A by-value copy of a population: one ``(x, y, k, A_min, cell)``
+    row per uid, in registration order.  The columns carry no slot
+    layout, so the reference pyramids (which have no slots) build and
+    read the same shape; two snapshots are equal when they hold the
+    same rows for the same uids and, holding arrays, do not hash."""
+
+    uids: tuple[object, ...]
+    xs: FloatArray
+    ys: FloatArray
+    ks: IntArray
+    a_mins: FloatArray
+    cells: IntArray
+
+    def _columns(self) -> tuple[list[Any], ...]:
+        return tuple(getattr(self, name).tolist() for name in _COLUMNS)
+
+    def rows(self) -> Iterator[Row]:
+        """The population as ``(uid, point, profile)`` rows (the cell
+        column is a function of the point)."""
+        for uid, x, y, k, a_min, _cell in zip(self.uids, *self._columns()):
+            yield uid, Point(x, y), PrivacyProfile(k, a_min)
+
+    def select(self, keep: BoolArray) -> "TableSnapshot":
+        """The rows ``keep`` marks, order preserved."""
+        return TableSnapshot(
+            tuple(compress(self.uids, keep.tolist())),
+            *(getattr(self, name)[keep] for name in _COLUMNS),
+        )
+
+    def __len__(self) -> int:
+        return len(self.uids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TableSnapshot):
+            return NotImplemented
+        mine, theirs = (
+            dict(zip(s.uids, zip(*s._columns()))) for s in (self, other)
+        )
+        return mine == theirs
+
+
 class UserTable:
-    """Slot-indexed structure-of-arrays user store.
+    """Slot-indexed structure-of-arrays user store — the one per-user
+    structure of every policy and every deployment.
 
     Each registered user occupies one slot across five parallel arrays:
     exact coordinates, profile ``(k, A_min)``, and the Morton index of
-    their lowest-level cell.  A uid -> slot dict and a freelist keep
-    slot assignment O(1); arrays grow by doubling.  Iteration order for
-    reconstruction follows insertion order of the uid dict.
+    their lowest-level cell in ``grid``.  A uid -> slot dict and a
+    freelist keep slot assignment O(1); arrays grow by doubling.
+    Registration order is the insertion order of the uid dict.
+
+    One admission rule, for :meth:`admit`, :meth:`move` and
+    :meth:`apply_moves` alike — **locate, then write**:
+    ``grid.cell_of(point)`` is the bounds check, its Morton code is the
+    row's ``cells`` value, and nothing is written before it returns, so
+    a refused point leaves no trace and every stored point is inside
+    the service area.
     """
 
     _INITIAL = 64
 
-    def __init__(self) -> None:
+    def __init__(self, grid: CellGrid) -> None:
+        if grid.height > MAX_TABLE_HEIGHT:
+            raise ValueError(
+                f"the user table holds lowest-level Morton codes in an int64 "
+                f"and supports pyramid heights 0..{MAX_TABLE_HEIGHT}, "
+                f"got {grid.height}"
+            )
+        self.grid = grid
         n = self._INITIAL
         self.xs: FloatArray = np.empty(n, dtype=np.float64)
         self.ys: FloatArray = np.empty(n, dtype=np.float64)
@@ -359,9 +431,6 @@ class UserTable:
     def __contains__(self, uid: object) -> bool:
         return uid in self._slots
 
-    def slot_of(self, uid: object) -> int | None:
-        return self._slots.get(uid)
-
     def require(self, uid: object) -> int:
         """The slot of a registered ``uid``; raises for a stranger."""
         slot = self._slots.get(uid)
@@ -370,55 +439,83 @@ class UserTable:
         return slot
 
     def uids(self) -> Iterator[object]:
-        """Registered uids in insertion order."""
+        """Registered uids in registration order."""
         return iter(self._slots)
 
     def items(self) -> Iterator[tuple[object, int]]:
-        """``(uid, slot)`` pairs in insertion order."""
+        """``(uid, slot)`` pairs in registration order."""
         return iter(self._slots.items())
+
+    def ordered_slots(self) -> IntArray:
+        """Every registered user's slot, in registration order (slot
+        order differs once a slot has been reused)."""
+        return np.fromiter(
+            self._slots.values(), dtype=np.int64, count=len(self._slots)
+        )
+
+    @property
+    def capacity(self) -> int:
+        """Slots allocated so far (every slot handed out is below it)."""
+        return len(self.xs)
 
     def _grow(self) -> None:
         old = len(self.xs)
         new = old * 2
-        for name in ("xs", "ys", "ks", "a_mins", "cells"):
+        for name in (*_COLUMNS, "active"):
             arr = getattr(self, name)
             grown = np.zeros(new, dtype=arr.dtype)
             grown[:old] = arr
             setattr(self, name, grown)
-        grown_active = np.zeros(new, dtype=np.bool_)
-        grown_active[:old] = self.active
-        self.active = grown_active
         self._free.extend(range(new - 1, old - 1, -1))
 
-    def add(
-        self, uid: object, x: float, y: float, k: int, a_min: float, cell: int
-    ) -> int:
-        """Claim a slot for ``uid``; the caller has already checked for
-        duplicates (this is a trusted internal path)."""
+    def admit(
+        self, uid: object, point: Point, profile: PrivacyProfile
+    ) -> tuple[int, CellId]:
+        """Register ``uid`` at ``point``: a new row; returns its slot
+        and the lowest-level cell the point was located in."""
+        if uid in self._slots:
+            raise DuplicateUserError(uid)
+        cell = self.grid.cell_of(point)
         if not self._free:
             self._grow()
         slot = self._free.pop()
         self._slots[uid] = slot
-        self.xs[slot] = x
-        self.ys[slot] = y
-        self.ks[slot] = k
-        self.a_mins[slot] = a_min
-        self.cells[slot] = cell
+        self.xs[slot] = point.x
+        self.ys[slot] = point.y
+        self.ks[slot] = profile.k
+        self.a_mins[slot] = profile.a_min
+        self.cells[slot] = morton_rank(cell)
         self.active[slot] = True
+        return slot, cell
+
+    def move(self, uid: object, point: Point) -> tuple[int, int, int, CellId]:
+        """Move ``uid`` to ``point``; returns the slot, the previous
+        and the new lowest-level Morton cell, and that new cell."""
+        slot = self._slots.get(uid)
+        if slot is None:
+            raise UnknownUserError(uid)
+        cell = self.grid.cell_of(point)
+        old_m, new_m = int(self.cells[slot]), morton_rank(cell)
+        self.xs[slot] = point.x
+        self.ys[slot] = point.y
+        if new_m != old_m:
+            self.cells[slot] = new_m
+        return slot, old_m, new_m, cell
+
+    def set_profile(self, uid: object, profile: PrivacyProfile) -> int:
+        """Change ``uid``'s ``(k, A_min)``; returns the slot."""
+        slot = self.require(uid)
+        self.ks[slot] = profile.k
+        self.a_mins[slot] = profile.a_min
         return slot
 
     def remove(self, uid: object) -> int:
         """Release ``uid``'s slot; returns it (for a final read)."""
-        slot = self._slots.pop(uid)
+        slot = self.require(uid)
+        del self._slots[uid]
         self.active[slot] = False
         self._free.append(slot)
         return slot
-
-    def clear(self) -> None:
-        n = len(self.xs)
-        self._slots.clear()
-        self.active[:] = False
-        self._free = list(range(n - 1, -1, -1))
 
     def point_at(self, slot: int) -> Point:
         return Point(float(self.xs[slot]), float(self.ys[slot]))
@@ -433,7 +530,7 @@ class UserTable:
         return int(np.count_nonzero(inside))
 
     def apply_moves(
-        self, moves: list[tuple[object, Point]], grid: CellGrid
+        self, moves: list[tuple[object, Point]]
     ) -> tuple[IntArray, IntArray]:
         """Write the longest prefix of ``moves`` that names registered
         users at points inside the service area — what a batched update
@@ -445,18 +542,18 @@ class UserTable:
         xs = np.fromiter((p.x for _, p in moves), dtype=np.float64, count=n)
         ys = np.fromiter((p.y for _, p in moves), dtype=np.float64, count=n)
         stop = slot_list.index(None) if None in slot_list else n
-        inside = points_in_rect(grid.bounds, xs, ys)
+        inside = points_in_rect(self.grid.bounds, xs, ys)
         if not bool(inside.all()):
             stop = min(stop, int(inside.argmin()))
         slots = np.asarray(slot_list[:stop], dtype=np.int64)
         old_ms = self.cells[slots]
-        new_ms = leaf_mortons(grid, xs[:stop], ys[:stop])
+        new_ms = leaf_mortons(self.grid, xs[:stop], ys[:stop])
         self.xs[slots] = xs[:stop]
         self.ys[slots] = ys[:stop]
         self.cells[slots] = new_ms
         return old_ms, new_ms
 
-    def slots_array(self, uids: list[object]) -> IntArray:
+    def slots_array(self, uids: Sequence[object]) -> IntArray:
         """The slots of many uids as one array; raises for the first
         stranger among them."""
         slots = self._slots
@@ -467,21 +564,80 @@ class UserTable:
         except KeyError as exc:
             raise UnknownUserError(exc.args[0]) from None
 
+    # -- crash recovery and diagnostics ---------------------------------
+    def snapshot(self, keep: BoolArray | None = None) -> TableSnapshot:
+        """Copy the rows (of the slots ``keep`` marks; default all) out
+        in registration order."""
+        slots = self.ordered_slots()
+        rows = TableSnapshot(
+            tuple(self._slots), *(getattr(self, name)[slots] for name in _COLUMNS)
+        )
+        return rows if keep is None else rows.select(keep[slots])
+
+    def restore(self, rows: TableSnapshot) -> None:
+        """Replace the whole population with a :meth:`snapshot` copy
+        (re-copied: one snapshot serves any number of restores)."""
+        n = len(rows)
+        while self.capacity < n:
+            self._grow()
+        self._slots = dict(zip(rows.uids, range(n)))
+        self._free = list(range(self.capacity - 1, n - 1, -1))
+        self.active[:] = False
+        self.active[:n] = True
+        self.write(rows)
+
+    def write(self, rows: TableSnapshot) -> None:
+        """Roll registered users' rows back to ``rows``."""
+        slots = self.slots_array(rows.uids)
+        for name in _COLUMNS:
+            getattr(self, name)[slots] = getattr(rows, name)
+
+    def check(self) -> None:
+        """Assert the one cached derived column is fresh: every row's
+        cell is where its point locates."""
+        active = self.active
+        assert int(np.count_nonzero(active)) == len(self._slots)
+        assert np.array_equal(
+            leaf_mortons(self.grid, self.xs[active], self.ys[active]),
+            self.cells[active],
+        ), "stale cell in the user table"
+
     def nbytes(self) -> int:
         """Resident bytes of the parallel arrays (the dict and freelist
         are python-side overhead, reported separately by benchmarks)."""
-        return (
-            self.xs.nbytes
-            + self.ys.nbytes
-            + self.ks.nbytes
-            + self.a_mins.nbytes
-            + self.cells.nbytes
-            + self.active.nbytes
-        )
+        return int(sum(getattr(self, n).nbytes for n in (*_COLUMNS, "active")))
+
+
+class Population:
+    """The population reads, answered from ``self.table`` — the same
+    five answers on a single policy and on every sharded deployment."""
+
+    table: UserTable
+
+    @property
+    def num_users(self) -> int:
+        return len(self.table)
+
+    def __contains__(self, uid: object) -> bool:
+        return uid in self.table
+
+    def profile_of(self, uid: object) -> PrivacyProfile:
+        """The registered privacy profile of ``uid``."""
+        return self.table.profile_at(self.table.require(uid))
+
+    def location_of(self, uid: object) -> Point:
+        """The exact location of ``uid`` — known only to this trusted
+        third party, never shipped to the database server."""
+        return self.table.point_at(self.table.require(uid))
+
+    def users_in_rect(self, rect: Rect) -> int:
+        """Exact population of an arbitrary rectangle (one mask
+        reduction over the user table)."""
+        return self.table.count_in_rect(rect)
 
 
 # ----------------------------------------------------------------------
-# Vectorized Section 4.2 split/merge decisions over a gate table
+# Vectorized Section 4.2 split/merge decisions over the user table
 # ----------------------------------------------------------------------
 def choose_split_vec(
     grid: CellGrid,
@@ -490,7 +646,7 @@ def choose_split_vec(
     users: set[object],
     table: UserTable,
 ) -> tuple[dict[CellId, set[object]], CellId] | None:
-    """Section 4.2's split criterion over a gate table.
+    """Section 4.2's split criterion over the user table.
 
     Returns ``(child_users, satisfiable_child)`` when ``leaf`` must
     split — the user distribution over the four children plus the first
@@ -538,7 +694,7 @@ def merge_blocked_vec(
     child_area: float,
     child_stats: list[tuple[int, set[object]]],
 ) -> bool:
-    """Section 4.2's merge blocker over a gate table: a sibling-leaf
+    """Section 4.2's merge blocker over the user table: a sibling-leaf
     group must stay split while any user in any child has a profile
     that child satisfies."""
     for count, users in child_stats:

@@ -10,7 +10,7 @@ One sharded deployment per replication mode, both behind a
 * **broadcast** (:class:`ReplicatedShardedAnonymizer`) — every other
   registered policy (the adaptive pyramid, whose cut is shaped by
   global counts, and the baselines) runs as a whole single-instance
-  replica with a geometric shard directory on top.
+  replica with geometric shard homes read off its user table.
 
 Either way the sharded anonymizer implements the exact interface of the
 single-instance policy it deploys and is **byte-for-byte equivalent**

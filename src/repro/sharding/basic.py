@@ -9,10 +9,10 @@ and a lowest-level cell's owner is ``owner_by_rank[m >> 2(H - S)]``.
 :class:`~repro.anonymizer.basic.BasicAnonymizer` — its arrays, user
 table, update kernels and Algorithm 1, inherited, which is why cloaks,
 costs and statistics are byte-for-byte the single pyramid's at any
-shard count — plus only what sharding *means*: the uid -> home
-directory (:class:`~repro.sharding.surface.ShardSurface`), one cloak
-cache and one epoch per shard, per-shard crash recovery and the
-partition audits.
+shard count — plus only what sharding *means*: per-shard occupancy
+(:class:`~repro.sharding.surface.ShardSurface`; a user's home is the
+owner of their row's cell), one cloak cache and one epoch per shard,
+per-shard crash recovery and the partition audits.
 
 What sharding buys is *invalidation locality*.  Cache-invalidation
 state is two-tier:
@@ -39,12 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.anonymizer.basic import BasicAnonymizer, _UserRecord
+from repro.anonymizer.basic import BasicAnonymizer
 from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellId
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.profile import PrivacyProfile
-from repro.anonymizer.soa import IntArray
+from repro.anonymizer.soa import IntArray, TableSnapshot
 from repro.geometry import Rect
 from repro.morton import morton_of_xy
 from repro.sharding.surface import ShardSurface, cache_counters
@@ -59,15 +59,14 @@ class _FleetSnapshot:
 
     num_shards: int
     pyramid: object
-    directory: dict[object, int]
 
 
 @dataclass(frozen=True)
 class _ShardSnapshot:
-    """One shard's population state: the records it homes (its counts
-    are a function of them)."""
+    """One shard's population state: the rows it homes (its counts are
+    a function of them)."""
 
-    users: dict[object, _UserRecord]
+    population: TableSnapshot
 
 
 class ShardedBasicAnonymizer(ShardSurface, BasicAnonymizer):
@@ -106,19 +105,18 @@ class ShardedBasicAnonymizer(ShardSurface, BasicAnonymizer):
     # ------------------------------------------------------------------
     # The composite-epoch rule (the engine's mutation seam)
     # ------------------------------------------------------------------
-    def _touched_chain(self, uid: object, m: int, delta: int) -> None:
+    def _touched_chain(self, m: int, delta: int) -> None:
         # A whole chain: the owner's cells below the block root, the
         # block root and the spine.
         shard = self.router.owner_of_leaf(m)
         self._shard_epochs[shard] += 1
         self._boundary_epoch += 1
         if delta > 0:
-            self._set_home(uid, shard)
+            self._homed(shard)
         else:
-            self._drop_home(uid)
-            self._notify_op(shard, "deregister")
+            self._unhomed(shard)
 
-    def _touched_move(self, uid: object, old_m: int, new_m: int) -> None:
+    def _touched_move(self, old_m: int, new_m: int) -> None:
         router = self.router
         home = router.owner_of_leaf(old_m)
         self._shard_epochs[home] += 1
@@ -131,11 +129,9 @@ class ShardedBasicAnonymizer(ShardSurface, BasicAnonymizer):
             new_home = router.owner_of_leaf(new_m)
             if new_home != home:
                 self._shard_epochs[new_home] += 1
-                self._set_home(uid, new_home)
+                self._rehomed(home, new_home)
 
-    def _touched_moves(
-        self, uids: list[object], old_ms: IntArray, new_ms: IntArray
-    ) -> None:
+    def _touched_moves(self, old_ms: IntArray, new_ms: IntArray) -> None:
         # The scalar rule for a whole tick: epochs are only ever
         # compared for equality between cloaks, so they may be added in
         # any order — one bincount for the homes, a python loop over
@@ -151,7 +147,7 @@ class ShardedBasicAnonymizer(ShardSurface, BasicAnonymizer):
         for index, new_home in zip(crossing.tolist(), new_homes):
             if new_home != homes[index]:
                 self._shard_epochs[new_home] += 1
-                self._set_home(uids[index], new_home)
+                self._rehomed(int(homes[index]), new_home)
 
     def _touched_all(self) -> None:
         self._shard_epochs = [epoch + 1 for epoch in self._shard_epochs]
@@ -171,13 +167,11 @@ class ShardedBasicAnonymizer(ShardSurface, BasicAnonymizer):
     # Crash recovery
     # ------------------------------------------------------------------
     def snapshot(self) -> object:
-        """Atomic whole-fleet snapshot (the pyramid's own snapshot plus
-        the directory).  Generations, epochs and statistics are
-        excluded: monotone observability state, exactly as in the
-        single pyramid."""
-        return _FleetSnapshot(
-            self.num_shards, super().snapshot(), dict(self._directory)
-        )
+        """Atomic whole-fleet snapshot (the pyramid's own snapshot,
+        tagged with the shard count).  Generations, epochs and
+        statistics are excluded: monotone observability state, exactly
+        as in the single pyramid."""
+        return _FleetSnapshot(self.num_shards, super().snapshot())
 
     def restore(self, state: object) -> None:
         """Replace the whole fleet's population state with a
@@ -188,28 +182,27 @@ class ShardedBasicAnonymizer(ShardSurface, BasicAnonymizer):
         if state.num_shards != self.num_shards:
             raise ValueError("snapshot shard count mismatch")
         super().restore(state.pyramid)
-        self._load_directory(state.directory)
+        self._occupancy = self._recount()
+
+    def _homes(self) -> IntArray:
+        """The home shard of every slot's row (meaningful where the
+        slot is active)."""
+        return self.router.owners_of_leaves(self.table.cells)
 
     def snapshot_shard(self, shard: int) -> object:
-        """Copy of the records one shard homes."""
-        return _ShardSnapshot(
-            {
-                uid: self._record(uid)
-                for uid, home in self._directory.items()
-                if home == shard
-            }
-        )
+        """Copy of the rows one shard homes."""
+        return _ShardSnapshot(self.table.snapshot(self._homes() == shard))
 
     def restore_shard(self, shard: int, state: object) -> list[object]:
         """Restore one crashed shard from a :meth:`snapshot_shard` copy,
         reconciling it with the surviving fleet; returns the purged
         uids.
 
-        The directory is authoritative.  Users it homes elsewhere have
+        The live row is authoritative.  Users it homes elsewhere have
         since moved *away* and are dropped from the restored copy (the
-        destination shard's live record wins); users it homes here with
-        no restored record are purged and returned, in directory order
-        — they lost state and heal through the normal re-registration
+        destination shard's live row wins); users it homes here with no
+        restored row are purged and returned, in registration order —
+        they lost state and heal through the normal re-registration
         path; the rest roll back to the snapshot's point, profile and
         cell.  The shard's counts are rebuilt from those rows and the
         spine from every block root, so fleet-wide invariants hold
@@ -218,32 +211,29 @@ class ShardedBasicAnonymizer(ShardSurface, BasicAnonymizer):
         if not isinstance(state, _ShardSnapshot):
             raise TypeError("not a ShardedBasicAnonymizer shard snapshot")
         lo, hi = self.router.block_rank_range(shard)
-        directory = self._directory
-        table = self._table
-        survivors = {
-            uid: rec
-            for uid, rec in state.users.items()
-            if directory.get(uid) == shard
-        }
+        table = self.table
+        here = self._homes() == shard
+        rows = state.population
+        rolled_back = rows.select(
+            np.fromiter(
+                (uid in table and here[table.require(uid)] for uid in rows.uids),
+                dtype=np.bool_,
+                count=len(rows),
+            )
+        )
+        survivors = set(rolled_back.uids)
         purged = [
             uid
-            for uid, home in directory.items()
-            if home == shard and uid not in survivors
+            for uid, slot in table.items()
+            if here[slot] and uid not in survivors
         ]
         for uid in purged:
-            self._drop_home(uid)
             table.remove(uid)
-        leaves = np.empty(len(survivors), dtype=np.int64)
-        for index, (uid, rec) in enumerate(survivors.items()):
-            slot = table.require(uid)
-            table.xs[slot] = rec.point.x
-            table.ys[slot] = rec.point.y
-            table.ks[slot] = rec.profile.k
-            table.a_mins[slot] = rec.profile.a_min
-            table.cells[slot] = leaves[index] = morton_of_xy(
-                rec.cell.ix, rec.cell.iy
-            )
-        self._soa.rebuild_subtrees(self.router.spine_level, lo, hi, leaves)
+        table.write(rolled_back)
+        self._soa.rebuild_subtrees(
+            self.router.spine_level, lo, hi, rolled_back.cells
+        )
+        self._occupancy = self._recount()
         self._shard_epochs[shard] += 1
         self._caches[shard].clear()
         self._boundary_epoch += 1
@@ -255,16 +245,17 @@ class ShardedBasicAnonymizer(ShardSurface, BasicAnonymizer):
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Assert pyramid + partition consistency: the one pyramid's
-        own audit, then that the directory, its occupancy counters and
-        the user table agree on who is registered and every user is
-        homed where their cell lives.
+        own audit (which includes the table's: every row's cell — and
+        so its home — is where its point locates), then that the
+        occupancy counters match the rows.
 
         A partition-mode worker replica passes the same audit.  It sees
         every broadcast mutation but only its own confined moves, so
         foreign users' rows go stale — point and cell *together*, and
-        always inside their true block — and its foreign interior
-        counts stay consistent with exactly those rows: a replica is a
-        whole, self-consistent fleet of the operations it was sent.
+        always inside their true block, so a home derived from a stale
+        cell is still the true home — and its foreign interior counts
+        stay consistent with exactly those rows: a replica is a whole,
+        self-consistent fleet of the operations it was sent.
         """
         super().check_invariants()
-        self._check_homes(self._table)
+        self._check_homes()

@@ -9,8 +9,8 @@ no partitioned form, the related-work baselines, or a user-registered
 cloaker — runs behind ``make_sharded`` and the parallel worker runtime
 through this adapter: it wraps one *whole* single-instance policy per
 replica and adds the sharded surface on top
-(:class:`~repro.sharding.surface.ShardSurface`: shard directory,
-occupancy, per-shard cache stats; plus shard-count-tagged snapshots), using
+(:class:`~repro.sharding.surface.ShardSurface`: homes, occupancy,
+per-shard cache stats; plus shard-count-tagged snapshots), using
 broadcast replication — every worker applies every mutation, so every
 replica answers every question.  A policy gains process parallelism
 from nothing but its registry entry.
@@ -18,7 +18,9 @@ from nothing but its registry entry.
 Shard homes are geometric (the level-``S`` block of the user's lowest
 level cell, same as the fleets) so occupancy, routing and telemetry
 stay meaningful even though the wrapped policy keeps no per-shard
-state.
+state.  The wrapper holds no per-user state of its own: who is
+registered, where and under which profile is the wrapped policy's user
+table (``PyramidEngine.table``), read — never written — from here.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.policy import CloakingPolicy, PolicySpec
 from repro.anonymizer.profile import PrivacyProfile
+from repro.anonymizer.soa import UserTable
 from repro.anonymizer.stats import MaintenanceStats
 from repro.geometry import Point, Rect
 from repro.observability import runtime as _telemetry
@@ -42,7 +45,6 @@ class _ReplicatedSnapshot:
     policy: str
     num_shards: int
     inner: object
-    directory: dict[object, int]
 
 
 class ReplicatedShardedAnonymizer(ShardSurface):
@@ -72,21 +74,16 @@ class ReplicatedShardedAnonymizer(ShardSurface):
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def table(self) -> UserTable:
+        return self._inner.table
+
+    @property
     def stats(self) -> MaintenanceStats:
         return self._inner.stats
 
     @stats.setter
     def stats(self, value: MaintenanceStats) -> None:
         self._inner.stats = value
-
-    def profile_of(self, uid: object) -> PrivacyProfile:
-        return self._inner.profile_of(uid)
-
-    def location_of(self, uid: object) -> Point:
-        return self._inner.location_of(uid)
-
-    def users_in_rect(self, rect: Rect) -> int:
-        return self._inner.users_in_rect(rect)
 
     @property
     def num_maintained_cells(self) -> int:
@@ -124,23 +121,24 @@ class ReplicatedShardedAnonymizer(ShardSurface):
     # ------------------------------------------------------------------
     def register(self, uid: object, point: Point, profile: PrivacyProfile) -> None:
         self._inner.register(uid, point, profile)
-        self._set_home(uid, self._home_of(point))
+        self._homed(self.shard_of_user(uid))
 
     def deregister(self, uid: object) -> None:
+        home = self.shard_of_user(uid)
         self._inner.deregister(uid)
-        self._notify_op(self._drop_home(uid), "deregister")
+        self._unhomed(home)
 
     def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
         self._inner.set_profile(uid, profile)
 
     def update(self, uid: object, point: Point) -> int:
         home = self.shard_of_user(uid)
-        # Located first: a point outside the service area is refused
-        # before the wrapped policy has written it into its records.
-        new_home = self._home_of(point)
+        # A refused point raises here, before the policy wrote anything.
         cost = self._inner.update(uid, point)
         self._notify_op(home, "update", occupancy=False)
-        self._set_home(uid, new_home)
+        new_home = self.shard_of_user(uid)
+        if new_home != home:
+            self._rehomed(home, new_home)
         return cost
 
     def update_batch(self, moves: list[tuple[object, Point]]) -> list[int]:
@@ -175,10 +173,7 @@ class ReplicatedShardedAnonymizer(ShardSurface):
     # runtime falls back to it, as for unsharded anonymizers).
     def snapshot(self) -> object:
         return _ReplicatedSnapshot(
-            self.kind,
-            self.num_shards,
-            self._inner.snapshot(),
-            dict(self._directory),
+            self.kind, self.num_shards, self._inner.snapshot()
         )
 
     def restore(self, state: object) -> None:
@@ -188,20 +183,11 @@ class ReplicatedShardedAnonymizer(ShardSurface):
         ):
             raise TypeError("not a ReplicatedShardedAnonymizer snapshot")
         if state.num_shards != self.num_shards:
-            # The directory's homes are only meaningful at the shard
-            # count that computed them.
+            # A fleet's snapshot restores into a fleet of its own shape.
             raise ValueError("snapshot shard count mismatch")
         self._inner.restore(state.inner)
-        self._load_directory(state.directory)
+        self._occupancy = self._recount()
 
     def check_invariants(self) -> None:
         self._inner.check_invariants()
-        assert self._inner.num_users == len(self._directory), (
-            "directory population drift"
-        )
-        self._check_directory()
-        for uid, home in self._directory.items():
-            assert uid in self._inner, f"directory ghost {uid!r}"
-            assert self._home_of(self._inner.location_of(uid)) == home, (
-                f"user {uid!r} homed in the wrong shard"
-            )
+        self._check_homes()

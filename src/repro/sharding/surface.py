@@ -1,8 +1,9 @@
 """The shard surface every sharded deployment exposes, stated once.
 
-Where a user is homed, how many users each shard homes, which routing
-class a cloak answer falls in and how per-shard cache traffic is
-reported are the same facts for the partitioned fleet
+Who is registered (the host's one user table), where a user is homed,
+how many users each shard homes, which routing class a cloak answer
+falls in and how per-shard cache traffic is reported are the same
+facts for the partitioned fleet
 (:class:`~repro.sharding.basic.ShardedBasicAnonymizer`), the broadcast
 replica (:class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`)
 and the worker-pool parent (:class:`~repro.sharding.workers
@@ -18,8 +19,7 @@ import numpy as np
 from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellGrid
 from repro.anonymizer.cloak import BatchCloaking, CloakedRegion
-from repro.anonymizer.soa import IntArray, UserTable
-from repro.errors import UnknownUserError
+from repro.anonymizer.soa import IntArray, Population
 from repro.geometry import Rect
 from repro.observability import runtime as _telemetry
 from repro.sharding.router import ShardRouter
@@ -35,16 +35,21 @@ def cache_counters(cache: CloakCache) -> dict[str, int]:
     return {key: getattr(cache, key) for key in CACHE_KEYS}
 
 
-class ShardSurface(BatchCloaking):
-    """Router, uid -> home-shard directory and per-shard reporting
-    over the host's ``grid``."""
+class ShardSurface(Population, BatchCloaking):
+    """Router, per-shard occupancy and per-shard reporting over the
+    host's ``grid`` and ``table``.
+
+    A user's home shard is a function of their row — the owner of the
+    level-``S`` block over ``table.cells[slot]`` — so no host keeps a
+    directory.  Occupancy is ``num_shards`` counters, moved at the three
+    places a home can change (:meth:`_homed`, :meth:`_rehomed`,
+    :meth:`_unhomed`) and recounted from the table only after a restore.
+    """
 
     grid: CellGrid
 
     def _init_surface(self, num_shards: int, height: int) -> None:
         self.router = ShardRouter(num_shards, height)
-        self._directory: dict[object, int] = {}
-        # Kept in step with the directory so occupancy is O(shards).
         self._occupancy = [0] * num_shards
 
     @property
@@ -59,13 +64,6 @@ class ShardSurface(BatchCloaking):
     def num_shards(self) -> int:
         return self.router.num_shards
 
-    @property
-    def num_users(self) -> int:
-        return len(self._directory)
-
-    def __contains__(self, uid: object) -> bool:
-        return uid in self._directory
-
     def cache_stats(self) -> dict[str, int]:
         """Aggregate cloak-cache traffic: the per-shard rows, summed."""
         rows = self.cache_stats_per_shard().values()
@@ -74,64 +72,41 @@ class ShardSurface(BatchCloaking):
     def shard_of_user(self, uid: object) -> int:
         """The shard currently homing ``uid`` (the routing seam the
         server facade exposes)."""
-        try:
-            return self._directory[uid]
-        except KeyError:
-            raise UnknownUserError(uid) from None
+        table = self.table
+        return self.router.owner_of_leaf(int(table.cells[table.require(uid)]))
 
     def shard_occupancy(self) -> list[int]:
         """Registered users homed per shard, indexed by shard id."""
         return list(self._occupancy)
 
-    def _set_home(self, uid: object, shard: int) -> None:
-        """Home ``uid`` in ``shard`` and record it: a ``register`` for a
-        new user, a ``rehome`` for one homed elsewhere, nothing for one
-        already there."""
-        previous = self._directory.get(uid)
-        if previous == shard:
-            return
-        if previous is not None:
-            self._occupancy[previous] -= 1
-        self._directory[uid] = shard
+    def _homed(self, shard: int) -> None:
+        """A user registered into ``shard``."""
         self._occupancy[shard] += 1
-        self._notify_op(shard, "register" if previous is None else "rehome")
+        self._notify_op(shard, "register")
 
-    def _drop_home(self, uid: object) -> int:
-        """Forget ``uid``; returns the shard that homed them."""
-        shard = self._directory.pop(uid)
+    def _rehomed(self, previous: int, shard: int) -> None:
+        """A move took a user from ``previous`` into ``shard``."""
+        self._occupancy[previous] -= 1
+        self._occupancy[shard] += 1
+        self._notify_op(shard, "rehome")
+
+    def _unhomed(self, shard: int) -> None:
+        """A user homed in ``shard`` deregistered."""
         self._occupancy[shard] -= 1
-        return shard
+        self._notify_op(shard, "deregister")
 
     def _recount(self) -> list[int]:
-        occupancy = [0] * self.num_shards
-        for shard in self._directory.values():
-            occupancy[shard] += 1
-        return occupancy
+        """Occupancy from scratch: one ``bincount`` over the homes of
+        the live rows."""
+        table = self.table
+        homes = self.router.owners_of_leaves(table.cells[table.active])
+        counts: list[int] = np.bincount(homes, minlength=self.num_shards).tolist()
+        return counts
 
-    def _load_directory(self, directory: Mapping[object, int]) -> None:
-        """Replace the whole directory (snapshot restore)."""
-        self._directory = dict(directory)
-        self._occupancy = self._recount()
-
-    def _check_directory(self) -> None:
-        """Assert the occupancy counters still match the directory."""
+    def _check_homes(self) -> None:
+        """Assert the occupancy counters still match the table."""
         assert self._recount() == self._occupancy, (
-            "occupancy drifted from the directory"
-        )
-
-    def _check_homes(self, table: UserTable) -> None:
-        """Assert the directory, its occupancy counters and the host's
-        user table agree on who is registered, and that every user is
-        homed where their lowest-level cell lives."""
-        directory = self._directory
-        assert set(table.uids()) == set(directory), "directory population drift"
-        self._check_directory()
-        homes = np.fromiter(
-            directory.values(), dtype=np.int64, count=len(directory)
-        )
-        leaves = table.cells[table.slots_array(list(directory))]
-        assert np.array_equal(self.router.owners_of_leaves(leaves), homes), (
-            "user homed in the wrong shard"
+            "occupancy drifted from the user table"
         )
 
     def _notify_op(

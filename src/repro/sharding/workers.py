@@ -93,18 +93,15 @@ from multiprocessing.connection import Connection
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
-import numpy as np
-
 from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.policy import get_policy
 from repro.anonymizer.profile import PrivacyProfile
-from repro.anonymizer.soa import UserTable, leaf_mortons, move_level, move_levels
+from repro.anonymizer.soa import TableSnapshot, UserTable, move_level, move_levels
 from repro.anonymizer.stats import MaintenanceStats
-from repro.errors import DuplicateUserError, ProfileUnsatisfiableError
+from repro.errors import ProfileUnsatisfiableError
 from repro.geometry import Point, Rect
 from repro.messages import ShardEnvelope
-from repro.morton import morton_of_cell
 from repro.observability import runtime as _telemetry
 from repro.sharding.replicated import ReplicatedShardedAnonymizer
 from repro.sharding.surface import ShardSurface
@@ -571,13 +568,14 @@ class _WorkerDied(Exception):
 
 @dataclass(frozen=True)
 class _ParallelSnapshot:
-    """Parent-side snapshot: the user mirror (always sufficient to
-    rebuild a partitioned fleet) plus, for broadcast policies, a
-    pickled replica snapshot taken on worker 0 (the adaptive cut is
-    history-dependent, so points alone cannot reproduce it)."""
+    """Parent-side snapshot: the parent table's rows (always
+    sufficient to rebuild a partitioned fleet) plus, for broadcast
+    policies, a pickled replica snapshot taken on worker 0 (the
+    adaptive cut is history-dependent, so points alone cannot
+    reproduce it)."""
 
     kind: str
-    records: tuple[tuple[object, Point, PrivacyProfile], ...]
+    population: TableSnapshot
     blob: bytes | None = None
 
 
@@ -615,7 +613,7 @@ class ParallelShardedAnonymizer(ShardSurface):
         #: The parent's authoritative copy of every user's state: the
         #: engine's own user table (exact point, profile and lowest-level
         #: Morton cell per slot) with no pyramid over it.
-        self._table = UserTable()
+        self.table = UserTable(self.grid)
         self._pending: list[list[bytes]] = [[] for _ in range(num_shards)]
         self._seq = 0
         self._injector = None
@@ -657,15 +655,6 @@ class ParallelShardedAnonymizer(ShardSurface):
         payload["cloak_requests"] = self._stats.cloak_requests
         return MaintenanceStats(**payload)
 
-    def profile_of(self, uid: object) -> PrivacyProfile:
-        return self._table.profile_at(self._table.require(uid))
-
-    def location_of(self, uid: object) -> Point:
-        return self._table.point_at(self._table.require(uid))
-
-    def users_in_rect(self, rect: Rect) -> int:
-        return self._table.count_in_rect(rect)
-
     @property
     def num_maintained_cells(self) -> int:
         cells = self._fetch_stats()[0]["num_maintained_cells"]
@@ -684,67 +673,48 @@ class ParallelShardedAnonymizer(ShardSurface):
         own = (payload["own_cache"] for payload in self._fetch_stats())
         return self._shard_rows(dict(enumerate(own)))
 
-    def _record_rows(self) -> tuple[tuple[object, Point, PrivacyProfile], ...]:
-        """The mirror as ``(uid, point, profile)`` rows: what a snapshot
-        keeps and what a ``bootstrap`` install re-registers."""
-        table = self._table
-        return tuple(
-            (uid, table.point_at(slot), table.profile_at(slot))
-            for uid, slot in table.items()
-        )
-
     # ------------------------------------------------------------------
     # Registration and location updates
     # ------------------------------------------------------------------
     def register(
         self, uid: object, point: Point, profile: PrivacyProfile
     ) -> None:
-        if uid in self._directory:
-            raise DuplicateUserError(uid)
-        leaf = self._admit(uid, point, profile)
-        self._set_home(uid, self.router.owner_of_leaf(leaf))
+        self.table.admit(uid, point, profile)
+        self._homed(self.shard_of_user(uid))
         if self._partitioned:
             self._stats.registrations += 1
             self._stats.counter_updates += self.height + 1
         self._broadcast(op_register(uid, point, profile))
 
-    def _admit(self, uid: object, point: Point, profile: PrivacyProfile) -> int:
-        """Give ``uid`` a mirror row; returns their lowest-level cell."""
-        leaf = morton_of_cell(self.grid.cell_of(point))
-        self._table.add(uid, point.x, point.y, profile.k, profile.a_min, leaf)
-        return leaf
-
     def deregister(self, uid: object) -> None:
-        self._table.require(uid)
+        home = self.shard_of_user(uid)
         if self._partitioned:
             self._stats.deregistrations += 1
             self._stats.counter_updates += self.height + 1
-        self._table.remove(uid)
-        self._notify_op(self._drop_home(uid), "deregister")
+        self.table.remove(uid)
+        self._unhomed(home)
         self._broadcast(op_deregister(uid))
 
     def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
-        slot = self._table.require(uid)
-        self._table.ks[slot] = profile.k
-        self._table.a_mins[slot] = profile.a_min
+        self.table.set_profile(uid, profile)
         self._broadcast(op_set_profile(uid, profile))
 
     def update(self, uid: object, point: Point) -> int:
         """Process a location update; returns its counter-update cost
         (identical to the in-process cost).  The lean one-move form of
         :meth:`update_batch`'s mirror: the same rule on python ints."""
-        table, router = self._table, self.router
-        slot, home = table.require(uid), self._directory[uid]
-        new_leaf = morton_of_cell(self.grid.cell_of(point))
-        level, cost = move_level(self.height, int(table.cells[slot]), new_leaf)
-        table.xs[slot], table.ys[slot], table.cells[slot] = point.x, point.y, new_leaf
+        router = self.router
+        _slot, old_leaf, new_leaf, _cell = self.table.move(uid, point)
+        home = router.owner_of_leaf(old_leaf)
+        level, cost = move_level(self.height, old_leaf, new_leaf)
         if cost or not self._partitioned:
             self._notify_op(home, "update", occupancy=False)
         # Only a move that leaves its level-S block can change homes,
         # and it changes spine/block-root state every replica reads.
         crossing = router.crosses_boundary(level)
-        if crossing:
-            self._set_home(uid, router.owner_of_leaf(new_leaf))
+        new_home = router.owner_of_leaf(new_leaf) if crossing else home
+        if new_home != home:
+            self._rehomed(home, new_home)
         if crossing or not self._partitioned:
             self._broadcast(op_move(uid, point))
         else:
@@ -791,7 +761,7 @@ class ParallelShardedAnonymizer(ShardSurface):
         if self._closed:
             raise RuntimeError("parallel anonymizer is closed")
         router, pending = self.router, self._pending
-        old_leaves, new_leaves = self._table.apply_moves(moves, self.grid)
+        old_leaves, new_leaves = self.table.apply_moves(moves)
         levels, costs = move_levels(self.height, old_leaves, new_leaves)
         homes = router.owners_of_leaves(old_leaves)
         self._notify_updates(homes[costs != 0])
@@ -803,7 +773,8 @@ class ParallelShardedAnonymizer(ShardSurface):
         ):
             op = op_move(uid, point)
             if crossing:
-                self._set_home(uid, new_home)
+                if new_home != home:
+                    self._rehomed(home, new_home)
                 self._broadcast(op)
             else:
                 pending[home].append(op)
@@ -902,13 +873,13 @@ class ParallelShardedAnonymizer(ShardSurface):
         state (cheap — no wire traffic); broadcast snapshots
         additionally capture worker 0's replica, which point data alone
         cannot rebuild (the adaptive cut is history-dependent)."""
-        records = self._record_rows()
+        rows = self.table.snapshot()
         if self._partitioned:
-            return _ParallelSnapshot(self.kind, records)
+            return _ParallelSnapshot(self.kind, rows)
         self.flush()
         self._enqueue(0, op_snapshot())
         blob = self._flush_shard(0)[-1]
-        return _ParallelSnapshot(self.kind, records, blob)
+        return _ParallelSnapshot(self.kind, rows, blob)
 
     def restore(self, state: object) -> None:
         """Restore the fleet from a :meth:`snapshot` copy.
@@ -922,15 +893,10 @@ class ParallelShardedAnonymizer(ShardSurface):
         if not isinstance(state, _ParallelSnapshot) or state.kind != self.kind:
             raise TypeError("not a ParallelShardedAnonymizer snapshot")
         self._discard_pending()
-        self._table.clear()
-        self._load_directory(
-            {
-                uid: self.router.owner_of_leaf(self._admit(uid, point, profile))
-                for uid, point, profile in state.records
-            }
-        )
+        self.table.restore(state.population)
+        self._occupancy = self._recount()
         if self._partitioned:
-            package = ("bootstrap", state.records)
+            package = ("bootstrap", list(state.population.rows()))
         else:
             snapshot, _stats = pickle.loads(state.blob)
             package = ("install", (snapshot, None))
@@ -965,13 +931,8 @@ class ParallelShardedAnonymizer(ShardSurface):
     def check_invariants(self) -> None:
         """Assert parent-mirror consistency, then every worker's
         replica invariants (each replica's own ``check_invariants``)."""
-        table = self._table
-        self._check_homes(table)
-        active = table.active
-        assert np.array_equal(
-            leaf_mortons(self.grid, table.xs[active], table.ys[active]),
-            table.cells[active],
-        ), "parent mirror holds a stale cell"
+        self.table.check()
+        self._check_homes()
         self._broadcast(op_check())
         self.flush()
 
@@ -1282,7 +1243,7 @@ class ParallelShardedAnonymizer(ShardSurface):
             # Broadcast policies fall back to it only with no survivor;
             # history-dependent structure (the adaptive cut) re-deepens
             # from current points, and worker stats restart.
-            package = ("bootstrap", self._record_rows())
+            package = ("bootstrap", list(self.table.snapshot().rows()))
         self._enqueue(victim, op_install(pickle.dumps(package)))
         self._flush_shard(victim)
         # If the install exchange itself died, the nested heal that

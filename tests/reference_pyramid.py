@@ -3,8 +3,10 @@
 The per-object implementations the structure-of-arrays anonymizers
 replaced: one python record per user, one ``CellId`` walk per update,
 per-user profile checks.  They speak the production API the differential
-driver exercises and the production snapshot formats, so
-``test_reference_equivalence.py`` runs oracle and production in lockstep.
+driver exercises and the production snapshot formats (the population
+half is the user table's by-value ``TableSnapshot``, built here from
+the record dict), so ``test_reference_equivalence.py`` runs oracle and
+production in lockstep.
 
 :class:`ReferenceBasic` is also the oracle of the partitioned fleet's
 composite cache epochs: built with ``num_shards=N`` it keeps N cloak
@@ -17,25 +19,38 @@ from __future__ import annotations
 
 import numpy as np
 
+from dataclasses import dataclass
+
 from repro.anonymizer.adaptive import _AdaptiveSnapshot
-from repro.anonymizer.adaptive import _UserRecord as _AdaptiveRecord
 from repro.anonymizer.basic import _BasicSnapshot
-from repro.anonymizer.basic import _UserRecord as _BasicRecord
 from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellId
 from repro.anonymizer.engine import PyramidEngine
-from repro.anonymizer.policies.adaptive import CutCell, CutMaintainer
+from repro.anonymizer.policies.adaptive import ROOT, CutCell, CutMaintainer
 from repro.anonymizer.profile import PrivacyProfile
+from repro.anonymizer.soa import TableSnapshot
 from repro.errors import DuplicateUserError, UnknownUserError
 from repro.geometry import Point, Rect
+from repro.morton import morton_of_cell
 from repro.sharding.router import ShardRouter
 from repro.sharding.surface import cache_counters
 
 
+@dataclass
+class _Record:
+    """One user: profile, exact point and the hash table's cell pointer
+    (lowest-level cell in the basic oracle, lowest *maintained* cell in
+    the adaptive one)."""
+
+    profile: PrivacyProfile
+    point: Point
+    cell: CellId
+
+
 class _ReferenceHost(PyramidEngine):
-    """What both oracles share: a user-record dict, one cloak cache and
-    one mutation epoch (the basic oracle adds one of each per extra
-    shard)."""
+    """What both oracles share: a user-record dict (the engine's user
+    table stays empty), one cloak cache and one mutation epoch (the
+    basic oracle adds one of each per extra shard)."""
 
     def _init_host(self, bounds: Rect, height: int, cloak_cache_size: int) -> None:
         self._init_engine(bounds, height)
@@ -59,8 +74,18 @@ class _ReferenceHost(PyramidEngine):
     def users_in_rect(self, rect: Rect) -> int:
         return sum(1 for rec in self._users.values() if rect.contains_point(rec.point))
 
-    def update_batch(self, moves: list[tuple[object, Point]]) -> list[int]:
-        return [self.update(uid, point) for uid, point in moves]
+    def _population(self) -> TableSnapshot:
+        """The record dict in the user table's snapshot shape."""
+        records = self._users.values()
+        lowest = [morton_of_cell(self.grid.cell_of(r.point)) for r in records]
+        return TableSnapshot(
+            tuple(self._users),
+            np.array([r.point.x for r in records], dtype=np.float64),
+            np.array([r.point.y for r in records], dtype=np.float64),
+            np.array([r.profile.k for r in records], dtype=np.int64),
+            np.array([r.profile.a_min for r in records], dtype=np.float64),
+            np.array(lowest, dtype=np.int64),
+        )
 
 
 def branch_pairs(a: CellId, b: CellId, ancestor_level: int):
@@ -175,7 +200,7 @@ class ReferenceBasic(_ReferenceHost, CompletePyramidMaintainer):
         if uid in self._users:
             raise DuplicateUserError(uid)
         cell = self.grid.cell_of(point)
-        self._users[uid] = _BasicRecord(profile, point, cell)
+        self._users[uid] = _Record(profile, point, cell)
         self._apply_delta(cell, +1)
         self.stats.registrations += 1
 
@@ -201,19 +226,16 @@ class ReferenceBasic(_ReferenceHost, CompletePyramidMaintainer):
         self.stats.cell_changes += 1
         return cost
 
-    @staticmethod
-    def _copy(counts: list, users: dict) -> tuple[list, dict]:
-        return (
-            [arr.copy() for arr in counts],
-            {u: _BasicRecord(r.profile, r.point, r.cell) for u, r in users.items()},
-        )
-
     def snapshot(self) -> object:
-        return _BasicSnapshot(*self._copy(self._counts, self._users))
+        return _BasicSnapshot([arr.copy() for arr in self._counts], self._population())
 
     def restore(self, state: object) -> None:
         assert isinstance(state, _BasicSnapshot)
-        self._counts, self._users = self._copy(state.counts, state.users)
+        self._counts = [arr.copy() for arr in state.counts]
+        self._users = {
+            uid: _Record(profile, point, self.grid.cell_of(point))
+            for uid, point, profile in state.population.rows()
+        }
         self._shard_epochs = [epoch + 1 for epoch in self._shard_epochs]
         self._boundary_epoch += 1
         for cache in self._caches:
@@ -271,15 +293,19 @@ class ReferenceAdaptive(_ReferenceHost, CutMaintainer):
 
     def __init__(self, bounds: Rect, height: int = 9, cloak_cache_size: int = 8192):
         self._init_host(bounds, height, cloak_cache_size)
-        self._cells: dict[CellId, CutCell] = {CellId(0, 0, 0): CutCell()}
+        self._cells: dict[CellId, CutCell] = {ROOT: CutCell()}
         self._gens: dict[CellId, int] = {}
 
     def cloak(self, uid: object):
         record = self._record(uid)
         return self._cloak_via(
             self.cloak_cache, self.cell_count, self._gen_of, self._epoch,
-            record.profile, record.leaf,
+            record.profile, record.cell,
         )
+
+    def _set_leaf(self, uids, leaf: CellId) -> None:
+        for uid in uids:
+            self._users[uid].cell = leaf
 
     def _profile_of(self, uid: object) -> PrivacyProfile:
         return self._users[uid].profile
@@ -304,34 +330,34 @@ class ReferenceAdaptive(_ReferenceHost, CutMaintainer):
         if uid in self._users:
             raise DuplicateUserError(uid)
         leaf = self.leaf_for_point(point)
-        self._users[uid] = _AdaptiveRecord(profile, point, leaf)
+        self._users[uid] = _Record(profile, point, leaf)
         self._add_to_leaf(uid, leaf)
         self.stats.registrations += 1
         self._maybe_split(leaf)
 
     def deregister(self, uid: object) -> None:
         record = self._record(uid)
-        self._remove_from_leaf(uid, record.leaf)
+        self._remove_from_leaf(uid, record.cell)
         del self._users[uid]
         self.stats.deregistrations += 1
-        self._maybe_merge(record.leaf)
+        self._maybe_merge(record.cell)
 
     def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
         record = self._record(uid)
         record.profile = profile
-        self._maybe_split(record.leaf)
-        self._maybe_merge(record.leaf)
+        self._maybe_split(record.cell)
+        self._maybe_merge(record.cell)
 
     def update(self, uid: object, point: Point) -> int:
         record = self._record(uid)
+        new_leaf = self.leaf_for_point(point)  # locate, then write
         record.point = point
         self.stats.location_updates += 1
-        new_leaf = self.leaf_for_point(point)
-        if new_leaf == record.leaf:
+        if new_leaf == record.cell:
             return 0
-        old_leaf = record.leaf
+        old_leaf = record.cell
         cost = self._move_between_leaves(uid, old_leaf, new_leaf)
-        record.leaf = new_leaf
+        record.cell = new_leaf
         self.stats.counter_updates += cost
         self.stats.cell_changes += 1
         self._maybe_split(new_leaf)
@@ -339,18 +365,23 @@ class ReferenceAdaptive(_ReferenceHost, CutMaintainer):
         return cost
 
     @staticmethod
-    def _copy(cells: dict, users: dict) -> tuple[dict, dict]:
-        return (
-            {c: CutCell(e.count, e.is_leaf, set(e.users)) for c, e in cells.items()},
-            {u: _AdaptiveRecord(r.profile, r.point, r.leaf) for u, r in users.items()},
-        )
+    def _copy(cells: dict) -> dict:
+        return {c: CutCell(e.count, e.is_leaf, set(e.users)) for c, e in cells.items()}
 
     def snapshot(self) -> object:
-        return _AdaptiveSnapshot(*self._copy(self._cells, self._users))
+        return _AdaptiveSnapshot(self._copy(self._cells), self._population())
 
     def restore(self, state: object) -> None:
         assert isinstance(state, _AdaptiveSnapshot)
-        self._cells, self._users = self._copy(state.cells, state.users)
+        self._cells = self._copy(state.cells)
+        # The maintained-leaf pointers are a function of the cut: each
+        # leaf names its users.
+        self._users = {
+            uid: _Record(profile, point, ROOT)
+            for uid, point, profile in state.population.rows()
+        }
+        for cell, entry in self._cells.items():
+            self._set_leaf(entry.users, cell)
         self._epoch += 1
         self.cloak_cache.clear()
 
@@ -366,4 +397,4 @@ class ReferenceAdaptive(_ReferenceHost, CutMaintainer):
             assert entry.is_leaf or all(c in self._cells for c in cell.children())
             assert cell.is_root or not self._cells[cell.parent()].is_leaf
         for uid, rec in self._users.items():
-            assert rec.leaf == self.leaf_for_point(rec.point), f"stale leaf for {uid!r}"
+            assert rec.cell == self.leaf_for_point(rec.point), f"stale leaf for {uid!r}"

@@ -1,47 +1,60 @@
-"""Tests for the IntervalCloak and CliqueCloak baseline anonymizers."""
+"""Tests for the related-work cloakers: the interval (KD-halving)
+policy under one global ``k`` — the published IntervalCloak contract —
+and the two behaviours with no standalone ``cloak(uid)`` form, the
+request-batched CliqueCloak engine and the delay-until-``k``
+TemporalCloak model, which live beside their policy ports."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.anonymizer.baselines import CliqueCloak, CliqueRequest, IntervalCloak
+from repro.anonymizer import PrivacyProfile
+from repro.anonymizer.policies import (
+    CliqueCloak,
+    CliqueRequest,
+    IntervalPolicy,
+    TemporalCloak,
+)
 from repro.errors import ProfileUnsatisfiableError, UnknownUserError
 from repro.geometry import Point, Rect
 from tests.conftest import UNIT, random_points
 
 
+def interval_cloak(k: int, points=(), **options):
+    """``IntervalPolicy`` as the published IntervalCloak: everyone
+    registers under the same global ``k``."""
+    policy = IntervalPolicy(UNIT, **options)
+    for uid, point in enumerate(points):
+        policy.register(uid, point, PrivacyProfile(k=k))
+    return policy
+
+
 class TestIntervalCloak:
     def test_validation(self):
         with pytest.raises(ValueError):
-            IntervalCloak(UNIT, k=0)
+            interval_cloak(k=0, points=[Point(0.5, 0.5)])
         with pytest.raises(ValueError):
-            IntervalCloak(Rect(0, 0, 0, 1), k=5)
+            IntervalPolicy(Rect(0, 0, 0, 1))
 
     def test_cloak_satisfies_k(self, rng):
-        ic = IntervalCloak(UNIT, k=15)
-        for i, p in enumerate(random_points(rng, 200)):
-            ic.register(i, p)
+        ic = interval_cloak(15, random_points(rng, 200))
         for uid in range(0, 200, 19):
             region = ic.cloak(uid)
             assert region.achieved_k >= 15
 
     def test_cloak_contains_user(self, rng):
-        ic = IntervalCloak(UNIT, k=10)
         points = random_points(rng, 120)
-        for i, p in enumerate(points):
-            ic.register(i, p)
+        ic = interval_cloak(10, points)
         for uid in range(0, 120, 11):
             assert ic.cloak(uid).region.contains_point(points[uid])
 
     def test_population_below_k_raises(self):
-        ic = IntervalCloak(UNIT, k=10)
-        ic.register("only", Point(0.5, 0.5))
+        ic = interval_cloak(10, [Point(0.5, 0.5)])
         with pytest.raises(ProfileUnsatisfiableError):
-            ic.cloak("only")
+            ic.cloak(0)
 
     def test_unknown_user_raises(self):
-        ic = IntervalCloak(UNIT, k=2)
+        ic = interval_cloak(2)
         with pytest.raises(UnknownUserError):
             ic.cloak("ghost")
         with pytest.raises(UnknownUserError):
@@ -50,25 +63,19 @@ class TestIntervalCloak:
             ic.deregister("ghost")
 
     def test_updates_are_free_maintenance(self, rng):
-        ic = IntervalCloak(UNIT, k=5)
-        for i, p in enumerate(random_points(rng, 50)):
-            ic.register(i, p)
+        ic = interval_cloak(5, random_points(rng, 50))
         assert ic.update(0, Point(0.9, 0.9)) == 0
 
     def test_dense_cluster_gets_small_region(self, rng):
-        ic = IntervalCloak(UNIT, k=10)
         # 50 users packed into a corner, 10 scattered.
-        for i in range(50):
-            ic.register(i, Point(0.05 + 0.001 * i, 0.05))
-        for i, p in enumerate(random_points(rng, 10)):
-            ic.register(50 + i, p)
+        packed = [Point(0.05 + 0.001 * i, 0.05) for i in range(50)]
+        ic = interval_cloak(10, packed + random_points(rng, 10))
         region = ic.cloak(0)
         assert region.region.area < 0.1
 
     def test_min_side_stops_subdivision(self):
-        ic = IntervalCloak(UNIT, k=1, min_side=0.4)
-        ic.register("u", Point(0.1, 0.1))
-        region = ic.cloak("u")
+        ic = interval_cloak(1, [Point(0.1, 0.1)], min_side=0.4)
+        region = ic.cloak(0)
         assert min(region.region.width, region.region.height) >= 0.2
 
 
@@ -182,8 +189,6 @@ class TestCliqueCloak:
 
 class TestTemporalCloak:
     def test_validation(self):
-        from repro.anonymizer.baselines import TemporalCloak
-
         with pytest.raises(ValueError):
             TemporalCloak(UNIT, k=0)
         with pytest.raises(ValueError):
@@ -192,8 +197,6 @@ class TestTemporalCloak:
             TemporalCloak(Rect(0, 0, 0, 1), k=2)
 
     def test_delay_counts_back_to_kth_visitor(self):
-        from repro.anonymizer.baselines import TemporalCloak
-
         tc = TemporalCloak(UNIT, k=3, resolution=4)
         p = Point(0.1, 0.1)
         tc.observe("a", p, 0.0)
@@ -205,8 +208,6 @@ class TestTemporalCloak:
         assert result.visitors == 3
 
     def test_repeat_visits_do_not_count_twice(self):
-        from repro.anonymizer.baselines import TemporalCloak
-
         tc = TemporalCloak(UNIT, k=2, resolution=4)
         p = Point(0.1, 0.1)
         tc.observe("a", p, 0.0)
@@ -218,8 +219,6 @@ class TestTemporalCloak:
         assert result.delay == pytest.approx(3.0)
 
     def test_busy_cell_has_low_delay(self):
-        from repro.anonymizer.baselines import TemporalCloak
-
         tc = TemporalCloak(UNIT, k=5, resolution=4)
         p = Point(0.9, 0.9)
         for i in range(20):
@@ -228,8 +227,6 @@ class TestTemporalCloak:
         assert result.delay == pytest.approx(20.0 - 15.0)
 
     def test_history_horizon_expires_visits(self):
-        from repro.anonymizer.baselines import TemporalCloak
-
         tc = TemporalCloak(UNIT, k=2, resolution=4, history_horizon=5.0)
         p = Point(0.5, 0.5)
         tc.observe("a", p, 0.0)
@@ -238,16 +235,12 @@ class TestTemporalCloak:
             tc.cloak(p, now=10.0)
 
     def test_out_of_order_observation_rejected(self):
-        from repro.anonymizer.baselines import TemporalCloak
-
         tc = TemporalCloak(UNIT, k=1)
         tc.observe("a", Point(0.5, 0.5), 5.0)
         with pytest.raises(ValueError):
             tc.observe("b", Point(0.5, 0.5), 4.0)
 
     def test_region_is_the_visit_cell(self):
-        from repro.anonymizer.baselines import TemporalCloak
-
         tc = TemporalCloak(UNIT, k=1, resolution=4)
         p = Point(0.6, 0.3)
         tc.observe("a", p, 1.0)

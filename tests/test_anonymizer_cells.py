@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.anonymizer.cells import CellGrid, CellId
 from repro.errors import OutOfBoundsError
-from repro.geometry import Point, Rect
+from repro.geometry import EPSILON, Point, Rect
 
 UNIT = Rect(0, 0, 1, 1)
 
@@ -191,6 +193,31 @@ class TestCellGrid:
         p = Point(x, y)
         deepest = grid.cell_of(p)
         assert grid.cell_of(p, level) == deepest.ancestor(level)
+
+    @given(
+        st.sampled_from([UNIT, Rect(0, 0, 2, 1), Rect(-3.7, 2.1, 5.9, 7.4)]),
+        st.sampled_from([8, 13, 31]),
+        st.data(),
+    )
+    def test_locate_once_descent_equals_per_level_locate(self, bounds, height, data):
+        # The adaptive cut locates a point once and descends with
+        # ``ancestor(level)``: that must be ``cell_of(p, level)`` at
+        # *every* level, on any bounds and height, including the
+        # tolerance band just outside the outer border (clamped inward).
+        def coordinate(lo: float, hi: float):
+            band = [lo - 0.9 * EPSILON, lo, hi, hi + 0.9 * EPSILON]
+            band += [math.nextafter(v, side) for v in (lo, hi) for side in (-math.inf, math.inf)]
+            return st.one_of(st.floats(lo, hi, allow_nan=False), st.sampled_from(band))
+
+        grid = CellGrid(bounds, height)
+        p = Point(
+            data.draw(coordinate(bounds.x_min, bounds.x_max)),
+            data.draw(coordinate(bounds.y_min, bounds.y_max)),
+        )
+        assert grid.contains(p)
+        lowest = grid.cell_of(p)
+        for level in range(height + 1):
+            assert grid.cell_of(p, level) == lowest.ancestor(level)
 
     @given(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False))
     def test_cell_rect_roundtrip(self, x, y):

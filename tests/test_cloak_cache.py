@@ -23,10 +23,13 @@ UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 def _fresh_cloak(anonymizer, uid):
     """What the seed implementation would have returned: Algorithm 1
     run from scratch against the live counters."""
-    record = anonymizer._record(uid)
-    start = record.cell if isinstance(anonymizer, BasicAnonymizer) else record.leaf
+    point = anonymizer.location_of(uid)
+    if isinstance(anonymizer, BasicAnonymizer):
+        start = anonymizer.grid.cell_of(point)
+    else:
+        start = anonymizer.leaf_for_point(point)
     return bottom_up_cloak(
-        anonymizer.grid, anonymizer.cell_count, record.profile, start
+        anonymizer.grid, anonymizer.cell_count, anonymizer.profile_of(uid), start
     )
 
 

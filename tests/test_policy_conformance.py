@@ -21,9 +21,14 @@ from repro.anonymizer import (
     get_policy,
 )
 from repro.anonymizer.profile import PrivacyProfile
-from repro.anonymizer.soa import MAX_SOA_HEIGHT
-from repro.errors import ProfileUnsatisfiableError, UnknownUserError
-from repro.geometry import Point
+from repro.anonymizer.soa import MAX_SOA_HEIGHT, MAX_TABLE_HEIGHT
+from repro.errors import (
+    DuplicateUserError,
+    OutOfBoundsError,
+    ProfileUnsatisfiableError,
+    UnknownUserError,
+)
+from repro.geometry import Point, Rect
 from repro.server import Casper
 from repro.sharding import ReplicatedShardedAnonymizer, make_sharded
 from repro.sharding.workers import ShardWorker, WorkerPool, _WorkerConfig
@@ -153,6 +158,91 @@ class TestLifecycle:
         assert anonymizer.users_in_rect(UNIT) == 50
 
 
+#: The two ways every policy deploys in-process: one instance, and the
+#: sharded wrapper ``make_sharded`` picks for it.
+DEPLOYMENTS = {
+    "single": build,
+    "sharded": lambda name: make_sharded(UNIT, HEIGHT, num_shards=2, kind=name),
+}
+
+
+def population_state(anonymizer, uids):
+    """Everything the population surface shows, plus a snapshot."""
+    present = [uid for uid in uids if uid in anonymizer]
+    return (
+        anonymizer.num_users,
+        present,
+        [anonymizer.location_of(uid) for uid in present],
+        [anonymizer.profile_of(uid) for uid in present],
+        anonymizer.users_in_rect(UNIT),
+        getattr(anonymizer, "shard_occupancy", list)(),
+        anonymizer.snapshot(),
+    )
+
+
+@pytest.mark.parametrize("deployment", sorted(DEPLOYMENTS))
+class TestPopulationContract:
+    """One row per user, one admission rule — the same on every policy
+    and every deployment, because it is the chassis's, not the
+    policy's."""
+
+    #: Two users under a strict profile keep the adaptive cut's root a
+    #: leaf; eighty under a relaxed one split it several levels deep.
+    @pytest.mark.parametrize("n, k", [(2, 50), (80, 3)], ids=["unsplit", "split"])
+    @pytest.mark.parametrize("outside", [Point(-3.0, 0.5), Point(7.0, 7.0)])
+    def test_a_refused_point_leaves_no_trace(
+        self, policy_name, deployment, n, k, outside
+    ):
+        anonymizer = DEPLOYMENTS[deployment](policy_name)
+        populate(anonymizer, n=n, k=k)
+        uids = [*range(n), "late"]
+        before = population_state(anonymizer, uids)
+        refused = {
+            "register": lambda: anonymizer.register(
+                "late", outside, PrivacyProfile(k=k)
+            ),
+            "update": lambda: anonymizer.update(1, outside),
+            "update_batch": lambda: anonymizer.update_batch(
+                [(1, outside), (0, Point(0.5, 0.5))]
+            ),
+        }
+        for op, call in refused.items():
+            with pytest.raises(OutOfBoundsError):
+                call()
+            assert population_state(anonymizer, uids) == before, op
+            anonymizer.check_invariants()
+
+    def test_rows_are_bit_exact(self, policy_name, deployment):
+        anonymizer = DEPLOYMENTS[deployment](policy_name)
+        rng = np.random.default_rng(3)
+        profile = PrivacyProfile(k=3, a_min=float(rng.random()) / 7)
+        point = Point(*rng.random(2).tolist())
+        anonymizer.register("u", point, profile)
+        assert anonymizer.location_of("u") == point
+        assert anonymizer.profile_of("u") == profile
+        moved = Point(*rng.random(2).tolist())
+        anonymizer.update("u", moved)
+        changed = PrivacyProfile(k=2, a_min=float(rng.random()) / 3)
+        anonymizer.set_profile("u", changed)
+        assert anonymizer.location_of("u") == moved
+        assert anonymizer.profile_of("u") == changed
+        with pytest.raises(DuplicateUserError):
+            anonymizer.register("u", point, profile)
+        assert anonymizer.location_of("u") == moved
+
+    def test_users_in_rect_is_a_brute_count(self, policy_name, deployment):
+        anonymizer = DEPLOYMENTS[deployment](policy_name)
+        points, _ = populate(anonymizer, n=90)
+        anonymizer.deregister(4)
+        anonymizer.update(9, Point(0.31, 0.62))
+        live = {uid: p for uid, p in enumerate(points) if uid != 4}
+        live[9] = Point(0.31, 0.62)
+        for rect in (UNIT, Rect(0.1, 0.2, 0.6, 0.7), Rect(0.31, 0.62, 0.31, 0.62)):
+            assert anonymizer.users_in_rect(rect) == sum(
+                rect.contains_point(p) for p in live.values()
+            )
+
+
 class TestSnapshot:
     def test_roundtrip_preserves_cloaks(self, policy_name):
         anonymizer = build(policy_name)
@@ -202,6 +292,22 @@ class TestDeploymentSeams:
             assert restored.cloak(uid).region == region
         restored.check_invariants()
 
+    def test_sharded_snapshot_roundtrip_keeps_homes(self, policy_name):
+        fleet = DEPLOYMENTS["sharded"](policy_name)
+        points, profile = populate(fleet, n=60)
+        state = fleet.snapshot()
+        homes = [fleet.shard_of_user(uid) for uid in range(60)]
+        occupancy = fleet.shard_occupancy()
+        assert sum(occupancy) == 60
+        for uid in range(0, 60, 3):
+            fleet.update(uid, Point(1.0 - points[uid].x, 1.0 - points[uid].y))
+        fleet.register("late", Point(0.9, 0.1), profile)
+        fleet.deregister(7)
+        fleet.restore(state)
+        assert [fleet.shard_of_user(uid) for uid in range(60)] == homes
+        assert fleet.shard_occupancy() == occupancy
+        fleet.check_invariants()
+
 
 TOO_DEEP = MAX_SOA_HEIGHT + 1
 
@@ -237,8 +343,8 @@ def test_basic_rejects_height_past_the_array_cap_up_front(seam, monkeypatch):
 
 
 def test_adaptive_runs_past_the_basic_height_cap():
-    """The adaptive cut is a sparse dict: no cap, so it is where the
-    basic policy's error points for deeper pyramids."""
+    """The adaptive cut is a sparse dict with no cap of its own, so it
+    is where the basic policy's error points for deeper pyramids."""
     casper = Casper(UNIT, pyramid_height=TOO_DEEP, policy="adaptive")
     points, profile = populate(casper.anonymizer, n=40, k=3)
     casper.update_location(7, Point(0.9, 0.9))
@@ -246,6 +352,18 @@ def test_adaptive_runs_past_the_basic_height_cap():
     assert cloaked.achieved_k >= profile.k
     assert cloaked.region.contains_point(Point(0.9, 0.9))
     casper.anonymizer.check_invariants()
+
+
+@pytest.mark.parametrize("name", available_policies())
+def test_every_policy_refuses_a_height_past_the_table_cap(name):
+    """The one cap every policy shares is the user table's: a row holds
+    its lowest-level Morton code in an int64."""
+    with pytest.raises(ValueError, match=f"0..{MAX_TABLE_HEIGHT}"):
+        get_policy(name).single(UNIT, MAX_TABLE_HEIGHT + 1, 8192)
+    if name != "basic":
+        policy = get_policy(name).single(UNIT, MAX_TABLE_HEIGHT, 8192)
+        populate(policy, n=20, k=3)
+        policy.check_invariants()
 
 
 def test_baseline_policy_runs_parallel_end_to_end():

@@ -72,7 +72,7 @@ class TestHundredThousandUsers:
 
     def test_memory_ceiling_at_100k(self) -> None:
         anonymizer = populate(self.NUM_USERS, height=9, seed=43)
-        soa_bytes = anonymizer._soa.nbytes() + anonymizer._table.nbytes()
+        soa_bytes = anonymizer._soa.nbytes() + anonymizer.table.nbytes()
         # Pyramid: two int64 arrays over sum(4**l) ≈ 350k cells ≈ 5.6 MB;
         # table: 6 parallel arrays over <= 2 * 100k slots ≈ 8 MB.  A
         # regression that densifies per-user state blows well past 32 MB.
@@ -93,7 +93,7 @@ class TestMillionUsers:
         # clear two minutes signals the batch kernel fell off a cliff
         # (e.g. silently degrading to a per-move python loop).
         assert elapsed < 120.0, f"1M-user tick took {elapsed:.1f}s"
-        soa_bytes = anonymizer._soa.nbytes() + anonymizer._table.nbytes()
+        soa_bytes = anonymizer._soa.nbytes() + anonymizer.table.nbytes()
         assert soa_bytes < 256 * 2**20, f"SoA state grew to {soa_bytes} bytes"
         assert anonymizer.cell_count(anonymizer.grid.cell_of(
             Point(0.5, 0.5), 0

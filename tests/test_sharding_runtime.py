@@ -250,12 +250,23 @@ class TestReplicaAudit:
                 replica.check_invariants()
             counts[level][index] -= 1
             replica.check_invariants()  # and only that: clean again
-        victim = next(iter(replica._directory))
-        home = replica._directory[victim]
-        replica._directory[victim] = (home + 1) % self.NUM_SHARDS
-        with pytest.raises(AssertionError):
+        # The one cached derived column: a row's cell (and so its home)
+        # must be where its point locates.
+        # Swapping two rows' cells keeps every count consistent, so
+        # only the table's own audit can see it.
+        table = replica.table
+        a, b = table.require("u00"), table.require("u01")
+        assert table.cells[a] != table.cells[b]
+        table.cells[[a, b]] = table.cells[[b, a]]
+        with pytest.raises(AssertionError, match="stale cell"):
             replica.check_invariants()
-        replica._directory[victim] = home
+        table.cells[[a, b]] = table.cells[[b, a]]
+        replica.check_invariants()
+        # ... and the occupancy counters must match the rows' homes.
+        replica._occupancy[0] += 1
+        with pytest.raises(AssertionError, match="occupancy"):
+            replica.check_invariants()
+        replica._occupancy[0] -= 1
         replica.check_invariants()
 
 

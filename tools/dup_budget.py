@@ -38,11 +38,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: -> frozen baseline line count (PR 15 re-froze processor, server and
 #: continuous after Algorithm 2 collapsed onto one executor; PR 17
 #: re-froze sharding, sharding/basic.py and anonymizer after the
-#: partitioned fleet became a view over the one pyramid; packages that
-#: did not shrink keep their earlier count).
+#: partitioned fleet became a view over the one pyramid; PR 19 re-froze
+#: anonymizer and sharding/basic.py after ``UserTable`` became the one
+#: per-user store; entries that did not shrink below their baseline keep
+#: their earlier count).
 BASELINES = {
     "src/repro/analysis": 4466,
-    "src/repro/anonymizer": 3398,
+    "src/repro/anonymizer": 3234,
     "src/repro/continuous": 552,
     "src/repro/evaluation": 1263,
     "src/repro/geometry": 560,
@@ -53,7 +55,7 @@ BASELINES = {
     "src/repro/resilience": 1560,
     "src/repro/server": 1034,
     "src/repro/sharding": 2687,
-    "src/repro/sharding/basic.py": 282,
+    "src/repro/sharding/basic.py": 261,
     "src/repro/sharding/frontdoor.py": 117,
     "src/repro/sharding/workers.py": 1190,
     "src/repro/simulation": 292,
