@@ -1,8 +1,10 @@
 """Geometry kernel: points, rectangles, segments, bisector constructions.
 
-This package is dependency-free (pure Python + ``math``) and provides the
-exact geometric primitives that the Casper anonymizer and privacy-aware
-query processor are built from.
+This package provides the exact geometric primitives that the Casper
+anonymizer and privacy-aware query processor are built from.  What it
+exports here is dependency-free (pure Python + ``math``); the numpy
+kernels over many rectangles at once live in
+:mod:`repro.geometry.block`, imported by name where they are used.
 """
 
 from repro.geometry.point import EPSILON, Point

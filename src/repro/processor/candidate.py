@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry import Point, Rect
+from repro.geometry.block import max_distances, min_distances, near, rect_block
 from repro.utils.units import transmission_seconds
 
 __all__ = ["CandidateColumns", "CandidateList"]
@@ -48,13 +49,7 @@ class CandidateColumns(Sequence):
     @classmethod
     def from_rects(cls, ids: Iterable[object], rects: Sequence[Rect]) -> "CandidateColumns":
         """The columns of parallel id and region sequences."""
-        coords = np.empty((len(rects), 4))
-        # Four flat comprehensions fill the block ~4x faster than one
-        # np.array over per-rect tuples.
-        coords[:, 0] = [rect.x_min for rect in rects]
-        coords[:, 1] = [rect.y_min for rect in rects]
-        coords[:, 2] = [rect.x_max for rect in rects]
-        coords[:, 3] = [rect.y_max for rect in rects]
+        coords = rect_block(rects)
         coords.flags.writeable = False
         return cls(tuple(ids), coords)
 
@@ -89,20 +84,6 @@ class CandidateColumns(Sequence):
         return repr(tuple(self))
 
 
-def _min_distances(coords: np.ndarray, at: Point) -> np.ndarray:
-    x_min, y_min, x_max, y_max = coords.T
-    dx = np.maximum(np.maximum(x_min - at.x, 0.0), at.x - x_max)
-    dy = np.maximum(np.maximum(y_min - at.y, 0.0), at.y - y_max)
-    return np.hypot(dx, dy)
-
-
-def _max_distances(coords: np.ndarray, at: Point) -> np.ndarray:
-    x_min, y_min, x_max, y_max = coords.T
-    dx = np.maximum(np.abs(at.x - x_min), np.abs(at.x - x_max))
-    dy = np.maximum(np.abs(at.y - y_min), np.abs(at.y - y_max))
-    return np.hypot(dx, dy)
-
-
 def _center_distances(coords: np.ndarray, at: Point) -> np.ndarray:
     x_min, y_min, x_max, y_max = coords.T
     return np.hypot((x_min + x_max) / 2.0 - at.x, (y_min + y_max) / 2.0 - at.y)
@@ -110,42 +91,20 @@ def _center_distances(coords: np.ndarray, at: Point) -> np.ndarray:
 
 #: ``by`` -> (vector kernel over the coordinate block, the scalar
 #: distance that defines the ranking), given the client's exact
-#: location: optimistic, pessimistic, or center distance.
+#: location: optimistic, pessimistic, or center distance.  The vector
+#: kernel only shortlists and the scalar distance ranks — the rule of
+#: :mod:`repro.geometry.block`.
 _RANKINGS = {
-    "min": (_min_distances, Rect.min_distance_to_point),
-    "max": (_max_distances, Rect.max_distance_to_point),
+    "min": (min_distances, Rect.min_distance_to_point),
+    "max": (max_distances, Rect.max_distance_to_point),
     "center": (_center_distances, lambda rect, at: rect.center.distance_to(at)),
 }
 
 def _vector_distances(kernel, coords: np.ndarray, at: Point) -> np.ndarray:
-    # inf - inf among the coordinates yields NaN, which _near hands to
+    # inf - inf among the coordinates yields NaN, which near() hands to
     # the scalar ranking; no warning is owed for that.
     with np.errstate(invalid="ignore"):
         return kernel(coords, at)
-
-
-#: ``np.hypot`` and ``math.hypot`` disagree in the last place on a few
-#: inputs per thousand, so a vector distance never ranks: it only
-#: shortlists everything within this many ulps of the deciding value,
-#: and the scalar distance ranks the shortlist.  Each side is within
-#: 1 ulp of the true distance, which puts the scalar winner at most
-#: 4 ulps (8 spacings across a binade boundary) from the vector bound.
-_SLACK_ULPS = 16.0
-
-
-def _near(values: np.ndarray, bound: float, below: bool = True) -> np.ndarray:
-    """Ascending indices of the values the vector kernel cannot separate
-    from ``bound``: within the slack of it, and (``below``) everything
-    under it as well.  Non-finite values (NaN or infinite coordinates)
-    are beyond the error analysis, so then every index is returned and
-    the scalar distance decides alone."""
-    if not np.isfinite(values).all():
-        return np.arange(len(values))
-    slack = _SLACK_ULPS * abs(np.spacing(float(bound)))
-    doubtful = values <= bound + slack
-    if not below:
-        doubtful &= values >= bound - slack
-    return np.flatnonzero(doubtful)
 
 
 @dataclass(frozen=True)
@@ -206,7 +165,7 @@ class CandidateList:
         vector, scalar = _RANKINGS[by]
         values = _vector_distances(vector, columns.coords, location)
         kth = min(k, len(columns)) - 1
-        shortlist = _near(values, np.partition(values, kth)[kth]).tolist()
+        shortlist = near(values, np.partition(values, kth)[kth]).tolist()
         return shortlist, lambda i: scalar(columns.rect(i), location)
 
     def refine_nearest(self, location: Point, by: str = "min") -> object:
@@ -235,9 +194,9 @@ class CandidateList:
         """Local refinement of a range query: candidates whose region
         could lie within ``radius`` of the client."""
         columns = self.items
-        values = _vector_distances(_min_distances, columns.coords, location)
+        values = _vector_distances(min_distances, columns.coords, location)
         inside = values <= radius
-        for i in _near(values, radius, below=False).tolist():
+        for i in near(values, radius, below=False).tolist():
             inside[i] = columns.rect(i).min_distance_to_point(location) <= radius
         return [columns.ids[i] for i in np.flatnonzero(inside).tolist()]
 

@@ -120,13 +120,15 @@ def collect(
     """The candidate step: every target whose region touches ``a_ext``
     (thinned by ``policy`` when given), in ``str(oid)`` order."""
     with _telemetry.phase_scope("candidates", data):
-        oids = sorted(index.range_search(a_ext), key=str)
-        rects = [index.rect_of(oid) for oid in oids]
+        ids, coords = index.range_columns(a_ext)
         if policy is not None:
-            admitted = [i for i, rect in enumerate(rects) if policy.admits(rect, a_ext)]
-            oids = [oids[i] for i in admitted]
-            rects = [rects[i] for i in admitted]
-        items = CandidateColumns.from_rects(oids, rects)
+            admitted = [
+                i for i, oid in enumerate(ids)
+                if policy.admits(index.rect_of(oid), a_ext)
+            ]
+            ids, coords = [ids[i] for i in admitted], coords[admitted]
+        coords.flags.writeable = False
+        items = CandidateColumns(tuple(ids), coords)
     _telemetry.note_candidates(len(items))
     return CandidateList(
         items=items, search_region=a_ext, num_filters=num_filters, filters=filters

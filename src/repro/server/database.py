@@ -13,6 +13,7 @@ deliberately index-agnostic: pass any ``SpatialIndex`` factory.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable
 
 from repro.geometry import Point, Rect
@@ -102,23 +103,15 @@ class LocationServer:
     ) -> CandidateList:
         """Private NN query over private data (Section 5.2).
 
-        ``exclude`` removes one object (typically the requester's own
-        cloaked record) from consideration for the duration of the
-        query.
+        ``exclude`` hides one object (typically the requester's own
+        cloaked record) for the duration of the query; the store is the
+        same before and after, tie order included.
         """
         _telemetry.note_server_request("nn_private")
-        if exclude is not None and exclude in self.private_index:
-            region = self.private_index.rect_of(exclude)
-            self.private_index.remove(exclude)
-            try:
-                return private_nn_over_private(
-                    self.private_index, cloaked_area, num_filters, policy
-                )
-            finally:
-                self.private_index.insert(exclude, region)
-        return private_nn_over_private(
-            self.private_index, cloaked_area, num_filters, policy
-        )
+        index = self.private_index
+        hiding = exclude is not None and exclude in index
+        with index.hidden(exclude) if hiding else nullcontext():
+            return private_nn_over_private(index, cloaked_area, num_filters, policy)
 
     def knn_public(
         self, cloaked_area: Rect, k: int, num_filters: int = 4

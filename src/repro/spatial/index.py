@@ -17,9 +17,11 @@ from __future__ import annotations
 import abc
 import heapq
 from collections.abc import Iterator
+from contextlib import contextmanager
 
 from repro.errors import EmptyDatasetError
 from repro.geometry import Point, Rect
+from repro.geometry.block import Block, rect_block
 
 __all__ = ["SpatialIndex"]
 
@@ -93,6 +95,22 @@ class SpatialIndex(abc.ABC):
         self._seq.clear()
         self._clear_impl()
 
+    @contextmanager
+    def hidden(self, oid: object) -> Iterator[None]:
+        """Hide ``oid`` from every query inside the ``with`` block.
+
+        The entry comes back with the insertion order it had, so a read
+        that excludes someone (a requester's own record) leaves every
+        later tie where it was.  The block may only query the index.
+        """
+        rect, seq = self._entries[oid], self._seq[oid]
+        self.remove(oid)
+        try:
+            yield
+        finally:
+            self.insert(oid, rect)
+            self._seq[oid] = seq
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -117,11 +135,20 @@ class SpatialIndex(abc.ABC):
         """All oids whose rectangle intersects the closed ``region``."""
         return self._range_impl(region)
 
+    def range_columns(self, region: Rect) -> tuple[list[object], Block]:
+        """:meth:`range_search` as columns: the oids in ``str(oid)``
+        order and the ``(n, 4)`` block of their rectangles — the two
+        halves of a candidate list.  An index that keeps its entries in
+        a coordinate array overrides this to index the block out of it.
+        """
+        ids = sorted(self.range_search(region), key=str)
+        return ids, rect_block([self._entries[oid] for oid in ids])
+
     def nearest(self, point: Point) -> object:
         """The oid minimising min-distance from ``point`` to its rect.
 
-        Ties are broken arbitrarily; raises :class:`EmptyDatasetError`
-        when the index is empty.
+        Ties go to the earliest-inserted entry, as in every query;
+        raises :class:`EmptyDatasetError` when the index is empty.
         """
         result = self.k_nearest(point, 1)
         return result[0]

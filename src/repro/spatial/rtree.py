@@ -1,444 +1,310 @@
-"""A from-scratch dynamic R-tree with best-first kNN and STR bulk loading.
+"""An STR-packed R-tree whose nodes are arrays.
 
 This is the "traditional location-based database server" index that the
-privacy-aware query processor plugs into: Guttman-style insertion with
-quadratic node splitting, deletion with tree condensation and orphan
-re-insertion, Sort-Tile-Recursive (STR) packing for bulk loads, recursive
-range search, and best-first (priority queue) k-nearest-neighbor search
-using min-distance lower bounds — plus a branch-and-bound variant of the
-pessimistic max-distance NN needed for private filter selection.
+privacy-aware query processor plugs into.  Entries are the rows of one
+float64 coordinate block — :mod:`repro.geometry.block`'s, which is also
+a candidate list's, held transposed as ``(4, n)`` so that each kernel
+reads contiguous columns — with an insertion-sequence column, an oid
+list and an ``oid -> row`` dict beside it.  A Sort-Tile-Recursive pack
+orders the rows so that leaf ``j`` *is* rows ``[jM, (j+1)M)``; each
+level above is a ``(4, m)`` array of minimum bounding rectangles over
+``M`` consecutive nodes of the level below, and levels stop once one is
+small enough to scan whole, so a small tree has none at all.
+
+Queries run a level at a time: one mask or one distance kernel over the
+surviving nodes of a level, whose children ``node * M + arange(M)`` are
+the next level's input.  Writes do not touch the packed part: ``insert``
+appends a row to an unpacked *tail* that every query also scans flat,
+``remove`` blanks its row to NaN — which no comparison admits and no
+bounding rectangle (taken with ``fmin`` / ``fmax``) is widened by — and
+the pack runs again, over the live rows only, once the writes since the
+last one pass a fixed fraction of the live count.
+
+A vector distance only shortlists (see :mod:`repro.geometry.block`): the
+scalar :class:`~repro.geometry.Rect` distance ranks the shortlist and
+ties go to the lower sequence number, which is what makes every answer
+equal the brute-force oracle's, order included.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 
-from repro.geometry import Point, Rect
+import numpy as np
+import numpy.typing as npt
+
+from repro.geometry import EPSILON, Point, Rect
+from repro.geometry.block import (
+    Block,
+    max_distances,
+    min_distances,
+    rect_block,
+    slack,
+)
 from repro.spatial.index import SpatialIndex
 
 __all__ = ["RTreeIndex"]
 
+#: A level (or a whole index) of at most this many nodes is scanned
+#: flat: below it one more numpy round costs more than the rows it skips.
+_FLAT = 1024
+#: Writes (appended plus blanked rows) tolerated before a repack: this
+#: fraction of the live count, and at least the floor.
+_CHURN = 0.125
+_CHURN_FLOOR = 64
 
-class _Node:
-    """One R-tree node.
-
-    Leaves hold ``(oid, rect)`` entry tuples; internal nodes hold child
-    ``_Node`` objects.  ``mbr`` is the minimum bounding rectangle of the
-    contents and is kept tight by the maintenance paths.
-    """
-
-    __slots__ = ("leaf", "children", "entries", "mbr", "parent")
-
-    def __init__(self, leaf: bool) -> None:
-        self.leaf = leaf
-        self.children: list[_Node] = []
-        self.entries: list[tuple[object, Rect]] = []
-        self.mbr: Rect | None = None
-        self.parent: _Node | None = None
-
-    def rects(self) -> list[Rect]:
-        if self.leaf:
-            return [rect for _oid, rect in self.entries]
-        return [child.mbr for child in self.children if child.mbr is not None]
-
-    def recompute_mbr(self) -> None:
-        rects = self.rects()
-        if not rects:
-            self.mbr = None
-            return
-        mbr = rects[0]
-        for rect in rects[1:]:
-            mbr = mbr.union(rect)
-        self.mbr = mbr
-
-    def count(self) -> int:
-        return len(self.entries) if self.leaf else len(self.children)
+_Rows = npt.NDArray[np.intp]
+_Distances = Callable[[Block, Point], Block]
+_Choose = Callable[[Block], "_Rows | slice"]
 
 
-def _enlargement(mbr: Rect, rect: Rect) -> float:
-    """Area growth of ``mbr`` needed to also cover ``rect``."""
-    return mbr.union(rect).area - mbr.area
+def _str_order(coords: Block, cap: int) -> _Rows:
+    """Sort-Tile-Recursive order of the ``(4, n)`` rows ``coords``:
+    vertical slices of ``ceil(sqrt(leaves))`` leaves by center x, then
+    center y within a slice, so every run of ``cap`` rows is a compact
+    leaf."""
+    n = coords.shape[1]
+    with np.errstate(invalid="ignore"):  # an infinite strip has no center
+        x, y = coords[0] + coords[2], coords[1] + coords[3]
+    per_slice = math.ceil(math.sqrt(max(1, math.ceil(n / cap)))) * cap
+    by_x = np.argsort(x, kind="stable")
+    return by_x[np.lexsort((y[by_x], np.arange(n) // per_slice))]
+
+
+def _bound(found: Block, k: int) -> float:
+    """What the ``k`` smallest of the vector distances ``found`` cannot
+    exceed, slack included; NaN when fewer than ``k`` are real."""
+    kth = float(np.partition(found, k - 1)[k - 1]) if k <= len(found) else math.nan
+    return kth + slack(kth)
 
 
 class RTreeIndex(SpatialIndex):
-    """Dynamic R-tree over ``(oid, Rect)`` entries.
+    """Packed R-tree over ``(oid, Rect)`` entries.
 
     Parameters
     ----------
     max_entries:
-        Node capacity ``M``; a split occurs at ``M + 1``.
-    min_entries:
-        Minimum fill ``m``; defaults to ``ceil(0.4 * M)`` as Guttman
-        recommends.
+        Node capacity ``M``: rows per leaf and nodes per parent.
     """
 
-    def __init__(self, max_entries: int = 16, min_entries: int | None = None) -> None:
+    def __init__(self, max_entries: int = 16) -> None:
         super().__init__()
         if max_entries < 4:
             raise ValueError("max_entries must be at least 4")
         self.max_entries = max_entries
-        self.min_entries = (
-            min_entries if min_entries is not None else math.ceil(0.4 * max_entries)
-        )
-        if not 1 <= self.min_entries <= self.max_entries // 2:
-            raise ValueError("min_entries must be in [1, max_entries // 2]")
-        self._root = _Node(leaf=True)
-        self._leaf_of: dict[object, _Node] = {}
+        self._fan = np.arange(max_entries)
+        self._row: dict[object, int] = {}
+        self._hiding = 0  # open hidden() blocks: a repack would move their rows
+        self._clear_impl()
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
+    def _pack(
+        self, oids: list[object], coords: Block, seqs: npt.NDArray[np.int64]
+    ) -> None:
+        """Rebuild rows and levels from parallel live columns."""
+        cap = self.max_entries
+        live = len(oids)
+        order = _str_order(coords, cap)
+        # Levels stop at one of <= _FLAT nodes; rows are padded with
+        # blanks to whole top-level subtrees, so every node of every
+        # level has all ``cap`` children in range.
+        top, height = live, 0
+        while top > _FLAT:
+            top, height = -(-top // cap), height + 1
+        size = top * cap**height
+        self._spare = max(_CHURN_FLOOR, int(_CHURN * live))
+        room = size + self._spare + 1
+        self._coords = np.full((4, room), np.nan)
+        self._coords[:, :live] = coords[:, order]
+        self._seqs = np.zeros(room, dtype=np.int64)
+        self._seqs[:live] = seqs[order]
+        self._oids: list[object] = [oids[i] for i in order.tolist()]
+        self._oids.extend([None] * (size - live))
+        self._row.update(zip(self._oids, range(live)))
+        self._rows = np.arange(room)
+        self._levels: list[Block] = []
+        boxes = self._coords[:, :size]
+        for _ in range(height):
+            groups = boxes.reshape(4, -1, cap)
+            boxes = np.concatenate(
+                (np.fmin.reduce(groups[:2], axis=2), np.fmax.reduce(groups[2:], axis=2))
+            )
+            self._levels.append(boxes)
+        self._packed = size if height else 0
+        self._n = size
+
+    def _wrote(self) -> None:
+        self._spare -= 1
+        if self._spare < 0 and not self._hiding:
+            rows = np.fromiter(self._row.values(), np.intp, len(self._row))
+            self._pack(list(self._row), self._coords[:, rows], self._seqs[rows])
+
     def _clear_impl(self) -> None:
-        self._root = _Node(leaf=True)
-        self._leaf_of = {}
+        self._row.clear()
+        self._pack([], np.empty((4, 0)), np.empty(0, dtype=np.int64))
 
     def _insert_impl(self, oid: object, rect: Rect) -> None:
-        leaf = self._choose_leaf(self._root, rect)
-        leaf.entries.append((oid, rect))
-        self._leaf_of[oid] = leaf
-        leaf.mbr = rect if leaf.mbr is None else leaf.mbr.union(rect)
-        self._handle_overflow_and_adjust(leaf)
+        row = self._n
+        self._coords[:, row] = rect.as_tuple()
+        self._seqs[row] = self._seq[oid]
+        self._oids.append(oid)
+        self._row[oid] = row
+        self._n = row + 1
+        self._wrote()
 
     def _remove_impl(self, oid: object, rect: Rect) -> None:
-        leaf = self._leaf_of.pop(oid)
-        leaf.entries = [(eid, erect) for eid, erect in leaf.entries if eid != oid]
-        leaf.recompute_mbr()
-        self._condense(leaf)
+        self._coords[:, self._row.pop(oid)] = np.nan
+        self._wrote()
 
     def bulk_load(self, entries: dict[object, Rect]) -> None:
-        """Pack ``entries`` with Sort-Tile-Recursive for a near-optimal tree."""
+        """Pack ``entries`` with Sort-Tile-Recursive in one pass."""
         self.clear()
         self._entries.update(entries)
         for oid in entries:
             self._assign_seq(oid)
-        items = list(entries.items())
-        if not items:
-            return
-        leaves = self._str_pack_leaves(items)
-        for leaf in leaves:
-            for oid, _rect in leaf.entries:
-                self._leaf_of[oid] = leaf
-        level = leaves
-        while len(level) > 1:
-            level = self._str_pack_level(level)
-        self._root = level[0]
+        seqs = np.fromiter(self._seq.values(), np.int64, len(entries))
+        self._pack(list(entries), rect_block(entries.values()).T, seqs)
 
-    def _str_pack_leaves(self, items: list[tuple[object, Rect]]) -> list[_Node]:
-        cap = self.max_entries
-        num_leaves = math.ceil(len(items) / cap)
-        num_slices = math.ceil(math.sqrt(num_leaves))
-        per_slice = num_slices * cap
-        items = sorted(items, key=lambda it: it[1].center.x)
-        leaves: list[_Node] = []
-        for s in range(0, len(items), per_slice):
-            strip = sorted(items[s : s + per_slice], key=lambda it: it[1].center.y)
-            for b in range(0, len(strip), cap):
-                node = _Node(leaf=True)
-                node.entries = strip[b : b + cap]
-                node.recompute_mbr()
-                leaves.append(node)
-        return leaves
-
-    def _str_pack_level(self, nodes: list[_Node]) -> list[_Node]:
-        cap = self.max_entries
-        num_parents = math.ceil(len(nodes) / cap)
-        num_slices = math.ceil(math.sqrt(num_parents))
-        per_slice = num_slices * cap
-        nodes = sorted(nodes, key=lambda n: n.mbr.center.x)
-        parents: list[_Node] = []
-        for s in range(0, len(nodes), per_slice):
-            strip = sorted(nodes[s : s + per_slice], key=lambda n: n.mbr.center.y)
-            for b in range(0, len(strip), cap):
-                parent = _Node(leaf=False)
-                parent.children = strip[b : b + cap]
-                for child in parent.children:
-                    child.parent = parent
-                parent.recompute_mbr()
-                parents.append(parent)
-        return parents
-
-    def _choose_leaf(self, node: _Node, rect: Rect) -> _Node:
-        while not node.leaf:
-            node = min(
-                node.children,
-                key=lambda child: (
-                    _enlargement(child.mbr, rect),
-                    child.mbr.area,
-                ),
-            )
-        return node
-
-    def _handle_overflow_and_adjust(self, node: _Node) -> None:
-        while node is not None:
-            if node.count() > self.max_entries:
-                self._split(node)
-            else:
-                self._tighten_upward(node)
-                return
-            node = node.parent if node.parent is not None else None
-            if node is None:
-                return
-
-    def _tighten_upward(self, node: _Node) -> None:
-        while node is not None:
-            node.recompute_mbr()
-            node = node.parent
-
-    def _split(self, node: _Node) -> None:
-        """Quadratic split of an overflowing node in place."""
-        if node.leaf:
-            seeds_pool: list[tuple[object, Rect]] = node.entries
-            rect_of = lambda item: item[1]  # noqa: E731 - tiny local accessor
-        else:
-            seeds_pool = node.children  # type: ignore[assignment]
-            rect_of = lambda item: item.mbr  # noqa: E731
-
-        # Pick the two seeds wasting the most area when paired.
-        worst = float("-inf")
-        seed_a, seed_b = 0, 1
-        for i, j in itertools.combinations(range(len(seeds_pool)), 2):
-            ri, rj = rect_of(seeds_pool[i]), rect_of(seeds_pool[j])
-            waste = ri.union(rj).area - ri.area - rj.area
-            if waste > worst:
-                worst, seed_a, seed_b = waste, i, j
-
-        group_a = [seeds_pool[seed_a]]
-        group_b = [seeds_pool[seed_b]]
-        mbr_a = rect_of(seeds_pool[seed_a])
-        mbr_b = rect_of(seeds_pool[seed_b])
-        remaining = [
-            item for idx, item in enumerate(seeds_pool) if idx not in (seed_a, seed_b)
-        ]
-        total = len(seeds_pool)
-        while remaining:
-            # Force-assign when one group must take everything left to
-            # reach minimum fill.
-            if len(group_a) + len(remaining) == self.min_entries:
-                group_a.extend(remaining)
-                for item in remaining:
-                    mbr_a = mbr_a.union(rect_of(item))
-                break
-            if len(group_b) + len(remaining) == self.min_entries:
-                group_b.extend(remaining)
-                for item in remaining:
-                    mbr_b = mbr_b.union(rect_of(item))
-                break
-            # PickNext: the item with the greatest preference difference.
-            best_idx = max(
-                range(len(remaining)),
-                key=lambda idx: abs(
-                    _enlargement(mbr_a, rect_of(remaining[idx]))
-                    - _enlargement(mbr_b, rect_of(remaining[idx]))
-                ),
-            )
-            item = remaining.pop(best_idx)
-            grow_a = _enlargement(mbr_a, rect_of(item))
-            grow_b = _enlargement(mbr_b, rect_of(item))
-            if grow_a < grow_b or (grow_a == grow_b and len(group_a) <= len(group_b)):
-                group_a.append(item)
-                mbr_a = mbr_a.union(rect_of(item))
-            else:
-                group_b.append(item)
-                mbr_b = mbr_b.union(rect_of(item))
-        assert len(group_a) + len(group_b) == total
-
-        sibling = _Node(leaf=node.leaf)
-        if node.leaf:
-            node.entries = group_a
-            sibling.entries = group_b
-            for oid, _rect in sibling.entries:
-                self._leaf_of[oid] = sibling
-        else:
-            node.children = group_a
-            sibling.children = group_b
-            for child in sibling.children:
-                child.parent = sibling
-        node.recompute_mbr()
-        sibling.recompute_mbr()
-
-        parent = node.parent
-        if parent is None:
-            new_root = _Node(leaf=False)
-            new_root.children = [node, sibling]
-            node.parent = new_root
-            sibling.parent = new_root
-            new_root.recompute_mbr()
-            self._root = new_root
-        else:
-            parent.children.append(sibling)
-            sibling.parent = parent
-            parent.recompute_mbr()
-
-    def _condense(self, node: _Node) -> None:
-        """Remove underfull nodes bottom-up, re-inserting orphans."""
-        orphans: list[tuple[object, Rect]] = []
-        while node.parent is not None:
-            parent = node.parent
-            if node.count() < self.min_entries:
-                parent.children.remove(node)
-                if node.leaf:
-                    orphans.extend(node.entries)
-                else:
-                    orphans.extend(self._collect_entries(node))
-            else:
-                node.recompute_mbr()
-            parent.recompute_mbr()
-            node = parent
-        # Shrink a root with a single internal child.
-        while not self._root.leaf and len(self._root.children) == 1:
-            self._root = self._root.children[0]
-            self._root.parent = None
-        if not self._root.leaf and not self._root.children:
-            self._root = _Node(leaf=True)
-        self._root.recompute_mbr()
-        for oid, rect in orphans:
-            self._insert_impl(oid, rect)
-
-    def _collect_entries(self, node: _Node) -> list[tuple[object, Rect]]:
-        if node.leaf:
-            return list(node.entries)
-        collected: list[tuple[object, Rect]] = []
-        for child in node.children:
-            collected.extend(self._collect_entries(child))
-        return collected
+    @contextmanager
+    def hidden(self, oid: object) -> Iterator[None]:
+        """Blank the row of ``oid`` for the block: O(1), and the entry
+        keeps its row, hence its insertion order for every later tie."""
+        row = self._row[oid]
+        rect, seq = self._entries.pop(oid), self._seq.pop(oid)
+        self._coords[:, row] = np.nan
+        self._hiding += 1
+        try:
+            yield
+        finally:
+            self._hiding -= 1
+            self._coords[:, row] = rect.as_tuple()
+            self._entries[oid], self._seq[oid] = rect, seq
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _descend(self, choose: _Choose) -> _Rows:
+        """The rows under the nodes that ``choose`` keeps of each
+        level's boxes, top level first, and the tail after them."""
+        rows = self._rows[self._packed : self._n]
+        if self._levels:
+            nodes = self._rows[: self._levels[-1].shape[1]]
+            for level in reversed(self._levels):
+                nodes = nodes[choose(level.take(nodes, axis=1))]
+                nodes = (nodes[:, None] * self.max_entries + self._fan).ravel()
+            rows = np.concatenate((nodes, rows))
+        return rows
+
+    def _range_rows(self, region: Rect) -> _Rows:
+        """Rows whose rectangle intersects the closed ``region``."""
+        # Rect.intersects, operand for operand: the tolerance is added
+        # to the same side of each of its four comparisons.
+        low = np.array(((region.x_min,), (region.y_min,)))
+        high = np.array(((region.x_max + EPSILON,), (region.y_max + EPSILON,)))
+
+        def hits(boxes: Block) -> _Rows:
+            inside = (boxes[:2] <= high) & (low <= boxes[2:] + EPSILON)
+            return np.flatnonzero(inside[0] & inside[1])
+
+        rows = self._descend(hits)
+        return rows[hits(self._coords.take(rows, axis=1))]
+
     def _range_impl(self, region: Rect) -> list[object]:
-        result: list[object] = []
-        if self._root.mbr is None:
-            return result
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.mbr is None or not node.mbr.intersects(region):
-                continue
-            if node.leaf:
-                result.extend(
-                    oid for oid, rect in node.entries if rect.intersects(region)
+        rows = self._range_rows(region)
+        rows = rows[np.argsort(self._seqs[rows])]  # insertion order
+        return [self._oids[row] for row in rows.tolist()]
+
+    def range_columns(self, region: Rect) -> tuple[list[object], Block]:
+        """The coordinate block comes out of the tree's own by row."""
+        rows = self._range_rows(region).tolist()
+        ids = sorted(map(self._oids.__getitem__, rows), key=str)
+        rows = np.fromiter(map(self._row.__getitem__, ids), np.intp, len(ids))
+        return ids, np.ascontiguousarray(self._coords.take(rows, axis=1).T)
+
+    def _shortlist(self, point: Point, k: int, distances: _Distances) -> _Rows:
+        """Rows that can be among the ``k`` smallest ``distances`` from
+        ``point``.  A node's min-distance bounds both rankings from
+        below, so the rows of the few nearest leaves give a bound, and
+        only if a node the probe left unopened is within it does a
+        second descent open every node that is.  Blank rows and nodes
+        are NaN-far: no comparison admits them."""
+        want = k // self.max_entries + 4
+        unopened = math.inf
+
+        def nearest(boxes: Block) -> _Rows | slice:
+            nonlocal unopened
+            if want >= boxes.shape[1]:
+                return slice(None)
+            reach = min_distances(boxes.T, point)
+            order = np.argpartition(reach, want)
+            unopened = min(unopened, float(reach[order[want]]))
+            return order[:want]
+
+        rows = self._descend(nearest)
+        found = distances(self._coords.take(rows, axis=1).T, point)
+        bound = _bound(found, k)
+        if not bound < unopened:
+            if bound < math.inf:
+                rows = self._descend(
+                    lambda boxes: np.flatnonzero(min_distances(boxes.T, point) <= bound)
                 )
-            else:
-                stack.extend(node.children)
-        return result
+            else:  # fewer than k live rows under the probe
+                rows = self._rows[: self._n]
+            found = distances(self._coords.take(rows, axis=1).T, point)
+            bound = _bound(found, k)
+        return rows[found <= bound]
+
+    def _k_best(
+        self,
+        point: Point,
+        k: int,
+        distances: _Distances,
+        exact: Callable[[Rect, Point], float],
+    ) -> list[object]:
+        pool: Iterable[object]
+        if math.isfinite(point.x + point.y):
+            rows = self._shortlist(point, k, distances).tolist()
+            pool = map(self._oids.__getitem__, rows)
+        else:  # beyond the kernels' error analysis: rank everything
+            pool = self._entries
+        entries, seq = self._entries, self._seq
+        return sorted(pool, key=lambda oid: (exact(entries[oid], point), seq[oid]))[:k]
 
     def _k_nearest_impl(self, point: Point, k: int) -> list[object]:
-        # Best-first search: pop the frontier element with the smallest
-        # min-distance; leaf entries popped in this order are exact NNs.
-        # Heap keys are (distance, kind, tie): nodes (kind 0) pop before
-        # equal-distance entries (kind 1), so by the time an entry is
-        # accepted every entry at the same distance is already on the
-        # heap, and equal-distance entries pop in insertion order (their
-        # tie key is the base-class sequence number) — matching the
-        # brute-force oracle exactly even for coincident points.
-        counter = itertools.count()
-        heap: list[tuple[float, int, int, object]] = []
-        if self._root.mbr is not None:
-            heapq.heappush(heap, (0.0, 0, next(counter), self._root))
-        result: list[object] = []
-        while heap and len(result) < k:
-            _dist, kind, _tie, payload = heapq.heappop(heap)
-            if kind == 1:
-                result.append(payload)
-                continue
-            node: _Node = payload
-            if node.leaf:
-                for oid, rect in node.entries:
-                    heapq.heappush(
-                        heap,
-                        (
-                            rect.min_distance_to_point(point),
-                            1,
-                            self._seq[oid],
-                            oid,
-                        ),
-                    )
-            else:
-                for child in node.children:
-                    if child.mbr is not None:
-                        heapq.heappush(
-                            heap,
-                            (
-                                child.mbr.min_distance_to_point(point),
-                                0,
-                                next(counter),
-                                child,
-                            ),
-                        )
-        return result
+        # Ties break by insertion order: the scalar (distance, sequence
+        # number) key ranks the vector shortlist.
+        return self._k_best(point, k, min_distances, Rect.min_distance_to_point)
 
     def _k_nearest_by_max_distance_impl(self, point: Point, k: int) -> list[object]:
-        """Branch-and-bound pessimistic kNN (k smallest max-distances).
-
-        For any entry inside a node, its max-distance is at least the
-        min-distance from the query point to the node MBR, so best-first
-        expansion by node min-distance with pruning against the current
-        k-th best max-distance is exact.  Ties break by insertion order,
-        like every other query.
-        """
-        counter = itertools.count()
-        heap: list[tuple[float, int, _Node]] = []
-        if self._root.mbr is not None:
-            heapq.heappush(heap, (0.0, next(counter), self._root))
-        # Max-heap of the best k so far, as (-dist, -seq, oid).
-        best: list[tuple[float, int, object]] = []
-        while heap:
-            lower, _tie, node = heapq.heappop(heap)
-            if len(best) == k and lower > -best[0][0]:
-                break
-            if node.leaf:
-                for oid, rect in node.entries:
-                    cand = (-rect.max_distance_to_point(point), -self._seq[oid], oid)
-                    if len(best) < k:
-                        heapq.heappush(best, cand)
-                    elif cand > best[0]:
-                        heapq.heapreplace(best, cand)
-            else:
-                for child in node.children:
-                    if child.mbr is None:
-                        continue
-                    child_lower = child.mbr.min_distance_to_point(point)
-                    if len(best) < k or child_lower <= -best[0][0]:
-                        heapq.heappush(heap, (child_lower, next(counter), child))
-        ordered = sorted(best, key=lambda item: (-item[0], -item[1]))
-        return [oid for _neg, _seq, oid in ordered]
+        """Pessimistic kNN (k smallest max-distances), ties by insertion
+        order.  An entry's max-distance is at least the min-distance to
+        any node holding it, so the same level-wise pruning is exact."""
+        return self._k_best(point, k, max_distances, Rect.max_distance_to_point)
 
     # ------------------------------------------------------------------
     # Diagnostics (used by structural tests)
     # ------------------------------------------------------------------
-    def check_invariants(self, strict_fill: bool = False) -> None:
-        """Assert structural R-tree invariants; raises AssertionError.
-
-        ``strict_fill`` additionally enforces the ``min_entries`` fill
-        factor, which holds after pure dynamic insertion but not after an
-        STR bulk load (the tail node of each tile may be underfull — that
-        is standard for STR packing and harmless).
-        """
-        seen: set[object] = set()
-
-        def visit(node: _Node, depth: int, is_root: bool) -> int:
-            if not is_root:
-                assert node.count() >= 1, "empty non-root node"
-                if strict_fill:
-                    assert node.count() >= self.min_entries, "underfull node"
-            assert node.count() <= self.max_entries, "overfull node"
-            if node.leaf:
-                for oid, rect in node.entries:
-                    assert oid not in seen, f"duplicate oid {oid!r}"
-                    seen.add(oid)
-                    assert node.mbr.contains_rect(rect), "leaf MBR too small"
-                    assert self._leaf_of[oid] is node, "leaf_of map stale"
-                return depth
-            depths = set()
-            for child in node.children:
-                assert child.parent is node, "broken parent link"
-                assert node.mbr.contains_rect(child.mbr), "node MBR too small"
-                depths.add(visit(child, depth + 1, False))
-            assert len(depths) == 1, "leaves at different depths"
-            return depths.pop()
-
-        if self._root.mbr is not None:
-            visit(self._root, 0, True)
-        assert seen == set(self._entries), "entry set mismatch"
+    def check_invariants(self) -> None:
+        """Assert the packed form's invariants; raises AssertionError."""
+        cap = self.max_entries
+        assert self._row.keys() == self._entries.keys(), "row set mismatch"
+        for oid, row in self._row.items():
+            assert self._oids[row] == oid, "oid list stale"
+            assert tuple(self._coords[:, row]) == self._entries[oid].as_tuple(), "row stale"
+            assert self._seqs[row] == self._seq[oid], "sequence column stale"
+        blank = np.isnan(self._coords).all(axis=0)
+        assert blank[self._n :].all(), "row in use past the end"
+        assert len(blank) - blank.sum() == len(self._row), "dead row not blanked"
+        assert self._packed % cap == 0 and self._packed <= self._n <= len(blank)
+        below = self._coords[:, : self._packed]
+        for boxes in self._levels:
+            assert boxes.shape[1] * cap == below.shape[1], "level size"
+            parents = np.repeat(boxes, cap, axis=1)
+            inside = (parents[:2] <= below[:2]) & (below[2:] <= parents[2:])
+            assert (inside | np.isnan(below[:2])).all(), "MBR too small"
+            below = boxes
+        assert below.shape[1] <= _FLAT, "top level too large"

@@ -25,10 +25,18 @@ from repro.geometry import Point, Rect
 from repro.processor import CandidateList
 from repro.processor.candidate import CandidateColumns
 from repro.processor.executor import collect
+from repro.processor.probabilistic import ContainmentOnly, FractionOverlap
 from repro.server import LocationServer
 from repro.server.codec import decode_candidate_list, encode_candidate_list
-from repro.spatial import BruteForceIndex
+from repro.spatial import (
+    BruteForceIndex,
+    GridIndex,
+    KDTreeIndex,
+    QuadTreeIndex,
+    RTreeIndex,
+)
 from tests import reference_candidates as reference
+from tests.conftest import UNIT
 
 BYS = ("min", "max", "center")
 COVER = Rect(-1e6, -1e6, 1e6, 1e6)
@@ -243,6 +251,72 @@ class TestColumns:
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError):
             CandidateColumns(("a", "b"), np.zeros((3, 4)))
+
+
+INDEXES = {
+    "brute": BruteForceIndex,
+    "rtree": RTreeIndex,
+    "grid": lambda: GridIndex(UNIT, resolution=16),
+    "quadtree": lambda: QuadTreeIndex(UNIT, leaf_capacity=4),
+    "kdtree": KDTreeIndex,
+}
+
+
+class TestCollectSeam:
+    """``collect`` takes ``(ids, coords)`` from the index in one call;
+    whatever the index — a coordinate block indexed by row, or the
+    generic ``range_search`` + ``rect_of`` — the columns are those of
+    ``from_rects`` over the ``str``-sorted range result."""
+
+    @staticmethod
+    def loaded(kind: str):
+        """1 200 bulk-loaded entries (packed rows, under the R-tree's
+        shipped constants) and 150 inserted after them (tail rows);
+        mixed-type oids whose ``str`` order is not their insertion
+        order.  The kd-tree stores points only."""
+        rng = np.random.default_rng(7)
+        def entry(i: int) -> Rect:
+            x, y = rng.random(2).tolist()
+            side = 0.0 if kind == "kdtree" or i % 3 == 0 else 0.05
+            return Rect(x, y, min(1.0, x + side), min(1.0, y + side))
+        index = INDEXES[kind]()
+        index.bulk_load({(i if i % 2 else f"t{i}"): entry(i) for i in range(1200)})
+        for i in range(1200, 1350):
+            index.insert(i if i % 2 else f"t{i}", entry(i))
+        index.insert(5, entry(5))  # a re-stored oid
+        return index
+
+    @pytest.mark.parametrize("kind", sorted(INDEXES))
+    @pytest.mark.parametrize(
+        "policy", [None, FractionOverlap(0.5), ContainmentOnly()], ids=repr
+    )
+    @pytest.mark.parametrize(
+        "a_ext",
+        [Rect(0.2, 0.3, 0.6, 0.7), UNIT, Rect(0.5, 0.5, 0.5, 0.5), Rect(2.0, 2.0, 3.0, 3.0)],
+        ids=["window", "everything", "degenerate", "empty"],
+    )
+    def test_columns_are_from_rects_over_the_sorted_range(self, kind, policy, a_ext):
+        index = self.loaded(kind)
+        oids = sorted(index.range_search(a_ext), key=str)
+        if policy is not None:
+            oids = [oid for oid in oids if policy.admits(index.rect_of(oid), a_ext)]
+        wanted = CandidateColumns.from_rects(oids, [index.rect_of(oid) for oid in oids])
+        got = collect(index, a_ext, "private", 4, policy, filters=("f",))
+        same_oids(list(got.items.ids), list(wanted.ids))
+        assert got.items.coords.shape == wanted.coords.shape
+        assert got.items.coords.tobytes() == wanted.coords.tobytes()
+        assert not got.items.coords.flags.writeable
+        assert (got.search_region, got.num_filters, got.filters) == (a_ext, 4, ("f",))
+        if a_ext == UNIT and policy is None:
+            assert len(got) == len(index) == 1350
+        if a_ext.x_min == 2.0:
+            assert len(got) == 0
+
+    def test_the_rtree_result_spans_packed_rows_and_tail_rows(self):
+        index = self.loaded("rtree")
+        assert index._levels and index._n > index._packed
+        rows = index._range_rows(UNIT)
+        assert (rows < index._packed).any() and (rows >= index._packed).any()
 
 
 class TestFrozenBytes:

@@ -13,8 +13,9 @@ from repro.server import (
     MobileClient,
     TransmissionModel,
 )
-from repro.spatial import BruteForceIndex
-from tests.conftest import UNIT, random_points
+from repro.server.codec import encode_candidate_list
+from repro.spatial import BruteForceIndex, RTreeIndex
+from tests.conftest import UNIT, random_points, random_rects
 
 
 class TestTransmissionModel:
@@ -77,6 +78,62 @@ class TestLocationServer:
         server.store_private("buddy", Rect(0.6, 0.6, 0.65, 0.65))
         result = server.nn_private(Rect(0.4, 0.4, 0.5, 0.5), exclude="ghost")
         assert "buddy" in result.oids()
+
+    @pytest.mark.parametrize("index_factory", [RTreeIndex, BruteForceIndex])
+    def test_a_read_does_not_reorder_the_store(self, index_factory):
+        """Users sharing a cell and a profile share a cloak, so filter
+        ties are the common case; who else asked before must not decide
+        them.  (Excluding by remove + insert gave the requester a fresh
+        insertion number and moved it behind its twin.)"""
+        server = LocationServer(index_factory)
+        cell = Rect(0.25, 0.25, 0.5, 0.5)
+        server.store_private("A", cell)
+        server.store_private("B", cell)
+        server.store_private("C", Rect(0.75, 0.75, 0.875, 0.875))
+        c_area = server.private_index.rect_of("C")
+        first = server.nn_private(c_area, exclude="C")
+        assert first.filters == ("A",)
+        server.nn_private(cell, exclude="A")  # an unrelated read
+        again = server.nn_private(c_area, exclude="C")
+        assert again.filters == ("A",)
+        assert again == first
+
+    def test_rtree_and_brute_force_servers_ship_the_same_bytes(self, rng):
+        """One script — bulk public load, 300 private stores of which a
+        third re-store a user, the four ad-hoc query kinds with the
+        requester excluded — through both servers: every candidate list
+        encodes to the same bytes."""
+        servers = (LocationServer(RTreeIndex), LocationServer(BruteForceIndex))
+        targets = {f"t{i}": p for i, p in enumerate(random_points(rng, 1500))}
+        cloaks = random_rects(rng, 300, max_side=0.1)
+        uids = [i if i % 3 else i // 2 for i in range(300)]
+        for server in servers:
+            server.add_public_bulk(targets)
+            for uid, cloak in zip(uids, cloaks):
+                server.store_private(uid, cloak)
+        assert servers[0].num_private == len(set(uids))
+        shipped = 0
+        for step in range(120):
+            uid = uids[int(rng.integers(0, 300))]
+            area = servers[0].private_index.rect_of(uid)
+            payloads = [
+                [
+                    encode_candidate_list(answer)
+                    for answer in (
+                        server.nn_public(area),
+                        server.knn_public(area, 10),
+                        server.range_public(area, 0.02),
+                        server.nn_private(area, exclude=uid),
+                    )
+                ]
+                for server in servers
+            ]
+            assert payloads[0] == payloads[1], f"step {step}"
+            shipped += sum(map(len, payloads[0]))
+            if step % 10 == 0:  # the store keeps changing under the reads
+                for server in servers:
+                    server.store_private(uid, cloaks[step])
+        assert shipped > 120 * 4 * 64
 
     def test_naive_baselines(self, rng):
         server = LocationServer()

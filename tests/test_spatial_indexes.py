@@ -80,6 +80,29 @@ class TestBasicContract:
         with pytest.raises(KeyError):
             idx.remove("missing")
 
+    @pytest.mark.parametrize("kind", ACCELERATED + ["brute"])
+    def test_hidden_entry_returns_with_its_insertion_order(self, kind):
+        idx = BruteForceIndex() if kind == "brute" else make_index(kind)
+        for oid in ("a", "b", "c"):
+            idx.insert_point(oid, Point(0.5, 0.5))  # a three-way tie
+        idx.insert_point("d", Point(0.9, 0.9))
+        q = Point(0.4, 0.4)
+        with idx.hidden("a"):
+            assert "a" not in idx and len(idx) == 3
+            assert idx.k_nearest(q, 4) == ["b", "c", "d"]
+            assert idx.k_nearest_by_max_distance(q, 1) == ["b"]
+            assert set(idx.range_search(Rect(0, 0, 1, 1))) == {"b", "c", "d"}
+        assert idx.rect_of("a") == Rect.point(Point(0.5, 0.5))
+        assert idx.k_nearest(q, 4) == ["a", "b", "c", "d"]
+        assert idx.k_nearest_by_max_distance(q, 2) == ["a", "b"]
+        with pytest.raises(KeyError):
+            with idx.hidden("missing"):
+                pass
+        with pytest.raises(ZeroDivisionError):  # restored on the way out
+            with idx.hidden("b"):
+                1 / 0
+        assert idx.k_nearest(q, 4) == ["a", "b", "c", "d"]
+
     def test_k_nonpositive_raises(self):
         idx = BruteForceIndex()
         idx.insert_point(1, Point(0.5, 0.5))
@@ -171,7 +194,7 @@ class TestRTreeStructure:
         idx = RTreeIndex(max_entries=6)
         for i, p in enumerate(random_points(rng, 500)):
             idx.insert_point(i, p)
-        idx.check_invariants(strict_fill=True)
+        idx.check_invariants()
 
     def test_invariants_after_deletes(self, rng):
         idx = RTreeIndex(max_entries=6)
@@ -213,8 +236,8 @@ class TestRTreeStructure:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             RTreeIndex(max_entries=2)
-        with pytest.raises(ValueError):
-            RTreeIndex(max_entries=8, min_entries=5)
+        with pytest.raises(TypeError):  # the Guttman fill factor is gone
+            RTreeIndex(max_entries=8, min_entries=3)
 
     def test_duplicate_points_allowed(self):
         idx = RTreeIndex(max_entries=4)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
 from repro.spatial import BruteForceIndex, RTreeIndex
+from repro.spatial import rtree as rtree_module
 from tests.conftest import random_points, random_rects
 
 
@@ -64,7 +65,7 @@ class TestRTreeStress:
         rtree = RTreeIndex(max_entries=4)
         for i in range(100):
             rtree.insert_point(i, Point(i / 100.0, 0.5))
-        rtree.check_invariants(strict_fill=True)
+        rtree.check_invariants()
         assert rtree.nearest(Point(0.345, 0.5)) in (34, 35)
 
     def test_bulk_load_single_entry(self):
@@ -106,6 +107,66 @@ class TestRTreeStress:
             oracle.rect_of(want).min_distance_to_point(q)
         )
 
+    def test_levels_tail_and_blanked_rows_under_the_shipped_constants(self, rng):
+        """Two packed levels, then enough writes to leave a tail and
+        blanked rows and to cross the repack rule, all against the
+        oracle."""
+        points = random_points(rng, 20_000)
+        entries = {i: Rect.point(p) for i, p in enumerate(points)}
+        rtree, oracle = RTreeIndex(), BruteForceIndex()
+        rtree.bulk_load(entries)
+        oracle.bulk_load(entries)
+        assert len(rtree._levels) == 2
+        packed_block = rtree._coords
+        for step, rect in enumerate(random_rects(rng, 3000, max_side=0.02)):
+            victim = int(rng.integers(0, 20_000))
+            for index in (rtree, oracle):
+                if step % 3 == 0 and victim in index:
+                    index.remove(victim)
+                else:
+                    index.insert(victim if step % 3 == 1 else 20_000 + step, rect)
+            if step % 500 == 250:
+                rtree.check_invariants()
+                assert rtree._n > rtree._packed  # a tail is being scanned
+                q = Point(float(rng.random()), float(rng.random()))
+                region = Rect.from_center(q, 0.1, 0.1)
+                assert rtree.k_nearest(q, 20) == oracle.k_nearest(q, 20)
+                assert rtree.k_nearest_by_max_distance(
+                    q, 20
+                ) == oracle.k_nearest_by_max_distance(q, 20)
+                assert rtree.range_search(region) == sorted(
+                    oracle.range_search(region), key=oracle._seq.get
+                )
+        assert rtree._coords is not packed_block, "the writes never crossed the repack rule"
+        rtree.check_invariants()
+
+    @pytest.mark.parametrize("flat", [2, 1024])
+    def test_infinite_rectangles_regions_and_query_points(self, rng, flat, monkeypatch):
+        """Beyond the kernels' error analysis the scalar ranking decides
+        alone, and a blanked row matches no region, not even an
+        infinite one."""
+        inf = float("inf")
+        monkeypatch.setattr(rtree_module, "_FLAT", flat)
+        entries = {i: Rect.point(p) for i, p in enumerate(random_points(rng, 40))}
+        entries["strip"] = Rect(-inf, 0.2, inf, 0.4)
+        entries["far"] = Rect(inf, 0.0, inf, 1.0)
+        entries["half"] = Rect(0.5, -inf, inf, inf)
+        rtree, oracle = RTreeIndex(max_entries=4), BruteForceIndex()
+        for index in (rtree, oracle):
+            index.bulk_load(entries)
+            for victim in (3, 7, 11):
+                index.remove(victim)
+            index.insert("late", Rect(0.1, 0.1, 0.2, inf))
+        everywhere = Rect(-inf, -inf, inf, inf)
+        assert rtree.range_search(everywhere) == oracle.range_search(everywhere)
+        assert len(rtree.range_search(everywhere)) == len(rtree) == 41
+        for q in (Point(0.5, 0.6), Point(inf, 0.3), Point(0.3, -inf)):
+            for k in (1, 5, 41):
+                assert rtree.k_nearest(q, k) == oracle.k_nearest(q, k)
+                assert rtree.k_nearest_by_max_distance(
+                    q, k
+                ) == oracle.k_nearest_by_max_distance(q, k)
+
     def test_max_distance_nn_with_ties(self):
         rtree = RTreeIndex(max_entries=4)
         # Four symmetric rects: all the same max distance from center.
@@ -117,40 +178,112 @@ class TestRTreeStress:
         assert winner in ("a", "b", "c", "d")
 
 
+# ----------------------------------------------------------------------
+# The packed tree against the oracle, as a property
+# ----------------------------------------------------------------------
+GRID = st.integers(0, 8).map(lambda i: i / 8)  # coordinates that coincide
+
+
+@st.composite
+def stored_rects(draw):
+    """Points, zero-area slivers, boxes and the whole service area."""
+    kind = draw(st.sampled_from(["point", "point", "sliver", "box", "all"]))
+    x, y = draw(GRID), draw(GRID)
+    if kind == "all":
+        return Rect(0.0, 0.0, 1.0, 1.0)
+    if kind == "point":
+        return Rect(x, y, x, y)
+    w, h = draw(GRID) / 4, draw(GRID) / 4
+    return Rect(x, y, x, y + h) if kind == "sliver" else Rect(x, y, x + w, y + h)
+
+
+OPS = st.one_of(
+    st.tuples(st.just("insert"), stored_rects()),
+    st.tuples(st.just("reinsert"), stored_rects()),
+    st.tuples(st.just("remove"), st.integers(0, 10**6)),
+    st.tuples(st.just("hide"), st.integers(0, 10**6)),
+    st.tuples(st.just("bulk"), st.lists(stored_rects(), max_size=60)),
+    # Enough of one kind of write in a row to cross the repack rule.
+    st.tuples(st.just("insert_many"), st.lists(stored_rects(), min_size=20, max_size=40)),
+    st.tuples(st.just("remove_many"), st.integers(10, 40)),
+)
+
+
+def assert_answers_like(rtree: RTreeIndex, oracle: BruteForceIndex, probes) -> None:
+    """Every query returns the oracle's list — order included."""
+    assert len(rtree) == len(oracle)
+    for region, point, k in probes:
+        in_insertion_order = sorted(oracle.range_search(region), key=oracle._seq.get)
+        assert rtree.range_search(region) == in_insertion_order
+        ids, coords = rtree.range_columns(region)
+        wanted_ids, wanted_coords = oracle.range_columns(region)
+        assert ids == wanted_ids and coords.tobytes() == wanted_coords.tobytes()
+        if len(oracle):
+            for count in (1, k, len(oracle)):
+                assert rtree.k_nearest(point, count) == oracle.k_nearest(point, count)
+                assert rtree.k_nearest_by_max_distance(
+                    point, count
+                ) == oracle.k_nearest_by_max_distance(point, count)
+
+
 @settings(
-    max_examples=30,
+    max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(
-    ops=st.lists(
-        st.tuples(
-            st.sampled_from(["insert", "remove"]),
-            st.floats(0, 1, allow_nan=False),
-            st.floats(0, 1, allow_nan=False),
-        ),
-        min_size=1,
-        max_size=120,
-    )
+    ops=st.lists(OPS, min_size=1, max_size=30),
+    max_entries=st.integers(4, 16),
+    # (_FLAT, _CHURN_FLOOR): deep trees repacked often, down to the
+    # shipped pair, under which a tree this small is one flat scan.
+    constants=st.sampled_from([(2, 1), (2, 4), (3, 16), (8, 4), (1024, 64)]),
+    probes=st.lists(
+        st.tuples(stored_rects(), st.builds(Point, GRID, GRID), st.integers(1, 9)),
+        min_size=1, max_size=3,
+    ),
 )
-def test_property_rtree_vs_oracle_under_op_sequences(ops):
-    rtree = RTreeIndex(max_entries=4)
-    oracle = BruteForceIndex()
-    live: list[int] = []
-    next_id = 0
-    for op, x, y in ops:
-        if op == "insert" or not live:
-            rtree.insert_point(next_id, Point(x, y))
-            oracle.insert_point(next_id, Point(x, y))
-            live.append(next_id)
-            next_id += 1
-        else:
-            victim = live.pop(int(x * len(live)) % len(live))
-            rtree.remove(victim)
-            oracle.remove(victim)
-    rtree.check_invariants()
-    if live:
-        q = Point(0.5, 0.5)
-        assert rtree.k_nearest(q, min(3, len(live))) == oracle.k_nearest(
-            q, min(3, len(live))
-        )
+def test_property_rtree_vs_oracle_under_op_sequences(
+    ops, max_entries, constants, probes
+):
+    """After every op — inserts, re-inserts of live oids, removes, bulk
+    loads mid-sequence, runs of writes that cross the repack rule, reads
+    with an entry hidden — the packed tree (deep under a small ``_FLAT``,
+    flat under the shipped one) answers exactly as brute force does."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rtree_module, "_FLAT", constants[0])
+        patch.setattr(rtree_module, "_CHURN_FLOOR", constants[1])
+        rtree = RTreeIndex(max_entries=max_entries)
+        oracle = BruteForceIndex()
+        both = (rtree, oracle)
+        next_id = 0
+        for op, arg in ops:
+            live = list(oracle._entries)
+            if not live and op not in ("insert", "insert_many", "bulk"):
+                op, arg = "insert", Rect(0.5, 0.5, 0.5, 0.5)
+            if op in ("insert", "insert_many"):
+                for rect in arg if op == "insert_many" else [arg]:
+                    for index in both:
+                        index.insert(next_id, rect)
+                    next_id += 1
+            elif op == "reinsert":
+                for index in both:
+                    index.insert(live[len(live) // 2], arg)
+            elif op == "remove":
+                for index in both:
+                    index.remove(live[arg % len(live)])
+            elif op == "remove_many":
+                for victim in live[:arg]:
+                    for index in both:
+                        index.remove(victim)
+            elif op == "bulk":
+                entries = {next_id + i: rect for i, rect in enumerate(arg)}
+                next_id += len(entries)
+                for index in both:
+                    index.bulk_load(entries)
+            else:  # hide: a read that must leave no trace
+                victim = live[arg % len(live)]
+                with rtree.hidden(victim), oracle.hidden(victim):
+                    assert victim not in rtree
+                    assert_answers_like(rtree, oracle, probes)
+            rtree.check_invariants()
+            assert_answers_like(rtree, oracle, probes)

@@ -138,7 +138,7 @@ def _kth_distance_full_sort(index, anchor, k):
     """The seed implementation: sort every stored region by pessimistic
     distance and take the k-th."""
     dists = sorted(
-        rect.max_distance_to_point(anchor) for rect in index._entries.values()
+        rect.max_distance_to_point(anchor) for _oid, rect in index.items()
     )
     return dists[k - 1]
 
