@@ -18,11 +18,13 @@ answer can only change when
 A target strictly outside ``A_EXT`` can never be (or unseat) a filter:
 Algorithm 2's filters are each within their vertex's nearest-target
 distance, which the per-edge expansion dominates, so any target close
-enough to matter is inside ``A_EXT`` already.  Registered queries index
-their ``A_EXT`` rectangles in a bucket grid; each target update probes
-the grid with its old and new positions and marks only the overlapping
-queries dirty.  ``flush()`` recomputes the dirty set and reports answer
-deltas.
+enough to matter is inside ``A_EXT`` already.  The standing queries are
+rows of one table (:data:`_ROW`): a target update is a point-in-rectangle
+mask over the ``A_EXT`` column, a tick of user moves two comparisons
+over the movers' own rows plus one movers x buddy-queries intersection
+kernel, and ``flush()`` one batch re-cloak, the same two comparisons
+over every row, and a re-evaluation of the dirty rows — so a tick costs
+per affected query, not per mover.
 
 **Moving clients** get a third path (:meth:`register_knn`): the safe-
 region kNN of :mod:`repro.processor.safe_region` attaches a *validity
@@ -42,14 +44,17 @@ behaviour for equivalence testing, and :attr:`counters` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import DegradedModeError
 from repro.geometry import Point, Rect
+from repro.geometry.block import contains_rects, intersects_rects, rect_block
 from repro.observability import runtime as _telemetry
 from repro.processor import BatchRequest, CandidateList, default_margin
 from repro.server.casper import Casper
-from repro.spatial import GridIndex
 from repro.utils.timer import monotonic
 
 __all__ = ["AnswerChange", "ContinuousQueryMonitor"]
@@ -69,31 +74,33 @@ class AnswerChange:
         return bool(self.added or self.removed)
 
 
-@dataclass
-class _Query:
-    query_id: object
-    uid: object
-    kind: str  # "nn", "range", "buddy" or "knn"
-    num_filters: int
-    radius: float
-    cloak: Rect
-    #: The region indexed in the monitor's grid for target-update
-    #: dirtying: ``A_EXT`` for snapshot kinds, the safe-region *watch
-    #: region* for kNN queries.
-    a_ext: Rect
-    answer: frozenset
-    #: Last candidate list served (what a client would refine against).
-    last_candidates: CandidateList | None = None
-    # --- kNN-only state ---
-    k: int = 1
-    #: None = cloak-relative default margin at each evaluation.
-    margin: float | None = None
-    use_safe_region: bool = False
-    #: While the fresh cloak stays inside this region the stale
-    #: candidate list is provably exact; None = dirty on any change.
-    validity: Rect | None = None
-    #: Monitor tick of the last server evaluation (lifetime bookkeeping).
-    eval_tick: int = 0
+_KINDS = ("nn", "range", "buddy", "knn")
+_NN, _RANGE, _BUDDY, _KNN = range(4)
+_NO_RECT = (math.nan,) * 4
+
+#: One standing query per row; rows ``[0, q)`` are the live ones (a
+#: deregistered row is filled from the last, so ``q`` is the query count).
+_ROW = np.dtype([
+    ("cloak", "f8", 4),  # the cloak of the last evaluation
+    # While the fresh cloak stays inside, the stale candidate list is
+    # provably exact; a NaN row = none, dirty on any cloak change.
+    ("validity", "f8", 4),
+    # Target-side dirtying: A_EXT, or the safe-region watch region (kNN).
+    ("watch", "f8", 4),
+    # Radius (range) or validity margin (kNN; NaN = the cloak-relative
+    # default at each evaluation).
+    ("param", "f8"),
+    ("kind", "i1"),
+    ("k", "i4"),
+    ("num_filters", "i4"),
+    ("eval_tick", "i8"),  # tick of the last evaluation (lifetimes)
+    ("safe", "?"),  # kNN only: attach a validity region
+    ("dirty", "?"),
+    ("id", "O"),
+    ("uid", "O"),
+    ("answer", "O"),
+    ("candidates", "O"),  # last list served: what a client refines
+])
 
 
 class ContinuousQueryMonitor:
@@ -107,26 +114,20 @@ class ContinuousQueryMonitor:
     re-cloak scan before deciding what to re-evaluate.
     """
 
-    def __init__(
-        self,
-        casper: Casper,
-        grid_resolution: int = 32,
-        validity_margin_factor: float = 1.5,
-    ) -> None:
+    def __init__(self, casper: Casper, validity_margin_factor: float = 1.5) -> None:
         self.casper = casper
-        # Maps query_id -> A_EXT for the spatial join with target updates.
-        self._regions = GridIndex(casper.bounds, grid_resolution)
-        self._queries: dict[object, _Query] = {}
-        self._queries_of_user: dict[object, set[object]] = {}
-        self._dirty: set[object] = set()
+        self._table = np.zeros(16, dtype=_ROW)
+        self._row_of: dict[object, int] = {}
+        self._rows_of_user: dict[object, list[int]] = {}
         #: Queries whose user could not be re-cloaked at the last flush
-        #: (resilient deployments only): their answers are served stale
-        #: and they stay dirty until the user's state heals.
+        #: (departed, profile unsatisfiable, resilience ladder
+        #: exhausted): their answers are served stale and they stay
+        #: dirty until the user is back or the query is deregistered.
         self.last_degraded: frozenset = frozenset()
         #: Default validity margin, as a multiple of the cloak's longer
         #: side, for :meth:`register_knn` queries without an explicit one.
         self.validity_margin_factor = validity_margin_factor
-        #: Deterministic re-query accounting.  ``ticks`` counts
+        #: Deterministic re-query accounting.  ``ticks`` counts applied
         #: :meth:`on_users_moved` batches; ``evaluations`` counts dirty
         #: queries re-evaluated at flush (``knn_evaluations`` the kNN
         #: subset); ``suppressed`` counts flush-scan cloak changes the
@@ -148,14 +149,19 @@ class ContinuousQueryMonitor:
     # ------------------------------------------------------------------
     @property
     def num_queries(self) -> int:
-        return len(self._queries)
+        return len(self._row_of)
+
+    @property
+    def _live(self) -> np.ndarray:
+        """The live rows, as a view: writes to its columns land."""
+        return self._table[: len(self._row_of)]
 
     def register_nn(
         self, query_id: object, uid: object, num_filters: int = 4
     ) -> CandidateList:
         """Register a continuous "nearest public target" query; returns
         the initial candidate list."""
-        return self._register(query_id, uid, "nn", num_filters, 0.0)
+        return self._register(query_id, uid, _NN, num_filters)
 
     def register_range(
         self, query_id: object, uid: object, radius: float
@@ -163,7 +169,7 @@ class ContinuousQueryMonitor:
         """Register a continuous "targets within radius" query."""
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        return self._register(query_id, uid, "range", 0, radius)
+        return self._register(query_id, uid, _RANGE, 0, param=radius)
 
     def register_buddy(
         self, query_id: object, uid: object, num_filters: int = 4
@@ -176,10 +182,10 @@ class ContinuousQueryMonitor:
         when its old or new cloak touches the query's ``A_EXT`` (a
         strictly-outside region can never hold or become a pessimistic
         filter: a region beating the current filter's max-distance lies
-        entirely inside the filter disc, hence inside ``A_EXT``), so the
-        same grid probe drives incrementality.
+        entirely inside the filter disc, hence inside ``A_EXT``), so one
+        movers x buddy-queries intersection kernel drives incrementality.
         """
-        return self._register(query_id, uid, "buddy", num_filters, 0.0)
+        return self._register(query_id, uid, _BUDDY, num_filters)
 
     def register_knn(
         self,
@@ -208,35 +214,27 @@ class ContinuousQueryMonitor:
         if margin is not None and margin < 0.0:
             raise ValueError("margin must be non-negative")
         return self._register(
-            query_id, uid, "knn", num_filters, 0.0,
-            k=k, margin=margin, use_safe_region=safe_region,
+            query_id, uid, _KNN, num_filters,
+            param=math.nan if margin is None else margin, k=k, safe=safe_region,
         )
 
     def _register(
-        self, query_id: object, uid: object, kind: str, num_filters: int,
-        radius: float, k: int = 1, margin: float | None = None,
-        use_safe_region: bool = False,
+        self, query_id: object, uid: object, kind: int, num_filters: int,
+        param: float = 0.0, k: int = 1, safe: bool = False,
     ) -> CandidateList:
-        if query_id in self._queries:
+        if query_id in self._row_of:
             raise ValueError(f"query id {query_id!r} already registered")
-        bounds = self.casper.bounds
+        row, bounds = len(self._row_of), self.casper.bounds
+        if row == len(self._table):
+            self._table = np.concatenate([self._table, np.zeros_like(self._table)])
         # Until its first evaluation a query is *degraded*: empty
         # answer, the whole service area as its conservative A_EXT.
-        query = _Query(
-            query_id=query_id,
-            uid=uid,
-            kind=kind,
-            num_filters=num_filters,
-            radius=radius,
-            cloak=bounds,
-            a_ext=bounds,
-            answer=frozenset(),
-            last_candidates=CandidateList(
-                items=(), search_region=bounds, num_filters=num_filters
-            ),
-            k=k,
-            margin=margin,
-            use_safe_region=use_safe_region,
+        unserved = CandidateList(
+            items=(), search_region=bounds, num_filters=num_filters
+        )
+        self._table[row] = (  # in _ROW's column order
+            bounds.as_tuple(), _NO_RECT, bounds.as_tuple(), param, kind, k,
+            num_filters, 0, safe, False, query_id, uid, frozenset(), unserved,
         )
         try:
             cloak = self.casper.cloak_for(uid)
@@ -245,19 +243,27 @@ class ContinuousQueryMonitor:
             # registration time (state lost, ladder exhausted).  The
             # query stays degraded and dirty — the first flush after the
             # user heals evaluates it for real.
-            self._dirty.add(query_id)
+            self._table["dirty"][row] = True
         else:
-            self._evaluate(query, cloak.region)
-        self._queries[query_id] = query
-        self._queries_of_user.setdefault(uid, set()).add(query_id)
-        self._regions.insert(query_id, query.a_ext)
-        return query.last_candidates
+            self._evaluate(row, cloak.region)
+        self._row_of[query_id] = row
+        self._rows_of_user.setdefault(uid, []).append(row)
+        return self._table["candidates"][row]
 
     def deregister(self, query_id: object) -> None:
-        query = self._queries.pop(query_id)
-        self._queries_of_user[query.uid].discard(query_id)
-        self._regions.remove(query_id)
-        self._dirty.discard(query_id)
+        """Drop a query; its row is refilled from the last live one."""
+        row = self._row_of.pop(query_id)
+        table, last = self._table, len(self._row_of)
+        uid = table["uid"][row]
+        self._rows_of_user[uid].remove(row)
+        if not self._rows_of_user[uid]:
+            del self._rows_of_user[uid]
+        if row != last:
+            table[row] = table[last]
+            self._row_of[table["id"][row]] = row
+            rows = self._rows_of_user[table["uid"][row]]
+            rows[rows.index(last)] = row
+        table[last] = np.zeros((), dtype=_ROW)  # let go of its objects
 
     # ------------------------------------------------------------------
     # Update notifications
@@ -267,30 +273,24 @@ class ContinuousQueryMonitor:
         queries dirty: the mover's own queries (when their cloak
         changed) plus any buddy query whose ``A_EXT`` the mover's old or
         new stored region touches."""
-        private_index = self.casper.server.private_index
-        old_region = (
-            private_index.rect_of(uid) if uid in private_index else None
-        )
+        stale = self._stored_regions([uid])
         cloak = self.casper.update_location(uid, point)
-        self.notify_user_moved(uid, old_region, cloak.region)
+        self._mark_moved([uid], [cloak.region], stale)
 
     def on_users_moved(self, moves: list[tuple[object, Point]]) -> None:
         """Batched :meth:`on_user_moved`: one tick's moves go through
         the anonymizer's batched update kernel
         (:meth:`~repro.server.casper.Casper.update_locations`), then
-        each mover's queries are dirty-marked exactly as the per-move
+        the movers' queries are dirty-marked exactly as the per-move
         path would.  Stored cloaks reflect the end-of-tick population;
         :meth:`flush` re-cloaks every query anyway, so answers at the
-        flush boundary are identical either way."""
-        private_index = self.casper.server.private_index
-        old_regions = [
-            private_index.rect_of(uid) if uid in private_index else None
-            for uid, _ in moves
-        ]
-        self.counters["ticks"] += 1
+        flush boundary are identical either way.  A refused batch
+        (unknown user, out-of-area point) is not a tick."""
+        uids = [uid for uid, _ in moves]
+        stale = self._stored_regions(uids)
         cloaks = self.casper.update_locations(moves)
-        for (uid, _), old_region, cloak in zip(moves, old_regions, cloaks):
-            self.notify_user_moved(uid, old_region, cloak.region)
+        self.counters["ticks"] += 1
+        self._mark_moved(uids, [cloak.region for cloak in cloaks], stale)
 
     def notify_user_moved(
         self, uid: object, old_region: Rect | None, new_region: Rect
@@ -298,33 +298,49 @@ class ContinuousQueryMonitor:
         """Dirty-marking half of :meth:`on_user_moved`, for callers that
         applied the location update to Casper themselves (``old_region``
         is the user's previously stored cloak, ``new_region`` the fresh
-        one).
+        one)."""
+        self._mark_moved([uid], [new_region], [old_region])
+
+    def _stored_regions(self, uids: list[object]) -> list[Rect | None]:
+        """The movers' stored cloaks before an update — what a buddy
+        query may have been watching.  Nothing is read from the private
+        index while no buddy query is registered."""
+        if not (self._live["kind"] == _BUDDY).any():
+            return []
+        index = self.casper.server.private_index
+        return [index.rect_of(uid) if uid in index else None for uid in uids]
+
+    def _mark_moved(
+        self, uids: list[object], fresh: list[Rect], stale: list[Rect | None]
+    ) -> None:
+        """Dirty the queries a batch of moves can affect; ``fresh[i]`` is
+        mover ``i``'s new stored region, ``stale`` the old ones.
 
         A safe-region kNN query is *not* dirtied while the fresh cloak
         stays inside its validity region — its stale candidate list is
         provably still exact there.  (The suppression counters are
         maintained by :meth:`flush`'s re-cloak scan, which sees each
         query exactly once per flush.)"""
-        for query_id in self._queries_of_user.get(uid, ()):
-            query = self._queries[query_id]
-            if query.cloak == new_region:
-                continue
-            if query.validity is not None and query.validity.contains_rect(
-                new_region
-            ):
-                continue
-            self._dirty.add(query_id)
-        for probe in (old_region, new_region):
-            if probe is None:
-                continue
-            for query_id in self._regions.range_search(probe):
-                if self._queries[query_id].kind == "buddy":
-                    self._dirty.add(query_id)
+        live = self._live
+        owned = [
+            (row, mover)
+            for mover, uid in enumerate(uids)
+            for row in self._rows_of_user.get(uid, ())
+        ]
+        if owned:
+            rows = np.array([row for row, _ in owned])
+            regions = rect_block([fresh[mover] for _, mover in owned])
+            exited = (live["cloak"][rows] != regions).any(axis=1)
+            exited &= ~contains_rects(live["validity"][rows], regions)
+            live["dirty"][rows[exited]] = True
+        buddies = np.flatnonzero(live["kind"] == _BUDDY)
+        if len(buddies):
+            probes = rect_block([r for r in (*stale, *fresh) if r is not None])
+            touched = intersects_rects(probes[:, None], live["watch"][buddies])
+            live["dirty"][buddies[touched.any(axis=0)]] = True
 
     def on_target_update(
-        self,
-        oid: object,
-        new_position: Point | None,
+        self, oid: object, new_position: Point | None,
         old_position: Point | None = None,
     ) -> None:
         """Apply a public-target insert / move / delete and mark the
@@ -335,11 +351,11 @@ class ContinuousQueryMonitor:
             self.casper.server.remove_public(oid)
         else:
             self.casper.server.add_public(oid, new_position)
-        for probe in (old_position, new_position):
-            if probe is None:
-                continue
-            for query_id in self._regions.range_search(Rect.point(probe)):
-                self._dirty.add(query_id)
+        probes = rect_block(
+            [Rect.point(p) for p in (old_position, new_position) if p is not None]
+        )
+        touched = intersects_rects(probes[:, None], self._live["watch"])
+        self._live["dirty"] |= touched.any(axis=0)
 
     def mark_all_dirty(self) -> None:
         """Force every query to re-evaluate at the next flush.
@@ -348,7 +364,7 @@ class ContinuousQueryMonitor:
         hook for (profile edits, user registration/removal done directly
         on the Casper facade).
         """
-        self._dirty.update(self._queries)
+        self._live["dirty"] = True
 
     # ------------------------------------------------------------------
     # Re-evaluation
@@ -357,105 +373,82 @@ class ContinuousQueryMonitor:
         """Re-evaluate every dirty query; returns the non-empty answer
         deltas (re-evaluations that changed nothing are suppressed).
 
-        Before re-evaluating, every registered query is re-cloaked (a
-        microsecond pyramid walk) and marked dirty if its cloak drifted —
-        this catches cloak changes caused by *other* users' movement
-        through the querying user's pyramid cells, so answers are fully
-        consistent with a from-scratch evaluation at each flush boundary.
+        Before re-evaluating, every query's user is re-cloaked — one
+        batch cloak — and a query whose cloak drifted out of its
+        validity region is marked dirty: this catches cloak changes
+        caused by *other* users' movement through the querying user's
+        pyramid cells, so answers are fully consistent with a
+        from-scratch evaluation at each flush boundary.
 
-        Under a resilience runtime a query whose user cannot be
-        re-cloaked at all (state lost, ladder exhausted) keeps its
+        A query whose user cannot be re-cloaked at all (departed,
+        profile unsatisfiable, resilience ladder exhausted) keeps its
         previous answer — stale but never privacy-violating — and stays
-        dirty until the user heals; such queries are reported in
-        :attr:`last_degraded`.
+        dirty until the user is back; such queries are reported in
+        :attr:`last_degraded` and hold no other query up.
         """
         obs = _telemetry.active()
         start = monotonic() if obs is not None else 0.0
-        fresh_cloaks: dict[object, Rect] = {}
-        degraded: set[object] = set()
-        for query_id, query in self._queries.items():
-            try:
-                region = self.casper.cloak_for(query.uid).region
-            except DegradedModeError:
-                degraded.add(query_id)
-                continue
-            fresh_cloaks[query_id] = region
-            if region == query.cloak:
-                continue
-            if query.validity is not None and query.validity.contains_rect(
-                region
-            ):
-                # Safe-region suppression: the cloak drifted but stayed
-                # inside the validity region, so the stale candidate
-                # list still refines to the exact answer.
-                self.counters["suppressed"] += 1
-                if obs is not None:
-                    _telemetry.record_safe_region_event(obs, "suppressed")
-                continue
-            if query.validity is not None:
-                self.counters["validity_exits"] += 1
-                if obs is not None:
-                    _telemetry.record_safe_region_event(obs, "validity_exit")
-            self._dirty.add(query_id)
-        changes: list[AnswerChange] = []
+        live, counters = self._live, self.counters
+        cloaks = self.casper.cloaks_for(live["uid"].tolist())
+        cloaked = np.array([cloak is not None for cloak in cloaks], dtype=bool)
+        fresh = np.full((len(live), 4), math.nan)
+        fresh[cloaked] = rect_block(
+            [cloak.region for cloak in cloaks if cloak is not None]
+        )
+        drifted = cloaked & (live["cloak"] != fresh).any(axis=1)
+        # Safe-region suppression: the cloak drifted but stayed inside
+        # the validity region, so the stale candidate list still refines
+        # to the exact answer.
+        absorbed = drifted & contains_rects(live["validity"], fresh)
+        exited = drifted & ~absorbed
+        live["dirty"] |= exited
+        unsafe = np.isnan(live["validity"][:, 0])
+        for name, event, mask in (
+            ("suppressed", "suppressed", absorbed),
+            ("validity_exits", "validity_exit", exited & ~unsafe),
+        ):
+            counters[name] += (count := int(mask.sum()))
+            if obs is not None:
+                for _ in range(count):
+                    _telemetry.record_safe_region_event(obs, event)
+        # Evaluation order is by the printed id, whatever the row order.
         dirty = sorted(
-            (query_id for query_id in self._dirty if query_id not in degraded),
-            key=str,
+            np.flatnonzero(live["dirty"] & cloaked).tolist(),
+            key=lambda row: str(live["id"][row]),
         )
         # Dirty nn/range queries go through the server's batch engine:
         # queries whose users share a cloak (one crowded cell going
         # dirty at once) collapse to a single processor execution.
-        batched = [
-            query_id for query_id in dirty
-            if self._queries[query_id].kind in ("nn", "range")
-        ]
-        batch_results = dict(
-            zip(
-                batched,
-                self.casper.server.run_batch(
-                    [
-                        self._request(self._queries[query_id], fresh_cloaks[query_id])
-                        for query_id in batched
-                    ]
-                ),
-            )
-        )
-        for query_id in dirty:
-            query = self._queries[query_id]
-            lifetime = self.counters["ticks"] - query.eval_tick
-            watched = query.a_ext
-            change = self._evaluate(
-                query, fresh_cloaks[query_id], batch_results.get(query_id)
-            )
-            self.counters["evaluations"] += 1
-            if query.kind == "knn":
-                self.counters["knn_evaluations"] += 1
-                if query.use_safe_region:
+        batched = [row for row in dirty if live["kind"][row] in (_NN, _RANGE)]
+        requests = [self._request(row, cloaks[row].region) for row in batched]
+        served = dict(zip(batched, self.casper.server.run_batch(requests)))
+        changes: list[AnswerChange] = []
+        for row in dirty:
+            lifetime = counters["ticks"] - int(live["eval_tick"][row])
+            change = self._evaluate(row, cloaks[row].region, served.get(row))
+            counters["evaluations"] += 1
+            if live["kind"][row] == _KNN:
+                counters["knn_evaluations"] += 1
+                if live["safe"][row]:
                     self.validity_lifetimes.append(lifetime)
                     if obs is not None:
                         _telemetry.record_safe_region_event(obs, "evaluation")
                         _telemetry.record_validity_lifetime(obs, lifetime)
-            if query.a_ext != watched:
-                self._regions.insert(query_id, query.a_ext)
             if change.changed:
                 changes.append(change)
         if obs is not None:
             _telemetry.record_monitor_flush(
-                obs,
-                dirty=len(dirty),
-                changed=len(changes),
-                seconds=monotonic() - start,
+                obs, len(dirty), len(changes), monotonic() - start
             )
         # Degraded queries stay dirty: they re-evaluate as soon as their
-        # user's state heals and a fresh cloak exists again.
-        self._dirty.clear()
-        self._dirty |= degraded
-        self.last_degraded = frozenset(degraded)
+        # user is back and a fresh cloak exists again.
+        live["dirty"] = ~cloaked
+        self.last_degraded = frozenset(live["id"][~cloaked].tolist())
         return changes
 
     def answer_of(self, query_id: object) -> frozenset:
         """The current (last flushed) answer set of a query."""
-        return self._queries[query_id].answer
+        return self._table["answer"][self._row_of[query_id]]
 
     def candidates_of(self, query_id: object) -> CandidateList:
         """The last candidate list served for a query — what the client
@@ -463,15 +456,14 @@ class ContinuousQueryMonitor:
         this may be *stale* (computed for an earlier cloak), which is
         the point: while the cloak stays inside the validity region the
         refinement is provably identical to a fresh re-query."""
-        candidates = self._queries[query_id].last_candidates
-        assert candidates is not None
-        return candidates
+        return self._table["candidates"][self._row_of[query_id]]
 
     def validity_of(self, query_id: object) -> Rect | None:
         """The current validity region of a safe-region kNN query
         (``None`` for other kinds, oracle-mode kNN and degraded
         registrations)."""
-        return self._queries[query_id].validity
+        validity = self._table["validity"][self._row_of[query_id]].tolist()
+        return None if math.isnan(validity[0]) else Rect(*validity)
 
     @property
     def mean_validity_lifetime(self) -> float:
@@ -481,19 +473,20 @@ class ContinuousQueryMonitor:
             return 0.0
         return sum(self.validity_lifetimes) / len(self.validity_lifetimes)
 
-    @staticmethod
-    def _request(query: _Query, cloak: Rect) -> BatchRequest:
+    def _request(self, row: int, cloak: Rect) -> BatchRequest:
         """The processor request of an ``nn`` / ``range`` query."""
+        query = self._table[row]
         return BatchRequest(
-            f"{query.kind}_public", cloak,
-            num_filters=query.num_filters, radius=query.radius,
+            f"{_KINDS[query['kind']]}_public", cloak,
+            num_filters=int(query["num_filters"]), radius=float(query["param"]),
         )
 
     def _evaluate(
-        self, query: _Query, cloak: Rect, served: CandidateList | None = None
+        self, row: int, cloak: Rect, served: CandidateList | None = None
     ) -> AnswerChange:
-        """Serve ``query`` at ``cloak`` and move its state there;
-        ``served`` is the candidate list when a batch already holds it.
+        """Serve the query of ``row`` at ``cloak`` and move its state
+        there; ``served`` is the candidate list when a batch already
+        holds it.
 
         nn / range queries are plain processor requests.  Buddy queries
         exclude the requester's own record, so each one runs against a
@@ -501,16 +494,17 @@ class ContinuousQueryMonitor:
         watch geometry a candidate list does not carry — both keep their
         dedicated server calls and stay un-batched.
         """
-        server = self.casper.server
-        if query.kind == "knn":
-            if not query.use_safe_region:
+        server, query = self.casper.server, self._table[row]
+        num_filters = int(query["num_filters"])
+        if query["kind"] == _KNN:
+            if not query["safe"]:
                 margin = 0.0  # oracle mode: plain snapshot kNN geometry
-            elif query.margin is not None:
-                margin = query.margin
+            elif not math.isnan(query["param"]):
+                margin = float(query["param"])
             else:
                 margin = default_margin(cloak, self.validity_margin_factor)
             result = server.knn_public_with_validity(
-                cloak, query.k, query.num_filters, margin
+                cloak, int(query["k"]), num_filters, margin
             )
             candidates = result.candidates
             # A clamped k (fewer targets than requested) makes any insert
@@ -520,28 +514,28 @@ class ContinuousQueryMonitor:
                 if result.clamped
                 else result.watch_region.clipped_to(self.casper.bounds)
             )
-            if query.use_safe_region:
-                query.validity = result.validity
+            if query["safe"]:
+                query["validity"] = result.validity.as_tuple()
         else:
             if served is not None:
                 candidates = served
-            elif query.kind == "buddy":
+            elif query["kind"] == _BUDDY:
                 candidates = server.nn_private(
-                    cloak, query.num_filters, exclude=query.uid
+                    cloak, num_filters, exclude=query["uid"]
                 )
             else:
-                (candidates,) = server.run_batch([self._request(query, cloak)])
+                (candidates,) = server.run_batch([self._request(row, cloak)])
             watch = candidates.search_region
         new_answer = frozenset(candidates.oids())
         change = AnswerChange(
-            query_id=query.query_id,
-            added=new_answer - query.answer,
-            removed=query.answer - new_answer,
+            query_id=query["id"],
+            added=new_answer - query["answer"],
+            removed=query["answer"] - new_answer,
             candidates=candidates,
         )
-        query.cloak = cloak
-        query.a_ext = watch
-        query.answer = new_answer
-        query.last_candidates = candidates
-        query.eval_tick = self.counters["ticks"]
+        query["cloak"] = cloak.as_tuple()
+        query["watch"] = watch.as_tuple()
+        query["answer"] = new_answer
+        query["candidates"] = candidates
+        query["eval_tick"] = self.counters["ticks"]
         return change

@@ -20,12 +20,14 @@ from collections.abc import Collection
 import numpy as np
 import numpy.typing as npt
 
-from repro.geometry.point import Point
+from repro.geometry.point import EPSILON, Point
 from repro.geometry.rect import Rect
 
 __all__ = [
     "Block",
     "SLACK_ULPS",
+    "contains_rects",
+    "intersects_rects",
     "max_distances",
     "min_distances",
     "near",
@@ -66,6 +68,39 @@ def max_distances(coords: Block, at: Point) -> Block:
     dy = np.maximum(np.abs(at.y - y_min), np.abs(at.y - y_max))
     distances: Block = np.hypot(dx, dy)
     return distances
+
+
+def contains_rects(
+    outer: Block, inner: Block, tol: float = EPSILON
+) -> npt.NDArray[np.bool_]:
+    """Vector form of :meth:`Rect.contains_rect`: ``outer[i]`` holds
+    ``inner[i]``.  The coordinate axis is the last one and the leading
+    axes broadcast, so two ``(n, 4)`` blocks compare row by row and
+    ``(m, 1, 4)`` against ``(n, 4)`` gives every pair.  The sums are
+    the scalar method's own, so the two never disagree; a NaN row
+    contains nothing and lies in nothing."""
+    inside: npt.NDArray[np.bool_] = (
+        (outer[..., 0] - tol <= inner[..., 0])
+        & (outer[..., 1] - tol <= inner[..., 1])
+        & (inner[..., 2] <= outer[..., 2] + tol)
+        & (inner[..., 3] <= outer[..., 3] + tol)
+    )
+    return inside
+
+
+def intersects_rects(
+    a: Block, b: Block, tol: float = EPSILON
+) -> npt.NDArray[np.bool_]:
+    """Vector form of :meth:`Rect.intersects`: the closed rectangles
+    ``a[i]`` and ``b[i]`` share a point.  Broadcasts as
+    :func:`contains_rects` does; a NaN row meets nothing."""
+    meeting: npt.NDArray[np.bool_] = (
+        (a[..., 0] <= b[..., 2] + tol)
+        & (b[..., 0] <= a[..., 2] + tol)
+        & (a[..., 1] <= b[..., 3] + tol)
+        & (b[..., 1] <= a[..., 3] + tol)
+    )
+    return meeting
 
 
 #: Each of the vector and the scalar distance is within 1 ulp of the

@@ -258,6 +258,35 @@ class Casper:
         region, _mode = self.resilience.cloak_or_degrade(uid)
         return region
 
+    def cloaks_for(self, uids: Sequence[object]) -> list[CloakedRegion | None]:
+        """Batch :meth:`cloak_for`, one outcome per entry: ``None`` where
+        that user cannot be cloaked right now — departed, profile
+        unsatisfiable, or (resilience) ladder exhausted — and the rest
+        of the batch is unaffected.
+
+        The distinct registered users go through one
+        ``anonymizer.cloak_many`` (one exchange per involved shard on
+        the worker pool); a resilience runtime keeps the guarded
+        :meth:`cloak_for` per entry, in order.
+        """
+        if self.resilience is not None:
+            regions: list[CloakedRegion | None] = []
+            for uid in uids:
+                try:
+                    regions.append(self.cloak_for(uid))
+                except DegradedModeError:
+                    regions.append(None)
+            return regions
+        failed = CloakedRegion(self.bounds, 0, cells=())
+        known = list(dict.fromkeys(uid for uid in uids if uid in self.anonymizer))
+        fresh = dict(
+            zip(known, self.anonymizer.cloak_many(known, unsatisfiable=failed))
+        )
+        return [
+            None if (region := fresh.get(uid, failed)) is failed else region
+            for uid in uids
+        ]
+
     def _refine_location(self, uid: object) -> Point:
         """The exact location used for client-side refinement.
 

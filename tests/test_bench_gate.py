@@ -48,6 +48,8 @@ def make_report(quick: bool = True, **ratios: float) -> dict:
                 "query_cloaks_per_second": 2e4,
             },
         }
+    for section, keys in bench_gate.EXACT_COUNTERS:
+        report[section].update(dict.fromkeys(keys, 26.25))
     return report
 
 
@@ -60,6 +62,7 @@ class TestCompare:
             len(bench_gate.GATED_RATIOS)
             + len(bench_gate.FLOORS)
             + len(bench_gate.EXACT_TABLES)
+            + len(bench_gate.EXACT_COUNTERS)
         )
 
     def test_within_tolerance_passes(self):
@@ -114,6 +117,22 @@ class TestCompare:
         assert len(failures) == 1
         assert "shard_parallel.shards hit rates differ" in failures[0]
         assert "N = 8" in failures[0]
+
+    def test_seeded_counters_are_gated_for_identity(self):
+        reference = make_report()
+        current = make_report()
+        current["continuous_mobility"]["wall_clock_speedup"] = 0.5  # reported only
+        _lines, failures = bench_gate.compare(current, reference, 0.25)
+        assert failures == []
+        current["continuous_mobility"]["validity_exits"] = 27
+        _lines, failures = bench_gate.compare(current, reference, 0.25)
+        assert len(failures) == 1
+        assert "continuous_mobility.validity_exits differs" in failures[0]
+        del current["continuous_mobility"]["validity_exits"]
+        _lines, failures = bench_gate.compare(current, reference, 0.25)
+        assert failures == [
+            "continuous_mobility counters: missing from report or reference"
+        ]
 
     def test_missing_hit_rate_table_fails(self):
         current = make_report()

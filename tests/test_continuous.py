@@ -13,6 +13,7 @@ import pytest
 
 from repro.anonymizer import PrivacyProfile
 from repro.continuous import ContinuousQueryMonitor
+from repro.errors import OutOfBoundsError, UnknownUserError
 from repro.geometry import Point, Rect
 from repro.processor import private_nn_over_public, private_range_over_public
 from repro.server import Casper
@@ -60,39 +61,61 @@ class TestRegistration:
 class TestIncrementalConsistency:
     def test_flush_matches_fresh_evaluation_after_churn(self, rng):
         casper, monitor = build(rng)
-        for qid in range(10):
-            monitor.register_nn(f"nn-{qid}", qid, num_filters=4)
-            monitor.register_range(f"rg-{qid}", qid, radius=0.05)
-        # Churn: users move, targets move / appear / disappear.
-        for step in range(30):
-            roll = rng.random()
-            if roll < 0.5:
-                uid = int(rng.integers(10))
-                monitor.on_user_moved(
-                    uid, Point(float(rng.random()), float(rng.random()))
-                )
-            elif roll < 0.8:
-                oid = f"t{int(rng.integers(200))}"
-                if oid in casper.server.public_index:
-                    monitor.on_target_update(
-                        oid, Point(float(rng.random()), float(rng.random()))
-                    )
+        index = casper.server.public_index
+        register = {
+            "nn": lambda qid, uid: monitor.register_nn(qid, uid, num_filters=4),
+            "rg": lambda qid, uid: monitor.register_range(qid, uid, radius=0.05),
+            "bd": lambda qid, uid: monitor.register_buddy(qid, uid),
+            "kn": lambda qid, uid: monitor.register_knn(qid, uid, k=3),
+        }
+        from_scratch = {
+            "nn": lambda area, uid: private_nn_over_public(index, area, 4),
+            "rg": lambda area, uid: private_range_over_public(index, area, 0.05),
+            "bd": lambda area, uid: casper.server.nn_private(area, 4, exclude=uid),
+            "kn": lambda area, uid: casper.server.knn_public(area, 3),
+        }
+        live: set[tuple[str, int]] = set()
+
+        def toggle(kind, uid):
+            """Register the query, or deregister it when it is live."""
+            if (kind, uid) in live:
+                monitor.deregister(f"{kind}-{uid}")
+                live.discard((kind, uid))
             else:
-                monitor.on_target_update(
-                    f"new-{step}", Point(float(rng.random()), float(rng.random()))
-                )
-        monitor.flush()
-        # Oracle: fresh evaluation of every query.
-        for qid in range(10):
-            cloak = casper.anonymizer.cloak(qid)
-            fresh_nn = private_nn_over_public(
-                casper.server.public_index, cloak.region, 4
+                register[kind](f"{kind}-{uid}", uid)
+                live.add((kind, uid))
+
+        def somewhere():
+            return Point(float(rng.random()), float(rng.random()))
+
+        for uid in range(10):  # every one of them owns four queries
+            for kind in register:
+                toggle(kind, uid)
+        for tick in range(6):
+            # Churn: users move (a batch and a single), targets move and
+            # appear, queries come and go (rows freed and refilled).
+            monitor.on_users_moved(
+                [(int(u), somewhere()) for u in rng.choice(400, 40, replace=False)]
             )
-            assert monitor.answer_of(f"nn-{qid}") == frozenset(fresh_nn.oids())
-            fresh_rg = private_range_over_public(
-                casper.server.public_index, cloak.region, 0.05
-            )
-            assert monitor.answer_of(f"rg-{qid}") == frozenset(fresh_rg.oids())
+            monitor.on_user_moved(int(rng.integers(12)), somewhere())
+            monitor.on_target_update(f"t{int(rng.integers(200))}", somewhere())
+            monitor.on_target_update(f"new-{tick}", somewhere())
+            for _ in range(5):
+                toggle(str(rng.choice(list(register))), int(rng.integers(12)))
+            monitor.flush()
+            assert monitor.num_queries == len(live)
+            assert set(monitor._rows_of_user) == {uid for _, uid in live}
+            assert sorted(monitor._row_of.values()) == list(range(len(live)))
+            for kind, uid in live:
+                qid = f"{kind}-{uid}"
+                fresh = from_scratch[kind](casper.anonymizer.cloak(uid).region, uid)
+                if kind == "kn":  # a safe-region list may be stale, yet exact
+                    at = casper.anonymizer.location_of(uid)
+                    assert monitor.candidates_of(qid).refine_k_nearest(
+                        at, 3
+                    ) == fresh.refine_k_nearest(at, 3)
+                else:
+                    assert monitor.answer_of(qid) == frozenset(fresh.oids())
 
     def test_target_entering_a_ext_triggers_change(self, rng):
         casper, monitor = build(rng)
@@ -156,6 +179,46 @@ class TestIncrementalConsistency:
             casper.server.public_index, cloak.region, 0.1
         )
         assert monitor.answer_of("r") == frozenset(fresh.oids())
+
+
+class TestFailureContainment:
+    def test_uncloakable_user_degrades_only_their_own_queries(self, rng):
+        casper, monitor = build(rng)
+        for uid in (1, 2, 3):
+            monitor.register_nn(f"q{uid}", uid)
+        stale = {uid: monitor.answer_of(f"q{uid}") for uid in (1, 3)}
+        casper.remove_user(1)
+        casper.set_profile(3, PrivacyProfile(k=10_000))  # unsatisfiable
+        for _ in range(2):  # and again: they stay dirty, nothing raises
+            monitor.on_user_moved(2, Point(float(rng.random()), float(rng.random())))
+            monitor.flush()
+            assert monitor.last_degraded == {"q1", "q3"}
+            assert {uid: monitor.answer_of(f"q{uid}") for uid in (1, 3)} == stale
+            fresh = private_nn_over_public(
+                casper.server.public_index, casper.anonymizer.cloak(2).region, 4
+            )
+            assert monitor.answer_of("q2") == frozenset(fresh.oids())
+        # Back again: the next flush evaluates them without being told.
+        casper.register_user(1, Point(0.9, 0.1), PrivacyProfile(k=2))
+        casper.set_profile(3, PrivacyProfile(k=2))
+        monitor.flush()
+        assert monitor.last_degraded == frozenset()
+        for uid in (1, 3):
+            fresh = private_nn_over_public(
+                casper.server.public_index, casper.anonymizer.cloak(uid).region, 4
+            )
+            assert monitor.answer_of(f"q{uid}") == frozenset(fresh.oids())
+
+    def test_refused_batch_is_not_a_tick(self, rng):
+        _casper, monitor = build(rng)
+        monitor.register_knn("q", 0, k=3)
+        with pytest.raises(UnknownUserError):
+            monitor.on_users_moved([("nobody", Point(0.5, 0.5))])
+        with pytest.raises(OutOfBoundsError):
+            monitor.on_users_moved([(0, Point(2.0, 2.0))])
+        assert monitor.counters["ticks"] == 0
+        monitor.on_users_moved([(0, Point(0.5, 0.5))])
+        assert monitor.counters["ticks"] == 1
 
 
 class TestBuddyQueries:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import Point, Rect
+from repro.geometry import EPSILON, Point, Rect
+from repro.geometry.block import contains_rects, intersects_rects, rect_block
 
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
@@ -19,6 +20,27 @@ def rects(draw) -> Rect:
 
 
 points = st.builds(Point, coords, coords)
+
+
+@st.composite
+def rect_pairs(draw) -> tuple[Rect, Rect]:
+    """A rectangle and a second one that is free, a point (possibly one
+    of the first's own corners), or placed against the first's sides to
+    within 0, 1 or 2 EPSILON — on either side of the predicates'
+    tolerance: every side nudged inward or outward, or abutting its
+    right edge."""
+    a = draw(rects())
+    shape = draw(st.sampled_from(["free", "point", "nudged", "abutting"]))
+    if shape == "free":
+        return a, draw(rects())
+    if shape == "point":
+        return a, Rect.point(draw(st.one_of(points, st.sampled_from(a.vertices()))))
+    nudges = st.sampled_from([-2 * EPSILON, -EPSILON, 0.0, EPSILON, 2 * EPSILON])
+    if shape == "abutting":
+        x = a.x_max + draw(nudges)
+        return a, Rect(x, a.y_min, x + 1.0, a.y_max)
+    x0, y0, x1, y1 = (side + draw(nudges) for side in a.as_tuple())
+    return a, Rect(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
 
 
 class TestRectConstruction:
@@ -191,3 +213,31 @@ class TestRectPredicatesAndCombinators:
     @given(rects(), rects())
     def test_overlap_area_bounded(self, a: Rect, b: Rect):
         assert 0.0 <= a.overlap_area(b) <= min(a.area, b.area) + 1e-9
+
+
+class TestBlockPredicates:
+    @given(st.lists(rect_pairs(), min_size=1, max_size=6))
+    def test_vector_predicates_are_the_scalar_ones(self, pairs):
+        firsts, seconds = zip(*pairs)
+        a, b = rect_block(firsts), rect_block(seconds)
+        # Row by row ...
+        assert contains_rects(a, b).tolist() == [
+            x.contains_rect(y) for x, y in pairs
+        ]
+        assert intersects_rects(a, b).tolist() == [
+            x.intersects(y) for x, y in pairs
+        ]
+        # ... and every pair at once, through broadcasting.
+        assert contains_rects(a[:, None], b).tolist() == [
+            [x.contains_rect(y) for y in seconds] for x in firsts
+        ]
+        assert intersects_rects(a[:, None], b).tolist() == [
+            [x.intersects(y) for y in seconds] for x in firsts
+        ]
+
+    def test_nan_row_contains_and_meets_nothing(self):
+        none = rect_block([Rect(0, 0, 1, 1)]) * float("nan")
+        unit = rect_block([Rect(0, 0, 1, 1)])
+        assert not contains_rects(none, unit).any()
+        assert not contains_rects(unit, none).any()
+        assert not intersects_rects(none, unit).any()

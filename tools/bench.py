@@ -623,25 +623,35 @@ def bench_shard_parallel(quick: bool) -> dict:
 # ----------------------------------------------------------------------
 # 8. Safe-region continuous kNN vs naive per-tick re-query
 # ----------------------------------------------------------------------
+#: The margins the sweep replays (multiples of the cloak's longer side);
+#: the headline safe-region arm is the 0.25 row.
+MARGIN_SWEEP = (0.0, 0.25, 0.5, 1.0, 1.5)
+
+
 def bench_continuous_mobility(quick: bool) -> dict:
     """Server evaluations per tick for moving-kNN clients.
 
-    One commuter trace is recorded once and replayed against two
-    identical Casper + monitor deployments: the **safe-region** arm
-    re-queries only when a client's cloak exits its validity region,
-    the **naive** arm models clients that re-issue the query every tick
-    (``mark_all_dirty`` before each flush).  The gated
-    ``evaluation_suppression`` ratio is kNN evaluations naive / safe —
-    a same-run, dimensionless quotient of deterministic counters, so it
-    is immune to host speed.  The honest costs of the trade are
-    reported next to it: the safe arm's candidate lists are larger (the
-    search region is inflated by twice the validity margin) and its
-    wall-clock win is smaller than the evaluation win (every tick still
-    pays the re-cloak scan).  Refined exact answers of both arms are
-    asserted identical at the end of the replay.
+    One commuter trace is recorded once and replayed against identical
+    Casper + monitor deployments: a **safe-region** arm per margin of
+    :data:`MARGIN_SWEEP`, which re-queries only when a client's cloak
+    exits its validity region, and the **naive** arm, which models
+    clients that re-issue the query every tick (``mark_all_dirty``
+    before each flush).  The gated ``evaluation_suppression`` ratio is
+    kNN evaluations naive / safe at the headline margin — a same-run,
+    dimensionless quotient of deterministic counters, so it is immune to
+    host speed — and the counters beside it are gated for equality with
+    the reference (``bench_gate.EXACT_COUNTERS``).  The honest costs of
+    the trade are the sweep's columns: a wider margin re-queries less
+    but ships larger candidate lists (the search region is inflated by
+    twice the margin), so each row reads re-query rate, mean list size,
+    candidate bytes shipped over the replay and seconds, against the
+    naive arm's.  Refined exact answers of every arm are asserted
+    identical to the naive arm's at the end of the replay.
     """
     from repro.continuous import ContinuousQueryMonitor
     from repro.server.casper import Casper
+    from repro.server.codec import RECORD_SIZE
+    from repro.server.database import LocationServer
     from repro.workloads import build_commuter_scenario, drive_trace
 
     num_users = 240 if quick else 600
@@ -658,50 +668,62 @@ def bench_continuous_mobility(quick: bool) -> dict:
     scenario = build_commuter_scenario(num_users, seed=21, k_range=(10, 50))
     initial = dict(sorted(scenario.positions().items()))
     tick_batches = [scenario.step() for _ in range(ticks)]
+    final_positions = {u.uid: u.point for u in tick_batches[-1]}
     rng = ensure_rng(6)
     targets = {
         f"t{i:04d}": Point(float(rng.random()), float(rng.random()))
         for i in range(num_targets)
     }
+    query_ids = [f"q{uid:04d}" for uid in range(num_queries)]
 
-    def build(safe: bool):
-        casper = Casper(BOUNDS, pyramid_height=height, anonymizer="adaptive")
+    class CountingServer(LocationServer):
+        """Counts the candidate records each kNN evaluation ships."""
+
+        records = 0
+
+        def knn_public_with_validity(self, *args, **kwargs):
+            result = super().knn_public_with_validity(*args, **kwargs)
+            self.records += len(result.candidates)
+            return result
+
+    def replay(safe: bool, margin: float) -> dict:
+        """Build one deployment, replay the trace, read its costs."""
+        server = CountingServer()
+        casper = Casper(
+            BOUNDS, pyramid_height=height, anonymizer="adaptive", server=server
+        )
         for uid, point in initial.items():
             casper.register_user(uid, point, scenario.profiles[uid])
         casper.add_public_targets(targets)
-        monitor = ContinuousQueryMonitor(
-            casper, validity_margin_factor=margin_factor
+        monitor = ContinuousQueryMonitor(casper, validity_margin_factor=margin)
+        for uid, query_id in enumerate(query_ids):
+            monitor.register_knn(query_id, uid, k=k, safe_region=safe)
+        server.records = 0  # the replay's lists only, not registration's
+        seconds, report = _timed(
+            drive_trace, monitor, tick_batches, naive_per_tick=not safe
         )
-        for uid in range(num_queries):
-            monitor.register_knn(f"q{uid:04d}", uid, k=k, safe_region=safe)
-        return monitor
+        sizes = [len(monitor.candidates_of(query_id)) for query_id in query_ids]
+        return {
+            "report": report,
+            "seconds": seconds,
+            "mean_candidates": sum(sizes) / len(sizes),
+            "candidate_bytes": RECORD_SIZE * server.records,
+            "answers": [
+                monitor.candidates_of(query_id).refine_k_nearest(
+                    final_positions[uid], k
+                )
+                for uid, query_id in enumerate(query_ids)
+            ],
+        }
 
-    safe_monitor = build(safe=True)
-    naive_monitor = build(safe=False)
-    safe_s, safe_report = _timed(drive_trace, safe_monitor, tick_batches)
-    naive_s, naive_report = _timed(
-        drive_trace, naive_monitor, tick_batches, naive_per_tick=True
-    )
-
-    final_positions = {u.uid: u.point for u in tick_batches[-1]}
-    for uid in range(num_queries):
-        query_id = f"q{uid:04d}"
-        safe_answer = safe_monitor.candidates_of(query_id).refine_k_nearest(
-            final_positions[uid], k
-        )
-        naive_answer = naive_monitor.candidates_of(query_id).refine_k_nearest(
-            final_positions[uid], k
-        )
-        assert safe_answer == naive_answer, (
+    naive = replay(safe=False, margin=margin_factor)
+    sweep = {margin: replay(safe=True, margin=margin) for margin in MARGIN_SWEEP}
+    for arm in sweep.values():
+        assert arm["answers"] == naive["answers"], (
             "safe-region refinement diverged from the per-tick oracle"
         )
-
-    def mean_candidates(monitor) -> float:
-        sizes = [
-            len(monitor.candidates_of(f"q{uid:04d}"))
-            for uid in range(num_queries)
-        ]
-        return sum(sizes) / len(sizes)
+    safe = sweep[margin_factor]
+    safe_report, naive_report = safe["report"], naive["report"]
 
     return {
         "num_users": num_users,
@@ -718,11 +740,22 @@ def bench_continuous_mobility(quick: bool) -> dict:
         "suppressed_cloak_changes": safe_report.suppressed,
         "validity_exits": safe_report.validity_exits,
         "mean_validity_lifetime_ticks": safe_report.mean_validity_lifetime,
-        "mean_candidates_safe": mean_candidates(safe_monitor),
-        "mean_candidates_naive": mean_candidates(naive_monitor),
-        "safe_seconds": safe_s,
-        "naive_seconds": naive_s,
-        "wall_clock_speedup": naive_s / safe_s,
+        "mean_candidates_safe": safe["mean_candidates"],
+        "mean_candidates_naive": naive["mean_candidates"],
+        "candidate_bytes_naive": naive["candidate_bytes"],
+        "safe_seconds": safe["seconds"],
+        "naive_seconds": naive["seconds"],
+        "wall_clock_speedup": naive["seconds"] / safe["seconds"],
+        "margin_sweep": [
+            {
+                "validity_margin_factor": margin,
+                "requery_rate": arm["report"].requery_rate,
+                "mean_candidates": arm["mean_candidates"],
+                "candidate_bytes": arm["candidate_bytes"],
+                "seconds": arm["seconds"],
+            }
+            for margin, arm in sweep.items()
+        ],
     }
 
 

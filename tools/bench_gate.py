@@ -27,6 +27,13 @@ operation stream, never on the host — unlike the ``cloak_scaling_8x``
 quotients beside them, whose denominator moves whenever the 1-shard
 path gets cheaper.
 
+So are the ``continuous_mobility`` counters (``EXACT_COUNTERS``):
+evaluations per tick, suppressed cloak changes, validity exits and the
+two mean candidate-list sizes are functions of the recorded trace and
+the monitor's dirtiness rules alone, so a differing digit means the
+monitor re-queries differently — while ``wall_clock_speedup`` beside
+them is reported, not gated.
+
 The reference is auto-selected by the report's ``quick`` flag:
 ``BENCH_engine_quick.json`` for ``--quick`` CI smoke runs,
 ``BENCH_engine.json`` for full runs.
@@ -37,8 +44,8 @@ Usage::
         [--max-slowdown 0.25]
 
 Exit codes: 0 — every ratio within tolerance; 1 — a regression beyond
-``--max-slowdown``, a quotient below its floor or a hit-rate table that
-differs; 2 — a malformed or missing report/reference.
+``--max-slowdown``, a quotient below its floor, or a hit-rate table or
+seeded counter that differs; 2 — a malformed or missing report/reference.
 """
 
 from __future__ import annotations
@@ -73,6 +80,20 @@ FLOORS = (
 #: reference's to the last digit, and the keys of one table row.
 EXACT_TABLES = ("shard_scaling", "shard_parallel")
 EXACT_KEYS = ("cache_hit_rate", "cache_hit_rate_per_shard")
+
+#: (section, keys): seeded counters that must equal the reference's.
+EXACT_COUNTERS = (
+    (
+        "continuous_mobility",
+        (
+            "safe_evaluations_per_tick",
+            "suppressed_cloak_changes",
+            "validity_exits",
+            "mean_candidates_safe",
+            "mean_candidates_naive",
+        ),
+    ),
+)
 
 
 def load_report(path: Path) -> dict:
@@ -160,6 +181,25 @@ def compare(
                 f"{', '.join(differing)} (they depend only on the seeded "
                 f"op stream, so the cache or epoch behaviour changed)"
             )
+    for section, keys in EXACT_COUNTERS:
+        label = f"{section} counters"
+        try:
+            current_row, baseline_row = (
+                {key: source[section][key] for key in keys}
+                for source in (report, reference)
+            )
+        except (KeyError, TypeError):
+            failures.append(f"{label}: missing from report or reference")
+            continue
+        differing = [key for key in keys if current_row[key] != baseline_row[key]]
+        verdict = "DIFFER" if differing else "identical"
+        lines.append(f"{label}: {len(keys)} vs reference -> {verdict}")
+        failures.extend(
+            f"{section}.{key} differs from the reference: {current_row[key]} != "
+            f"{baseline_row[key]} (it depends only on the recorded trace, so "
+            f"the monitor's re-query behaviour changed)"
+            for key in differing
+        )
     return lines, failures
 
 

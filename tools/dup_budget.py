@@ -43,15 +43,18 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: per-user store; PR 20 re-froze spatial after the R-tree's nodes
 #: became arrays, and geometry *up*, for ``geometry/block.py``: the
 #: coordinate-block kernels and the shortlist slack moved down out of
-#: ``processor/candidate.py`` so that the R-tree can share them;
-#: entries that did not shrink below their baseline keep their earlier
-#: count).
+#: ``processor/candidate.py`` so that the R-tree can share them; PR 21
+#: re-froze continuous *down* after the monitor became one table of
+#: query rows, and geometry up by exactly the two rectangle predicates
+#: (``contains_rects`` / ``intersects_rects``) that table's dirtiness
+#: kernels are; entries that did not shrink below their baseline keep
+#: their earlier count).
 BASELINES = {
     "src/repro/analysis": 4466,
     "src/repro/anonymizer": 3234,
-    "src/repro/continuous": 552,
+    "src/repro/continuous": 546,
     "src/repro/evaluation": 1263,
-    "src/repro/geometry": 657,
+    "src/repro/geometry": 692,
     "src/repro/mobility": 835,
     "src/repro/observability": 1633,
     "src/repro/privacy": 178,
