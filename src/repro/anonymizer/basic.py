@@ -18,18 +18,36 @@ bit-identical on every operation, snapshot and cache epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Iterable, Mapping
+
 import numpy as np
 
-from repro.anonymizer.cache import CloakCache
+from repro.anonymizer.cache import CloakCache, Epoch
 from repro.anonymizer.cells import CellId
-from repro.anonymizer.cloak import CloakedRegion
+from repro.anonymizer.cloak import (
+    Climbed,
+    CloakedRegion,
+    bottom_up_cloak,
+    bottom_up_cloaks,
+)
 from repro.anonymizer.engine import PyramidEngine
 from repro.anonymizer.profile import PrivacyProfile
 from repro.anonymizer.soa import IntArray, PyramidSoA, TableSnapshot
+from repro.errors import ProfileUnsatisfiableError
 from repro.geometry import Point, Rect
 from repro.morton import cell_of_morton, morton_of_xy
+from repro.observability import runtime as _telemetry
+from repro.utils.timer import monotonic
 
 __all__ = ["BasicAnonymizer"]
+
+#: A cloak-cache key of the complete pyramid: ``(leaf Morton, k, A_min)``.
+_Key = tuple[int, int, float]
+
+#: The kernel takes a cache's distinct misses from this many up; fewer
+#: (so any smaller batch) are walked one by one.  The measured
+#: crossover: ``tools/bench.py`` ``cloak.kernel_crossover_rows``.
+_KERNEL_ROWS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,28 +214,164 @@ class BasicAnonymizer(PyramidEngine):
         per_move: list[int] = costs.tolist()
         return per_move
 
-    def _gen_of(self, cell: CellId) -> int:
-        return self._soa.gen_of(cell.level, morton_of_xy(cell.ix, cell.iy))
-
     # ------------------------------------------------------------------
-    # Cloaking
+    # Cloaking: a function of one table row — ``(leaf Morton, k,
+    # A_min)``, as plain numbers the cache key, so a hit builds nothing
+    # — and of the counts above that leaf.
     # ------------------------------------------------------------------
     def cloak(self, uid: object) -> CloakedRegion:
         """Blur ``uid``'s current location per their privacy profile."""
-        slot = self.table.require(uid)
-        cell = cell_of_morton(self.height, int(self.table.cells[slot]))
-        return self._cloak_cell(self.table.profile_at(slot), cell)
+        table = self.table
+        slot = table.require(uid)
+        return self._cloak_row(
+            int(table.cells[slot]), int(table.ks[slot]), float(table.a_mins[slot])
+        )
 
     def cloak_location(self, point: Point, profile: PrivacyProfile) -> CloakedRegion:
         """Blur an arbitrary location under ``profile`` without
         registering it — used for one-shot query cloaking."""
-        return self._cloak_cell(profile, self.grid.cell_of(point))
+        cell = self.grid.cell_of(point)
+        return self._cloak_row(morton_of_xy(cell.ix, cell.iy), profile.k, profile.a_min)
 
-    def _cloak_cell(self, profile: PrivacyProfile, cell: CellId) -> CloakedRegion:
-        return self._cloak_via(
-            self.cloak_cache, self.cell_count, self._gen_of, self._epoch,
-            profile, cell,
+    def _cloak_row(self, m: int, k: int, a_min: float) -> CloakedRegion:
+        cache, epoch, shard = self._cache_for(m)
+        return self._instrumented_cloak(
+            lambda: self._memoized(cache, epoch, (m, k, a_min)), k, a_min, shard
         )
+
+    def cloak_many(
+        self, uids: Iterable[object], unsatisfiable: CloakedRegion | None = None
+    ) -> list[CloakedRegion]:
+        """Cloak a batch of users: the contract — and, below
+        :data:`_KERNEL_ROWS` rows, the loop — of :meth:`BatchCloaking
+        .cloak_many <repro.anonymizer.cloak.BatchCloaking.cloak_many>`.
+
+        A larger batch is served cache by cache: the keys a cache
+        cannot vouch for are climbed together by
+        :func:`~repro.anonymizer.cloak.bottom_up_cloaks`, then every
+        row takes the step a lone :meth:`cloak` takes, in arrival
+        order, and finds its miss computed — so regions, ``stats``,
+        cache counters, LRU order and telemetry events are the loop's.
+        """
+        uids = list(uids)
+        if len(uids) < _KERNEL_ROWS:
+            return super().cloak_many(uids, unsatisfiable)
+        table = self.table
+        slots = table.slots_array(uids)
+        ms, ks, a_mins = table.cells[slots], table.ks[slots], table.a_mins[slots]
+        keys = list(zip(ms.tolist(), ks.tolist(), a_mins.tolist()))
+        regions: list[Any] = [unsatisfiable] * len(keys)
+        failures: dict[int, ProfileUnsatisfiableError] = {}
+        owners = self._owners_of(ms)
+        for owner in np.unique(owners).tolist():
+            rows = np.flatnonzero(owners == owner).tolist()
+            outcomes = self._cloak_rows([keys[row] for row in rows])
+            for row, outcome in zip(rows, outcomes):
+                if isinstance(outcome, CloakedRegion):
+                    regions[row] = outcome
+                else:
+                    failures[row] = outcome
+        self.stats.cloak_requests += len(keys)
+        if failures and unsatisfiable is None:
+            raise failures[min(failures)]
+        return regions
+
+    def _cloak_rows(
+        self, keys: list[_Key]
+    ) -> list[CloakedRegion | ProfileUnsatisfiableError]:
+        """The rows one cache serves, in arrival order; an
+        unsatisfiable row yields the exception its :meth:`cloak`
+        raises."""
+        cache, epoch, shard = self._cache_for(keys[0][0])
+        obs = _telemetry.active()
+        started = monotonic()
+        missing = [
+            key
+            for key in dict.fromkeys(keys)
+            if not (cache.capacity and cache.holds(key, epoch, self._fresh))
+        ]
+        climbed: dict[_Key, Climbed | None] = {}
+        if len(missing) >= _KERNEL_ROWS:
+            soa, columns = self._soa, map(np.array, zip(*missing))
+            results = bottom_up_cloaks(self.grid, soa.counts, soa.gens, *columns)
+            climbed = dict(zip(missing, results))
+        outcomes: list[CloakedRegion | ProfileUnsatisfiableError] = []
+        for key in keys:
+            try:
+                outcomes.append(self._memoized(cache, epoch, key, climbed))
+            except ProfileUnsatisfiableError as exc:
+                outcomes.append(exc)
+        if obs is not None:
+            share = (monotonic() - started) / len(keys)
+            for (_m, k, a_min), outcome in zip(keys, outcomes):
+                if isinstance(outcome, CloakedRegion):
+                    self._note_cloak(obs, share, outcome, k, a_min, shard)
+        return outcomes
+
+    def _memoized(
+        self,
+        cache: CloakCache,
+        epoch: Epoch,
+        key: _Key,
+        climbed: Mapping[_Key, Climbed | None] | None = None,
+    ) -> CloakedRegion:
+        """One row's cloak through its cache: served, or computed
+        (by the kernel already, else walked here) and stored."""
+        if cache.capacity:
+            region = cache.lookup(key, epoch, self._fresh)
+            if region is not None:
+                return region
+        region, reads = (climbed and climbed.get(key)) or self._walk(
+            *key, record=cache.capacity > 0
+        )
+        if cache.capacity:
+            cache.store(key, region, reads, epoch)
+        return region
+
+    def _walk(self, m: int, k: int, a_min: float, record: bool) -> Climbed:
+        """:func:`bottom_up_cloak` from leaf ``m``, with (to ``record``
+        in a cache entry) the generation of every count it read."""
+        soa = self._soa
+        reads: list[int] = []
+
+        def count(cell: CellId) -> int:
+            at = morton_of_xy(cell.ix, cell.iy)
+            reads.append(soa.gen_of(cell.level, at))
+            return soa.count_of(cell.level, at)
+
+        region = bottom_up_cloak(
+            self.grid,
+            count if record else self.cell_count,
+            PrivacyProfile(k, a_min),
+            cell_of_morton(self.height, m),
+        )
+        return region, tuple(reads)
+
+    def _fresh(self, key: _Key, reads: tuple[int, ...]) -> bool:
+        """Whether every count an entry read still has the generation
+        recorded with it.  The cells follow from the key's leaf: per
+        level the cell, then — unless the walk settled there alone,
+        the last level only — its two neighbours."""
+        m, level = key[0], self.height
+        for first in range(0, len(reads), 3):
+            gens = self._soa.gens[level]
+            if gens[m] != reads[first] or (
+                first + 1 < len(reads)
+                and (gens[m ^ 1] != reads[first + 1] or gens[m ^ 2] != reads[first + 2])
+            ):
+                return False
+            m, level = m >> 2, level - 1
+        return True
+
+    def _cache_for(self, m: int) -> tuple[CloakCache, Epoch, int | None]:
+        """The cache serving cloaks that start at leaf ``m``, its
+        current epoch and the shard to attribute them to (one cache
+        here; one per shard in the fleet, which overrides both)."""
+        return self.cloak_cache, self._epoch, None
+
+    def _owners_of(self, ms: IntArray) -> IntArray:
+        """A label per leaf, equal where :meth:`_cache_for` is."""
+        return np.zeros(len(ms), dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Crash recovery (snapshot/restore of pyramid + user table)

@@ -26,7 +26,7 @@ Correctness rests on two counters:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable
+from typing import Any, Callable, Hashable
 
 from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.cloak import CloakedRegion, bottom_up_cloak
@@ -37,6 +37,10 @@ __all__ = ["CloakCache", "Epoch"]
 
 CountFn = Callable[[CellId], int]
 GenFn = Callable[[CellId], int]
+#: A host's verdict on one entry, ``(key, snapshot)``: are the
+#: generations it snapshotted all still current?  The cache never looks
+#: inside a key or a snapshot — both are the host's.
+FreshFn = Callable[[Any, tuple[Any, ...]], bool]
 
 # Single-shard anonymizers use a plain integer mutation epoch; the
 # sharded runtime passes a composite ``(shard epoch, boundary epoch)``
@@ -50,10 +54,7 @@ class _Entry:
     __slots__ = ("region", "snapshot", "epoch")
 
     def __init__(
-        self,
-        region: CloakedRegion,
-        snapshot: tuple[tuple[CellId, int], ...],
-        epoch: int | tuple[int, int],
+        self, region: CloakedRegion, snapshot: tuple[Any, ...], epoch: Epoch
     ) -> None:
         self.region = region
         self.snapshot = snapshot
@@ -63,10 +64,17 @@ class _Entry:
 class CloakCache:
     """LRU cache of :func:`bottom_up_cloak` results.
 
-    Keys are ``(start cell, k, A_min)``; values remember the cloak and a
-    ``(cell, generation)`` snapshot of every pyramid counter the
-    computation read.  ``capacity=0`` disables caching entirely (every
-    call recomputes — used by benchmarks to measure the uncached path).
+    A key names ``(start cell, k, A_min)`` in the host's own terms and
+    a value remembers the cloak plus a snapshot — the host's record of
+    every pyramid counter the computation read and its generation then.
+    The complete pyramid keys on the row's numbers, ``(leaf Morton, k,
+    A_min)``, and records the generations in read order (the cells
+    follow from the leaf), whether the scalar walk or the batch kernel
+    computed the entry; the adaptive cut keys on its ``CellId`` with
+    ``(cell, generation)`` pairs, through :meth:`cloak`.  ``capacity=0``
+    disables caching entirely (every call recomputes — used by
+    benchmarks to measure the uncached path): such a cache is never
+    probed.
     """
 
     def __init__(
@@ -79,9 +87,7 @@ class CloakCache:
         # cache-event telemetry stays attributable per shard; the
         # single-pyramid anonymizers emit the unlabelled stream.
         self.shard_label = shard_label
-        self._entries: OrderedDict[
-            tuple[CellId, int, float], _Entry
-        ] = OrderedDict()
+        self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -94,38 +100,35 @@ class CloakCache:
         """Drop every cached cloak (counters are kept)."""
         self._entries.clear()
 
-    def cloak(
-        self,
-        grid: CellGrid,
-        count: CountFn,
-        gen: GenFn,
-        epoch: int | tuple[int, int],
-        profile: PrivacyProfile,
-        start: CellId,
-    ) -> CloakedRegion:
-        """Return ``bottom_up_cloak(grid, count, profile, start)``,
-        memoized.
+    def holds(self, key: Hashable, epoch: Epoch, fresh: FreshFn) -> bool:
+        """Whether ``key``'s cloak is cached and current — nothing is
+        counted, reordered or dropped (a batch asks ahead of its rows).
 
-        ``gen`` maps a cell to its current generation and ``epoch`` is
-        the anonymizer's mutation epoch.  Unsatisfiable profiles
-        propagate their exception and are never cached.
+        ``epoch`` is the host's mutation epoch: an entry stored or
+        served at this very epoch is current without a look; otherwise
+        ``fresh`` judges its snapshot (and a pass re-dates the entry).
         """
-        if self.capacity == 0:
-            return bottom_up_cloak(grid, count, profile, start)
-        obs = _telemetry.active()
-        key = (start, profile.k, profile.a_min)
         entry = self._entries.get(key)
-        if entry is not None:
-            if entry.epoch == epoch or all(
-                gen(cell) == g for cell, g in entry.snapshot
-            ):
-                entry.epoch = epoch
-                self.hits += 1
-                self._entries.move_to_end(key)
-                if obs is not None:
-                    _telemetry.record_cache_event(obs, "hit", self.shard_label)
-                return entry.region
-            del self._entries[key]
+        if entry is None or not (entry.epoch == epoch or fresh(key, entry.snapshot)):
+            return False
+        entry.epoch = epoch
+        return True
+
+    def lookup(
+        self, key: Hashable, epoch: Epoch, fresh: FreshFn
+    ) -> CloakedRegion | None:
+        """The cloak of ``key`` if the cache :meth:`holds` it (a hit),
+        else ``None`` — a miss, which the caller computes and hands to
+        :meth:`store`; a stale entry is dropped on the way (an
+        invalidation)."""
+        obs = _telemetry.active()
+        if self.holds(key, epoch, fresh):
+            self.hits += 1
+            self._entries.move_to_end(key)
+            if obs is not None:
+                _telemetry.record_cache_event(obs, "hit", self.shard_label)
+            return self._entries[key].region
+        if self._entries.pop(key, None) is not None:
             self.invalidations += 1
             if obs is not None:
                 _telemetry.record_cache_event(
@@ -134,19 +137,57 @@ class CloakCache:
         self.misses += 1
         if obs is not None:
             _telemetry.record_cache_event(obs, "miss", self.shard_label)
-        reads: list[tuple[CellId, int]] = []
+        return None
 
-        def recording(cell: CellId) -> int:
-            reads.append((cell, gen(cell)))
-            return count(cell)
-
-        region = bottom_up_cloak(grid, recording, profile, start)
-        self._entries[key] = _Entry(region, tuple(reads), epoch)
+    def store(
+        self,
+        key: Hashable,
+        region: CloakedRegion,
+        snapshot: tuple[Any, ...],
+        epoch: Epoch,
+    ) -> None:
+        """Remember the cloak a :meth:`lookup` missed, evicting the
+        least recently served entry beyond ``capacity``."""
+        self._entries[key] = _Entry(region, snapshot, epoch)
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
+            obs = _telemetry.active()
             if obs is not None:
                 _telemetry.record_cache_event(obs, "eviction", self.shard_label)
+
+    def cloak(
+        self,
+        grid: CellGrid,
+        count: CountFn,
+        gen: GenFn,
+        epoch: Epoch,
+        profile: PrivacyProfile,
+        start: CellId,
+    ) -> CloakedRegion:
+        """Return ``bottom_up_cloak(grid, count, profile, start)``,
+        memoized under ``(start, k, A_min)`` with ``(cell, generation)``
+        tokens.
+
+        ``gen`` maps a cell to its current generation and ``epoch`` is
+        the anonymizer's mutation epoch.  Unsatisfiable profiles
+        propagate their exception and are never cached.
+        """
+        if self.capacity == 0:
+            return bottom_up_cloak(grid, count, profile, start)
+        key = (start, profile.k, profile.a_min)
+        region = self.lookup(
+            key, epoch, lambda _key, reads: all(gen(cell) == g for cell, g in reads)
+        )
+        if region is None:
+            reads: list[tuple[CellId, int]] = []
+
+            def recording(cell: CellId) -> int:
+                reads.append((cell, gen(cell)))
+                return count(cell)
+
+            region = bottom_up_cloak(grid, recording, profile, start)
+            self.store(key, region, tuple(reads), epoch)
         return region
 
     @property

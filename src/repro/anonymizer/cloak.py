@@ -12,19 +12,29 @@ Faithful to the paper's Algorithm 1:
    k* (the paper's accuracy requirement: :math:`k_R \\gtrsim k`, as
    tight as possible);
 3. otherwise recurse on the parent.
+
+It is stated twice, side by side: :func:`bottom_up_cloak` walks one
+start cell through any count view — the reference — and
+:func:`bottom_up_cloaks` climbs many rows of a complete pyramid's level
+arrays a level at a time (``tests/test_cloak_cache.py`` runs them as
+twins).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.profile import PrivacyProfile
-from repro.errors import ProfileUnsatisfiableError
+from repro.anonymizer.soa import FloatArray, IntArray
+from repro.errors import ProfileUnsatisfiableError, UnknownUserError
 from repro.geometry import Rect
+from repro.morton import morton_decode
 
-__all__ = ["BatchCloaking", "CloakedRegion", "bottom_up_cloak"]
+__all__ = ["BatchCloaking", "CloakedRegion", "bottom_up_cloak", "bottom_up_cloaks"]
 
 CountFn = Callable[[CellId], int]
 
@@ -79,8 +89,12 @@ class CloakedRegion:
 class BatchCloaking:
     """``cloak_many`` for every host whose batch *is* its single cloaks
     in order — the single policies and the in-process sharded
-    deployments.  (The worker-pool parent overrides it with one frame
-    per involved shard; the contract is the same.)"""
+    deployments.  (The complete pyramid climbs a batch's cache misses
+    together and the worker-pool parent ships one frame per involved
+    shard; the contract is the same.)"""
+
+    def __contains__(self, uid: object) -> bool:
+        raise NotImplementedError
 
     def cloak(self, uid: object) -> CloakedRegion:
         raise NotImplementedError
@@ -90,15 +104,24 @@ class BatchCloaking:
     ) -> list[CloakedRegion]:
         """Cloak a batch of users; regions come back in input order.
 
-        Outcomes are per item.  Where a profile cannot be satisfied,
-        ``unsatisfiable`` stands in for that user's region and the rest
-        of the batch is unaffected (the facade passes its cold-start
-        region, a frame endpoint the marker of its ``unsat`` reply).
-        Without a stand-in the earliest such user's
+        Every uid is resolved first: a batch naming an unknown user is
+        refused whole with :class:`~repro.errors.UnknownUserError` and
+        leaves no trace — nothing cloaked, counted in ``stats`` or
+        cached, on any host.
+
+        Past that, outcomes are per item.  Where a profile cannot be
+        satisfied, ``unsatisfiable`` stands in for that user's region
+        and the rest of the batch is unaffected (the facade passes its
+        cold-start region, a frame endpoint the marker of its ``unsat``
+        reply).  Without a stand-in the earliest such user's
         :class:`~repro.errors.ProfileUnsatisfiableError` is raised —
         after the whole batch ran, so ``cloak_requests`` counts every
-        entry.  An unknown uid raises, as it does from :meth:`cloak`.
+        entry.
         """
+        uids = list(uids)
+        for uid in uids:
+            if uid not in self:
+                raise UnknownUserError(uid)
         regions: list[CloakedRegion] = []
         failure: ProfileUnsatisfiableError | None = None
         for uid in uids:
@@ -153,3 +176,109 @@ def bottom_up_cloak(
                 )
             return CloakedRegion(grid.pair_rect(cell, cid_v), n_v, (cell, cid_v))
         cell = cell.parent()
+
+
+#: What one kernel row yields: the region and the generation of every
+#: count read on the way to it, in read order.
+Climbed = tuple[CloakedRegion, tuple[int, ...]]
+
+
+def bottom_up_cloaks(
+    grid: CellGrid,
+    counts: Sequence[IntArray],
+    gens: Sequence[IntArray],
+    ms: IntArray,
+    ks: IntArray,
+    a_mins: FloatArray,
+) -> list[Climbed | None]:
+    """Algorithm 1 for many rows of a complete pyramid at once.
+
+    Row ``i`` starts at the lowest-level cell with Morton code
+    ``ms[i]`` under profile ``(ks[i], a_mins[i])``; ``counts[level]``
+    and ``gens[level]`` are the Morton-indexed level arrays.  All rows
+    still climbing stand at one level, so a step of the loop is
+    :func:`bottom_up_cloak`'s loop body for all of them — its three
+    tests, in its order, on its expressions — with ``m ^ 1`` / ``m ^ 2``
+    the same-parent row / column neighbour and ``m >> 2`` the parent.
+    Settled rows drop out: at most ``height + 1`` steps of a few dozen
+    array operations, whatever the batch size.
+
+    Returns per row what the scalar walk returns plus the generations
+    of the counts it read, in read order (per level the cell's, then —
+    unless the row settles there alone — both neighbours'); ``None``
+    where the walk raises :class:`ProfileUnsatisfiableError`.
+    """
+    n, height = len(ms), grid.height
+    level_at = np.full(n, -1, dtype=np.int64)
+    cell_at = np.zeros(n, dtype=np.int64)
+    mate_at = np.zeros(n, dtype=np.int64)  # 0 alone, 1 with m ^ 1, 2 with m ^ 2
+    k_at = np.zeros(n, dtype=np.int64)
+    seen = np.zeros((n, 3 * height + 1), dtype=np.int64)
+    rows = np.arange(n)
+    least = a_mins - 1e-15  # a region of ``area`` is big enough: area >= least
+    for level in range(height, 0, -1):
+        area = grid.cell_area(level)
+        trio = ms[:, None] ^ _TRIO  # the cell, its row mate, its column mate
+        first = 3 * (height - level)
+        seen[rows, first : first + 3] = gens[level][trio]
+        own, with_h, with_v = counts[level][trio].T
+        n_h = own + with_h
+        n_v = own + with_v
+        h_fills, v_fills = n_h >= ks, n_v >= ks
+        alone = (own >= ks) & (area >= least)
+        pair = ~alone & (v_fills | h_fills) & (2.0 * area >= least)
+        # Prefer the combination whose population is closer to k.
+        across = (h_fills & v_fills & (n_h <= n_v)) | ~v_fills
+        done = alone | pair
+        settled = rows[done]
+        level_at[settled] = level
+        cell_at[settled] = ms[done]
+        mate_at[settled] = np.where(pair, np.where(across, 1, 2), 0)[done]
+        k_at[settled] = np.where(pair, np.where(across, n_h, n_v), own)[done]
+        rest = ~done
+        rows, ms, ks, least = rows[rest], ms[rest] >> 2, ks[rest], least[rest]
+        if not len(rows):
+            break
+    else:
+        # The root has no neighbours: it satisfies a row alone or the
+        # profile is unsatisfiable.
+        seen[rows, 3 * height] = gens[0][0]
+        root = int(counts[0][0])
+        settled = rows[(root >= ks) & (grid.cell_area(0) >= least)]
+        level_at[settled] = 0
+        k_at[settled] = root
+
+    # The regions: ``grid.cell_rect`` / ``pair_rect`` on columns, float
+    # operation for float operation (a pair's union starts at its lower
+    # cell and ends one width past the start of its upper one).
+    found = np.flatnonzero(level_at >= 0)
+    level_at, mate_at = level_at[found], mate_at[found]
+    ix, iy = morton_decode(cell_at[found])
+    dx, dy = mate_at & 1, mate_at >> 1
+    bounds, side = grid.bounds, 1 << level_at
+    w, h = bounds.width / side, bounds.height / side
+    rects = map(
+        Rect,
+        (bounds.x_min + (ix & ~dx) * w).tolist(),
+        (bounds.y_min + (iy & ~dy) * h).tolist(),
+        (bounds.x_min + (ix | dx) * w + w).tolist(),
+        (bounds.y_min + (iy | dy) * h + h).tolist(),
+    )
+    reads = 3 * (height - level_at) + 1 + 2 * (mate_at > 0)
+    out: list[Climbed | None] = [None] * n
+    cell = CellId._trusted
+    for row, at, x, y, to_x, to_y, achieved, rect, gen_row, gen_count in zip(
+        found.tolist(), level_at.tolist(), ix.tolist(), iy.tolist(),
+        (ix ^ dx).tolist(), (iy ^ dy).tolist(), k_at[found].tolist(), rects,
+        seen[found].tolist(), reads.tolist(),
+    ):
+        cells = (cell(at, x, y),)
+        if (to_x, to_y) != (x, y):
+            cells += (cell(at, to_x, to_y),)
+        out[row] = CloakedRegion(rect, achieved, cells), tuple(gen_row[:gen_count])
+    return out
+
+
+#: XOR masks taking a Morton code to itself and to its same-parent
+#: horizontal (``ix ^ 1``) and vertical (``iy ^ 1``) neighbour.
+_TRIO = np.array([0, 1, 2], dtype=np.int64)

@@ -136,49 +136,53 @@ class PyramidEngine(Population, BatchCloaking):
         epoch: Epoch,
         profile: PrivacyProfile,
         start: CellId,
-        shard: int | None = None,
     ) -> CloakedRegion:
-        """Run Algorithm 1 through ``cache`` with telemetry attached.
-
-        This is the one definition of the cloak fast path: request
-        accounting, the memoized :meth:`CloakCache.cloak` call, and —
-        only while an observability run is active — the timed latency
-        sample plus (for sharded hosts, which pass ``shard``) the
-        per-shard routing record.
-        """
-        self.stats.cloak_requests += 1
-        obs = _telemetry.active()
-        if obs is None:
-            return cache.cloak(self.grid, count, gen, epoch, profile, start)
-        t0 = monotonic()
-        region = cache.cloak(self.grid, count, gen, epoch, profile, start)
-        _telemetry.record_cloak(
-            obs, self.label, monotonic() - t0, region.area,
-            profile.a_min, region.achieved_k, profile.k,
+        """Run Algorithm 1 from ``start`` through ``cache`` (the
+        memoized :meth:`CloakCache.cloak`), instrumented."""
+        return self._instrumented_cloak(
+            lambda: cache.cloak(self.grid, count, gen, epoch, profile, start),
+            profile.k,
+            profile.a_min,
         )
-        if shard is not None:
-            _telemetry.record_shard_cloak(obs, shard, self._route_of(region))
-        return region
 
     def _route_of(self, region: CloakedRegion) -> str:
         """Routing class of a cloak answer; sharded hosts override."""
         raise NotImplementedError
 
     def _instrumented_cloak(
-        self, compute: Callable[[], CloakedRegion], profile: PrivacyProfile
+        self,
+        compute: Callable[[], CloakedRegion],
+        k: int,
+        a_min: float,
+        shard: int | None = None,
     ) -> CloakedRegion:
-        """Run an arbitrary cloak computation with the same accounting
-        and telemetry as :meth:`_cloak_via` — the seam for policies that
-        do not go through the pyramid's memoizing cache (the ported
-        related-work baselines)."""
+        """The one definition of a cloak's accounting: the request
+        count and, only while an observability run is active, its timed
+        :meth:`_note_cloak`.  ``compute`` is the cloak itself, through
+        a memoizing cache or not (the ported baselines)."""
         self.stats.cloak_requests += 1
         obs = _telemetry.active()
         if obs is None:
             return compute()
         t0 = monotonic()
         region = compute()
-        _telemetry.record_cloak(
-            obs, self.label, monotonic() - t0, region.area,
-            profile.a_min, region.achieved_k, profile.k,
-        )
+        self._note_cloak(obs, monotonic() - t0, region, k, a_min, shard)
         return region
+
+    def _note_cloak(
+        self,
+        obs: _telemetry.Observability,
+        seconds: float,
+        region: CloakedRegion,
+        k: int,
+        a_min: float,
+        shard: int | None,
+    ) -> None:
+        """The telemetry of one served cloak: the latency sample
+        against the asked ``(k, a_min)`` and, for sharded hosts (which
+        pass ``shard``), the per-shard routing record."""
+        _telemetry.record_cloak(
+            obs, self.label, seconds, region.area, a_min, region.achieved_k, k
+        )
+        if shard is not None:
+            _telemetry.record_shard_cloak(obs, shard, self._route_of(region))

@@ -195,7 +195,7 @@ class CliquePolicy(PyramidEngine):
 
     def cloak_location(self, point: Point, profile: PrivacyProfile) -> CloakedRegion:
         return self._instrumented_cloak(
-            lambda: self._group_cloak(point, profile), profile
+            lambda: self._group_cloak(point, profile), profile.k, profile.a_min
         )
 
     def _group_cloak(self, location: Point, profile: PrivacyProfile) -> CloakedRegion:

@@ -53,7 +53,7 @@ class IntervalPolicy(PyramidEngine):
     # ------------------------------------------------------------------
     def cloak_location(self, point: Point, profile: PrivacyProfile) -> CloakedRegion:
         return self._instrumented_cloak(
-            lambda: self._kd_cloak(point, profile), profile
+            lambda: self._kd_cloak(point, profile), profile.k, profile.a_min
         )
 
     def _kd_cloak(self, location: Point, profile: PrivacyProfile) -> CloakedRegion:

@@ -188,7 +188,7 @@ class TemporalPolicy(PyramidEngine):
     # ------------------------------------------------------------------
     def cloak_location(self, point: Point, profile: PrivacyProfile) -> CloakedRegion:
         return self._instrumented_cloak(
-            lambda: self._history_cloak(point, profile), profile
+            lambda: self._history_cloak(point, profile), profile.k, profile.a_min
         )
 
     def _history_cloak(

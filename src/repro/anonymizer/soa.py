@@ -253,28 +253,12 @@ class PyramidSoA:
             np.add.at(gens, new_idx, 1)
         return costs
 
-    def apply_chains(self, ms: IntArray, delta: int) -> None:
-        """Batched :meth:`apply_chain` for many leaves at once (bulk
-        registration); generations bump once per touch, as always."""
-        if len(ms) == 0:
-            return
-        for level in range(self.height, -1, -1):
-            shift = 2 * (self.height - level)
-            idx = ms >> shift
-            np.add.at(self.counts[level], idx, delta)
-            np.add.at(self.gens[level], idx, 1)
-
     # -- reads ----------------------------------------------------------
     def count_of(self, level: int, m: int) -> int:
         return int(self.counts[level][m])
 
     def gen_of(self, level: int, m: int) -> int:
         return int(self.gens[level][m])
-
-    def counts_at(self, level: int, ms: IntArray) -> IntArray:
-        """Vectorized occupancy lookup for many same-level cells — the
-        cloak-candidate / splitter scan primitive."""
-        return self.counts[level][ms]
 
     # -- canonical (side, side) grid conversions ------------------------
     def counts_grid(self) -> list[npt.NDArray[np.int64]]:

@@ -40,13 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.anonymizer.basic import BasicAnonymizer
-from repro.anonymizer.cache import CloakCache
-from repro.anonymizer.cells import CellId
-from repro.anonymizer.cloak import CloakedRegion
-from repro.anonymizer.profile import PrivacyProfile
+from repro.anonymizer.cache import CloakCache, Epoch
 from repro.anonymizer.soa import IntArray, TableSnapshot
 from repro.geometry import Rect
-from repro.morton import morton_of_xy
 from repro.sharding.surface import ShardSurface, cache_counters
 
 __all__ = ["ShardedBasicAnonymizer"]
@@ -155,13 +151,13 @@ class ShardedBasicAnonymizer(ShardSurface, BasicAnonymizer):
         for cache in self._caches:
             cache.clear()
 
-    def _cloak_cell(self, profile: PrivacyProfile, cell: CellId) -> CloakedRegion:
-        shard = self.router.owner_of_leaf(morton_of_xy(cell.ix, cell.iy))
-        return self._cloak_via(
-            self._caches[shard], self.cell_count, self._gen_of,
-            (self._shard_epochs[shard], self._boundary_epoch), profile, cell,
-            shard=shard,
-        )
+    def _cache_for(self, m: int) -> tuple[CloakCache, Epoch, int | None]:
+        shard = self.router.owner_of_leaf(m)
+        epoch = (self._shard_epochs[shard], self._boundary_epoch)
+        return self._caches[shard], epoch, shard
+
+    def _owners_of(self, ms: IntArray) -> IntArray:
+        return self.router.owners_of_leaves(ms)
 
     # ------------------------------------------------------------------
     # Crash recovery

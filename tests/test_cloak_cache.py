@@ -14,8 +14,13 @@ from repro.anonymizer import (
     PrivacyProfile,
     bottom_up_cloak,
 )
+from repro.anonymizer.basic import _KERNEL_ROWS
+from repro.anonymizer.cloak import BatchCloaking
 from repro.errors import ProfileUnsatisfiableError
 from repro.geometry import Point, Rect
+from repro.observability import enabled
+from repro.sharding import make_sharded
+from repro.sharding.surface import cache_counters
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -181,3 +186,101 @@ def test_adaptive_split_and_merge_invalidate():
     for uid in range(1, 8):
         anonymizer.deregister(uid)
     assert anonymizer.cloak(0) == _fresh_cloak(anonymizer, 0)
+
+
+# ----------------------------------------------------------------------
+# cloak_many is the cloak loop: twins fed the same stream, one answering
+# each batch with ``cloak_many`` (the level-at-a-time kernel from
+# ``_KERNEL_ROWS`` distinct misses up), the other with the loop itself.
+# ----------------------------------------------------------------------
+TWIN_UIDS = 24
+
+
+def _twins(num_shards, cache_size):
+    if num_shards is None:
+        return [BasicAnonymizer(UNIT, 5, cache_size) for _ in range(2)]
+    return [
+        make_sharded(UNIT, 5, num_shards, kind="basic", cloak_cache_size=cache_size)
+        for _ in range(2)
+    ]
+
+
+def _cloak_state(anonymizer):
+    """Statistics, epochs and every cache's counters, key order and
+    entries (region, recorded reads, epoch)."""
+    caches = getattr(anonymizer, "_caches", None) or [anonymizer.cloak_cache]
+    return (
+        vars(anonymizer.stats),
+        [getattr(anonymizer, name, None)
+         for name in ("_epoch", "_shard_epochs", "_boundary_epoch")],
+        [
+            (cache_counters(c),
+             [(key, e.region, e.snapshot, e.epoch) for key, e in c._entries.items()])
+            for c in caches
+        ],
+    )
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ProfileUnsatisfiableError as exc:
+        return type(exc), str(exc)
+
+
+twin_uids = st.integers(0, TWIN_UIDS - 1)
+twin_ticks = st.lists(
+    st.tuples(
+        st.lists(st.tuples(twin_uids, coords, coords), max_size=TWIN_UIDS,
+                 unique_by=lambda move: move[0]),
+        st.lists(twin_uids, min_size=1, max_size=4 * _KERNEL_ROWS),
+        st.booleans(),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+@pytest.mark.parametrize("cache_size", [0, 3, 8192])
+@pytest.mark.parametrize("num_shards", [None, 1, 2, 4])
+@settings(max_examples=12)
+@given(
+    homes=st.lists(st.tuples(coords, coords), min_size=TWIN_UIDS, max_size=TWIN_UIDS),
+    ticks=twin_ticks,
+)
+def test_property_cloak_many_is_the_cloak_loop(num_shards, cache_size, homes, ticks):
+    batched, looped = twins = _twins(num_shards, cache_size)
+    for uid, (x, y) in enumerate(homes):
+        # Every fourth user shares one cell and profile; k = 40 cannot
+        # be satisfied by 24 users.
+        point = Point(0.3, 0.3) if uid % 4 == 0 else Point(x, y)
+        profile = PrivacyProfile((1, 2, 3, 5, 8, 40)[uid % 6], (0.0, 0.01, 0.2)[uid % 3])
+        for twin in twins:
+            twin.register(uid, point, profile)
+    stand_in = batched.cloak(1)
+    assert looped.cloak(1) == stand_in
+    for moves, batch, with_stand_in in ticks:
+        for twin in twins:
+            twin.update_batch([(uid, Point(x, y)) for uid, x, y in moves])
+        unsatisfiable = stand_in if with_stand_in else None
+        assert _outcome(
+            lambda: batched.cloak_many(batch, unsatisfiable=unsatisfiable)
+        ) == _outcome(
+            lambda: BatchCloaking.cloak_many(looped, batch, unsatisfiable=unsatisfiable)
+        )
+        assert _cloak_state(batched) == _cloak_state(looped)
+
+
+@pytest.mark.parametrize("num_shards", [None, 2])
+def test_cloak_many_emits_the_loops_telemetry(num_shards):
+    observed = []
+    for answer in (lambda twin, uids: twin.cloak_many(uids), BatchCloaking.cloak_many):
+        (twin, _) = _twins(num_shards, 8192)
+        for uid in range(3 * _KERNEL_ROWS):
+            twin.register(uid, Point((uid * 0.37) % 1, (uid * 0.61) % 1), PrivacyProfile(3))
+        with enabled() as session:
+            answer(twin, list(range(3 * _KERNEL_ROWS)) * 2)
+        observed.append(
+            {(m.name, m.labels): getattr(m, "count", None) or m.value
+             for m in session.metrics if "seconds" not in m.name or hasattr(m, "count")}
+        )
+    assert observed[0] == observed[1] and observed[0]

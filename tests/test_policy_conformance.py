@@ -180,6 +180,36 @@ def population_state(anonymizer, uids):
     )
 
 
+@pytest.mark.parametrize("deployment", [*sorted(DEPLOYMENTS), "parallel"])
+def test_a_refused_cloak_batch_leaves_no_trace(policy_name, deployment):
+    """``cloak_many`` resolves every uid before it cloaks, counts or
+    caches anything — the one rule of every host, on both sides of the
+    basic kernel's batch-size threshold."""
+    if deployment == "parallel":
+        anonymizer = make_sharded(UNIT, HEIGHT, num_shards=2, kind=policy_name, parallel=True)
+    else:
+        anonymizer = DEPLOYMENTS[deployment](policy_name)
+    try:
+        populate(anonymizer, n=40)
+        anonymizer.cloak(0)
+
+        def traces():
+            caches = getattr(anonymizer, "cache_stats", None)
+            own = getattr(anonymizer, "cloak_cache", None)
+            return (
+                anonymizer.stats.cloak_requests,
+                caches() if caches else own and (own.hits, own.misses, len(own)),
+            )
+
+        before = traces()
+        for batch in ([0, 1, "nope", 2], [*range(30), "nope", 31]):
+            with pytest.raises(UnknownUserError):
+                anonymizer.cloak_many(batch)
+            assert traces() == before
+    finally:
+        getattr(anonymizer, "close", lambda: None)()
+
+
 @pytest.mark.parametrize("deployment", sorted(DEPLOYMENTS))
 class TestPopulationContract:
     """One row per user, one admission rule — the same on every policy

@@ -59,6 +59,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
 from repro.anonymizer import BasicAnonymizer, PrivacyProfile  # noqa: E402
+from repro.anonymizer import basic as basic_module  # noqa: E402
 from repro.geometry import Point, Rect  # noqa: E402
 from repro.processor import (  # noqa: E402
     BatchQueryEngine,
@@ -113,19 +114,59 @@ def bench_cloak(quick: bool) -> dict:
                 anon.cloak(uid)
         return time.perf_counter() - start
 
+    # The per-tick re-cloak: the same number of users, scattered; each
+    # round the first `size` are moved (untimed: into fresh cells, so
+    # each is a cache miss) and cloaked again — everyone by one
+    # `cloak_many` (the level-at-a-time kernel), and 2-32 at a time by
+    # kernel and by `cloak` loop, to find the batch size from which
+    # the kernel stays the faster of the two (`_KERNEL_ROWS` is set
+    # from this row).
+    num_users = num_groups * users_per_group
+    scattered = BasicAnonymizer(BOUNDS, height=8)
+    for uid in range(num_users):
+        scattered.register(uid, Point(float(rng.random()), float(rng.random())), profile)
+    everyone = list(range(num_users))
+
+    def retick(size: int) -> list[int]:
+        for uid, (x, y) in enumerate(rng.random((size, 2)).tolist()):
+            scattered.update(uid, Point(x, y))
+        return everyone[:size]
+
+    def recloak(size: int, kernel_rows: int) -> float:
+        basic_module._KERNEL_ROWS = kernel_rows
+        best = float("inf")
+        for _ in range(rounds if size == num_users else 4 * rounds):
+            batch = retick(size)
+            seconds, _regions = _timed(scattered.cloak_many, batch)
+            best = min(best, seconds)
+        return best
+
+    shipped = basic_module._KERNEL_ROWS
+    try:
+        batch_s = recloak(num_users, 0)
+        sizes = (2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 24, 32)
+        kernel_wins = [recloak(n, 0) < recloak(n, n + 1) for n in sizes]
+    finally:
+        basic_module._KERNEL_ROWS = shipped
+    losing = [i for i, wins in enumerate(kernel_wins) if not wins]
+    crossover = sizes[min(losing[-1] + 1, len(sizes) - 1)] if losing else sizes[0]
+
     cached = populate(8192)
     uncached = populate(0)
     cached_s = drain(cached)
     uncached_s = drain(uncached)
-    cloaks = num_groups * users_per_group * rounds
+    cloaks = num_users * rounds
     return {
-        "num_users": num_groups * users_per_group,
+        "num_users": num_users,
         "co_located_groups": num_groups,
         "cloaks_timed": cloaks,
         "cached_seconds": cached_s,
         "uncached_seconds": uncached_s,
         "cached_cloaks_per_second": cloaks / cached_s,
         "uncached_cloaks_per_second": cloaks / uncached_s,
+        "batch_uncached_cloaks_per_second": num_users / batch_s,
+        "batch_speedup": (num_users / batch_s) / (cloaks / uncached_s),
+        "kernel_crossover_rows": crossover,
         "speedup": uncached_s / cached_s,
         "cache_hit_rate": cached.cloak_cache.hit_rate,
     }
@@ -942,15 +983,18 @@ def main(argv: list[str] | None = None) -> int:
     # lowers them without anything getting slower.  shard_parallel's
     # target is what eight workers give on the 2-core reference box
     # since a batch's per-shard frames are gathered from all workers at
-    # once: 3.7x full (16.2k -> 61.1k cloaks/s), 3.1x quick (17.9k ->
-    # 53.6k); 2.7x / 2.2x while the shards were exchanged in turn.  The
-    # locality effect itself is gated exactly, as hit-rate tables, by
-    # bench_gate.py.
+    # once and a worker climbs its rows' misses in one kernel call:
+    # 1.9x full (36.0k -> 70.9k cloaks/s), 1.6-1.8x quick (41k -> 67k).
+    # It read 3.7x / 3.1x (16.2k -> 61.1k, 17.9k -> 53.6k) while every
+    # miss was a scalar walk — the one worker's 2.2x is most of the
+    # drop; eight workers split a batch into eight kernel calls and
+    # gained 1.2x.  The locality effect itself is gated exactly, as
+    # hit-rate tables, by bench_gate.py.
     checks = (
         ("cloak", "speedup", 5.0),
         ("knn_private", "speedup", 2.0),
         ("shard_scaling", "cloak_scaling_8x", 1.0),
-        ("shard_parallel", "cloak_scaling_8x", 1.75),
+        ("shard_parallel", "cloak_scaling_8x", 1.25),
         ("continuous_mobility", "evaluation_suppression", 5.0),
     )
     ok = True

@@ -15,6 +15,9 @@ The columnar candidate list is gated by absolute floors instead
 (``FLOORS``): its quotients are column kernel vs the scalar per-pair
 oracle, and what must hold is the claim itself — decode at least 10x,
 local refinement at least 3x — not closeness to one host's reading.
+So is the batch cloak kernel (``cloak.batch_speedup``: one
+``cloak_many`` of a freshly invalidated population against the
+one-walk-at-a-time ``uncached_cloaks_per_second``, at least 3x).
 So is the shard layer's price (``shard_scaling.fleet_vs_engine``, bare
 engine time / 1-shard fleet time on one script): at least 0.5, so a
 second implementation of the pyramid cannot quietly grow back under the
@@ -71,6 +74,7 @@ GATED_RATIOS = (
 #: (section, key, floor): same-run quotients that must stay above an
 #: absolute floor, whatever the reference reads.
 FLOORS = (
+    ("cloak", "batch_speedup", 3.0),
     ("candidate_codec", "decode_speedup", 10.0),
     ("candidate_codec", "refine_speedup", 3.0),
     ("shard_scaling", "fleet_vs_engine", 0.5),
