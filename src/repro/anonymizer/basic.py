@@ -45,8 +45,10 @@ __all__ = ["BasicAnonymizer"]
 _Key = tuple[int, int, float]
 
 #: The kernel takes a cache's distinct misses from this many up; fewer
-#: (so any smaller batch) are walked one by one.  The measured
-#: crossover: ``tools/bench.py`` ``cloak.kernel_crossover_rows``.
+#: are walked one by one.  The measured crossover: ``tools/bench.py``
+#: ``cloak.kernel_crossover_rows``.  A batch of fewer rows cannot reach
+#: it and skips the grouping too (~8 µs of array set-up, five one-row
+#: hits' worth — the ad-hoc cloak of a frame endpoint is such a batch).
 _KERNEL_ROWS = 8
 
 
@@ -234,7 +236,7 @@ class BasicAnonymizer(PyramidEngine):
         return self._cloak_row(morton_of_xy(cell.ix, cell.iy), profile.k, profile.a_min)
 
     def _cloak_row(self, m: int, k: int, a_min: float) -> CloakedRegion:
-        cache, epoch, shard = self._cache_for(m)
+        cache, epoch, shard = self._cache_of(int(self._owners_of(m)))
         return self._instrumented_cloak(
             lambda: self._memoized(cache, epoch, (m, k, a_min)), k, a_min, shard
         )
@@ -265,7 +267,7 @@ class BasicAnonymizer(PyramidEngine):
         owners = self._owners_of(ms)
         for owner in np.unique(owners).tolist():
             rows = np.flatnonzero(owners == owner).tolist()
-            outcomes = self._cloak_rows([keys[row] for row in rows])
+            outcomes = self._cloak_rows(owner, [keys[row] for row in rows])
             for row, outcome in zip(rows, outcomes):
                 if isinstance(outcome, CloakedRegion):
                     regions[row] = outcome
@@ -277,12 +279,12 @@ class BasicAnonymizer(PyramidEngine):
         return regions
 
     def _cloak_rows(
-        self, keys: list[_Key]
+        self, owner: int, keys: list[_Key]
     ) -> list[CloakedRegion | ProfileUnsatisfiableError]:
-        """The rows one cache serves, in arrival order; an
+        """The rows ``owner``'s cache serves, in arrival order; an
         unsatisfiable row yields the exception its :meth:`cloak`
         raises."""
-        cache, epoch, shard = self._cache_for(keys[0][0])
+        cache, epoch, shard = self._cache_of(owner)
         obs = _telemetry.active()
         started = monotonic()
         missing = [
@@ -363,15 +365,17 @@ class BasicAnonymizer(PyramidEngine):
             m, level = m >> 2, level - 1
         return True
 
-    def _cache_for(self, m: int) -> tuple[CloakCache, Epoch, int | None]:
-        """The cache serving cloaks that start at leaf ``m``, its
-        current epoch and the shard to attribute them to (one cache
-        here; one per shard in the fleet, which overrides both)."""
-        return self.cloak_cache, self._epoch, None
+    def _owners_of(self, ms: Any) -> Any:
+        """Which cache serves the cloaks that start at ``ms`` — one
+        leaf Morton code or an array of them: a label per leaf.  One
+        cache here, so label 0 in the argument's shape; the fleet
+        answers the owning shard."""
+        return ms & 0
 
-    def _owners_of(self, ms: IntArray) -> IntArray:
-        """A label per leaf, equal where :meth:`_cache_for` is."""
-        return np.zeros(len(ms), dtype=np.int64)
+    def _cache_of(self, owner: int) -> tuple[CloakCache, Epoch, int | None]:
+        """The cache :meth:`_owners_of` labels ``owner``, its current
+        epoch and the shard to attribute its cloaks to."""
+        return self.cloak_cache, self._epoch, None
 
     # ------------------------------------------------------------------
     # Crash recovery (snapshot/restore of pyramid + user table)

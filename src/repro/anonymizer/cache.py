@@ -101,13 +101,13 @@ class CloakCache:
         self._entries.clear()
 
     def holds(self, key: Hashable, epoch: Epoch, fresh: FreshFn) -> bool:
-        """Whether ``key``'s cloak is cached and current — nothing is
-        counted, reordered or dropped (a batch asks ahead of its rows).
-
-        ``epoch`` is the host's mutation epoch: an entry stored or
-        served at this very epoch is current without a look; otherwise
-        ``fresh`` judges its snapshot (and a pass re-dates the entry).
-        """
+        """Whether :meth:`lookup` would serve ``key`` — asked ahead of
+        a batch's rows: no counter moves, the LRU order stands and a
+        stale entry stays for ``lookup`` to drop.  The one write is
+        ``lookup``'s own: an entry ``fresh`` passes is re-dated to
+        ``epoch`` (its generations were just found current at it; a
+        later mutation moves the epoch on), so its row's turn is one
+        compare."""
         entry = self._entries.get(key)
         if entry is None or not (entry.epoch == epoch or fresh(key, entry.snapshot)):
             return False
@@ -117,18 +117,23 @@ class CloakCache:
     def lookup(
         self, key: Hashable, epoch: Epoch, fresh: FreshFn
     ) -> CloakedRegion | None:
-        """The cloak of ``key`` if the cache :meth:`holds` it (a hit),
+        """The cloak cached under ``key`` if it is current (a hit),
         else ``None`` — a miss, which the caller computes and hands to
         :meth:`store`; a stale entry is dropped on the way (an
-        invalidation)."""
+        invalidation).  ``epoch`` is the host's mutation epoch: an
+        entry stored or served at this very epoch is current without a
+        look; otherwise ``fresh`` judges its snapshot."""
         obs = _telemetry.active()
-        if self.holds(key, epoch, fresh):
-            self.hits += 1
-            self._entries.move_to_end(key)
-            if obs is not None:
-                _telemetry.record_cache_event(obs, "hit", self.shard_label)
-            return self._entries[key].region
-        if self._entries.pop(key, None) is not None:
+        entry = self._entries.get(key)
+        if entry is not None:
+            if entry.epoch == epoch or fresh(key, entry.snapshot):
+                entry.epoch = epoch
+                self.hits += 1
+                self._entries.move_to_end(key)
+                if obs is not None:
+                    _telemetry.record_cache_event(obs, "hit", self.shard_label)
+                return entry.region
+            del self._entries[key]
             self.invalidations += 1
             if obs is not None:
                 _telemetry.record_cache_event(

@@ -36,6 +36,7 @@ statement of the rule as the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -151,13 +152,12 @@ class ShardedBasicAnonymizer(ShardSurface, BasicAnonymizer):
         for cache in self._caches:
             cache.clear()
 
-    def _cache_for(self, m: int) -> tuple[CloakCache, Epoch, int | None]:
-        shard = self.router.owner_of_leaf(m)
-        epoch = (self._shard_epochs[shard], self._boundary_epoch)
-        return self._caches[shard], epoch, shard
-
-    def _owners_of(self, ms: IntArray) -> IntArray:
+    def _owners_of(self, ms: Any) -> Any:
         return self.router.owners_of_leaves(ms)
+
+    def _cache_of(self, owner: int) -> tuple[CloakCache, Epoch, int | None]:
+        epoch = (self._shard_epochs[owner], self._boundary_epoch)
+        return self._caches[owner], epoch, owner
 
     # ------------------------------------------------------------------
     # Crash recovery
