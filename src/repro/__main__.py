@@ -254,7 +254,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_info(_args: argparse.Namespace) -> int:
     print(f"repro {repro.__version__} — Casper (VLDB 2006) reproduction")
-    print("components: geometry, spatial (r-tree/grid/quadtree/kd-tree/"
+    print("components: geometry, spatial (r-tree/grid/quadtree/"
           "brute), mobility, anonymizer (basic/adaptive + the interval/"
           "clique/temporal policies), "
           "processor (NN/kNN/range/aggregate, 1-2-4 filters), continuous, "

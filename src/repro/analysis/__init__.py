@@ -5,14 +5,12 @@ Public surface:
 * :func:`run_lint` / :class:`Project` / :class:`LintConfig` — embed the
   engine (this is what the tests do);
 * :class:`Rule` + :func:`register_rule` — add a rule;
-* :class:`Baseline` — grandfathered-finding bookkeeping;
 * :mod:`repro.analysis.cli` — the ``python -m repro lint`` entry point.
 
 See ``docs/static-analysis.md`` for the rule catalogue and the privacy
 boundary model the CSP001 taint check enforces.
 """
 
-from repro.analysis.baseline import Baseline, BaselineMatch
 from repro.analysis.config import LintConfig
 from repro.analysis.core import (
     RULE_REGISTRY,
@@ -27,8 +25,6 @@ from repro.analysis.core import (
 )
 
 __all__ = [
-    "Baseline",
-    "BaselineMatch",
     "Finding",
     "LintConfig",
     "LintResult",

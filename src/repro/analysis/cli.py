@@ -2,20 +2,18 @@
 
 Exit codes:
 
-* ``0`` — no non-baselined error findings and no stale baseline entries
-  (warnings never fail the run unless ``--strict``);
-* ``1`` — at least one new error finding or stale baseline entry;
+* ``0`` — no error findings (warnings never fail the run unless
+  ``--strict``);
+* ``1`` — at least one error finding;
 * ``2`` — usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.config import LintConfig
 from repro.analysis.core import RULE_REGISTRY, Project, run_lint
 from repro.analysis.reporters import render_json, render_sarif, render_text
@@ -63,29 +61,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "(for code-scanning upload), independent of --format",
     )
     parser.add_argument(
-        "--diff",
-        nargs="?",
-        const="origin/main",
-        default=None,
-        metavar="BASE",
-        help="report only findings in files changed since BASE "
-        "(default base: origin/main); the whole project is still "
-        "analyzed so cross-module rules see the full graph",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file relative to --root "
-        "(default: casperlint-baseline.json; 'none' disables)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file; refuses "
-        "(exit 1) findings of never-baseline rules",
-    )
-    parser.add_argument(
         "--select",
         default=None,
         metavar="CODES",
@@ -108,28 +83,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print every registered rule and exit",
     )
-
-
-def _changed_files(root: Path, base: str) -> set[str] | None:
-    """Project-relative posix paths changed since ``base`` (git diff).
-
-    Includes uncommitted changes (working tree vs. the base commit).
-    Returns None when git cannot answer (not a repo, unknown ref) —
-    the caller degrades to a full report rather than a silent pass.
-    """
-    try:
-        proc = subprocess.run(
-            ["git", "diff", "--name-only", base, "--"],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    if proc.returncode != 0:
-        return None
-    return {line.strip() for line in proc.stdout.splitlines() if line.strip()}
 
 
 def _list_rules() -> int:
@@ -174,78 +127,21 @@ def run_from_args(args: argparse.Namespace) -> int:
         return 2
     result = run_lint(project, config)
 
-    baseline_arg = args.baseline or config.baseline_path
-    baseline_path = root / baseline_arg
-    if args.write_baseline:
-        allowed = [
-            f for f in result.findings if f.rule not in config.never_baseline
-        ]
-        refused = [
-            f for f in result.findings if f.rule in config.never_baseline
-        ]
-        Baseline.from_findings(allowed).write(baseline_path)
-        print(
-            f"wrote {len(allowed)} finding(s) to {baseline_path}",
-            file=sys.stderr,
-        )
-        if refused:
-            for finding in refused:
-                print(
-                    f"refused to baseline {finding.path}:{finding.line} "
-                    f"{finding.rule}: {finding.message}",
-                    file=sys.stderr,
-                )
-            print(
-                f"{len(refused)} finding(s) belong to never-baseline "
-                "rules — fix them or add a justified inline pragma",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    if baseline_arg == "none":
-        baseline = Baseline()
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    # match against the FULL finding set first: staleness of baseline
-    # entries is only meaningful against an unfiltered run
-    match = baseline.match(result.findings)
-
-    stale = match.stale
-    if args.diff is not None:
-        changed = _changed_files(root, args.diff)
-        if changed is None:
-            print(
-                f"--diff: cannot diff against {args.diff!r}; "
-                "reporting every finding",
-                file=sys.stderr,
-            )
-        else:
-            match.new = [f for f in match.new if f.path in changed]
-            match.baselined = [
-                f for f in match.baselined if f.path in changed
-            ]
-
     renderers = {
         "text": render_text,
         "json": render_json,
         "sarif": render_sarif,
     }
-    print(renderers[args.format](result, match))
+    print(renderers[args.format](result))
     if args.sarif:
         sarif_path = Path(args.sarif)
         if not sarif_path.is_absolute():
             sarif_path = root / sarif_path
-        sarif_path.write_text(render_sarif(result, match) + "\n")
+        sarif_path.write_text(render_sarif(result) + "\n")
         print(f"wrote SARIF report to {sarif_path}", file=sys.stderr)
 
-    failing = [f for f in match.new if f.severity == "error"]
-    if args.strict:
-        failing = list(match.new)
-    return 1 if failing or stale else 0
+    failing = result.findings if args.strict else result.errors
+    return 1 if failing else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -47,10 +47,6 @@ def _default_severities() -> dict[str, str]:
     return {}
 
 
-def _default_never_baseline() -> frozenset[str]:
-    return frozenset({"CSP009", "CSP010", "CSP011", "CSP012", "CSP013"})
-
-
 @dataclass(frozen=True)
 class LintConfig:
     """Immutable configuration for one lint run."""
@@ -81,14 +77,6 @@ class LintConfig:
     )
     rng_module: str = "repro.utils.rng"
 
-    # CSP003 index contract ---------------------------------------------
-    index_base: str = "SpatialIndex"
-    tie_break_methods: tuple[str, ...] = (
-        "k_nearest_by_max_distance",
-        "_k_nearest_by_max_distance_impl",
-        "_k_nearest_impl",
-    )
-
     # CSP009 coordinate taint -------------------------------------------
     # Modules allowed to build frame payloads from exact coordinates:
     # the wire codec itself and the message/record codecs it rides on.
@@ -104,20 +92,6 @@ class LintConfig:
     # derive from a CRC-verified source.
     pickle_boundary_modules: tuple[str, ...] = ("repro.sharding.workers",)
 
-    # CSP013 protocol exhaustiveness ------------------------------------
-    # Where frame/op kinds are declared (and decoded) ...
-    protocol_modules: tuple[str, ...] = (
-        "repro.sharding.wire",
-        "repro.messages",
-    )
-    # ... and where decoded operations must be dispatched.
-    dispatch_modules: tuple[str, ...] = (
-        "repro.sharding.workers",
-        "repro.sharding.frontdoor",
-    )
-    protocol_decoders: tuple[str, ...] = ("decode_op", "decode_response")
-    protocol_constant_prefixes: tuple[str, ...] = ("OP_", "RE_", "KIND_")
-
     # CSP014 policy encapsulation ---------------------------------------
     # Packages holding CloakingPolicy implementations; inside them, the
     # only sanctioned route to pyramid state is the PyramidEngine /
@@ -125,18 +99,8 @@ class LintConfig:
     # attributes.
     policy_modules: tuple[str, ...] = ("repro.anonymizer.policies",)
 
-    # Baseline policy ---------------------------------------------------
-    # Rules whose findings may never be grandfathered: privacy/runtime
-    # invariants must be fixed (or carry a justified inline pragma).
-    # (a default_factory keeps the dataclass signature — and the
-    # generated API docs — free of unordered frozenset reprs)
-    never_baseline: frozenset[str] = field(
-        default_factory=_default_never_baseline
-    )
-
     # I/O ---------------------------------------------------------------
     scan_paths: tuple[str, ...] = DEFAULT_SCAN_PATHS
-    baseline_path: str = "casperlint-baseline.json"
 
     def severity_of(self, code: str, default: str = "error") -> str:
         return self.severities.get(code, default)
@@ -178,27 +142,17 @@ class LintConfig:
             "tainted_packages",
             "deterministic_packages",
             "scan_paths",
-            "tie_break_methods",
             "codec_modules",
             "pickle_boundary_modules",
-            "protocol_modules",
-            "dispatch_modules",
-            "protocol_decoders",
-            "protocol_constant_prefixes",
             "policy_modules",
         ):
             if key in table:
                 updates[key] = tuple(str(v) for v in table[key])
-        if "never_baseline" in table:
-            updates["never_baseline"] = frozenset(
-                str(c) for c in table["never_baseline"]
-            )
         if "safe_imports" in table and isinstance(table["safe_imports"], dict):
             updates["safe_imports"] = {
                 str(pkg): frozenset(str(n) for n in names)
                 for pkg, names in table["safe_imports"].items()
             }
-        for key in ("rng_module", "index_base", "baseline_path"):
-            if key in table:
-                updates[key] = str(table[key])
+        if "rng_module" in table:
+            updates["rng_module"] = str(table["rng_module"])
         return replace(self, **updates)

@@ -36,9 +36,10 @@ import abc
 import ast
 import hashlib
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TypeVar, cast
 
 from repro.analysis.config import LintConfig
 
@@ -55,6 +56,8 @@ __all__ = [
 ]
 
 SEVERITIES = ("error", "warning")
+
+_T = TypeVar("_T")
 
 #: ``# casperlint: ignore[CSP001,CSP002] optional justification``
 #: ``# casperlint: ignore`` (all rules)
@@ -75,10 +78,11 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity used by the baseline file.
+        """Stable identity for code-scanning dashboards (SARIF
+        ``partialFingerprints``).
 
-        Deliberately excludes the line number so baselined findings
-        survive unrelated edits above them in the same file.
+        Deliberately excludes the line number so a finding keeps its
+        identity across unrelated edits above it in the same file.
         """
         raw = f"{self.rule}::{self.path}::{self.message}"
         return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
@@ -240,6 +244,7 @@ class Project:
         self.root = Path(root) if root is not None else Path(".")
         self.modules: dict[str, ModuleInfo] = {}
         self.parse_errors: list[Finding] = []
+        self._facts: dict[str, tuple[LintConfig, object]] = {}
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -294,6 +299,7 @@ class Project:
         self.modules[name] = ModuleInfo(
             name=name, path=rel_path, source=source, tree=tree
         )
+        self._facts.clear()
 
     def add_virtual_module(
         self, name: str, source: str, rel_path: str | None = None
@@ -319,13 +325,35 @@ class Project:
     def iter_modules(self) -> Iterator[ModuleInfo]:
         return iter(self.modules.values())
 
+    # -- whole-project facts --------------------------------------------
+    def fact(
+        self,
+        key: str,
+        config: LintConfig,
+        build: Callable[["Project", LintConfig], _T],
+    ) -> _T:
+        """``build(self, config)``, computed once per project state.
+
+        The one memo for anything a rule derives from *every* module
+        (the import taint graph, the dataflow pass): ``check`` runs per
+        module, so a rule that needs such a fact asks for it here and
+        pays for it once per lint, not once per module.  Adding a module
+        forgets every fact, and so does asking under another config.
+        """
+        held = self._facts.get(key)
+        if held is not None and held[0] == config:
+            return cast(_T, held[1])
+        value = build(self, config)
+        self._facts[key] = (config, value)
+        return value
+
 
 class Rule(abc.ABC):
     """Base class every lint rule implements.
 
     Subclasses set the class attributes and yield :class:`RawFinding`
-    objects from :meth:`check`.  The engine owns suppression, severity
-    assignment and baseline handling — rules never worry about those.
+    objects from :meth:`check`.  The engine owns suppression and
+    severity assignment — rules never worry about those.
     """
 
     code: str = "CSP000"

@@ -793,10 +793,11 @@ def _scan_blocking(record: FunctionRecord) -> None:
 # Project driver
 # ----------------------------------------------------------------------
 def analyze_project(project: Project, config: LintConfig) -> ProjectDataflow:
-    """Full dataflow pass over a project, cached on the project object."""
-    cached = getattr(project, "_casperlint_dataflow", None)
-    if cached is not None:
-        return cached
+    """Full dataflow pass over a project, run once per project state."""
+    return project.fact("dataflow", config, _analyze)
+
+
+def _analyze(project: Project, config: LintConfig) -> ProjectDataflow:
     flow = ProjectDataflow()
     _collect_functions(project, flow)
 
@@ -888,5 +889,4 @@ def analyze_project(project: Project, config: LintConfig) -> ProjectDataflow:
         if not changed:
             break
 
-    project._casperlint_dataflow = flow  # type: ignore[attr-defined]
     return flow

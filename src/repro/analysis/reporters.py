@@ -4,61 +4,38 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis.baseline import BaselineMatch
 from repro.analysis.core import RULE_REGISTRY, Finding, LintResult
 
 __all__ = ["render_text", "render_json", "render_sarif"]
 
 
-def _format_finding(finding: Finding, note: str = "") -> str:
-    suffix = f" [{note}]" if note else ""
-    return (
-        f"{finding.path}:{finding.line}: {finding.rule} "
-        f"{finding.severity}: {finding.message}{suffix}"
-    )
-
-
-def render_text(result: LintResult, match: BaselineMatch) -> str:
+def render_text(result: LintResult) -> str:
     """Human-oriented report: one line per finding plus a summary."""
-    lines: list[str] = []
-    for finding in match.new:
-        lines.append(_format_finding(finding))
-    for finding in match.baselined:
-        lines.append(_format_finding(finding, note="baselined"))
-    for entry in match.stale:
-        lines.append(
-            f"{entry.get('path', '?')}: stale baseline entry "
-            f"{entry.get('fingerprint', '?')} ({entry.get('rule', '?')}: "
-            f"{entry.get('message', '?')}) — remove it from the baseline"
-        )
-    new_errors = sum(1 for f in match.new if f.severity == "error")
-    new_warnings = len(match.new) - new_errors
+    lines = [
+        f"{finding.path}:{finding.line}: {finding.rule} "
+        f"{finding.severity}: {finding.message}"
+        for finding in result.findings
+    ]
     lines.append(
         f"casperlint: {result.checked_modules} modules, "
-        f"{len(result.rules_run)} rules -> {new_errors} error(s), "
-        f"{new_warnings} warning(s), {len(match.baselined)} baselined, "
-        f"{len(match.stale)} stale baseline entr"
-        f"{'y' if len(match.stale) == 1 else 'ies'}, "
+        f"{len(result.rules_run)} rules -> {len(result.errors)} error(s), "
+        f"{len(result.warnings)} warning(s), "
         f"{result.suppressed} inline-suppressed"
     )
     return "\n".join(lines)
 
 
-def render_json(result: LintResult, match: BaselineMatch) -> str:
+def render_json(result: LintResult) -> str:
     """Machine-oriented report (the CI gate consumes this)."""
     payload = {
         "version": 1,
         "modules_checked": result.checked_modules,
         "rules_run": list(result.rules_run),
         "suppressed": result.suppressed,
-        "findings": [f.as_dict() for f in match.new],
-        "baselined": [f.as_dict() for f in match.baselined],
-        "stale_baseline_entries": match.stale,
+        "findings": [f.as_dict() for f in result.findings],
         "summary": {
-            "errors": sum(1 for f in match.new if f.severity == "error"),
-            "warnings": sum(1 for f in match.new if f.severity == "warning"),
-            "baselined": len(match.baselined),
-            "stale": len(match.stale),
+            "errors": len(result.errors),
+            "warnings": len(result.warnings),
         },
     }
     return json.dumps(payload, indent=2)
@@ -67,8 +44,8 @@ def render_json(result: LintResult, match: BaselineMatch) -> str:
 _SARIF_LEVEL = {"error": "error", "warning": "warning"}
 
 
-def _sarif_result(finding: Finding, suppressed: bool) -> dict[str, object]:
-    entry: dict[str, object] = {
+def _sarif_result(finding: Finding) -> dict[str, object]:
+    return {
         "ruleId": finding.rule,
         "level": _SARIF_LEVEL.get(finding.severity, "warning"),
         "message": {"text": finding.message},
@@ -84,26 +61,13 @@ def _sarif_result(finding: Finding, suppressed: bool) -> dict[str, object]:
             }
         ],
         # line-independent identity so GitHub code scanning tracks the
-        # finding across unrelated edits, same as the baseline file
+        # finding across unrelated edits
         "partialFingerprints": {"casperlint/v1": finding.fingerprint},
     }
-    if suppressed:
-        entry["suppressions"] = [
-            {
-                "kind": "external",
-                "justification": "casperlint baseline entry",
-            }
-        ]
-    return entry
 
 
-def render_sarif(result: LintResult, match: BaselineMatch) -> str:
-    """SARIF 2.1.0 report (GitHub code scanning upload format).
-
-    New findings become plain results; baselined findings are emitted
-    too, marked with an ``external`` suppression, so the dashboard sees
-    the full picture without re-alerting on grandfathered debt.
-    """
+def render_sarif(result: LintResult) -> str:
+    """SARIF 2.1.0 report (GitHub code scanning upload format)."""
     rules = [
         {
             "id": code,
@@ -134,10 +98,7 @@ def render_sarif(result: LintResult, match: BaselineMatch) -> str:
                         "rules": rules,
                     }
                 },
-                "results": [
-                    *(_sarif_result(f, False) for f in match.new),
-                    *(_sarif_result(f, True) for f in match.baselined),
-                ],
+                "results": [_sarif_result(f) for f in result.findings],
                 "columnKind": "utf16CodeUnits",
             }
         ],

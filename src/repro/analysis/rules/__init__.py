@@ -21,11 +21,9 @@ def load_builtin_rules() -> None:
         concurrency,
         correctness,
         determinism,
-        index_contract,
         lifecycle,
         policy_api,
         privacy,
-        protocol,
         taint,
         telemetry,
     )

@@ -65,7 +65,7 @@ class PrivacyBoundaryRule(Rule):
     ) -> Iterable[RawFinding]:
         if not module.in_package(config.untrusted_packages):
             return
-        graph = _taint_graph(project, config)
+        graph = project.fact("csp001-graph", config, _taint_graph)
         reported: set[str] = set()
         for edge in iter_import_edges(module, project):
             tainted_pkg = _package_of(edge.target, config.tainted_packages)
@@ -114,12 +114,7 @@ def _taint_graph(
     Edges that are pragma-suppressed for CSP001 or that move only
     allowlisted names are excluded — a justified suppression on the
     importing statement severs the path for every downstream module.
-    Cached per (project, config) pair on the project object.
     """
-    cache_key = "_csp001_graph"
-    cached = getattr(project, cache_key, None)
-    if cached is not None:
-        return cached
     graph: dict[str, tuple[str, ...]] = {}
     for info in project.iter_modules():
         targets: list[str] = []
@@ -136,7 +131,6 @@ def _taint_graph(
                 continue
             targets.append(edge.target)
         graph[info.name] = tuple(dict.fromkeys(targets))
-    setattr(project, cache_key, graph)
     return graph
 
 

@@ -376,7 +376,6 @@ class ShardWorker(FrameEndpoint):
         self.config = config
         self.shard = shard
         self._conn = conn
-        self._partitioned = get_policy(config.kind).sharded is not None
         self._stopping = False
 
     def run(self) -> None:

@@ -7,7 +7,6 @@ are interchangeable behind the privacy-aware query processor.
 from repro.spatial.bruteforce import BruteForceIndex
 from repro.spatial.grid import GridIndex
 from repro.spatial.index import SpatialIndex
-from repro.spatial.kdtree import KDTreeIndex
 from repro.spatial.quadtree import QuadTreeIndex
 from repro.spatial.rtree import RTreeIndex
 
@@ -15,7 +14,6 @@ __all__ = [
     "SpatialIndex",
     "BruteForceIndex",
     "GridIndex",
-    "KDTreeIndex",
     "QuadTreeIndex",
     "RTreeIndex",
 ]

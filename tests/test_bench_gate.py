@@ -23,14 +23,12 @@ def make_report(quick: bool = True, **ratios: float) -> dict:
         "cloak": 10.0,
         "knn_private": 8.0,
         "batch": 6.0,
-        "shard_scaling": 1.8,
         "shard_parallel": 4.0,
         "continuous_mobility": 12.0,
     }
     base.update(ratios)
     report: dict = {"quick": quick}
-    # A section may carry several gated keys (shard_parallel gates both
-    # its cloak and update quotients); every key gets the section value.
+    # Every gated key of a section gets the section value.
     for section, key in bench_gate.GATED_RATIOS:
         report.setdefault(section, {})[key] = base[section]
     for section, key, floor in bench_gate.FLOORS:

@@ -31,7 +31,6 @@ from repro.server.codec import decode_candidate_list, encode_candidate_list
 from repro.spatial import (
     BruteForceIndex,
     GridIndex,
-    KDTreeIndex,
     QuadTreeIndex,
     RTreeIndex,
 )
@@ -258,7 +257,6 @@ INDEXES = {
     "rtree": RTreeIndex,
     "grid": lambda: GridIndex(UNIT, resolution=16),
     "quadtree": lambda: QuadTreeIndex(UNIT, leaf_capacity=4),
-    "kdtree": KDTreeIndex,
 }
 
 
@@ -273,11 +271,11 @@ class TestCollectSeam:
         """1 200 bulk-loaded entries (packed rows, under the R-tree's
         shipped constants) and 150 inserted after them (tail rows);
         mixed-type oids whose ``str`` order is not their insertion
-        order.  The kd-tree stores points only."""
+        order."""
         rng = np.random.default_rng(7)
         def entry(i: int) -> Rect:
             x, y = rng.random(2).tolist()
-            side = 0.0 if kind == "kdtree" or i % 3 == 0 else 0.05
+            side = 0.0 if i % 3 == 0 else 0.05
             return Rect(x, y, min(1.0, x + side), min(1.0, y + side))
         index = INDEXES[kind]()
         index.bulk_load({(i if i % 2 else f"t{i}"): entry(i) for i in range(1200)})

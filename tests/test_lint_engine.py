@@ -1,4 +1,4 @@
-"""Engine-level casperlint tests: pragmas, baseline, reporters, config, CLI."""
+"""Engine-level casperlint tests: pragmas, the project memo, reporters, config, CLI."""
 
 from __future__ import annotations
 
@@ -7,13 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    Baseline,
-    Finding,
-    LintConfig,
-    Project,
-    run_lint,
-)
+from repro.analysis import Finding, LintConfig, Project, run_lint
 from repro.analysis.cli import main as lint_main
 from repro.analysis.reporters import render_json, render_sarif, render_text
 
@@ -76,75 +70,82 @@ def test_suppressed_count_reported() -> None:
 
 
 # ----------------------------------------------------------------------
-# Baseline
+# Whole-project facts
 # ----------------------------------------------------------------------
-def _finding(message: str = "m") -> Finding:
-    return Finding(rule="CSP005", path="src/sim/mod.py", line=3, message=message)
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_baseline_roundtrip(tmp_path: Path) -> None:
-    findings = [_finding("a"), _finding("b")]
-    path = tmp_path / "base.json"
-    Baseline.from_findings(findings).write(path)
-    loaded = Baseline.load(path)
-    match = loaded.match(findings)
-    assert match.new == [] and len(match.baselined) == 2 and match.stale == []
+def test_module_added_after_a_lint_is_seen_by_the_dataflow_rules() -> None:
+    """The dataflow pass is memoised per project *state*: a module
+    added after the first lint must reach CSP009 / CSP010."""
+    config = LintConfig.from_pyproject(REPO_ROOT).merged({"select": ["CSP010"]})
+    lazyloop = "import time\nasync def handle() -> None:\n    time.sleep(0.1)\n"
 
+    project = Project.load(REPO_ROOT, ("src/repro/sharding",))
+    assert run_lint(project, config).findings == []
+    project.add_virtual_module("repro.sharding._lazyloop", lazyloop)
+    (late,) = run_lint(project, config).findings
 
-def test_baseline_fingerprint_is_line_insensitive() -> None:
-    moved = Finding(
-        rule="CSP005", path="src/sim/mod.py", line=99, message="m"
+    fresh = Project.load(REPO_ROOT, ("src/repro/sharding",))
+    fresh.add_virtual_module("repro.sharding._lazyloop", lazyloop)
+    assert run_lint(fresh, config).findings == [late]
+    assert (late.rule, late.path) == (
+        "CSP010",
+        "src/repro/sharding/_lazyloop.py",
     )
-    baseline = Baseline.from_findings([_finding()])
-    match = baseline.match([moved])
-    assert match.new == [] and match.baselined == [moved]
 
 
-def test_baseline_flags_stale_entries() -> None:
-    baseline = Baseline.from_findings([_finding("fixed long ago")])
-    match = baseline.match([])
-    assert len(match.stale) == 1
+def test_project_fact_is_built_once_per_state_and_config() -> None:
+    project = Project()
+    project.add_virtual_module("sim.a", "x = 1\n")
+    builds: list[int] = []
 
+    def count(project: Project, config: LintConfig) -> int:
+        builds.append(len(project.modules))
+        return len(project.modules)
 
-def test_missing_baseline_file_is_empty(tmp_path: Path) -> None:
-    assert Baseline.load(tmp_path / "nope.json").entries == []
-
-
-def test_malformed_baseline_rejected(tmp_path: Path) -> None:
-    path = tmp_path / "bad.json"
-    path.write_text('{"version": 99}')
-    with pytest.raises(ValueError):
-        Baseline.load(path)
+    assert project.fact("n", CONFIG, count) == 1
+    assert project.fact("n", CONFIG, count) == 1
+    assert builds == [1]
+    # another config is another fact; a new module forgets them all
+    assert project.fact("n", LintConfig(), count) == 1
+    project.add_virtual_module("sim.b", "y = 2\n")
+    assert project.fact("n", LintConfig(), count) == 2
+    assert builds == [1, 1, 2]
 
 
 # ----------------------------------------------------------------------
 # Reporters
 # ----------------------------------------------------------------------
-def _result_and_match():
+def _one_finding_result():
     project = Project()
     project.add_virtual_module("sim.mod", "def f(x=[]):\n    return x\n")
-    result = run_lint(project, CONFIG)
-    return result, Baseline().match(result.findings)
+    return run_lint(project, CONFIG)
+
+
+def test_fingerprint_is_line_insensitive() -> None:
+    """The SARIF identity of a finding survives unrelated edits above it."""
+    here = Finding(rule="CSP005", path="src/sim/mod.py", line=3, message="m")
+    moved = Finding(rule="CSP005", path="src/sim/mod.py", line=99, message="m")
+    other = Finding(rule="CSP005", path="src/sim/mod.py", line=3, message="n")
+    assert here.fingerprint == moved.fingerprint != other.fingerprint
 
 
 def test_text_reporter_names_file_rule_and_severity() -> None:
-    result, match = _result_and_match()
-    text = render_text(result, match)
+    text = render_text(_one_finding_result())
     assert "src/sim/mod.py:1: CSP005 error:" in text
     assert "1 error(s)" in text
 
 
 def test_json_reporter_shape() -> None:
-    result, match = _result_and_match()
-    data = json.loads(render_json(result, match))
+    data = json.loads(render_json(_one_finding_result()))
     assert data["summary"]["errors"] == 1
     (finding,) = data["findings"]
     assert finding["rule"] == "CSP005" and finding["fingerprint"]
 
 
 def test_sarif_reporter_shape() -> None:
-    result, match = _result_and_match()
-    sarif = json.loads(render_sarif(result, match))
+    sarif = json.loads(render_sarif(_one_finding_result()))
     assert sarif["version"] == "2.1.0"
     (run,) = sarif["runs"]
     assert run["tool"]["driver"]["name"] == "casperlint"
@@ -156,15 +157,6 @@ def test_sarif_reporter_shape() -> None:
     location = sarif_result["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"] == "src/sim/mod.py"
     assert "suppressions" not in sarif_result
-
-
-def test_sarif_marks_baselined_findings_suppressed() -> None:
-    result, _ = _result_and_match()
-    match = Baseline.from_findings(result.findings).match(result.findings)
-    sarif = json.loads(render_sarif(result, match))
-    (sarif_result,) = sarif["runs"][0]["results"]
-    (suppression,) = sarif_result["suppressions"]
-    assert suppression["kind"] == "external"
 
 
 # ----------------------------------------------------------------------
@@ -226,19 +218,6 @@ def test_cli_json_format(tmp_path: Path, capsys) -> None:
     assert data["summary"]["errors"] == 1
 
 
-def test_cli_write_then_respect_baseline(tmp_path: Path, capsys) -> None:
-    root = _make_project_tree(tmp_path, "def f(x=[]):\n    return x\n")
-    assert lint_main(["--root", str(root), "--write-baseline", "src"]) == 0
-    capsys.readouterr()
-    # Baselined finding no longer fails the run ...
-    assert lint_main(["--root", str(root), "src"]) == 0
-    assert "baselined" in capsys.readouterr().out
-    # ... until it is fixed, at which point the entry is stale and fails.
-    (root / "src" / "pkg" / "mod.py").write_text("def f(x):\n    return x\n")
-    assert lint_main(["--root", str(root), "src"]) == 1
-    assert "stale" in capsys.readouterr().out
-
-
 def test_cli_severity_override_demotes_to_warning(tmp_path: Path) -> None:
     root = _make_project_tree(tmp_path, "def f(x=[]):\n    return x\n")
     assert (
@@ -279,57 +258,12 @@ def test_cli_format_sarif_prints_sarif(tmp_path: Path, capsys) -> None:
     assert sarif["version"] == "2.1.0"
 
 
-def test_cli_write_baseline_refuses_never_baseline_rules(
-    tmp_path: Path, capsys
-) -> None:
-    # CSP011 (never-baseline) plus CSP005 (baselineable) in one module
-    root = _make_project_tree(
-        tmp_path, "import pickle\n\n\ndef f(x=[]):\n    return x\n"
-    )
-    assert lint_main(["--root", str(root), "--write-baseline", "src"]) == 1
-    err = capsys.readouterr().err
-    assert "refused to baseline" in err and "CSP011" in err
-    written = (root / "casperlint-baseline.json").read_text()
-    assert "CSP005" in written and "CSP011" not in written
-    # the refused finding still fails subsequent runs
-    assert lint_main(["--root", str(root), "src"]) == 1
-
-
-def _git(root: Path, *argv: str) -> None:
-    import subprocess
-
-    subprocess.run(
-        ["git", "-C", str(root), "-c", "user.email=t@example.com",
-         "-c", "user.name=t", *argv],
-        check=True,
-        capture_output=True,
-    )
-
-
-def test_cli_diff_outside_git_degrades_to_full_report(
-    tmp_path: Path, capsys
-) -> None:
+@pytest.mark.parametrize("flag", ["--diff", "--baseline=b.json", "--write-baseline"])
+def test_cli_has_one_mode(flag: str, tmp_path: Path, capsys) -> None:
+    """Whole tree, any error finding fails, inline pragmas are the only
+    suppression: the partial-report and grandfathering flags are gone."""
     root = _make_project_tree(tmp_path, "def f(x=[]):\n    return x\n")
-    assert lint_main(["--root", str(root), "--diff", "HEAD", "src"]) == 1
-    captured = capsys.readouterr()
-    assert "--diff" in captured.err  # degradation is loud, never a pass
-    assert "CSP005" in captured.out
-
-
-def test_cli_diff_filters_to_changed_files(tmp_path: Path, capsys) -> None:
-    root = _make_project_tree(tmp_path, "def f(x=[]):\n    return x\n")
-    clean = root / "src" / "pkg" / "other.py"
-    clean.write_text("def g(x):\n    return x\n")
-    _git(root, "init", "-q")
-    _git(root, "add", ".")
-    _git(root, "commit", "-qm", "base")
-    # a new violation lands in other.py only: mod.py's pre-existing
-    # finding must not show up in a --diff run ...
-    clean.write_text("def g(x=[]):\n    return x\n")
-    assert lint_main(["--root", str(root), "--diff", "HEAD", "src"]) == 1
-    out = capsys.readouterr().out
-    assert "other.py" in out and "mod.py" not in out
-    # ... but an unchanged tree diffs clean
-    _git(root, "add", ".")
-    _git(root, "commit", "-qm", "more")
-    assert lint_main(["--root", str(root), "--diff", "HEAD", "src"]) == 0
+    with pytest.raises(SystemExit) as refused:
+        lint_main(["--root", str(root), flag, "src"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,20 +3,27 @@
 These are the gate tests the CI lint job mirrors:
 
 * ``src/repro`` + ``tools`` are clean under the default configuration
-  (every finding fixed, not baselined);
-* the committed baseline is consistent (no stale entries);
-* the privacy boundary actually trips: a hypothetical exact-location
-  import inside ``repro.processor`` is caught by CSP001, both directly
-  and through a trusted helper module.
+  (every finding fixed; the five inline pragmas are the only
+  suppressions) — linted **once**, every read-only test shares the
+  result;
+* the boundaries actually trip: a hypothetical exact-location import
+  inside ``repro.processor`` is caught by CSP001 (directly and through
+  a trusted helper), a blocking call in a coroutine by CSP010, a raw
+  ``pickle`` outside the boundary module by CSP011 — each on its own
+  project, running only the rule under test.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import Baseline, LintConfig, Project, run_lint
+import pytest
+
+from repro.analysis import Finding, LintConfig, LintResult, Project, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+DATAFLOW_RULES = {"CSP009", "CSP010", "CSP011", "CSP012"}
 
 
 def repo_project() -> Project:
@@ -27,103 +34,48 @@ def repo_config() -> LintConfig:
     return LintConfig.from_pyproject(REPO_ROOT)
 
 
-def test_repo_is_clean_under_default_config() -> None:
-    result = run_lint(repo_project(), repo_config())
-    baseline = Baseline.load(REPO_ROOT / repo_config().baseline_path)
-    match = baseline.match(result.findings)
-    assert match.new == [], "\n".join(
-        f"{f.path}:{f.line} {f.rule} {f.message}" for f in match.new
-    )
-
-
-def test_committed_baseline_has_no_stale_entries() -> None:
-    result = run_lint(repo_project(), repo_config())
-    baseline = Baseline.load(REPO_ROOT / repo_config().baseline_path)
-    match = baseline.match(result.findings)
-    assert match.stale == []
-
-
-def test_repo_scan_covers_the_package_and_tools() -> None:
+@pytest.fixture(scope="module")
+def clean_tree() -> tuple[Project, LintResult]:
+    """The one whole-repo lint: the tree as committed, every rule."""
     project = repo_project()
+    return project, run_lint(project, repo_config())
+
+
+def lint_with(code: str, modules: dict[str, str]) -> list[Finding]:
+    """Findings of rule ``code`` over the repo plus injected modules."""
+    project = repo_project()
+    for name, source in modules.items():
+        project.add_virtual_module(name, source)
+    config = repo_config().merged({"select": [code]})
+    return run_lint(project, config).findings
+
+
+def test_repo_is_clean_under_default_config(clean_tree) -> None:
+    _project, result = clean_tree
+    assert result.findings == [], "\n".join(
+        f"{f.path}:{f.line} {f.rule} {f.message}" for f in result.findings
+    )
+    assert len(result.rules_run) == 12
+
+
+def test_repo_scan_covers_the_package_and_tools(clean_tree) -> None:
+    project, result = clean_tree
     assert "repro.processor.knn" in project.modules
     assert "repro.anonymizer.basic" in project.modules
     assert "tools.bench" in project.modules
+    assert result.checked_modules == len(project.modules)
 
 
-def test_injected_exact_location_import_is_caught() -> None:
-    """ISSUE acceptance: `from repro.workloads import ...` inside
-    src/repro/processor/ must trip CSP001."""
-    project = repo_project()
-    project.add_virtual_module(
-        "repro.processor._evil",
-        "from repro.workloads import random_queries\n"
-        "def peek():\n"
-        "    return random_queries\n",
-        rel_path="src/repro/processor/_evil.py",
-    )
-    result = run_lint(project, repo_config())
-    hits = [
-        f
-        for f in result.findings
-        if f.rule == "CSP001" and f.path == "src/repro/processor/_evil.py"
-    ]
-    assert len(hits) == 1
-    assert "repro.workloads" in hits[0].message
+def test_repo_is_clean_under_the_dataflow_rules(clean_tree) -> None:
+    """CSP009-CSP012 ran, over the parallel runtime too, and are clean
+    (findings fixed, never waived)."""
+    project, result = clean_tree
+    assert not [f for f in result.findings if f.rule in DATAFLOW_RULES]
+    assert DATAFLOW_RULES <= set(result.rules_run)
+    assert "repro.sharding.workers" in project.modules
 
 
-def test_injected_anonymizer_internal_import_is_caught() -> None:
-    project = repo_project()
-    project.add_virtual_module(
-        "repro.server._peek",
-        "from repro.anonymizer.basic import BasicAnonymizer\n",
-        rel_path="src/repro/server/_peek.py",
-    )
-    result = run_lint(project, repo_config())
-    assert any(
-        f.rule == "CSP001" and f.path == "src/repro/server/_peek.py"
-        for f in result.findings
-    )
-
-
-def test_injected_transitive_leak_is_caught() -> None:
-    """A trusted helper that touches workloads taints its importers."""
-    project = repo_project()
-    project.add_virtual_module(
-        "repro.utils._leak",
-        "import repro.workloads\n",
-        rel_path="src/repro/utils/_leak.py",
-    )
-    project.add_virtual_module(
-        "repro.processor._evil2",
-        "import repro.utils._leak\n",
-        rel_path="src/repro/processor/_evil2.py",
-    )
-    result = run_lint(project, repo_config())
-    hits = [
-        f
-        for f in result.findings
-        if f.rule == "CSP001" and f.path == "src/repro/processor/_evil2.py"
-    ]
-    assert len(hits) == 1
-    assert "repro.utils._leak -> repro.workloads" in hits[0].message
-
-
-def test_safe_names_still_cross_the_boundary() -> None:
-    """The sanctioned channel must stay open: CloakedRegion/PrivacyProfile
-    imports in a processor module are not violations."""
-    project = repo_project()
-    project.add_virtual_module(
-        "repro.processor._ok",
-        "from repro.anonymizer import CloakedRegion, PrivacyProfile\n",
-        rel_path="src/repro/processor/_ok.py",
-    )
-    result = run_lint(project, repo_config())
-    assert not any(
-        f.path == "src/repro/processor/_ok.py" for f in result.findings
-    )
-
-
-def test_facade_suppression_is_justified_and_unique() -> None:
+def test_facade_suppression_is_justified_and_unique(clean_tree) -> None:
     """Exactly five inline suppressions exist in the tree: three
     CSP001 in the Casper facade (the trusted anonymizer wiring, the
     sharded runtime, and the typing-only resilience-runtime import),
@@ -134,7 +86,7 @@ def test_facade_suppression_is_justified_and_unique() -> None:
     control op is reachable from its event loop), and none in the
     anonymizer package (the adaptive pyramid keeps no second copy of
     the user table to audit bit for bit)."""
-    result = run_lint(repo_project(), repo_config())
+    _project, result = clean_tree
     assert result.suppressed == 5
     facade = (REPO_ROOT / "src/repro/server/casper.py").read_text()
     assert facade.count("casperlint: ignore[CSP001] trusted facade") == 3
@@ -146,92 +98,71 @@ def test_facade_suppression_is_justified_and_unique() -> None:
         assert "casperlint: ignore" not in path.read_text(), path
 
 
-def test_repo_is_clean_under_the_dataflow_rules() -> None:
-    """ISSUE acceptance: CSP009-CSP013 run repo-clean (findings fixed,
-    never baselined) and actually analyzed the parallel runtime."""
-    config = repo_config()
-    result = run_lint(repo_project(), config)
-    assert not any(
-        f.rule in config.never_baseline for f in result.findings
-    ), "\n".join(
-        f"{f.path}:{f.line} {f.rule} {f.message}"
-        for f in result.findings
-        if f.rule in config.never_baseline
+def test_injected_exact_location_import_is_caught() -> None:
+    """`from repro.workloads import ...` inside src/repro/processor/
+    must trip CSP001."""
+    (hit,) = lint_with(
+        "CSP001",
+        {
+            "repro.processor._evil": "from repro.workloads import random_queries\n"
+            "def peek():\n"
+            "    return random_queries\n"
+        },
     )
-    assert {"CSP009", "CSP010", "CSP011", "CSP012", "CSP013"} <= set(
-        result.rules_run
+    assert hit.path == "src/repro/processor/_evil.py"
+    assert "repro.workloads" in hit.message
+
+
+def test_injected_anonymizer_internal_import_is_caught() -> None:
+    (hit,) = lint_with(
+        "CSP001",
+        {
+            "repro.server._peek": "from repro.anonymizer.basic import BasicAnonymizer\n"
+        },
+    )
+    assert hit.path == "src/repro/server/_peek.py"
+
+
+def test_injected_transitive_leak_is_caught() -> None:
+    """A trusted helper that touches workloads taints its importers."""
+    (hit,) = lint_with(
+        "CSP001",
+        {
+            "repro.utils._leak": "import repro.workloads\n",
+            "repro.processor._evil2": "import repro.utils._leak\n",
+        },
+    )
+    assert hit.path == "src/repro/processor/_evil2.py"
+    assert "repro.utils._leak -> repro.workloads" in hit.message
+
+
+def test_safe_names_still_cross_the_boundary() -> None:
+    """The sanctioned channel must stay open: CloakedRegion/PrivacyProfile
+    imports in a processor module are not violations."""
+    assert not lint_with(
+        "CSP001",
+        {
+            "repro.processor._ok": "from repro.anonymizer import CloakedRegion, PrivacyProfile\n"
+        },
     )
 
 
 def test_injected_async_blocking_call_is_caught() -> None:
     """A time.sleep inside a hypothetical async handler trips CSP010."""
-    project = repo_project()
-    project.add_virtual_module(
-        "repro.sharding._lazyloop",
-        "import time\n"
-        "async def handle() -> None:\n"
-        "    time.sleep(0.1)\n",
-        rel_path="src/repro/sharding/_lazyloop.py",
+    (hit,) = lint_with(
+        "CSP010",
+        {
+            "repro.sharding._lazyloop": "import time\n"
+            "async def handle() -> None:\n"
+            "    time.sleep(0.1)\n"
+        },
     )
-    result = run_lint(project, repo_config())
-    assert any(
-        f.rule == "CSP010" and f.path == "src/repro/sharding/_lazyloop.py"
-        for f in result.findings
-    )
+    assert hit.path == "src/repro/sharding/_lazyloop.py"
 
 
 def test_injected_pickle_import_outside_boundary_is_caught() -> None:
     """Raw pickle outside pickle_boundary_modules trips CSP011."""
-    project = repo_project()
-    project.add_virtual_module(
-        "repro.server._rawpickle",
-        "import pickle\n",
-        rel_path="src/repro/server/_rawpickle.py",
+    (hit,) = lint_with(
+        "CSP011", {"repro.server._rawpickle": "import pickle\n"}
     )
-    result = run_lint(project, repo_config())
-    assert any(
-        f.rule == "CSP011" and f.path == "src/repro/server/_rawpickle.py"
-        for f in result.findings
-    )
-
-
-def test_injected_dead_opcode_is_caught() -> None:
-    """An OP_ constant with no decoder branch trips CSP013."""
-    project = repo_project()
-    project.add_virtual_module(
-        "repro.messages.ghost",
-        "OP_GHOST = 99\n",
-        rel_path="src/repro/messages/ghost.py",
-    )
-    result = run_lint(project, repo_config())
-    assert any(
-        f.rule == "CSP013"
-        and f.path == "src/repro/messages/ghost.py"
-        and "OP_GHOST" in f.message
-        for f in result.findings
-    )
-
-
-def test_spatial_indexes_satisfy_the_contract_rule() -> None:
-    """CSP003 sees every concrete index and none violates the contract."""
-    project = repo_project()
-    result = run_lint(project, repo_config())
-    assert not any(f.rule == "CSP003" for f in result.findings)
-    # sanity: the rule is not trivially passing because it found no classes
-    import ast
-
-    subclasses = []
-    for name in (
-        "repro.spatial.rtree",
-        "repro.spatial.grid",
-        "repro.spatial.quadtree",
-        "repro.spatial.kdtree",
-        "repro.spatial.bruteforce",
-    ):
-        info = project.modules[name]
-        for node in ast.walk(info.tree):
-            if isinstance(node, ast.ClassDef) and any(
-                getattr(b, "id", None) == "SpatialIndex" for b in node.bases
-            ):
-                subclasses.append(node.name)
-    assert len(subclasses) >= 5
+    assert hit.path == "src/repro/server/_rawpickle.py"

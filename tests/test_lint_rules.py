@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintConfig, Project, run_lint
+from repro.analysis import RULE_REGISTRY, LintConfig, Project, run_lint
+from repro.analysis.rules import load_builtin_rules
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
@@ -27,8 +28,6 @@ FIXTURE_CONFIG = LintConfig(
     deterministic_packages=("sim.engine",),
     codec_modules=("proto.codec",),
     pickle_boundary_modules=("proto.workers",),
-    protocol_modules=("proto.wire",),
-    dispatch_modules=("proto.workers",),
     policy_modules=("pol.policies",),
 )
 
@@ -64,8 +63,6 @@ CASES = [
     ("csp001_privacy/clean.py", "CSP001", 0),
     ("csp002_determinism/bad.py", "CSP002", 5),
     ("csp002_determinism/clean.py", "CSP002", 0),
-    ("csp003_contract/bad.py", "CSP003", 3),
-    ("csp003_contract/clean.py", "CSP003", 0),
     ("csp004_float_eq/bad.py", "CSP004", 2),
     ("csp004_float_eq/clean.py", "CSP004", 0),
     ("csp005_mutable_default/bad.py", "CSP005", 3),
@@ -86,8 +83,6 @@ CASES = [
     ("csp011_boundary/clean.py", "CSP011", 0),
     ("csp012_lifecycle/bad.py", "CSP012", 3),
     ("csp012_lifecycle/clean.py", "CSP012", 0),
-    ("csp013_protocol/bad.py", "CSP013", 3),
-    ("csp013_protocol/clean.py", "CSP013", 0),
     ("csp014_policy/bad.py", "CSP014", 4),
     ("csp014_policy/clean.py", "CSP014", 0),
 ]
@@ -102,9 +97,11 @@ def test_fixture_finding_counts(rel: str, code: str, expected: int) -> None:
 def test_every_rule_has_violating_and_clean_fixture() -> None:
     codes_with_bad = {c for _, c, n in CASES if n > 0}
     codes_with_clean = {c for _, c, n in CASES if n == 0}
-    all_codes = {f"CSP{i:03d}" for i in range(1, 15)}
-    assert codes_with_bad == all_codes
-    assert codes_with_clean == all_codes
+    load_builtin_rules()
+    assert codes_with_bad == codes_with_clean == set(RULE_REGISTRY)
+    # CSP003 / CSP013 are retired (abc + the index conformance suites
+    # and TestProtocolTable state them); their codes stay unassigned
+    assert len(RULE_REGISTRY) == 12
 
 
 def test_transitive_chain_is_named_in_message() -> None:

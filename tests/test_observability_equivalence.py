@@ -24,7 +24,7 @@ from repro.processor import (
     private_range_over_public,
 )
 from repro.server import Casper, LocationServer
-from repro.spatial import GridIndex, KDTreeIndex, QuadTreeIndex, RTreeIndex
+from repro.spatial import GridIndex, QuadTreeIndex, RTreeIndex
 from tests.conftest import UNIT, random_points, random_rects
 
 RECT_INDEX_FACTORIES = {
@@ -103,9 +103,7 @@ def test_full_stack_identical_with_and_without_telemetry(
 
 
 def run_processor_scenario(index_factory) -> tuple:
-    """Processor-level equivalence over a *point* index — this is how
-    the kd-tree (points only, so never a private-region store) joins
-    the all-four-indexes matrix."""
+    """Processor-level equivalence over an index of public points."""
     rng = np.random.default_rng(23)
     index = index_factory()
     index.bulk_load(
@@ -125,11 +123,10 @@ def run_processor_scenario(index_factory) -> tuple:
     "index_factory",
     [
         RTreeIndex,
-        KDTreeIndex,
         lambda: GridIndex(UNIT, resolution=16),
         lambda: QuadTreeIndex(UNIT, leaf_capacity=4),
     ],
-    ids=["rtree", "kdtree", "grid", "quadtree"],
+    ids=["rtree", "grid", "quadtree"],
 )
 def test_processor_candidates_identical_with_and_without_telemetry(
     index_factory,

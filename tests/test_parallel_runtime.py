@@ -17,7 +17,7 @@ import struct
 
 import pytest
 
-from repro.anonymizer import PrivacyProfile
+from repro.anonymizer import CloakedRegion, PrivacyProfile
 from repro.anonymizer.cells import CellId
 from repro.geometry import Point, Rect
 from repro.messages import ShardEnvelope
@@ -52,8 +52,10 @@ from repro.sharding.wire import (
     op_stats,
 )
 from repro.sharding.workers import (
+    _UNSAT,
     MAX_BATCH,
     FrameEndpoint,
+    ParallelShardedAnonymizer,
     ShardWorker,
     _WorkerConfig,
 )
@@ -454,11 +456,38 @@ def _one_of_each() -> dict[int, bytes]:
     }
 
 
-OPCODES = {
-    value: name
-    for name, value in vars(wire).items()
-    if name.startswith("OP_") and isinstance(value, int)
-}
+def _one_reply_of_each() -> dict[int, bytes]:
+    """One encoded reply per response code, each from its helper."""
+    region = CloakedRegion(Rect(0.0, 0.0, 0.5, 0.5), 3, (CellId(1, 0, 0),))
+    return {
+        wire.RE_ACK: wire.response_ack(),
+        wire.RE_COST: wire.response_cost(3),
+        wire.RE_CLOAK_OK: wire.response_cloak(region),
+        wire.RE_CLOAK_UNSAT: wire.response_cloak_unsatisfiable(),
+        wire.RE_COUNT: wire.response_count(7),
+        wire.RE_BLOB: wire.response_blob(b"blob"),
+        wire.RE_ERROR: wire.response_error("boom"),
+    }
+
+
+#: What ``FrameEndpoint.step`` answers a frame of each kind with
+#: (``None``: the server role ignores it — only the parent reads
+#: responses and NACKs).
+FRAME_ANSWERS = {KIND_REQUEST: KIND_RESPONSE, KIND_RESPONSE: None, KIND_NACK: None}
+
+
+def _wire_constants(prefix: str) -> dict[int, str]:
+    """Every ``<prefix>*`` integer ``wire.py`` declares, by value."""
+    return {
+        value: name
+        for name, value in vars(wire).items()
+        if name.startswith(prefix) and isinstance(value, int)
+    }
+
+
+OPCODES = _wire_constants("OP_")
+REPLY_CODES = _wire_constants("RE_")
+FRAME_KINDS = _wire_constants("KIND_")
 
 
 class TestProtocolTable:
@@ -521,6 +550,58 @@ class TestProtocolTable:
         else:
             assert reply[0] == "error" and spec.name in reply[1]
             assert fleet.snapshot() == before
+
+    @pytest.mark.parametrize("code", sorted(REPLY_CODES), ids=REPLY_CODES.get)
+    def test_reply_code_is_decoded_and_accepted_by_the_parent(
+        self, code: int
+    ) -> None:
+        # Produced by a response_* helper, decoded by decode_response.
+        payload = _one_reply_of_each()[code]
+        assert payload[0] == code
+        kind, *body = decode_response(payload)
+        frame = Frame(KIND_RESPONSE, 1, (ShardEnvelope(0, payload),))
+
+        def parent_reads(op: bytes) -> object:
+            (result,) = ParallelShardedAnonymizer._decode_replies(
+                None, 0, frame, [op]
+            )
+            return result
+
+        if kind == "error":
+            with pytest.raises(RuntimeError, match="boom"):
+                parent_reads(op_ping())
+            with pytest.raises(AssertionError, match="boom"):
+                parent_reads(op_check())
+            return
+        # The parent accepts the kind from an op the table says earns
+        # it, and refuses it from any other.
+        earned_as = "cloak" if kind == "unsat" else kind
+        ops = _one_of_each()
+        earning = [ops[opcode] for opcode in ops if OPS[opcode].reply == earned_as]
+        others = [ops[opcode] for opcode in ops if OPS[opcode].reply != earned_as]
+        assert earning, f"no opcode's reply is {kind!r}"
+        expected = {"ack": [True], "unsat": [_UNSAT]}.get(kind, body)
+        assert [parent_reads(op) for op in earning] == expected * len(earning)
+        for op in others:
+            with pytest.raises(RuntimeError, match="expected"):
+                parent_reads(op)
+
+    @pytest.mark.parametrize("kind", sorted(FRAME_KINDS), ids=FRAME_KINDS.get)
+    def test_frame_kind_round_trips_and_is_answered_or_ignored(
+        self, kind: int
+    ) -> None:
+        assert set(FRAME_KINDS) == set(FRAME_ANSWERS) == wire._FRAME_KINDS
+        envelopes = (ShardEnvelope(0, op_ping()),) if FRAME_ANSWERS[kind] else ()
+        frame = decode_frame(encode_frame(kind, 7, envelopes))
+        assert frame == Frame(kind, 7, envelopes)
+        endpoint = FrameEndpoint(make_sharded(UNIT, height=4, num_shards=2))
+        reply = endpoint.step(frame)
+        if FRAME_ANSWERS[kind] is None:
+            assert reply is None
+        else:
+            answer = decode_frame(reply)
+            assert (answer.kind, answer.seq) == (FRAME_ANSWERS[kind], 7)
+            assert len(answer.envelopes) == len(envelopes)
 
     def test_both_transports_dedupe_through_the_same_step(self) -> None:
         assert ShardWorker.step is FrameEndpoint.step

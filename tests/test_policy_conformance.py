@@ -63,7 +63,6 @@ class TestRegistry:
         assert callable(spec.single)
         # Native fleet <=> workers partition; otherwise the broadcast wrapper.
         worker = ShardWorker(_WorkerConfig(policy_name, UNIT, HEIGHT, 4, 64), 0, None)
-        assert worker._partitioned is (spec.sharded is not None)
         for fleet in (make_sharded(UNIT, HEIGHT, 4, policy_name), worker._replica):
             assert isinstance(fleet, ReplicatedShardedAnonymizer) is (spec.sharded is None)
 

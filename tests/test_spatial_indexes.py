@@ -8,6 +8,10 @@ independence from the underlying access method.
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,20 +28,13 @@ from repro.spatial import (
 )
 from tests.conftest import UNIT, random_points, random_rects
 
-
-def make_all_indexes() -> list[SpatialIndex]:
-    return [
-        BruteForceIndex(),
-        RTreeIndex(max_entries=8),
-        GridIndex(UNIT, resolution=16),
-        QuadTreeIndex(UNIT, leaf_capacity=4),
-    ]
-
-
 ACCELERATED = ["rtree", "grid", "quadtree"]
+ALL_KINDS = ACCELERATED + ["brute"]
 
 
 def make_index(kind: str) -> SpatialIndex:
+    if kind == "brute":
+        return BruteForceIndex()
     if kind == "rtree":
         return RTreeIndex(max_entries=8)
     if kind == "grid":
@@ -47,16 +44,39 @@ def make_index(kind: str) -> SpatialIndex:
     raise ValueError(kind)
 
 
+def test_factory_table_covers_every_concrete_index():
+    """``abc`` refuses an index with a missing hook only when someone
+    constructs it, and the conformance suites below construct only what
+    ``make_index`` builds — so every concrete ``SpatialIndex`` that any
+    ``repro.spatial`` module defines must be one of its kinds."""
+    import repro.spatial
+
+    for module in pkgutil.iter_modules(repro.spatial.__path__):
+        importlib.import_module(f"repro.spatial.{module.name}")
+
+    def subclasses(cls: type) -> set[type]:
+        direct = set(cls.__subclasses__())
+        return direct.union(*(subclasses(sub) for sub in direct))
+
+    shipped = {
+        cls
+        for cls in subclasses(SpatialIndex)
+        if cls.__module__.startswith("repro.spatial.")
+        and not inspect.isabstract(cls)
+    }
+    assert shipped == {type(make_index(kind)) for kind in ALL_KINDS}
+
+
 class TestBasicContract:
-    @pytest.mark.parametrize("kind", ACCELERATED + ["brute"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_empty_index_raises_on_nearest(self, kind):
-        idx = BruteForceIndex() if kind == "brute" else make_index(kind)
+        idx = make_index(kind)
         with pytest.raises(EmptyDatasetError):
             idx.nearest(Point(0.5, 0.5))
 
-    @pytest.mark.parametrize("kind", ACCELERATED + ["brute"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_insert_contains_remove(self, kind):
-        idx = BruteForceIndex() if kind == "brute" else make_index(kind)
+        idx = make_index(kind)
         idx.insert_point("a", Point(0.1, 0.1))
         assert "a" in idx
         assert len(idx) == 1
@@ -65,24 +85,24 @@ class TestBasicContract:
         assert "a" not in idx
         assert len(idx) == 0
 
-    @pytest.mark.parametrize("kind", ACCELERATED + ["brute"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_reinsert_same_oid_replaces(self, kind):
-        idx = BruteForceIndex() if kind == "brute" else make_index(kind)
+        idx = make_index(kind)
         idx.insert_point("a", Point(0.1, 0.1))
         idx.insert_point("a", Point(0.9, 0.9))
         assert len(idx) == 1
         assert idx.nearest(Point(1, 1)) == "a"
         assert idx.rect_of("a").center == Point(0.9, 0.9)
 
-    @pytest.mark.parametrize("kind", ACCELERATED + ["brute"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_remove_unknown_raises(self, kind):
-        idx = BruteForceIndex() if kind == "brute" else make_index(kind)
+        idx = make_index(kind)
         with pytest.raises(KeyError):
             idx.remove("missing")
 
-    @pytest.mark.parametrize("kind", ACCELERATED + ["brute"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_hidden_entry_returns_with_its_insertion_order(self, kind):
-        idx = BruteForceIndex() if kind == "brute" else make_index(kind)
+        idx = make_index(kind)
         for oid in ("a", "b", "c"):
             idx.insert_point(oid, Point(0.5, 0.5))  # a three-way tie
         idx.insert_point("d", Point(0.9, 0.9))
@@ -320,7 +340,7 @@ def test_property_all_indexes_agree_on_nn_distance(data, qx, qy):
     """Hypothesis: for arbitrary point sets, all four indexes report a
     nearest neighbor at the same (minimal) distance."""
     q = Point(qx, qy)
-    indexes = make_all_indexes()
+    indexes = [make_index(kind) for kind in ALL_KINDS]
     for idx in indexes:
         for i, (x, y) in enumerate(data):
             idx.insert_point(i, Point(x, y))

@@ -19,15 +19,12 @@ from repro.geometry import Point, Rect
 from repro.spatial import (
     BruteForceIndex,
     GridIndex,
-    KDTreeIndex,
     QuadTreeIndex,
     RTreeIndex,
 )
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
-# Indexes that store arbitrary rectangles (the kd-tree is point-only
-# and covered separately below).
 FACTORIES = {
     "bruteforce": BruteForceIndex,
     "rtree": RTreeIndex,
@@ -109,35 +106,6 @@ def test_max_distance_orders_differently_from_min(name):
     query = Point(0.15, 0.0)
     assert index.k_nearest(query, 1) == ["big"]
     assert index.k_nearest_by_max_distance(query, 1) == ["small"]
-
-
-@settings(max_examples=30)
-@given(
-    points=st.lists(st.tuples(coord, coord), min_size=1, max_size=30),
-    qx=coord,
-    qy=coord,
-    k=st.integers(min_value=1, max_value=8),
-)
-def test_property_kdtree_points(points, qx, qy, k):
-    # For point entries max-distance equals min-distance, so the
-    # pessimistic search must coincide with plain k_nearest (and the
-    # oracle).
-    index = KDTreeIndex()
-    entries = {}
-    for oid, (x, y) in enumerate(points):
-        index.insert_point(oid, Point(x, y))
-        entries[oid] = Rect.point(Point(x, y))
-    query = Point(qx, qy)
-    expected = _oracle(entries, query, k)
-    assert index.k_nearest_by_max_distance(query, k) == expected
-    assert index.k_nearest(query, min(k, len(entries))) == expected
-
-
-def test_kdtree_coincident_points_break_ties_by_insertion_order():
-    index = KDTreeIndex()
-    for oid in (3, 1, 4, 0, 2):
-        index.insert_point(oid, Point(0.45, 0.45))
-    assert index.k_nearest_by_max_distance(Point(0.1, 0.1), 3) == [3, 1, 4]
 
 
 def test_rtree_bulk_load_keeps_insertion_order_ties():

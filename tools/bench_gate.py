@@ -4,8 +4,8 @@
 ``tools/bench.py`` writes absolute timings, which vary with the host, so
 this gate compares only the *dimensionless* speedup ratios the
 engine-performance pass claims (cached-vs-uncached cloaking, pruned
-kNN vs the full sort, batched vs sequential queries, the sharded
-runtimes' 8-way cloak/update scaling quotients, and the safe-region
+kNN vs the full sort, batched vs sequential queries, the worker
+pool's 8-way update scaling quotient, and the safe-region
 monitor's evaluation-suppression ratio over the naive per-tick
 re-query baseline).  Each ratio is a
 same-machine, same-run quotient, so it is stable across hardware — a
@@ -27,8 +27,9 @@ The sharded benches' cloak-cache hit-rate tables (``EXACT_TABLES``) are
 gated for *exact* equality with the reference: they are the
 invalidation-locality effect itself and depend only on the seeded
 operation stream, never on the host — unlike the ``cloak_scaling_8x``
-quotients beside them, whose denominator moves whenever the 1-shard
-path gets cheaper.
+quotients beside them, which are reported and not gated: their
+denominator moves whenever the 1-shard path gets cheaper, so they can
+fall with every rate up.
 
 So are the ``continuous_mobility`` counters (``EXACT_COUNTERS``):
 evaluations per tick, suppressed cloak changes, validity exits and the
@@ -65,8 +66,6 @@ GATED_RATIOS = (
     ("cloak", "speedup"),
     ("knn_private", "speedup"),
     ("batch", "speedup"),
-    ("shard_scaling", "cloak_scaling_8x"),
-    ("shard_parallel", "cloak_scaling_8x"),
     ("shard_parallel", "update_scaling_8x"),
     ("continuous_mobility", "evaluation_suppression"),
 )

@@ -6,7 +6,7 @@ Equivalent to ``PYTHONPATH=src python -m repro lint``; see
 
 Usage::
 
-    python tools/lint.py [paths...] [--format json] [--write-baseline]
+    python tools/lint.py [paths...] [--format json] [--select CODES]
 """
 
 from __future__ import annotations
