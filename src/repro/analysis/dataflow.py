@@ -214,13 +214,14 @@ class ProjectDataflow:
         self.functions: dict[str, FunctionRecord] = {}
         # module -> top-level def name -> key
         self.module_defs: dict[str, dict[str, str]] = {}
-        # method name -> keys of every same-named method/function
+        # method name -> keys of every same-named method
         self.by_name: dict[str, list[str]] = {}
         # simple class name -> method name -> keys (project classes)
         self.classes: dict[str, dict[str, list[str]]] = {}
         # module -> imported value name -> source module
         self.imported_from: dict[str, dict[str, str]] = {}
-        # module -> local alias -> imported module (``import x as y``)
+        # module -> local name -> imported module (``import x as y``,
+        # ``from pkg import mod [as y]``; ``import a.b`` binds ``a.b``)
         self.module_aliases: dict[str, dict[str, str]] = {}
 
     # -- call resolution ------------------------------------------------
@@ -247,7 +248,10 @@ class ProjectDataflow:
                         func.attr
                     )
                     return [target] if target is not None else []
-            # method call: every same-named def in the project
+            # method call: every same-named method in the project (a
+            # module's function is reached by its name or through the
+            # module, above — ``some_list.count(x)`` is not
+            # ``runtime.count``)
             return self.by_name.get(func.attr, [])
         return []
 
@@ -303,7 +307,7 @@ def _collect_functions(project: Project, flow: ProjectDataflow) -> None:
                         flow.classes.setdefault(class_name, {}).setdefault(
                             child.name, []
                         ).append(key)
-                    flow.by_name.setdefault(child.name, []).append(key)
+                        flow.by_name.setdefault(child.name, []).append(key)
                     visit(child, f"{qualname}.", None)
                 elif isinstance(child, ast.ClassDef):
                     visit(child, f"{prefix}{child.name}.", child.name)
@@ -318,8 +322,10 @@ def _collect_functions(project: Project, flow: ProjectDataflow) -> None:
                     if name != "*":
                         imported[name] = edge.target
             else:
-                aliases[edge.target.rsplit(".", 1)[-1]] = edge.target
                 aliases[edge.target] = edge.target
+                for alias in edge.node.names:  # the statement's local names
+                    if ("." + edge.target).endswith("." + alias.name):
+                        aliases[alias.asname or alias.name] = edge.target
         flow.imported_from[module.name] = imported
         flow.module_aliases[module.name] = aliases
 
@@ -644,8 +650,17 @@ class _TaintPass:
 _LOG_METHODS = frozenset(
     {"debug", "info", "warning", "error", "critical", "exception", "log"}
 )
+#: Methods whose arguments become metric labels or span attributes on
+#: any receiver: instrument registration, span opening.
 _TELEMETRY_METHODS = frozenset(
     {"counter", "gauge", "histogram", "span", "set_attribute"}
+)
+#: The emit API every instrumented site goes through.  Matched only via
+#: the module's import of the runtime, never by bare attribute:
+#: ``some_list.count(point)`` is no telemetry call.
+_RUNTIME = "repro.observability.runtime"
+_RUNTIME_EMITTERS = (
+    "count", "observe", "set_gauge", "record_cloak", "phase_scope", "query_scope",
 )
 _WIRE_BUILDERS = frozenset(
     {"pack", "encode_frame", "encode_envelope", "encode_update"}
@@ -660,7 +675,40 @@ _PERSISTENCE_FUNCS = frozenset(
 _NUMPY_RECEIVERS = frozenset({"np", "numpy"})
 
 
-def _sink_of(call: ast.Call, module: ModuleInfo, config: LintConfig) -> str | None:
+def runtime_emitters(tree: ast.Module) -> frozenset[str]:
+    """The dotted callee names under which a module reaches the emit
+    API: ``<alias>.count`` & co. for every name it imports the runtime
+    module as, a bare name for every function it imports from it."""
+    modules, names = {_RUNTIME}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(
+                alias.asname
+                for alias in node.names
+                if alias.name == _RUNTIME and alias.asname
+            )
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            for alias in node.names:
+                if f"{node.module}.{alias.name}" == _RUNTIME:
+                    modules.add(alias.asname or alias.name)
+                elif node.module == _RUNTIME and alias.name in _RUNTIME_EMITTERS:
+                    names.add(alias.asname or alias.name)
+    names.update(f"{m}.{f}" for m in modules for f in _RUNTIME_EMITTERS)
+    return frozenset(names)
+
+
+def is_telemetry_call(call: ast.Call, emitters: frozenset[str]) -> bool:
+    """Whether ``call``'s arguments become telemetry, in a module whose
+    :func:`runtime_emitters` are ``emitters``."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in _TELEMETRY_METHODS:
+        return True
+    return dotted_name(func) in emitters
+
+
+def _sink_of(
+    call: ast.Call, module: ModuleInfo, config: LintConfig, emitters: frozenset[str]
+) -> str | None:
     """Which sink kind a call site is, if any, for this module."""
     func = call.func
     dotted = dotted_name(func)
@@ -668,6 +716,10 @@ def _sink_of(call: ast.Call, module: ModuleInfo, config: LintConfig) -> str | No
         dotted.startswith("logging.") or dotted.startswith("logger.")
     ):
         return "logging"
+    if is_telemetry_call(call, emitters) and not module.name.startswith(
+        "repro.observability"
+    ):
+        return "telemetry"
     if isinstance(func, ast.Attribute):
         if func.attr in _LOG_METHODS and terminal_name(func.value) in (
             "logger",
@@ -675,10 +727,6 @@ def _sink_of(call: ast.Call, module: ModuleInfo, config: LintConfig) -> str | No
             "logging",
         ):
             return "logging"
-        if func.attr in _TELEMETRY_METHODS and not module.name.startswith(
-            "repro.observability"
-        ):
-            return "telemetry"
         if func.attr == "tofile":
             return "persistence"
         if (
@@ -698,6 +746,7 @@ def _scan_sinks(
     module: ModuleInfo,
     taint: _TaintPass,
     config: LintConfig,
+    emitters: frozenset[str],
 ) -> None:
     record.sink_hits = []
     record.param_to_sink = {}
@@ -716,7 +765,7 @@ def _scan_sinks(
                             "exception message",
                         )
         elif isinstance(node, ast.Call):
-            kind = _sink_of(node, module, config)
+            kind = _sink_of(node, module, config, emitters)
             if kind is None:
                 continue
             candidates = [*node.args, *(kw.value for kw in node.keywords)]
@@ -805,6 +854,10 @@ def _analyze(project: Project, config: LintConfig) -> ProjectDataflow:
     for record in flow.functions.values():
         _scan_blocking(record)
 
+    emitters = {
+        module.name: runtime_emitters(module.tree)
+        for module in project.iter_modules()
+    }
     # global fixpoint: taint summaries + transitive blocking
     for _ in range(_SUMMARY_ROUNDS):
         changed = False
@@ -836,7 +889,7 @@ def _analyze(project: Project, config: LintConfig) -> ProjectDataflow:
             record.returns_taint = returns_taint
             record.returns_weak = returns_weak
             record.param_to_return = param_to_return
-            _scan_sinks(record, module, taint, config)
+            _scan_sinks(record, module, taint, config, emitters[module.name])
             # transitive: passing our parameter into a callee's sink
             # parameter makes it a sink parameter of ours too
             for node in ast.walk(record.node):

@@ -29,7 +29,7 @@ class ImportEdge:
     as its own edge with the submodule as ``target`` instead.
     """
 
-    node: ast.stmt
+    node: ast.Import | ast.ImportFrom
     target: str
     names: tuple[str, ...] = ()
 

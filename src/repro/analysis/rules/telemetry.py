@@ -10,9 +10,13 @@ The runtime enforces this dynamically
 telemetry call site, so a leak is a lint error before it is a runtime
 error.
 
-Flagged inside arguments of telemetry calls (``counter`` / ``gauge`` /
-``histogram`` registrations, ``span(...)`` openings,
-``set_attribute(...)``):
+Flagged inside arguments of telemetry calls — the emit API every
+instrumented site uses (``count`` / ``observe`` / ``set_gauge`` /
+``record_cloak`` / ``phase_scope`` / ``query_scope``, resolved through
+the module's import of ``repro.observability.runtime``, so a list's
+``.count(point)`` is not one) and, on any receiver, ``counter`` /
+``gauge`` / ``histogram`` registrations, ``span(...)`` openings and
+``set_attribute(...)``:
 
 * constructing a ``Point`` (or calling ``location_of``) — the exact
   location itself;
@@ -34,55 +38,30 @@ from collections.abc import Iterable, Iterator
 
 from repro.analysis.config import LintConfig
 from repro.analysis.core import ModuleInfo, Project, RawFinding, Rule, register_rule
+from repro.analysis.dataflow import (
+    _names_a_location,
+    is_telemetry_call,
+    runtime_emitters,
+    terminal_name,
+)
 from repro.observability.metrics import looks_like_coordinates
 
 __all__ = ["TelemetryLeakRule"]
-
-#: Methods whose arguments become metric labels or span attributes.
-_TELEMETRY_METHODS = frozenset(
-    {"counter", "gauge", "histogram", "span", "set_attribute"}
-)
-
-#: Identifier fragments that name exact-location data.
-_LOCATION_NAME_FRAGMENTS = ("point", "location", "coord")
 
 #: Callables that *produce* exact-location data.
 _LOCATION_PRODUCERS = frozenset({"Point", "location_of"})
 
 
-def _terminal_name(node: ast.AST) -> str | None:
-    """The rightmost identifier of a Name/Attribute chain."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-def _names_a_location(identifier: str | None) -> bool:
-    if identifier is None:
-        return False
-    lowered = identifier.lower()
-    return any(frag in lowered for frag in _LOCATION_NAME_FRAGMENTS)
-
-
-def _is_telemetry_call(node: ast.Call) -> bool:
-    return (
-        isinstance(node.func, ast.Attribute)
-        and node.func.attr in _TELEMETRY_METHODS
-    )
-
-
 def _leak_reason(node: ast.AST) -> str | None:
     """Why ``node`` is location-shaped, or None if it is fine."""
     if isinstance(node, ast.Call):
-        callee = _terminal_name(node.func)
+        callee = terminal_name(node.func)
         if callee in _LOCATION_PRODUCERS:
             return f"calls {callee}() — an exact location"
     if isinstance(node, ast.Attribute) and node.attr in ("x", "y"):
         return f"reads .{node.attr} — a raw coordinate"
     if isinstance(node, (ast.Name, ast.Attribute)):
-        identifier = _terminal_name(node)
+        identifier = terminal_name(node)
         if _names_a_location(identifier):
             return f"passes {identifier!r} — named like exact-location data"
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -108,13 +87,13 @@ class TelemetryLeakRule(Rule):
         # docstrings/regexes, not in telemetry values.
         if module.name.startswith("repro.observability"):
             return
+        emitters = runtime_emitters(module.tree)
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call) and _is_telemetry_call(node):
+            if isinstance(node, ast.Call) and is_telemetry_call(node, emitters):
                 yield from self._check_call(node)
 
     def _check_call(self, call: ast.Call) -> Iterator[RawFinding]:
-        assert isinstance(call.func, ast.Attribute)
-        method = call.func.attr
+        method = terminal_name(call.func)
         arguments = [*call.args, *(kw.value for kw in call.keywords)]
         for argument in arguments:
             for sub, reason in _iter_leaks(argument):

@@ -285,7 +285,6 @@ class BasicAnonymizer(PyramidEngine):
         unsatisfiable row yields the exception its :meth:`cloak`
         raises."""
         cache, epoch, shard = self._cache_of(owner)
-        obs = _telemetry.active()
         started = monotonic()
         missing = [
             key
@@ -303,11 +302,11 @@ class BasicAnonymizer(PyramidEngine):
                 outcomes.append(self._memoized(cache, epoch, key, climbed))
             except ProfileUnsatisfiableError as exc:
                 outcomes.append(exc)
-        if obs is not None:
+        if _telemetry.active() is not None:
             share = (monotonic() - started) / len(keys)
             for (_m, k, a_min), outcome in zip(keys, outcomes):
                 if isinstance(outcome, CloakedRegion):
-                    self._note_cloak(obs, share, outcome, k, a_min, shard)
+                    self._note_cloak(share, outcome, k, a_min, shard)
         return outcomes
 
     def _memoized(

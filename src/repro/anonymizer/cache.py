@@ -49,6 +49,8 @@ FreshFn = Callable[[Any, tuple[Any, ...]], bool]
 # epochs for equality, so any equatable value works.
 Epoch = int | tuple[int, int]
 
+_EVENTS = "casper_cloak_cache_events_total"
+
 
 class _Entry:
     __slots__ = ("region", "snapshot", "epoch")
@@ -123,25 +125,19 @@ class CloakCache:
         invalidation).  ``epoch`` is the host's mutation epoch: an
         entry stored or served at this very epoch is current without a
         look; otherwise ``fresh`` judges its snapshot."""
-        obs = _telemetry.active()
         entry = self._entries.get(key)
         if entry is not None:
             if entry.epoch == epoch or fresh(key, entry.snapshot):
                 entry.epoch = epoch
                 self.hits += 1
                 self._entries.move_to_end(key)
-                if obs is not None:
-                    _telemetry.record_cache_event(obs, "hit", self.shard_label)
+                _telemetry.count(_EVENTS, "hit", self.shard_label)
                 return entry.region
             del self._entries[key]
             self.invalidations += 1
-            if obs is not None:
-                _telemetry.record_cache_event(
-                    obs, "invalidation", self.shard_label
-                )
+            _telemetry.count(_EVENTS, "invalidation", self.shard_label)
         self.misses += 1
-        if obs is not None:
-            _telemetry.record_cache_event(obs, "miss", self.shard_label)
+        _telemetry.count(_EVENTS, "miss", self.shard_label)
         return None
 
     def store(
@@ -157,9 +153,7 @@ class CloakCache:
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
-            obs = _telemetry.active()
-            if obs is not None:
-                _telemetry.record_cache_event(obs, "eviction", self.shard_label)
+            _telemetry.count(_EVENTS, "eviction", self.shard_label)
 
     def cloak(
         self,

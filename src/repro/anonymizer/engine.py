@@ -161,17 +161,15 @@ class PyramidEngine(Population, BatchCloaking):
         :meth:`_note_cloak`.  ``compute`` is the cloak itself, through
         a memoizing cache or not (the ported baselines)."""
         self.stats.cloak_requests += 1
-        obs = _telemetry.active()
-        if obs is None:
+        if _telemetry.active() is None:
             return compute()
         t0 = monotonic()
         region = compute()
-        self._note_cloak(obs, monotonic() - t0, region, k, a_min, shard)
+        self._note_cloak(monotonic() - t0, region, k, a_min, shard)
         return region
 
     def _note_cloak(
         self,
-        obs: _telemetry.Observability,
         seconds: float,
         region: CloakedRegion,
         k: int,
@@ -182,7 +180,9 @@ class PyramidEngine(Population, BatchCloaking):
         against the asked ``(k, a_min)`` and, for sharded hosts (which
         pass ``shard``), the per-shard routing record."""
         _telemetry.record_cloak(
-            obs, self.label, seconds, region.area, a_min, region.achieved_k, k
+            self.label, seconds, region.area, a_min, region.achieved_k, k
         )
         if shard is not None:
-            _telemetry.record_shard_cloak(obs, shard, self._route_of(region))
+            _telemetry.count(
+                "casper_shard_cloaks_total", shard, self._route_of(region)
+            )

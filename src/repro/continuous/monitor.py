@@ -76,6 +76,7 @@ class AnswerChange:
 
 _KINDS = ("nn", "range", "buddy", "knn")
 _NN, _RANGE, _BUDDY, _KNN = range(4)
+_SAFE_REGION_EVENTS = "casper_monitor_safe_region_events_total"
 _NO_RECT = (math.nan,) * 4
 
 #: One standing query per row; rows ``[0, q)`` are the live ones (a
@@ -386,8 +387,8 @@ class ContinuousQueryMonitor:
         dirty until the user is back; such queries are reported in
         :attr:`last_degraded` and hold no other query up.
         """
-        obs = _telemetry.active()
-        start = monotonic() if obs is not None else 0.0
+        traced = _telemetry.active() is not None
+        start = monotonic() if traced else 0.0
         live, counters = self._live, self.counters
         cloaks = self.casper.cloaks_for(live["uid"].tolist())
         cloaked = np.array([cloak is not None for cloak in cloaks], dtype=bool)
@@ -408,9 +409,8 @@ class ContinuousQueryMonitor:
             ("validity_exits", "validity_exit", exited & ~unsafe),
         ):
             counters[name] += (count := int(mask.sum()))
-            if obs is not None:
-                for _ in range(count):
-                    _telemetry.record_safe_region_event(obs, event)
+            if count:
+                _telemetry.count(_SAFE_REGION_EVENTS, event, n=count)
         # Evaluation order is by the printed id, whatever the row order.
         dirty = sorted(
             np.flatnonzero(live["dirty"] & cloaked).tolist(),
@@ -431,15 +431,17 @@ class ContinuousQueryMonitor:
                 counters["knn_evaluations"] += 1
                 if live["safe"][row]:
                     self.validity_lifetimes.append(lifetime)
-                    if obs is not None:
-                        _telemetry.record_safe_region_event(obs, "evaluation")
-                        _telemetry.record_validity_lifetime(obs, lifetime)
+                    _telemetry.count(_SAFE_REGION_EVENTS, "evaluation")
+                    _telemetry.observe(
+                        "casper_monitor_validity_lifetime_ticks", lifetime
+                    )
             if change.changed:
                 changes.append(change)
-        if obs is not None:
-            _telemetry.record_monitor_flush(
-                obs, len(dirty), len(changes), monotonic() - start
-            )
+        if traced:
+            _telemetry.count("casper_monitor_flushes_total")
+            _telemetry.count("casper_monitor_reevaluations_total", n=len(dirty))
+            _telemetry.count("casper_monitor_answer_changes_total", n=len(changes))
+            _telemetry.observe("casper_monitor_flush_seconds", monotonic() - start)
         # Degraded queries stay dirty: they re-evaluate as soon as their
         # user is back and a fresh cloak exists again.
         live["dirty"] = ~cloaked

@@ -1,14 +1,14 @@
 """Privacy-safe observability for the Casper reproduction.
 
 Dependency-free metrics (:mod:`~repro.observability.metrics`),
-span tracing (:mod:`~repro.observability.tracing`), SLO monitors
-(:mod:`~repro.observability.slo`), the process-wide on/off switch and
-record helpers (:mod:`~repro.observability.runtime`), and the
-:class:`~repro.observability.export.TelemetryExport` boundary type —
-the only sanctioned way telemetry leaves the trusted anonymizer.
+span tracing (:mod:`~repro.observability.tracing`), the process-wide
+on/off switch, the metric catalogue (with its service-level objectives)
+and the emit entry points (:mod:`~repro.observability.runtime`), and
+the :class:`~repro.observability.export.TelemetryExport` boundary type
+— the only sanctioned way telemetry leaves the trusted anonymizer.
 
 This package deliberately imports nothing from the anonymizer,
-workload, mobility or simulation layers: record helpers take plain
+workload, mobility or simulation layers: the entry points take plain
 ints/floats/strs, so the untrusted processor/server side can import it
 without widening the CSP001 taint frontier.
 """
@@ -32,13 +32,6 @@ from repro.observability.runtime import (
     disable,
     enable,
     enabled,
-    is_enabled,
-)
-from repro.observability.slo import (
-    DEFAULT_SLOS,
-    SLOBreach,
-    SLODefinition,
-    SLOMonitor,
 )
 from repro.observability.tracing import Span, Tracer
 
@@ -55,15 +48,10 @@ __all__ = [
     "DEFAULT_RATIO_BUCKETS",
     "Span",
     "Tracer",
-    "SLODefinition",
-    "SLOBreach",
-    "SLOMonitor",
-    "DEFAULT_SLOS",
     "Observability",
     "enable",
     "disable",
     "active",
-    "is_enabled",
     "enabled",
     "TelemetryExport",
 ]

@@ -6,8 +6,9 @@ value to leave the anonymizer: the ``(k, A_min)``-cloaked region.  A
 metrics pipeline is a second egress path, so it gets the same
 treatment: the only object that may carry anonymizer-side telemetry to
 an untrusted sink is a :class:`TelemetryExport`, whose constructor
-re-screens **every** metric label value and span attribute against the
-coordinate-pair pattern and rejects the export outright on a hit
+re-screens **every** free-text field — metric label values and help
+strings, span names and attributes — against the coordinate-pair
+pattern and rejects the export outright on a hit
 (:class:`~repro.observability.metrics.TelemetryLeakError`).  The name
 is on the CSP001 ``safe_imports`` allowlist next to ``CloakedRegion``;
 shipping a raw ``MetricsRegistry`` across the boundary is a lint
@@ -17,13 +18,15 @@ Two wire formats: a JSON document (machine consumption, exact — the
 metrics portion round-trips through
 :meth:`~repro.observability.metrics.MetricsRegistry.from_snapshot`)
 and Prometheus text exposition format (scraping; floats rendered with
-``repr`` precision).
+``repr`` precision).  Both carry ``slos``: the catalogue's objectives
+evaluated on the exported histograms.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Mapping
+from fractions import Fraction
+from typing import Any, Mapping
 
 from repro.observability.metrics import (
     Counter,
@@ -33,27 +36,32 @@ from repro.observability.metrics import (
     TelemetryLeakError,
     ensure_safe_label_value,
 )
+from repro.observability.runtime import CATALOGUE, Observability
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.observability.runtime import Observability
+__all__ = ["TelemetryExport", "OBJECTIVE_MIN_SAMPLES"]
 
-__all__ = ["TelemetryExport"]
+#: A labelled histogram's mean is judged against its catalogue
+#: objective only from this many samples up.
+OBJECTIVE_MIN_SAMPLES = 16
 
 
-def _screen_metrics_snapshot(snapshot: Mapping[str, object]) -> None:
+def _screen_metrics_snapshot(snapshot: Mapping[str, object]) -> list[Any]:
+    """The snapshot's metric entries, every free-text field screened."""
     entries = snapshot.get("metrics", [])
     if not isinstance(entries, list):
         raise TelemetryLeakError("malformed metrics snapshot")
     for entry in entries:
         name = entry.get("name", "<unnamed>")
+        ensure_safe_label_value(entry.get("help", ""), context=f"metric {name!r} help")
         for key, value in entry.get("labels", []):
             ensure_safe_label_value(
                 value, context=f"metric {name!r} label {key!r}"
             )
+    return entries
 
 
 def _screen_span_dict(span: Mapping[str, object]) -> None:
-    name = span.get("name", "<unnamed>")
+    name = ensure_safe_label_value(span.get("name", "<unnamed>"), "span name")
     attributes = span.get("attributes", {})
     if isinstance(attributes, dict):
         for key, value in attributes.items():
@@ -66,6 +74,30 @@ def _screen_span_dict(span: Mapping[str, object]) -> None:
             _screen_span_dict(child)
 
 
+def _objectives(entries: list[Any]) -> dict[str, object]:
+    """The catalogue's objectives judged on a snapshot's entries: one
+    status per labelled histogram of a row that has one, and the
+    statuses whose mean — over the session, from
+    :data:`OBJECTIVE_MIN_SAMPLES` samples up — is out of bounds."""
+    objectives, breaches = [], []
+    for entry in entries:
+        row = CATALOGUE.get(entry.get("name"))
+        if row is None or row.objective is None or entry.get("kind") != row.kind:
+            continue
+        (kind, bound), samples = row.objective, entry["count"]
+        mean = float(Fraction(*entry["sum"]) / samples) if samples else 0.0
+        status = {
+            "metric": entry["name"], "labels": entry["labels"],
+            "kind": kind, "bound": bound, "samples": samples, "mean": mean,
+        }
+        objectives.append(status)
+        if samples >= OBJECTIVE_MIN_SAMPLES and (
+            mean > bound if kind == "upper" else mean < bound
+        ):
+            breaches.append(status)
+    return {"objectives": objectives, "breaches": breaches}
+
+
 class TelemetryExport:
     """An immutable, screened snapshot of one observability session."""
 
@@ -75,24 +107,19 @@ class TelemetryExport:
         self,
         metrics: Mapping[str, object],
         spans: tuple[Mapping[str, object], ...] = (),
-        slos: Mapping[str, object] | None = None,
     ) -> None:
-        _screen_metrics_snapshot(metrics)
+        self.slos = _objectives(_screen_metrics_snapshot(metrics))
         for span in spans:
             _screen_span_dict(span)
         self.metrics = metrics
         self.spans = spans
-        self.slos = slos if slos is not None else {"objectives": [], "breaches": []}
 
     @classmethod
-    def from_observability(cls, session: "Observability") -> "TelemetryExport":
+    def from_observability(cls, session: Observability) -> "TelemetryExport":
         """Snapshot a live session; raises ``TelemetryLeakError`` if any
-        label value or span attribute is location-shaped."""
-        return cls(
-            metrics=session.metrics.snapshot(),
-            spans=tuple(session.tracer.snapshot()),
-            slos=session.slo.snapshot(),
-        )
+        label value, help string, span name or span attribute is
+        location-shaped."""
+        return cls(session.metrics.snapshot(), tuple(session.tracer.snapshot()))
 
     def restore_metrics(self) -> MetricsRegistry:
         """Rebuild the metrics registry this export was taken from."""

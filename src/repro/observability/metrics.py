@@ -26,7 +26,7 @@ import math
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "Counter",
@@ -366,27 +366,17 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, Labels], Metric] = {}
-        #: Scratch memo the record helpers use to keep resolved
-        #: instrument handles (``runtime.record_cloak`` & co.); living on
-        #: the registry means :meth:`clear` can never strand a handle
+        #: The emit path's memo (``runtime.count`` / ``observe`` /
+        #: ``set_gauge``): ``(name, label values)`` as the call site
+        #: spells them -> the registered instrument.  Living on the
+        #: registry means :meth:`clear` can never strand a handle
         #: pointing at an unregistered instrument.
-        self.handle_cache: dict[object, Any] = {}
+        self.handles: dict[tuple[str, tuple[object, ...]], Metric] = {}
 
     # -- registration ----------------------------------------------------
     def _get_or_create(
         self, cls: type, name: str, labels: Iterable[LabelPair], **kwargs: object
     ) -> Metric:
-        # Fast path: an already-normalised key (sorted tuple of pairs —
-        # what every record helper passes) that hit before resolves with
-        # one dict probe; label screening happened at registration.
-        if type(labels) is tuple:
-            metric = self._metrics.get((name, labels))
-            if metric is not None:
-                if not isinstance(metric, cls):
-                    raise ValueError(
-                        f"metric {name!r} already registered as {metric.kind}"
-                    )
-                return metric
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         key = (name, _normalise_labels(labels))
@@ -447,7 +437,7 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         self._metrics.clear()
-        self.handle_cache.clear()
+        self.handles.clear()
 
     # -- snapshot / restore / merge --------------------------------------
     def snapshot(self) -> dict[str, object]:

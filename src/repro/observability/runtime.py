@@ -1,103 +1,67 @@
-"""The process-wide observability switch and the record helpers.
+"""The process-wide observability switch, the metric catalogue and the
+emit path.
 
 Telemetry is **off by default**: :func:`active` returns ``None`` and
-every instrumented hot path reduces to one module-global load plus a
-``None`` check — the near-zero-cost contract that keeps
-``tools/bench.py`` numbers honest.  :func:`enable` installs an
-:class:`Observability` bundle (metrics registry + tracer + SLO
-monitor); :func:`disable` removes it.  Tests use the :func:`enabled`
-context manager so the global can never leak across tests (the
-conftest pollution guard fails any test that leaves it populated).
+every instrumented site reduces to one call plus one module-global
+``None`` test — the near-zero-cost contract that keeps
+``tools/bench.py`` numbers honest.  Tests install a session with the
+:func:`enabled` context manager only, so the global can never leak
+(the conftest pollution guard fails any test that leaves it set).
 
-The record helpers centralise the metric catalogue: every label key and
-value used anywhere in the instrumentation is defined here, with only
-str/int/bool values — never a coordinate — which is what the CSP008
-lint rule and the :class:`~repro.observability.export.TelemetryExport`
-boundary check enforce.
+:data:`CATALOGUE` states every fact about every metric once, and the
+null-safe :func:`count` / :func:`observe` / :func:`set_gauge` are the
+only way a site reaches an instrument: a name that is not a catalogue
+key raises, so a typo cannot register a metric of its own.  Label
+values are str (or an int id, rendered in decimal), never a coordinate:
+CSP008 screens these very calls, ``TelemetryExport`` re-checks.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from typing import ContextManager, Iterator
+from typing import ContextManager, Iterator, NamedTuple, TypeVar, Union
 
 from repro.observability.metrics import (
+    DEFAULT_LATENCY_BUCKETS,
     DEFAULT_RATIO_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
+    Counter,
+    Gauge,
+    Histogram,
     MetricsRegistry,
+    ensure_safe_label_value,
 )
-from repro.observability.slo import SLOMonitor
 from repro.observability.tracing import Tracer
 from repro.utils.timer import monotonic
 
 __all__ = [
-    "Observability",
-    "enable",
-    "disable",
-    "active",
-    "is_enabled",
-    "enabled",
-    "record_cloak",
-    "record_cache_event",
-    "record_candidates",
-    "note_candidates",
-    "record_phase",
-    "phase_scope",
-    "record_batch",
-    "record_query",
-    "query_scope",
-    "record_server_request",
-    "note_server_request",
-    "record_monitor_flush",
-    "record_safe_region_event",
-    "record_validity_lifetime",
-    "record_fault",
-    "note_fault",
-    "record_retry",
-    "note_retry",
-    "record_fallback_cloak",
-    "note_fallback_cloak",
-    "record_recovery",
-    "note_recovery",
-    "record_shard_cloak",
-    "record_shard_op",
-    "record_shard_occupancy",
-    "record_worker_roundtrip",
-    "record_worker_batch",
-    "record_worker_event",
+    "Observability", "enable", "disable", "active", "enabled",
+    "Row", "CATALOGUE", "count", "observe", "set_gauge",
+    "record_cloak", "phase_scope", "query_scope",
 ]
 
 
 class Observability:
-    """One observability session: metrics + traces + SLO windows."""
+    """One observability session: metrics + traces."""
 
-    __slots__ = ("metrics", "tracer", "slo")
+    __slots__ = ("metrics", "tracer")
 
-    def __init__(
-        self,
-        metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        slo: SLOMonitor | None = None,
-    ) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.slo = slo if slo is not None else SLOMonitor()
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer()
 
     @property
     def is_empty(self) -> bool:
-        """True while nothing has been recorded (the state a test must
-        leave the global session in, if it leaves one at all)."""
+        """True while nothing has been recorded."""
         return (
             len(self.metrics) == 0
             and not self.tracer.finished
             and self.tracer.open_depth == 0
-            and len(self.slo) == 0
         )
 
     def clear(self) -> None:
         self.metrics.clear()
         self.tracer.clear()
-        self.slo.clear()
 
 
 _active: Observability | None = None
@@ -106,10 +70,6 @@ _active: Observability | None = None
 def active() -> Observability | None:
     """The installed session, or ``None`` (the no-op default)."""
     return _active
-
-
-def is_enabled() -> bool:
-    return _active is not None
 
 
 def enable(session: Observability | None = None) -> Observability:
@@ -138,419 +98,223 @@ def enabled(session: Observability | None = None) -> Iterator[Observability]:
         _active = previous
 
 
-# ----------------------------------------------------------------------
-# Record helpers — the metric catalogue lives here (see
-# docs/observability.md for the operator-facing view).
-# ----------------------------------------------------------------------
-def record_cloak(
-    obs: Observability,
-    anonymizer: str,
-    seconds: float,
-    area: float,
-    a_min: float,
-    achieved_k: int,
-    requested_k: int,
-) -> None:
-    """One successful cloak: latency, privacy-contract ratios, SLOs.
+class Row(NamedTuple):
+    """Everything there is to know about one metric."""
 
-    This runs once per cloak inside the benchmark-gated hot path, so
-    the resolved instruments are memoized in the registry's
-    ``handle_cache`` — the steady state is three ``observe`` calls, one
-    counter increment and the SLO window appends.
-    """
-    m = obs.metrics
-    handles = m.handle_cache.get(("cloak", anonymizer))
-    if handles is None:
-        labels = (("anonymizer", anonymizer),)
-        handles = (
-            m.counter(
-                "casper_cloak_requests_total", labels,
-                help="cloaking requests served",
-            ),
-            m.histogram(
-                "casper_cloak_seconds", labels,
-                help="anonymizer cloaking latency",
-            ),
-            m.histogram(
-                "casper_cloak_k_ratio", labels,
-                boundaries=DEFAULT_RATIO_BUCKETS,
-                help="achieved k over requested k (>= 1 when the "
-                     "contract holds)",
-            ),
-        )
-        m.handle_cache[("cloak", anonymizer)] = handles
-    requests, latency, k_hist = handles
-    requests.inc()
-    latency.observe(seconds)
-    k_ratio = achieved_k / requested_k if requested_k > 0 else 1.0
-    k_hist.observe(k_ratio)
-    slo_record = obs.slo.record
-    slo_record("cloak_latency_seconds", seconds)
-    slo_record("k_satisfaction", k_ratio)
-    if a_min > 0.0:
-        area_ratio = area / a_min
-        area_hist = m.handle_cache.get(("cloak_area", anonymizer))
-        if area_hist is None:
-            area_hist = m.histogram(
-                "casper_cloak_area_ratio", (("anonymizer", anonymizer),),
-                boundaries=DEFAULT_RATIO_BUCKETS,
-                help="cloaked area over A_min (>= 1 when the contract "
-                     "holds)",
+    kind: str  # "counter" | "gauge" | "histogram"
+    labels: tuple[str, ...]  # keys, in the entry points' argument order
+    help: str
+    buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS  # histograms only
+    #: ``("upper" | "lower", bound)`` on each labelled histogram's mean.
+    objective: tuple[str, float] | None = None
+    optional: frozenset[str] = frozenset()  # keys a site may pass ``None`` for
+
+
+#: The one table docs/observability.md prints.  Label vocabularies are
+#: fixed and categorical: a shard or worker is named by its id, a
+#: fault's channel by its *class* (``update`` / ``response`` /
+#: ``anonymizer``), never by a user, a request, a cell or a coordinate.
+CATALOGUE: dict[str, Row] = {
+    # Algorithm 1 and its cache; the two ratio objectives are the paper's
+    # privacy contract itself: k' >= k and A' >= A_min.
+    "casper_cloak_requests_total": Row(
+        "counter", ("anonymizer",), "cloaking requests served"
+    ),
+    "casper_cloak_seconds": Row(
+        "histogram", ("anonymizer",), "anonymizer cloaking latency",
+        objective=("upper", 0.05),
+    ),
+    "casper_cloak_k_ratio": Row(
+        "histogram", ("anonymizer",),
+        "achieved k over requested k (>= 1 when the contract holds)",
+        DEFAULT_RATIO_BUCKETS, ("lower", 1.0),
+    ),
+    "casper_cloak_area_ratio": Row(
+        "histogram", ("anonymizer",),
+        "cloaked area over A_min (>= 1 when the contract holds)",
+        DEFAULT_RATIO_BUCKETS, ("lower", 1.0),
+    ),
+    # A sharded runtime's caches carry their shard id (or "spine"); the
+    # single-pyramid anonymizers keep the unlabelled stream.
+    "casper_cloak_cache_events_total": Row(
+        "counter", ("event", "shard"), "cloak-cache lookups by outcome",
+        optional=frozenset({"shard"}),
+    ),
+    # Algorithm 2, the batch engine, the facade and the server.
+    "casper_candidate_list_size": Row(
+        "histogram", (), "candidate-list fan-out shipped to clients",
+        DEFAULT_SIZE_BUCKETS, ("upper", 512.0),
+    ),
+    "casper_processor_phase_seconds": Row(
+        "histogram", ("phase", "data"), "query-processor phase latency"
+    ),
+    "casper_batch_runs_total": Row("counter", (), "batch-engine executions"),
+    "casper_batch_requests_total": Row(
+        "counter", ("outcome",), "batch requests by dedup outcome"
+    ),
+    "casper_batch_size": Row(
+        "histogram", (), "requests per batch run", DEFAULT_SIZE_BUCKETS
+    ),
+    "casper_batch_seconds": Row("histogram", (), "batch-engine run latency"),
+    "casper_queries_total": Row("counter", ("query_type",), "facade queries served"),
+    "casper_query_seconds": Row("histogram", ("query_type",), "facade query latency"),
+    "casper_server_requests_total": Row(
+        "counter", ("operation",), "location-server operations by kind"
+    ),
+    # The resilience runtime.
+    "casper_faults_injected_total": Row(
+        "counter", ("kind", "channel"),
+        "faults injected by the resilience layer, by kind and channel class",
+    ),
+    "casper_retries_total": Row(
+        "counter", ("operation",), "message retransmissions by operation"
+    ),
+    "casper_fallback_cloaks_total": Row(
+        "counter", ("mode",), "cloaks served from a degradation-ladder rung, by rung"
+    ),
+    "casper_recoveries_total": Row(
+        "counter", ("kind",), "recovery actions after crash or state loss, by kind"
+    ),
+    # The sharded fleet and its workers.  route: local (settled below the
+    # block level) / boundary (on block roots) / spine (escalated above).
+    "casper_shard_cloaks_total": Row(
+        "counter", ("shard", "route"),
+        "cloaks served per shard, by spine-routing outcome",
+    ),
+    "casper_shard_ops_total": Row(
+        "counter", ("shard", "op"), "maintenance operations routed per shard, by kind"
+    ),
+    "casper_shard_users": Row("gauge", ("shard",), "registered users homed per shard"),
+    "casper_worker_roundtrip_seconds": Row(
+        "histogram", ("shard",), "parent-to-worker frame round-trip latency"
+    ),
+    "casper_worker_batch_envelopes": Row(
+        "histogram", ("shard",),
+        "envelopes per frame flushed to a shard worker", DEFAULT_SIZE_BUCKETS,
+    ),
+    "casper_worker_events_total": Row(
+        "counter", ("shard", "event"),
+        "shard-worker lifecycle and transport events, by kind",
+    ),
+    # The continuous monitor; suppressed over evaluation events is the
+    # re-query rate the ``continuous_mobility`` bench gates on.
+    "casper_monitor_flushes_total": Row("counter", (), "continuous-monitor flushes"),
+    "casper_monitor_reevaluations_total": Row(
+        "counter", (), "continuous queries re-evaluated"
+    ),
+    "casper_monitor_answer_changes_total": Row(
+        "counter", (), "continuous queries whose answer changed"
+    ),
+    "casper_monitor_flush_seconds": Row("histogram", (), "flush latency"),
+    "casper_monitor_safe_region_events_total": Row(
+        "counter", ("event",),
+        "safe-region moving-kNN outcomes at flush boundaries, by class",
+    ),
+    "casper_monitor_validity_lifetime_ticks": Row(
+        "histogram", (), "ticks a safe-region candidate list stayed valid",
+        (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
+    ),
+}
+
+
+LabelArg = Union[str, int, None]
+_M = TypeVar("_M", Counter, Gauge, Histogram)
+
+
+def _instrument(
+    metrics: MetricsRegistry, cls: type[_M], name: str, values: tuple[LabelArg, ...]
+) -> _M:
+    """The instrument ``name`` at ``values``: one probe of the
+    registry's memo, registration from the catalogue row on a miss."""
+    metric = metrics.handles.get((name, values))
+    if metric is None:
+        row = CATALOGUE.get(name)
+        if row is None:
+            raise KeyError(f"{name!r} is not a catalogue metric")
+        if len(values) != len(row.labels) or any(
+            value is None and label not in row.optional
+            for label, value in zip(row.labels, values)
+        ):
+            raise ValueError(  # the values stay out of the message
+                f"{name} takes labels {row.labels}, only {sorted(row.optional)} as None"
             )
-            m.handle_cache[("cloak_area", anonymizer)] = area_hist
-        area_hist.observe(area_ratio)
-        slo_record("cloak_area_ratio", area_ratio)
+        labels = [
+            (label, str(ensure_safe_label_value(value, f"{name} label {label!r}")))
+            for label, value in zip(row.labels, values)
+            if value is not None
+        ]
+        buckets = (row.buckets,) if row.kind == "histogram" else ()
+        metric = getattr(metrics, row.kind)(name, labels, *buckets, help=row.help)
+        metrics.handles[name, values] = metric
+    if not isinstance(metric, cls):
+        raise TypeError(f"{name} is a {metric.kind}, not a {cls.kind}")
+    return metric
 
 
-def record_cache_event(
-    obs: Observability, event: str, shard: str | None = None
+def count(name: str, *label_values: LabelArg, n: int = 1) -> None:
+    """Add ``n`` to a catalogue counter — a no-op while disabled."""
+    if (obs := _active) is not None:
+        _instrument(obs.metrics, Counter, name, label_values).inc(n)
+
+
+def observe(name: str, value: float, *label_values: LabelArg) -> None:
+    """Record ``value`` in a catalogue histogram — a no-op while disabled."""
+    if (obs := _active) is not None:
+        _instrument(obs.metrics, Histogram, name, label_values).observe(value)
+
+
+def set_gauge(name: str, value: float, *label_values: LabelArg) -> None:
+    """Set a catalogue gauge — a no-op while disabled."""
+    if (obs := _active) is not None:
+        _instrument(obs.metrics, Gauge, name, label_values).set(value)
+
+
+def record_cloak(
+    anonymizer: str, seconds: float, area: float, a_min: float,
+    achieved_k: int, requested_k: int,
 ) -> None:
-    """Cloak-cache traffic: event in hit/miss/invalidation/eviction.
-
-    Sharded runtimes pass their cache's shard label (a shard id or
-    ``"spine"``) so per-shard hit rates stay distinguishable; the
-    single-pyramid anonymizers keep the unlabelled stream.  Either way
-    the label set is bounded — event kind times fleet size.
-    """
-    m = obs.metrics
-    key = ("cache_event", event, shard)
-    handle = m.handle_cache.get(key)
-    if handle is None:
-        labels = (("event", event),)
-        if shard is not None:
-            labels += (("shard", shard),)
-        handle = m.counter(
-            "casper_cloak_cache_events_total", labels,
-            help="cloak-cache lookups by outcome",
-        )
-        m.handle_cache[key] = handle
-    handle.inc()
+    """One successful cloak: its latency and the two privacy-contract
+    ratios (the area ratio only when the profile asks for an area)."""
+    count("casper_cloak_requests_total", anonymizer)
+    observe("casper_cloak_seconds", seconds, anonymizer)
+    k_ratio = achieved_k / requested_k if requested_k > 0 else 1.0
+    observe("casper_cloak_k_ratio", k_ratio, anonymizer)
+    if a_min > 0.0:
+        observe("casper_cloak_area_ratio", area / a_min, anonymizer)
 
 
-def record_candidates(obs: Observability, size: int) -> None:
-    """One candidate list produced by the query processor."""
-    obs.metrics.histogram(
-        "casper_candidate_list_size", (),
-        boundaries=DEFAULT_SIZE_BUCKETS,
-        help="candidate-list fan-out shipped to clients",
-    ).observe(float(size))
-    obs.slo.record("candidate_list_size", float(size))
-
-
-def note_candidates(size: int) -> None:
-    """Null-safe :func:`record_candidates` — a no-op while disabled."""
-    obs = _active
-    if obs is not None:
-        record_candidates(obs, size)
-
-
-#: Shared do-nothing context for disabled-telemetry phase scopes
-#: (``nullcontext`` is stateless, so one instance serves every site).
+#: The disabled scopes: ``nullcontext`` is stateless, one serves all.
 _NULL_SCOPE: ContextManager[None] = nullcontext()
 
 
-def phase_scope(phase: str, data_kind: str) -> ContextManager[None]:
-    """Null-safe :func:`record_phase` — a shared no-op context while
-    disabled, so instrumented processor phases read as one ``with``."""
-    obs = _active
-    if obs is None:
-        return _NULL_SCOPE
-    return record_phase(obs, phase, data_kind)
-
-
 @contextmanager
-def record_phase(
-    obs: Observability, phase: str, data_kind: str
-) -> Iterator[None]:
-    """Time one Algorithm 2 phase (filter / extension / candidates) as
-    both a child span and a phase-latency histogram."""
+def _phase(obs: Observability, phase: str, data_kind: str) -> Iterator[None]:
     start = monotonic()
     with obs.tracer.span(f"processor.{phase}", data=data_kind):
         yield
-    obs.metrics.histogram(
-        "casper_processor_phase_seconds",
-        (("phase", phase), ("data", data_kind)),
-        help="query-processor phase latency",
-    ).observe(monotonic() - start)
+    observe("casper_processor_phase_seconds", monotonic() - start, phase, data_kind)
 
 
-def record_batch(
-    obs: Observability, size: int, computed: int, seconds: float
-) -> None:
-    """One BatchQueryEngine.run: sizes, dedup savings, latency."""
-    m = obs.metrics
-    m.counter(
-        "casper_batch_runs_total", (), help="batch-engine executions"
-    ).inc()
-    m.counter(
-        "casper_batch_requests_total", (("outcome", "computed"),),
-        help="batch requests by dedup outcome",
-    ).inc(computed)
-    m.counter(
-        "casper_batch_requests_total", (("outcome", "deduplicated"),),
-        help="batch requests by dedup outcome",
-    ).inc(size - computed)
-    m.histogram(
-        "casper_batch_size", (),
-        boundaries=DEFAULT_SIZE_BUCKETS,
-        help="requests per batch run",
-    ).observe(float(size))
-    m.histogram(
-        "casper_batch_seconds", (), help="batch-engine run latency"
-    ).observe(seconds)
-
-
-def record_query(obs: Observability, query_type: str, seconds: float) -> None:
-    """One facade-level private query, end to end."""
-    labels = (("query_type", query_type),)
-    m = obs.metrics
-    m.counter(
-        "casper_queries_total", labels, help="facade queries served"
-    ).inc()
-    m.histogram(
-        "casper_query_seconds", labels, help="facade query latency"
-    ).observe(seconds)
+def phase_scope(phase: str, data_kind: str) -> ContextManager[None]:
+    """Time one Algorithm 2 phase (filter_selection / extension /
+    candidates) as a ``processor.<phase>`` child span and a latency
+    sample; a shared no-op context while disabled."""
+    obs = _active
+    return _NULL_SCOPE if obs is None else _phase(obs, phase, data_kind)
 
 
 @contextmanager
-def _query_recorder(obs: Observability, query_type: str) -> Iterator[None]:
+def _query(obs: Observability, query_type: str) -> Iterator[None]:
     start = monotonic()
     with obs.tracer.span("casper.query", query_type=query_type):
         yield
-    record_query(obs, query_type, monotonic() - start)
+    count("casper_queries_total", query_type)
+    observe("casper_query_seconds", monotonic() - start, query_type)
 
 
 def query_scope(query_type: str) -> ContextManager[None]:
-    """Null-safe facade-query scope: a ``casper.query`` root span (under
-    which processor phase spans nest as children) plus the end-to-end
-    latency histogram.  A shared no-op context while disabled."""
+    """One facade-level private query, end to end: a ``casper.query``
+    root span (the phase spans nest under it) and, for a query that
+    returns, its count and latency sample; a no-op while disabled."""
     obs = _active
-    if obs is None:
-        return _NULL_SCOPE
-    return _query_recorder(obs, query_type)
-
-
-def record_server_request(obs: Observability, operation: str) -> None:
-    """One privacy-aware server operation (by method name)."""
-    obs.metrics.counter(
-        "casper_server_requests_total", (("operation", operation),),
-        help="location-server operations by kind",
-    ).inc()
-
-
-def note_server_request(operation: str) -> None:
-    """Null-safe :func:`record_server_request` — a no-op while disabled."""
-    obs = _active
-    if obs is not None:
-        record_server_request(obs, operation)
-
-
-def record_fault(obs: Observability, kind: str, channel: str) -> None:
-    """One injected fault.  ``channel`` is the channel *class*
-    (``update`` / ``response`` / ``anonymizer``), never a per-user or
-    per-request id — label cardinality stays bounded."""
-    obs.metrics.counter(
-        "casper_faults_injected_total",
-        (("kind", kind), ("channel", channel)),
-        help="faults injected by the resilience layer, by kind and channel class",
-    ).inc()
-
-
-def note_fault(kind: str, channel: str) -> None:
-    """Null-safe :func:`record_fault` — a no-op while disabled."""
-    obs = _active
-    if obs is not None:
-        record_fault(obs, kind, channel)
-
-
-def record_retry(obs: Observability, operation: str) -> None:
-    """One retransmission attempt (``operation``: ``update`` / ``response``)."""
-    obs.metrics.counter(
-        "casper_retries_total", (("operation", operation),),
-        help="message retransmissions by operation",
-    ).inc()
-
-
-def note_retry(operation: str) -> None:
-    """Null-safe :func:`record_retry` — a no-op while disabled."""
-    obs = _active
-    if obs is not None:
-        record_retry(obs, operation)
-
-
-def record_fallback_cloak(obs: Observability, mode: str) -> None:
-    """One degraded-mode cloak served (``mode``: ``stale`` /
-    ``escalated`` / ``cold_start``)."""
-    obs.metrics.counter(
-        "casper_fallback_cloaks_total", (("mode", mode),),
-        help="cloaks served from a degradation-ladder rung, by rung",
-    ).inc()
-
-
-def note_fallback_cloak(mode: str) -> None:
-    """Null-safe :func:`record_fallback_cloak` — a no-op while disabled."""
-    obs = _active
-    if obs is not None:
-        record_fallback_cloak(obs, mode)
-
-
-def record_recovery(obs: Observability, kind: str) -> None:
-    """One successful recovery action (``kind``: ``restore`` /
-    ``reregister``)."""
-    obs.metrics.counter(
-        "casper_recoveries_total", (("kind", kind),),
-        help="recovery actions after crash or state loss, by kind",
-    ).inc()
-
-
-def note_recovery(kind: str) -> None:
-    """Null-safe :func:`record_recovery` — a no-op while disabled."""
-    obs = _active
-    if obs is not None:
-        record_recovery(obs, kind)
-
-
-def record_shard_cloak(obs: Observability, shard: int, route: str) -> None:
-    """One cloak served by a shard, by routing outcome.  ``route`` is
-    ``local`` (settled strictly below the block level), ``boundary``
-    (settled on block roots — sibling reads may have crossed shards
-    through the spine) or ``spine`` (escalated above the block level).
-    Labels carry the shard *id* only — never a cell or coordinate."""
-    m = obs.metrics
-    key = ("shard_cloak", shard, route)
-    handle = m.handle_cache.get(key)
-    if handle is None:
-        handle = m.counter(
-            "casper_shard_cloaks_total",
-            (("shard", str(shard)), ("route", route)),
-            help="cloaks served per shard, by spine-routing outcome",
-        )
-        m.handle_cache[key] = handle
-    handle.inc()
-
-
-def record_shard_op(
-    obs: Observability, shard: int, op: str, times: int = 1
-) -> None:
-    """``times`` maintenance operations of one kind routed to a shard
-    (``op``: ``register`` / ``deregister`` / ``update`` / ``rehome`` /
-    ``restore``)."""
-    m = obs.metrics
-    key = ("shard_op", shard, op)
-    handle = m.handle_cache.get(key)
-    if handle is None:
-        handle = m.counter(
-            "casper_shard_ops_total",
-            (("shard", str(shard)), ("op", op)),
-            help="maintenance operations routed per shard, by kind",
-        )
-        m.handle_cache[key] = handle
-    handle.inc(times)
-
-
-def record_shard_occupancy(obs: Observability, occupancy: list[int]) -> None:
-    """Instantaneous per-shard population (user counts only — the shard
-    id is the sole label, bounded by the fleet size)."""
-    for shard, users in enumerate(occupancy):
-        obs.metrics.gauge(
-            "casper_shard_users", (("shard", str(shard)),),
-            help="registered users homed per shard",
-        ).set(float(users))
-
-
-def record_worker_roundtrip(
-    obs: Observability, shard: int, seconds: float
-) -> None:
-    """One parent<->worker frame exchange: wire round-trip latency,
-    labelled by shard id only (never an envelope's contents)."""
-    m = obs.metrics
-    key = ("worker_roundtrip", shard)
-    handle = m.handle_cache.get(key)
-    if handle is None:
-        handle = m.histogram(
-            "casper_worker_roundtrip_seconds", (("shard", str(shard)),),
-            help="parent-to-worker frame round-trip latency",
-        )
-        m.handle_cache[key] = handle
-    handle.observe(seconds)
-
-
-def record_worker_batch(obs: Observability, shard: int, envelopes: int) -> None:
-    """Queue depth drained into one frame: how many envelopes a worker's
-    pending queue held when it was flushed across the IPC boundary."""
-    m = obs.metrics
-    key = ("worker_batch", shard)
-    handle = m.handle_cache.get(key)
-    if handle is None:
-        handle = m.histogram(
-            "casper_worker_batch_envelopes", (("shard", str(shard)),),
-            boundaries=DEFAULT_SIZE_BUCKETS,
-            help="envelopes per frame flushed to a shard worker",
-        )
-        m.handle_cache[key] = handle
-    handle.observe(float(envelopes))
-
-
-def record_worker_event(obs: Observability, shard: int, event: str) -> None:
-    """One worker-pool lifecycle or transport event (``spawn`` /
-    ``shutdown`` / ``crash`` / ``heal`` / ``retransmit`` / ``nack`` /
-    ``timeout``), labelled by shard id only."""
-    m = obs.metrics
-    key = ("worker_event", shard, event)
-    handle = m.handle_cache.get(key)
-    if handle is None:
-        handle = m.counter(
-            "casper_worker_events_total",
-            (("shard", str(shard)), ("event", event)),
-            help="shard-worker lifecycle and transport events, by kind",
-        )
-        m.handle_cache[key] = handle
-    handle.inc()
-
-
-def record_monitor_flush(
-    obs: Observability, dirty: int, changed: int, seconds: float
-) -> None:
-    """One continuous-monitor flush cycle."""
-    m = obs.metrics
-    m.counter(
-        "casper_monitor_flushes_total", (), help="continuous-monitor flushes"
-    ).inc()
-    m.counter(
-        "casper_monitor_reevaluations_total", (),
-        help="continuous queries re-evaluated",
-    ).inc(dirty)
-    m.counter(
-        "casper_monitor_answer_changes_total", (),
-        help="continuous queries whose answer changed",
-    ).inc(changed)
-    m.histogram(
-        "casper_monitor_flush_seconds", (), help="flush latency"
-    ).observe(seconds)
-
-
-def record_safe_region_event(obs: Observability, event: str) -> None:
-    """One safe-region bookkeeping event on the continuous monitor.
-
-    ``event`` is the outcome *class* of a registered moving-kNN query
-    at a flush boundary — ``evaluation`` (the server was re-queried),
-    ``suppressed`` (the cloak moved but stayed inside its validity
-    region, so the stale candidate list was provably still exact) or
-    ``validity_exit`` (the cloak left the region and forced the
-    re-query).  The suppressed/evaluation quotient is the re-query-rate
-    the ``continuous_mobility`` bench gates on.
-    """
-    obs.metrics.counter(
-        "casper_monitor_safe_region_events_total", (("event", event),),
-        help="safe-region moving-kNN outcomes at flush boundaries, by class",
-    ).inc()
-
-
-def record_validity_lifetime(obs: Observability, ticks: int) -> None:
-    """How many monitor ticks one validity region survived before its
-    query had to be re-evaluated (recorded at re-evaluation time)."""
-    obs.metrics.histogram(
-        "casper_monitor_validity_lifetime_ticks", (),
-        boundaries=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-        help="ticks a safe-region candidate list stayed valid",
-    ).observe(float(ticks))
+    return _NULL_SCOPE if obs is None else _query(obs, query_type)

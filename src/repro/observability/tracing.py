@@ -9,9 +9,9 @@ giving the classic parent/child tree: a ``casper.query`` root with
 
 Durations come exclusively from :func:`repro.utils.timer.monotonic`
 (the CSP002-sanctioned clock); spans carry *relative* offsets from the
-tracer's start, never wall-clock timestamps.  Attribute values obey the
-same telemetry trust-boundary rule as metric labels: str/int/bool only,
-screened against coordinate patterns (see
+tracer's start, never wall-clock timestamps.  Span names and attribute
+values obey the same telemetry trust-boundary rule as metric labels:
+str/int/bool only, screened against coordinate patterns (see
 :func:`repro.observability.metrics.ensure_safe_label_value`).
 """
 
@@ -85,6 +85,7 @@ class Tracer:
     @contextmanager
     def span(self, name: str, **attributes: AttrValue) -> Iterator[Span]:
         """Open a span as a child of the innermost open span."""
+        ensure_safe_label_value(name, context="span name")
         checked = {
             key: ensure_safe_label_value(
                 value, context=f"span attribute {key!r}"

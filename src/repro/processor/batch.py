@@ -66,8 +66,8 @@ class BatchQueryEngine:
         """Answer every request; returns candidate lists in request
         order.  Identical requests share one computation (and one frozen
         ``CandidateList`` instance)."""
-        obs = _telemetry.active()
-        start = monotonic() if obs is not None else 0.0
+        traced = _telemetry.active() is not None
+        start = monotonic() if traced else 0.0
         computed_before = self.requests_computed
         results: dict[BatchRequest, CandidateList] = {}
         # Valid only within this run: the indexes may mutate between runs.
@@ -82,13 +82,14 @@ class BatchQueryEngine:
                     self._index_for(request), request, memo
                 )
             out.append(cached)
-        if obs is not None:
-            _telemetry.record_batch(
-                obs,
-                size=len(out),
-                computed=self.requests_computed - computed_before,
-                seconds=monotonic() - start,
-            )
+        if traced:
+            computed = self.requests_computed - computed_before
+            saved = len(out) - computed
+            _telemetry.count("casper_batch_runs_total")
+            _telemetry.count("casper_batch_requests_total", "computed", n=computed)
+            _telemetry.count("casper_batch_requests_total", "deduplicated", n=saved)
+            _telemetry.observe("casper_batch_size", len(out))
+            _telemetry.observe("casper_batch_seconds", monotonic() - start)
         return out
 
     @property

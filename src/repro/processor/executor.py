@@ -129,7 +129,7 @@ def collect(
             ids, coords = [ids[i] for i in admitted], coords[admitted]
         coords.flags.writeable = False
         items = CandidateColumns(tuple(ids), coords)
-    _telemetry.note_candidates(len(items))
+    _telemetry.observe("casper_candidate_list_size", len(items))
     return CandidateList(
         items=items, search_region=a_ext, num_filters=num_filters, filters=filters
     )

@@ -182,9 +182,8 @@ class FaultInjector:
         self._shard_rng = shard_rng
         self._worker_rng = worker_rng
         self._channels: dict[str, _Channel] = {}
-        self._ops = 0
-        self._shard_ops = 0
-        self._worker_ops = 0
+        #: One guarded-operation counter per crash schedule.
+        self._ops = {"crash": 0, "shard_crash": 0, "worker_crash": 0}
         self.trace: list[FaultEvent] = []
         self.counts: dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
 
@@ -264,58 +263,38 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Anonymizer faults
     # ------------------------------------------------------------------
+    def _tick(self, kind: str, period: int) -> int:
+        """Advance the ``kind`` schedule's own guarded-operation
+        counter; the count when its crash fires now, else 0."""
+        ops = self._ops[kind] = self._ops[kind] + 1
+        return ops if period > 0 and ops % period == 0 else 0
+
     def next_op(self) -> bool:
-        """Advance the guarded-operation counter; True = crash now."""
-        if self.plan.crash_period <= 0:
-            self._ops += 1
-            return False
-        self._ops += 1
-        if self._ops % self.plan.crash_period == 0:
-            self._record("crash", "anonymizer", f"op {self._ops}")
-            return True
-        return False
+        """Advance the whole-process crash schedule; True = crash now."""
+        if ops := self._tick("crash", self.plan.crash_period):
+            self._record("crash", "anonymizer", f"op {ops}")
+        return ops > 0
 
     def next_shard_op(self, num_shards: int) -> int | None:
         """Advance the shard-crash schedule; the victim shard id when a
-        single-shard crash fires now, else ``None``.
-
-        The victim is drawn from the dedicated shard stream, so wire
-        and whole-crash schedules are unperturbed by shard crashes.
-        """
-        if self.plan.shard_crash_period <= 0:
-            self._shard_ops += 1
+        single-shard crash fires now, else ``None``.  The victim is
+        drawn from the dedicated shard stream, so wire and whole-crash
+        schedules are unperturbed by shard crashes."""
+        if not (ops := self._tick("shard_crash", self.plan.shard_crash_period)):
             return None
-        self._shard_ops += 1
-        if self._shard_ops % self.plan.shard_crash_period == 0:
-            victim = int(self._shard_rng.integers(num_shards))
-            self._record(
-                "shard_crash",
-                "anonymizer",
-                f"shard {victim} op {self._shard_ops}",
-            )
-            return victim
-        return None
+        victim = int(self._shard_rng.integers(num_shards))
+        self._record("shard_crash", "anonymizer", f"shard {victim} op {ops}")
+        return victim
 
     def next_worker_op(self, num_workers: int) -> int | None:
         """Advance the worker-crash schedule; the victim worker id when
-        a shard-worker process crash fires now, else ``None``.
-
-        The victim is drawn from the dedicated worker stream, so wire,
-        whole-crash and shard-crash schedules are unperturbed.
-        """
-        if self.plan.worker_crash_period <= 0:
-            self._worker_ops += 1
+        a shard-worker process crash fires now, else ``None`` (drawn
+        from the dedicated worker stream, likewise)."""
+        if not (ops := self._tick("worker_crash", self.plan.worker_crash_period)):
             return None
-        self._worker_ops += 1
-        if self._worker_ops % self.plan.worker_crash_period == 0:
-            victim = int(self._worker_rng.integers(num_workers))
-            self._record(
-                "worker_crash",
-                "anonymizer",
-                f"worker {victim} op {self._worker_ops}",
-            )
-            return victim
-        return None
+        victim = int(self._worker_rng.integers(num_workers))
+        self._record("worker_crash", "anonymizer", f"worker {victim} op {ops}")
+        return victim
 
     def should_lose_user(self) -> bool:
         """Draw the per-operation state-loss decision."""

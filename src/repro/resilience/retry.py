@@ -1,4 +1,4 @@
-"""Retry policies — exponential backoff with deterministic jitter.
+"""Retry policy — exponential backoff with deterministic jitter.
 
 The reproduction has no real network, so a backoff never *sleeps*: the
 delay a real client would wait is accounted as **virtual seconds** in
@@ -11,54 +11,35 @@ operation degraded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 __all__ = ["RetryPolicy"]
 
+#: The backoff curve: attempt ``n`` (0-based) waits
+#: ``min(MAX_DELAY, BASE_DELAY * MULTIPLIER**n) * (1 + JITTER * u)``
+#: virtual seconds, ``u`` uniform in ``[0, 1)``.
+BASE_DELAY = 0.05
+MULTIPLIER = 2.0
+MAX_DELAY = 2.0
+JITTER = 0.5
+
 
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
-    """Exponential backoff with decorrelation jitter.
-
-    Attempt ``n`` (0-based) waits
-    ``min(max_delay, base_delay * multiplier**n) * (1 + jitter * u)``
-    virtual seconds, with ``u`` uniform in ``[0, 1)`` from the caller's
-    seeded stream.  ``max_attempts`` counts total tries, so
-    ``max_attempts=1`` means "no retries".
-    """
+    """How often a sender tries.  ``max_attempts`` counts total tries,
+    so ``max_attempts=1`` means "no retries"."""
 
     max_attempts: int = 4
-    base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 2.0
-    jitter: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
 
     def backoff(self, attempt: int, rng: np.random.Generator) -> float:
-        """Virtual seconds to wait after failed attempt ``attempt``."""
+        """Virtual seconds to wait after failed attempt ``attempt``,
+        jittered from the caller's seeded stream."""
         if attempt < 0:
             raise ValueError("attempt must be >= 0")
-        base = min(self.max_delay, self.base_delay * self.multiplier**attempt)
-        return base * (1.0 + self.jitter * float(rng.random()))
-
-    def schedule(self, rng: np.random.Generator) -> Iterator[float]:
-        """The full backoff sequence (one delay per retry, i.e.
-        ``max_attempts - 1`` values)."""
-        for attempt in range(self.max_attempts - 1):
-            yield self.backoff(attempt, rng)
-
-    @classmethod
-    def none(cls) -> "RetryPolicy":
-        """Single-shot: one attempt, no backoff."""
-        return cls(max_attempts=1, base_delay=0.0, jitter=0.0)
+        base = min(MAX_DELAY, BASE_DELAY * MULTIPLIER**attempt)
+        return base * (1.0 + JITTER * float(rng.random()))

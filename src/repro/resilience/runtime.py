@@ -69,6 +69,8 @@ Anonymizer = Union[
     ParallelShardedAnonymizer,
 ]
 
+_FAULTS = "casper_faults_injected_total"
+
 #: Integer counters a runtime maintains (``report()`` exports them all).
 COUNTER_NAMES = (
     "retries",
@@ -96,8 +98,6 @@ class ResilienceConfig:
     #: How many guarded operations a remembered cloak stays eligible for
     #: the stale rung (it is still revalidated against live counts).
     stale_grace_ops: int = 200
-    #: Record every emitted cloak for the harness's privacy scan.
-    record_emissions: bool = True
 
     def __post_init__(self) -> None:
         if self.snapshot_every < 1:
@@ -266,8 +266,8 @@ class ResilienceRuntime:
         self._applied_seq = dict(snapshot.applied_seq)
         self._ops_since_snapshot = 0
         self.counters["recoveries"] += 1
-        _telemetry.note_fault("crash", "anonymizer")
-        _telemetry.note_recovery("restore")
+        _telemetry.count(_FAULTS, "crash", "anonymizer")
+        _telemetry.count("casper_recoveries_total", "restore")
 
     def _crash_shard(self, victim: int) -> None:
         """Single-shard crash: restore only the victim shard from the
@@ -308,8 +308,8 @@ class ResilienceRuntime:
                 else:
                     self._applied_seq[uid] = rolled_back
         self.counters["shard_recoveries"] += 1
-        _telemetry.note_fault("shard_crash", "anonymizer")
-        _telemetry.note_recovery("shard_restore")
+        _telemetry.count(_FAULTS, "shard_crash", "anonymizer")
+        _telemetry.count("casper_recoveries_total", "shard_restore")
 
     def _crash_worker(self, victim: int) -> None:
         """Shard-worker *process* crash: kill the victim's OS process
@@ -329,7 +329,7 @@ class ResilienceRuntime:
             return
         crash_worker(victim)
         self.counters["worker_crashes"] += 1
-        _telemetry.note_fault("worker_crash", "anonymizer")
+        _telemetry.count(_FAULTS, "worker_crash", "anonymizer")
 
     def _lose_user(self, uid: object) -> None:
         """Silent state loss: the anonymizer forgets one user entirely.
@@ -344,7 +344,7 @@ class ResilienceRuntime:
             return
         anonymizer.deregister(uid)
         self.injector.record_state_loss("anonymizer", f"user {uid}")
-        _telemetry.note_fault("state_loss", "anonymizer")
+        _telemetry.count(_FAULTS, "state_loss", "anonymizer")
 
     # ------------------------------------------------------------------
     # Degradation ladder
@@ -437,14 +437,12 @@ class ResilienceRuntime:
     ) -> None:
         self.counters["fallback_cloaks"] += 1
         self.fallback_modes[mode] = self.fallback_modes.get(mode, 0) + 1
-        _telemetry.note_fallback_cloak(mode)
+        _telemetry.count("casper_fallback_cloaks_total", mode)
         self._emit(region, profile, mode)
 
     def _emit(
         self, region: CloakedRegion, profile: PrivacyProfile, mode: str
     ) -> None:
-        if not self.config.record_emissions:
-            return
         self.emissions.append(
             Emission(
                 mode=mode,
@@ -524,7 +522,7 @@ class ResilienceRuntime:
             anonymizer.register(message.uid, message.point, message.profile)
             self._applied_seq[message.uid] = max(last, message.seq)
             self.counters["recoveries"] += 1
-            _telemetry.note_recovery("reregister")
+            _telemetry.count("casper_recoveries_total", "reregister")
             self.casper.refresh_stored_cloak(message.uid)
             kind = "recovered"
         elif message.seq <= last:
@@ -581,15 +579,15 @@ class ResilienceRuntime:
         faults into telemetry (channel *class* only — bounded labels)."""
         before = len(self.injector.trace)
         deliveries = self.injector.transmit(channel, payload)
-        if _telemetry.is_enabled():
+        if _telemetry.active() is not None:
             channel_class = channel.split(":", 1)[0]
             for event in self.injector.trace[before:]:
-                _telemetry.note_fault(event.kind, channel_class)
+                _telemetry.count(_FAULTS, event.kind, channel_class)
         return deliveries
 
     def _count_retry(self, operation: str, attempt: int) -> None:
         self.counters["retries"] += 1
-        _telemetry.note_retry(operation)
+        _telemetry.count("casper_retries_total", operation)
         self.virtual_backoff_seconds += self.retry.backoff(
             attempt - 1, self.injector.backoff_rng
         )

@@ -91,7 +91,7 @@ class LocationServer:
     # ------------------------------------------------------------------
     def nn_public(self, cloaked_area: Rect, num_filters: int = 4) -> CandidateList:
         """Private NN query over public data (Section 5.1)."""
-        _telemetry.note_server_request("nn_public")
+        _telemetry.count("casper_server_requests_total", "nn_public")
         return private_nn_over_public(self.public_index, cloaked_area, num_filters)
 
     def nn_private(
@@ -107,7 +107,7 @@ class LocationServer:
         cloaked record) for the duration of the query; the store is the
         same before and after, tie order included.
         """
-        _telemetry.note_server_request("nn_private")
+        _telemetry.count("casper_server_requests_total", "nn_private")
         index = self.private_index
         hiding = exclude is not None and exclude in index
         with index.hidden(exclude) if hiding else nullcontext():
@@ -117,7 +117,7 @@ class LocationServer:
         self, cloaked_area: Rect, k: int, num_filters: int = 4
     ) -> CandidateList:
         """Private kNN query over public data (snapshot form)."""
-        _telemetry.note_server_request("knn_public")
+        _telemetry.count("casper_server_requests_total", "knn_public")
         return private_knn_over_public(
             self.public_index, cloaked_area, k, num_filters
         )
@@ -131,14 +131,14 @@ class LocationServer:
     ) -> SafeRegionResult:
         """Private kNN over public data with a validity region: the
         moving-client form (see :mod:`repro.processor.safe_region`)."""
-        _telemetry.note_server_request("knn_public_safe")
+        _telemetry.count("casper_server_requests_total", "knn_public_safe")
         return private_knn_with_validity(
             self.public_index, cloaked_area, k, num_filters, margin
         )
 
     def range_public(self, cloaked_area: Rect, radius: float) -> CandidateList:
         """Private range query over public data."""
-        _telemetry.note_server_request("range_public")
+        _telemetry.count("casper_server_requests_total", "range_public")
         return private_range_over_public(self.public_index, cloaked_area, radius)
 
     def range_private(
@@ -148,7 +148,7 @@ class LocationServer:
         policy: OverlapPolicy | None = None,
     ) -> CandidateList:
         """Private range query over private data."""
-        _telemetry.note_server_request("range_private")
+        _telemetry.count("casper_server_requests_total", "range_private")
         return private_range_over_private(
             self.private_index, cloaked_area, radius, policy
         )
@@ -157,13 +157,13 @@ class LocationServer:
         """Answer a batch of privacy-aware queries at once, sharing the
         filter/extension work between requests with the same cloaked
         area and answering duplicate requests exactly once."""
-        _telemetry.note_server_request("run_batch")
+        _telemetry.count("casper_server_requests_total", "run_batch")
         return self.batch_engine.run(requests)
 
     def count_private(self, region: Rect) -> RangeCountResult:
         """Public aggregate query over private data (Section 5's second
         query type): how many private objects are in ``region``."""
-        _telemetry.note_server_request("count_private")
+        _telemetry.count("casper_server_requests_total", "count_private")
         return public_range_count_over_private(self.private_index, region)
 
     def possible_nn_private(
@@ -172,7 +172,7 @@ class LocationServer:
         """Public NN query over private data: the users who could be
         nearest to an exact point; see
         :func:`repro.processor.public_nn_over_private`."""
-        _telemetry.note_server_request("possible_nn_private")
+        _telemetry.count("casper_server_requests_total", "possible_nn_private")
         from repro.processor.uncertain_nn import public_nn_over_private
 
         return public_nn_over_private(
@@ -183,7 +183,7 @@ class LocationServer:
         """Gridded expected-population map over the private store (the
         traffic-report aggregate); see
         :func:`repro.processor.density_map_over_private`."""
-        _telemetry.note_server_request("density_private")
+        _telemetry.count("casper_server_requests_total", "density_private")
         from repro.processor.density import density_map_over_private
 
         return density_map_over_private(self.private_index, bounds, resolution)

@@ -160,9 +160,10 @@ class ReplicatedShardedAnonymizer(ShardSurface):
         return region
 
     def _note_cloak(self, shard: int, region: CloakedRegion) -> None:
-        obs = _telemetry.active()
-        if obs is not None:
-            _telemetry.record_shard_cloak(obs, shard, self._route_of(region))
+        if _telemetry.active() is not None:
+            _telemetry.count(
+                "casper_shard_cloaks_total", shard, self._route_of(region)
+            )
 
     # ------------------------------------------------------------------
     # Crash recovery and diagnostics

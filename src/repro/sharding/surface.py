@@ -115,11 +115,11 @@ class ShardSurface(Population, BatchCloaking):
         """Record ``times`` shard operations of one kind (and, for
         population-changing ops, the resulting occupancy) when
         telemetry is active."""
-        obs = _telemetry.active()
-        if obs is not None:
-            _telemetry.record_shard_op(obs, shard, op, times)
+        if _telemetry.active() is not None:
+            _telemetry.count("casper_shard_ops_total", shard, op, n=times)
             if occupancy:
-                _telemetry.record_shard_occupancy(obs, self._occupancy)
+                for home, users in enumerate(self._occupancy):
+                    _telemetry.set_gauge("casper_shard_users", users, home)
 
     def _notify_updates(self, homes: IntArray) -> list[int]:
         """Record one ``update`` per entry of ``homes`` — the home

@@ -454,7 +454,13 @@ class ShardWorker(FrameEndpoint):
 
 
 def _worker_main(config: _WorkerConfig, shard: int, conn: Connection) -> None:
-    """Process entry point: run one shard worker until shutdown."""
+    """Process entry point: run one shard worker until shutdown.
+
+    Telemetry is the parent's: a forked worker inherits a copy of the
+    session the pool was built under and would time and record every
+    cloak into a registry nothing can read (a spawned one starts with
+    none), so the replica runs with telemetry off either way."""
+    _telemetry.disable()
     ShardWorker(config, shard, conn).run()
 
 
@@ -630,7 +636,7 @@ class ParallelShardedAnonymizer(ShardSurface):
         self._authoritative = [True] * num_shards
         self._pool.spawn_all()
         for shard in range(num_shards):
-            self._note_event(shard, "spawn")
+            _telemetry.count("casper_worker_events_total", shard, "spawn")
 
     # ------------------------------------------------------------------
     # Introspection (all answered from the parent mirror — no IPC)
@@ -828,7 +834,7 @@ class ParallelShardedAnonymizer(ShardSurface):
         cloak."""
         self._stats.cloak_requests += len(requests)
         positions = [self._enqueue(request[0], request[1]) for request in requests]
-        obs = _telemetry.active()
+        traced = _telemetry.active() is not None
         start = monotonic()
         flushed = self._deliver({request[0] for request in requests})
         share = (monotonic() - start) / max(len(requests), 1)
@@ -844,13 +850,15 @@ class ParallelShardedAnonymizer(ShardSurface):
                         f"(reported by shard worker {shard})"
                     )
                 region = unsatisfiable
-            elif obs is not None:
+            elif traced:
                 asked = profile or self.profile_of(uid)
                 _telemetry.record_cloak(
-                    obs, self.kind, share, region.area,
+                    self.kind, share, region.area,
                     asked.a_min, region.achieved_k, asked.k,
                 )
-                _telemetry.record_shard_cloak(obs, shard, self._route_of(region))
+                _telemetry.count(
+                    "casper_shard_cloaks_total", shard, self._route_of(region)
+                )
             regions.append(region)
         if failure is not None:
             raise failure
@@ -966,7 +974,7 @@ class ParallelShardedAnonymizer(ShardSurface):
                     self._receive(shard, *self._send(shard, [op_shutdown()]))
                 except (_WorkerDied, RuntimeError, WireError):
                     pass
-                self._note_event(shard, "shutdown")
+                _telemetry.count("casper_worker_events_total", shard, "shutdown")
         finally:
             self._pool.shutdown()
 
@@ -1083,7 +1091,7 @@ class ParallelShardedAnonymizer(ShardSurface):
             # (A reply that arrived while another shard's was awaited
             # is read even past the deadline: ``poll(0)`` sees it.)
             if not conn.poll(max(deadline - monotonic(), 0.0)):
-                self._note_event(shard, "timeout")
+                _telemetry.count("casper_worker_events_total", shard, "timeout")
                 raise _WorkerDied(shard, "no reply within the hang timeout")
             try:
                 raw = conn.recv_bytes()
@@ -1105,17 +1113,16 @@ class ParallelShardedAnonymizer(ShardSurface):
                 if reply is None or reply.kind == KIND_NACK:
                     # The reply was corrupted on the wire, or the worker
                     # CRC-rejected our (corrupted) request: replay.
-                    self._note_event(shard, "nack")
+                    _telemetry.count("casper_worker_events_total", shard, "nack")
                     attempts += self._transmit(shard, conn, wire_bytes, attempts)
                     continue
                 if reply.kind == KIND_RESPONSE and reply.seq == seq:
-                    obs = _telemetry.active()
-                    if obs is not None:
-                        _telemetry.record_worker_roundtrip(
-                            obs, shard, monotonic() - start
+                    if _telemetry.active() is not None:
+                        _telemetry.observe(
+                            "casper_worker_roundtrip_seconds", monotonic() - start, shard
                         )
-                        _telemetry.record_worker_batch(
-                            obs, shard, len(reply.envelopes)
+                        _telemetry.observe(
+                            "casper_worker_batch_envelopes", len(reply.envelopes), shard
                         )
                     return reply
                 # A stale duplicate of an already-finished exchange:
@@ -1139,7 +1146,7 @@ class ParallelShardedAnonymizer(ShardSurface):
                 )
             attempts += 1
             if attempts > 1:
-                self._note_event(shard, "retransmit")
+                _telemetry.count("casper_worker_events_total", shard, "retransmit")
             if self._injector is None:
                 deliveries = None
             else:
@@ -1211,8 +1218,8 @@ class ParallelShardedAnonymizer(ShardSurface):
         """Reap a dead (or deliberately killed) worker, flush the
         survivors, respawn and rebuild the victim's replica."""
         self.worker_crashes += 1
-        self._note_event(victim, "crash")
-        _telemetry.note_recovery("worker_respawn")
+        _telemetry.count("casper_worker_events_total", victim, "crash")
+        _telemetry.count("casper_recoveries_total", "worker_respawn")
         self._pool.kill(victim)
         self._authoritative[victim] = False
         # Survivors must apply their queued traffic first: the heal
@@ -1222,7 +1229,7 @@ class ParallelShardedAnonymizer(ShardSurface):
             shard for shard in range(self.num_shards) if shard != victim
         )
         self._pool.spawn(victim)
-        self._note_event(victim, "spawn")
+        _telemetry.count("casper_worker_events_total", victim, "spawn")
         survivors = [
             shard
             for shard in range(self.num_shards)
@@ -1250,7 +1257,7 @@ class ParallelShardedAnonymizer(ShardSurface):
         # restored either way.
         self._authoritative[victim] = True
         self.worker_heals += 1
-        self._note_event(victim, "heal")
+        _telemetry.count("casper_worker_events_total", victim, "heal")
 
     def _fetch_stats(self) -> list[dict]:
         """One decoded stats payload per worker (flushes everything)."""
@@ -1260,8 +1267,3 @@ class ParallelShardedAnonymizer(ShardSurface):
             pickle.loads(results[shard][-1])
             for shard in range(self.num_shards)
         ]
-
-    def _note_event(self, shard: int, event: str) -> None:
-        obs = _telemetry.active()
-        if obs is not None:
-            _telemetry.record_worker_event(obs, shard, event)

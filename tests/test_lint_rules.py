@@ -72,8 +72,10 @@ CASES = [
     ("csp007_unseeded/bad.py", "CSP007", 1),
     ("csp007_unseeded/clean.py", "CSP007", 0),
     ("csp008_telemetry/bad.py", "CSP008", 5),
+    ("csp008_telemetry/bad_emit_api.py", "CSP008", 3),
     ("csp008_telemetry/clean.py", "CSP008", 0),
     ("csp009_taint/bad.py", "CSP009", 5),
+    ("csp009_taint/bad_emit_api.py", "CSP009", 1),
     ("csp009_taint/bad_persistence.py", "CSP009", 2),
     ("csp009_taint/clean.py", "CSP009", 0),
     ("csp010_async/bad.py", "CSP010", 2),

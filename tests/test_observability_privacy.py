@@ -22,6 +22,7 @@ import pytest
 from repro.geometry import Point
 from repro.observability import (
     TelemetryExport,
+    TelemetryLeakError,
     enabled,
     looks_like_coordinates,
 )
@@ -172,6 +173,18 @@ class TestExportIsTheOnlyEgress:
                 continue
             label_part = line[line.find("{"): line.rfind("}") + 1]
             assert not looks_like_coordinates(label_part), line
+
+    def test_span_names_and_help_strings_are_screened(self):
+        leak = "user at (0.25, 0.75)"
+        with enabled() as session:
+            with pytest.raises(TelemetryLeakError), session.tracer.span(leak):
+                pass  # pragma: no cover - the span never opens
+            session.metrics.counter("c", help=leak).inc()
+            with pytest.raises(TelemetryLeakError, match="help"):
+                TelemetryExport.from_observability(session)
+        root = {"name": "root", "attributes": {}, "children": [{"name": leak}]}
+        with pytest.raises(TelemetryLeakError, match="span name"):
+            TelemetryExport({"version": 1, "metrics": []}, spans=(root,))
 
     def test_snapshot_json_roundtrips_after_workload(self):
         rng = np.random.default_rng(11)

@@ -27,8 +27,6 @@ from repro.observability import (
     Histogram,
     MetricsRegistry,
     Observability,
-    SLODefinition,
-    SLOMonitor,
     TelemetryExport,
     TelemetryLeakError,
     Tracer,
@@ -191,7 +189,7 @@ class TestRegistry:
             m.gauge("c")
         m.histogram("h", boundaries=(1.0, 2.0))
         with pytest.raises(ValueError):
-            m.counter("h")  # fast-path probe must also type-check
+            m.counter("h")
         with pytest.raises(ValueError):
             m.histogram("h", boundaries=(1.0, 3.0))
         with pytest.raises(ValueError):
@@ -289,10 +287,9 @@ class TestRegistry:
 
     def test_clear_resets_instruments_and_handles(self):
         m = MetricsRegistry()
-        m.counter("c").inc()
-        m.handle_cache["k"] = object()
+        m.handles["c", ()] = m.counter("c")
         m.clear()
-        assert len(m) == 0 and not m.handle_cache
+        assert len(m) == 0 and not m.handles
 
 
 class TestLabelScreening:
@@ -360,51 +357,60 @@ class TestTracer:
 
 
 class TestSLOMonitor:
+    """The SLO monitor is ``TelemetryExport.slos``: the four objectives
+    are facts of catalogue rows, judged at export on each labelled
+    histogram's session mean."""
+
+    @staticmethod
+    def _slos(samples: int) -> dict:
+        with rt.enabled() as obs:
+            for _ in range(samples):
+                rt.observe("casper_candidate_list_size", 600)  # bound 512
+                rt.record_cloak("basic", 0.001, 1.0, 2.0, 4, 5)  # both ratios < 1
+                rt.record_cloak("adaptive", 0.001, 4.0, 2.0, 5, 5)  # all within
+        return TelemetryExport.from_observability(obs).slos
+
     def test_upper_and_lower_breaches(self):
-        monitor = SLOMonitor(
-            (
-                SLODefinition("lat", "d", 1.0, "upper", min_samples=2),
-                SLODefinition("ratio", "d", 1.0, "lower", min_samples=2),
-            )
-        )
-        monitor.record("lat", 3.0)
-        assert monitor.evaluate() == []  # below min_samples
-        monitor.record("lat", 5.0)
-        monitor.record("ratio", 0.5)
-        monitor.record("ratio", 0.7)
-        monitor.record("unknown", 99.0)  # silently ignored
-        breaches = {b.slo: b for b in monitor.evaluate()}
-        assert set(breaches) == {"lat", "ratio"}
-        assert breaches["lat"].observed == 4.0
-        assert ">" in breaches["lat"].describe()
-        assert "<" in breaches["ratio"].describe()
-        snap = monitor.snapshot()
-        assert len(snap["breaches"]) == 2
-        assert monitor.samples("lat") == 2
-        assert monitor.rolling_mean("ratio") == pytest.approx(0.6)
-        assert len(monitor) == 4
-        monitor.clear()
-        assert len(monitor) == 0 and monitor.rolling_mean("lat") == 0.0
+        slos = self._slos(samples=16)
+        assert len(slos["objectives"]) == 7  # 3 cloak rows x 2 labels + sizes
+        breached = {
+            (b["metric"], tuple(map(tuple, b["labels"]))): b
+            for b in slos["breaches"]
+        }
+        basic = (("anonymizer", "basic"),)
+        assert set(breached) == {
+            ("casper_candidate_list_size", ()),
+            ("casper_cloak_k_ratio", basic),
+            ("casper_cloak_area_ratio", basic),
+        }
+        size = breached["casper_candidate_list_size", ()]
+        assert (size["kind"], size["bound"], size["mean"]) == ("upper", 512.0, 600.0)
+        ratio = breached["casper_cloak_k_ratio", basic]
+        assert (ratio["kind"], ratio["samples"], ratio["mean"]) == ("lower", 16, 0.8)
+        under_the_floor = self._slos(samples=15)
+        assert under_the_floor["breaches"] == []
+        assert {o["samples"] for o in under_the_floor["objectives"]} == {15}
 
     def test_invalid_definitions(self):
-        with pytest.raises(ValueError):
-            SLODefinition("x", "d", 1.0, kind="sideways")
-        with pytest.raises(ValueError):
-            SLODefinition("x", "d", 1.0, window=0)
-        with pytest.raises(ValueError):
-            SLOMonitor(
-                (
-                    SLODefinition("x", "d", 1.0),
-                    SLODefinition("x", "d", 2.0),
-                )
-            )
+        """No row states an objective the export cannot judge, and a
+        foreign snapshot that reuses such a row's name is not judged."""
+        for name, row in rt.CATALOGUE.items():
+            assert row.objective is None or (
+                row.kind == "histogram" and row.objective[0] in ("upper", "lower")
+            ), name
+        foreign = {"name": "casper_cloak_seconds", "kind": "counter", "value": 99}
+        assert TelemetryExport({"version": 1, "metrics": [foreign]}).slos == {
+            "objectives": [], "breaches": [],
+        }
 
 
 class TestRuntimeHelpers:
     def test_disabled_helpers_are_noops(self):
-        assert rt.active() is None and not rt.is_enabled()
-        rt.note_candidates(5)
-        rt.note_server_request("nn_public")
+        assert rt.active() is None
+        rt.observe("casper_candidate_list_size", 5)
+        rt.count("casper_server_requests_total", "nn_public")
+        rt.set_gauge("casper_shard_users", 3, 0)
+        rt.count("no_such_metric")  # not even looked up while disabled
         assert rt.phase_scope("extension", "public") is rt.phase_scope(
             "candidates", "private"
         )
@@ -414,7 +420,7 @@ class TestRuntimeHelpers:
     def test_explicit_enable_disable(self):
         session = rt.enable()
         try:
-            assert rt.active() is session and rt.is_enabled()
+            assert rt.active() is session
             replacement = rt.enable()
             assert rt.active() is replacement is not session
         finally:
@@ -428,7 +434,7 @@ class TestRuntimeHelpers:
             assert rt.active() is outer
             with rt.enabled() as inner:
                 assert rt.active() is inner is not outer
-                rt.note_candidates(3)
+                rt.observe("casper_candidate_list_size", 3)
             assert rt.active() is outer
         assert rt.active() is None
         assert outer.is_empty and not inner.is_empty
@@ -437,81 +443,83 @@ class TestRuntimeHelpers:
 
     def test_record_helpers_populate_catalogue(self):
         with rt.enabled() as obs:
-            rt.record_cloak(obs, "basic", 0.001, 4.0, 2.0, 55, 50)
-            rt.record_cloak(obs, "basic", 0.002, 1.0, 0.0, 10, 0)
-            rt.record_cache_event(obs, "hit")
+            rt.record_cloak("basic", 0.001, 4.0, 2.0, 55, 50)
+            rt.record_cloak("basic", 0.002, 1.0, 0.0, 10, 0)
+            rt.count("casper_cloak_cache_events_total", "hit", None)
+            rt.count("casper_cloak_cache_events_total", "hit", 3)
             with rt.phase_scope("extension", "public"):
-                rt.note_candidates(12)
+                rt.observe("casper_candidate_list_size", 12)
             with rt.query_scope("nn_public"):
-                rt.note_server_request("nn_public")
-            rt.record_batch(obs, size=10, computed=4, seconds=0.05)
-            rt.record_monitor_flush(obs, dirty=3, changed=1, seconds=0.01)
-        m = obs.metrics
-        anon = (("anonymizer", "basic"),)
-        assert m.get("casper_cloak_requests_total", anon).value == 2
-        assert m.get("casper_cloak_seconds", anon).count == 2
-        assert m.get("casper_cloak_area_ratio", anon).count == 1  # a_min>0 once
-        assert m.get("casper_cloak_k_ratio", anon).sum == 1.1 + 1.0
-        assert (
-            m.get("casper_cloak_cache_events_total", (("event", "hit"),)).value
-            == 1
-        )
-        assert m.get("casper_candidate_list_size").count == 1
-        assert (
-            m.get(
-                "casper_batch_requests_total", (("outcome", "deduplicated"),)
-            ).value
-            == 6
-        )
-        assert (
-            m.get("casper_queries_total", (("query_type", "nn_public"),)).value
-            == 1
-        )
-        assert m.get("casper_monitor_flush_seconds").count == 1
-        roots = obs.tracer.finished
-        assert [r.name for r in roots] == ["processor.extension", "casper.query"]
-        assert obs.slo.samples("cloak_latency_seconds") == 2
+                rt.count("casper_server_requests_total", "nn_public")
+            with pytest.raises(RuntimeError), rt.query_scope("nn_private"):
+                raise RuntimeError("a query that fails is not counted")
+            rt.count("casper_batch_requests_total", "deduplicated", n=6)
+            rt.set_gauge("casper_shard_users", 7, 2)
+
+        def at(name, **labels):
+            return obs.metrics.get(name, tuple(labels.items()))
+
+        assert at("casper_cloak_requests_total", anonymizer="basic").value == 2
+        assert at("casper_cloak_seconds", anonymizer="basic").count == 2
+        assert at("casper_cloak_area_ratio", anonymizer="basic").count == 1
+        assert at("casper_cloak_k_ratio", anonymizer="basic").sum == 1.1 + 1.0
+        assert at("casper_cloak_cache_events_total", event="hit").value == 1
+        assert at("casper_cloak_cache_events_total", event="hit", shard="3").value == 1
+        assert at("casper_candidate_list_size").count == 1
+        assert at("casper_batch_requests_total", outcome="deduplicated").value == 6
+        assert at("casper_queries_total", query_type="nn_public").value == 1
+        assert at("casper_queries_total", query_type="nn_private") is None
+        assert at("casper_shard_users", shard="2").value == 7.0
+        assert [root.name for root in obs.tracer.finished] == [
+            "processor.extension", "casper.query", "casper.query",
+        ]
 
     def test_worker_helpers_record_per_shard_transport_metrics(self):
         with rt.enabled() as obs:
-            # Twice each: the second call must reuse the cached handle.
-            rt.record_worker_roundtrip(obs, 0, 0.002)
-            rt.record_worker_roundtrip(obs, 0, 0.004)
-            rt.record_worker_batch(obs, 0, 12)
-            rt.record_worker_batch(obs, 0, 1)
-            rt.record_worker_event(obs, 1, "retransmit")
-            rt.record_worker_event(obs, 1, "retransmit")
-            rt.record_worker_event(obs, 1, "heal")
+            for _ in range(2):  # the second call reuses the memoized handle
+                rt.observe("casper_worker_roundtrip_seconds", 0.002, 0)
+                rt.observe("casper_worker_batch_envelopes", 6, 0)
+                rt.count("casper_worker_events_total", 1, "retransmit")
         m = obs.metrics
-        shard0 = (("shard", "0"),)
-        assert m.get("casper_worker_roundtrip_seconds", shard0).count == 2
-        assert m.get("casper_worker_batch_envelopes", shard0).sum == 13.0
-        assert (
-            m.get(
-                "casper_worker_events_total",
-                (("shard", "1"), ("event", "retransmit")),
-            ).value
-            == 2
-        )
+        assert len(m.handles) == len(m) == 3
+        assert m.get("casper_worker_roundtrip_seconds", (("shard", "0"),)).count == 2
+        assert m.get("casper_worker_batch_envelopes", (("shard", "0"),)).sum == 12.0
+        events = (("shard", "1"), ("event", "retransmit"))
+        assert m.get("casper_worker_events_total", events).value == 2
 
     def test_handle_cache_survives_registry_clear(self):
+        """Clear, then emit: neither ``metrics.clear()`` nor
+        ``session.clear()`` strands a memoized handle."""
+        anon = (("anonymizer", "basic"),)
         with rt.enabled() as obs:
-            rt.record_cloak(obs, "basic", 0.001, 4.0, 2.0, 55, 50)
-            obs.metrics.clear()  # also invalidates memoized handles
-            rt.record_cloak(obs, "basic", 0.001, 4.0, 2.0, 55, 50)
-            assert (
-                obs.metrics.get(
-                    "casper_cloak_requests_total", (("anonymizer", "basic"),)
-                ).value
-                == 1
-            )
+            for clear in (obs.metrics.clear, obs.clear):
+                rt.record_cloak("basic", 0.001, 4.0, 2.0, 55, 50)
+                clear()
+                rt.record_cloak("basic", 0.001, 4.0, 2.0, 55, 50)
+                assert obs.metrics.get("casper_cloak_requests_total", anon).value == 1
+
+    def test_unknown_names_arity_kind_and_leaks_raise(self):
+        with rt.enabled() as obs:
+            with pytest.raises(KeyError):
+                rt.count("casper_cloak_request_total", "basic")  # a typo
+            with pytest.raises(ValueError):
+                rt.count("casper_shard_ops_total", 0)  # wrong label arity
+            with pytest.raises(ValueError):
+                rt.count("casper_shard_ops_total", 0, None)  # not optional
+            with pytest.raises(TypeError):
+                rt.observe("casper_shard_ops_total", 1.0, 0, "update")
+            with pytest.raises(TelemetryLeakError):
+                rt.count("casper_server_requests_total", "0.25,0.75")
+            with pytest.raises(TelemetryLeakError):
+                rt.set_gauge("casper_shard_users", 1, 0.5)
+        assert [metric.name for metric in obs.metrics] == ["casper_shard_ops_total"]
 
 
 class TestTelemetryExport:
     def _session(self) -> Observability:
-        obs = Observability()
-        rt.record_cloak(obs, "adaptive", 0.003, 9.0, 3.0, 20, 10)
-        rt.record_candidates(obs, 17)
+        with rt.enabled() as obs:
+            rt.record_cloak("adaptive", 0.003, 9.0, 3.0, 20, 10)
+            rt.observe("casper_candidate_list_size", 17)
         obs.metrics.gauge("casper_load", help="load").set(0.5)
         with obs.tracer.span("casper.query", query_type="nn_public"):
             with obs.tracer.span("processor.extension", data="public"):

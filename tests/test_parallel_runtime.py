@@ -21,6 +21,7 @@ from repro.anonymizer import CloakedRegion, PrivacyProfile
 from repro.anonymizer.cells import CellId
 from repro.geometry import Point, Rect
 from repro.messages import ShardEnvelope
+from repro.observability import runtime as telemetry
 from repro.server import Casper
 from repro.sharding import make_sharded, wire
 from repro.sharding.frontdoor import ShardFrontDoor
@@ -57,6 +58,7 @@ from repro.sharding.workers import (
     FrameEndpoint,
     ParallelShardedAnonymizer,
     ShardWorker,
+    _worker_main,
     _WorkerConfig,
 )
 from tests.conftest import UNIT
@@ -105,6 +107,23 @@ class TestWorkerPool:
         fleet.close()
         with pytest.raises(RuntimeError, match="closed"):
             fleet.register(1, Point(0.5, 0.5), PROFILE)
+
+
+    def test_a_worker_never_runs_under_the_session_it_was_forked_with(self) -> None:
+        """A forked worker inherits a copy of the parent's live session;
+        ``_worker_main`` drops it before serving a frame."""
+        seen = []
+
+        class ClosedPipe:
+            def recv_bytes(self) -> bytes:
+                seen.append(telemetry.active())
+                raise EOFError
+
+        with telemetry.enabled() as outer:
+            with telemetry.enabled():
+                _worker_main(_WorkerConfig("basic", UNIT, 4, 2, 64), 0, ClosedPipe())
+            assert telemetry.active() is outer and outer.is_empty
+        assert seen == [None]
 
 
 class TestHangDetection:

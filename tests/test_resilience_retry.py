@@ -5,6 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import Casper, PrivacyProfile
+from repro.errors import UpdateDeliveryError
+from repro.geometry import Point, Rect
+from repro.resilience import FaultInjector, FaultPlan, ResilienceRuntime, retry
 from repro.resilience.retry import RetryPolicy
 
 
@@ -21,6 +25,8 @@ class TestValidation:
         "kwargs",
         [
             {"max_attempts": 0},
+            # The backoff curve is four module constants: nothing but
+            # this file ever set them, so they are no longer settable.
             {"base_delay": -1.0},
             {"max_delay": -0.5},
             {"multiplier": 0.5},
@@ -29,7 +35,7 @@ class TestValidation:
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises((TypeError, ValueError)):
             RetryPolicy(**kwargs)
 
     def test_negative_attempt_rejected(self):
@@ -39,21 +45,20 @@ class TestValidation:
 
 class TestBackoff:
     def test_exponential_growth_without_jitter(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=100.0, jitter=0.0)
-        rng = fixed_rng()
-        delays = [policy.backoff(n, rng) for n in range(4)]
-        assert delays == pytest.approx([0.1, 0.2, 0.4, 0.8])
+        delays = [RetryPolicy().backoff(n, fixed_rng(0.0)) for n in range(4)]
+        assert delays == pytest.approx(
+            [retry.BASE_DELAY * retry.MULTIPLIER**n for n in range(4)]
+        )
+        assert delays == pytest.approx([0.05, 0.1, 0.2, 0.4])
 
     def test_cap_at_max_delay(self):
-        policy = RetryPolicy(base_delay=1.0, multiplier=10.0, max_delay=2.5, jitter=0.0)
-        assert policy.backoff(5, fixed_rng()) == pytest.approx(2.5)
+        assert RetryPolicy().backoff(12, fixed_rng()) == pytest.approx(retry.MAX_DELAY)
 
     def test_jitter_bounds(self):
-        policy = RetryPolicy(base_delay=1.0, multiplier=1.0, max_delay=10.0, jitter=0.5)
         rng = np.random.default_rng(7)
         for n in range(50):
-            delay = policy.backoff(0, rng)
-            assert 1.0 <= delay < 1.5
+            delay = RetryPolicy().backoff(0, rng)
+            assert retry.BASE_DELAY <= delay < retry.BASE_DELAY * (1 + retry.JITTER)
 
     def test_deterministic_given_seeded_stream(self):
         policy = RetryPolicy()
@@ -61,11 +66,27 @@ class TestBackoff:
         b = [policy.backoff(n, np.random.default_rng(3)) for n in range(3)]
         assert a == b
 
+    @staticmethod
+    def _all_dropped(max_attempts: int) -> ResilienceRuntime:
+        """A runtime after one update sent into a channel that drops
+        everything."""
+        runtime = ResilienceRuntime(
+            FaultPlan(seed=5, drop=1.0), retry=RetryPolicy(max_attempts)
+        )
+        Casper(Rect(0, 0, 1, 1), pyramid_height=4, resilience=runtime)
+        with pytest.raises(UpdateDeliveryError):
+            runtime.send_update("u", 1, Point(0.5, 0.5), PrivacyProfile(k=1))
+        return runtime
+
     def test_schedule_yields_max_attempts_minus_one_delays(self):
-        policy = RetryPolicy(max_attempts=4)
-        assert len(list(policy.schedule(np.random.default_rng(0)))) == 3
+        runtime = self._all_dropped(max_attempts=4)
+        rng = FaultInjector(runtime.plan).backoff_rng
+        assert runtime.counters["retries"] == 3
+        assert runtime.virtual_backoff_seconds == pytest.approx(
+            sum(RetryPolicy().backoff(n, rng) for n in range(3))
+        )
 
     def test_none_policy_is_single_shot(self):
-        policy = RetryPolicy.none()
-        assert policy.max_attempts == 1
-        assert list(policy.schedule(np.random.default_rng(0))) == []
+        runtime = self._all_dropped(max_attempts=1)
+        assert runtime.counters["retries"] == 0
+        assert runtime.virtual_backoff_seconds == 0.0

@@ -50,19 +50,25 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: kernels are; PR 23 re-froze analysis *down* after CSP003, CSP013,
 #: the baseline file and ``--diff`` went, spatial down after the kd-tree
 #: went, and added ``tests`` — every perf PR had grown it by a new
-#: hand-written oracle with nothing watching; entries that did not
-#: shrink below their baseline keep their earlier count).
+#: hand-written oracle with nothing watching; PR 24 re-froze
+#: observability and resilience *down* after the metric catalogue
+#: became one table behind three emit entry points, ``slo.py`` went and
+#: the retry / fault-injector copies collapsed, and re-froze anonymizer
+#: at its count: PR 22's batch kernel landed without moving the
+#: baseline, leaving it 2 lines under the ceiling, so the next one-line
+#: fix there would have failed CI for lines PR 22 added; entries that
+#: did not shrink below their baseline keep their earlier count).
 BASELINES = {
     "src/repro/analysis": 3696,
-    "src/repro/anonymizer": 3234,
+    "src/repro/anonymizer": 3548,
     "src/repro/continuous": 546,
     "src/repro/evaluation": 1263,
     "src/repro/geometry": 692,
     "src/repro/mobility": 835,
-    "src/repro/observability": 1633,
+    "src/repro/observability": 1211,
     "src/repro/privacy": 178,
     "src/repro/processor": 1543,
-    "src/repro/resilience": 1560,
+    "src/repro/resilience": 1520,
     "src/repro/server": 1034,
     "src/repro/sharding": 2687,
     "src/repro/sharding/basic.py": 261,
