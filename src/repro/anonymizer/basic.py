@@ -10,9 +10,9 @@ The pyramid is held as per-level flat Morton-indexed numpy arrays and
 the user table as parallel arrays (:mod:`repro.anonymizer.soa`), with a
 batched update kernel (:meth:`BasicAnonymizer.update_batch`) for
 per-tick streams.  The per-object scalar pyramid it replaced lives on as
-the test oracle ``tests/reference_pyramid.py``; the differential suite
-(``tests/test_reference_equivalence.py``) asserts the two are
-bit-identical on every operation, snapshot and cache epoch.
+the test oracle ``tests/reference_pyramid.py``; the spec machine
+(``tests/test_spec_machine.py``) runs the two as lanes, bit-identical
+on every operation, snapshot and cache epoch.
 """
 
 from __future__ import annotations

@@ -194,6 +194,7 @@ class CliquePolicy(PyramidEngine):
         self._init_engine(bounds, height)
 
     def cloak_location(self, point: Point, profile: PrivacyProfile) -> CloakedRegion:
+        self.grid.cell_of(point)  # refuses a point outside the area, as every host does
         return self._instrumented_cloak(
             lambda: self._group_cloak(point, profile), profile.k, profile.a_min
         )

@@ -52,6 +52,7 @@ class IntervalPolicy(PyramidEngine):
     # Cloaking
     # ------------------------------------------------------------------
     def cloak_location(self, point: Point, profile: PrivacyProfile) -> CloakedRegion:
+        self.grid.cell_of(point)  # refuses a point outside the area, as every host does
         return self._instrumented_cloak(
             lambda: self._kd_cloak(point, profile), profile.k, profile.a_min
         )

@@ -18,9 +18,9 @@ anonymizers keep their state as flat numpy arrays:
 
 Everything here replicates the scalar reference pyramid
 (``tests/reference_pyramid.py``) *exactly* — same truncation, same
-epsilons, same cost accounting; the differential suite
-(``tests/test_reference_equivalence.py``) diffs the two operation by
-operation.  See ``docs/vectorization.md`` for the layout and the
+epsilons, same cost accounting; the spec machine
+(``tests/test_spec_machine.py``) runs the two as lanes, diffed
+operation by operation.  See ``docs/vectorization.md`` for the layout and the
 testing story.
 """
 

@@ -590,8 +590,8 @@ class ParallelShardedAnonymizer(ShardSurface):
     Seeded operation streams produce byte-identical cloaks, costs and
     maintenance counters to the in-process sharded anonymizers (and
     hence to the single-pyramid implementations) — see the module
-    docstring for the replication argument, and
-    ``tests/test_parallel_equivalence.py`` for the oracle.
+    docstring for the replication argument, and the ``parallel`` lane
+    of ``tests/test_spec_machine.py`` for the oracle.
     """
 
     def __init__(
@@ -899,7 +899,7 @@ class ParallelShardedAnonymizer(ShardSurface):
         """
         if not isinstance(state, _ParallelSnapshot) or state.kind != self.kind:
             raise TypeError("not a ParallelShardedAnonymizer snapshot")
-        self._discard_pending()
+        self.flush()  # queued mutations count in the workers' stats
         self.table.restore(state.population)
         self._occupancy = self._recount()
         if self._partitioned:
@@ -1097,14 +1097,11 @@ class ParallelShardedAnonymizer(ShardSurface):
                 raw = conn.recv_bytes()
             except (EOFError, OSError) as exc:
                 raise _WorkerDied(shard, f"pipe closed ({exc!r})") from None
-            payloads = [raw]
+            payloads, fresh = [raw], True
             if self._injector is not None:
                 deliveries = self._injector.transmit(f"shard-resp:{shard}", raw)
                 payloads = [delivery.payload for delivery in deliveries]
-            if not payloads:
-                # The injector dropped/held the reply; ask for a replay.
-                attempts += self._transmit(shard, conn, wire_bytes, attempts)
-                continue
+                fresh = not all(delivery.late for delivery in deliveries)
             for payload in payloads:
                 try:
                     reply = decode_frame(payload)
@@ -1127,6 +1124,11 @@ class ParallelShardedAnonymizer(ShardSurface):
                     return reply
                 # A stale duplicate of an already-finished exchange:
                 # drain silently, the reply for `seq` is still coming.
+            if not fresh:
+                # The reply just read was dropped or held; what came
+                # instead, if anything, is older traffic — as in
+                # `_transmit`, only the current frame counts: replay.
+                attempts += self._transmit(shard, conn, wire_bytes, attempts)
 
     def _transmit(
         self,

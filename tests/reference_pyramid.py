@@ -71,6 +71,12 @@ class _ReferenceHost(PyramidEngine):
         except KeyError:
             raise UnknownUserError(uid) from None
 
+    def location_of(self, uid: object) -> Point:
+        return self._record(uid).point
+
+    def profile_of(self, uid: object) -> PrivacyProfile:
+        return self._record(uid).profile
+
     def users_in_rect(self, rect: Rect) -> int:
         return sum(1 for rec in self._users.values() if rect.contains_point(rec.point))
 
@@ -174,11 +180,14 @@ class ReferenceBasic(_ReferenceHost, CompletePyramidMaintainer):
 
     def cloak(self, uid: object):
         record = self._record(uid)
-        shard = self.router.shard_of(record.cell)
+        return self.cloak_location(record.point, record.profile)
+
+    def cloak_location(self, point: Point, profile: PrivacyProfile):
+        cell = self.grid.cell_of(point)
+        shard = self.router.shard_of(cell)
         return self._cloak_via(
             self._caches[shard], self.cell_count, self._gen_of,
-            (self._shard_epochs[shard], self._boundary_epoch),
-            record.profile, record.cell,
+            (self._shard_epochs[shard], self._boundary_epoch), profile, cell,
         )
 
     def cache_stats_per_shard(self) -> dict[str, dict[str, int]]:
@@ -230,7 +239,8 @@ class ReferenceBasic(_ReferenceHost, CompletePyramidMaintainer):
         return _BasicSnapshot([arr.copy() for arr in self._counts], self._population())
 
     def restore(self, state: object) -> None:
-        assert isinstance(state, _BasicSnapshot)
+        if not isinstance(state, _BasicSnapshot):
+            raise TypeError("not a basic snapshot")
         self._counts = [arr.copy() for arr in state.counts]
         self._users = {
             uid: _Record(profile, point, self.grid.cell_of(point))
@@ -298,9 +308,14 @@ class ReferenceAdaptive(_ReferenceHost, CutMaintainer):
 
     def cloak(self, uid: object):
         record = self._record(uid)
+        return self._cloak_at(record.profile, record.cell)
+
+    def cloak_location(self, point: Point, profile: PrivacyProfile):
+        return self._cloak_at(profile, self.leaf_for_point(point))
+
+    def _cloak_at(self, profile: PrivacyProfile, leaf: CellId):
         return self._cloak_via(
-            self.cloak_cache, self.cell_count, self._gen_of, self._epoch,
-            record.profile, record.cell,
+            self.cloak_cache, self.cell_count, self._gen_of, self._epoch, profile, leaf,
         )
 
     def _set_leaf(self, uids, leaf: CellId) -> None:
@@ -372,7 +387,8 @@ class ReferenceAdaptive(_ReferenceHost, CutMaintainer):
         return _AdaptiveSnapshot(self._copy(self._cells), self._population())
 
     def restore(self, state: object) -> None:
-        assert isinstance(state, _AdaptiveSnapshot)
+        if not isinstance(state, _AdaptiveSnapshot):
+            raise TypeError("not an adaptive snapshot")
         self._cells = self._copy(state.cells)
         # The maintained-leaf pointers are a function of the cut: each
         # leaf names its users.
@@ -387,11 +403,12 @@ class ReferenceAdaptive(_ReferenceHost, CutMaintainer):
 
     def check_invariants(self) -> None:
         """Cut consistency, stated independently of production."""
+        under: dict[CellId, set] = {}  # every cell on a user's path -> its users
+        for uid, rec in self._users.items():
+            for cell in self.grid.path_to_root(self.grid.cell_of(rec.point)):
+                under.setdefault(cell, set()).add(uid)
         for cell, entry in self._cells.items():
-            below = {
-                uid for uid, rec in self._users.items()
-                if cell.is_ancestor_of(self.grid.cell_of(rec.point))
-            }
+            below = under.get(cell, set())
             assert entry.count == len(below), f"{cell} count drift"
             assert entry.users == (below if entry.is_leaf else set()), f"{cell} users"
             assert entry.is_leaf or all(c in self._cells for c in cell.children())

@@ -3,22 +3,18 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.anonymizer import AdaptiveAnonymizer, CellId, PrivacyProfile
+from repro.anonymizer import AdaptiveAnonymizer, PrivacyProfile
 from repro.errors import DuplicateUserError, ProfileUnsatisfiableError, UnknownUserError
-from repro.geometry import Point, Rect
+from repro.geometry import Point
 from tests.conftest import UNIT, random_points
+from tests.test_spec_machine import population, replay, users
 
 
-def populated(
-    n: int = 200, height: int = 6, seed: int = 0, k_max: int = 20
-) -> AdaptiveAnonymizer:
-    rng = np.random.default_rng(seed)
-    an = AdaptiveAnonymizer(UNIT, height=height)
-    for i, p in enumerate(random_points(rng, n)):
-        an.register(i, p, PrivacyProfile(k=int(rng.integers(1, k_max))))
-    return an
+def adaptive(steps: list[tuple]) -> list:
+    """What the single instance (and the scalar reference) agreed on, per
+    step, held to the spec by ``tests/test_spec_machine.py``."""
+    return replay("adaptive", steps, only=("single", "reference"))
 
 
 class TestStructureAdaptation:
@@ -92,57 +88,30 @@ class TestStructureAdaptation:
 
 class TestMaintenance:
     def test_register_duplicate_raises(self):
-        an = AdaptiveAnonymizer(UNIT, height=4)
-        an.register("u", Point(0.5, 0.5), PrivacyProfile())
-        with pytest.raises(DuplicateUserError):
-            an.register("u", Point(0.5, 0.5), PrivacyProfile())
+        steps = [("register", "u", Point(0.5, 0.5), PrivacyProfile())] * 2
+        assert adaptive(steps)[-1] == ("raised", DuplicateUserError)
 
     def test_unknown_user_raises(self):
-        an = AdaptiveAnonymizer(UNIT, height=4)
-        with pytest.raises(UnknownUserError):
-            an.update("ghost", Point(0.5, 0.5))
-        with pytest.raises(UnknownUserError):
-            an.cloak("ghost")
-        with pytest.raises(UnknownUserError):
-            an.deregister("ghost")
+        steps = [("update", "ghost", Point(0.5, 0.5)), ("cloak", "ghost"),
+                 ("deregister", "ghost")]
+        assert adaptive(steps) == [("raised", UnknownUserError)] * 3
 
     def test_update_within_leaf_costs_nothing(self):
-        an = AdaptiveAnonymizer(UNIT, height=6)
-        an.register("u", Point(0.1, 0.1), PrivacyProfile(k=10))
-        cost = an.update("u", Point(0.8, 0.8))
         # Single strict user: the root is the only cell, no counters move.
-        assert cost == 0
+        steps = [("register", "u", Point(0.1, 0.1), PrivacyProfile(k=10)),
+                 ("update", "u", Point(0.8, 0.8))]
+        assert adaptive(steps)[-1] == ("ok", 0)
 
-    def test_counts_consistent_after_churn(self, rng):
-        an = populated(150, height=6)
-        for step in range(400):
-            uid = int(rng.integers(150))
-            x, y = rng.random(2)
-            an.update(uid, Point(float(x), float(y)))
-            if step % 50 == 0:
-                an.check_invariants()
-        an.check_invariants()
+    def test_counts_consistent_after_churn(self):
+        moves = [("update", uid, point) for _, uid, point, _ in users(60, seed=7)]
+        halves = [("burst", moves[:30]), ("burst", moves[30:])]
+        adaptive(population(60, seed=0) + halves)
 
-    def test_churn_with_registrations_and_departures(self, rng):
-        an = populated(100, height=6, seed=7)
-        next_uid = 100
-        for step in range(200):
-            roll = rng.random()
-            if roll < 0.2:
-                an.register(
-                    next_uid,
-                    Point(float(rng.random()), float(rng.random())),
-                    PrivacyProfile(k=int(rng.integers(1, 30))),
-                )
-                next_uid += 1
-            elif roll < 0.4 and an.num_users > 10:
-                registered = [u for u in range(next_uid) if u in an]
-                an.deregister(int(rng.choice(registered)))
-            else:
-                registered = [u for u in range(next_uid) if u in an]
-                uid = int(rng.choice(registered))
-                an.update(uid, Point(float(rng.random()), float(rng.random())))
-        an.check_invariants()
+    def test_churn_with_registrations_and_departures(self):
+        departures = [("deregister", uid) for uid in range(0, 60, 4)]
+        churn = departures + users(80, seed=9)[60:]
+        moves = [("update", uid, Point(0.3, 0.6)) for uid in range(1, 80, 9)]
+        adaptive(population(60, seed=7) + [("burst", churn)] + moves)
 
     def test_cheaper_updates_than_basic_for_strict_profiles(self):
         """The headline claim of Section 4.2: with strict profiles the
@@ -174,31 +143,19 @@ class TestMaintenance:
 
 class TestCloaking:
     def test_cloak_contains_user_and_satisfies_profile(self):
-        an = populated(300, height=6, seed=9)
-        for uid in range(0, 300, 13):
-            region = an.cloak(uid)
-            profile = an.profile_of(uid)
-            assert region.region.contains_point(an.location_of(uid))
-            assert region.achieved_k >= profile.k
-            assert region.area >= profile.a_min - 1e-12
+        adaptive(population(60, seed=9))
 
     def test_achieved_k_matches_true_population(self):
-        an = populated(250, height=6, seed=10)
-        for uid in range(0, 250, 23):
-            region = an.cloak(uid)
-            assert an.users_in_rect(region.region) == region.achieved_k
+        adaptive(population(50, seed=10))
 
     def test_cloak_location_unregistered(self):
-        an = populated(300, height=6, seed=11)
-        region = an.cloak_location(Point(0.25, 0.25), PrivacyProfile(k=10))
-        assert region.achieved_k >= 10
-        assert region.region.contains_point(Point(0.25, 0.25))
+        located = ("cloak_location", Point(0.25, 0.25), PrivacyProfile(k=10))
+        adaptive(population(60, seed=11) + [located])
 
     def test_unsatisfiable_raises(self):
-        an = AdaptiveAnonymizer(UNIT, height=4)
-        an.register("u1", Point(0.5, 0.5), PrivacyProfile(k=50))
-        with pytest.raises(ProfileUnsatisfiableError):
-            an.cloak("u1")
+        steps = [("register", "u1", Point(0.5, 0.5), PrivacyProfile(k=50)),
+                 ("cloak", "u1")]
+        assert adaptive(steps)[-1] == ("raised", ProfileUnsatisfiableError)
 
     def test_cloak_starts_from_maintained_leaf(self):
         """The adaptive speedup: the cloak's Algorithm 1 starting cell is
@@ -212,20 +169,7 @@ class TestCloaking:
         assert leaf.level < 4  # strict profiles keep the cut shallow
 
     def test_satisfaction_equivalent_to_basic(self):
-        """Both anonymizers must satisfy the same profiles on the same
+        """Both anonymizers satisfy the same profiles on the same
         population (the paper reports identical accuracy)."""
-        from repro.anonymizer import BasicAnonymizer
-
-        rng = np.random.default_rng(13)
-        points = random_points(rng, 200)
-        profiles = [PrivacyProfile(k=int(rng.integers(1, 40))) for _ in points]
-        basic = BasicAnonymizer(UNIT, height=6)
-        adaptive = AdaptiveAnonymizer(UNIT, height=6)
-        for i, p in enumerate(points):
-            basic.register(i, p, profiles[i])
-            adaptive.register(i, p, profiles[i])
-        for uid in range(0, 200, 7):
-            rb = basic.cloak(uid)
-            ra = adaptive.cloak(uid)
-            assert rb.achieved_k >= profiles[uid].k
-            assert ra.achieved_k >= profiles[uid].k
+        for policy in ("basic", "adaptive"):
+            replay(policy, population(60, seed=13), only=("single",))

@@ -18,6 +18,7 @@ from repro.anonymizer.policies import (
 from repro.errors import ProfileUnsatisfiableError, UnknownUserError
 from repro.geometry import Point, Rect
 from tests.conftest import UNIT, random_points
+from tests.test_spec_machine import crowd, replay
 
 
 def interval_cloak(k: int, points=(), **options):
@@ -29,6 +30,11 @@ def interval_cloak(k: int, points=(), **options):
     return policy
 
 
+def interval(steps: list[tuple]) -> list:
+    """What the policy's single instance agreed on with the spec, per step."""
+    return replay("interval", steps, only=("single",))
+
+
 class TestIntervalCloak:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -36,35 +42,25 @@ class TestIntervalCloak:
         with pytest.raises(ValueError):
             IntervalPolicy(Rect(0, 0, 0, 1))
 
-    def test_cloak_satisfies_k(self, rng):
-        ic = interval_cloak(15, random_points(rng, 200))
-        for uid in range(0, 200, 19):
-            region = ic.cloak(uid)
-            assert region.achieved_k >= 15
+    # The cloak contract, as replays on the spec machine's interval lane.
+    def test_cloak_satisfies_k(self):
+        interval(crowd(60, k=15) + [("cloak", uid) for uid in range(0, 60, 7)])
 
-    def test_cloak_contains_user(self, rng):
-        points = random_points(rng, 120)
-        ic = interval_cloak(10, points)
-        for uid in range(0, 120, 11):
-            assert ic.cloak(uid).region.contains_point(points[uid])
+    def test_cloak_contains_user(self):
+        interval(crowd(60, k=10, seed=3) + [("cloak", uid) for uid in range(0, 60, 5)])
 
     def test_population_below_k_raises(self):
-        ic = interval_cloak(10, [Point(0.5, 0.5)])
-        with pytest.raises(ProfileUnsatisfiableError):
-            ic.cloak(0)
+        steps = [("register", 0, Point(0.5, 0.5), PrivacyProfile(10)), ("cloak", 0)]
+        assert interval(steps)[-1] == ("raised", ProfileUnsatisfiableError)
 
     def test_unknown_user_raises(self):
-        ic = interval_cloak(2)
-        with pytest.raises(UnknownUserError):
-            ic.cloak("ghost")
-        with pytest.raises(UnknownUserError):
-            ic.update("ghost", Point(0.5, 0.5))
-        with pytest.raises(UnknownUserError):
-            ic.deregister("ghost")
+        steps = [("cloak", "ghost"), ("update", "ghost", Point(0.5, 0.5)),
+                 ("deregister", "ghost")]
+        assert interval(steps) == [("raised", UnknownUserError)] * 3
 
-    def test_updates_are_free_maintenance(self, rng):
-        ic = interval_cloak(5, random_points(rng, 50))
-        assert ic.update(0, Point(0.9, 0.9)) == 0
+    def test_updates_are_free_maintenance(self):
+        steps = crowd(50, k=5) + [("update", 0, Point(0.9, 0.9))]
+        assert interval(steps)[-1] == ("ok", 0)
 
     def test_dense_cluster_gets_small_region(self, rng):
         # 50 users packed into a corner, 10 scattered.

@@ -1,8 +1,15 @@
-"""Tests for the basic (complete pyramid) location anonymizer."""
+"""The basic (complete pyramid) location anonymizer.
+
+Replays of the spec machine (``tests/test_spec_machine.py``) on the
+policy's single instance beside the scalar reference pyramid: every
+call is held to the brute-force spec — refusals with their typed
+errors and no trace, every cloak Algorithm 1's from the user's
+lowest-level cell (so a cell or a sibling pair holding k' users) — and
+the pyramid audits itself after each step.
+"""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.anonymizer import BasicAnonymizer, PrivacyProfile
@@ -12,98 +19,65 @@ from repro.errors import (
     ProfileUnsatisfiableError,
     UnknownUserError,
 )
-from repro.geometry import Point, Rect
-from tests.conftest import UNIT, random_points
+from repro.geometry import Point
+from tests.conftest import UNIT
+from tests.test_spec_machine import HEIGHT, population, replay, users
+
+U1 = ("register", "u1", Point(0.01, 0.01), PrivacyProfile())
 
 
-def populated(n: int = 200, height: int = 6, seed: int = 0) -> BasicAnonymizer:
-    rng = np.random.default_rng(seed)
-    an = BasicAnonymizer(UNIT, height=height)
-    for i, p in enumerate(random_points(rng, n)):
-        an.register(i, p, PrivacyProfile(k=int(rng.integers(1, 20))))
-    return an
+def basic(steps: list[tuple]) -> list:
+    """What the single instance (and the reference) agreed on, per step."""
+    return replay("basic", steps, only=("single", "reference"))
 
 
 class TestRegistration:
     def test_register_and_counts(self):
-        an = BasicAnonymizer(UNIT, height=3)
-        an.register("u1", Point(0.1, 0.1), PrivacyProfile(k=1))
-        assert an.num_users == 1
-        assert "u1" in an
-        cell = an.grid.cell_of(Point(0.1, 0.1))
-        assert an.cell_count(cell) == 1
-        an.check_invariants()
+        basic([U1])
 
     def test_duplicate_registration_raises(self):
-        an = BasicAnonymizer(UNIT, height=3)
-        an.register("u1", Point(0.1, 0.1), PrivacyProfile())
-        with pytest.raises(DuplicateUserError):
-            an.register("u1", Point(0.2, 0.2), PrivacyProfile())
+        assert basic([U1, U1])[-1] == ("raised", DuplicateUserError)
 
     def test_register_out_of_bounds_raises(self):
-        an = BasicAnonymizer(UNIT, height=3)
-        with pytest.raises(OutOfBoundsError):
-            an.register("u1", Point(2, 2), PrivacyProfile())
+        outside = ("register", "u1", Point(2, 2), PrivacyProfile())
+        assert basic([outside]) == [("raised", OutOfBoundsError)]
 
     def test_deregister(self):
-        an = BasicAnonymizer(UNIT, height=3)
-        an.register("u1", Point(0.1, 0.1), PrivacyProfile())
-        an.deregister("u1")
-        assert an.num_users == 0
-        an.check_invariants()
+        basic([U1, ("deregister", "u1")])
 
     def test_deregister_unknown_raises(self):
-        an = BasicAnonymizer(UNIT, height=3)
-        with pytest.raises(UnknownUserError):
-            an.deregister("ghost")
+        assert basic([("deregister", "ghost")]) == [("raised", UnknownUserError)]
 
     def test_profile_accessors(self):
-        an = BasicAnonymizer(UNIT, height=3)
-        profile = PrivacyProfile(k=7, a_min=0.01)
-        an.register("u1", Point(0.3, 0.3), profile)
-        assert an.profile_of("u1") == profile
-        assert an.location_of("u1") == Point(0.3, 0.3)
-        an.set_profile("u1", PrivacyProfile(k=2))
-        assert an.profile_of("u1").k == 2
+        basic([("register", "u1", Point(0.3, 0.3), PrivacyProfile(7, 0.01)),
+               ("set_profile", "u1", PrivacyProfile(2))])
 
 
 class TestUpdates:
+    @staticmethod
+    def cost(to: Point) -> int:
+        (_, cost) = basic([U1, ("update", "u1", to)])[-1]
+        return cost
+
     def test_update_within_cell_costs_nothing(self):
-        an = BasicAnonymizer(UNIT, height=2)
-        an.register("u1", Point(0.01, 0.01), PrivacyProfile())
-        cost = an.update("u1", Point(0.02, 0.02))
-        assert cost == 0
-        assert an.location_of("u1") == Point(0.02, 0.02)
+        assert self.cost(Point(0.02, 0.02)) == 0
 
     def test_update_to_sibling_costs_two(self):
-        an = BasicAnonymizer(UNIT, height=3)
-        an.register("u1", Point(0.01, 0.01), PrivacyProfile())
-        # Move to the horizontal sibling cell at the lowest level: only
-        # the two lowest-level counters change.
-        cost = an.update("u1", Point(0.126 + 0.01, 0.01))
-        assert cost == 2
-        an.check_invariants()
+        # The horizontal sibling at the lowest level: only the two
+        # lowest-level counters change.
+        assert self.cost(Point(0.01 + 1 / 2**HEIGHT, 0.01)) == 2
 
     def test_update_across_space_costs_full_depth(self):
-        height = 5
-        an = BasicAnonymizer(UNIT, height=height)
-        an.register("u1", Point(0.01, 0.01), PrivacyProfile())
-        cost = an.update("u1", Point(0.99, 0.99))
-        assert cost == 2 * height  # both branches below the root
-        an.check_invariants()
+        # Both branches below the root.
+        assert self.cost(Point(0.99, 0.99)) == 2 * HEIGHT
 
     def test_update_unknown_raises(self):
-        an = BasicAnonymizer(UNIT, height=3)
-        with pytest.raises(UnknownUserError):
-            an.update("ghost", Point(0.5, 0.5))
+        stranger = ("update", "ghost", Point(0.5, 0.5))
+        assert basic([stranger]) == [("raised", UnknownUserError)]
 
-    def test_counts_consistent_after_many_updates(self, rng):
-        an = populated(150, height=5)
-        for _ in range(300):
-            uid = int(rng.integers(150))
-            x, y = rng.random(2)
-            an.update(uid, Point(float(x), float(y)))
-        an.check_invariants()
+    def test_counts_consistent_after_many_updates(self):
+        moves = [("update", uid, point) for _, uid, point, _ in users(60, seed=9)]
+        basic(population(60, seed=0) + [("burst", moves)])
 
     def test_stats_accounting(self):
         an = BasicAnonymizer(UNIT, height=4)
@@ -120,63 +94,38 @@ class TestUpdates:
 
 class TestCloaking:
     def test_cloak_contains_user(self):
-        an = populated(300, height=6)
-        for uid in range(0, 300, 17):
-            region = an.cloak(uid)
-            assert region.region.contains_point(an.location_of(uid))
+        basic(population(60, seed=0))
 
     def test_cloak_satisfies_profile(self):
-        an = populated(300, height=6, seed=1)
-        for uid in range(0, 300, 13):
-            profile = an.profile_of(uid)
-            region = an.cloak(uid)
-            assert region.achieved_k >= profile.k
-            assert region.area >= profile.a_min - 1e-12
+        basic(population(60, seed=1))
 
     def test_achieved_k_matches_true_population(self):
-        an = populated(250, height=6, seed=2)
-        for uid in range(0, 250, 23):
-            region = an.cloak(uid)
-            assert an.users_in_rect(region.region) == region.achieved_k
+        basic(population(50, seed=2))
+
+    def test_cloaked_region_is_data_independent_shape(self):
+        """Quality requirement: a cell or a sibling pair of the fixed
+        partitioning, never a data-dependent MBR."""
+        basic(population(60, seed=6))
 
     def test_relaxed_user_gets_small_region(self):
-        an = populated(400, height=7, seed=3)
-        an.register("me", Point(0.5, 0.5), PrivacyProfile(k=1))
-        region = an.cloak("me")
-        # k=1 is satisfied by the user's own lowest-level cell.
-        assert region.level == 7
+        me = [("register", "me", Point(0.5, 0.5), PrivacyProfile(k=1)), ("cloak", "me")]
+        *_, (_, (_, _, cells)) = basic(population(40, seed=3) + me)
+        assert [cell.level for cell in cells] == [HEIGHT]  # the user's own cell
 
     def test_amin_respected(self):
-        an = populated(200, height=6, seed=4)
-        an.register("me", Point(0.5, 0.5), PrivacyProfile(k=1, a_min=0.3))
-        region = an.cloak("me")
+        me = [("register", "me", Point(0.5, 0.5), PrivacyProfile(k=1, a_min=0.3)),
+              ("cloak", "me")]
+        *_, (_, (region, _, _)) = basic(population(40, seed=4) + me)
         assert region.area >= 0.3
 
     def test_unsatisfiable_raises(self):
-        an = BasicAnonymizer(UNIT, height=4)
-        an.register("u1", Point(0.5, 0.5), PrivacyProfile(k=50))
-        with pytest.raises(ProfileUnsatisfiableError):
-            an.cloak("u1")
+        steps = [("register", "u1", Point(0.5, 0.5), PrivacyProfile(k=50)),
+                 ("cloak", "u1")]
+        assert basic(steps)[-1] == ("raised", ProfileUnsatisfiableError)
 
     def test_cloak_location_unregistered(self):
-        an = populated(300, height=6, seed=5)
-        region = an.cloak_location(Point(0.25, 0.25), PrivacyProfile(k=10))
-        assert region.achieved_k >= 10
-        assert region.region.contains_point(Point(0.25, 0.25))
+        located = ("cloak_location", Point(0.25, 0.25), PrivacyProfile(k=10))
+        basic(population(60, seed=5) + [located])
 
     def test_cloak_unknown_user_raises(self):
-        an = BasicAnonymizer(UNIT, height=3)
-        with pytest.raises(UnknownUserError):
-            an.cloak("ghost")
-
-    def test_cloaked_region_is_data_independent_shape(self):
-        """Quality requirement: regions are cells or sibling pairs of the
-        pre-defined pyramid partitioning, never data-dependent MBRs."""
-        an = populated(300, height=6, seed=6)
-        for uid in range(0, 300, 11):
-            region = an.cloak(uid)
-            assert len(region.cells) in (1, 2)
-            expected = an.grid.cell_rect(region.cells[0])
-            for cell in region.cells[1:]:
-                expected = expected.union(an.grid.cell_rect(cell))
-            assert region.region == expected
+        assert basic([("cloak", "ghost")]) == [("raised", UnknownUserError)]

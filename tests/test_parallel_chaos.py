@@ -14,6 +14,7 @@ import multiprocessing
 
 import pytest
 
+from repro.observability import enabled
 from repro.resilience import (
     SCENARIOS,
     ChaosWorkload,
@@ -75,8 +76,16 @@ class TestParallelUnderOtherScenarios:
     def test_wire_faults_hit_the_real_frame_stream(self) -> None:
         # drop/corrupt/reorder now act on genuine pipe bytes; the
         # stop-and-wait retransmission must still converge to matching
-        # answers.
-        for name in ("drop-heavy", "reorder"):
-            report = run_chaos(get_scenario(name), PARALLEL)
+        # answers — and a reply the injector holds is asked for again,
+        # never waited out until a healthy worker is declared hung.
+        for name in ("drop-heavy", "reorder", "continuous-drift", "flaky-everything"):
+            with enabled() as session:
+                report = run_chaos(get_scenario(name), PARALLEL)
             assert report.ok, name
             assert report.privacy_violations == 0
+            timeouts = [
+                metric.labels for metric in session.metrics
+                if metric.name == "casper_worker_events_total"
+                and dict(metric.labels)["event"] == "timeout"
+            ]
+            assert not timeouts, (name, timeouts)

@@ -16,6 +16,7 @@ from repro.sharding import (
     make_sharded,
 )
 from tests.conftest import UNIT
+from tests.test_spec_machine import crowd, replay
 
 HEIGHT = 5
 KINDS = ["basic", "adaptive"]
@@ -33,42 +34,23 @@ def _populated_fleet(kind: str, num_shards: int = 4, users: int = 40):
     return fleet
 
 
-def _cloak_fingerprints(fleet) -> list[tuple]:
-    out = []
-    for i in range(0, 40, 5):
-        region = fleet.cloak(f"u{i:02d}")
-        out.append((region.region.as_tuple(), region.achieved_k, region.cells))
-    return out
-
-
 class TestFleetSnapshot:
+    """Round trips are replays of the spec machine, whose lanes restore
+    and compare every deployment at each step."""
+
+    CLOAKS = [("cloak", uid) for uid in range(0, 40, 5)]
+    STEPS = crowd(40, k=3, seed=3) + CLOAKS + [("save",)]
+    MOVES = [("update", uid, Point(0.01 * uid, 0.02 * uid)) for uid in range(10)]
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_snapshot_restore_round_trip(self, kind) -> None:
-        fleet = _populated_fleet(kind)
-        before = _cloak_fingerprints(fleet)
-        state = fleet.snapshot()
-        rng = np.random.default_rng(9)
-        for i in range(40):
-            fleet.update(
-                f"u{i:02d}", Point(float(rng.random()), float(rng.random()))
-            )
-        fleet.deregister("u07")
-        assert _cloak_fingerprints(fleet) != before
-        fleet.restore(state)
-        fleet.check_invariants()
-        assert _cloak_fingerprints(fleet) == before
+        mutated = self.MOVES + [("deregister", 7)] + self.CLOAKS
+        replay(kind, self.STEPS + mutated + [("reload",)] + self.CLOAKS)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_snapshot_serves_many_restores(self, kind) -> None:
-        fleet = _populated_fleet(kind)
-        before = _cloak_fingerprints(fleet)
-        state = fleet.snapshot()
-        for _crash in range(3):
-            for i in range(10):
-                fleet.update(f"u{i:02d}", Point(0.01 * i, 0.02 * i))
-            fleet.restore(state)
-            fleet.check_invariants()
-            assert _cloak_fingerprints(fleet) == before
+        restart = self.MOVES + self.CLOAKS[:2] + [("reload",)] + self.CLOAKS[:2]
+        replay(kind, self.STEPS + restart * 3)
 
     @pytest.mark.parametrize("kind", KINDS + ["interval", "clique", "temporal"])
     def test_restore_rejects_foreign_state(self, kind) -> None:

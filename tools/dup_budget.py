@@ -15,7 +15,11 @@ package directory, or one file's lines) and fails CI when an entry
 regrows past its baseline plus 10% — growth beyond that band means
 either duplication creeping back (hoist it into the shared layers) or a
 genuine new responsibility (then move the baseline in the same PR, with
-the reasoning in the commit).  The table it prints is the per-package
+the reasoning in the commit).  ``tests`` is a ratchet (:data:`RATCHETS`,
+no band): a new behaviour is checked by a call of the spec machine
+(``tests/test_spec_machine.py``) or a replay through it, not by a new
+hand-written oracle, so the suite can only grow by moving its baseline
+with the reason in the commit.  The table it prints is the per-package
 number ``CHANGES.md`` quotes PR over PR.
 
 Usage::
@@ -57,7 +61,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: at its count: PR 22's batch kernel landed without moving the
 #: baseline, leaving it 2 lines under the ceiling, so the next one-line
 #: fix there would have failed CI for lines PR 22 added; entries that
-#: did not shrink below their baseline keep their earlier count).
+#: did not shrink below their baseline keep their earlier count; tests
+#: was re-frozen *down* once one spec machine replaced the five
+#: hand-paired equivalence suites, and made a ratchet).
 BASELINES = {
     "src/repro/analysis": 3696,
     "src/repro/anonymizer": 3548,
@@ -79,15 +85,17 @@ BASELINES = {
     "src/repro/utils": 197,
     "src/repro/viz": 311,
     "src/repro/workloads": 473,
-    "tests": 16030,
+    "tests": 15852,
 }
 
 #: Allowed growth over baseline before the gate fails.
 HEADROOM = 0.10
+#: Entries that may not grow at all: move the baseline, with a reason.
+RATCHETS = {"tests"}
 
 
-def budget_of(baseline: int) -> int:
-    return int(baseline * (1 + HEADROOM))
+def budget_of(rel: str, baseline: int) -> int:
+    return baseline if rel in RATCHETS else int(baseline * (1 + HEADROOM))
 
 
 def lines_of(path: Path) -> int | None:
@@ -117,16 +125,16 @@ def main(argv: list[str] | None = None) -> int:
         if lines is None:
             print(f"dup-budget: {rel}: budgeted path is missing", file=sys.stderr)
             return 2
-        budget = budget_of(baseline)
+        budget = budget_of(rel, baseline)
         status = "ok" if lines <= budget else "OVER BUDGET"
         print(f"{rel:<{width}}  {lines:>6}  {baseline:>8}  {budget:>6}  {status}")
         if lines > budget:
             failures += 1
             print(
                 f"dup-budget: {rel} regrew past its frozen baseline "
-                f"({baseline} + {HEADROOM:.0%}); hoist shared mechanics into "
-                f"the shared layers or move the baseline deliberately in "
-                f"this PR",
+                f"({baseline} + {0 if rel in RATCHETS else HEADROOM:.0%}); "
+                f"hoist shared mechanics into the shared layers or move the "
+                f"baseline deliberately in this PR",
                 file=sys.stderr,
             )
     return 1 if failures else 0
