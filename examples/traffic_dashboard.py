@@ -72,16 +72,6 @@ def main() -> None:
     print("The interval [min, max] always bracketed the truth, and the "
           "server never learned any car's exact position.")
 
-    # The full-map generalization of the count query: a density heat map
-    # built from cloaked regions only. The county's road skeleton is
-    # clearly visible even though no exact location was ever stored.
-    print("\ncity-wide expected density (cloaked data only):")
-    density = casper.density_map(resolution=14)
-    print(density.render())
-    hotspot, load = density.hotspots(1)[0]
-    print(f"\nbusiest cell: {hotspot.as_tuple()} with "
-          f"~{load:.1f} expected cars")
-
 
 if __name__ == "__main__":
     main()

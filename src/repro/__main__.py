@@ -5,8 +5,6 @@ Commands
 figures [names...]     regenerate the paper's figures (default: all);
                        honours CASPER_BENCH_SCALE (small | paper)
 demo                   run a compact end-to-end demonstration
-simulate               drive the full stack for N ticks with an
-                       exactness audit and per-tick metrics
 lint                   run casperlint (privacy-boundary, determinism,
                        index-contract and correctness rules)
 metrics                run an instrumented example and print its
@@ -71,36 +69,6 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
           f"{casper.server.num_public} targets")
     print(f"exact answer     : {result.answer}")
     print(f"end-to-end time  : {result.total_seconds * 1e3:.3f} ms")
-    return 0
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.simulation import CitySimulation, SimulationConfig
-
-    config = SimulationConfig(
-        num_users=args.users,
-        num_targets=args.targets,
-        anonymizer=args.anonymizer,
-        queries_per_tick=args.queries,
-        seed=args.seed,
-    )
-    sim = CitySimulation(config)
-    print(f"simulating {args.ticks} ticks ...")
-    for tick in range(args.ticks):
-        report = sim.step()
-        print(
-            f"tick {tick:>3}: {report.queries} queries, "
-            f"avg {report.avg_candidates:.1f} candidates, "
-            f"avg {report.avg_end_to_end_seconds * 1e3:.3f} ms end-to-end, "
-            f"audits {report.audits_passed}/"
-            f"{report.audits_passed + report.audits_failed}"
-        )
-        if report.audits_failed:
-            print("AUDIT FAILURE — a candidate list missed the true answer")
-            return 1
-    density = sim.casper.density_map(resolution=12)
-    print("\nexpected-population density (from cloaked data only):")
-    print(density.render())
     return 0
 
 
@@ -257,7 +225,7 @@ def _cmd_info(_args: argparse.Namespace) -> int:
     print("components: geometry, spatial (r-tree/grid/quadtree/"
           "brute), mobility, anonymizer (basic/adaptive + the interval/"
           "clique/temporal policies), "
-          "processor (NN/kNN/range/aggregate, 1-2-4 filters), continuous, "
+          "processor (NN/kNN/range/count, 1-2-4 filters), continuous, "
           "server, workloads, evaluation")
     return 0
 
@@ -286,19 +254,6 @@ def main(argv: list[str] | None = None) -> int:
 
     demo = sub.add_parser("demo", help="run a compact end-to-end demo")
     demo.set_defaults(func=_cmd_demo)
-
-    from repro.anonymizer.policy import available_policies
-
-    simulate = sub.add_parser("simulate", help="drive the full stack")
-    simulate.add_argument("--ticks", type=int, default=5)
-    simulate.add_argument("--users", type=int, default=1000)
-    simulate.add_argument("--targets", type=int, default=500)
-    simulate.add_argument("--queries", type=int, default=20)
-    simulate.add_argument(
-        "--anonymizer", choices=available_policies(), default="adaptive"
-    )
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.set_defaults(func=_cmd_simulate)
 
     lint = sub.add_parser(
         "lint", help="run the casperlint static analysis suite"
@@ -332,6 +287,8 @@ def main(argv: list[str] | None = None) -> int:
         "round-trip and batch-size metrics)",
     )
     metrics.set_defaults(func=_cmd_metrics)
+
+    from repro.anonymizer.policy import available_policies
 
     chaos = sub.add_parser(
         "chaos",

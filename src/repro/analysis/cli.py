@@ -1,4 +1,4 @@
-"""The ``python -m repro lint`` command (also ``tools/lint.py``).
+"""The ``python -m repro lint`` command.
 
 Exit codes:
 

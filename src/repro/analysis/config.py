@@ -61,7 +61,6 @@ class LintConfig:
         "repro.anonymizer",
         "repro.workloads",
         "repro.mobility",
-        "repro.simulation",
     )
     safe_imports: dict[str, frozenset[str]] = field(
         default_factory=_default_safe_imports
@@ -71,7 +70,6 @@ class LintConfig:
     deterministic_packages: tuple[str, ...] = (
         "repro.evaluation",
         "repro.mobility",
-        "repro.simulation",
         "repro.workloads",
         "tools",
     )

@@ -7,7 +7,7 @@ module consults the wall clock for *data* (measuring elapsed time with
 ``time.perf_counter`` is fine — it never feeds a seed or a decision).
 
 Inside the deterministic zone (``evaluation``, ``mobility``,
-``simulation``, ``workloads``, ``tools``) this rule bans:
+``workloads``, ``tools``, ...) this rule bans:
 
 * the stdlib ``random`` module entirely (its global state leaks across
   components and its streams differ from numpy's);

@@ -9,7 +9,7 @@ that invariant mechanical:
 
 * modules under an **untrusted** package (``repro.processor``,
   ``repro.server``) may not import a **tainted** package (anonymizer
-  internals, workload/mobility/simulation generators — everything that
+  internals, workload/mobility generators — everything that
   holds exact locations), neither directly nor transitively through
   helper modules;
 * the sanctioned channel is a *name-level allowlist*

@@ -10,7 +10,7 @@ seam resolves policies by name through :func:`get_policy`:
 * the parallel runtime's worker spawn configs
   (``sharding/workers.py``), which rebuild replicas by policy name on
   the far side of a process boundary;
-* the simulate/chaos/bench CLIs, whose ``--anonymizer`` choices are
+* the chaos/bench CLIs, whose ``--anonymizer`` choices are
   :func:`available_policies`.
 
 A new cloaker is therefore one module: compose

@@ -54,17 +54,6 @@ class PrivacyProfile:
         """Partial order: this profile is satisfied whenever ``other`` is."""
         return self.k <= other.k and self.a_min <= other.a_min
 
-    def relaxation_key(self) -> tuple[float, int]:
-        """A total-order proxy for "most relaxed user" tracking.
-
-        The adaptive anonymizer keeps, per cell, the user most likely to
-        be satisfiable at a deeper pyramid level.  Smaller ``a_min``
-        admits deeper levels directly; ties break on smaller ``k``.
-        Sorting ascending by this key puts the most relaxed profile
-        first.
-        """
-        return (self.a_min, self.k)
-
 
 #: The profile of data that requires no protection at all.
 PUBLIC_PROFILE = PrivacyProfile(k=1, a_min=0.0)

@@ -8,7 +8,7 @@ the :class:`~repro.observability.export.TelemetryExport` boundary type
 — the only sanctioned way telemetry leaves the trusted anonymizer.
 
 This package deliberately imports nothing from the anonymizer,
-workload, mobility or simulation layers: the entry points take plain
+workload or mobility layers: the entry points take plain
 ints/floats/strs, so the untrusted processor/server side can import it
 without widening the CSP001 taint frontier.
 """

@@ -25,7 +25,6 @@ region and shares the candidate step.
 
 from repro.processor.batch import BatchQueryEngine
 from repro.processor.candidate import CandidateList
-from repro.processor.density import DensityMap, density_map_over_private
 from repro.processor.extension import (
     EdgeExtension,
     compute_extension_private,
@@ -61,7 +60,6 @@ from repro.processor.public_private import (
     RangeCountResult,
     public_range_count_over_private,
 )
-from repro.processor.uncertain_nn import UncertainNNResult, public_nn_over_private
 
 __all__ = [
     "BatchQueryEngine",
@@ -83,11 +81,7 @@ __all__ = [
     "private_range_over_public",
     "private_range_over_private",
     "public_range_count_over_private",
-    "public_nn_over_private",
-    "UncertainNNResult",
     "RangeCountResult",
-    "DensityMap",
-    "density_map_over_private",
     "naive_center_nn",
     "naive_send_all",
     "OverlapPolicy",

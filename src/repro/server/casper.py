@@ -125,6 +125,8 @@ class Casper:
         # anonymizer/fleet instance (duck-typed on the CloakingPolicy
         # surface).
         self._closed = False
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
         if policy is not None:
             anonymizer = policy
         if isinstance(anonymizer, str):
@@ -551,14 +553,3 @@ ContinuousQueryMonitor` flushes at.  With a resilience runtime
         """Administrator query: how many mobile users are in ``region``
         — answered from the stored blurred information only."""
         return self.server.count_private(region)
-
-    def nearest_user_to(self, point: Point, estimate_probabilities: bool = False):
-        """Administrator query: which mobile user could be nearest to an
-        exact point (e.g. an incident location) — answered as a
-        possible-NN set over the stored cloaked regions."""
-        return self.server.possible_nn_private(point, estimate_probabilities)
-
-    def density_map(self, resolution: int = 16):
-        """Administrator query: the expected-population density map of
-        the whole service area, from cloaked regions only."""
-        return self.server.density_private(self.bounds, resolution)

@@ -166,28 +166,6 @@ class LocationServer:
         _telemetry.count("casper_server_requests_total", "count_private")
         return public_range_count_over_private(self.private_index, region)
 
-    def possible_nn_private(
-        self, query: Point, estimate_probabilities: bool = False
-    ):
-        """Public NN query over private data: the users who could be
-        nearest to an exact point; see
-        :func:`repro.processor.public_nn_over_private`."""
-        _telemetry.count("casper_server_requests_total", "possible_nn_private")
-        from repro.processor.uncertain_nn import public_nn_over_private
-
-        return public_nn_over_private(
-            self.private_index, query, estimate_probabilities
-        )
-
-    def density_private(self, bounds: Rect, resolution: int = 16):
-        """Gridded expected-population map over the private store (the
-        traffic-report aggregate); see
-        :func:`repro.processor.density_map_over_private`."""
-        _telemetry.count("casper_server_requests_total", "density_private")
-        from repro.processor.density import density_map_over_private
-
-        return density_map_over_private(self.private_index, bounds, resolution)
-
     # ------------------------------------------------------------------
     # Naive baselines (Figure 4)
     # ------------------------------------------------------------------

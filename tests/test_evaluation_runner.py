@@ -155,15 +155,6 @@ class TestCli:
         assert cli_main([]) == 2
         assert "figures" in capsys.readouterr().out
 
-    def test_simulate_command(self, capsys):
-        assert cli_main([
-            "simulate", "--ticks", "2", "--users", "150",
-            "--targets", "100", "--queries", "5",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "tick   0" in out
-        assert "density" in out
-
 
 class TestApiDocsInSync:
     def test_generated_api_docs_match(self):

@@ -151,8 +151,6 @@ class TestFullStackTelemetryIsLocationFree:
             "batch_public",
             "run_batch",
             "count_private",
-            "possible_nn_private",
-            "density_private",
         }
         for where, value in iter_label_values(export):
             if isinstance(value, str):

@@ -294,32 +294,6 @@ class TestMobileClient:
         assert strict.candidate_count >= relaxed.candidate_count
 
 
-class TestAdminQueries:
-    def test_nearest_user_to_incident(self, rng):
-        casper = build_stack(rng)
-        result = casper.nearest_user_to(Point(0.5, 0.5))
-        assert len(result) >= 1
-        # Soundness: for the true positions, the winner is a candidate.
-        truth = min(
-            range(250),
-            key=lambda uid: casper.anonymizer.location_of(uid).distance_to(
-                Point(0.5, 0.5)
-            ),
-        )
-        assert truth in result.oids()
-
-    def test_nearest_user_with_probabilities(self, rng):
-        casper = build_stack(rng)
-        result = casper.nearest_user_to(Point(0.3, 0.7), estimate_probabilities=True)
-        assert result.probabilities is not None
-        assert result.most_likely() in result.oids()
-
-    def test_density_map_accessible_via_facade(self, rng):
-        casper = build_stack(rng)
-        dmap = casper.density_map(resolution=6)
-        assert dmap.total_expected == pytest.approx(250.0, abs=1e-6)
-
-
 class TestAnonymizerInstances:
     def test_casper_accepts_prebuilt_anonymizer(self, rng):
         from repro.anonymizer import BasicAnonymizer

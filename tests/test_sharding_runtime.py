@@ -292,8 +292,9 @@ class TestCasperSeam:
     def test_instance_and_shards_argument_must_agree(self) -> None:
         fleet = make_sharded(UNIT, height=HEIGHT, num_shards=4, kind="basic")
         assert Casper(UNIT, anonymizer=fleet, shards=4).num_shards == 4
-        with pytest.raises(ValueError, match="shards"):
-            Casper(UNIT, anonymizer=fleet, shards=2)
+        for bad in ({"anonymizer": fleet, "shards": 2}, {"shards": 0}, {"shards": -3}):
+            with pytest.raises(ValueError, match="shards"):
+                Casper(UNIT, **bad)
 
     def test_full_query_stack_runs_sharded(self) -> None:
         casper = Casper(UNIT, pyramid_height=6, anonymizer="adaptive", shards=4)

@@ -66,6 +66,7 @@ def test_property_matches_bruteforce_oracle(name, rect_list, qx, qy, k):
         entries[oid] = rect
     query = Point(qx, qy)
     assert index.k_nearest_by_max_distance(query, k) == _oracle(entries, query, k)
+    assert index.nearest_by_max_distance(query) == _oracle(entries, query, 1)[0]
 
 
 @pytest.mark.parametrize("name", FACTORIES)
