@@ -47,7 +47,7 @@ def make_report(quick: bool = True, **ratios: float) -> dict:
             },
         }
     for section, keys in bench_gate.EXACT_COUNTERS:
-        report[section].update(dict.fromkeys(keys, 26.25))
+        report.setdefault(section, {}).update(dict.fromkeys(keys, 26.25))
     return report
 
 

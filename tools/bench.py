@@ -29,7 +29,11 @@ track the trajectory:
 * **candidate_codec** — the columnar candidate list (encode, decode and
   the three local refinements) vs the scalar per-pair definitions kept
   in ``tests/reference_candidates.py``, µs per list at 200 / 400 / 600
-  records (bytes and answers asserted identical).
+  records (bytes and answers asserted identical);
+* **adaptive_maintenance** — the adaptive cut's splits, merges, cell
+  changes, counter updates per update and quiet-move share on a seeded
+  hotspot trace where every user moves each tick (gated for equality),
+  with adaptive and basic ``update_batch`` moves per second beside them.
 
 Usage::
 
@@ -49,10 +53,13 @@ telemetry snapshot next to the report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # src/ for the package, the root for the scalar oracles under tests/.
@@ -874,6 +881,68 @@ def bench_candidate_codec(quick: bool) -> dict:
     }
 
 
+# ----------------------------------------------------------------------
+# 10. The adaptive cut's maintenance on a seeded hotspot trace
+# ----------------------------------------------------------------------
+def bench_adaptive_maintenance(quick: bool) -> dict:
+    """What Section 4.2's incomplete pyramid does under a tick where
+    every user moves: users in Gaussian hotspots (sigma 0.03) jitter
+    (sigma 0.002) each tick, and both pyramids apply the ticks through
+    ``update_batch``.  The adaptive arm's splits, merges, cell changes,
+    counter updates per location update and quiet-move share (moves
+    that stay in their leaf) are functions of the seeded trace alone, so
+    ``bench_gate.EXACT_COUNTERS`` holds them equal to the reference.
+    Adaptive and basic moves per second are reported beside them, not
+    gated."""
+    from repro.anonymizer import AdaptiveAnonymizer
+    from repro.workloads import uniform_profiles
+
+    num_users = 4_000 if quick else 20_000
+    ticks = 3 if quick else 8
+    batch = 2_000 if quick else 5_000
+    height = 9
+    rng = ensure_rng(27)
+    centers = rng.uniform(0.1, 0.9, (32, 2))
+    xy = centers[rng.integers(0, 32, num_users)] + rng.normal(0, 0.03, (num_users, 2))
+    top = float(np.nextafter(1.0, 0.0))
+    trace = [np.clip(xy, 0.0, top)]
+    for _ in range(ticks):
+        trace.append(np.clip(trace[-1] + rng.normal(0, 0.002, (num_users, 2)), 0.0, top))
+    profiles = uniform_profiles(num_users, BOUNDS, seed=rng)
+
+    def replay(anonymizer) -> tuple[float, object]:
+        for uid, (x, y) in enumerate(trace[0].tolist()):
+            anonymizer.register(uid, Point(x, y), profiles[uid])
+        before = dataclasses.replace(anonymizer.stats)
+        seconds = 0.0
+        for tick in trace[1:]:
+            moves = [(uid, Point(x, y)) for uid, (x, y) in enumerate(tick.tolist())]
+            for first in range(0, num_users, batch):
+                seconds += _timed(anonymizer.update_batch, moves[first : first + batch])[0]
+        after = anonymizer.stats
+        return seconds, {
+            field.name: getattr(after, field.name) - getattr(before, field.name)
+            for field in dataclasses.fields(after)
+        }
+
+    adaptive_seconds, adaptive = replay(AdaptiveAnonymizer(BOUNDS, height))
+    basic_seconds, _ = replay(BasicAnonymizer(BOUNDS, height))
+    moves = num_users * ticks
+    return {
+        "num_users": num_users,
+        "ticks": ticks,
+        "batch": batch,
+        "height": height,
+        "splits": adaptive["splits"],
+        "merges": adaptive["merges"],
+        "cell_changes": adaptive["cell_changes"],
+        "counter_updates_per_update": adaptive["counter_updates"] / moves,
+        "quiet_share": 1.0 - adaptive["cell_changes"] / moves,
+        "adaptive_moves_per_s": moves / adaptive_seconds,
+        "basic_moves_per_s": moves / basic_seconds,
+    }
+
+
 def _median_run(results: list[dict]) -> dict:
     """Pick the run with the median gated statistic.
 
@@ -888,6 +957,7 @@ def _median_run(results: list[dict]) -> dict:
             "cloak_scaling_8x",
             "evaluation_suppression",
             "decode_speedup",
+            "adaptive_moves_per_s",
             "mean_latency_ms",
         )
         if k in results[0]
@@ -953,6 +1023,7 @@ def main(argv: list[str] | None = None) -> int:
         ("shard_parallel", bench_shard_parallel),
         ("continuous_mobility", bench_continuous_mobility),
         ("candidate_codec", bench_candidate_codec),
+        ("adaptive_maintenance", bench_adaptive_maintenance),
     )
     if args.only:
         known = {name for name, _ in benches}
