@@ -9,60 +9,84 @@ points at the lowest *maintained* cell, so both location updates and
 Algorithm 1 touch far fewer cells than the basic anonymizer when users
 have strict privacy profiles.
 
-The split/merge decisions and the cut-maintenance walk live in
-:mod:`repro.anonymizer.policies.adaptive`; this class is its host: it
-holds the cell dict, generations, mutation epoch and leaf pointers the
-walk works on, and the engine's population and instrumented cloak.
-Sharded deployments run whole replicas of this class (see
-:mod:`repro.sharding.replicated`) — the cut is shaped by global counts,
-so there is no partitioned form.
+The cut is held on integer *locational keys*: the cell with Morton code
+``m`` at level ``L`` is ``4**L + m``, so the root is ``1``, a parent is
+``key >> 2``, the children are ``4 * key + i`` in
+:meth:`~repro.anonymizer.cells.CellId.children` order, a key's level is
+half its bit length, and a lowest-level key shifted right by
+``2 * (H - L)`` is its level-``L`` ancestor.  A level-31 key is below
+``2**63``, so the only height cap is the user table's
+(``MAX_TABLE_HEIGHT``).  Three dicts hold the cut — every maintained
+cell's population, every leaf's member slots (a key is a leaf iff it is
+there) and the cloak cache's generations — and one int64 column of the
+user table's length holds each user's leaf key.  ``CellId`` appears
+only at the cloak boundary, where Algorithm 1 and the cache speak it.
 
-The maintained cut stays a dict — it is sparse by design, so the only
-height cap is the user table's (``MAX_TABLE_HEIGHT`` = 31: a row's
-lowest-level Morton code is an int64) — but every per-user scan (the split gate and exact check,
-the merge blocker, ``users_in_rect``) runs as a numpy reduction over
-the engine's :class:`~repro.anonymizer.soa.UserTable`.  The one
-adaptive-only per-user fact, the hash table's pointer at the user's
-lowest *maintained* cell, is a list indexed by the table's slot.  The
-per-user scalar decisions live on in the test oracle
-``tests/reference_pyramid.py``.
+Both gates read the user table: the split gate takes a member's child
+index straight off its lowest-level Morton code (``cells >> 2(H-L-1) &
+3``, the locate-once identity), the merge gate its profile.  The
+per-user scalar decisions and the dict walk over ``CellId`` live on as
+the test oracle ``tests/reference_pyramid.py``.  Sharded deployments run
+whole replicas of this class (see :mod:`repro.sharding.replicated`) —
+the cut is shaped by global counts, so there is no partitioned form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+
+import numpy as np
 
 from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellId
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.engine import PyramidEngine
-from repro.anonymizer.policies.adaptive import ROOT, CutCell, CutMaintainer
 from repro.anonymizer.profile import PrivacyProfile
-from repro.anonymizer.soa import TableSnapshot
+from repro.anonymizer.soa import IntArray, TableSnapshot
 from repro.geometry import Point, Rect
+from repro.morton import cell_of_morton, morton_rank
 
 __all__ = ["AdaptiveAnonymizer"]
+
+#: The root's key: level 0, Morton code 0.
+ROOT = 1
+
+
+def _key(cell: CellId) -> int:
+    return (1 << 2 * cell.level) | morton_rank(cell)
+
+
+def _level(key: int) -> int:
+    return (key.bit_length() - 1) >> 1
+
+
+def _cell(key: int) -> CellId:
+    level = _level(key)
+    return cell_of_morton(level, key ^ (1 << 2 * level))
+
+
+def _levels(keys: IntArray) -> IntArray:
+    """:func:`_level` of many keys.  ``frexp`` reads a bit length
+    exactly below ``2**53``; a key at or above ``2**26`` is measured on
+    its high part ``key >> 26`` instead, which is below ``2**37``."""
+    high = keys >> 26
+    low_bits = np.frexp(keys.astype(np.float64))[1]
+    high_bits = np.frexp(high.astype(np.float64))[1] + 26
+    return (np.where(high > 0, high_bits, low_bits) - 1) >> 1
 
 
 @dataclass(frozen=True)
 class _AdaptiveSnapshot:
-    """Deep copy of an :class:`AdaptiveAnonymizer`'s population state:
-    the maintained cut (whose leaves name their users, so the leaf
-    pointers are a function of it) and the user table's rows."""
+    """By-value copy of an adaptive pyramid's population state.  A cut
+    is fixed by its leaves; every count, member set and leaf pointer
+    follows from them and the user table's rows."""
 
-    cells: dict[CellId, CutCell]
+    leaves: frozenset[CellId]
     population: TableSnapshot
 
 
-def _copy_cut(cells: dict[CellId, CutCell]) -> dict[CellId, CutCell]:
-    return {
-        cid: CutCell(cell.count, cell.is_leaf, set(cell.users))
-        for cid, cell in cells.items()
-    }
-
-
-class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
+class AdaptiveAnonymizer(PyramidEngine):
     """Incomplete-pyramid location anonymizer."""
 
     label = "adaptive"
@@ -74,14 +98,17 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
         cloak_cache_size: int = 8192,
     ) -> None:
         self._init_engine(bounds, height)
-        self._cells: dict[CellId, CutCell] = {ROOT: CutCell()}
-        # slot -> the user's lowest maintained cell, sized to the
-        # table's capacity.
-        self._leaves: list[CellId] = []
+        #: The lowest level's key offset, ``4**H``.
+        self._top = 1 << 2 * height
+        self._areas = [self.grid.cell_area(level) for level in range(height + 1)]
+        self._counts: dict[int, int] = {ROOT: 0}
+        self._members: dict[int, set[int]] = {ROOT: set()}
         # Generation counters outlive the cells they describe: a merged
         # (deleted) cell's count reads as 0, which is still a change the
         # cloak cache must observe, so gens live in their own dict.
-        self._gens: dict[CellId, int] = {}
+        self._gens: dict[int, int] = {}
+        #: slot -> key of the user's lowest maintained cell.
+        self._leaf: IntArray = np.full(self.table.capacity, ROOT, dtype=np.int64)
         self._epoch = 0
         self.cloak_cache = CloakCache(cloak_cache_size)
 
@@ -93,72 +120,238 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
         """Size of the incomplete pyramid (the adaptive structure's
         memory footprint; the basic anonymizer's equivalent is fixed at
         ``sum(4**level)``)."""
-        return len(self._cells)
+        return len(self._counts)
+
+    def leaf_cells(self) -> dict[CellId, int]:
+        """The maintained cut's leaves and their populations."""
+        return {_cell(key): len(slots) for key, slots in self._members.items()}
 
     def cell_count(self, cell: CellId) -> int:
         """Population of a *maintained* cell (0 for absent cells, which
         only occurs below the maintained cut, where the population would
         indeed require splitting to know)."""
-        entry = self._cells.get(cell)
-        return entry.count if entry is not None else 0
+        return self._counts.get(_key(cell), 0)
 
     def _gen_of(self, cell: CellId) -> int:
-        return self._gens.get(cell, 0)
+        return self._gens.get(_key(cell), 0)
 
-    def _set_leaf(self, uids: Iterable[object], leaf: CellId) -> None:
-        leaves, slot_of = self._leaves, self.table.require
-        for uid in uids:
-            leaves[slot_of(uid)] = leaf
+    def leaf_for_point(self, point: Point) -> CellId:
+        """The maintained leaf containing ``point``."""
+        lowest = self._top | morton_rank(self.grid.cell_of(point))
+        return _cell(self._leaf_over(lowest))
+
+    def _leaf_over(self, lowest: int) -> int:
+        """Descend the cut to the leaf over the lowest-level key
+        ``lowest``: its ancestor at each level is one shift away."""
+        members, shift = self._members, 2 * self.height
+        while (key := lowest >> shift) not in members:
+            shift -= 2
+        return key
 
     # ------------------------------------------------------------------
     # Registration and location updates
     # ------------------------------------------------------------------
     def register(self, uid: object, point: Point, profile: PrivacyProfile) -> None:
-        slot, lowest = self.table.admit(uid, point, profile)
-        leaves = self._leaves
-        if slot >= len(leaves):
-            leaves.extend([ROOT] * (self.table.capacity - len(leaves)))
-        leaf = leaves[slot] = self.leaf_above(lowest)
-        self._add_to_leaf(uid, leaf)
+        slot, _cell_id = self.table.admit(uid, point, profile)
+        if slot >= len(self._leaf):
+            grown = np.full(self.table.capacity, ROOT, dtype=np.int64)
+            grown[: len(self._leaf)] = self._leaf
+            self._leaf = grown
+        leaf = self._leaf_over(self._top | int(self.table.cells[slot]))
+        self._leaf[slot] = leaf
+        self._members[leaf].add(slot)
+        self._add_path(leaf, +1)
         self.stats.registrations += 1
         self._maybe_split(leaf)
 
     def deregister(self, uid: object) -> None:
-        leaf = self._leaves[self.table.remove(uid)]
-        self._remove_from_leaf(uid, leaf)
+        slot = self.table.remove(uid)
+        leaf = int(self._leaf[slot])
+        self._members[leaf].discard(slot)
+        self._add_path(leaf, -1)
         self.stats.deregistrations += 1
         self._maybe_merge(leaf)
 
     def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
         """Change a user's profile; may reshape the pyramid around them."""
         slot = self.table.set_profile(uid, profile)
-        self._maybe_split(self._leaves[slot])
+        self._maybe_split(int(self._leaf[slot]))
         # Re-read: the split may have moved the user one or more levels down.
-        self._maybe_merge(self._leaves[slot])
+        self._maybe_merge(int(self._leaf[slot]))
 
     def update(self, uid: object, point: Point) -> int:
-        """Process a location update; returns its counter-update cost.
-
-        The point is located once, at the lowest level; the descent
-        through the cut takes that cell's ancestors (a shift each)
-        instead of locating the point again at every level.  The batch
-        form is the engine's arrival-order loop: the cut reshapes after
-        *every* move and the split gate reads the other users' rows, so
-        moves neither commute nor may be written ahead.
-        """
-        slot, _old_m, _new_m, lowest = self.table.move(uid, point)
+        """Process a location update; returns its counter-update cost."""
+        slot, _old_m, new_m, _cell_id = self.table.move(uid, point)
         self.stats.location_updates += 1
-        new_leaf = self.leaf_above(lowest)
-        old_leaf = self._leaves[slot]
-        if new_leaf == old_leaf:
+        return self._relocate(slot, self._top | new_m)
+
+    def update_batch(self, moves: list[tuple[object, Point]]) -> list[int]:
+        """Apply a tick of location updates; returns the per-move costs.
+
+        The end state, statistics and costs are the arrival-order
+        :meth:`update` loop's.  A move is *quiet* when its new point
+        stays in its user's leaf: the loop writes its row and touches
+        nothing else.  The cut reshapes only at a *loud* move, and its
+        split gate reads the rows of every earlier move and no later
+        one.  So the kernel classifies every move with one vectorised
+        compare, writes each run of quiet rows in bulk up to and
+        including the next loud row, runs that move through the scalar
+        path, and re-classifies the rest only after a split or merge —
+        the only steps that re-point *other* users' leaves.  A batch
+        naming a user twice is the loop.  On the first unknown uid or
+        out-of-bounds point every earlier move has been applied and the
+        loop's exception is raised.
+        """
+        if len(moves) < 2 or len({uid for uid, _ in moves}) != len(moves):
+            return [self.update(uid, point) for uid, point in moves]
+        table, stats = self.table, self.stats
+        slots, xs, ys, ms = table.locate_moves(moves)
+        stop = len(slots)
+        lowest = ms + self._top
+        costs = np.zeros(stop, dtype=np.int64)
+        reshapes = stats.splits + stats.merges
+        louds = self._louds(slots, lowest, 0)
+        written = 0
+        while louds:
+            at = louds.pop()
+            table.write_moves(
+                slots[written : at + 1], xs[written : at + 1],
+                ys[written : at + 1], ms[written : at + 1],
+            )
+            written = at + 1
+            costs[at] = self._relocate(int(slots[at]), int(lowest[at]))
+            if stats.splits + stats.merges != reshapes:
+                reshapes = stats.splits + stats.merges
+                louds = self._louds(slots, lowest, written)
+        table.write_moves(slots[written:], xs[written:], ys[written:], ms[written:])
+        stats.location_updates += stop
+        if stop < len(moves):
+            self.update(*moves[stop])
+            raise AssertionError("unreachable: single-move replay must raise")
+        per_move: list[int] = costs.tolist()
+        return per_move
+
+    def _louds(self, slots: IntArray, lowest: IntArray, start: int) -> list[int]:
+        """The moves from ``start`` on whose new lowest-level key leaves
+        their user's current leaf, latest first."""
+        leaves = self._leaf[slots[start:]]
+        shifts = 2 * (self.height - _levels(leaves))
+        loud = np.flatnonzero((lowest[start:] >> shifts) != leaves) + start
+        return loud[::-1].tolist()
+
+    def _relocate(self, slot: int, lowest: int) -> int:
+        """The cut's side of one written move; returns its cost."""
+        old = int(self._leaf[slot])
+        if lowest >> 2 * (self.height - _level(old)) == old:
             return 0
-        cost = self._move_between_leaves(uid, old_leaf, new_leaf)
-        self._leaves[slot] = new_leaf
+        new = self._leaf_over(lowest)
+        members = self._members
+        members[old].discard(slot)
+        members[new].add(slot)
+        # Both branches up to the deepest common ancestor (exclusive):
+        # a deeper key is a larger one, so step whichever is larger.
+        counts, gens, a, b, cost = self._counts, self._gens, old, new, 0
+        while a != b:
+            if a > b:
+                counts[a] -= 1
+                gens[a] = gens.get(a, 0) + 1
+                a >>= 2
+            else:
+                counts[b] += 1
+                gens[b] = gens.get(b, 0) + 1
+                b >>= 2
+            cost += 1
+        self._epoch += 1
+        self._leaf[slot] = new
         self.stats.counter_updates += cost
         self.stats.cell_changes += 1
-        self._maybe_split(new_leaf)
-        self._maybe_merge(old_leaf)
+        self._maybe_split(new)
+        self._maybe_merge(old)
         return cost
+
+    def _add_path(self, leaf: int, delta: int) -> None:
+        """``delta`` on ``leaf``'s count and every ancestor's."""
+        counts, gens, key = self._counts, self._gens, leaf
+        while key:
+            counts[key] += delta
+            gens[key] = gens.get(key, 0) + 1
+            key >>= 2
+        self._epoch += 1
+        self.stats.counter_updates += _level(leaf) + 1
+
+    # ------------------------------------------------------------------
+    # Splitting and merging (Section 4.2's two gates)
+    # ------------------------------------------------------------------
+    def _maybe_split(self, leaf: int) -> None:
+        """Split ``leaf`` (recursively) while some user inside could be
+        satisfied one level deeper; continue at the first child (in
+        ``CellId.children`` order) holding such a user.  Both gates are
+        reductions over a member set, so they never depend on its
+        iteration order."""
+        table, height = self.table, self.height
+        while True:
+            members = self._members.get(leaf)
+            level = _level(leaf)
+            if not members or level >= height:
+                return
+            slots = np.fromiter(members, dtype=np.int64, count=len(members))
+            ks, a_mins = table.ks[slots], table.a_mins[slots]
+            child_area = self._areas[level + 1]
+            # Cheap gate via the most relaxed user.
+            if child_area < float(a_mins.min()) - 1e-15 or len(members) < int(ks.min()):
+                return
+            order = (table.cells[slots] >> 2 * (height - level - 1)) & 3
+            satisfied = (ks <= np.bincount(order, minlength=4)[order]) & (
+                (a_mins - 1e-15) <= child_area
+            )
+            if not bool(satisfied.any()):
+                return
+            del self._members[leaf]
+            for index in range(4):
+                child, group = 4 * leaf + index, slots[order == index]
+                self._members[child] = set(group.tolist())
+                self._counts[child] = len(group)
+                # The child's count was readable as 0 while unmaintained;
+                # materialising it is a visible change for cached cloaks.
+                self._gens[child] = self._gens.get(child, 0) + 1
+                self._leaf[group] = child
+            self._epoch += 1
+            self.stats.splits += 1
+            # Restructuring cost: four new counters plus one hash-table
+            # relocation per affected user.
+            self.stats.counter_updates += 4 + len(slots)
+            leaf = 4 * leaf + int(order[satisfied].min())
+
+    def _maybe_merge(self, leaf: int) -> None:
+        """Merge ``leaf``'s sibling group (recursively upward) while no
+        user under the parent has a profile their child satisfies."""
+        table = self.table
+        while leaf != ROOT:
+            parent = leaf >> 2
+            children = range(4 * parent, 4 * parent + 4)
+            groups = [self._members.get(child) for child in children]
+            if any(group is None for group in groups):
+                return
+            sizes = np.array([len(group) for group in groups])  # type: ignore[arg-type]
+            slots = np.fromiter(
+                chain.from_iterable(groups),  # type: ignore[arg-type]
+                dtype=np.int64, count=int(sizes.sum()),
+            )
+            blocked = (table.ks[slots] <= np.repeat(sizes, sizes)) & (
+                (table.a_mins[slots] - 1e-15) <= self._areas[_level(leaf)]
+            )
+            if bool(blocked.any()):
+                return
+            self._members[parent] = set(slots.tolist())
+            self._leaf[slots] = parent
+            for child in children:
+                del self._members[child], self._counts[child]
+                # Deleted cells read as count 0 from now on.
+                self._gens[child] = self._gens.get(child, 0) + 1
+            self._epoch += 1
+            self.stats.merges += 1
+            self.stats.counter_updates += 4 + len(slots)
+            leaf = parent
 
     # ------------------------------------------------------------------
     # Cloaking
@@ -167,7 +360,9 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
         """Blur ``uid``'s location, starting Algorithm 1 from their
         lowest *maintained* cell."""
         slot = self.table.require(uid)
-        return self._cloak_cell(self.table.profile_at(slot), self._leaves[slot])
+        return self._cloak_cell(
+            self.table.profile_at(slot), _cell(int(self._leaf[slot]))
+        )
 
     def cloak_location(self, point: Point, profile: PrivacyProfile) -> CloakedRegion:
         """One-shot cloak of an arbitrary location (query anonymization)."""
@@ -183,26 +378,41 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
     # Crash recovery (snapshot/restore of incomplete pyramid + users)
     # ------------------------------------------------------------------
     def snapshot(self) -> object:
-        """An opaque deep copy of the maintained cut and the user table
-        for crash recovery.  Generation counters and statistics are
+        """An opaque copy of the cut's leaves and the user table for
+        crash recovery.  Generation counters and statistics are
         excluded — they are monotone observability state."""
-        return _AdaptiveSnapshot(_copy_cut(self._cells), self.table.snapshot())
+        leaves = frozenset(_cell(key) for key in self._members)
+        return _AdaptiveSnapshot(leaves, self.table.snapshot())
 
     def restore(self, state: object) -> None:
         """Replace the population state with a :meth:`snapshot` copy.
 
-        The snapshot is copied again so it can restore repeated crashes.
-        Generations stay monotone and the cloak cache is dropped — the
-        maintained cut changed without generation bumps, so every cached
-        entry is suspect.
+        Counts, members and leaf pointers are rebuilt from the leaves
+        and the rows.  Generations stay monotone and the cloak cache is
+        dropped — the maintained cut changed without generation bumps,
+        so every cached entry is suspect.
         """
         if not isinstance(state, _AdaptiveSnapshot):
             raise TypeError("not an AdaptiveAnonymizer snapshot")
-        self._cells = _copy_cut(state.cells)
-        self.table.restore(state.population)
-        self._leaves = [ROOT] * self.table.capacity
-        for cell, entry in self._cells.items():
-            self._set_leaf(entry.users, cell)
+        table = self.table
+        table.restore(state.population)
+        slots = table.ordered_slots()
+        lowest = table.cells[slots] + self._top
+        leaves = [_key(cell) for cell in state.leaves]
+        self._leaf = np.full(table.capacity, ROOT, dtype=np.int64)
+        for level in {_level(key) for key in leaves}:
+            under = lowest >> 2 * (self.height - level)
+            hit = np.isin(under, [key for key in leaves if _level(key) == level])
+            self._leaf[slots[hit]] = under[hit]
+        self._members = {key: set() for key in leaves}
+        for slot, leaf in zip(slots.tolist(), self._leaf[slots].tolist()):
+            self._members[leaf].add(slot)
+        self._counts = {}
+        for leaf, members in self._members.items():
+            key = leaf
+            while key:
+                self._counts[key] = self._counts.get(key, 0) + len(members)
+                key >>= 2
         self._epoch += 1
         self.cloak_cache.clear()
 
@@ -211,33 +421,29 @@ class AdaptiveAnonymizer(CutMaintainer, PyramidEngine):
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Assert incomplete-pyramid consistency."""
-        table = self.table
+        table, counts, height = self.table, self._counts, self.height
         table.check()
-        assert ROOT in self._cells, "root must always be maintained"
-        leaf_population = 0
-        for cell, entry in self._cells.items():
-            if entry.is_leaf:
-                leaf_population += entry.count
-                assert entry.count == len(entry.users), f"leaf {cell} count drift"
-                for uid in entry.users:
-                    slot = table.require(uid)
-                    assert self._leaves[slot] == cell, f"hash table stale for {uid!r}"
-                    assert cell.is_ancestor_of(
-                        self.grid.cell_of(table.point_at(slot))
-                    ), f"user {uid!r} outside its leaf"
-                # Cut property: no child of a leaf is maintained.
-                if cell.level < self.height:
-                    for child in cell.children():
-                        assert child not in self._cells, "leaf with children"
+        assert counts.get(ROOT) == len(table), "root count != population"
+        assert self._members.keys() <= counts.keys(), "leaf not maintained"
+        population = 0
+        for key, count in counts.items():
+            members = self._members.get(key)
+            if members is not None:
+                assert count == len(members), f"leaf {key} count drift"
+                population += count
+                slots = np.fromiter(members, dtype=np.int64, count=len(members))
+                assert table.active[slots].all(), f"leaf {key} holds a free slot"
+                assert (self._leaf[slots] == key).all(), "hash table stale"
+                under = (table.cells[slots] + self._top) >> 2 * (height - _level(key))
+                assert (under == key).all(), "user outside its leaf"
+                assert 4 * key not in counts, "leaf with children"
             else:
-                children = cell.children()
-                assert all(c in self._cells for c in children), "partial split"
-                assert entry.count == sum(
-                    self._cells[c].count for c in children
-                ), f"internal {cell} count != children sum"
-                assert not entry.users, "internal cell holds users"
-            if not cell.is_root:
-                assert cell.parent() in self._cells, "orphan maintained cell"
-                assert not self._cells[cell.parent()].is_leaf, "parent is leaf"
-        assert leaf_population == len(table), "population drift"
-        assert self._cells[ROOT].count == len(table)
+                children = range(4 * key, 4 * key + 4)
+                assert all(c in counts for c in children), "partial split"
+                assert count == sum(counts[c] for c in children), (
+                    f"internal {key} count != children sum"
+                )
+            if key != ROOT:
+                assert key >> 2 in counts, "orphan maintained cell"
+                assert key >> 2 not in self._members, "parent is leaf"
+        assert population == len(table), "population drift"

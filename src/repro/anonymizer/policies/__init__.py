@@ -2,8 +2,9 @@
 
 Importing this package registers every built-in policy with the
 registry in :mod:`repro.anonymizer.policy` (the registry does this
-lazily on first lookup).  Each submodule is one policy: the algorithm's
-decision logic and maintenance mixin, plus its :class:`PolicySpec`.
+lazily on first lookup).  Each submodule is one policy's
+:class:`PolicySpec`; a baseline's module holds its algorithm too, while
+the two pyramids' live in their anonymizer classes.
 
 * :mod:`~repro.anonymizer.policies.basic` — complete pyramid (§4.1);
 * :mod:`~repro.anonymizer.policies.adaptive` — incomplete pyramid with
@@ -23,7 +24,7 @@ directly.
 """
 
 from repro.anonymizer.policies import basic as _basic  # noqa: F401  (registers "basic")
-from repro.anonymizer.policies.adaptive import CutCell, CutMaintainer
+from repro.anonymizer.policies import adaptive as _adaptive  # noqa: F401  (registers "adaptive")
 from repro.anonymizer.policies.clique import CliqueCloak, CliquePolicy, CliqueRequest
 from repro.anonymizer.policies.interval import IntervalPolicy
 from repro.anonymizer.policies.temporal import (
@@ -36,8 +37,6 @@ __all__ = [
     "CliqueCloak",
     "CliquePolicy",
     "CliqueRequest",
-    "CutCell",
-    "CutMaintainer",
     "IntervalPolicy",
     "TemporalCloak",
     "TemporalCloakResult",

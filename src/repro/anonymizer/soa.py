@@ -47,9 +47,7 @@ __all__ = [
     "TableSnapshot",
     "UserTable",
     "check_soa_height",
-    "choose_split_vec",
     "leaf_mortons",
-    "merge_blocked_vec",
     "move_level",
     "move_levels",
     "points_in_rect",
@@ -513,14 +511,14 @@ class UserTable:
         inside = self.active & points_in_rect(rect, self.xs, self.ys, tol)
         return int(np.count_nonzero(inside))
 
-    def apply_moves(
+    def locate_moves(
         self, moves: list[tuple[object, Point]]
-    ) -> tuple[IntArray, IntArray]:
-        """Write the longest prefix of ``moves`` that names registered
+    ) -> tuple[IntArray, FloatArray, FloatArray, IntArray]:
+        """Locate the longest prefix of ``moves`` that names registered
         users at points inside the service area — what a batched update
         applies before the first move the sequential loop would refuse
-        (the caller replays that one for its exception) — and return
-        those moves' ``(old, new)`` lowest-level Morton cells."""
+        (the caller replays that one for its exception) — writing
+        nothing: its slots, coordinates and lowest-level Morton cells."""
         n = len(moves)
         slot_list = [self._slots.get(uid) for uid, _ in moves]
         xs = np.fromiter((p.x for _, p in moves), dtype=np.float64, count=n)
@@ -530,11 +528,26 @@ class UserTable:
         if not bool(inside.all()):
             stop = min(stop, int(inside.argmin()))
         slots = np.asarray(slot_list[:stop], dtype=np.int64)
+        xs, ys = xs[:stop], ys[:stop]
+        return slots, xs, ys, leaf_mortons(self.grid, xs, ys)
+
+    def write_moves(
+        self, slots: IntArray, xs: FloatArray, ys: FloatArray, ms: IntArray
+    ) -> None:
+        """Write located moves (:meth:`locate_moves`' columns) to their
+        rows."""
+        self.xs[slots] = xs
+        self.ys[slots] = ys
+        self.cells[slots] = ms
+
+    def apply_moves(
+        self, moves: list[tuple[object, Point]]
+    ) -> tuple[IntArray, IntArray]:
+        """Write :meth:`locate_moves`' prefix and return those moves'
+        ``(old, new)`` lowest-level Morton cells."""
+        slots, xs, ys, new_ms = self.locate_moves(moves)
         old_ms = self.cells[slots]
-        new_ms = leaf_mortons(self.grid, xs[:stop], ys[:stop])
-        self.xs[slots] = xs[:stop]
-        self.ys[slots] = ys[:stop]
-        self.cells[slots] = new_ms
+        self.write_moves(slots, xs, ys, new_ms)
         return old_ms, new_ms
 
     def slots_array(self, uids: Sequence[object]) -> IntArray:
@@ -618,76 +631,3 @@ class Population:
         """Exact population of an arbitrary rectangle (one mask
         reduction over the user table)."""
         return self.table.count_in_rect(rect)
-
-
-# ----------------------------------------------------------------------
-# Vectorized Section 4.2 split/merge decisions over the user table
-# ----------------------------------------------------------------------
-def choose_split_vec(
-    grid: CellGrid,
-    leaf: CellId,
-    count: int,
-    users: set[object],
-    table: UserTable,
-) -> tuple[dict[CellId, set[object]], CellId] | None:
-    """Section 4.2's split criterion over the user table.
-
-    Returns ``(child_users, satisfiable_child)`` when ``leaf`` must
-    split — the user distribution over the four children plus the first
-    child (in :meth:`CellId.children` order) containing a user whose
-    profile that child satisfies — or ``None`` when the leaf stays.
-    The result depends only on the *membership* of ``users``, never on
-    its iteration order, so single-shard and sharded maintenance reach
-    byte-identical cuts.  Same gates and epsilons as the scalar
-    ``choose_split`` in ``tests/reference_pyramid.py``; the per-user
-    profile lookups and point location run as array reductions.
-    """
-    if not users:
-        return None
-    uids = list(users)
-    slots = table.slots_array(uids)
-    ks = table.ks[slots]
-    a_mins = table.a_mins[slots]
-    child_area = grid.cell_area(leaf.level + 1)
-    # Cheap gate via the most relaxed user — identical float ops to the
-    # scalar `child_area < min_a - 1e-15 or count < min_k`.
-    if child_area < float(a_mins.min()) - 1e-15 or count < int(ks.min()):
-        return None
-    # Distribute users over the children: same truncate-and-clamp as
-    # CellGrid.cell_of at level + 1 (points are in bounds by
-    # construction — they were located when registered).
-    ix, iy = _grid_coords(grid, table.xs[slots], table.ys[slots], leaf.level + 1)
-    # Index each user's child in CellId.children order:
-    # (x, y), (x+1, y), (x, y+1), (x+1, y+1).
-    order = (iy - (leaf.iy << 1)) * 2 + (ix - (leaf.ix << 1))
-    member_counts = np.bincount(order, minlength=4)
-    satisfied = (ks <= member_counts[order]) & ((a_mins - 1e-15) <= child_area)
-    if not bool(satisfied.any()):
-        return None
-    satisfied_children = np.bincount(order[satisfied], minlength=4)
-    first = int(np.flatnonzero(satisfied_children)[0])
-    children = leaf.children()
-    child_users: dict[CellId, set[object]] = {c: set() for c in children}
-    for uid, child_index in zip(uids, order.tolist()):
-        child_users[children[child_index]].add(uid)
-    return child_users, children[first]
-
-
-def merge_blocked_vec(
-    table: UserTable,
-    child_area: float,
-    child_stats: list[tuple[int, set[object]]],
-) -> bool:
-    """Section 4.2's merge blocker over the user table: a sibling-leaf
-    group must stay split while any user in any child has a profile
-    that child satisfies."""
-    for count, users in child_stats:
-        if not users:
-            continue
-        slots = table.slots_array(list(users))
-        satisfied = (table.ks[slots] <= count) & (
-            (table.a_mins[slots] - 1e-15) <= child_area
-        )
-        if bool(satisfied.any()):
-            return True
-    return False

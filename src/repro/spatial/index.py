@@ -161,15 +161,6 @@ class SpatialIndex(abc.ABC):
             raise ValueError("k must be positive")
         return self._k_nearest_impl(point, min(k, len(self._entries)))
 
-    def nearest_by_max_distance(self, point: Point) -> object:
-        """The oid minimising the *max*-distance from ``point`` to its rect.
-
-        This is the pessimistic nearest-neighbor used by the filter step of
-        private queries over private data (Section 5.2.1): the candidate
-        whose farthest corner is closest.
-        """
-        return self.k_nearest_by_max_distance(point, 1)[0]
-
     def k_nearest_by_max_distance(self, point: Point, k: int) -> list[object]:
         """The ``k`` entries with smallest *max*-distance, best first.
 

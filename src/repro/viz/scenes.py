@@ -88,14 +88,10 @@ def draw_pyramid_cut(
     population (darker = more users)."""
     canvas = SvgCanvas(anonymizer.bounds, size=size)
     canvas.add_rect(anonymizer.bounds, stroke="#000000", stroke_width=1.5)
-    leaves = [
-        (cell, entry)
-        for cell, entry in anonymizer._cells.items()
-        if entry.is_leaf
-    ]
-    peak = max((entry.count for _cell, entry in leaves), default=1) or 1
-    for cell, entry in leaves:
-        level = entry.count / peak
+    leaves = anonymizer.leaf_cells()
+    peak = max(leaves.values(), default=1) or 1
+    for cell, count in leaves.items():
+        level = count / peak
         shade = int(255 - level * 160)
         canvas.add_rect(
             anonymizer.grid.cell_rect(cell),

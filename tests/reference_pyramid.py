@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.anonymizer.adaptive import _AdaptiveSnapshot
 from repro.anonymizer.basic import _BasicSnapshot
 from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellId
 from repro.anonymizer.engine import PyramidEngine
-from repro.anonymizer.policies.adaptive import ROOT, CutCell, CutMaintainer
 from repro.anonymizer.profile import PrivacyProfile
 from repro.anonymizer.soa import TableSnapshot
 from repro.errors import DuplicateUserError, UnknownUserError
@@ -261,43 +260,25 @@ class ReferenceBasic(_ReferenceHost, CompletePyramidMaintainer):
             assert rec.cell == self.grid.cell_of(rec.point), f"stale cell for {uid!r}"
 
 
-# Section 4.2's decisions, one user at a time: bodies moved verbatim from
-# production, where repro.anonymizer.soa's gate-table reductions
-# (choose_split_vec / merge_blocked_vec, which carry the contract's
-# docstrings) replaced them.
-def choose_split(grid, leaf, count, users, point_of, profile_of):
-    if not users:
-        return None
-    child_area = grid.cell_area(leaf.level + 1)
-    # Cheap gate via the most relaxed user: if even the minimum
-    # requirements in this cell rule out level i+1, skip the exact check.
-    min_a = min(profile_of(u).a_min for u in users)
-    min_k = min(profile_of(u).k for u in users)
-    if child_area < min_a - 1e-15 or count < min_k:
-        return None
-    # Exact check: distribute users over the four children and test each
-    # user against the child that would contain them.
-    child_users: dict[CellId, set[object]] = {c: set() for c in leaf.children()}
-    for uid in users:
-        child_users[grid.cell_of(point_of(uid), leaf.level + 1)].add(uid)
-    for child, members in child_users.items():
-        for uid in members:
-            if profile_of(uid).is_satisfied_by(len(members), child_area):
-                return child_users, child
-    return None
+@dataclass
+class CutCell:
+    """One maintained cell of the reference cut: its population and,
+    while it is a leaf, its users (internal cells keep just the count,
+    the paper's ``(cid, N)``)."""
+
+    count: int = 0
+    is_leaf: bool = True
+    users: set = field(default_factory=set)
 
 
-def merge_is_blocked(child_area, child_stats, profile_of):
-    for count, users in child_stats:
-        for uid in users:
-            if profile_of(uid).is_satisfied_by(count, child_area):
-                return True
-    return False
+ROOT = CellId(0, 0, 0)
 
 
-class ReferenceAdaptive(_ReferenceHost, CutMaintainer):
-    """The production cut maintainer over local dicts, deciding splits
-    and merges with the scalar functions above (no gate table)."""
+class ReferenceAdaptive(_ReferenceHost):
+    """The incomplete pyramid as a ``dict[CellId, CutCell]`` walked one
+    cell at a time, deciding splits and merges one user at a time — an
+    independent statement of what production does on integer keys and
+    table columns."""
 
     label = "adaptive"
 
@@ -318,22 +299,6 @@ class ReferenceAdaptive(_ReferenceHost, CutMaintainer):
             self.cloak_cache, self.cell_count, self._gen_of, self._epoch, profile, leaf,
         )
 
-    def _set_leaf(self, uids, leaf: CellId) -> None:
-        for uid in uids:
-            self._users[uid].cell = leaf
-
-    def _profile_of(self, uid: object) -> PrivacyProfile:
-        return self._users[uid].profile
-
-    def _split_decision(self, leaf: CellId, entry: CutCell):
-        return choose_split(
-            self.grid, leaf, entry.count, entry.users,
-            lambda uid: self._users[uid].point, self._profile_of,
-        )
-
-    def _merge_blocked(self, child_area: float, child_stats) -> bool:
-        return merge_is_blocked(child_area, child_stats, self._profile_of)
-
     def cell_count(self, cell: CellId) -> int:
         entry = self._cells.get(cell)
         return entry.count if entry is not None else 0
@@ -341,18 +306,128 @@ class ReferenceAdaptive(_ReferenceHost, CutMaintainer):
     def _gen_of(self, cell: CellId) -> int:
         return self._gens.get(cell, 0)
 
+    def _bump(self, cell: CellId) -> None:
+        self._gens[cell] = self._gens.get(cell, 0) + 1
+
+    def leaf_for_point(self, point: Point) -> CellId:
+        """Descend the cut, locating the point afresh at every level
+        (the root too: that is the bounds check)."""
+        cell = self.grid.cell_of(point, 0)
+        while not self._cells[cell].is_leaf:
+            cell = self.grid.cell_of(point, cell.level + 1)
+        return cell
+
+    # -- the walk --------------------------------------------------------
+    def _add_path(self, uid: object, leaf: CellId, delta: int) -> None:
+        if delta > 0:
+            self._cells[leaf].users.add(uid)
+        else:
+            self._cells[leaf].users.discard(uid)
+        path = self.grid.path_to_root(leaf)
+        for cell in path:
+            self._cells[cell].count += delta
+            self._bump(cell)
+        self._epoch += 1
+        self.stats.counter_updates += len(path)
+
+    def _move_between_leaves(self, uid: object, old: CellId, new: CellId) -> int:
+        self._cells[old].users.discard(uid)
+        self._cells[new].users.add(uid)
+        new_path = self.grid.path_to_root(new)
+        old_path = self.grid.path_to_root(old)
+        common = next(cell for cell in old_path if cell in new_path)
+        cost = 0
+        for path, delta in ((old_path, -1), (new_path, +1)):
+            for cell in path[: path.index(common)]:
+                self._cells[cell].count += delta
+                self._bump(cell)
+                cost += 1
+        self._epoch += 1
+        return cost
+
+    def _maybe_split(self, leaf: CellId) -> None:
+        while True:
+            entry = self._cells.get(leaf)
+            if entry is None or not entry.is_leaf or leaf.level >= self.height:
+                return
+            decision = self._split_decision(leaf, entry)
+            if decision is None:
+                return
+            child_users, leaf = decision
+            entry.is_leaf, entry.users = False, set()
+            for child, members in child_users.items():
+                self._cells[child] = CutCell(len(members), True, members)
+                self._bump(child)
+                for uid in members:
+                    self._users[uid].cell = child
+            self._epoch += 1
+            self.stats.splits += 1
+            self.stats.counter_updates += 4 + sum(map(len, child_users.values()))
+
+    def _split_decision(self, leaf: CellId, entry: CutCell):
+        """Section 4.2's split criterion: the users over the children
+        and the first child satisfying one of its own, or ``None``."""
+        users, profile_of = entry.users, self.profile_of
+        if not users:
+            return None
+        child_area = self.grid.cell_area(leaf.level + 1)
+        # Cheap gate via the most relaxed user: if even the minimum
+        # requirements in this cell rule out level i+1, skip the exact check.
+        min_a = min(profile_of(u).a_min for u in users)
+        min_k = min(profile_of(u).k for u in users)
+        if child_area < min_a - 1e-15 or entry.count < min_k:
+            return None
+        # Exact check: distribute users over the four children and test each
+        # user against the child that would contain them.
+        child_users: dict[CellId, set] = {c: set() for c in leaf.children()}
+        for uid in users:
+            child_users[self.grid.cell_of(self.location_of(uid), leaf.level + 1)].add(uid)
+        for child, members in child_users.items():
+            for uid in members:
+                if profile_of(uid).is_satisfied_by(len(members), child_area):
+                    return child_users, child
+        return None
+
+    def _maybe_merge(self, leaf: CellId) -> None:
+        while leaf.level > 0:
+            parent = leaf.parent()
+            children = parent.children()
+            entries = [self._cells.get(c) for c in children]
+            if any(e is None or not e.is_leaf for e in entries):
+                return
+            # A child level is still needed if any user in any child has
+            # a profile that child satisfies.
+            child_area = self.grid.cell_area(leaf.level)
+            if any(
+                self.profile_of(uid).is_satisfied_by(e.count, child_area)
+                for e in entries for uid in e.users
+            ):
+                return
+            merged = set().union(*(e.users for e in entries))
+            self._cells[parent].is_leaf, self._cells[parent].users = True, merged
+            for uid in merged:
+                self._users[uid].cell = parent
+            for child in children:
+                del self._cells[child]
+                self._bump(child)
+            self._epoch += 1
+            self.stats.merges += 1
+            self.stats.counter_updates += 4 + len(merged)
+            leaf = parent
+
+    # -- the production API ------------------------------------------------
     def register(self, uid: object, point: Point, profile: PrivacyProfile) -> None:
         if uid in self._users:
             raise DuplicateUserError(uid)
         leaf = self.leaf_for_point(point)
         self._users[uid] = _Record(profile, point, leaf)
-        self._add_to_leaf(uid, leaf)
+        self._add_path(uid, leaf, +1)
         self.stats.registrations += 1
         self._maybe_split(leaf)
 
     def deregister(self, uid: object) -> None:
         record = self._record(uid)
-        self._remove_from_leaf(uid, record.cell)
+        self._add_path(uid, record.cell, -1)
         del self._users[uid]
         self.stats.deregistrations += 1
         self._maybe_merge(record.cell)
@@ -379,25 +454,27 @@ class ReferenceAdaptive(_ReferenceHost, CutMaintainer):
         self._maybe_merge(old_leaf)
         return cost
 
-    @staticmethod
-    def _copy(cells: dict) -> dict:
-        return {c: CutCell(e.count, e.is_leaf, set(e.users)) for c, e in cells.items()}
-
     def snapshot(self) -> object:
-        return _AdaptiveSnapshot(self._copy(self._cells), self._population())
+        leaves = frozenset(c for c, e in self._cells.items() if e.is_leaf)
+        return _AdaptiveSnapshot(leaves, self._population())
 
     def restore(self, state: object) -> None:
+        """Rebuild the cut from its leaves: each user belongs to the
+        leaf their point lies in, and every ancestor of a leaf is an
+        internal cell counting the users below it."""
         if not isinstance(state, _AdaptiveSnapshot):
             raise TypeError("not an adaptive snapshot")
-        self._cells = self._copy(state.cells)
-        # The maintained-leaf pointers are a function of the cut: each
-        # leaf names its users.
-        self._users = {
-            uid: _Record(profile, point, ROOT)
-            for uid, point, profile in state.population.rows()
-        }
-        for cell, entry in self._cells.items():
-            self._set_leaf(entry.users, cell)
+        self._cells = {leaf: CutCell() for leaf in state.leaves}
+        for leaf in state.leaves:
+            for cell in self.grid.path_to_root(leaf)[1:]:
+                self._cells.setdefault(cell, CutCell(is_leaf=False))
+        self._users = {}
+        for uid, point, profile in state.population.rows():
+            leaf = self.leaf_for_point(point)
+            self._users[uid] = _Record(profile, point, leaf)
+            self._cells[leaf].users.add(uid)
+            for cell in self.grid.path_to_root(leaf):
+                self._cells[cell].count += 1
         self._epoch += 1
         self.cloak_cache.clear()
 

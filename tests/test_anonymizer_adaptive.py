@@ -83,7 +83,7 @@ class TestStructureAdaptation:
         for i, p in enumerate(random_points(rng, 500)):
             an.register(i, p, PrivacyProfile(k=1))
         an.check_invariants()
-        assert all(cell.level <= 2 for cell in an._cells)
+        assert all(cell.level <= 2 for cell in an.leaf_cells())
 
 
 class TestMaintenance:
@@ -101,6 +101,22 @@ class TestMaintenance:
         steps = [("register", "u", Point(0.1, 0.1), PrivacyProfile(k=10)),
                  ("update", "u", Point(0.8, 0.8))]
         assert adaptive(steps)[-1] == ("ok", 0)
+
+    def test_a_move_inside_its_leaf_never_splits(self):
+        """The maintained cut is not a function of the population: two
+        users keep one cell and a whole-space cloak when one moved next
+        to the other, nine cells and a 1/16 cloak when both registered
+        there."""
+        k2, near = PrivacyProfile(2), Point(0.2, 0.2)
+        first = ("register", 0, Point(0.1, 0.1), k2)
+        moved = [first, ("register", 1, Point(0.9, 0.9), k2), ("update", 1, near)]
+        direct = [first, ("register", 1, near, k2)]
+        for steps, cells, area in ((moved, 1, 1.0), (direct, 9, 1 / 16)):
+            an = AdaptiveAnonymizer(UNIT, height=2)
+            for name, *args in steps:
+                getattr(an, name)(*args)
+            assert (an.num_maintained_cells, an.cloak(1).area) == (cells, area)
+            assert adaptive(steps + [("cloak", 1)])[-1][1][0].area == area
 
     def test_counts_consistent_after_churn(self):
         moves = [("update", uid, point) for _, uid, point, _ in users(60, seed=7)]

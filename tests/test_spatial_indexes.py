@@ -179,21 +179,6 @@ class TestOracleEquivalence:
             assert set(idx.range_search(r)) == set(oracle.range_search(r))
 
     @pytest.mark.parametrize("kind", ACCELERATED)
-    def test_max_distance_nn_matches(self, kind, rng):
-        rects = random_rects(rng, 200, max_side=0.1)
-        oracle = BruteForceIndex()
-        idx = make_index(kind)
-        for i, r in enumerate(rects):
-            oracle.insert(i, r)
-            idx.insert(i, r)
-        for q in random_points(rng, 25):
-            got = idx.nearest_by_max_distance(q)
-            want = oracle.nearest_by_max_distance(q)
-            assert idx.rect_of(got).max_distance_to_point(q) == pytest.approx(
-                oracle.rect_of(want).max_distance_to_point(q)
-            )
-
-    @pytest.mark.parametrize("kind", ACCELERATED)
     def test_equivalence_survives_deletions(self, kind, rng):
         points = random_points(rng, 300)
         oracle = BruteForceIndex()

@@ -167,16 +167,6 @@ class TestRTreeStress:
                     q, k
                 ) == oracle.k_nearest_by_max_distance(q, k)
 
-    def test_max_distance_nn_with_ties(self):
-        rtree = RTreeIndex(max_entries=4)
-        # Four symmetric rects: all the same max distance from center.
-        rtree.insert("a", Rect(0.0, 0.0, 0.2, 0.2))
-        rtree.insert("b", Rect(0.8, 0.0, 1.0, 0.2))
-        rtree.insert("c", Rect(0.0, 0.8, 0.2, 1.0))
-        rtree.insert("d", Rect(0.8, 0.8, 1.0, 1.0))
-        winner = rtree.nearest_by_max_distance(Point(0.5, 0.5))
-        assert winner in ("a", "b", "c", "d")
-
 
 # ----------------------------------------------------------------------
 # The packed tree against the oracle, as a property

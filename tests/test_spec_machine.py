@@ -596,3 +596,15 @@ FacadeMachine.TestCase.settings = settings(
 )
 TestAnonymizerMachine = AnonymizerMachine.TestCase
 TestFacadeMachine = FacadeMachine.TestCase
+
+
+def test_replay_a_split_repoints_a_later_mover():
+    """``update_batch`` on the adaptive cut: the first move splits the
+    leaf the second mover sits in, and the second move, quiet in the cut
+    the batch started with, leaves its new leaf.  The split gate must
+    see the first mover's new row and the second's old one."""
+    k2 = PrivacyProfile(2)
+    steps = [("register", 0, Point(0.1, 0.1), k2), ("register", 1, Point(0.6, 0.6), k2),
+             ("register", 2, Point(0.9, 0.9), k2),
+             ("update_batch", [(0, Point(0.55, 0.7)), (1, Point(0.6, 0.9))])]
+    assert replay("adaptive", steps, only=("single", "reference"))[-1] == ("ok", [2, 2])

@@ -114,8 +114,6 @@ class TestScenes:
             anonymizer.register(i, p, PrivacyProfile(k=3))
         canvas = draw_pyramid_cut(anonymizer)
         root = parse(canvas.render())
-        leaves = sum(
-            1 for entry in anonymizer._cells.values() if entry.is_leaf
-        )
+        leaves = len(anonymizer.leaf_cells())
         # Background + bounds + one rect per maintained leaf.
         assert len(root.findall(f"{SVG_NS}rect")) == leaves + 2
