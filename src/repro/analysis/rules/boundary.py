@@ -13,9 +13,8 @@ internals would sneak across unframed and un-CRC'd, so:
   (``response_blob``/``op_install`` — the opaque-blob operations whose
   bytes ride inside CRC'd frames), and every ``pickle.loads`` argument
   must derive from a CRC-verified source: a decoded operation field
-  (``op[...]`` from ``decode_op``/``decode_response``), a snapshot
-  ``.blob`` attribute, or a flushed reply
-  (``flush()``/``_flush_shard()`` results).  A loads/dumps that cannot
+  (``op[...]`` from ``decode_op``/``decode_response``) or a flushed
+  reply (``flush()`` results).  A loads/dumps that cannot
   be traced to those shapes is flagged;
 * **everywhere**, calling ``.send()``/``.recv()`` on a
   pipe/connection/socket-named receiver is flagged: those channels
@@ -23,7 +22,7 @@ internals would sneak across unframed and un-CRC'd, so:
   sanctioned transport.
 
 The derivation check walks the function's assignment map a few levels
-deep (``blob = self._flush_shard(s)[-1]; pickle.loads(blob)`` is
+deep (``blob = self.flush()[s][-1]; pickle.loads(blob)`` is
 sanctioned), which matches how the worker runtime is actually written.
 """
 
@@ -45,7 +44,7 @@ _BLOB_CARRIERS = frozenset({"response_blob", "op_install"})
 
 #: Call names whose results are CRC-verified before they reach loads.
 _VERIFIED_SOURCES = frozenset(
-    {"decode_op", "decode_response", "decode_frame", "flush", "_flush_shard"}
+    {"decode_op", "decode_response", "decode_frame", "flush"}
 )
 
 #: Receiver-name fragments that mark an implicit-pickle channel.
@@ -92,9 +91,6 @@ def _derives_from_verified(
         return False
     if isinstance(expr, ast.Subscript):
         return _derives_from_verified(expr.value, amap, depth + 1)
-    if isinstance(expr, ast.Attribute):
-        # snapshot records carry their pickled state as ``.blob``
-        return expr.attr == "blob"
     if isinstance(expr, ast.Call):
         return terminal_name(expr.func) in _VERIFIED_SOURCES
     if isinstance(expr, ast.Name):
@@ -212,6 +208,6 @@ class ProcessBoundaryRule(Rule):
                             node,
                             "pickle.loads argument does not derive from "
                             "a CRC-verified wire source (decoded op "
-                            "field, snapshot .blob, or flushed reply) — "
+                            "field or flushed reply) — "
                             "never unpickle unverified bytes",
                         )

@@ -48,7 +48,6 @@ __all__ = [
     "UserTable",
     "check_soa_height",
     "leaf_mortons",
-    "move_level",
     "move_levels",
     "points_in_rect",
 ]
@@ -104,9 +103,8 @@ def _level_decode(level: int) -> tuple[IntArray, IntArray]:
 # Point location and the move rule, for a whole batch at once
 #
 # Each is the array statement of one scalar rule, and every host that
-# handles a tick of moves — the pyramid kernels below, the sharded fleet
-# and the worker pool's parent mirror, which keeps no counters at all —
-# takes it from here.
+# handles a tick of moves — the pyramid kernels below, and through them
+# the sharded fleet and the worker pool's parent — takes it from here.
 # ----------------------------------------------------------------------
 def points_in_rect(
     rect: Rect, xs: FloatArray, ys: FloatArray, tol: float = EPSILON
@@ -161,12 +159,6 @@ def move_levels(
     return levels, 2 * (height - levels)
 
 
-def move_level(height: int, old_m: int, new_m: int) -> tuple[int, int]:
-    """:func:`move_levels` for one move, on python ints."""
-    level = height - (((old_m ^ new_m).bit_length() + 1) >> 1)
-    return level, 2 * (height - level)
-
-
 # ----------------------------------------------------------------------
 # The complete pyramid as flat per-level arrays
 # ----------------------------------------------------------------------
@@ -187,14 +179,22 @@ class PyramidSoA:
         self.gens: list[IntArray] = [
             np.zeros(4**level, dtype=np.int64) for level in range(height + 1)
         ]
+        #: The same buffers as ``(counts, gens)`` memoryviews per level,
+        #: lowest level first, for the scalar chain walks: an item of a
+        #: memoryview reads and writes a python int at a third of a numpy
+        #: scalar's cost.  The arrays are only ever written in place.
+        self._chain = [
+            (memoryview(counts), memoryview(gens))
+            for counts, gens in zip(self.counts[::-1], self.gens[::-1])
+        ]
 
     # -- scalar chain walks (single register/deregister/update) --------
     def apply_chain(self, m: int, delta: int) -> None:
         """Apply ``delta`` along the ancestor chain of leaf ``m``
         (lowest level to root), bumping every touched generation."""
-        for level in range(self.height, -1, -1):
-            self.counts[level][m] += delta
-            self.gens[level][m] += 1
+        for counts, gens in self._chain:
+            counts[m] += delta
+            gens[m] += 1
             m >>= 2
 
     def move_chain(self, old_m: int, new_m: int) -> int:
@@ -202,10 +202,9 @@ class PyramidSoA:
         touching both branches strictly below their common ancestor;
         returns the counter-update cost (2 per touched level)."""
         cost = 0
-        level = self.height
-        while old_m != new_m:
-            counts = self.counts[level]
-            gens = self.gens[level]
+        for counts, gens in self._chain:
+            if old_m == new_m:
+                break
             counts[old_m] -= 1
             counts[new_m] += 1
             gens[old_m] += 1
@@ -213,7 +212,6 @@ class PyramidSoA:
             cost += 2
             old_m >>= 2
             new_m >>= 2
-            level -= 1
         return cost
 
     # -- the batched update-tick kernel ---------------------------------
@@ -280,7 +278,7 @@ class PyramidSoA:
             raise ValueError("snapshot height mismatch")
         for level, grid in enumerate(grids):
             ix, iy = _level_decode(level)
-            self.counts[level] = grid[ix, iy].astype(np.int64)
+            self.counts[level][:] = grid[ix, iy]
 
     def rebuild_subtrees(
         self, level: int, lo: int, hi: int, leaves: IntArray

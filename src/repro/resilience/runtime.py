@@ -314,7 +314,7 @@ class ResilienceRuntime:
     def _crash_worker(self, victim: int) -> None:
         """Shard-worker *process* crash: kill the victim's OS process
         mid-run and let the supervisor respawn and heal it over the
-        wire (parent mirror bootstrap or survivor snapshot).
+        wire (an install of the parent deployment's snapshot).
 
         Unlike :meth:`_crash_shard`, nothing rolls back: the heal
         source reflects every acknowledged mutation, so users keep

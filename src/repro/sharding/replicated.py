@@ -81,10 +81,6 @@ class ReplicatedShardedAnonymizer(ShardSurface):
     def stats(self) -> MaintenanceStats:
         return self._inner.stats
 
-    @stats.setter
-    def stats(self, value: MaintenanceStats) -> None:
-        self._inner.stats = value
-
     @property
     def num_maintained_cells(self) -> int:
         """Size of the wrapped policy's maintained structure;

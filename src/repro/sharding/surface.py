@@ -7,7 +7,8 @@ facts for the partitioned fleet
 (:class:`~repro.sharding.basic.ShardedBasicAnonymizer`), the broadcast
 replica (:class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`)
 and the worker-pool parent (:class:`~repro.sharding.workers
-.ParallelShardedAnonymizer`); all three mix this class in.
+.ParallelShardedAnonymizer`, whose table and occupancy are those of the
+in-process deployment it keeps); all three mix this class in.
 """
 
 from __future__ import annotations

@@ -35,9 +35,10 @@ frame so the sender retransmits instead of timing out.
 Envelope payloads carry one shard **operation** each, encoded by the
 ``op_*`` / ``response_*`` helpers below: a one-byte opcode, fixed-width
 little-endian fields, and a tagged user id (int64 or UTF-8) last.
-Operations never carry pyramid state; snapshots travel as opaque blobs
-that a parent only unpickles after the frame CRC has verified — bytes
-that fail the CRC are rejected, never parsed, and *never* unpickled.
+Operations never carry pyramid state; snapshots and cache counters
+travel as opaque blobs that are only unpickled after the frame CRC has
+verified — bytes that fail the CRC are rejected, never parsed, and
+*never* unpickled.
 """
 
 from __future__ import annotations
@@ -216,13 +217,12 @@ OP_CLOAK = 5
 OP_CLOAK_LOCATION = 6
 OP_CELL_COUNT = 7
 OP_STATS = 8
-OP_SNAPSHOT = 9
 OP_INSTALL = 10
 OP_CHECK = 12
 OP_PING = 13
 OP_HANG = 14
 OP_SHUTDOWN = 15
-# 11 is retired and stays unassigned: opcode values are wire surface.
+# 9 and 11 are retired and stay unassigned: opcode values are wire surface.
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,7 +237,7 @@ class OpSpec:
     reply: str
     #: Side-effect-free, so safe to re-issue to a healed worker when an
     #: exchange dies mid-flight (mutations never are: see the parent's
-    #: ``ParallelShardedAnonymizer._exchange``).
+    #: ``ParallelShardedAnonymizer._deliver``).
     reissuable: bool
     #: Data plane (what any peer of the anonymizer may ask) or control
     #: plane (worker supervision: pickled state, invariant sweeps, chaos
@@ -258,7 +258,6 @@ OPS: dict[int, OpSpec] = {
     OP_CELL_COUNT: OpSpec("cell_count", "count", True, True),
     OP_PING: OpSpec("ping", "ack", True, True),
     OP_STATS: OpSpec("stats", "blob", True, False),
-    OP_SNAPSHOT: OpSpec("snapshot", "blob", True, False),
     OP_INSTALL: OpSpec("install", "ack", False, False),
     OP_CHECK: OpSpec("check", "ack", True, False),
     OP_HANG: OpSpec("hang", "ack", False, False),
@@ -349,10 +348,6 @@ def op_stats() -> bytes:
     return struct.pack("<B", OP_STATS)
 
 
-def op_snapshot() -> bytes:
-    return struct.pack("<B", OP_SNAPSHOT)
-
-
 def op_install(blob: bytes) -> bytes:
     return struct.pack("<B", OP_INSTALL) + blob
 
@@ -404,8 +399,6 @@ def decode_op(data: bytes) -> tuple:
         return ("cell_count", CellId(level, ix, iy))
     if opcode == OP_STATS:
         return ("stats",)
-    if opcode == OP_SNAPSHOT:
-        return ("snapshot",)
     if opcode == OP_INSTALL:
         return ("install", data[1:])
     if opcode == OP_CHECK:

@@ -13,9 +13,10 @@ to the parent runtime over the framed wire protocol of
   The TCP front door (:mod:`repro.sharding.frontdoor`) serves exactly
   this.
 * :class:`ShardWorker` — the endpoint a worker process runs over its
-  pipe: it adds the *control plane* (pickled stats/snapshot/install
-  blobs, invariant sweeps, chaos hangs, shutdown) and the ``NACK``
-  answer to a request that failed its CRC.
+  pipe: it adds the *control plane* (its own cloak-cache counters as a
+  ``stats`` blob, the ``install`` of a pickled deployment snapshot,
+  invariant sweeps, chaos hangs, shutdown) and the ``NACK`` answer to a
+  request that failed its CRC.
 * :class:`WorkerPool` — the supervisor: spawns one process per shard
   over a duplex pipe, health-checks, kills, respawns and tears the
   fleet down deterministically (idempotent, exception-safe).
@@ -24,6 +25,14 @@ to the parent runtime over the framed wire protocol of
   ``Casper(shards=N, parallel=True)``, batch queries and the
   continuous monitor work unchanged on top of real processes.
 
+One mirror: the parent keeps the in-process deployment its workers
+replicate — what ``make_sharded`` builds from the same arguments — and
+applies every mutation to it before queueing the mutation for the
+workers.  Who is registered, homes, occupancy, update costs,
+maintenance statistics, ``cell_count`` and snapshots are that
+deployment's own answers, so they are the in-process deployment's by
+construction; the workers compute cloaks.
+
 Delivery rule: mutations *queue* in the parent, per shard; a read (or
 an explicit ``flush()``) *delivers* them — scatter, then gather: every
 involved shard's frame is sent before any reply is awaited, one
@@ -31,10 +40,9 @@ involved shard's frame is sent before any reply is awaited, one
 concurrently and each pipe carries at most one unanswered frame.  A
 write-only peer therefore grows the queues until someone reads.
 
-Replication model — one per in-process deployment, chosen by whether
-the policy's registry entry ships a native partitioned fleet
-(``spec.sharded``); either way results are *byte-identical* to the
-in-process deployment the workers replicate:
+Replication model — chosen by whether the policy's registry entry
+ships a native partitioned fleet (``spec.sharded``); either way cloaks
+are *byte-identical* to the in-process deployment's:
 
 * **partition** (``basic``: :class:`~repro.sharding.basic
   .ShardedBasicAnonymizer` replicas) — every worker holds a full fleet
@@ -48,9 +56,7 @@ in-process deployment the workers replicate:
   Foreign users' rows go stale on a replica — point and cell together,
   always inside the true block — and its foreign *interior* counts
   stay consistent with those rows, so every replica passes the same
-  ``check_invariants`` audit as the in-process fleet.  The parent
-  computes all maintenance statistics itself (basic costs are pure
-  functions of the cell walk), so ``stats`` needs no wire round trip.
+  ``check_invariants`` audit as the in-process fleet.
 * **broadcast** (every other policy — ``adaptive`` and the baselines:
   :class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`
   replicas) — the policy's state has no partitioned form, so every
@@ -59,9 +65,6 @@ in-process deployment the workers replicate:
   each worker's cloak cache sees only its own shard's requests: cloaks
   are byte-identical, but aggregate ``cache_stats()`` hit/miss splits
   are the one number not reproduced from the in-process single cache.
-  Update costs come back on the wire (cascade costs cannot be
-  recomputed parent-side), which is why broadcast updates deliver
-  synchronously.
 
 Failure model: the parent's transmit seam feeds every frame — in both
 directions — through an attached
@@ -69,20 +72,20 @@ directions — through an attached
 duplicates, delays, reorders and corrupts the *actual bytes* crossing
 the pipes.  Dropped or corrupted frames retransmit (the worker replays
 from its dedup cache); a worker that dies or hangs past
-``hang_timeout`` is killed, respawned and healed — from the parent
-mirror (partition) or from the lowest surviving replica's snapshot
-(broadcast) — degrading availability for the duration, never privacy.
+``hang_timeout`` is killed, respawned and healed.  One heal path: the
+replacement installs a snapshot of the parent's deployment, which
+already holds every mutation the victim lost — availability degrades
+for the duration, never privacy.
 
-Pickle travels only inside ``install``/``snapshot``/``stats`` blobs
-between a parent and the worker processes it spawned — control-plane
-operations (:data:`repro.sharding.wire.OPS`), which only a
-:class:`ShardWorker` executes and only for the peer on its own pipe —
-and is parsed only after the enclosing frame's CRC verified.
+Pickle travels only inside ``install``/``stats`` blobs between a parent
+and the worker processes it spawned — control-plane operations
+(:data:`repro.sharding.wire.OPS`), which only a :class:`ShardWorker`
+executes and only for the peer on its own pipe — and is parsed only
+after the enclosing frame's CRC verified.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import pickle
 import struct
@@ -97,13 +100,14 @@ from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.policy import get_policy
 from repro.anonymizer.profile import PrivacyProfile
-from repro.anonymizer.soa import TableSnapshot, UserTable, move_level, move_levels
+from repro.anonymizer.soa import UserTable
 from repro.anonymizer.stats import MaintenanceStats
-from repro.errors import ProfileUnsatisfiableError
+from repro.errors import CasperError, ProfileUnsatisfiableError, UnknownUserError
 from repro.geometry import Point, Rect
 from repro.messages import ShardEnvelope
 from repro.observability import runtime as _telemetry
 from repro.sharding.replicated import ReplicatedShardedAnonymizer
+from repro.sharding.router import ShardRouter
 from repro.sharding.surface import ShardSurface
 from repro.sharding.wire import (
     KIND_NACK,
@@ -117,7 +121,6 @@ from repro.sharding.wire import (
     decode_op,
     decode_response,
     encode_frame,
-    op_cell_count,
     op_check,
     op_cloak,
     op_cloak_location,
@@ -128,7 +131,6 @@ from repro.sharding.wire import (
     op_register,
     op_set_profile,
     op_shutdown,
-    op_snapshot,
     op_spec,
     op_stats,
     response_ack,
@@ -182,12 +184,13 @@ class _WorkerConfig:
     cloak_cache_size: int
 
 
-def _build_replica(config: _WorkerConfig, shard: int | None = None) -> object:
+def _build_replica(config: _WorkerConfig, shard: int | None = None) -> Any:
     """Build the in-process deployment of ``config.kind`` — what
-    ``make_sharded`` returns and what every worker replicates — via the
-    policy registry: the native partitioned fleet when the policy ships
-    one, else a whole-policy :class:`~repro.sharding.replicated
-    .ReplicatedShardedAnonymizer` tagged with the worker's shard."""
+    ``make_sharded`` returns, what the worker pool's parent keeps and
+    what every worker replicates — via the policy registry: the native
+    partitioned fleet when the policy ships one, else a whole-policy
+    :class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`
+    tagged with the worker's shard."""
     spec = get_policy(config.kind)
     if spec.sharded is not None:
         return spec.sharded(
@@ -373,7 +376,6 @@ class ShardWorker(FrameEndpoint):
         self, config: _WorkerConfig, shard: int, conn: Connection | None
     ) -> None:
         super().__init__(_build_replica(config, shard))
-        self.config = config
         self.shard = shard
         self._conn = conn
         self._stopping = False
@@ -399,24 +401,11 @@ class ShardWorker(FrameEndpoint):
         op = decode_op(payload)
         name = op[0]
         if name == "stats":
-            report = {
-                "stats": dataclasses.asdict(self._replica.stats),
-                "own_cache": self._replica.cache_stats_per_shard()[str(self.shard)],
-                "num_maintained_cells": getattr(
-                    self._replica, "num_maintained_cells", None
-                ),
-            }
-            return response_blob(pickle.dumps(report))
-        if name == "snapshot":
-            blob = pickle.dumps(
-                (
-                    self._replica.snapshot(),
-                    dataclasses.asdict(self._replica.stats),
-                )
-            )
-            return response_blob(blob)
+            own = self._replica.cache_stats_per_shard()[str(self.shard)]
+            return response_blob(pickle.dumps(own))
         if name == "install":
-            self._install(pickle.loads(op[1]))
+            # A snapshot of the parent's deployment: the whole state.
+            self._replica.restore(pickle.loads(op[1]))
             return response_ack()
         if name == "check":
             self._replica.check_invariants()
@@ -428,29 +417,6 @@ class ShardWorker(FrameEndpoint):
             self._stopping = True
             return response_ack()
         return response_error(f"unsupported operation {name!r}")
-
-    def _install(self, package: object) -> None:
-        """Replace replica state from an ``install`` blob.
-
-        ``("bootstrap", [(uid, point, profile), ...])`` rebuilds a fresh
-        replica by re-registering every user at their current location
-        (the parent-mirror heal path); ``("install", (snapshot,
-        stats?))`` restores a snapshot taken on a sibling replica (the
-        broadcast survivor heal / whole-fleet restore path).
-        """
-        tag, body = package
-        if tag == "bootstrap":
-            replica = _build_replica(self.config, self.shard)
-            for uid, point, profile in body:
-                replica.register(uid, point, profile)
-            self._replica = replica
-        elif tag == "install":
-            snapshot, stats = body
-            self._replica.restore(snapshot)
-            if stats is not None:
-                self._replica.stats = MaintenanceStats(**stats)
-        else:
-            raise ValueError(f"unknown install package tag {tag!r}")
 
 
 def _worker_main(config: _WorkerConfig, shard: int, conn: Connection) -> None:
@@ -571,27 +537,18 @@ class _WorkerDied(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class _ParallelSnapshot:
-    """Parent-side snapshot: the parent table's rows (always
-    sufficient to rebuild a partitioned fleet) plus, for broadcast
-    policies, a pickled replica snapshot taken on worker 0 (the
-    adaptive cut is history-dependent, so points alone cannot
-    reproduce it)."""
-
-    kind: str
-    population: TableSnapshot
-    blob: bytes | None = None
-
-
 class ParallelShardedAnonymizer(ShardSurface):
     """The sharded-anonymizer interface over real worker processes.
 
-    Seeded operation streams produce byte-identical cloaks, costs and
-    maintenance counters to the in-process sharded anonymizers (and
-    hence to the single-pyramid implementations) — see the module
-    docstring for the replication argument, and the ``parallel`` lane
-    of ``tests/test_spec_machine.py`` for the oracle.
+    The parent keeps the in-process deployment its workers replicate
+    and applies every mutation to it first, so population reads, homes,
+    occupancy, costs, statistics, ``cell_count`` and snapshots are that
+    deployment's answers; cloaks are the workers'.  Seeded operation
+    streams produce byte-identical cloaks, costs and maintenance
+    counters to the in-process sharded anonymizers (and hence to the
+    single-pyramid implementations) — see the module docstring for the
+    replication argument, and the ``parallel`` lane of
+    ``tests/test_spec_machine.py`` for the oracle.
     """
 
     def __init__(
@@ -608,17 +565,12 @@ class ParallelShardedAnonymizer(ShardSurface):
             # In the parent, before any worker exists to discover it.
             spec.check_height(height)
         self.kind = kind
+        self.grid = CellGrid(bounds, height)
+        self.router = ShardRouter(num_shards, height)
         #: How worker replicas stay consistent (module docstring):
         #: partitioned when the policy ships a native fleet, else
-        #: broadcast to whole replicas, stats/costs read off the wire.
+        #: broadcast to whole replicas.
         self._partitioned = spec.sharded is not None
-        self.grid = CellGrid(bounds, height)
-        self._init_surface(num_shards, height)
-        self._stats = MaintenanceStats()
-        #: The parent's authoritative copy of every user's state: the
-        #: engine's own user table (exact point, profile and lowest-level
-        #: Morton cell per slot) with no pyramid over it.
-        self.table = UserTable(self.grid)
         self._pending: list[list[bytes]] = [[] for _ in range(num_shards)]
         self._seq = 0
         self._injector = None
@@ -626,20 +578,23 @@ class ParallelShardedAnonymizer(ShardSurface):
         self._closed = False
         self.worker_crashes = 0
         self.worker_heals = 0
-        self._pool = WorkerPool(
-            _WorkerConfig(kind, bounds, height, num_shards, cloak_cache_size)
-        )
-        #: Workers whose replicas are known complete.  A respawned
-        #: worker is not authoritative until its install lands, so a
-        #: heal nested inside another heal never snapshots a virgin
-        #: (empty) replica and propagates the emptiness fleet-wide.
-        self._authoritative = [True] * num_shards
+        config = _WorkerConfig(kind, bounds, height, num_shards, cloak_cache_size)
+        self._pool = WorkerPool(config)
         self._pool.spawn_all()
         for shard in range(num_shards):
             _telemetry.count("casper_worker_events_total", shard, "spawn")
+        try:
+            #: The one mirror: the in-process deployment every worker
+            #: replicates — built after the fork, so no worker inherits
+            #: its pages.
+            self._local = _build_replica(config)
+        except BaseException:
+            self._pool.shutdown()
+            raise
 
     # ------------------------------------------------------------------
-    # Introspection (all answered from the parent mirror — no IPC)
+    # Introspection (answered by the local deployment — no IPC — but
+    # for the workers' own cloak caches)
     # ------------------------------------------------------------------
     def __enter__(self) -> "ParallelShardedAnonymizer":
         return self
@@ -648,25 +603,24 @@ class ParallelShardedAnonymizer(ShardSurface):
         self.close()
 
     @property
+    def table(self) -> UserTable:
+        return self._live().table
+
+    @property
     def stats(self) -> MaintenanceStats:
-        """Maintenance counters — parent-computed for the partitioned
-        fleet (costs are pure functions of the cell walk), fetched from
-        worker 0 for broadcast policies (split/merge costs happen
-        inside the workers), with ``cloak_requests`` always counted at
-        the routing seam."""
-        if self._partitioned:
-            return self._stats
-        payload = self._fetch_stats()[0]["stats"]
-        payload["cloak_requests"] = self._stats.cloak_requests
-        return MaintenanceStats(**payload)
+        """The local deployment's maintenance counters; the cloaks it
+        never serves are counted at the routing seam."""
+        return self._live().stats
 
     @property
     def num_maintained_cells(self) -> int:
-        cells = self._fetch_stats()[0]["num_maintained_cells"]
-        if cells is None:
-            # The policy the workers replicate maintains no cut.
-            raise AttributeError("num_maintained_cells")
-        return cells
+        return self._live().num_maintained_cells
+
+    def shard_occupancy(self) -> list[int]:
+        return self._live().shard_occupancy()
+
+    def cell_count(self, cell: CellId) -> int:
+        return self._live().cell_count(cell)
 
     def cache_stats_per_shard(self) -> dict[str, dict[str, int]]:
         """Per-worker cloak-cache traffic (each worker's own cache),
@@ -675,121 +629,84 @@ class ParallelShardedAnonymizer(ShardSurface):
         policies each whole-replica cache sees only its own shard's
         cloaks, so hit/miss splits (and their :meth:`cache_stats` sum)
         may differ from the in-process deployment's single cache."""
-        own = (payload["own_cache"] for payload in self._fetch_stats())
-        return self._shard_rows(dict(enumerate(own)))
+        self._broadcast(op_stats())
+        results = self.flush()
+        return self._shard_rows(
+            {shard: pickle.loads(results[shard][-1]) for shard in results}
+        )
 
     # ------------------------------------------------------------------
-    # Registration and location updates
+    # Registration and location updates: the local deployment applies
+    # (and refuses) each mutation, then the workers that need it queue it
     # ------------------------------------------------------------------
     def register(
         self, uid: object, point: Point, profile: PrivacyProfile
     ) -> None:
-        self.table.admit(uid, point, profile)
-        self._homed(self.shard_of_user(uid))
-        if self._partitioned:
-            self._stats.registrations += 1
-            self._stats.counter_updates += self.height + 1
-        self._broadcast(op_register(uid, point, profile))
+        op = op_register(uid, point, profile)  # refuses an unshippable uid first
+        self._live().register(uid, point, profile)
+        self._broadcast(op)
 
     def deregister(self, uid: object) -> None:
-        home = self.shard_of_user(uid)
-        if self._partitioned:
-            self._stats.deregistrations += 1
-            self._stats.counter_updates += self.height + 1
-        self.table.remove(uid)
-        self._unhomed(home)
+        self._live().deregister(uid)
         self._broadcast(op_deregister(uid))
 
     def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
-        self.table.set_profile(uid, profile)
+        self._live().set_profile(uid, profile)
         self._broadcast(op_set_profile(uid, profile))
 
     def update(self, uid: object, point: Point) -> int:
         """Process a location update; returns its counter-update cost
-        (identical to the in-process cost).  The lean one-move form of
-        :meth:`update_batch`'s mirror: the same rule on python ints."""
-        router = self.router
-        _slot, old_leaf, new_leaf, _cell = self.table.move(uid, point)
-        home = router.owner_of_leaf(old_leaf)
-        level, cost = move_level(self.height, old_leaf, new_leaf)
-        if cost or not self._partitioned:
-            self._notify_op(home, "update", occupancy=False)
-        # Only a move that leaves its level-S block can change homes,
-        # and it changes spine/block-root state every replica reads.
-        crossing = router.crosses_boundary(level)
-        new_home = router.owner_of_leaf(new_leaf) if crossing else home
-        if new_home != home:
-            self._rehomed(home, new_home)
-        if crossing or not self._partitioned:
-            self._broadcast(op_move(uid, point))
-        else:
-            # Confined (even to its cell: the owner still needs the
-            # fresh coordinates for its record): one worker's business.
-            self._enqueue(home, op_move(uid, point))
-        if not self._partitioned:
-            return self._broadcast_cost()
-        self._stats.location_updates += 1
-        self._stats.counter_updates += cost
-        self._stats.cell_changes += cost > 0
+        (the local deployment's)."""
+        local = self._live()
+        table = local.table
+        slot = table.require(uid)
+        old = int(table.cells[slot])
+        cost: int = local.update(uid, point)
+        self._queue_moves([(uid, point)], [old], [int(table.cells[slot])])
         return cost
 
-    def _broadcast_cost(self) -> int:
-        """Deliver a broadcast move and read its cost back.
-
-        The cost depends on split/merge cascades only the replicas can
-        evaluate, so broadcast updates flush synchronously; any
-        replica's answer is authoritative (identical op streams)."""
-        for shard_results in self.flush().values():
-            if shard_results and shard_results[-1] is not None:
-                return shard_results[-1]
-        # Only reachable when every worker died mid-exchange and healed
-        # from the parent mirror (which already includes this move).
-        return 0
-
     def update_batch(self, moves: list[tuple[object, Point]]) -> list[int]:
-        """Apply a tick's worth of location updates; returns their
-        costs — like the end state and, on the first unknown uid or
-        out-of-bounds point, the exception and the applied prefix,
-        identical to the sequential :meth:`update` loop.
-
-        Partitioned: one numpy pass mirrors the batch (leaf Morton
-        codes, ancestor levels, costs, crossing flags, owners); only
-        encoding and queueing each ``move`` stays per move.  Like every
-        mutation the moves *queue*: a read or :meth:`flush` delivers
-        them (costs and stats are parent-computed, so nothing
-        observable waits).  Broadcast policies are synchronous — costs
-        come back on the wire — and, like a batch naming one user
-        twice, apply in arrival order.
-        """
-        if not self._partitioned or len({uid for uid, _ in moves}) != len(moves):
+        """Apply a tick's worth of location updates: the local
+        deployment's ``update_batch`` — costs, end state and, on the
+        first refused point, the exception and the applied prefix are
+        the sequential :meth:`update` loop's — with each applied move
+        queued for the workers it concerns.  A batch naming a stranger
+        or one user twice runs that loop."""
+        local = self._live()
+        table = local.table
+        try:
+            slots = table.slots_array([uid for uid, _ in moves])
+        except UnknownUserError:
+            slots = None
+        if slots is None or len(set(slots.tolist())) != len(moves):
             return [self.update(uid, point) for uid, point in moves]
-        if self._closed:
-            raise RuntimeError("parallel anonymizer is closed")
-        router, pending = self.router, self._pending
-        old_leaves, new_leaves = self.table.apply_moves(moves)
-        levels, costs = move_levels(self.height, old_leaves, new_leaves)
-        homes = router.owners_of_leaves(old_leaves)
-        self._notify_updates(homes[costs != 0])
-        for (uid, point), home, new_home, crossing in zip(
-            moves,
-            homes.tolist(),
-            router.owners_of_leaves(new_leaves).tolist(),
-            (levels < router.spine_level).tolist(),
-        ):
+        old = table.cells[slots]
+        applied = moves
+        try:
+            costs: list[int] = local.update_batch(moves)
+        except CasperError:
+            applied = moves[: len(table.locate_moves(moves)[0])]
+            raise
+        finally:
+            self._queue_moves(applied, old.tolist(), table.cells[slots].tolist())
+        return costs
+
+    def _queue_moves(
+        self, moves: list[tuple[object, Point]], old: list[int], new: list[int]
+    ) -> None:
+        """Queue applied moves (leaves ``old`` to ``new``, per move): to
+        every worker for a broadcast policy or a move that leaves its
+        level-S block (it changes spine / block-root state every replica
+        reads), else to its home alone — even within its cell, the home
+        needs the fresh coordinates for its record."""
+        pending, shift = self._pending, self.router.leaf_shift
+        home_of, partitioned = self.router.owner_of_leaf, self._partitioned
+        for (uid, point), m, n in zip(moves, old, new):
             op = op_move(uid, point)
-            if crossing:
-                if new_home != home:
-                    self._rehomed(home, new_home)
-                self._broadcast(op)
+            if partitioned and not (m ^ n) >> shift:
+                pending[home_of(m)].append(op)
             else:
-                pending[home].append(op)
-        self._stats.add_moves(costs)
-        if len(costs) < len(moves):
-            # Replay the refused move alone for its exception (unknown
-            # uid before out-of-bounds, as in the sequential loop).
-            self.update(*moves[len(costs)])
-            raise AssertionError("unreachable: the refused move must raise")
-        return costs.tolist()
+                self._broadcast(op)
 
     # ------------------------------------------------------------------
     # Cloaking
@@ -832,7 +749,7 @@ class ParallelShardedAnonymizer(ShardSurface):
         for an ad-hoc location under ``profile``) and collect their
         regions, with the accounting and telemetry of the in-process
         cloak."""
-        self._stats.cloak_requests += len(requests)
+        self.stats.cloak_requests += len(requests)
         positions = [self._enqueue(request[0], request[1]) for request in requests]
         traced = _telemetry.active() is not None
         start = monotonic()
@@ -864,82 +781,39 @@ class ParallelShardedAnonymizer(ShardSurface):
             raise failure
         return regions
 
-    def cell_count(self, cell: CellId) -> int:
-        """Population of one maintained cell, read from the replica
-        that is authoritative for it."""
-        shared = not self._partitioned or cell.level < self.router.spine_level
-        shard = 0 if shared else self.router.shard_of(cell)
-        self._enqueue(shard, op_cell_count(cell))
-        return self._flush_shard(shard)[-1]
-
     # ------------------------------------------------------------------
     # Crash recovery and diagnostics
     # ------------------------------------------------------------------
     def snapshot(self) -> object:
-        """Whole-fleet snapshot.  Partitioned snapshots are pure parent
-        state (cheap — no wire traffic); broadcast snapshots
-        additionally capture worker 0's replica, which point data alone
-        cannot rebuild (the adaptive cut is history-dependent)."""
-        rows = self.table.snapshot()
-        if self._partitioned:
-            return _ParallelSnapshot(self.kind, rows)
-        self.flush()
-        self._enqueue(0, op_snapshot())
-        blob = self._flush_shard(0)[-1]
-        return _ParallelSnapshot(self.kind, rows, blob)
+        """The local deployment's snapshot (no wire traffic): the
+        in-process deployment and the worker pool restore each other's."""
+        return self._live().snapshot()
 
     def restore(self, state: object) -> None:
-        """Restore the fleet from a :meth:`snapshot` copy.
-
-        Partitioned workers rebuild from the restored mirror (fresh
-        replicas, so unlike the in-process fleet the cache *counters*
-        restart at zero); broadcast workers re-install the captured
-        replica, keeping their own maintenance stats exactly like the
-        in-process ``restore``.
-        """
-        if not isinstance(state, _ParallelSnapshot) or state.kind != self.kind:
-            raise TypeError("not a ParallelShardedAnonymizer snapshot")
-        self.flush()  # queued mutations count in the workers' stats
-        self.table.restore(state.population)
-        self._occupancy = self._recount()
-        if self._partitioned:
-            package = ("bootstrap", list(state.population.rows()))
-        else:
-            snapshot, _stats = pickle.loads(state.blob)
-            package = ("install", (snapshot, None))
-        blob = pickle.dumps(package)
-        # Until a worker's install lands it may hold pre-restore state,
-        # so none is a valid heal source for the duration.  An install
-        # that dies mid-exchange surfaces as ``None`` (the heal that
-        # caught it rebuilt the worker from a *peer*, which may itself
-        # be pre-restore here), so re-issue it until it lands — the
-        # install is a full state replacement, safe to repeat.
-        self._authoritative = [False] * self.num_shards
-        for shard in range(self.num_shards):
-            for _ in range(_HEAL_LIMIT):
-                self._enqueue(shard, op_install(blob))
-                if self._flush_shard(shard)[-1] is not None:
-                    break
-            else:
-                raise RuntimeError(
-                    f"shard worker {shard}: restore install kept dying"
-                )
-            self._authoritative[shard] = True
+        """Restore the fleet from a :meth:`snapshot` copy: the local
+        deployment's own ``restore`` — statistics and every refusal as
+        in-process — then its state installed on every worker, behind
+        (and replacing) whatever is still queued for them."""
+        self._live().restore(state)
+        self._broadcast(self._install_op())
+        self.flush()
 
     def crash_worker(self, victim: int) -> None:
         """Kill one worker process and heal its replacement — the
         chaos harness's worker-crash fault, exercised over the real
-        transport."""
+        transport.  The replacement is a fresh process, so its cloak
+        cache counters restart at zero."""
         if not 0 <= victim < self.num_shards:
             raise ValueError(f"no such shard: {victim}")
-        self.flush()
-        self._crash_and_heal(victim)
+        self._live()
+        self._pending[victim] = []  # the heal installs them with the rest
+        self._heal(victim)
 
     def check_invariants(self) -> None:
-        """Assert parent-mirror consistency, then every worker's
-        replica invariants (each replica's own ``check_invariants``)."""
-        self.table.check()
-        self._check_homes()
+        """Assert the local deployment's invariants, then every
+        worker's replica invariants (each replica's own
+        ``check_invariants``)."""
+        self._live().check_invariants()
         self._broadcast(op_check())
         self.flush()
 
@@ -956,14 +830,17 @@ class ParallelShardedAnonymizer(ShardSurface):
         self._injector = injector
 
     def close(self) -> None:
-        """Drain and stop the worker fleet.  Idempotent and
-        exception-safe: the pool reaps every process even when the
-        graceful shutdown handshake fails."""
+        """Stop the worker fleet and drop the parent's deployment — its
+        copy of every exact location — so a closed fleet refuses reads
+        as well as writes.  Idempotent and exception-safe: the pool
+        reaps every process even when the graceful shutdown handshake
+        fails."""
         if self._closed:
             return
         self._closed = True
+        self._local = None
         try:
-            self._discard_pending()
+            self._pending = [[] for _ in range(self.num_shards)]
             # Teardown is not a chaos target: the handshake goes
             # straight down the pipe.
             self._injector = None
@@ -986,26 +863,25 @@ class ParallelShardedAnonymizer(ShardSurface):
         shard's pending batch (stable across the closing flush).  What
         reply it earns is the op table's business
         (:data:`repro.sharding.wire.OPS`), not the caller's."""
-        if self._closed:
-            raise RuntimeError("parallel anonymizer is closed")
+        self._live()
         self._pending[shard].append(op)
         return len(self._pending[shard]) - 1
 
-    def _broadcast(self, op: bytes) -> None:
-        for shard in range(self.num_shards):
-            self._enqueue(shard, op)
+    def _live(self) -> Any:
+        """The local deployment, while the fleet is open."""
+        if self._closed:
+            raise RuntimeError("parallel anonymizer is closed")
+        return self._local
 
-    def _discard_pending(self) -> None:
-        for shard in range(self.num_shards):
-            self._pending[shard] = []
+    def _broadcast(self, op: bytes) -> None:
+        self._live()
+        for queue in self._pending:
+            queue.append(op)
 
     def flush(self) -> dict[int, list]:
         """Deliver every shard's pending batch; per-shard result lists
         align with enqueue order."""
         return self._deliver(range(self.num_shards))
-
-    def _flush_shard(self, shard: int) -> list:
-        return self._deliver((shard,))[shard]
 
     def _deliver(self, shards: Iterable[int], depth: int = 0) -> dict[int, list]:
         """Deliver the pending batches of ``shards``: scatter, then
@@ -1013,12 +889,11 @@ class ParallelShardedAnonymizer(ShardSurface):
         frame is on its pipe before any reply is awaited, so the
         workers compute concurrently, one unanswered frame per pipe.
 
-        A worker that dies sits out the remaining rounds.  Once the
-        survivors are gathered and drained it is healed, to a state
-        that already holds *all* its undelivered mutations (the heal
-        source has every pending one), so of its lost and remaining
-        chunks only the ops the table marks re-issuable re-run; lost
-        mutation results surface as ``None``.
+        A worker that dies sits out the remaining rounds, then is healed
+        to the local deployment's state, which already holds *all* its
+        undelivered mutations, so of its lost and remaining chunks only
+        the ops the table marks re-issuable re-run; lost mutation
+        results surface as ``None``.
         """
         pending = self._pending
         results: dict[int, list] = {shard: [] for shard in sorted(shards)}
@@ -1050,11 +925,8 @@ class ParallelShardedAnonymizer(ShardSurface):
                 raise RuntimeError(
                     f"shard worker {victim} kept dying; giving up"
                 )
-            # Out of the queue before any heal flushes "the survivors".
             lost += pending[victim]
-            pending[victim] = []
-        for victim, lost in died.items():
-            self._crash_and_heal(victim)
+            self._heal(victim)
             outcome: list = [None] * len(lost)
             retry = [i for i, op in enumerate(lost) if op_spec(op).reissuable]
             pending[victim] = [lost[i] for i in retry]
@@ -1216,56 +1088,28 @@ class ParallelShardedAnonymizer(ShardSurface):
     # ------------------------------------------------------------------
     # Healing
     # ------------------------------------------------------------------
-    def _crash_and_heal(self, victim: int) -> None:
-        """Reap a dead (or deliberately killed) worker, flush the
-        survivors, respawn and rebuild the victim's replica."""
-        self.worker_crashes += 1
-        _telemetry.count("casper_worker_events_total", victim, "crash")
-        _telemetry.count("casper_recoveries_total", "worker_respawn")
-        self._pool.kill(victim)
-        self._authoritative[victim] = False
-        # Survivors must apply their queued traffic first: the heal
-        # source (parent mirror or survivor snapshot) has to reflect
-        # every mutation the victim's lost batch carried.
-        self._deliver(
-            shard for shard in range(self.num_shards) if shard != victim
-        )
-        self._pool.spawn(victim)
-        _telemetry.count("casper_worker_events_total", victim, "spawn")
-        survivors = [
-            shard
-            for shard in range(self.num_shards)
-            if shard != victim
-            and self._pool.alive(shard)
-            and self._authoritative[shard]
-        ]
-        if not self._partitioned and survivors:
-            source = survivors[0]
-            self._enqueue(source, op_snapshot())
-            blob = self._flush_shard(source)[-1]
-            snapshot, stats = pickle.loads(blob)
-            package = ("install", (snapshot, stats))
-        else:
-            # Partition replication always heals from the parent mirror
-            # (lossless: the mirror is authoritative for every record).
-            # Broadcast policies fall back to it only with no survivor;
-            # history-dependent structure (the adaptive cut) re-deepens
-            # from current points, and worker stats restart.
-            package = ("bootstrap", list(self.table.snapshot().rows()))
-        self._enqueue(victim, op_install(pickle.dumps(package)))
-        self._flush_shard(victim)
-        # If the install exchange itself died, the nested heal that
-        # caught it already re-installed the victim, so authority is
-        # restored either way.
-        self._authoritative[victim] = True
-        self.worker_heals += 1
-        _telemetry.count("casper_worker_events_total", victim, "heal")
+    def _install_op(self) -> bytes:
+        """An ``install`` carrying the local deployment's state."""
+        return op_install(pickle.dumps(self._live().snapshot()))
 
-    def _fetch_stats(self) -> list[dict]:
-        """One decoded stats payload per worker (flushes everything)."""
-        self._broadcast(op_stats())
-        results = self.flush()
-        return [
-            pickle.loads(results[shard][-1])
-            for shard in range(self.num_shards)
-        ]
+    def _heal(self, victim: int) -> None:
+        """Respawn a dead (or deliberately killed) worker and install
+        the local deployment's state on the replacement — the one heal
+        path: that state holds every mutation the victim ever lost, and
+        no other worker is consulted."""
+        install = self._install_op()
+        for _ in range(_HEAL_LIMIT):
+            self.worker_crashes += 1
+            _telemetry.count("casper_worker_events_total", victim, "crash")
+            _telemetry.count("casper_recoveries_total", "worker_respawn")
+            self._pool.spawn(victim)
+            _telemetry.count("casper_worker_events_total", victim, "spawn")
+            try:
+                reply = self._receive(victim, *self._send(victim, [install]))
+            except _WorkerDied:
+                continue
+            self._decode_replies(victim, reply, [install])
+            self.worker_heals += 1
+            _telemetry.count("casper_worker_events_total", victim, "heal")
+            return
+        raise RuntimeError(f"shard worker {victim} kept dying; giving up")

@@ -2,8 +2,8 @@
 
 ``FrameEndpoint.step`` executes a request frame as *runs* (consecutive
 moves through ``update_batch``, consecutive cloaks through
-``cloak_many``), the worker pool's parent mirrors a batch of moves in
-one numpy pass, and a flush scatters one frame per shard before it
+``cloak_many``), the worker pool's parent runs a batch of moves through
+its deployment's kernel, and a flush scatters one frame per shard before it
 gathers any reply.  Three statements pin that none of it is observable:
 
 * **identity** — for any frame, ``step`` answers with exactly the bytes
@@ -58,7 +58,6 @@ from repro.sharding.wire import (
     op_ping,
     op_register,
     op_set_profile,
-    op_snapshot,
     op_spec,
     op_stats,
     response_ack,
@@ -160,7 +159,7 @@ OPS = {
     "cell_count": st.builds(op_cell_count, cells),
     "ping": st.just(op_ping()),
     "control": st.sampled_from(
-        [op_stats(), op_snapshot(), op_check(), op_hang(30.0)]
+        [op_stats(), op_check(), op_hang(30.0)]
     ),
 }
 segments = st.sampled_from(

@@ -57,6 +57,14 @@ def test_a_restore_counts_the_mutations_queued_before_it(kind) -> None:
     replay(kind, [("burst", USERS)] + steps, only=("single", "parallel"))
 
 
+def test_a_restore_keeps_the_workers_cache_counters() -> None:
+    """A restore installs the parent's snapshot into the live replicas, so
+    per-shard cache rows carry on as the in-process fleet's."""
+    cloaks = ("cloak_many", list(range(24)), None)
+    replay("basic", [("burst", USERS), cloaks, ("save",), *MIRRORED, cloaks,
+                     ("reload",), cloaks, ("swap",), cloaks])
+
+
 class TestBatchedPaths:
     """The batched entry points equal their one-at-a-time loops (the
     reference lanes)."""

@@ -49,7 +49,6 @@ from repro.sharding.wire import (
     op_register,
     op_set_profile,
     op_shutdown,
-    op_snapshot,
     op_stats,
 )
 from repro.sharding.workers import (
@@ -107,6 +106,15 @@ class TestWorkerPool:
         fleet.close()
         with pytest.raises(RuntimeError, match="closed"):
             fleet.register(1, Point(0.5, 0.5), PROFILE)
+        with pytest.raises(RuntimeError, match="closed"):
+            fleet.num_users  # the parent dropped its copy of the population
+
+    def test_a_uid_the_wire_cannot_carry_changes_nothing(self) -> None:
+        with make_sharded(UNIT, height=4, num_shards=2, parallel=True) as fleet:
+            with pytest.raises(TypeError, match="int or str"):
+                fleet.register((1, 2), Point(0.5, 0.5), PROFILE)
+            assert fleet.num_users == 0 and fleet.shard_occupancy() == [0, 0]
+            fleet.check_invariants()
 
 
     def test_a_worker_never_runs_under_the_session_it_was_forked_with(self) -> None:
@@ -140,8 +148,7 @@ class TestHangDetection:
             # rebuilt; the op itself reports no result (None), reads
             # re-issued after the heal answer normally.
             fleet._enqueue(0, op_hang(30.0))
-            results = fleet._flush_shard(0)
-            assert results == [None]
+            assert fleet.flush()[0] == [None]
             assert fleet.ping()
             healed = fleet.cloak(5)
             assert healed == reference
@@ -371,10 +378,10 @@ class TestFrontDoor:
     def test_control_plane_is_refused_over_tcp(
         self, tmp_path, kind: str, parallel: bool
     ) -> None:
-        """The front door serves the data plane only: snapshot/stats
-        blobs (every user's exact location), install pickles (code
-        execution), check, hang and shutdown are answered with an error
-        envelope and have no effect."""
+        """The front door serves the data plane only: stats blobs,
+        install pickles (every user's exact location, code execution),
+        check, hang and shutdown are answered with an error envelope and
+        have no effect."""
         sentinel = tmp_path / "unpickled"
 
         class Touch:
@@ -382,7 +389,6 @@ class TestFrontDoor:
                 return (pathlib.Path.touch, (sentinel,))
 
         control = [
-            op_snapshot(),
             op_stats(),
             op_install(pickle.dumps(Touch())),
             op_check(),
@@ -453,10 +459,11 @@ class TestFrontDoor:
 
 
 def _one_of_each() -> dict[int, bytes]:
-    """One encoded operation per opcode (the install one rebuilds the
-    replica with a single far-away user, so it visibly mutates)."""
+    """One encoded operation per opcode (the install one restores the
+    replica to a single far-away user, so it visibly mutates)."""
     profile = PrivacyProfile(k=3)
-    bootstrap = ("bootstrap", [(99, Point(0.9, 0.9), PROFILE)])
+    donor = make_sharded(UNIT, height=4, num_shards=2)
+    donor.register(99, Point(0.9, 0.9), PROFILE)
     return {
         wire.OP_REGISTER: op_register(50, Point(0.7, 0.2), PROFILE),
         wire.OP_MOVE: op_move(3, Point(0.8, 0.8)),
@@ -466,8 +473,7 @@ def _one_of_each() -> dict[int, bytes]:
         wire.OP_CLOAK_LOCATION: op_cloak_location(Point(0.3, 0.3), PROFILE),
         wire.OP_CELL_COUNT: op_cell_count(CellId(0, 0, 0)),
         wire.OP_STATS: op_stats(),
-        wire.OP_SNAPSHOT: op_snapshot(),
-        wire.OP_INSTALL: op_install(pickle.dumps(bootstrap)),
+        wire.OP_INSTALL: op_install(pickle.dumps(donor.snapshot())),
         wire.OP_CHECK: op_check(),
         wire.OP_PING: op_ping(),
         wire.OP_HANG: op_hang(0.0),

@@ -68,7 +68,7 @@ REFERENCES = {"basic": ReferenceBasic, "adaptive": ReferenceAdaptive}
 #: The cross-lane comparisons that do not hold, as data: the lane and
 #: counters they excuse, and the docstring sentence that says why.
 #: ``broadcast`` holds for every policy without a native fleet,
-#: ``healed`` from the first worker crash or parallel restore on.
+#: ``healed`` from the first worker crash on.
 EXCEPTIONS = {
     "broadcast": (
         "parallel", ("cache", "rows"),
@@ -79,9 +79,8 @@ EXCEPTIONS = {
     ),
     "healed": (
         "parallel", ("cache", "rows"),
-        "ParallelShardedAnonymizer.restore: Partitioned workers rebuild "
-        "from the restored mirror (fresh replicas, so unlike the "
-        "in-process fleet the cache *counters* restart at zero).",
+        "ParallelShardedAnonymizer.crash_worker: The replacement is a fresh "
+        "process, so its cloak cache counters restart at zero.",
     ),
 }
 #: The lanes whose per-shard cache rows are over the same shards.
@@ -326,7 +325,6 @@ class Lanes:
             self.spec.restore(self.saved[0])
             for name, state in self.saved[1].items():
                 self.anonymizer(name).restore(state)
-            self.excused.add("healed")
 
     def swap(self) -> None:
         """Every lane restores its own current state — the scalar
@@ -337,7 +335,6 @@ class Lanes:
             states["reference"], states["single"] = single, ref
         for name, state in states.items():
             self.anonymizer(name).restore(state)
-        self.excused.add("healed")
 
     def crash(self, shard: int) -> None:
         if "parallel" in self.lanes:
