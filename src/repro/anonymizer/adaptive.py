@@ -16,23 +16,30 @@ The cut is held on integer *locational keys*: the cell with Morton code
 half its bit length, and a lowest-level key shifted right by
 ``2 * (H - L)`` is its level-``L`` ancestor.  A level-31 key is below
 ``2**63``, so the only height cap is the user table's
-(``MAX_TABLE_HEIGHT``).  Three dicts hold the cut — every maintained
+(``MAX_TABLE_HEIGHT``).  Four dicts hold the cut — every maintained
 cell's population, every leaf's member slots (a key is a leaf iff it is
-there) and the cloak cache's generations — and one int64 column of the
-user table's length holds each user's leaf key.  ``CellId`` appears
-only at the cloak boundary, where Algorithm 1 and the cache speak it.
+there), every leaf's gate summary and the cloak cache's generations —
+and two columns of the user table's length hold each user's leaf key
+and reach.  ``CellId`` appears only at the cloak boundary, where
+Algorithm 1 and the cache speak it.
 
-Both gates read the user table: the split gate takes a member's child
-index straight off its lowest-level Morton code (``cells >> 2(H-L-1) &
-3``, the locate-once identity), the merge gate its profile.  The
-per-user scalar decisions and the dict walk over ``CellId`` live on as
-the test oracle ``tests/reference_pyramid.py``.  Sharded deployments run
-whole replicas of this class (see :mod:`repro.sharding.replicated`) —
-the cut is shaped by global counts, so there is no partitioned form.
+Section 4.2's two gates read a per-leaf summary before any member: the
+least ``k`` among members whose *reach* (the deepest level whose cells
+meet their ``A_min``) is the leaf's level or deeper, and the least among
+those reaching below it.  The merge gate is one compare per sibling; a
+leaf whose second number exceeds its population cannot split, and only
+the leaves past that prune build member arrays, where a member's child
+index comes straight off its lowest-level Morton code (``cells >>
+2(H-L-1) & 3``, the locate-once identity).  The per-user scalar
+decisions and the dict walk over ``CellId`` live on as the test oracle
+``tests/reference_pyramid.py``.  Sharded deployments run whole replicas
+of this class (see :mod:`repro.sharding.replicated`) — the cut is
+shaped by global counts, so there is no partitioned form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
@@ -51,6 +58,8 @@ __all__ = ["AdaptiveAnonymizer"]
 
 #: The root's key: level 0, Morton code 0.
 ROOT = 1
+#: A summary's "no such member": above every ``k`` and every population.
+NONE = 1 << 62
 
 
 def _key(cell: CellId) -> int:
@@ -101,14 +110,22 @@ class AdaptiveAnonymizer(PyramidEngine):
         #: The lowest level's key offset, ``4**H``.
         self._top = 1 << 2 * height
         self._areas = [self.grid.cell_area(level) for level in range(height + 1)]
+        #: The same areas ascending, the order :meth:`_reach_of` searches.
+        self._ascending = self._areas[::-1]
         self._counts: dict[int, int] = {ROOT: 0}
         self._members: dict[int, set[int]] = {ROOT: set()}
+        #: leaf -> (least ``k`` among members reaching the leaf's level,
+        #: least ``k`` among members reaching the level below), ``NONE``
+        #: where no member does: the merge and split gates' summaries.
+        self._least: dict[int, tuple[int, int]] = {ROOT: (NONE, NONE)}
         # Generation counters outlive the cells they describe: a merged
         # (deleted) cell's count reads as 0, which is still a change the
         # cloak cache must observe, so gens live in their own dict.
         self._gens: dict[int, int] = {}
         #: slot -> key of the user's lowest maintained cell.
         self._leaf: IntArray = np.full(self.table.capacity, ROOT, dtype=np.int64)
+        #: slot -> the user's reach (see :meth:`_reach_of`).
+        self._reach = np.zeros(self.table.capacity, dtype=np.int8)
         self._epoch = 0
         self.cloak_cache = CloakCache(cloak_cache_size)
 
@@ -143,7 +160,7 @@ class AdaptiveAnonymizer(PyramidEngine):
     def _leaf_over(self, lowest: int) -> int:
         """Descend the cut to the leaf over the lowest-level key
         ``lowest``: its ancestor at each level is one shift away."""
-        members, shift = self._members, 2 * self.height
+        members, shift = self._members, self._top.bit_length() - 1
         while (key := lowest >> shift) not in members:
             shift -= 2
         return key
@@ -154,12 +171,14 @@ class AdaptiveAnonymizer(PyramidEngine):
     def register(self, uid: object, point: Point, profile: PrivacyProfile) -> None:
         slot, _cell_id = self.table.admit(uid, point, profile)
         if slot >= len(self._leaf):
-            grown = np.full(self.table.capacity, ROOT, dtype=np.int64)
-            grown[: len(self._leaf)] = self._leaf
-            self._leaf = grown
+            extra = self.table.capacity - len(self._leaf)
+            self._leaf = np.append(self._leaf, np.full(extra, ROOT, dtype=np.int64))
+            self._reach = np.append(self._reach, np.zeros(extra, dtype=np.int8))
+        reach = self._reach[slot] = self._reach_of(profile.a_min)
         leaf = self._leaf_over(self._top | int(self.table.cells[slot]))
         self._leaf[slot] = leaf
         self._members[leaf].add(slot)
+        self._join(leaf, profile.k, reach)
         self._add_path(leaf, +1)
         self.stats.registrations += 1
         self._maybe_split(leaf)
@@ -168,6 +187,7 @@ class AdaptiveAnonymizer(PyramidEngine):
         slot = self.table.remove(uid)
         leaf = int(self._leaf[slot])
         self._members[leaf].discard(slot)
+        self._leave(leaf, slot)
         self._add_path(leaf, -1)
         self.stats.deregistrations += 1
         self._maybe_merge(leaf)
@@ -175,7 +195,10 @@ class AdaptiveAnonymizer(PyramidEngine):
     def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
         """Change a user's profile; may reshape the pyramid around them."""
         slot = self.table.set_profile(uid, profile)
-        self._maybe_split(int(self._leaf[slot]))
+        self._reach[slot] = self._reach_of(profile.a_min)
+        leaf = int(self._leaf[slot])
+        self._least[leaf] = self._least_of(self._member_slots(leaf), _level(leaf))
+        self._maybe_split(leaf)
         # Re-read: the split may have moved the user one or more levels down.
         self._maybe_merge(int(self._leaf[slot]))
 
@@ -208,9 +231,10 @@ class AdaptiveAnonymizer(PyramidEngine):
         slots, xs, ys, ms = table.locate_moves(moves)
         stop = len(slots)
         lowest = ms + self._top
-        costs = np.zeros(stop, dtype=np.int64)
+        costs = [0] * stop
         reshapes = stats.splits + stats.merges
         louds = self._louds(slots, lowest, 0)
+        slot_of, lowest_of = slots.tolist(), lowest.tolist()
         written = 0
         while louds:
             at = louds.pop()
@@ -219,7 +243,7 @@ class AdaptiveAnonymizer(PyramidEngine):
                 ys[written : at + 1], ms[written : at + 1],
             )
             written = at + 1
-            costs[at] = self._relocate(int(slots[at]), int(lowest[at]))
+            costs[at] = self._relocate(slot_of[at], lowest_of[at])
             if stats.splits + stats.merges != reshapes:
                 reshapes = stats.splits + stats.merges
                 louds = self._louds(slots, lowest, written)
@@ -228,8 +252,7 @@ class AdaptiveAnonymizer(PyramidEngine):
         if stop < len(moves):
             self.update(*moves[stop])
             raise AssertionError("unreachable: single-move replay must raise")
-        per_move: list[int] = costs.tolist()
-        return per_move
+        return costs
 
     def _louds(self, slots: IntArray, lowest: IntArray, start: int) -> list[int]:
         """The moves from ``start`` on whose new lowest-level key leaves
@@ -241,13 +264,15 @@ class AdaptiveAnonymizer(PyramidEngine):
 
     def _relocate(self, slot: int, lowest: int) -> int:
         """The cut's side of one written move; returns its cost."""
-        old = int(self._leaf[slot])
-        if lowest >> 2 * (self.height - _level(old)) == old:
+        old = self._leaf.item(slot)
+        if lowest >> lowest.bit_length() - old.bit_length() == old:
             return 0
         new = self._leaf_over(lowest)
         members = self._members
         members[old].discard(slot)
+        self._leave(old, slot)
         members[new].add(slot)
+        self._join(new, self.table.ks.item(slot), self._reach.item(slot))
         # Both branches up to the deepest common ancestor (exclusive):
         # a deeper key is a larger one, so step whichever is larger.
         counts, gens, a, b, cost = self._counts, self._gens, old, new, 0
@@ -269,6 +294,45 @@ class AdaptiveAnonymizer(PyramidEngine):
         self._maybe_merge(old)
         return cost
 
+    # ------------------------------------------------------------------
+    # The gates' per-leaf summaries
+    # ------------------------------------------------------------------
+    def _reach_of(self, a_min: float) -> int:
+        """The deepest level whose cells meet ``a_min``: the levels
+        ``L`` with ``a_min - 1e-15 <= area(L)`` are ``0 .. reach``
+        (``-1`` when none is)."""
+        return len(self._ascending) - 1 - bisect_left(self._ascending, a_min - 1e-15)
+
+    def _member_slots(self, leaf: int) -> IntArray:
+        members = self._members[leaf]
+        return np.fromiter(members, dtype=np.int64, count=len(members))
+
+    def _least_of(self, slots: IntArray, level: int) -> tuple[int, int]:
+        """The summary of a level-``level`` leaf holding ``slots``."""
+        ks, reach = self.table.ks[slots], self._reach[slots]
+        return (
+            int(ks[reach >= level].min(initial=NONE)),
+            int(ks[reach > level].min(initial=NONE)),
+        )
+
+    def _join(self, leaf: int, k: int, reach: int) -> None:
+        """Fold a member of profile ``k`` / ``reach`` into ``leaf``'s
+        summary."""
+        level = _level(leaf)
+        if reach >= level:
+            own, below = self._least[leaf]
+            if reach > level and k < below:
+                self._least[leaf] = (min(own, k), k)
+            elif k < own:
+                self._least[leaf] = (k, below)
+
+    def _leave(self, leaf: int, slot: int) -> None:
+        """``slot`` has left ``leaf``'s members: recompute the summary
+        if it held one of its two numbers."""
+        level, reach = _level(leaf), self._reach.item(slot)
+        if reach >= level and self.table.ks.item(slot) in self._least[leaf]:
+            self._least[leaf] = self._least_of(self._member_slots(leaf), level)
+
     def _add_path(self, leaf: int, delta: int) -> None:
         """``delta`` on ``leaf``'s count and every ancestor's."""
         counts, gens, key = self._counts, self._gens, leaf
@@ -285,31 +349,29 @@ class AdaptiveAnonymizer(PyramidEngine):
     def _maybe_split(self, leaf: int) -> None:
         """Split ``leaf`` (recursively) while some user inside could be
         satisfied one level deeper; continue at the first child (in
-        ``CellId.children`` order) holding such a user.  Both gates are
-        reductions over a member set, so they never depend on its
-        iteration order."""
-        table, height = self.table, self.height
+        ``CellId.children`` order) holding such a user.  No child holds
+        more than the leaf, so a leaf whose least ``k`` reaching the
+        next level exceeds its population cannot split; past that prune
+        the gate counts the members per child.  Both are reductions
+        over a member set, so they never depend on its iteration
+        order."""
+        table, members, least = self.table, self._members, self._least
         while True:
-            members = self._members.get(leaf)
-            level = _level(leaf)
-            if not members or level >= height:
+            if least[leaf][1] > len(members[leaf]):
                 return
-            slots = np.fromiter(members, dtype=np.int64, count=len(members))
-            ks, a_mins = table.ks[slots], table.a_mins[slots]
-            child_area = self._areas[level + 1]
-            # Cheap gate via the most relaxed user.
-            if child_area < float(a_mins.min()) - 1e-15 or len(members) < int(ks.min()):
-                return
-            order = (table.cells[slots] >> 2 * (height - level - 1)) & 3
-            satisfied = (ks <= np.bincount(order, minlength=4)[order]) & (
-                (a_mins - 1e-15) <= child_area
-            )
+            level, slots = _level(leaf), self._member_slots(leaf)
+            shift = self._top.bit_length() - leaf.bit_length() - 2
+            order = (table.cells[slots] >> shift) & 3
+            satisfied = (
+                table.ks[slots] <= np.bincount(order, minlength=4)[order]
+            ) & (self._reach[slots] > level)
             if not bool(satisfied.any()):
                 return
-            del self._members[leaf]
+            del members[leaf], least[leaf]
             for index in range(4):
                 child, group = 4 * leaf + index, slots[order == index]
-                self._members[child] = set(group.tolist())
+                members[child] = set(group.tolist())
+                least[child] = self._least_of(group, level + 1)
                 self._counts[child] = len(group)
                 # The child's count was readable as 0 while unmaintained;
                 # materialising it is a visible change for cached cloaks.
@@ -324,28 +386,27 @@ class AdaptiveAnonymizer(PyramidEngine):
 
     def _maybe_merge(self, leaf: int) -> None:
         """Merge ``leaf``'s sibling group (recursively upward) while no
-        user under the parent has a profile their child satisfies."""
-        table = self.table
+        user under the parent has a profile their child satisfies: no
+        child's least ``k`` reaching its own level is within its
+        population."""
+        members, least = self._members, self._least
         while leaf != ROOT:
             parent = leaf >> 2
             children = range(4 * parent, 4 * parent + 4)
-            groups = [self._members.get(child) for child in children]
-            if any(group is None for group in groups):
-                return
-            sizes = np.array([len(group) for group in groups])  # type: ignore[arg-type]
+            for child in children:
+                summary = least.get(child)
+                if summary is None or summary[0] <= len(members[child]):
+                    return
+            groups = [members.pop(child) for child in children]
             slots = np.fromiter(
-                chain.from_iterable(groups),  # type: ignore[arg-type]
-                dtype=np.int64, count=int(sizes.sum()),
+                chain.from_iterable(groups), dtype=np.int64,
+                count=sum(map(len, groups)),
             )
-            blocked = (table.ks[slots] <= np.repeat(sizes, sizes)) & (
-                (table.a_mins[slots] - 1e-15) <= self._areas[_level(leaf)]
-            )
-            if bool(blocked.any()):
-                return
-            self._members[parent] = set(slots.tolist())
+            members[parent] = set(slots.tolist())
+            least[parent] = self._least_of(slots, _level(parent))
             self._leaf[slots] = parent
             for child in children:
-                del self._members[child], self._counts[child]
+                del least[child], self._counts[child]
                 # Deleted cells read as count 0 from now on.
                 self._gens[child] = self._gens.get(child, 0) + 1
             self._epoch += 1
@@ -387,10 +448,10 @@ class AdaptiveAnonymizer(PyramidEngine):
     def restore(self, state: object) -> None:
         """Replace the population state with a :meth:`snapshot` copy.
 
-        Counts, members and leaf pointers are rebuilt from the leaves
-        and the rows.  Generations stay monotone and the cloak cache is
-        dropped — the maintained cut changed without generation bumps,
-        so every cached entry is suspect.
+        Counts, members, leaf pointers, reaches and summaries are
+        rebuilt from the leaves and the rows.  Generations stay monotone
+        and the cloak cache is dropped — the maintained cut changed
+        without generation bumps, so every cached entry is suspect.
         """
         if not isinstance(state, _AdaptiveSnapshot):
             raise TypeError("not an AdaptiveAnonymizer snapshot")
@@ -407,6 +468,12 @@ class AdaptiveAnonymizer(PyramidEngine):
         self._members = {key: set() for key in leaves}
         for slot, leaf in zip(slots.tolist(), self._leaf[slots].tolist()):
             self._members[leaf].add(slot)
+        self._reach = np.zeros(table.capacity, dtype=np.int8)
+        self._reach[slots] = [self._reach_of(a) for a in table.a_mins[slots].tolist()]
+        self._least = {
+            leaf: self._least_of(self._member_slots(leaf), _level(leaf))
+            for leaf in leaves
+        }
         self._counts = {}
         for leaf, members in self._members.items():
             key = leaf
@@ -420,9 +487,15 @@ class AdaptiveAnonymizer(PyramidEngine):
     # Diagnostics
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Assert incomplete-pyramid consistency."""
+        """Assert incomplete-pyramid consistency, every reach and every
+        summary against a recount from the profiles."""
         table, counts, height = self.table, self._counts, self.height
         table.check()
+        areas = np.array(self._areas)
+        floors = table.a_mins[table.active] - 1e-15
+        reach = np.count_nonzero(floors[:, None] <= areas, axis=1) - 1
+        assert np.array_equal(self._reach[table.active], reach), "stale reach"
+        assert self._least.keys() == self._members.keys(), "summary not a leaf's"
         assert counts.get(ROOT) == len(table), "root count != population"
         assert self._members.keys() <= counts.keys(), "leaf not maintained"
         population = 0
@@ -431,12 +504,19 @@ class AdaptiveAnonymizer(PyramidEngine):
             if members is not None:
                 assert count == len(members), f"leaf {key} count drift"
                 population += count
-                slots = np.fromiter(members, dtype=np.int64, count=len(members))
+                slots = self._member_slots(key)
                 assert table.active[slots].all(), f"leaf {key} holds a free slot"
                 assert (self._leaf[slots] == key).all(), "hash table stale"
                 under = (table.cells[slots] + self._top) >> 2 * (height - _level(key))
                 assert (under == key).all(), "user outside its leaf"
                 assert 4 * key not in counts, "leaf with children"
+                # The least k meeting the leaf's level and the next one.
+                level, ks = _level(key), table.ks[slots]
+                least = [
+                    int(ks[table.a_mins[slots] - 1e-15 <= area].min(initial=NONE))
+                    for area in self._areas[level : level + 2]
+                ] + [NONE]
+                assert self._least[key] == tuple(least[:2]), f"leaf {key} summary stale"
             else:
                 children = range(4 * key, 4 * key + 4)
                 assert all(c in counts for c in children), "partial split"

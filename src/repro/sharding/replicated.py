@@ -27,12 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.policy import CloakingPolicy, PolicySpec
 from repro.anonymizer.profile import PrivacyProfile
 from repro.anonymizer.soa import UserTable
 from repro.anonymizer.stats import MaintenanceStats
+from repro.errors import CasperError
 from repro.geometry import Point, Rect
 from repro.observability import runtime as _telemetry
 from repro.sharding.surface import CACHE_KEYS, ShardSurface, cache_counters
@@ -138,7 +141,30 @@ class ReplicatedShardedAnonymizer(ShardSurface):
         return cost
 
     def update_batch(self, moves: list[tuple[object, Point]]) -> list[int]:
-        return [self.update(uid, point) for uid, point in moves]
+        """The wrapped policy's ``update_batch``, with homes, occupancy
+        and shard telemetry derived from the rows before and after it:
+        one ``update`` on each applied move's old home, one rehome per
+        move whose home changed.  Costs, end state and, on the first
+        refused point, the exception and the applied prefix are the
+        :meth:`update` loop's.  A batch naming a stranger or one user
+        twice runs that loop (its net re-homes would differ)."""
+        table, slots = self.table, self._distinct_slots(moves)
+        if slots is None:
+            return [self.update(uid, point) for uid, point in moves]
+        homes = self.router.owners_of_leaves(table.cells[slots])
+        applied = len(moves)
+        try:
+            costs: list[int] = self._inner.update_batch(moves)
+        except CasperError:
+            applied = len(table.locate_moves(moves)[0])
+            raise
+        finally:
+            homes, slots = homes[:applied], slots[:applied]
+            self._notify_updates(homes)
+            new_homes = self.router.owners_of_leaves(table.cells[slots])
+            for index in np.flatnonzero(new_homes != homes).tolist():
+                self._rehomed(int(homes[index]), int(new_homes[index]))
+        return costs
 
     # ------------------------------------------------------------------
     # Cloaking

@@ -21,7 +21,8 @@ from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellGrid
 from repro.anonymizer.cloak import BatchCloaking, CloakedRegion
 from repro.anonymizer.soa import IntArray, Population
-from repro.geometry import Rect
+from repro.errors import UnknownUserError
+from repro.geometry import Point, Rect
 from repro.observability import runtime as _telemetry
 from repro.sharding.router import ShardRouter
 
@@ -110,6 +111,16 @@ class ShardSurface(Population, BatchCloaking):
             "occupancy drifted from the user table"
         )
 
+    def _distinct_slots(self, moves: list[tuple[object, Point]]) -> IntArray | None:
+        """The slots of a batch's users, or ``None`` for a batch naming
+        a stranger or one user twice — the batches a host runs as its
+        per-move loop."""
+        try:
+            slots = self.table.slots_array([uid for uid, _ in moves])
+        except UnknownUserError:
+            return None
+        return slots if len(set(slots.tolist())) == len(moves) else None
+
     def _notify_op(
         self, shard: int, op: str, *, occupancy: bool = True, times: int = 1
     ) -> None:
@@ -123,9 +134,10 @@ class ShardSurface(Population, BatchCloaking):
                     _telemetry.set_gauge("casper_shard_users", users, home)
 
     def _notify_updates(self, homes: IntArray) -> list[int]:
-        """Record one ``update`` per entry of ``homes`` — the home
-        shards of a batch's cell-changing moves — and return the
-        per-shard counts."""
+        """Record one ``update`` per entry of ``homes`` — the old home
+        shards of a batch's moves that count as updates (a fleet's
+        cell-changing ones, a replica's every applied one) — and return
+        the per-shard counts."""
         counts = np.bincount(homes, minlength=self.num_shards).tolist()
         for shard, count in enumerate(counts):
             if count:

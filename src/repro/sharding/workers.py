@@ -102,7 +102,7 @@ from repro.anonymizer.policy import get_policy
 from repro.anonymizer.profile import PrivacyProfile
 from repro.anonymizer.soa import UserTable
 from repro.anonymizer.stats import MaintenanceStats
-from repro.errors import CasperError, ProfileUnsatisfiableError, UnknownUserError
+from repro.errors import CasperError, ProfileUnsatisfiableError
 from repro.geometry import Point, Rect
 from repro.messages import ShardEnvelope
 from repro.observability import runtime as _telemetry
@@ -674,11 +674,8 @@ class ParallelShardedAnonymizer(ShardSurface):
         or one user twice runs that loop."""
         local = self._live()
         table = local.table
-        try:
-            slots = table.slots_array([uid for uid, _ in moves])
-        except UnknownUserError:
-            slots = None
-        if slots is None or len(set(slots.tolist())) != len(moves):
+        slots = self._distinct_slots(moves)
+        if slots is None:
             return [self.update(uid, point) for uid, point in moves]
         old = table.cells[slots]
         applied = moves

@@ -157,6 +157,58 @@ class TestMaintenance:
         )
 
 
+class TestGateSummaries:
+    """Each leaf's gates read its least ``k`` per reach, so a summary
+    that is not refreshed where a member leaves or changes profile, or
+    a reach read off by one level, shapes a different cut.  Height 2:
+    A (k=2) splits the root when B joins the lower-left quadrant; C
+    (k=3) joins them and D (k=5) waits in the lower-right one."""
+
+    QUADRANTS = [
+        ("register", "A", Point(0.1, 0.1), PrivacyProfile(2)),
+        ("register", "B", Point(0.4, 0.1), PrivacyProfile(3)),
+        ("register", "C", Point(0.1, 0.4), PrivacyProfile(3)),
+        ("register", "D", Point(0.6, 0.1), PrivacyProfile(5)),
+    ]
+
+    @staticmethod
+    def cut_after(steps: list[tuple]) -> tuple[int, float]:
+        """Maintained cells and A's cloak area after ``steps``, which
+        the oracle lane must agree on."""
+        an = AdaptiveAnonymizer(UNIT, height=2)
+        for name, *args in steps:
+            getattr(an, name)(*args)
+        area = an.cloak("A").area
+        assert adaptive(steps + [("cloak", "A")])[-1][1][0].area == area
+        return an.num_maintained_cells, area
+
+    def test_the_least_k_leaving_is_recounted(self):
+        """A leaves for D's quadrant, which D's company blocks; D's move
+        then merges the root — only if B and C's quadrant recounted its
+        least k (3 > 2) when A (2 <= 2) left."""
+        away = ("update_batch", [("A", Point(0.9, 0.1)), ("D", Point(0.6, 0.6))])
+        assert self.cut_after(self.QUADRANTS) == (5, 0.25)
+        assert self.cut_after(self.QUADRANTS + [away]) == (1, 1.0)
+
+    def test_a_profile_change_refreshes_the_least_k(self):
+        """A's k rises to 4 (3 <= 3 still blocks); B's move then merges
+        the root — only if the quadrant's summary took A's new k."""
+        stricter = ("set_profile", "A", PrivacyProfile(4))
+        away = ("update", "B", Point(0.6, 0.6))
+        assert self.cut_after(self.QUADRANTS + [stricter]) == (5, 0.5)
+        assert self.cut_after(self.QUADRANTS + [stricter, away]) == (1, 1.0)
+
+    def test_an_area_on_the_tie_reaches_its_level(self):
+        """``A_min - 1e-15`` equal to a quadrant's area still meets it:
+        the gates' ``<=``, so a lone k=1 user splits the root."""
+        tie = PrivacyProfile(1, 0.25 + 1e-15)
+        an = AdaptiveAnonymizer(UNIT, height=2)
+        an.register("A", Point(0.1, 0.1), tie)
+        an.check_invariants()
+        assert an.num_maintained_cells == 5
+        adaptive([("register", "A", Point(0.1, 0.1), tie), ("cloak", "A")])
+
+
 class TestCloaking:
     def test_cloak_contains_user_and_satisfies_profile(self):
         adaptive(population(60, seed=9))

@@ -421,25 +421,28 @@ BATCHES = {
 
 @pytest.mark.parametrize("shards", [2, 4])
 def test_parent_mirror_batch_equals_the_scalar_loop(shards: int) -> None:
-    fingerprints = []
-    for batched in (True, False):
-        with make_sharded(
-            UNIT, HEIGHT, num_shards=shards, kind="basic", parallel=True
-        ) as fleet, telemetry.enabled() as session:
-            _populate(fleet)
-            costs = {}
-            for name, batch in BATCHES.items():
-                if batched:
-                    costs[name] = fleet.update_batch(batch)
-                else:
-                    costs[name] = [fleet.update(uid, point) for uid, point in batch]
-            fingerprint = _mirror_fingerprint(fleet, session)
-            fingerprint["costs"] = costs
-            fleet.check_invariants()
-            fingerprints.append(fingerprint)
-    assert fingerprints[0] == fingerprints[1]
-    assert any(fingerprints[0]["costs"]["crossing"])
-    assert not any(fingerprints[0]["costs"]["same-cell"])
+    """For the partitioned fleet and a broadcast replica (``adaptive``,
+    whose batch is the wrapped policy's with homes taken from the rows)."""
+    for kind in ("basic", "adaptive"):
+        fingerprints = []
+        for batched in (True, False):
+            with make_sharded(
+                UNIT, HEIGHT, num_shards=shards, kind=kind, parallel=True
+            ) as fleet, telemetry.enabled() as session:
+                _populate(fleet)
+                costs = {}
+                for name, batch in BATCHES.items():
+                    if batched:
+                        costs[name] = fleet.update_batch(batch)
+                    else:
+                        costs[name] = [fleet.update(uid, point) for uid, point in batch]
+                fingerprint = _mirror_fingerprint(fleet, session)
+                fingerprint["costs"] = costs
+                fleet.check_invariants()
+                fingerprints.append(fingerprint)
+        assert fingerprints[0] == fingerprints[1], kind
+        assert any(fingerprints[0]["costs"]["crossing"]), kind
+        assert not any(fingerprints[0]["costs"]["same-cell"]), kind
 
 
 @pytest.mark.parametrize(
@@ -452,22 +455,23 @@ def test_parent_mirror_batch_equals_the_scalar_loop(shards: int) -> None:
 )
 def test_parent_mirror_refused_move_applies_the_prefix(refused, error) -> None:
     batch = [(0, Point(0.95, 0.95)), (1, Point(0.06, 0.07)), refused, (2, Point(0.4, 0.4))]
-    outcomes = []
-    for batched in (True, False):
-        with make_sharded(
-            UNIT, HEIGHT, num_shards=2, kind="basic", parallel=True
-        ) as fleet, telemetry.enabled() as session:
-            _populate(fleet)
-            with pytest.raises(error) as caught:
-                if batched:
-                    fleet.update_batch(batch)
-                else:
-                    for uid, point in batch:
-                        fleet.update(uid, point)
-            fingerprint = _mirror_fingerprint(fleet, session)
-            fingerprint["error"] = str(caught.value)
-            fleet.check_invariants()
-            outcomes.append(fingerprint)
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0]["points"][0] == Point(0.95, 0.95)  # the prefix applied
-    assert outcomes[0]["points"][2] != Point(0.4, 0.4)  # the suffix did not
+    for kind in ("basic", "adaptive"):
+        outcomes = []
+        for batched in (True, False):
+            with make_sharded(
+                UNIT, HEIGHT, num_shards=2, kind=kind, parallel=True
+            ) as fleet, telemetry.enabled() as session:
+                _populate(fleet)
+                with pytest.raises(error) as caught:
+                    if batched:
+                        fleet.update_batch(batch)
+                    else:
+                        for uid, point in batch:
+                            fleet.update(uid, point)
+                fingerprint = _mirror_fingerprint(fleet, session)
+                fingerprint["error"] = str(caught.value)
+                fleet.check_invariants()
+                outcomes.append(fingerprint)
+        assert outcomes[0] == outcomes[1], kind
+        assert outcomes[0]["points"][0] == Point(0.95, 0.95)  # the prefix applied
+        assert outcomes[0]["points"][2] != Point(0.4, 0.4)  # the suffix did not

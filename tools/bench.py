@@ -32,8 +32,10 @@ track the trajectory:
   records (bytes and answers asserted identical);
 * **adaptive_maintenance** — the adaptive cut's splits, merges, cell
   changes, counter updates per update and quiet-move share on a seeded
-  hotspot trace where every user moves each tick (gated for equality),
-  with adaptive and basic ``update_batch`` moves per second beside them.
+  hotspot trace where every user moves each tick, single and through
+  the 4-shard replicated deployment (gated for equality), with
+  adaptive, replicated and basic ``update_batch`` moves per second
+  beside them.
 
 Usage::
 
@@ -892,9 +894,13 @@ def bench_adaptive_maintenance(quick: bool) -> dict:
     counter updates per location update and quiet-move share (moves
     that stay in their leaf) are functions of the seeded trace alone, so
     ``bench_gate.EXACT_COUNTERS`` holds them equal to the reference.
-    Adaptive and basic moves per second are reported beside them, not
-    gated."""
+    A replicated arm (the in-process 4-shard deployment, one whole
+    adaptive replica behind the shard surface) replays the same ticks;
+    its splits, merges and cell changes must be the single arm's, and
+    are gated beside them.  Adaptive, replicated and basic moves per
+    second are reported, not gated."""
     from repro.anonymizer import AdaptiveAnonymizer
+    from repro.sharding import make_sharded
     from repro.workloads import uniform_profiles
 
     num_users = 4_000 if quick else 20_000
@@ -926,7 +932,14 @@ def bench_adaptive_maintenance(quick: bool) -> dict:
         }
 
     adaptive_seconds, adaptive = replay(AdaptiveAnonymizer(BOUNDS, height))
+    replicated_seconds, replicated = replay(
+        make_sharded(BOUNDS, height, 4, kind="adaptive")
+    )
     basic_seconds, _ = replay(BasicAnonymizer(BOUNDS, height))
+    reshapes = ("splits", "merges", "cell_changes")
+    assert [replicated[key] for key in reshapes] == [adaptive[key] for key in reshapes], (
+        "the replicated arm maintained the cut differently"
+    )
     moves = num_users * ticks
     return {
         "num_users": num_users,
@@ -938,7 +951,11 @@ def bench_adaptive_maintenance(quick: bool) -> dict:
         "cell_changes": adaptive["cell_changes"],
         "counter_updates_per_update": adaptive["counter_updates"] / moves,
         "quiet_share": 1.0 - adaptive["cell_changes"] / moves,
+        "replicated_splits": replicated["splits"],
+        "replicated_merges": replicated["merges"],
+        "replicated_cell_changes": replicated["cell_changes"],
         "adaptive_moves_per_s": moves / adaptive_seconds,
+        "replicated_moves_per_s": moves / replicated_seconds,
         "basic_moves_per_s": moves / basic_seconds,
     }
 

@@ -37,9 +37,11 @@ changes, validity exits and the two mean candidate-list sizes — are
 functions of the recorded trace and the monitor's dirtiness rules
 alone, so a differing digit means the monitor re-queries differently.
 The ``adaptive_maintenance`` ones — splits, merges, cell changes,
-counter updates per update and the quiet-move share — are functions of
-the seeded trace and Section 4.2's gates alone, so a differing digit
-means the adaptive cut is maintained differently.  The timings beside
+counter updates per update and the quiet-move share, and the replicated
+deployment's splits, merges and cell changes — are functions of the
+seeded trace and Section 4.2's gates alone, so a differing digit means
+the adaptive cut is maintained differently (or differently behind the
+shard surface).  The timings beside
 both (``wall_clock_speedup``, the moves per second) are reported, not
 gated.
 
@@ -109,6 +111,9 @@ EXACT_COUNTERS = (
             "cell_changes",
             "counter_updates_per_update",
             "quiet_share",
+            "replicated_splits",
+            "replicated_merges",
+            "replicated_cell_changes",
         ),
     ),
 )
