@@ -26,10 +26,11 @@ track the trajectory:
   continuous-kNN monitor vs the naive re-issue-every-tick client on
   the commuter trajectory workload (identical recorded ticks, refined
   answers asserted equal at the end);
-* **candidate_codec** — the columnar candidate list (encode, decode and
-  the three local refinements) vs the scalar per-pair definitions kept
-  in ``tests/reference_candidates.py``, µs per list at 200 / 400 / 600
-  records (bytes and answers asserted identical);
+* **candidate_codec** — the columnar candidate list (the candidate
+  step out of an R-tree, encode, decode and the three local
+  refinements) vs the scalar per-pair definitions kept in
+  ``tests/reference_candidates.py``, µs per list at 200 / 400 / 600
+  records (lists, bytes and answers asserted identical);
 * **adaptive_maintenance** — the adaptive cut's splits, merges, cell
   changes, counter updates per update and quiet-move share on a seeded
   hotspot trace where every user moves each tick, single and through
@@ -816,39 +817,66 @@ def bench_continuous_mobility(quick: bool) -> dict:
 # 9. Columnar candidate lists vs the scalar per-pair definitions
 # ----------------------------------------------------------------------
 def bench_candidate_codec(quick: bool) -> dict:
-    """µs per list for the five things done to a candidate list between
-    the processor and the client's answer, on the column kernels and on
-    the scalar oracle the tests hold them to — same records, same run,
-    so the speedups are dimensionless.  Lists are half points, half
-    regions, in ``str(oid)`` order like the processor's."""
+    """µs per list for the six things done to a candidate list between
+    the index and the client's answer, on the column kernels and on the
+    scalar definitions the tests hold them to — same records, same run,
+    so the speedups are dimensionless.  The lists are collected from one
+    R-tree of 10 000 entries (half points, half regions) whose string
+    ids are in random spatial order, so the ``str(oid)`` order of a list
+    is not its rows' order; a window is sized to catch exactly 200 / 400
+    / 600 of them.  The scalar candidate step is ``sorted(key=str)``
+    over the range result, a ``rect_of`` and a ``str(oid).encode()`` per
+    id."""
     from repro.processor import CandidateList
+    from repro.processor.executor import collect
     from repro.server.codec import decode_candidate_list, encode_candidate_list
     from tests import reference_candidates as scalar
 
     loops = 40 if quick else 200
-    location, k, radius = Point(0.5, 0.5), 5, 0.2
+    location, k = Point(0.5, 0.5), 5
     rng = ensure_rng(9)
 
     def best_us(fn) -> float:
         batches = [_timed(lambda: [fn() for _ in range(loops)])[0] for _ in range(5)]
         return 1e6 * min(batches) / loops
 
+    entries = {}
+    for number in rng.permutation(10_000).tolist():
+        x, y = float(rng.random()), float(rng.random())
+        side = 0.0 if number % 2 else 0.002
+        entries[f"T{number + 1}"] = Rect(x, y, x + side, y + side)
+    index = RTreeIndex()
+    index.bulk_load(entries)
+    # A window of half-side d catches exactly the entries whose
+    # Chebyshev distance from the center is at most d.
+    reach = np.sort(np.array([
+        max(r.x_min - 0.5, 0.5 - r.x_max, r.y_min - 0.5, 0.5 - r.y_max, 0.0)
+        for r in entries.values()
+    ]))
+
+    def scalar_collect(window: Rect) -> tuple:
+        ids = sorted(index.range_search(window), key=str)
+        return tuple((oid, index.rect_of(oid)) for oid in ids), [
+            str(oid).encode() for oid in ids
+        ]
+
     columnar_us: dict[str, dict[str, float]] = {}
     scalar_us: dict[str, dict[str, float]] = {}
     for size in (200, 400, 600):
-        items = []
-        for oid in range(size):
-            x, y = float(rng.random()), float(rng.random())
-            side = 0.0 if oid % 2 else 0.02
-            items.append((1000 + oid, Rect(x, y, x + side, y + side)))
-        items = tuple(sorted(items, key=lambda item: str(item[0])))
-        produced = CandidateList(items, BOUNDS, 4)
+        half = float(reach[size - 1] + reach[size]) / 2
+        window = Rect.from_center(location, 2 * half, 2 * half)
+        radius = 0.4 * half  # an eighth of the window's area, as before
+        produced = collect(index, window, "public", 4)
+        items = scalar_collect(window)[0]
+        assert len(produced) == size and tuple(produced.items) == items
         payload = encode_candidate_list(produced)
         assert payload == scalar.encode_candidate_list(items, 4)
         decoded = decode_candidate_list(payload)
         wire_items = scalar.decode_candidate_list(payload)[0]
         assert tuple(decoded.items) == wire_items
         pairs = (
+            ("collect", lambda: collect(index, window, "public", 4),
+             lambda: scalar_collect(window)),
             ("encode", lambda: encode_candidate_list(produced),
              lambda: scalar.encode_candidate_list(items, 4)),
             ("decode", lambda: decode_candidate_list(payload),
@@ -860,7 +888,7 @@ def bench_candidate_codec(quick: bool) -> dict:
             ("refine_within", lambda: decoded.refine_within(location, radius),
              lambda: scalar.refine_within(wire_items, location, radius)),
         )
-        for name, columnar_fn, scalar_fn in pairs[2:]:
+        for name, columnar_fn, scalar_fn in pairs[3:]:
             assert columnar_fn() == scalar_fn(), f"{name} diverged from the oracle"
         columnar_us[str(size)] = {name: best_us(fn) for name, fn, _ in pairs}
         scalar_us[str(size)] = {name: best_us(fn) for name, _, fn in pairs}
@@ -875,6 +903,7 @@ def bench_candidate_codec(quick: bool) -> dict:
         "record_counts": [200, 400, 600],
         "columnar_us_per_list": columnar_us,
         "scalar_us_per_list": scalar_us,
+        "collect_speedup": speedup("collect"),
         "encode_speedup": speedup("encode"),
         "decode_speedup": speedup("decode"),
         "refine_speedup": speedup(
