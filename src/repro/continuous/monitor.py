@@ -99,8 +99,9 @@ _ROW = np.dtype([
     ("dirty", "?"),
     ("id", "O"),
     ("uid", "O"),
-    ("answer", "O"),
-    ("candidates", "O"),  # last list served: what a client refines
+    # Last list served: what a client refines, and whose ids are the
+    # query's answer set.
+    ("candidates", "O"),
 ])
 
 
@@ -235,7 +236,7 @@ class ContinuousQueryMonitor:
         )
         self._table[row] = (  # in _ROW's column order
             bounds.as_tuple(), _NO_RECT, bounds.as_tuple(), param, kind, k,
-            num_filters, 0, safe, False, query_id, uid, frozenset(), unserved,
+            num_filters, 0, safe, False, query_id, uid, unserved,
         )
         try:
             cloak = self.casper.cloak_for(uid)
@@ -450,7 +451,7 @@ class ContinuousQueryMonitor:
 
     def answer_of(self, query_id: object) -> frozenset:
         """The current (last flushed) answer set of a query."""
-        return self._table["answer"][self._row_of[query_id]]
+        return frozenset(self._table["candidates"][self._row_of[query_id]].items.ids)
 
     def candidates_of(self, query_id: object) -> CandidateList:
         """The last candidate list served for a query — what the client
@@ -528,16 +529,16 @@ class ContinuousQueryMonitor:
             else:
                 (candidates,) = server.run_batch([self._request(row, cloak)])
             watch = candidates.search_region
-        new_answer = frozenset(candidates.oids())
+        old_answer = frozenset(query["candidates"].items.ids)
+        new_answer = frozenset(candidates.items.ids)
         change = AnswerChange(
             query_id=query["id"],
-            added=new_answer - query["answer"],
-            removed=query["answer"] - new_answer,
+            added=new_answer - old_answer,
+            removed=old_answer - new_answer,
             candidates=candidates,
         )
         query["cloak"] = cloak.as_tuple()
         query["watch"] = watch.as_tuple()
-        query["answer"] = new_answer
         query["candidates"] = candidates
         query["eval_tick"] = self.counters["ticks"]
         return change

@@ -60,6 +60,8 @@ def encode_record(oid: object, region: Rect) -> bytes:
     oid_bytes = str(oid).encode("utf-8")
     if len(oid_bytes) > 24:
         raise ValueError(f"object id too long for the wire format: {oid!r}")
+    if oid_bytes.endswith(b"\x00"):
+        raise ValueError(f"object id ends in NUL, which the wire format drops: {oid!r}")
     flags = FLAG_POINT if region.is_degenerate() else 0
     return RECORD.pack(
         MAGIC, VERSION, flags,

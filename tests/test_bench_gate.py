@@ -98,6 +98,7 @@ class TestCompare:
         del current["candidate_codec"]
         _lines, failures = bench_gate.compare(current, make_report(), 0.25)
         assert [f for f in failures if "missing from report" in f] == [
+            "candidate_codec.collect_speedup: missing from report",
             "candidate_codec.decode_speedup: missing from report",
             "candidate_codec.refine_speedup: missing from report",
         ]

@@ -37,6 +37,15 @@ class TestRecordCodec:
         with pytest.raises(ValueError):
             encode_record("x" * 25, Rect(0, 0, 1, 1))
 
+    def test_nul_ended_oid_rejected_not_shortened(self):
+        """The NUL padding would turn ``'a\\x00'`` into ``'a'``: another
+        id.  A NUL inside an id survives the padding and is kept."""
+        for oid in ("a\x00", "a\x00\x00", "\x00"):
+            with pytest.raises(ValueError, match="NUL"):
+                encode_record(oid, Rect(0, 0, 1, 1))
+        decoded, _region = decode_record(encode_record("a\x00b", Rect(0, 0, 1, 1)))
+        assert decoded == "a\x00b"
+
     def test_exactly_24_byte_oid_ok(self):
         oid = "y" * 24
         decoded, _region = decode_record(encode_record(oid, Rect(0, 0, 1, 1)))
@@ -109,6 +118,12 @@ class TestCandidateListCodec:
         payload[:4] = b"XXXX"
         with pytest.raises(ValueError):
             decode_candidate_list(bytes(payload))
+
+    def test_decoded_ids_slice_like_a_tuple(self):
+        ids = decode_candidate_list(encode_candidate_list(self.make_list(5))).items.ids
+        assert ids[0:2] == ("t0", "t1")
+        assert ids[::-2] == ("t4", "t2", "t0") and ids[7:] == ()
+        assert ids[-1] == "t4"
 
     def test_decoded_list_supports_refinement(self):
         cl = self.make_list(20)

@@ -14,7 +14,10 @@ drop means the optimization itself regressed, not the runner.
 The columnar candidate list is gated by absolute floors instead
 (``FLOORS``): its quotients are column kernel vs the scalar per-pair
 oracle, and what must hold is the claim itself — decode at least 10x,
-local refinement at least 3x — not closeness to one host's reading.
+local refinement at least 3x, and the candidate step out of an R-tree
+(a stable sort of the stored wire column) at least 1.2x the scalar
+``sorted(key=str)`` plus a per-id encode, half its first reading —
+not closeness to one host's reading.
 So is the batch cloak kernel (``cloak.batch_speedup``: one
 ``cloak_many`` of a freshly invalidated population against the
 one-walk-at-a-time ``uncached_cloaks_per_second``, at least 3x).
@@ -81,6 +84,7 @@ GATED_RATIOS = (
 #: absolute floor, whatever the reference reads.
 FLOORS = (
     ("cloak", "batch_speedup", 3.0),
+    ("candidate_codec", "collect_speedup", 1.2),
     ("candidate_codec", "decode_speedup", 10.0),
     ("candidate_codec", "refine_speedup", 3.0),
     ("shard_scaling", "fleet_vs_engine", 0.5),
