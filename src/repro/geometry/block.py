@@ -52,20 +52,29 @@ def rect_block(rects: Collection[Rect]) -> Block:
     return coords
 
 
-def min_distances(coords: Block, at: Point) -> Block:
-    """Vector form of :meth:`Rect.min_distance_to_point` per row."""
-    x_min, y_min, x_max, y_max = coords.T
-    dx = np.maximum(np.maximum(x_min - at.x, 0.0), at.x - x_max)
-    dy = np.maximum(np.maximum(y_min - at.y, 0.0), at.y - y_max)
+def _xy(at: Point | Block) -> tuple[float | Block, float | Block]:
+    """The coordinates of one point, or of ``(P, 2)`` points as ``(P, 1)``
+    columns: against ``(n,)`` rows they give every pair, against ``(P,
+    n)`` rows (an ``(n, P, 4)`` block) point by point."""
+    return (at.x, at.y) if isinstance(at, Point) else (at[:, :1], at[:, 1:])
+
+
+def min_distances(coords: Block, at: Point | Block) -> Block:
+    """Vector form of :meth:`Rect.min_distance_to_point` per row (per
+    point and row when ``at`` holds several points, see :func:`_xy`)."""
+    (x_min, y_min, x_max, y_max), (x, y) = coords.T, _xy(at)
+    dx = np.maximum(np.maximum(x_min - x, 0.0), x - x_max)
+    dy = np.maximum(np.maximum(y_min - y, 0.0), y - y_max)
     distances: Block = np.hypot(dx, dy)
     return distances
 
 
-def max_distances(coords: Block, at: Point) -> Block:
-    """Vector form of :meth:`Rect.max_distance_to_point` per row."""
-    x_min, y_min, x_max, y_max = coords.T
-    dx = np.maximum(np.abs(at.x - x_min), np.abs(at.x - x_max))
-    dy = np.maximum(np.abs(at.y - y_min), np.abs(at.y - y_max))
+def max_distances(coords: Block, at: Point | Block) -> Block:
+    """Vector form of :meth:`Rect.max_distance_to_point`, shaped as
+    :func:`min_distances`."""
+    (x_min, y_min, x_max, y_max), (x, y) = coords.T, _xy(at)
+    dx = np.maximum(np.abs(x - x_min), np.abs(x - x_max))
+    dy = np.maximum(np.abs(y - y_min), np.abs(y - y_max))
     distances: Block = np.hypot(dx, dy)
     return distances
 

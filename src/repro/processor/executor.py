@@ -41,9 +41,10 @@ from repro.processor.extension import (
 )
 from repro.processor.filters import select_filters_private, select_filters_public
 from repro.processor.knn import (
+    _anchors,
     _extended_region,
-    _kth_distance_private,
-    _kth_distance_public,
+    _kth_distances_private,
+    _kth_distances_public,
 )
 from repro.processor.probabilistic import OverlapPolicy
 from repro.spatial import SpatialIndex
@@ -71,11 +72,11 @@ QUERY_TYPES = (
 )
 
 #: What the two data kinds differ in: filter selection, the NN edge
-#: extension, and the distance to an anchor's k-th nearest target.
+#: extension, and one search of a query's anchors for their k-th distances.
 _STEPS = {
-    "public": (select_filters_public, compute_extension_public, _kth_distance_public),
+    "public": (select_filters_public, compute_extension_public, _kth_distances_public),
     "private": (
-        select_filters_private, compute_extension_private, _kth_distance_private,
+        select_filters_private, compute_extension_private, _kth_distances_private,
     ),
 }
 
@@ -155,7 +156,7 @@ def answer(
     policy = request.policy if data == "private" else None
     if family == "range":
         return collect(index, area.expanded_uniform(request.radius), data, 0, policy)
-    select, extend, kth_distance = _STEPS[data]
+    select, extend, kth_distances = _STEPS[data]
     num_filters = request.num_filters
     k = None  # NN answers do not depend on the request's k
     if family == "knn":
@@ -175,9 +176,8 @@ def answer(
             # No filter assignment is attached to a kNN answer: the
             # extension comes from the anchors' k-th distances alone.
             with _telemetry.phase_scope("extension", data):
-                a_ext = _extended_region(
-                    area, lambda v: kth_distance(index, v, k), num_filters, k
-                )
+                anchors = _anchors(area, num_filters)
+                a_ext = _extended_region(area, kth_distances(index, anchors, k))
             region = (a_ext, ())
         if memo is not None:
             memo[key] = region

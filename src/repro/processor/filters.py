@@ -63,23 +63,22 @@ def _require_valid(index: SpatialIndex, num_filters: int) -> None:
 
 
 def _select(
-    index: SpatialIndex, area: Rect, num_filters: int, nearest, distance
+    index: SpatialIndex, area: Rect, num_filters: int, nearest_each, distance
 ) -> VertexFilters:
-    """The three filter variants over a ``nearest(anchor) -> oid`` search
-    and a ``distance(oid, vertex)`` metric."""
+    """The three filter variants over one ``nearest_each(anchors) ->
+    oids`` search and a ``distance(oid, vertex)`` metric."""
     _require_valid(index, num_filters)
     v1, v2, v3, v4 = area.vertices()
     if num_filters == 4:
-        assignment = {v: nearest(v) for v in (v1, v2, v3, v4)}
+        assignment = dict(zip((v1, v2, v3, v4), nearest_each((v1, v2, v3, v4))))
     elif num_filters == 2:
         # Two reverse corners: top-left (v1) and bottom-right (v4).
-        t1 = nearest(v1)
-        t4 = nearest(v4)
+        t1, t4 = nearest_each((v1, v4))
         assignment = {v1: t1, v4: t4}
         for v in (v2, v3):
             assignment[v] = t1 if distance(t1, v) <= distance(t4, v) else t4
     else:  # 1 filter: nearest to the center, shared by all vertices.
-        t = nearest(area.center)
+        (t,) = nearest_each((area.center,))
         assignment = {v: t for v in (v1, v2, v3, v4)}
     return VertexFilters(assignment, num_filters)
 
@@ -92,7 +91,7 @@ def select_filters_public(
         index,
         area,
         num_filters,
-        index.nearest,
+        lambda anchors: [ids[0] for ids in index.k_nearest_each(anchors, 1)],
         lambda oid, v: index.rect_of(oid).min_distance_to_point(v),
     )
 
@@ -104,15 +103,17 @@ def select_filters_private(
 
     Per Section 5.2.1 the distance from a vertex to a candidate target is
     measured to the target's *furthest corner* — the pessimistic position
-    — so the filter is the target minimising the max-distance.  Each
-    anchor resolves through the index's pruned branch-and-bound search
-    (:meth:`~repro.spatial.SpatialIndex.k_nearest_by_max_distance`)
+    — so the filter is the target minimising the max-distance.  The
+    anchors resolve together through the index's pruned search
+    (:meth:`~repro.spatial.SpatialIndex.k_nearest_by_max_distance_each`)
     rather than a scan over every stored region.
     """
     return _select(
         index,
         area,
         num_filters,
-        lambda anchor: index.k_nearest_by_max_distance(anchor, 1)[0],
+        lambda anchors: [
+            ids[0] for ids in index.k_nearest_by_max_distance_each(anchors, 1)
+        ],
         lambda oid, v: index.rect_of(oid).max_distance_to_point(v),
     )

@@ -36,29 +36,39 @@ This module holds only that geometry; the query functions themselves
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.geometry import Point, Rect
 from repro.spatial import SpatialIndex
 
 __all__: list[str] = []
 
 
-def _kth_distance_public(index: SpatialIndex, anchor: Point, k: int) -> float:
-    """Distance from ``anchor`` to its k-th nearest (point) target."""
-    nearest = index.k_nearest(anchor, k)
-    return index.rect_of(nearest[-1]).min_distance_to_point(anchor)
+def _anchors(area: Rect, num_filters: int) -> tuple[Point, ...]:
+    """The anchors of a kNN query over ``area``: its center (1 filter)
+    or its four vertices (4 filters)."""
+    if num_filters not in (1, 4):
+        raise ValueError("kNN queries support num_filters of 1 or 4")
+    return (area.center,) if num_filters == 1 else area.vertices()
 
 
-def _kth_distance_private(index: SpatialIndex, anchor: Point, k: int) -> float:
-    """The k-th smallest pessimistic (max) distance from ``anchor`` to a
-    cloaked target region.
+def _kth_distances_public(
+    index: SpatialIndex, anchors: Sequence[Point], k: int
+) -> list[float]:
+    """Distance from each of ``anchors`` to its k-th nearest (point)
+    target, in one search of all of them."""
+    found = index.k_nearest_each(anchors, k)
+    return [index.rect_of(ids[-1]).min_distance_to_point(v) for v, ids in zip(anchors, found)]
 
-    Delegates to the index's pruned branch-and-bound search instead of
-    sorting every target: the R-tree/quadtree visit only the subtrees
-    whose MBR lower bound beats the running k-th best, so the four
-    anchor evaluations per query stop scaling with the dataset size.
-    """
-    kth = index.k_nearest_by_max_distance(anchor, k)[-1]
-    return index.rect_of(kth).max_distance_to_point(anchor)
+
+def _kth_distances_private(
+    index: SpatialIndex, anchors: Sequence[Point], k: int
+) -> list[float]:
+    """The k-th smallest pessimistic (max) distance from each of
+    ``anchors`` to a cloaked target region, in one pruned search of all
+    of them rather than a sort of every stored region."""
+    found = index.k_nearest_by_max_distance_each(anchors, k)
+    return [index.rect_of(ids[-1]).max_distance_to_point(v) for v, ids in zip(anchors, found)]
 
 
 def _edge_expansion(length: float, d_i: float, d_j: float) -> float:
@@ -74,16 +84,11 @@ def _edge_expansion(length: float, d_i: float, d_j: float) -> float:
     return min(t_star * length + d_i, (1.0 - t_star) * length + d_j)
 
 
-def _extended_region(
-    area: Rect, kth_distance, num_filters: int, k: int
-) -> Rect:
-    """Build ``A_EXT`` from a ``kth_distance(anchor)`` oracle."""
-    if num_filters not in (1, 4):
-        raise ValueError("kNN queries support num_filters of 1 or 4")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if num_filters == 1:
-        d_c = kth_distance(area.center)
+def _extended_region(area: Rect, distances: Sequence[float]) -> Rect:
+    """Build ``A_EXT`` from the k-th distances of the anchors
+    :func:`_anchors` gives, in their order."""
+    if len(distances) == 1:
+        (d_c,) = distances
         # r(p) <= |p - center| + d_c; per edge the max is at the farther
         # endpoint of the edge from the center.
         amounts = {}
@@ -93,7 +98,7 @@ def _extended_region(
             )
             amounts[edge.direction] = reach + d_c
     else:
-        d_of = {v: kth_distance(v) for v in area.vertices()}
+        d_of = dict(zip(area.vertices(), distances))
         amounts = {}
         for edge in area.edges():
             amounts[edge.direction] = _edge_expansion(

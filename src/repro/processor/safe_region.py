@@ -55,7 +55,7 @@ from repro.geometry import Point, Rect
 from repro.observability import runtime as _telemetry
 from repro.processor.candidate import CandidateList
 from repro.processor.executor import collect
-from repro.processor.knn import _extended_region, _kth_distance_public
+from repro.processor.knn import _anchors, _extended_region, _kth_distances_public
 from repro.spatial import SpatialIndex
 
 __all__ = ["SafeRegionResult", "private_knn_with_validity", "default_margin"]
@@ -145,22 +145,14 @@ def private_knn_with_validity(
     if margin < 0.0:
         raise ValueError("margin must be non-negative")
     k_effective = min(k, len(index))
-    anchors = (
-        [cloaked_area.center] if num_filters == 1 else list(cloaked_area.vertices())
-    )
     with _telemetry.phase_scope("extension", "public"):
-        distance_of = {
-            anchor: _kth_distance_public(index, anchor, k_effective)
-            for anchor in anchors
-        }
+        anchors = _anchors(cloaked_area, num_filters)
+        distances = _kth_distances_public(index, anchors, k_effective)
         a_ext = _extended_region(
-            cloaked_area,
-            lambda v: distance_of[v] + 2.0 * margin,
-            num_filters,
-            k_effective,
+            cloaked_area, [distance + 2.0 * margin for distance in distances]
         )
     watch = a_ext
-    for anchor, distance in distance_of.items():
+    for anchor, distance in zip(anchors, distances):
         watch = watch.union(_disc_bbox(anchor, distance))
     return SafeRegionResult(
         candidates=collect(index, a_ext, "public", num_filters),

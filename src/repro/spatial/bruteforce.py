@@ -7,9 +7,7 @@ index for small datasets.
 
 from __future__ import annotations
 
-import heapq
-
-from repro.geometry import Point, Rect
+from repro.geometry import Rect
 from repro.spatial.index import SpatialIndex
 
 __all__ = ["BruteForceIndex"]
@@ -29,16 +27,3 @@ class BruteForceIndex(SpatialIndex):
 
     def _range_impl(self, region: Rect) -> list[object]:
         return [oid for oid, rect in self._entries.items() if rect.intersects(region)]
-
-    def _k_nearest_impl(self, point: Point, k: int) -> list[object]:
-        # Explicit (distance, insertion order) key: this is the ordering
-        # the accelerated indexes are contractually required to match.
-        scored = heapq.nsmallest(
-            k,
-            self._entries.items(),
-            key=lambda item: (
-                item[1].min_distance_to_point(point),
-                self._seq[item[0]],
-            ),
-        )
-        return [oid for oid, _rect in scored]

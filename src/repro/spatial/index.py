@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 import heapq
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 
 import numpy as np
@@ -229,16 +229,25 @@ class SpatialIndex(abc.ABC):
         Ties go to the earliest-inserted entry, as in every query;
         raises :class:`EmptyDatasetError` when the index is empty.
         """
-        result = self.k_nearest(point, 1)
-        return result[0]
+        return self.k_nearest(point, 1)[0]
 
-    def k_nearest(self, point: Point, k: int) -> list[object]:
-        """The ``k`` entries with smallest min-distance, nearest first."""
+    def _checked_k(self, k: int) -> int:
+        """``k`` clamped to the entry count, for a kNN query that has one."""
         if not self._entries:
             raise EmptyDatasetError("spatial index is empty")
         if k <= 0:
             raise ValueError("k must be positive")
-        return self._k_nearest_impl(point, min(k, len(self._entries)))
+        return min(k, len(self._entries))
+
+    def k_nearest(self, point: Point, k: int) -> list[object]:
+        """The ``k`` entries with smallest min-distance, nearest first."""
+        return self.k_nearest_each((point,), k)[0]
+
+    def k_nearest_each(self, points: Sequence[Point], k: int) -> list[list[object]]:
+        """:meth:`k_nearest` from each of ``points`` (a query's anchors):
+        the default searches once per point, the R-tree once for all."""
+        k = self._checked_k(k)
+        return [self._k_nearest_impl(point, k) for point in points]
 
     def k_nearest_by_max_distance(self, point: Point, k: int) -> list[object]:
         """The ``k`` entries with smallest *max*-distance, best first.
@@ -250,22 +259,30 @@ class SpatialIndex(abc.ABC):
         override :meth:`_k_nearest_by_max_distance_impl` with a pruned
         branch-and-bound search; the fallback is a heap-based scan.
         """
-        if not self._entries:
-            raise EmptyDatasetError("spatial index is empty")
-        if k <= 0:
-            raise ValueError("k must be positive")
-        return self._k_nearest_by_max_distance_impl(
-            point, min(k, len(self._entries))
-        )
+        return self.k_nearest_by_max_distance_each((point,), k)[0]
+
+    def k_nearest_by_max_distance_each(
+        self, points: Sequence[Point], k: int
+    ) -> list[list[object]]:
+        """:meth:`k_nearest_by_max_distance` from each of ``points``."""
+        k = self._checked_k(k)
+        return [self._k_nearest_by_max_distance_impl(point, k) for point in points]
+
+    def _k_nearest_impl(self, point: Point, k: int) -> list[object]:
+        return self._scan(point, k, Rect.min_distance_to_point)
 
     def _k_nearest_by_max_distance_impl(self, point: Point, k: int) -> list[object]:
+        return self._scan(point, k, Rect.max_distance_to_point)
+
+    def _scan(
+        self, point: Point, k: int, distance: Callable[[Rect, Point], float]
+    ) -> list[object]:
+        """The fallback kNN, a heap over every entry by ``(distance,
+        insertion order)``: the ranking every index must match."""
         scored = heapq.nsmallest(
             k,
             self._entries.items(),
-            key=lambda item: (
-                item[1].max_distance_to_point(point),
-                self._seq[item[0]],
-            ),
+            key=lambda item: (distance(item[1], point), self._seq[item[0]]),
         )
         return [oid for oid, _rect in scored]
 
@@ -283,6 +300,3 @@ class SpatialIndex(abc.ABC):
 
     @abc.abstractmethod
     def _range_impl(self, region: Rect) -> list[object]: ...
-
-    @abc.abstractmethod
-    def _k_nearest_impl(self, point: Point, k: int) -> list[object]: ...

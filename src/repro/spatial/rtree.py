@@ -15,12 +15,15 @@ whole, so a small tree has none at all.
 
 Queries run a level at a time: one mask or one distance kernel over the
 surviving nodes of a level, whose children ``node * M + arange(M)`` are
-the next level's input.  Writes do not touch the packed part: ``insert``
-appends a row to an unpacked *tail* that every query also scans flat,
-``remove`` blanks its row to NaN — which no comparison admits and no
-bounding rectangle (taken with ``fmin`` / ``fmax``) is widened by — and
-the pack runs again, over the live rows only, once the writes since the
-last one pass a fixed fraction of the live count.
+the next level's input; a kNN search takes all the anchors of a query
+through one such descent.  Writes do not touch the packed part:
+``insert`` appends a row to an unpacked *tail* that every query also
+scans flat, ``remove`` blanks its row to NaN — which no comparison
+admits and no bounding rectangle (taken with ``fmin`` / ``fmax``) is
+widened by — and the pack runs again, over the live rows only, once the
+writes since the last one pass a fixed fraction of the live count.
+Beside each level the tree keeps how many live rows each node holds:
+set by the pack, counted down by a remove and around ``hidden``.
 
 A vector distance only shortlists (see :mod:`repro.geometry.block`): the
 scalar :class:`~repro.geometry.Rect` distance ranks the shortlist and
@@ -31,7 +34,7 @@ equal the brute-force oracle's, order included.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 
 import numpy as np
@@ -64,9 +67,12 @@ _FLAT = 1024
 _CHURN = 0.125
 _CHURN_FLOOR = 64
 
+#: The box of a node over padding rows only: infinitely far.
+_EMPTY = np.array(((np.inf,), (np.inf,), (-np.inf,), (-np.inf,)))
+
 _Rows = npt.NDArray[np.intp]
-_Distances = Callable[[Block, Point], Block]
-_Choose = Callable[[Block], "_Rows | slice"]
+_Distances = Callable[[Block, Block], Block]
+_Choose = Callable[[_Rows, int], "_Rows | npt.NDArray[np.bool_]"]
 
 
 def _str_order(coords: Block, cap: int) -> _Rows:
@@ -82,11 +88,28 @@ def _str_order(coords: Block, cap: int) -> _Rows:
     return by_x[np.lexsort((y[by_x], np.arange(n) // per_slice))]
 
 
-def _bound(found: Block, k: int) -> float:
-    """What the ``k`` smallest of the vector distances ``found`` cannot
-    exceed, slack included; NaN when fewer than ``k`` are real."""
-    kth = float(np.partition(found, k - 1)[k - 1]) if k <= len(found) else math.nan
-    return kth + slack(kth)
+def _loose(bounds: Block, slacks: int) -> Block:
+    """``bounds`` plus at least ``slacks`` times their slack, in two
+    array operations: 2**-47 of a normal value is 32 ulps or more, and
+    the sum covers 0 and subnormals (an infinite bound stays one)."""
+    loose: Block = bounds * (1.0 + slacks * 2.0**-47) + slacks * slack(0.0)
+    return loose
+
+
+def _bound(far: Block, k: int, held: _Rows | None = None) -> Block:
+    """Per anchor (row), the least ``far`` value within which ``k`` live
+    rows lie, as a column (NaN where none is): ``held`` rows behind each
+    value, else one behind each real one (a blank row is NaN)."""
+    if held is None:
+        if far.shape[1] < k:
+            return np.full((len(far), 1), np.nan)
+        kth: Block = np.partition(far, k - 1, axis=1)[:, k - 1 : k]
+        return kth
+    order = np.argsort(far, axis=1)
+    enough = np.cumsum(np.take_along_axis(held, order, 1), axis=1) >= k
+    first = np.take_along_axis(far, order, 1)[np.arange(len(far)), enough.argmax(1)]
+    bound: Block = np.where(enough[:, -1], first, np.nan)[:, None]
+    return bound
 
 
 class RTreeIndex(SpatialIndex):
@@ -145,15 +168,24 @@ class RTreeIndex(SpatialIndex):
         self._row.update(zip(self._oids[:live].tolist(), range(live)))
         self._rows = np.arange(room)
         self._levels: list[Block] = []
-        boxes = self._coords[:, :size]
+        self._held: list[_Rows] = []  # live rows under each node, by level
+        boxes, held = self._coords[:, :size], (self._rows[:size] < live).astype(np.intp)
         for _ in range(height):
             groups = boxes.reshape(4, -1, cap)
             boxes = np.concatenate(
                 (np.fmin.reduce(groups[:2], axis=2), np.fmax.reduce(groups[2:], axis=2))
             )
+            boxes[:, np.isnan(boxes[0])] = _EMPTY  # padding: infinitely far
+            held = held.reshape(-1, cap).sum(axis=1)
             self._levels.append(boxes)
+            self._held.append(held)
         self._packed = size if height else 0
         self._n = size
+
+    def _tally(self, row: int, change: int) -> None:
+        """Count a packed row in or out of the nodes above it."""
+        for depth, held in enumerate(self._held if row < self._packed else [], 1):
+            held[row // self.max_entries**depth] += change
 
     def _wrote(self) -> None:
         self._spare -= 1
@@ -184,7 +216,9 @@ class RTreeIndex(SpatialIndex):
         self._wrote()
 
     def _remove_impl(self, oid: object, rect: Rect) -> None:
-        self._coords[:, self._row.pop(oid)] = np.nan
+        row = self._row.pop(oid)
+        self._coords[:, row] = np.nan
+        self._tally(row, -1)
         self._wrote()
 
     def bulk_load(self, entries: dict[object, Rect]) -> None:
@@ -204,25 +238,28 @@ class RTreeIndex(SpatialIndex):
         row = self._row[oid]
         rect, seq = self._entries.pop(oid), self._seq.pop(oid)
         self._coords[:, row] = np.nan
+        self._tally(row, -1)
         self._hiding += 1
         try:
             yield
         finally:
             self._hiding -= 1
             self._coords[:, row] = rect.as_tuple()
+            self._tally(row, 1)
             self._entries[oid], self._seq[oid] = rect, seq
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def _descend(self, choose: _Choose) -> _Rows:
-        """The rows under the nodes that ``choose`` keeps of each
-        level's boxes, top level first, and the tail after them."""
+        """The rows under the nodes that ``choose(nodes, depth)`` keeps
+        of each level's surviving ``nodes`` — top level first, the
+        leaves' at depth 0 — and the tail after them."""
         rows = self._rows[self._packed : self._n]
         if self._levels:
             nodes = self._rows[: self._levels[-1].shape[1]]
-            for level in reversed(self._levels):
-                nodes = nodes[choose(level.take(nodes, axis=1))]
+            for depth in reversed(range(len(self._levels))):
+                nodes = nodes[choose(nodes, depth)]
                 nodes = (nodes[:, None] * self.max_entries + self._fan).ravel()
             rows = np.concatenate((nodes, rows))
         return rows
@@ -238,7 +275,7 @@ class RTreeIndex(SpatialIndex):
             inside = (boxes[:2] <= high) & (low <= boxes[2:] + EPSILON)
             return np.flatnonzero(inside[0] & inside[1])
 
-        rows = self._descend(hits)
+        rows = self._descend(lambda nodes, depth: hits(self._levels[depth].take(nodes, 1)))
         return rows[hits(self._coords.take(rows, axis=1))]
 
     def _range_impl(self, region: Rect) -> list[object]:
@@ -270,64 +307,86 @@ class RTreeIndex(SpatialIndex):
             self._marks[rows],
         )
 
-    def _shortlist(self, point: Point, k: int, distances: _Distances) -> _Rows:
-        """Rows that can be among the ``k`` smallest ``distances`` from
-        ``point``.  A node's min-distance bounds both rankings from
-        below, so the rows of the few nearest leaves give a bound, and
-        only if a node the probe left unopened is within it does a
-        second descent open every node that is.  Blank rows and nodes
-        are NaN-far: no comparison admits them."""
-        want = k // self.max_entries + 4
-        unopened = math.inf
+    def _shortlists(
+        self, anchors: Sequence[Point], k: int, distances: _Distances
+    ) -> list[npt.NDArray[np.object_]]:
+        """For each of ``anchors``, the ids that can be among the ``k``
+        smallest ``distances`` from it, all found in one descent.
 
-        def nearest(boxes: Block) -> _Rows | slice:
-            nonlocal unopened
-            if want >= boxes.shape[1]:
-                return slice(None)
-            reach = min_distances(boxes.T, point)
-            order = np.argpartition(reach, want)
-            unopened = min(unopened, float(reach[order[want]]))
-            return order[:want]
+        Each level is one ``(P, m)`` kernel: each anchor's L∞ gap
+        ``max(dx, dy)`` to each surviving node, a lower bound on both
+        rankings of every row under it that needs no ``hypot``.  The
+        nodes an anchor is nearest by gap bound its k-th distance from
+        above, tighter level by level; a node stays while some anchor's
+        bound, plus slack, reaches its gap.  Each shortlist is every row
+        found within the slack of the anchor's k-th vector distance."""
+        at = np.array([(anchor.x, anchor.y) for anchor in anchors])
+        xs, ys = at[:, :1], at[:, 1:]
+        reach = np.full((len(anchors), 1), np.inf)
 
-        rows = self._descend(nearest)
-        found = distances(self._coords.take(rows, axis=1).T, point)
-        bound = _bound(found, k)
-        if not bound < unopened:
-            if bound < math.inf:
-                rows = self._descend(
-                    lambda boxes: np.flatnonzero(min_distances(boxes.T, point) <= bound)
-                )
-            else:  # fewer than k live rows under the probe
-                rows = self._rows[: self._n]
-            found = distances(self._coords.take(rows, axis=1).T, point)
-            bound = _bound(found, k)
-        return rows[found <= bound]
+        def keep(nodes: _Rows, depth: int) -> npt.NDArray[np.bool_]:
+            nonlocal reach
+            boxes = self._levels[depth].take(nodes, axis=1)
+            gaps = np.maximum(
+                np.maximum(boxes[0] - xs, xs - boxes[2]),
+                np.maximum(boxes[1] - ys, ys - boxes[3]),
+            )
+            count = min(len(nodes), k // self.max_entries + 1)  # enough when full
+            if count == 1:
+                nearest = gaps.argmin(axis=1)[:, None]
+            else:
+                nearest = np.argpartition(gaps, count - 1, axis=1)[:, :count]
+            if depth:  # every row lies within its node's max-distance
+                far = max_distances(boxes.take(nearest, axis=1).T, at)
+                bound = _bound(far, k, self._held[depth][nodes[nearest]])
+            else:  # a leaf's rows are bounded by their own distances
+                rows = nodes[nearest][..., None] * self.max_entries + self._fan
+                rows = rows.reshape(len(at), -1)
+                bound = _bound(distances(self._coords.take(rows, axis=1).T, at), k)
+            reach = np.fmin(reach, bound)
+            kept: npt.NDArray[np.bool_] = (gaps <= _loose(reach, 2)).any(axis=0)
+            return kept
+
+        rows = self._descend(keep)
+        found = distances(self._coords.take(rows, axis=1).T, at)
+        oids = self._oids.take(rows)
+        return [oids[within] for within in found <= _loose(_bound(found, k), 1)]
 
     def _k_best(
         self,
-        point: Point,
+        points: Sequence[Point],
         k: int,
         distances: _Distances,
         exact: Callable[[Rect, Point], float],
-    ) -> list[object]:
-        pool: Iterable[object]
-        if math.isfinite(point.x + point.y):
-            pool = self._oids[self._shortlist(point, k, distances)].tolist()
-        else:  # beyond the kernels' error analysis: rank everything
-            pool = self._entries
+    ) -> list[list[object]]:
+        """The ``k`` entries first by the scalar ``(exact distance,
+        sequence number)`` key from each of ``points``, the finite ones
+        shortlisted together by the vector ``distances``."""
+        sure = [point for point in points if math.isfinite(point.x + point.y)]
+        shortlists = iter(self._shortlists(sure, k, distances) if sure else ())
         entries, seq = self._entries, self._seq
-        return sorted(pool, key=lambda oid: (exact(entries[oid], point), seq[oid]))[:k]
+        best = []
+        for point in points:  # beyond the kernels' error analysis, rank all
+            finite = math.isfinite(point.x + point.y)
+            pool = next(shortlists).tolist() if finite else entries
+            best.append(
+                sorted(pool, key=lambda oid: (exact(entries[oid], point), seq[oid]))[:k]
+            )
+        return best
 
-    def _k_nearest_impl(self, point: Point, k: int) -> list[object]:
-        # Ties break by insertion order: the scalar (distance, sequence
-        # number) key ranks the vector shortlist.
-        return self._k_best(point, k, min_distances, Rect.min_distance_to_point)
+    def k_nearest_each(self, points: Sequence[Point], k: int) -> list[list[object]]:
+        return self._k_best(
+            points, self._checked_k(k), min_distances, Rect.min_distance_to_point
+        )
 
-    def _k_nearest_by_max_distance_impl(self, point: Point, k: int) -> list[object]:
-        """Pessimistic kNN (k smallest max-distances), ties by insertion
-        order.  An entry's max-distance is at least the min-distance to
-        any node holding it, so the same level-wise pruning is exact."""
-        return self._k_best(point, k, max_distances, Rect.max_distance_to_point)
+    def k_nearest_by_max_distance_each(
+        self, points: Sequence[Point], k: int
+    ) -> list[list[object]]:
+        # An entry's max-distance is at least its min-distance: the gap
+        # bounds both rankings from below, the node bound both from above.
+        return self._k_best(
+            points, self._checked_k(k), max_distances, Rect.max_distance_to_point
+        )
 
     # ------------------------------------------------------------------
     # Diagnostics (used by structural tests)
@@ -349,10 +408,13 @@ class RTreeIndex(SpatialIndex):
         assert len(blank) - blank.sum() == len(self._row), "dead row not blanked"
         assert self._packed % cap == 0 and self._packed <= self._n <= len(blank)
         below = self._coords[:, : self._packed]
-        for boxes in self._levels:
+        held = (~blank[: self._packed]).astype(np.intp)
+        for boxes, counts in zip(self._levels, self._held):
             assert boxes.shape[1] * cap == below.shape[1], "level size"
             parents = np.repeat(boxes, cap, axis=1)
             inside = (parents[:2] <= below[:2]) & (below[2:] <= parents[2:])
             assert (inside | np.isnan(below[:2])).all(), "MBR too small"
+            held = held.reshape(-1, cap).sum(axis=1)
+            assert (counts == held).all(), "live-row count stale"
             below = boxes
         assert below.shape[1] <= _FLAT, "top level too large"

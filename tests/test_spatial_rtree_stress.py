@@ -209,6 +209,84 @@ class TestRTreeStress:
 
 
 # ----------------------------------------------------------------------
+# Several anchors in one descent, against the oracle
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("levels, flat", [(0, 1024), (1, 40), (2, 10)])
+def test_anchor_sets_answer_like_the_oracle(rng, monkeypatch, levels, flat):
+    """Every anchor of a set gets the oracle's list, order included, for
+    both rankings, any k (17 needs more live rows than one node of 4
+    holds), whatever the tree's height, with tail rows, blanked rows,
+    duplicate rectangles, and with an anchor's nearest entry hidden.
+    The anchors stand off the service area, on node edges and at
+    ±1e300."""
+    monkeypatch.setattr(rtree_module, "_FLAT", flat)
+    cells = [Rect(x / 8, y / 8, (x + w) / 8, (y + h) / 8)
+             for x, y, w, h in rng.integers(0, 4, (100, 4)).tolist()]
+    entries = dict(enumerate(cells + cells[:20]))  # 20 duplicates: ties
+    late = random_rects(rng, 12)
+    rtree, oracle = RTreeIndex(max_entries=4), BruteForceIndex()
+    for index in (rtree, oracle):
+        index.bulk_load(entries)
+        for oid in range(0, 120, 7):
+            index.remove(oid)  # blank rows
+        for oid, rect in enumerate(late, start=200):
+            index.insert(oid, rect)  # tail rows
+    assert len(rtree._levels) == levels
+    assert rtree._n > rtree._packed or not levels
+    rtree.check_invariants()
+    corners = [Point(rect.x_min, rect.y_max) for rect in cells[:6]]
+    anchors = corners + [
+        Point(-0.5, 1.7), Point(2.0, 0.5), Point(1e300, -1e300), Point(-1e300, 0.5),
+    ]
+
+    def assert_each_like_oracle() -> None:
+        for size in (1, 2, 4):
+            for group in (anchors[i : i + size] for i in range(0, len(anchors), size)):
+                for k in (1, 3, 17):
+                    assert rtree.k_nearest_each(group, k) == oracle.k_nearest_each(group, k)
+                    assert rtree.k_nearest_by_max_distance_each(
+                        group, k
+                    ) == oracle.k_nearest_by_max_distance_each(group, k)
+
+    assert_each_like_oracle()
+    for victim in {oracle.nearest(anchor) for anchor in anchors}:
+        with rtree.hidden(victim), oracle.hidden(victim):
+            assert_each_like_oracle()
+    rtree.check_invariants()
+
+
+def test_the_node_bound_sums_live_rows_across_nodes(monkeypatch):
+    """Two levels over points on a line: a cluster of 16 fills one
+    top-level node and the rest lie far off, so the k-th nearest to the
+    cluster for k > 16 is beyond the cluster node's max-distance — and
+    so is the 9th once 8 cluster rows are blanked, and the 8th with one
+    more hidden: the bound must count live rows across nodes."""
+    monkeypatch.setattr(rtree_module, "_FLAT", 4)
+    entries = {i: Rect.point(Point(i / 64, 0.5)) for i in range(16)}
+    entries.update({i: Rect.point(Point(10.0 + i, 0.5)) for i in range(16, 64)})
+    rtree, oracle = RTreeIndex(max_entries=4), BruteForceIndex()
+    for index in (rtree, oracle):
+        index.bulk_load(entries)
+    assert len(rtree._levels) == 2
+    anchor = [Point(0.1, 0.5)]
+
+    def assert_like_oracle(*ks: int) -> None:
+        for k in ks:
+            assert rtree.k_nearest_each(anchor, k) == oracle.k_nearest_each(anchor, k)
+            assert rtree.k_nearest_by_max_distance_each(
+                anchor, k
+            ) == oracle.k_nearest_by_max_distance_each(anchor, k)
+
+    assert_like_oracle(1, 16, 17, 40)
+    for index in (rtree, oracle):
+        for oid in range(0, 16, 2):
+            index.remove(oid)
+    assert_like_oracle(8, 9)
+    with rtree.hidden(1), oracle.hidden(1):
+        assert_like_oracle(7, 8)
+
+
+# ----------------------------------------------------------------------
 # The packed tree against the oracle, as a property
 # ----------------------------------------------------------------------
 GRID = st.integers(0, 8).map(lambda i: i / 8)  # coordinates that coincide
@@ -267,6 +345,12 @@ def assert_answers_like(rtree: RTreeIndex, oracle: BruteForceIndex, probes) -> N
                 assert rtree.k_nearest_by_max_distance(
                     point, count
                 ) == oracle.k_nearest_by_max_distance(point, count)
+    points = [point for _region, point, _k in probes]
+    for count in (1, 17) if len(oracle) else ():  # all probes in one descent
+        assert rtree.k_nearest_each(points, count) == oracle.k_nearest_each(points, count)
+        assert rtree.k_nearest_by_max_distance_each(
+            points, count
+        ) == oracle.k_nearest_by_max_distance_each(points, count)
 
 
 @settings(
@@ -300,33 +384,33 @@ def test_property_rtree_vs_oracle_under_op_sequences(
         oracle = BruteForceIndex()
         both = (rtree, oracle)
         next_id = 0
+
+        def each(method: str, *args) -> None:  # a write, then the invariants
+            for index in both:
+                getattr(index, method)(*args)
+            rtree.check_invariants()
+
         for op, arg in ops:
             live = list(oracle._entries)
             if not live and op not in ("insert", "insert_many", "bulk"):
                 op, arg = "insert", Rect(0.5, 0.5, 0.5, 0.5)
             if op in ("insert", "insert_many"):
                 for rect in arg if op == "insert_many" else [arg]:
-                    for index in both:
-                        index.insert(next_id, rect)
+                    each("insert", next_id, rect)
                     next_id += 1
             elif op == "named":
-                for index in both:
-                    index.insert(*arg)
+                each("insert", *arg)
             elif op == "reinsert":
-                for index in both:
-                    index.insert(live[len(live) // 2], arg)
+                each("insert", live[len(live) // 2], arg)
             elif op == "remove":
-                for index in both:
-                    index.remove(live[arg % len(live)])
+                each("remove", live[arg % len(live)])
             elif op == "remove_many":
                 for victim in live[:arg]:
-                    for index in both:
-                        index.remove(victim)
+                    each("remove", victim)
             elif op == "bulk":
                 entries = {next_id + i: rect for i, rect in enumerate(arg)}
                 next_id += len(entries)
-                for index in both:
-                    index.bulk_load(entries)
+                each("bulk_load", entries)
             else:  # hide: a read that must leave no trace
                 victim = live[arg % len(live)]
                 with rtree.hidden(victim), oracle.hidden(victim):
