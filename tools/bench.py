@@ -24,7 +24,9 @@ track the trajectory:
   script (``fleet_vs_engine``);
 * **shard_parallel** — the multi-process shard runtime at
   N = 1/2/4/8 worker processes, paired-chunk ratios for cloak and
-  update throughput;
+  update throughput, and what the timed update phase puts on the
+  parent→worker pipes (envelopes and bytes per move, gated for
+  equality);
 * **continuous_mobility** — re-query rate of the safe-region
   continuous-kNN monitor vs the naive re-issue-every-tick client on
   the commuter trajectory workload (identical recorded ticks, refined
@@ -556,10 +558,33 @@ def bench_shard_parallel(quick: bool) -> dict:
     timed on every fleet back-to-back; the gated ratios are medians of
     *per-chunk paired quotients*, so host-load drift during the run
     cancels out instead of landing on one arm.
+
+    The move script draws movers with replacement, so its chunks name
+    users twice and every ``update_batch`` on the way takes its
+    arrival-order fallback: the update rows time that fallback.  What
+    the timed update phase sends down the parent→worker pipes —
+    envelopes and bytes per move, frame headers and CRCs included — is
+    counted by a pass-through transmit seam; the counts depend only on
+    the seeded script, so ``bench_gate.EXACT_COUNTERS`` holds them equal
+    to the reference.
     """
     import statistics
 
+    from repro.resilience.faults import Delivery
     from repro.sharding import make_sharded
+
+    class PipeCounter:
+        """Pass every frame through untouched, counting the request
+        frames' envelopes (the header's uint16 at offset 6) and bytes."""
+
+        def __init__(self) -> None:
+            self.envelopes = self.bytes = 0
+
+        def transmit(self, channel: str, payload: bytes) -> list:
+            if channel.startswith("shard:"):
+                self.envelopes += int.from_bytes(payload[6:8], "little")
+                self.bytes += len(payload)
+            return [Delivery(payload)]
 
     num_users = 6_000 if quick else 16_000
     height = 8
@@ -608,6 +633,7 @@ def bench_shard_parallel(quick: bool) -> dict:
     ]
 
     fleets: dict[int, object] = {}
+    pipes = {n: PipeCounter() for n in shard_counts}
     update_times: dict[int, list[float]] = {n: [] for n in shard_counts}
     cloak_times: dict[int, list[float]] = {n: [] for n in shard_counts}
     per_shard: dict[str, dict] = {}
@@ -629,6 +655,8 @@ def bench_shard_parallel(quick: bool) -> dict:
             fleet.flush()
 
         # Phase 1: pure update ticks, every fleet timed on each chunk.
+        for num_shards in shard_counts:
+            fleets[num_shards].attach_injector(pipes[num_shards])
         for chunk in range(update_chunks):
             batch = move_script[
                 chunk * moves_per_chunk : (chunk + 1) * moves_per_chunk
@@ -640,6 +668,8 @@ def bench_shard_parallel(quick: bool) -> dict:
                 fleets[num_shards].update_batch(batch)
                 fleets[num_shards].flush()
                 update_times[num_shards].append(time.perf_counter() - start)
+        for num_shards in shard_counts:
+            fleets[num_shards].attach_injector(None)
 
         # Phase 2: cloak bursts under background churn.  One full warm
         # pass first — the hot set fits each 8-worker cache but
@@ -710,6 +740,14 @@ def bench_shard_parallel(quick: bool) -> dict:
         "shards": per_shard,
         "cloak_scaling_8x": paired_ratio(cloak_times),
         "update_scaling_8x": paired_ratio(update_times),
+        "pipe_envelopes_per_move": {
+            str(n): pipe.envelopes / (update_chunks * moves_per_chunk)
+            for n, pipe in pipes.items()
+        },
+        "pipe_bytes_per_move": {
+            str(n): pipe.bytes / (update_chunks * moves_per_chunk)
+            for n, pipe in pipes.items()
+        },
     }
 
 

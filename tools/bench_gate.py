@@ -44,8 +44,11 @@ counter updates per update and the quiet-move share, and the replicated
 deployment's splits, merges and cell changes — are functions of the
 seeded trace and Section 4.2's gates alone, so a differing digit means
 the adaptive cut is maintained differently (or differently behind the
-shard surface).  The timings beside
-both (``wall_clock_speedup``, the moves per second) are reported, not
+shard surface).  The ``shard_parallel`` ones — parent→worker envelopes
+and bytes per move over the timed update phase, per worker count — are
+functions of the seeded move script and the pool's queueing rules, so a
+differing digit means moves cross the pipes differently.  The timings beside
+them (``wall_clock_speedup``, the moves per second) are reported, not
 gated.
 
 The reference is auto-selected by the report's ``quick`` flag:
@@ -107,6 +110,7 @@ EXACT_COUNTERS = (
             "mean_candidates_naive",
         ),
     ),
+    ("shard_parallel", ("pipe_envelopes_per_move", "pipe_bytes_per_move")),
     (
         "adaptive_maintenance",
         (
