@@ -34,7 +34,14 @@ frame so the sender retransmits instead of timing out.
 
 Envelope payloads carry one shard **operation** each, encoded by the
 ``op_*`` / ``response_*`` helpers below: a one-byte opcode, fixed-width
-little-endian fields, and a tagged user id (int64 or UTF-8) last.
+little-endian fields, and a tagged user id (int64 or UTF-8) last.  The
+one exception is ``moves``, the parent's packed run of applied moves:
+a count, an x and a y column of float64s, then the uids as one int64
+column or, unless every one is a plain int inside int64, each tagged as
+above.  A
+payload is decoded whole or not at all: one that ends early or runs
+past its last field raises :class:`WireError`, so a truncated uid never
+names a different user.
 Operations never carry pyramid state; snapshots and cache counters
 travel as opaque blobs that are only unpickled after the frame CRC has
 verified — bytes that fail the CRC are rejected, never parsed, and
@@ -45,6 +52,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.anonymizer.cells import CellId
@@ -222,6 +230,7 @@ OP_CHECK = 12
 OP_PING = 13
 OP_HANG = 14
 OP_SHUTDOWN = 15
+OP_MOVES = 16
 # 9 and 11 are retired and stay unassigned: opcode values are wire surface.
 
 
@@ -262,6 +271,7 @@ OPS: dict[int, OpSpec] = {
     OP_CHECK: OpSpec("check", "ack", True, False),
     OP_HANG: OpSpec("hang", "ack", False, False),
     OP_SHUTDOWN: OpSpec("shutdown", "ack", False, False),
+    OP_MOVES: OpSpec("moves", "ack", False, False),
 }
 
 
@@ -301,8 +311,10 @@ def _decode_uid(data: bytes, offset: int) -> tuple[object, int]:
         return uid, offset + 9
     if tag == _UID_STR:
         (length,) = struct.unpack_from("<H", data, offset + 1)
-        start = offset + 3
-        return data[start : start + length].decode("utf-8"), start + length
+        start, end = offset + 3, offset + 3 + length
+        if end > len(data):
+            raise WireError("user id truncated")
+        return data[start:end].decode("utf-8"), end
     raise WireError(f"unknown user-id tag {tag}")
 
 
@@ -368,49 +380,97 @@ def op_shutdown() -> bytes:
     return struct.pack("<B", OP_SHUTDOWN)
 
 
+#: ``moves`` header: opcode, move count, uid column form.
+_MOVES_HEAD = struct.Struct("<BIB")
+_UIDS_INT64 = 0
+_UIDS_TAGGED = 1
+
+
+def op_moves(
+    uids: Sequence[object], xs: Sequence[float], ys: Sequence[float]
+) -> bytes:
+    """A run of moves as columns: ``uids[i]`` moves to ``(xs[i], ys[i])``,
+    in order."""
+    n = len(uids)
+    if len(xs) != n or len(ys) != n:
+        raise ValueError("moves columns differ in length")
+    coordinates = struct.pack(f"<{2 * n}d", *xs, *ys)
+    if set(map(type, uids)) == {int} and -(2**63) <= min(uids) and max(uids) < 2**63:
+        column = struct.pack(f"<{n}q", *uids)
+        return _MOVES_HEAD.pack(OP_MOVES, n, _UIDS_INT64) + coordinates + column
+    tagged = b"".join(map(_encode_uid, uids))
+    return _MOVES_HEAD.pack(OP_MOVES, n, _UIDS_TAGGED) + coordinates + tagged
+
+
+def _decode_moves(data: bytes) -> tuple[tuple, int]:
+    _, n, form = _MOVES_HEAD.unpack_from(data)
+    start = _MOVES_HEAD.size
+    xs = struct.unpack_from(f"<{n}d", data, start)
+    ys = struct.unpack_from(f"<{n}d", data, start + 8 * n)
+    end = start + 16 * n
+    if form == _UIDS_INT64:
+        uids: Sequence[object] = struct.unpack_from(f"<{n}q", data, end)
+        end += 8 * n
+    elif form == _UIDS_TAGGED:
+        uids = []
+        for _ in range(n):
+            uid, end = _decode_uid(data, end)
+            uids.append(uid)
+    else:
+        raise WireError(f"unknown moves uid form {form}")
+    return ("moves", uids, xs, ys), end
+
+
 def decode_op(data: bytes) -> tuple:
-    """Decode one operation payload into ``(name, *args)``."""
+    """Decode one operation payload into ``(name, *args)``.
+
+    A payload that ends early or runs past its last field raises
+    :class:`WireError`.
+    """
     if not data:
         raise WireError("empty operation payload")
-    opcode = data[0]
-    if opcode == OP_REGISTER:
-        x, y, k, a_min = struct.unpack_from("<ddId", data, 1)
-        uid, _ = _decode_uid(data, 29)
-        return ("register", uid, Point(x, y), PrivacyProfile(k, a_min))
-    if opcode == OP_MOVE:
-        x, y = struct.unpack_from("<dd", data, 1)
-        uid, _ = _decode_uid(data, 17)
-        return ("move", uid, Point(x, y))
-    if opcode == OP_DEREGISTER:
-        uid, _ = _decode_uid(data, 1)
-        return ("deregister", uid)
-    if opcode == OP_SET_PROFILE:
-        k, a_min = struct.unpack_from("<Id", data, 1)
-        uid, _ = _decode_uid(data, 13)
-        return ("set_profile", uid, PrivacyProfile(k, a_min))
-    if opcode == OP_CLOAK:
-        uid, _ = _decode_uid(data, 1)
-        return ("cloak", uid)
-    if opcode == OP_CLOAK_LOCATION:
-        x, y, k, a_min = struct.unpack_from("<ddId", data, 1)
-        return ("cloak_location", Point(x, y), PrivacyProfile(k, a_min))
-    if opcode == OP_CELL_COUNT:
-        level, ix, iy = struct.unpack_from("<BII", data, 1)
-        return ("cell_count", CellId(level, ix, iy))
-    if opcode == OP_STATS:
-        return ("stats",)
-    if opcode == OP_INSTALL:
-        return ("install", data[1:])
-    if opcode == OP_CHECK:
-        return ("check",)
-    if opcode == OP_PING:
-        return ("ping",)
-    if opcode == OP_HANG:
-        (seconds,) = struct.unpack_from("<d", data, 1)
-        return ("hang", seconds)
-    if opcode == OP_SHUTDOWN:
-        return ("shutdown",)
-    raise WireError(f"unknown shard opcode {opcode}")
+    opcode, end = data[0], 1
+    try:
+        if opcode == OP_MOVE:
+            x, y = struct.unpack_from("<dd", data, 1)
+            uid, end = _decode_uid(data, 17)
+            op: tuple = ("move", uid, Point(x, y))
+        elif opcode == OP_CLOAK:
+            uid, end = _decode_uid(data, 1)
+            op = ("cloak", uid)
+        elif opcode == OP_MOVES:
+            op, end = _decode_moves(data)
+        elif opcode == OP_REGISTER:
+            x, y, k, a_min = struct.unpack_from("<ddId", data, 1)
+            uid, end = _decode_uid(data, 29)
+            op = ("register", uid, Point(x, y), PrivacyProfile(k, a_min))
+        elif opcode == OP_DEREGISTER:
+            uid, end = _decode_uid(data, 1)
+            op = ("deregister", uid)
+        elif opcode == OP_SET_PROFILE:
+            k, a_min = struct.unpack_from("<Id", data, 1)
+            uid, end = _decode_uid(data, 13)
+            op = ("set_profile", uid, PrivacyProfile(k, a_min))
+        elif opcode == OP_CLOAK_LOCATION:
+            x, y, k, a_min = struct.unpack_from("<ddId", data, 1)
+            op, end = ("cloak_location", Point(x, y), PrivacyProfile(k, a_min)), 29
+        elif opcode == OP_CELL_COUNT:
+            level, ix, iy = struct.unpack_from("<BII", data, 1)
+            op, end = ("cell_count", CellId(level, ix, iy)), 10
+        elif opcode == OP_INSTALL:
+            op, end = ("install", data[1:]), len(data)
+        elif opcode == OP_HANG:
+            (seconds,) = struct.unpack_from("<d", data, 1)
+            op, end = ("hang", seconds), 9
+        elif opcode in (OP_STATS, OP_CHECK, OP_PING, OP_SHUTDOWN):
+            op = (OPS[opcode].name,)
+        else:
+            raise WireError(f"unknown shard opcode {opcode}")
+    except struct.error:
+        raise WireError(f"operation {opcode} truncated") from None
+    if end != len(data):
+        raise WireError(f"operation {opcode} has bytes past its end")
+    return op
 
 
 # ----------------------------------------------------------------------
@@ -471,40 +531,46 @@ def response_error(message: str) -> bytes:
 def decode_response(data: bytes) -> tuple:
     """Decode one response payload into ``(name, *args)``.
 
-    Cloaks are reconstructed into real :class:`CloakedRegion` objects —
-    the doubles round-trip exactly, which is what lets the parallel
-    runtime promise *byte*-identical cloaks, not approximately-equal
-    ones.  Blob payloads are returned as raw bytes; the caller decides
-    whether to unpickle (and only ever does so after the enclosing
-    frame's CRC verified).
+    A payload that ends early or runs past its last field raises
+    :class:`WireError`.  Cloaks are reconstructed into real
+    :class:`CloakedRegion` objects — the doubles round-trip exactly,
+    which is what lets the parallel runtime promise *byte*-identical
+    cloaks, not approximately-equal ones.  Blob payloads are returned
+    as raw bytes; the caller decides whether to unpickle (and only ever
+    does so after the enclosing frame's CRC verified).
     """
     if not data:
         raise WireError("empty response payload")
-    opcode = data[0]
-    if opcode == RE_ACK:
-        return ("ack",)
-    if opcode == RE_COST:
-        (cost,) = struct.unpack_from("<I", data, 1)
-        return ("cost", cost)
-    if opcode == RE_CLOAK_OK:
-        x_min, y_min, x_max, y_max, achieved_k, n = struct.unpack_from(
-            "<ddddIH", data, 1
-        )
-        cells = tuple(
-            CellId(*struct.unpack_from("<BII", data, 39 + 9 * i))
-            for i in range(n)
-        )
-        return (
-            "cloak",
-            CloakedRegion(Rect(x_min, y_min, x_max, y_max), achieved_k, cells),
-        )
-    if opcode == RE_CLOAK_UNSAT:
-        return ("unsat",)
-    if opcode == RE_COUNT:
-        (count,) = struct.unpack_from("<I", data, 1)
-        return ("count", count)
-    if opcode == RE_BLOB:
-        return ("blob", data[1:])
-    if opcode == RE_ERROR:
-        return ("error", data[1:].decode("utf-8"))
-    raise WireError(f"unknown shard response opcode {opcode}")
+    opcode, end = data[0], 1
+    try:
+        if opcode == RE_ACK:
+            reply: tuple = ("ack",)
+        elif opcode == RE_COST:
+            (cost,) = struct.unpack_from("<I", data, 1)
+            reply, end = ("cost", cost), 5
+        elif opcode == RE_CLOAK_OK:
+            x_min, y_min, x_max, y_max, achieved_k, n = struct.unpack_from(
+                "<ddddIH", data, 1
+            )
+            cells = tuple(
+                CellId(*struct.unpack_from("<BII", data, 39 + 9 * i))
+                for i in range(n)
+            )
+            region = CloakedRegion(Rect(x_min, y_min, x_max, y_max), achieved_k, cells)
+            reply, end = ("cloak", region), 39 + 9 * n
+        elif opcode == RE_CLOAK_UNSAT:
+            reply = ("unsat",)
+        elif opcode == RE_COUNT:
+            (count,) = struct.unpack_from("<I", data, 1)
+            reply, end = ("count", count), 5
+        elif opcode == RE_BLOB:
+            reply, end = ("blob", data[1:]), len(data)
+        elif opcode == RE_ERROR:
+            reply, end = ("error", data[1:].decode("utf-8")), len(data)
+        else:
+            raise WireError(f"unknown shard response opcode {opcode}")
+    except struct.error:
+        raise WireError(f"response {opcode} truncated") from None
+    if end != len(data):
+        raise WireError(f"response {opcode} has bytes past its end")
+    return reply

@@ -10,7 +10,8 @@ gathers any reply.  Three statements pin that none of it is observable:
   of an oracle that executes the envelopes one at a time (the
   per-envelope loop the endpoint replaced, kept here as the reference);
 * **round trips as a count** — what a cloak frame and a tick cost in
-  worker exchanges, read off the program's own telemetry, no clock;
+  worker exchanges and envelopes, read off the program's own
+  telemetry, no clock;
 * **the parent mirror** — ``ParallelShardedAnonymizer.update_batch`` is
   the scalar ``update`` loop on costs, stats, directory, occupancy and
   shard-op telemetry, and on the exception and applied prefix of a
@@ -320,20 +321,40 @@ async def _exchange(reader, writer, decoder, seq, ops) -> Frame:
             return done[0]
 
 
+def _position(uid: int, tick: int) -> Point:
+    # A lattice walk: confined, block-crossing and same-cell moves.
+    x = ((uid * 37 + tick * 11) % 101) / 101
+    y = ((uid * 53 + tick * 29) % 103) / 103
+    return Point(x, y)
+
+
+def _owed_moves(fleet, old: list[int]) -> list[int]:
+    """How many of a tick's moves each worker is owed, by the pool's
+    routing rule: a move that stays in its level-S block to its home,
+    any other to every shard (``old``: the movers' leaves before)."""
+    owed = [0] * fleet.num_shards
+    for uid, m in enumerate(old):
+        n = int(fleet.table.cells[fleet.table.require(uid)])
+        if (m ^ n) >> fleet.router.leaf_shift:
+            owed = [count + 1 for count in owed]
+        else:
+            owed[fleet.router.owner_of_leaf(m)] += 1
+    return owed
+
+
+def _leaves(fleet, users: int) -> list[int]:
+    return [int(fleet.table.cells[fleet.table.require(uid)]) for uid in range(users)]
+
+
 def test_a_tick_costs_one_gathered_exchange_per_shard_per_chunk() -> None:
     """Through the TCP door over 2 workers: move frames cost *no*
     worker exchange (mutations queue in the parent), a tick's closing
-    cloak frame delivers them and its own cloaks in
-    ``ceil((moves + cloaks) / MAX_BATCH)`` exchanges per shard, and a
-    cloak frame with nothing pending in one exchange per shard."""
-    users, frame_size = 900, 250
+    cloak frame delivers them — as ``ceil(moves / MAX_BATCH)`` packed
+    ``moves`` ops — and its own cloaks in ``ceil((packed + cloaks) /
+    MAX_BATCH)`` exchanges per shard, and a cloak frame with nothing
+    pending in one exchange per shard."""
+    users, frame_size = 1200, 250
     fleet = make_sharded(UNIT, 6, num_shards=2, kind="basic", parallel=True)
-
-    def position(uid: int, tick: int) -> Point:
-        # A lattice walk: confined, block-crossing and same-cell moves.
-        x = ((uid * 37 + tick * 11) % 101) / 101
-        y = ((uid * 53 + tick * 29) % 103) / 103
-        return Point(x, y)
 
     async def scenario() -> None:
         async with ShardFrontDoor(fleet) as door:
@@ -349,30 +370,31 @@ def test_a_tick_costs_one_gathered_exchange_per_shard_per_chunk() -> None:
 
             try:
                 for uid in range(users):
-                    fleet.register(uid, position(uid, 0), PrivacyProfile(k=5))
+                    fleet.register(uid, _position(uid, 0), PrivacyProfile(k=5))
                 fleet.flush()
+                old = _leaves(fleet, users)
                 with telemetry.enabled() as session:
-                    moves = [op_move(uid, position(uid, 1)) for uid in range(users)]
+                    moves = [op_move(uid, _position(uid, 1)) for uid in range(users)]
                     for start in range(0, users, frame_size):
                         replies = await send(moves[start : start + frame_size])
                         assert {reply[0] for reply in replies} == {"cost"}
                     assert _roundtrips(session) == 0
-                    cloaked = list(range(0, users, 4))[:frame_size]
+                    cloaked = range(users)
                     owed = [
-                        len(fleet._pending[shard])
+                        math.ceil(moved / MAX_BATCH)
                         + sum(fleet.shard_of_user(uid) == shard for uid in cloaked)
-                        for shard in range(2)
+                        for shard, moved in enumerate(_owed_moves(fleet, old))
                     ]
                     assert min(owed) > MAX_BATCH  # a multi-chunk delivery
                     replies = await send([op_cloak(uid) for uid in cloaked])
                     assert {reply[0] for reply in replies} == {"cloak"}
-                    assert _roundtrips(session) <= sum(
+                    assert _roundtrips(session) == sum(
                         math.ceil(ops / MAX_BATCH) for ops in owed
                     )
                     session.clear()
-                    replies = await send([op_cloak(uid) for uid in cloaked])
+                    replies = await send([op_cloak(uid) for uid in range(frame_size)])
                     assert {reply[0] for reply in replies} == {"cloak"}
-                    assert _roundtrips(session) <= fleet.num_shards
+                    assert _roundtrips(session) == fleet.num_shards
             finally:
                 writer.close()
                 await writer.wait_closed()
@@ -382,6 +404,36 @@ def test_a_tick_costs_one_gathered_exchange_per_shard_per_chunk() -> None:
         fleet.check_invariants()
     finally:
         fleet.close()
+
+
+def test_a_tick_reaches_each_worker_as_packed_runs_of_at_most_max_batch() -> None:
+    """A tick's moves, queued over several ``update_batch`` calls, reach
+    shard ``s`` as exactly ``ceil(n_s / MAX_BATCH)`` envelopes: one
+    open run per shard, coalesced across calls and packed at the
+    delivery into ``moves`` ops of at most ``MAX_BATCH`` moves."""
+    users = 1500
+    with make_sharded(UNIT, 6, num_shards=2, kind="basic", parallel=True) as fleet:
+        for uid in range(users):
+            fleet.register(uid, _position(uid, 0), PrivacyProfile(k=5))
+        fleet.flush()
+        old = _leaves(fleet, users)
+        with telemetry.enabled() as session:
+            for start in range(0, users, 300):
+                fleet.update_batch(
+                    [(uid, _position(uid, 1)) for uid in range(start, start + 300)]
+                )
+            fleet.flush()
+            envelopes = {
+                dict(metric.labels)["shard"]: metric.sum
+                for metric in session.metrics
+                if metric.name == "casper_worker_batch_envelopes"
+            }
+        owed = _owed_moves(fleet, old)
+        assert max(owed) > 2 * MAX_BATCH  # the cap splits a run
+        assert envelopes == {
+            str(shard): math.ceil(moved / MAX_BATCH) for shard, moved in enumerate(owed)
+        }
+        fleet.check_invariants()
 
 
 # ----------------------------------------------------------------------

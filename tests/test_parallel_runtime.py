@@ -45,6 +45,7 @@ from repro.sharding.wire import (
     op_hang,
     op_install,
     op_move,
+    op_moves,
     op_ping,
     op_register,
     op_set_profile,
@@ -478,6 +479,7 @@ def _one_of_each() -> dict[int, bytes]:
         wire.OP_PING: op_ping(),
         wire.OP_HANG: op_hang(0.0),
         wire.OP_SHUTDOWN: op_shutdown(),
+        wire.OP_MOVES: op_moves([3, 7], [0.8, 0.2], [0.8, 0.6]),
     }
 
 
@@ -647,3 +649,56 @@ class TestProtocolTable:
             stale = Frame(KIND_REQUEST, 4, (ShardEnvelope(0, op_ping()),))
             assert endpoint.step(stale) is None
             assert endpoint.step(Frame(KIND_RESPONSE, 6, ())) is None
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            op_cloak("alice")[:-2],  # decoded past its end, it was "ali"
+            op_cloak(7)[:-2],
+            op_move(7, Point(0.5, 0.5)) + b"garbage",
+        ],
+        ids=["truncated-str-uid", "truncated-int-uid", "padded-move"],
+    )
+    def test_the_door_refuses_a_payload_that_is_not_one_op(self, op: bytes) -> None:
+        with pytest.raises(wire.WireError, match="truncated|past its end"):
+            decode_op(op)
+        fleet = make_sharded(UNIT, height=4, num_shards=2, kind="basic")
+        _populate(fleet)
+        fleet.register("ali", Point(0.5, 0.5), PROFILE)
+        before = fleet.snapshot()
+        assert self._reply(FrameEndpoint(fleet), 1, op)[0] == "error"
+        assert fleet.snapshot() == before
+
+    @pytest.mark.parametrize(
+        "refused", [(99, 0.5, 0.5), (3, 1.5, 0.25)], ids=["stranger", "outside"]
+    )
+    def test_the_worker_refuses_a_moves_run_whole(self, refused) -> None:
+        # The first move is fine: a run checked move by move would have
+        # applied it before the refusal.
+        uids, xs, ys = zip((2, 0.7, 0.3), refused, (4, 0.1, 0.9))
+        worker = self._worker()
+        before = worker._replica.snapshot()
+        kind, text = self._reply(worker, 1, op_moves(uids, xs, ys))
+        assert kind == "error" and "moves refused" in text
+        assert not re.search(r"\d\.\d", text)  # names no coordinate
+        assert worker._replica.snapshot() == before
+
+
+def test_a_crash_drops_the_victims_open_run() -> None:
+    """The heal installs the parent's state, queued moves included, so
+    the victim is owed nothing afterwards: the next flush makes no
+    exchange with it."""
+    with make_sharded(UNIT, height=4, num_shards=2, parallel=True) as fleet:
+        _populate(fleet)
+        fleet.flush()
+        fleet.update_batch([(0, Point(0.06, 0.07)), (5, Point(0.3, 0.33))])
+        fleet.crash_worker(0)
+        with telemetry.enabled() as session:
+            fleet.flush()
+        exchanged = {
+            dict(metric.labels)["shard"]
+            for metric in session.metrics
+            if metric.name == "casper_worker_roundtrip_seconds"
+        }
+        assert "0" not in exchanged
+        fleet.check_invariants()

@@ -40,6 +40,7 @@ from repro.sharding.wire import (
     op_cloak_location,
     op_deregister,
     op_move,
+    op_moves,
     op_register,
     op_set_profile,
     response_cloak,
@@ -232,6 +233,39 @@ class TestOperationCodec:
         with pytest.raises(TypeError, match="int or str"):
             op_cloak(True)
 
+    @given(
+        uids=st.one_of(
+            st.lists(st.integers(-(2**63), 2**63 - 1), max_size=8),
+            st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), st.text())),
+        ),
+        data=st.data(),
+    )
+    def test_moves_round_trip_columns_exactly(self, uids, data) -> None:
+        floats = st.lists(
+            st.floats(allow_nan=False), min_size=len(uids), max_size=len(uids)
+        )
+        xs, ys = data.draw(floats), data.draw(floats)
+        op = op_moves(uids, xs, ys)
+        name, got_uids, got_xs, got_ys = decode_op(op)
+        assert name == "moves"
+        assert [(u, type(u)) for u in got_uids] == [(u, type(u)) for u in uids]
+        assert struct.pack(f"<{2 * len(xs)}d", *got_xs, *got_ys) == struct.pack(
+            f"<{2 * len(xs)}d", *xs, *ys
+        )
+        if all(isinstance(uid, int) for uid in uids):  # one int64 column
+            assert len(op) == 6 + 24 * len(uids)
+        for damaged in (op[:-1], op + b"\x00"):
+            with pytest.raises(WireError, match="truncated|past its end"):
+                decode_op(damaged)
+
+    def test_moves_refuse_what_the_wire_cannot_carry(self) -> None:
+        with pytest.raises(TypeError, match="int or str"):
+            op_moves([1, True], [0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(struct.error):
+            op_moves([2**63], [0.5], [0.5])
+        with pytest.raises(ValueError, match="length"):
+            op_moves([1, 2], [0.5], [0.5, 0.5])
+
     def test_unknown_opcode_raises(self) -> None:
         with pytest.raises(WireError, match="opcode"):
             decode_op(b"\xff")
@@ -246,6 +280,8 @@ class TestResponseCodec:
             achieved_k=25,
             cells=(CellId(4, 1, 2), CellId(4, 1, 3)),
         )
+        with pytest.raises(WireError, match="past its end"):
+            decode_response(response_cloak(region) + b"\x00")
         name, got = decode_response(response_cloak(region))
         assert name == "cloak"
         assert got == region
@@ -258,6 +294,8 @@ class TestResponseCodec:
         assert decode_response(response_error("boom")) == ("error", "boom")
         with pytest.raises(WireError, match="opcode"):
             decode_response(b"\x00")
+        with pytest.raises(WireError, match="truncated"):
+            decode_response(response_cost(12)[:-1])
 
     def test_header_size_constant_matches_the_struct(self) -> None:
         wire = build(KIND_NACK, 1, [])
