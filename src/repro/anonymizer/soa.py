@@ -27,7 +27,6 @@ testing story.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -280,29 +279,6 @@ class PyramidSoA:
             ix, iy = _level_decode(level)
             self.counts[level][:] = grid[ix, iy]
 
-    def rebuild_subtrees(
-        self, level: int, lo: int, hi: int, leaves: IntArray
-    ) -> None:
-        """Recount the subtrees rooted at cells ``[lo, hi)`` of
-        ``level`` from ``leaves`` — the leaf Morton codes of every user
-        inside them — then every level above from child sums (a
-        crashed shard's slice, then the spine).  A subtree is a
-        contiguous Morton run at every depth, so each level is one
-        slice; generations bump only where a count actually changed."""
-        for depth in range(self.height, -1, -1):
-            scale = 2 * (depth - level)
-            start, stop = (
-                (lo << scale, hi << scale) if scale >= 0 else (0, 4**depth)
-            )
-            if depth == self.height:
-                rebuilt = np.bincount(leaves - start, minlength=stop - start)
-            else:
-                children = self.counts[depth + 1][4 * start : 4 * stop]
-                rebuilt = children.reshape(-1, 4).sum(axis=1)
-            counts = self.counts[depth][start:stop]
-            self.gens[depth][start:stop] += counts != rebuilt
-            counts[:] = rebuilt
-
     # -- diagnostics ----------------------------------------------------
     def check_child_sums(self) -> None:
         """Assert every non-leaf counter equals the sum of its four
@@ -347,13 +323,6 @@ class TableSnapshot:
         column is a function of the point)."""
         for uid, x, y, k, a_min, _cell in zip(self.uids, *self._columns()):
             yield uid, Point(x, y), PrivacyProfile(k, a_min)
-
-    def select(self, keep: BoolArray) -> "TableSnapshot":
-        """The rows ``keep`` marks, order preserved."""
-        return TableSnapshot(
-            tuple(compress(self.uids, keep.tolist())),
-            *(getattr(self, name)[keep] for name in _COLUMNS),
-        )
 
     def __len__(self) -> int:
         return len(self.uids)
@@ -560,14 +529,12 @@ class UserTable:
             raise UnknownUserError(exc.args[0]) from None
 
     # -- crash recovery and diagnostics ---------------------------------
-    def snapshot(self, keep: BoolArray | None = None) -> TableSnapshot:
-        """Copy the rows (of the slots ``keep`` marks; default all) out
-        in registration order."""
+    def snapshot(self) -> TableSnapshot:
+        """Copy the rows out in registration order."""
         slots = self.ordered_slots()
-        rows = TableSnapshot(
+        return TableSnapshot(
             tuple(self._slots), *(getattr(self, name)[slots] for name in _COLUMNS)
         )
-        return rows if keep is None else rows.select(keep[slots])
 
     def restore(self, rows: TableSnapshot) -> None:
         """Replace the whole population with a :meth:`snapshot` copy
@@ -579,13 +546,8 @@ class UserTable:
         self._free = list(range(self.capacity - 1, n - 1, -1))
         self.active[:] = False
         self.active[:n] = True
-        self.write(rows)
-
-    def write(self, rows: TableSnapshot) -> None:
-        """Roll registered users' rows back to ``rows``."""
-        slots = self.slots_array(rows.uids)
         for name in _COLUMNS:
-            getattr(self, name)[slots] = getattr(rows, name)
+            getattr(self, name)[:n] = getattr(rows, name)
 
     def check(self) -> None:
         """Assert the one cached derived column is fresh: every row's

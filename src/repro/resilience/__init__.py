@@ -7,8 +7,8 @@ that keeps the system correct under them:
 
 * :mod:`~repro.resilience.faults` — :class:`FaultPlan` /
   :class:`FaultInjector`: the deterministic fault source and its trace;
-* :mod:`~repro.resilience.retry` — :class:`RetryPolicy`: exponential
-  backoff with jitter over virtual time;
+* :mod:`~repro.resilience.retry` — the retry budget and its
+  exponential backoff with jitter over virtual time;
 * :mod:`repro.messages` — the CRC-verified location-update wire
   format with per-user sequence numbers (re-exported here);
 * :mod:`~repro.resilience.runtime` — :class:`ResilienceRuntime`:
@@ -29,8 +29,7 @@ from repro.messages import (
 )
 from repro.resilience.faults import Delivery, FaultEvent, FaultInjector, FaultPlan
 from repro.resilience.harness import ChaosReport, ChaosWorkload, run_chaos
-from repro.resilience.retry import RetryPolicy
-from repro.resilience.runtime import Emission, ResilienceConfig, ResilienceRuntime
+from repro.resilience.runtime import Emission, ResilienceRuntime
 from repro.resilience.scenarios import CI_SCENARIOS, SCENARIOS, get_scenario
 
 __all__ = [
@@ -38,12 +37,10 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "Delivery",
-    "RetryPolicy",
     "LocationUpdate",
     "UPDATE_RECORD_SIZE",
     "encode_update",
     "decode_update",
-    "ResilienceConfig",
     "ResilienceRuntime",
     "Emission",
     "SCENARIOS",

@@ -47,7 +47,6 @@ FAULT_KINDS = (
     "corrupt",
     "crash",
     "shard_crash",
-    "worker_crash",
     "state_loss",
 )
 
@@ -65,12 +64,9 @@ class FaultPlan:
     operating user's state (detected at the next cloak, healed by the
     client's self-describing update).  ``shard_crash_period > 0``
     crashes a *single* randomly drawn shard of a sharded anonymizer
-    every that-many guarded operations (survivor shards keep answering;
-    an unsharded anonymizer degenerates it to a whole-process crash).
-    ``worker_crash_period > 0`` kills a randomly drawn *shard worker
-    process* of a parallel anonymizer every that-many guarded
-    operations — the supervisor respawns and heals it over the wire; an
-    in-process anonymizer degenerates it to a whole-process crash.
+    every that-many guarded operations: on a worker fleet the victim's
+    process is killed and healed over the wire; in one process there is
+    no smaller unit that can fail, so it is a whole-process crash.
     """
 
     name: str = "custom"
@@ -84,7 +80,6 @@ class FaultPlan:
     crash_period: int = 0
     lose_user: float = 0.0
     shard_crash_period: int = 0
-    worker_crash_period: int = 0
 
     def __post_init__(self) -> None:
         for f in ("drop", "duplicate", "delay", "reorder", "corrupt", "lose_user"):
@@ -97,8 +92,6 @@ class FaultPlan:
             raise ValueError("crash_period must be >= 0")
         if self.shard_crash_period < 0:
             raise ValueError("shard_crash_period must be >= 0")
-        if self.worker_crash_period < 0:
-            raise ValueError("worker_crash_period must be >= 0")
 
     @property
     def is_quiet(self) -> bool:
@@ -111,7 +104,6 @@ class FaultPlan:
             worst <= 0.0
             and self.crash_period == 0
             and self.shard_crash_period == 0
-            and self.worker_crash_period == 0
         )
 
     def with_seed(self, seed: int) -> "FaultPlan":
@@ -159,31 +151,29 @@ class Delivery:
 class FaultInjector:
     """Stateful executor of a :class:`FaultPlan`.
 
-    Five independent child RNG streams (wire decisions, crash schedule
-    jitter-free counter, state-loss draws, shard-victim draws,
-    worker-victim draws) are spawned from the plan's seed so adding
-    wire traffic does not perturb crash timing and vice versa (child
-    streams depend only on their index, so extending the list never
-    changes the earlier streams).  Every decision appends to
+    Four independent child RNG streams (wire decisions, state-loss
+    draws, retry backoff jitter, shard-victim draws) are spawned from
+    the plan's seed, so adding wire traffic does not perturb crash
+    victims and vice versa; the crash schedules themselves are plain
+    counters and draw nothing.  A child stream depends only on its
+    index, so the list can grow or shrink at its end without changing
+    the earlier streams.  Every decision appends to
     :attr:`trace`; the canonical JSON of the trace is the determinism
     witness.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        wire_rng, state_rng, backoff_rng, shard_rng, worker_rng = spawn_rngs(
-            plan.seed, 5
-        )
+        wire_rng, state_rng, backoff_rng, shard_rng = spawn_rngs(plan.seed, 4)
         self._wire_rng = wire_rng
         self._state_rng = state_rng
         #: Reserved for retry-jitter draws so backoff schedules share the
         #: plan's determinism without consuming wire/state stream draws.
         self.backoff_rng = backoff_rng
         self._shard_rng = shard_rng
-        self._worker_rng = worker_rng
         self._channels: dict[str, _Channel] = {}
         #: One guarded-operation counter per crash schedule.
-        self._ops = {"crash": 0, "shard_crash": 0, "worker_crash": 0}
+        self._ops = {"crash": 0, "shard_crash": 0}
         self.trace: list[FaultEvent] = []
         self.counts: dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
 
@@ -284,16 +274,6 @@ class FaultInjector:
             return None
         victim = int(self._shard_rng.integers(num_shards))
         self._record("shard_crash", "anonymizer", f"shard {victim} op {ops}")
-        return victim
-
-    def next_worker_op(self, num_workers: int) -> int | None:
-        """Advance the worker-crash schedule; the victim worker id when
-        a shard-worker process crash fires now, else ``None`` (drawn
-        from the dedicated worker stream, likewise)."""
-        if not (ops := self._tick("worker_crash", self.plan.worker_crash_period)):
-            return None
-        victim = int(self._worker_rng.integers(num_workers))
-        self._record("worker_crash", "anonymizer", f"worker {victim} op {ops}")
         return victim
 
     def should_lose_user(self) -> bool:

@@ -31,8 +31,7 @@ from repro.anonymizer import PrivacyProfile
 from repro.errors import DegradedModeError, UpdateDeliveryError
 from repro.geometry import Point, Rect
 from repro.resilience.faults import FaultPlan
-from repro.resilience.retry import RetryPolicy
-from repro.resilience.runtime import ResilienceConfig, ResilienceRuntime
+from repro.resilience.runtime import ResilienceRuntime
 from repro.utils.rng import spawn_rngs
 
 __all__ = ["ChaosWorkload", "ChaosReport", "run_chaos"]
@@ -295,17 +294,12 @@ def _drive(
     return outcome
 
 
-def run_chaos(
-    plan: FaultPlan,
-    workload: ChaosWorkload | None = None,
-    retry: RetryPolicy | None = None,
-    config: ResilienceConfig | None = None,
-) -> ChaosReport:
+def run_chaos(plan: FaultPlan, workload: ChaosWorkload | None = None) -> ChaosReport:
     """Replay ``workload`` fault-free and under ``plan``; diff and audit."""
     workload = workload if workload is not None else ChaosWorkload()
     users, targets, ops = _script(workload)
     baseline = _run_one(workload, users, targets, ops, None)
-    runtime = ResilienceRuntime(plan, retry=retry, config=config)
+    runtime = ResilienceRuntime(plan)
     faulted = _run_one(workload, users, targets, ops, runtime)
 
     query_ops = sum(1 for op in ops if op.kind != "move")

@@ -7,16 +7,18 @@ decision the fault model forces:
 
 * **channels** — location updates and candidate-list responses are
   serialized through their wire codecs and offered to the injector;
-  undelivered messages are retried per the :class:`RetryPolicy`
+  an undelivered message is tried up to ``retry.MAX_ATTEMPTS`` times
   (exponential backoff over *virtual* seconds — nothing sleeps);
 * **idempotence** — each applied update's per-user sequence number is
   remembered, so duplicated and reordered deliveries are recognised and
   ignored rather than replayed;
 * **crash recovery** — the anonymizer's pyramid + user table is
-  snapshotted every ``snapshot_every`` guarded operations; a crash
+  snapshotted every :data:`SNAPSHOT_EVERY` guarded operations; a crash
   restores the latest snapshot *and rolls the sequence table back with
   it* (the two are one atomic unit, or replays after a crash would be
-  misjudged);
+  misjudged).  A shard crash recovers the way its deployment does: a
+  worker fleet kills and heals the victim's process, and nothing rolls
+  back; in one process it is that whole restore;
 * **the degradation ladder** — when a fresh cloak is impossible the
   runtime tries, in order: a remembered cloak within the stale grace
   window (revalidated against the *live* population), a conservative
@@ -48,7 +50,7 @@ from repro.messages import LocationUpdate, decode_update, encode_update
 from repro.observability import runtime as _telemetry
 from repro.processor import CandidateList
 from repro.resilience.faults import Delivery, FaultInjector, FaultPlan
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import MAX_ATTEMPTS, backoff
 from repro.server.codec import decode_candidate_list, encode_candidate_list
 from repro.sharding import (
     ParallelShardedAnonymizer,
@@ -59,7 +61,7 @@ from repro.sharding import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.server.casper import Casper
 
-__all__ = ["ResilienceConfig", "ResilienceRuntime", "Emission"]
+__all__ = ["ResilienceRuntime", "Emission", "SNAPSHOT_EVERY", "STALE_GRACE_OPS"]
 
 Anonymizer = Union[
     BasicAnonymizer,
@@ -80,30 +82,18 @@ COUNTER_NAMES = (
     "duplicates_ignored",
     "corrupt_rejected",
     "recoveries",
-    "shard_recoveries",
     "worker_crashes",
-    "users_purged",
     "fallback_cloaks",
     "degraded_operations",
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ResilienceConfig:
-    """Tuning knobs of the degradation machinery."""
-
-    #: Guarded operations between anonymizer snapshots.  Smaller means
-    #: less state lost per crash but more snapshot copying.
-    snapshot_every: int = 25
-    #: How many guarded operations a remembered cloak stays eligible for
-    #: the stale rung (it is still revalidated against live counts).
-    stale_grace_ops: int = 200
-
-    def __post_init__(self) -> None:
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
-        if self.stale_grace_ops < 0:
-            raise ValueError("stale_grace_ops must be >= 0")
+#: Guarded operations between anonymizer snapshots.  Smaller means less
+#: state lost per crash but more snapshot copying.
+SNAPSHOT_EVERY = 25
+#: How many guarded operations a remembered cloak stays eligible for the
+#: stale rung (it is still revalidated against live counts).
+STALE_GRACE_OPS = 200
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,35 +137,26 @@ class _Ack:
 class _Snapshot:
     state: object
     applied_seq: dict[str, int] = field(default_factory=dict)
-    #: Per-shard deep copies (partitioned fleets under a plan with
-    #: ``shard_crash_period > 0`` only) — captured in the same pass as
-    #: ``state``, so the fleet and its shards roll back as one unit.
-    shard_states: tuple[object, ...] | None = None
 
 
 class ResilienceRuntime:
     """Fault handling + graceful degradation for one Casper deployment.
 
-    Construct with a :class:`FaultPlan` (and optional retry/config
-    overrides), hand it to ``Casper(..., resilience=runtime)``; the
-    facade calls :meth:`attach` and routes its update and query paths
-    through here.
+    Construct with a :class:`FaultPlan`, hand it to
+    ``Casper(..., resilience=runtime)``; the facade calls :meth:`attach`
+    and routes its update and query paths through here.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        retry: RetryPolicy | None = None,
-        config: ResilienceConfig | None = None,
-    ) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.config = config if config is not None else ResilienceConfig()
         self.injector = FaultInjector(plan)
         self.counters: dict[str, int] = {name: 0 for name in COUNTER_NAMES}
         self.fallback_modes: dict[str, int] = {}
         self.virtual_backoff_seconds = 0.0
-        self.emissions: list[Emission] = []
+        #: Cloaks emitted per ladder mode; of the cloaks themselves only
+        #: the ones that under-delivered their profile are kept.
+        self.emissions_by_mode: dict[str, int] = {}
+        self._violations: list[Emission] = []
         self._casper: "Casper | None" = None
         self._anonymizer: Anonymizer | None = None
         self._applied_seq: dict[str, int] = {}
@@ -223,36 +204,24 @@ class ResilienceRuntime:
         on cadence."""
         injector = self.injector
         if injector.next_op():
+            _telemetry.count(_FAULTS, "crash", "anonymizer")
             self._restore()
-        else:
-            victim = injector.next_shard_op(self._num_shards())
-            worker_victim = injector.next_worker_op(self._num_shards())
-            if victim is not None:
-                self._crash_shard(victim)
-            elif worker_victim is not None:
-                self._crash_worker(worker_victim)
-            elif uid is not None and injector.should_lose_user():
-                self._lose_user(uid)
+        elif (victim := injector.next_shard_op(self._num_shards())) is not None:
+            _telemetry.count(_FAULTS, "shard_crash", "anonymizer")
+            self._crash_shard(victim)
+        elif uid is not None and injector.should_lose_user():
+            self._lose_user(uid)
         self._ops += 1
         self._ops_since_snapshot += 1
-        if self._ops_since_snapshot >= self.config.snapshot_every:
+        if self._ops_since_snapshot >= SNAPSHOT_EVERY:
             self._take_snapshot()
 
     def _num_shards(self) -> int:
         return getattr(self.anonymizer, "num_shards", 1)
 
     def _take_snapshot(self) -> None:
-        anonymizer = self.anonymizer
-        shard_states: tuple[object, ...] | None = None
-        if self.plan.shard_crash_period > 0 and hasattr(
-            anonymizer, "snapshot_shard"
-        ):
-            shard_states = tuple(
-                anonymizer.snapshot_shard(shard)
-                for shard in range(self._num_shards())
-            )
         self._snapshot = _Snapshot(
-            anonymizer.snapshot(), dict(self._applied_seq), shard_states
+            self.anonymizer.snapshot(), dict(self._applied_seq)
         )
         self._ops_since_snapshot = 0
 
@@ -266,62 +235,20 @@ class ResilienceRuntime:
         self._applied_seq = dict(snapshot.applied_seq)
         self._ops_since_snapshot = 0
         self.counters["recoveries"] += 1
-        _telemetry.count(_FAULTS, "crash", "anonymizer")
         _telemetry.count("casper_recoveries_total", "restore")
 
     def _crash_shard(self, victim: int) -> None:
-        """Single-shard crash: restore only the victim shard from the
-        latest snapshot, keep every survivor's live state.
+        """Single-shard crash, recovered the way the deployment it hits
+        recovers.
 
-        The victim's surviving users roll their sequence entries back to
-        the snapshot's values (their anonymizer state rolled back with
-        them, so post-snapshot updates must be re-appliable); users the
-        restore *purged* — registered or rehomed into the victim after
-        the snapshot — lose their sequence entries entirely and heal via
-        re-registration from their next self-describing update.  Only
-        the partitioned fleet (``basic``) has a shard boundary to
-        contain the blast radius; for an unsharded anonymizer, a
-        broadcast replica or the worker pool the fault degenerates to a
-        whole-process crash.
-        """
-        snapshot = self._snapshot
-        anonymizer = self.anonymizer
-        if snapshot is None:  # pragma: no cover - attach() always snapshots
-            raise RuntimeError("shard crash before the initial snapshot")
-        if snapshot.shard_states is None or not hasattr(
-            anonymizer, "restore_shard"
-        ):
-            self._restore()
-            return
-        purged = anonymizer.restore_shard(
-            victim, snapshot.shard_states[victim]
-        )
-        for uid in purged:
-            self._applied_seq.pop(uid, None)
-        self.counters["users_purged"] += len(purged)
-        shard_of_user = anonymizer.shard_of_user
-        for uid in list(self._applied_seq):
-            if uid in anonymizer and shard_of_user(uid) == victim:
-                rolled_back = snapshot.applied_seq.get(uid)
-                if rolled_back is None:
-                    self._applied_seq.pop(uid)
-                else:
-                    self._applied_seq[uid] = rolled_back
-        self.counters["shard_recoveries"] += 1
-        _telemetry.count(_FAULTS, "shard_crash", "anonymizer")
-        _telemetry.count("casper_recoveries_total", "shard_restore")
-
-    def _crash_worker(self, victim: int) -> None:
-        """Shard-worker *process* crash: kill the victim's OS process
-        mid-run and let the supervisor respawn and heal it over the
-        wire (an install of the parent deployment's snapshot).
-
-        Unlike :meth:`_crash_shard`, nothing rolls back: the heal
-        source reflects every acknowledged mutation, so users keep
-        their sequence numbers and the blast radius is availability
-        (one stalled exchange) only.  An anonymizer without worker
-        processes has no process boundary to kill, so the fault
-        degenerates to a whole-process crash-and-restore.
+        On a worker fleet the victim's OS process is killed mid-run and
+        the supervisor respawns and heals it over the wire (an install
+        of the parent deployment's snapshot).  Nothing rolls back: the
+        heal source reflects every acknowledged mutation, so users keep
+        their state and their sequence numbers, and the blast radius is
+        availability (one stalled exchange) only.  In one process there
+        is no smaller unit that can fail, so the crash is a whole
+        snapshot restore.
         """
         crash_worker = getattr(self.anonymizer, "crash_worker", None)
         if crash_worker is None:
@@ -329,7 +256,6 @@ class ResilienceRuntime:
             return
         crash_worker(victim)
         self.counters["worker_crashes"] += 1
-        _telemetry.count(_FAULTS, "worker_crash", "anonymizer")
 
     def _lose_user(self, uid: object) -> None:
         """Silent state loss: the anonymizer forgets one user entirely.
@@ -372,7 +298,7 @@ class ResilienceRuntime:
         remembered = self._last_cloaks.get(uid)
         if remembered is not None:
             profile = remembered.profile
-            if self._ops - remembered.op <= self.config.stale_grace_ops:
+            if self._ops - remembered.op <= STALE_GRACE_OPS:
                 revalidated = self._revalidate(remembered.region, profile)
                 if revalidated is not None:
                     self._fallback(revalidated, profile, "stale")
@@ -443,21 +369,23 @@ class ResilienceRuntime:
     def _emit(
         self, region: CloakedRegion, profile: PrivacyProfile, mode: str
     ) -> None:
-        self.emissions.append(
-            Emission(
-                mode=mode,
-                k=profile.k,
-                a_min=profile.a_min,
-                achieved_k=region.achieved_k,
-                area=region.area,
-                full_area=region.region == self.anonymizer.bounds,
-            )
+        modes = self.emissions_by_mode
+        modes[mode] = modes.get(mode, 0) + 1
+        emission = Emission(
+            mode=mode,
+            k=profile.k,
+            a_min=profile.a_min,
+            achieved_k=region.achieved_k,
+            area=region.area,
+            full_area=region.region == self.anonymizer.bounds,
         )
+        if emission.violates_privacy():
+            self._violations.append(emission)
 
     def privacy_violations(self) -> list[Emission]:
-        """Every recorded emission that silently under-delivered its
-        profile — the list the chaos gate asserts is empty."""
-        return [e for e in self.emissions if e.violates_privacy()]
+        """Every emission that silently under-delivered its profile —
+        the list the chaos gate asserts is empty."""
+        return list(self._violations)
 
     # ------------------------------------------------------------------
     # Update channel (client -> anonymizer)
@@ -484,7 +412,7 @@ class ResilienceRuntime:
         payload = encode_update(update)
         self.counters["updates_sent"] += 1
         outcome: str | None = None
-        for attempt in range(self.retry.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 self._count_retry("update", attempt)
             for delivery in self._transmit(channel, payload):
@@ -498,7 +426,7 @@ class ResilienceRuntime:
             self.counters["degraded_operations"] += 1
             raise UpdateDeliveryError(
                 f"update seq={update.seq} for user {update.uid!r} undelivered "
-                f"after {self.retry.max_attempts} attempts"
+                f"after {MAX_ATTEMPTS} attempts"
             )
         self.counters["updates_delivered"] += 1
         return outcome
@@ -555,7 +483,7 @@ class ResilienceRuntime:
         channel = f"response:{self._qid}"
         payload = encode_candidate_list(candidates)
         try:
-            for attempt in range(self.retry.max_attempts):
+            for attempt in range(MAX_ATTEMPTS):
                 if attempt:
                     self._count_retry("response", attempt)
                 for delivery in self._transmit(channel, payload):
@@ -565,8 +493,7 @@ class ResilienceRuntime:
                         self.counters["corrupt_rejected"] += 1
             self.counters["degraded_operations"] += 1
             raise QueryDeliveryError(
-                f"candidate list undeliverable after "
-                f"{self.retry.max_attempts} attempts"
+                f"candidate list undeliverable after {MAX_ATTEMPTS} attempts"
             )
         finally:
             self.injector.flush(channel)
@@ -588,7 +515,7 @@ class ResilienceRuntime:
     def _count_retry(self, operation: str, attempt: int) -> None:
         self.counters["retries"] += 1
         _telemetry.count("casper_retries_total", operation)
-        self.virtual_backoff_seconds += self.retry.backoff(
+        self.virtual_backoff_seconds += backoff(
             attempt - 1, self.injector.backoff_rng
         )
 
@@ -599,11 +526,6 @@ class ResilienceRuntime:
         """The runtime's deterministic contribution to a chaos report:
         counters, fault counts, the trace digest — no wall-clock values,
         so the same seed yields byte-identical JSON."""
-        emissions_by_mode: dict[str, int] = {}
-        for emission in self.emissions:
-            emissions_by_mode[emission.mode] = (
-                emissions_by_mode.get(emission.mode, 0) + 1
-            )
         return {
             "plan": self.plan.name,
             "seed": self.plan.seed,
@@ -612,7 +534,7 @@ class ResilienceRuntime:
             "counters": dict(self.counters),
             "fallback_modes": dict(self.fallback_modes),
             "virtual_backoff_seconds": round(self.virtual_backoff_seconds, 9),
-            "emissions_by_mode": emissions_by_mode,
-            "privacy_violations": len(self.privacy_violations()),
+            "emissions_by_mode": dict(self.emissions_by_mode),
+            "privacy_violations": len(self._violations),
             "trace_digest": self.injector.trace_digest(),
         }

@@ -5,7 +5,8 @@ fixed default seed, so ``python -m repro chaos --scenario drop-heavy``
 is reproducible out of the box; CI's nightly matrix re-runs the same
 scenarios under a sweep of seeds (``FaultPlan.with_seed``).
 
-The three the CI ``resilience`` job gates on every push:
+The ones the CI ``resilience`` job gates on every push
+(:data:`CI_SCENARIOS`, plus ``worker-crash`` on the worker fleet):
 
 * ``drop-heavy`` — heavy message loss with some duplication: exercises
   the retry budget and idempotent re-application;
@@ -15,20 +16,18 @@ The three the CI ``resilience`` job gates on every push:
 * ``reorder`` — delays, reorders and duplicates: exercises the held-
   message release machinery and sequence-number deduplication;
 * ``shard-crash`` — periodic single-shard crashes with light message
-  loss: exercises per-shard snapshot restore, survivor availability and
-  the purge-then-re-register heal path (run with a sharded workload;
-  unsharded deployments degenerate it to whole-process crashes);
-* ``worker-crash`` — periodic shard-worker *process* kills with light
-  message loss: exercises the supervisor's respawn-and-heal over the
-  real wire (run with ``--parallel``; in-process deployments degenerate
-  it to whole-process crashes);
+  loss.  A shard crash recovers the way its deployment does: on the
+  worker fleet (``--parallel``) the victim's process is killed and
+  healed over the wire, and survivors keep answering; in one process
+  it is a whole snapshot restore;
+* ``worker-crash`` — the same single-shard crash on its own seed and
+  period, the cell CI runs on the worker fleet only;
 * ``continuous-drift`` — moderate loss, reordering and delay plus
-  periodic worker kills, aimed at the safe-region continuous-kNN
+  periodic shard crashes, aimed at the safe-region continuous-kNN
   monitor (run with ``--continuous-knn``): validity regions computed
   from stale-but-audited cloaks must still suppress correctly, and the
   gate requires zero privacy violations — faults degrade availability,
-  never answers (in-process deployments degenerate the worker kills to
-  whole-process crashes).
+  never answers.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ SCENARIOS: dict[str, FaultPlan] = {
         FaultPlan(
             name="worker-crash",
             seed=31,
-            worker_crash_period=35,
+            shard_crash_period=35,
             drop=0.05,
         ),
         FaultPlan(
@@ -73,7 +72,7 @@ SCENARIOS: dict[str, FaultPlan] = {
             reorder=0.10,
             delay=0.05,
             delay_ticks=2,
-            worker_crash_period=45,
+            shard_crash_period=45,
         ),
         FaultPlan(
             name="flaky-everything",

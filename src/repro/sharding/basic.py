@@ -12,7 +12,8 @@ costs and statistics are byte-for-byte the single pyramid's at any
 shard count — plus only what sharding *means*: per-shard occupancy
 (:class:`~repro.sharding.surface.ShardSurface`; a user's home is the
 owner of their row's cell), one cloak cache and one epoch per shard,
-per-shard crash recovery and the partition audits.
+and the partition audits.  A crash restores the whole fleet: one
+process has no smaller unit that can fail.
 
 What sharding buys is *invalidation locality*.  Cache-invalidation
 state is two-tier:
@@ -42,7 +43,7 @@ import numpy as np
 
 from repro.anonymizer.basic import BasicAnonymizer
 from repro.anonymizer.cache import CloakCache, Epoch
-from repro.anonymizer.soa import IntArray, TableSnapshot
+from repro.anonymizer.soa import IntArray
 from repro.geometry import Rect
 from repro.sharding.surface import ShardSurface, cache_counters
 
@@ -56,14 +57,6 @@ class _FleetSnapshot:
 
     num_shards: int
     pyramid: object
-
-
-@dataclass(frozen=True)
-class _ShardSnapshot:
-    """One shard's population state: the rows it homes (its counts are
-    a function of them)."""
-
-    population: TableSnapshot
 
 
 class ShardedBasicAnonymizer(ShardSurface, BasicAnonymizer):
@@ -179,62 +172,6 @@ class ShardedBasicAnonymizer(ShardSurface, BasicAnonymizer):
             raise ValueError("snapshot shard count mismatch")
         super().restore(state.pyramid)
         self._occupancy = self._recount()
-
-    def _homes(self) -> IntArray:
-        """The home shard of every slot's row (meaningful where the
-        slot is active)."""
-        return self.router.owners_of_leaves(self.table.cells)
-
-    def snapshot_shard(self, shard: int) -> object:
-        """Copy of the rows one shard homes."""
-        return _ShardSnapshot(self.table.snapshot(self._homes() == shard))
-
-    def restore_shard(self, shard: int, state: object) -> list[object]:
-        """Restore one crashed shard from a :meth:`snapshot_shard` copy,
-        reconciling it with the surviving fleet; returns the purged
-        uids.
-
-        The live row is authoritative.  Users it homes elsewhere have
-        since moved *away* and are dropped from the restored copy (the
-        destination shard's live row wins); users it homes here with no
-        restored row are purged and returned, in registration order —
-        they lost state and heal through the normal re-registration
-        path; the rest roll back to the snapshot's point, profile and
-        cell.  The shard's counts are rebuilt from those rows and the
-        spine from every block root, so fleet-wide invariants hold
-        immediately after the restore.
-        """
-        if not isinstance(state, _ShardSnapshot):
-            raise TypeError("not a ShardedBasicAnonymizer shard snapshot")
-        lo, hi = self.router.block_rank_range(shard)
-        table = self.table
-        here = self._homes() == shard
-        rows = state.population
-        rolled_back = rows.select(
-            np.fromiter(
-                (uid in table and here[table.require(uid)] for uid in rows.uids),
-                dtype=np.bool_,
-                count=len(rows),
-            )
-        )
-        survivors = set(rolled_back.uids)
-        purged = [
-            uid
-            for uid, slot in table.items()
-            if here[slot] and uid not in survivors
-        ]
-        for uid in purged:
-            table.remove(uid)
-        table.write(rolled_back)
-        self._soa.rebuild_subtrees(
-            self.router.spine_level, lo, hi, rolled_back.cells
-        )
-        self._occupancy = self._recount()
-        self._shard_epochs[shard] += 1
-        self._caches[shard].clear()
-        self._boundary_epoch += 1
-        self._notify_op(shard, "restore")
-        return purged
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -190,10 +190,6 @@ class ReplicatedShardedAnonymizer(ShardSurface):
     # ------------------------------------------------------------------
     # Crash recovery and diagnostics
     # ------------------------------------------------------------------
-    # No ``snapshot_shard``/``restore_shard``: broadcast replication
-    # has no narrower unit of state than the whole replica, so a
-    # single-shard crash is a whole-replica restore (the resilience
-    # runtime falls back to it, as for unsharded anonymizers).
     def snapshot(self) -> object:
         return _ReplicatedSnapshot(
             self.kind, self.num_shards, self._inner.snapshot()

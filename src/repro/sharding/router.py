@@ -100,21 +100,6 @@ class ShardRouter:
         tick routed in one pass."""
         return self._owner_array[ms >> self.leaf_shift]
 
-    def block_rank_range(self, shard: int) -> tuple[int, int]:
-        """The contiguous Morton rank range ``[lo, hi)`` of the blocks
-        owned by ``shard`` — contiguity is what makes the shard's part
-        of every level one slice of the pyramid's arrays."""
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"no shard {shard} in a {self.num_shards}-shard fleet")
-        ranks = [
-            rank
-            for rank in range(self.num_blocks)
-            if self._owner_by_rank[rank] == shard
-        ]
-        lo, hi = ranks[0], ranks[-1] + 1
-        assert len(ranks) == hi - lo, "owner ranges must be contiguous"
-        return lo, hi
-
     def blocks_of(self, shard: int) -> tuple[CellId, ...]:
         """The level-``S`` blocks owned by ``shard``, in Morton order."""
         if not 0 <= shard < self.num_shards:

@@ -838,7 +838,7 @@ class ParallelShardedAnonymizer(ShardSurface):
 
     def crash_worker(self, victim: int) -> None:
         """Kill one worker process and heal its replacement — the
-        chaos harness's worker-crash fault, exercised over the real
+        chaos harness's shard-crash fault, exercised over the real
         transport.  The replacement is a fresh process, so its cloak
         cache counters restart at zero."""
         if not 0 <= victim < self.num_shards:

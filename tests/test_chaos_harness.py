@@ -89,7 +89,7 @@ class TestRunChaos:
         assert payload["workload"]["users"] == SMALL.users
         assert set(payload["runtime"]["fault_counts"]) == {
             "drop", "duplicate", "delay", "reorder", "corrupt",
-            "crash", "shard_crash", "worker_crash", "state_loss",
+            "crash", "shard_crash", "state_loss",
         }
         assert payload["slo"]["queries_total"] == (
             payload["slo"]["queries_answered"] + payload["slo"]["queries_degraded"]

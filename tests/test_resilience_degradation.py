@@ -9,6 +9,8 @@ internally consistent.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.anonymizer import (
@@ -22,12 +24,9 @@ from repro.errors import (
     UpdateDeliveryError,
 )
 from repro.geometry import Point, Rect
-from repro.resilience import (
-    FaultPlan,
-    ResilienceConfig,
-    ResilienceRuntime,
-    RetryPolicy,
-)
+from repro.resilience import FaultPlan, ResilienceRuntime
+from repro.resilience.retry import MAX_ATTEMPTS
+from repro.resilience.runtime import SNAPSHOT_EVERY, STALE_GRACE_OPS, Emission
 from repro.server.casper import Casper
 
 BOUNDS = Rect(0.0, 0.0, 1.0, 1.0)
@@ -98,23 +97,16 @@ class TestSnapshotRestore:
 
 
 def resilient_casper(
-    plan: FaultPlan,
-    *,
-    retry: RetryPolicy | None = None,
-    config: ResilienceConfig | None = None,
-    anonymizer: str = "basic",
+    plan: FaultPlan, *, anonymizer: str = "basic"
 ) -> tuple[Casper, ResilienceRuntime]:
-    runtime = ResilienceRuntime(plan, retry=retry, config=config)
+    runtime = ResilienceRuntime(plan)
     casper = Casper(BOUNDS, pyramid_height=5, anonymizer=anonymizer, resilience=runtime)
     return casper, runtime
 
 
 class TestCrashRecovery:
     def test_crash_restores_the_attach_time_snapshot(self):
-        casper, runtime = resilient_casper(
-            FaultPlan(seed=0, crash_period=1),
-            config=ResilienceConfig(snapshot_every=1000),
-        )
+        casper, runtime = resilient_casper(FaultPlan(seed=0, crash_period=1))
         casper.register_user("u0", Point(0.5, 0.5), PrivacyProfile(k=1))
         assert "u0" in casper.anonymizer
         runtime.guard()  # crash_period=1: this op crashes and restores
@@ -124,22 +116,21 @@ class TestCrashRecovery:
 
     def test_snapshot_cadence_limits_rollback(self):
         casper, runtime = resilient_casper(
-            FaultPlan(seed=0, crash_period=5),
-            config=ResilienceConfig(snapshot_every=1),
+            FaultPlan(seed=0, crash_period=SNAPSHOT_EVERY + 1)
         )
         casper.register_user("u0", Point(0.5, 0.5), PrivacyProfile(k=1))
-        for _ in range(4):
-            runtime.guard()  # each op snapshots post-registration state
-        runtime.guard()  # the 5th op crashes
+        for _ in range(SNAPSHOT_EVERY):
+            runtime.guard()  # the last of these snapshots the state with u0
+        casper.register_user("u1", Point(0.5, 0.5), PrivacyProfile(k=1))
+        runtime.guard()  # the next op crashes
         assert runtime.counters["recoveries"] == 1
-        assert "u0" in casper.anonymizer  # restored from a fresh snapshot
+        assert "u0" in casper.anonymizer  # restored from the fresh snapshot
+        assert "u1" not in casper.anonymizer  # registered after it
 
     def test_sequence_table_rolls_back_with_the_state(self):
         """A crash must roll the dedup table back atomically with the
         anonymizer, or replayed updates would be misjudged as stale."""
-        casper, runtime = resilient_casper(
-            QUIET, config=ResilienceConfig(snapshot_every=1000)
-        )
+        casper, runtime = resilient_casper(QUIET)
         casper.register_user("u0", Point(0.2, 0.2), PrivacyProfile(k=1))
         runtime._take_snapshot()
         assert runtime.send_update("u0", 1, Point(0.3, 0.3), PrivacyProfile(k=1)) == "applied"
@@ -147,6 +138,28 @@ class TestCrashRecovery:
         # After rollback the same sequence number is fresh again.
         assert runtime.send_update("u0", 1, Point(0.4, 0.4), PrivacyProfile(k=1)) == "applied"
         assert casper.anonymizer.location_of("u0") == Point(0.4, 0.4)
+
+
+    def test_a_shard_crash_on_the_worker_fleet_rolls_nothing_back(self):
+        """The fleet heals the crashed worker from the parent's live
+        deployment: a user registered after the last snapshot keeps
+        their row and their sequence number."""
+        runtime = ResilienceRuntime(FaultPlan(seed=0, shard_crash_period=3))
+        with Casper(
+            BOUNDS, pyramid_height=5, resilience=runtime, shards=2, parallel=True
+        ) as casper:
+            casper.register_user("u0", Point(0.2, 0.2), PrivacyProfile(k=1))
+            moved = Point(0.7, 0.6)
+            assert runtime.send_update("u0", 1, moved, PrivacyProfile(k=1)) == "applied"
+            runtime.guard()
+            runtime.guard()  # the third guarded op crashes a shard
+            assert runtime.injector.counts["shard_crash"] == 1
+            assert casper.anonymizer.location_of("u0") == moved
+            assert casper.anonymizer.cloak("u0").region.contains_point(moved)
+            assert runtime.send_update("u0", 1, moved, PrivacyProfile(k=1)) == "stale"
+            assert runtime.counters["recoveries"] == 0
+            assert runtime.counters["worker_crashes"] == 1
+            casper.anonymizer.check_invariants()
 
 
 class TestIdempotentUpdates:
@@ -183,15 +196,12 @@ class TestIdempotentUpdates:
         assert runtime.injector.counts["state_loss"] == 1
 
     def test_exhausted_retries_raise_update_delivery_error(self):
-        casper, runtime = resilient_casper(
-            FaultPlan(seed=0, drop=1.0),
-            retry=RetryPolicy(max_attempts=3),
-        )
+        casper, runtime = resilient_casper(FaultPlan(seed=0, drop=1.0))
         casper.register_user("u0", Point(0.2, 0.2), PrivacyProfile(k=1))
         with pytest.raises(UpdateDeliveryError):
             runtime.send_update("u0", 1, Point(0.3, 0.3), PrivacyProfile(k=1))
         assert runtime.counters["updates_abandoned"] == 1
-        assert runtime.counters["retries"] == 2
+        assert runtime.counters["retries"] == MAX_ATTEMPTS - 1
         assert runtime.virtual_backoff_seconds > 0.0
         # The device's report is lost but the anonymizer state is intact.
         assert casper.anonymizer.location_of("u0") == Point(0.2, 0.2)
@@ -199,14 +209,11 @@ class TestIdempotentUpdates:
     def test_corrupted_update_is_rejected_then_retried(self):
         # corrupt=1.0 flips one bit per transmit; the CRC rejects every
         # copy, so delivery fails cleanly rather than applying garbage.
-        casper, runtime = resilient_casper(
-            FaultPlan(seed=0, corrupt=1.0),
-            retry=RetryPolicy(max_attempts=2),
-        )
+        casper, runtime = resilient_casper(FaultPlan(seed=0, corrupt=1.0))
         casper.register_user("u0", Point(0.2, 0.2), PrivacyProfile(k=1))
         with pytest.raises(UpdateDeliveryError):
             runtime.send_update("u0", 1, Point(0.3, 0.3), PrivacyProfile(k=1))
-        assert runtime.counters["corrupt_rejected"] >= 2
+        assert runtime.counters["corrupt_rejected"] == MAX_ATTEMPTS
         assert casper.anonymizer.location_of("u0") == Point(0.2, 0.2)
 
 
@@ -220,9 +227,7 @@ class TestResponseChannel:
         assert result.answer is not None
 
     def test_all_responses_lost_raises_query_delivery_error(self):
-        casper, runtime = resilient_casper(
-            FaultPlan(seed=0, drop=1.0), retry=RetryPolicy(max_attempts=2)
-        )
+        casper, runtime = resilient_casper(FaultPlan(seed=0, drop=1.0))
         # Registration traffic uses the trusted path, so only the
         # response channel sees the 100% drop.
         for i in range(4):
@@ -272,12 +277,11 @@ class TestDegradationLadder:
         assert runtime.privacy_violations() == []
 
     def test_expired_grace_window_skips_the_stale_rung(self):
-        casper, runtime = resilient_casper(
-            QUIET, config=ResilienceConfig(stale_grace_ops=0)
-        )
+        casper, runtime = resilient_casper(QUIET)
         self.cluster(casper, 6, 3, Point(0.1, 0.1))
         runtime.cloak_or_degrade("u0")
-        runtime.guard()  # ops advance past the zero-width grace window
+        for _ in range(STALE_GRACE_OPS + 1):
+            runtime.guard()  # ops advance past the grace window
         casper.anonymizer.deregister("u0")
         _region, mode = runtime.cloak_or_degrade("u0")
         assert mode == "escalated"
@@ -309,8 +313,22 @@ class TestDegradationLadder:
         for i in range(1, 8):
             casper.anonymizer.update(f"u{i}", Point(0.85, 0.85))
         runtime.cloak_or_degrade("u0")  # escalated
-        assert {e.mode for e in runtime.emissions} >= {"fresh", "stale"}
+        assert set(runtime.report()["emissions_by_mode"]) >= {"fresh", "stale"}
         assert runtime.privacy_violations() == []
+
+    def test_fresh_cloaks_are_counted_not_kept(self):
+        """A runtime on a live facade must not grow by one object per
+        cloak: only per-mode counts and violating emissions stay."""
+        casper, runtime = resilient_casper(QUIET)
+        self.cluster(casper, 6, 3, Point(0.1, 0.1))
+        fresh = runtime.report()["emissions_by_mode"]["fresh"]
+        gc.collect()
+        before = sum(isinstance(o, Emission) for o in gc.get_objects())
+        for _ in range(1000):
+            runtime.cloak_or_degrade("u0")
+        gc.collect()
+        assert sum(isinstance(o, Emission) for o in gc.get_objects()) == before
+        assert runtime.report()["emissions_by_mode"]["fresh"] == fresh + 1000
 
 
 class TestFaultFreePathUnchanged:

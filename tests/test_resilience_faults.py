@@ -23,6 +23,7 @@ class TestFaultPlan:
             {"corrupt": 0.1},
             {"crash_period": 5},
             {"lose_user": 0.1},
+            {"shard_crash_period": 5},
         ],
     )
     def test_any_fault_knob_breaks_quiet(self, kwargs):
@@ -40,6 +41,8 @@ class TestFaultPlan:
             FaultPlan(delay_ticks=0)
         with pytest.raises(ValueError):
             FaultPlan(crash_period=-1)
+        with pytest.raises(ValueError):
+            FaultPlan(shard_crash_period=-1)
 
     def test_with_seed_preserves_everything_else(self):
         plan = FaultPlan(name="x", seed=1, drop=0.3, delay_ticks=4)

@@ -1,5 +1,5 @@
-"""Sharded runtime state management: fleet snapshots, per-shard crash
-recovery, and the ``Casper`` routing seam."""
+"""Sharded runtime state management: fleet snapshots, replica audits,
+and the ``Casper`` routing seam."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import pytest
 from repro.anonymizer import BasicAnonymizer, PrivacyProfile
 from repro.errors import UnknownUserError
 from repro.geometry import Point
+from repro.morton import morton_rank
 from repro.server import Casper
 from repro.sharding import (
     ReplicatedShardedAnonymizer,
@@ -61,12 +62,6 @@ class TestFleetSnapshot:
         with pytest.raises(ValueError, match="shard count"):
             fleet.restore(smaller.snapshot())
 
-    @pytest.mark.parametrize("kind", ["basic"])
-    def test_restore_shard_rejects_foreign_state(self, kind) -> None:
-        fleet = _populated_fleet(kind)
-        with pytest.raises(TypeError):
-            fleet.restore_shard(0, object())
-
     @pytest.mark.parametrize("num_shards", [None, 1, 2, 4])
     def test_basic_snapshots_compare_by_value(self, num_shards) -> None:
         """Two snapshots of one state are ``==`` (the generated
@@ -88,81 +83,6 @@ class TestFleetSnapshot:
         assert before == anonymizer.snapshot()
         with pytest.raises(TypeError):
             hash(before)
-
-
-@pytest.mark.parametrize("kind", ["basic"])  # broadcast replicas restore whole
-class TestShardCrashRecovery:
-    """A single crashed shard heals from its snapshot while survivors
-    keep their live state — the reconciliation contract the resilience
-    runtime's ``shard_crash`` fault relies on."""
-
-    def test_purges_exactly_the_post_snapshot_registrants(self, kind) -> None:
-        fleet = _populated_fleet(kind)
-        victim = fleet.shard_of_user("u00")
-        states = [fleet.snapshot_shard(s) for s in range(fleet.num_shards)]
-
-        all_uids = [f"u{i:02d}" for i in range(40)]
-        victim_point = fleet.location_of(
-            next(u for u in all_uids if fleet.shard_of_user(u) == victim)
-        )
-        other = next(
-            fleet.shard_of_user(u)
-            for u in all_uids
-            if fleet.shard_of_user(u) != victim
-        )
-        dest = fleet.location_of(
-            next(u for u in all_uids if fleet.shard_of_user(u) == other)
-        )
-
-        # Post-snapshot history the restore must reconcile: users who
-        # escaped the victim, and users born inside it.
-        movers = [u for u in all_uids if fleet.shard_of_user(u) == victim][:3]
-        for uid in movers:
-            fleet.update(uid, dest)
-        newcomers = [f"n{j}" for j in range(5)]
-        for uid in newcomers:
-            fleet.register(uid, victim_point, PrivacyProfile(k=2))
-            assert fleet.shard_of_user(uid) == victim
-
-        purged = fleet.restore_shard(victim, states[victim])
-        assert sorted(map(str, purged)) == sorted(newcomers)
-        fleet.check_invariants()
-        for uid in movers:  # the destination shard's live record wins
-            assert uid in fleet
-            assert fleet.shard_of_user(uid) == other
-        for uid in newcomers:  # lost with the crash, healed below
-            assert uid not in fleet
-
-        for uid in purged:
-            fleet.register(uid, victim_point, PrivacyProfile(k=2))
-        fleet.check_invariants()
-        assert fleet.num_users == 45
-        region = fleet.cloak(newcomers[0])
-        assert region.achieved_k >= 2
-
-    def test_survivor_shards_are_untouched(self, kind) -> None:
-        fleet = _populated_fleet(kind)
-        all_uids = [f"u{i:02d}" for i in range(40)]
-        victim = fleet.shard_of_user("u00")
-        survivors = [u for u in all_uids if fleet.shard_of_user(u) != victim]
-        before = {
-            u: (fleet.location_of(u), fleet.shard_of_user(u)) for u in survivors
-        }
-        state = fleet.snapshot_shard(victim)
-        fleet.restore_shard(victim, state)
-        fleet.check_invariants()
-        assert {
-            u: (fleet.location_of(u), fleet.shard_of_user(u)) for u in survivors
-        } == before
-
-    def test_single_shard_fleet_restore_shard_is_full_restore(self, kind) -> None:
-        fleet = _populated_fleet(kind, num_shards=1, users=10)
-        state = fleet.snapshot_shard(0)
-        fleet.register("late", Point(0.5, 0.5), PrivacyProfile(k=2))
-        purged = fleet.restore_shard(0, state)
-        assert list(map(str, purged)) == ["late"]
-        fleet.check_invariants()
-        assert fleet.num_users == 10
 
 
 class TestReplicaAudit:
@@ -219,11 +139,11 @@ class TestReplicaAudit:
     def test_each_corruption_is_caught(self) -> None:
         _truth, replica = self._replica_fed_like_worker_zero()
         router = replica.router
-        lo, hi = router.block_rank_range(self.SHARD)
+        own = [morton_rank(block) for block in router.blocks_of(self.SHARD)]
         counts = replica._soa.counts
         corruptions = {
-            "own-slice count": (HEIGHT, lo << router.leaf_shift),
-            "foreign block root": (router.spine_level, hi),
+            "own-slice count": (HEIGHT, own[0] << router.leaf_shift),
+            "foreign block root": (router.spine_level, own[-1] + 1),
             "spine count": (0, 0),
         }
         for level, index in corruptions.values():
