@@ -2,9 +2,9 @@
 
 Section 5.1.1: "Our approach is independent from the nearest-neighbor
 and range query algorithms ... it can be employed using R-tree or any
-other methods."  This bench runs the same private NN workload over four
-interchangeable indexes, asserts identical candidate sets, and reports
-the per-index processing time.
+other methods."  This bench runs the same private NN workload over the
+R-tree that serves queries and the brute-force oracle, asserts identical
+candidate sets, and reports the per-index processing time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.evaluation.experiments.common import UNIT, active_scale, cloaked_quer
 from repro.evaluation.results import ExperimentResult
 from repro.geometry import Rect
 from repro.processor import private_nn_over_public
-from repro.spatial import BruteForceIndex, GridIndex, QuadTreeIndex, RTreeIndex
+from repro.spatial import BruteForceIndex, RTreeIndex
 from repro.workloads import uniform_points
 
 
@@ -27,8 +27,6 @@ def _run(scale) -> dict[str, ExperimentResult]:
 
     indexes = {
         "r-tree": RTreeIndex(),
-        "grid": GridIndex(UNIT, resolution=64),
-        "quadtree": QuadTreeIndex(UNIT, leaf_capacity=16),
         "brute-force": BruteForceIndex(),
     }
     for index in indexes.values():

@@ -222,9 +222,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_info(_args: argparse.Namespace) -> int:
     print(f"repro {repro.__version__} — Casper (VLDB 2006) reproduction")
-    print("components: geometry, spatial (r-tree/grid/quadtree/"
-          "brute), mobility, anonymizer (basic/adaptive + the interval/"
-          "clique/temporal policies), "
+    print("components: geometry, spatial (r-tree/brute), mobility, "
+          "anonymizer (basic/adaptive + the interval/clique/temporal policies), "
           "processor (NN/kNN/range/count, 1-2-4 filters), continuous, "
           "server, workloads, evaluation")
     return 0

@@ -8,7 +8,9 @@ Stores the two data kinds of Section 5 side by side:
   anonymizer, keyed by (pseudonymous) object id.
 
 and exposes the privacy-aware query operations over them.  The server is
-deliberately index-agnostic: pass any ``SpatialIndex`` factory.
+deliberately index-agnostic: it serves from the R-tree, and any
+``SpatialIndex`` factory — the brute-force oracle, or a subclass of
+your own — can stand in for it.
 """
 
 from __future__ import annotations

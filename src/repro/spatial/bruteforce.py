@@ -1,8 +1,8 @@
 """Brute-force reference index.
 
 Linear scans over the entry dictionary — the correctness oracle that the
-accelerated indexes are property-tested against, and a perfectly adequate
-index for small datasets.
+R-tree is property-tested against, and a perfectly adequate index for
+small datasets.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 The privacy-aware query processor (Section 5) is explicitly independent of
 the underlying nearest-neighbor and range algorithms — "it can be employed
 using R-tree or any other methods".  We honour that by programming the
-processor against this abstract interface and providing four concrete
-implementations: an R-tree, a uniform grid, a PR quadtree and a
-brute-force reference.
+processor against this abstract interface and providing two concrete
+implementations: the R-tree that serves queries and the brute-force
+reference every test holds it to.
 
 Indexed entries are ``(oid, Rect)`` pairs.  Point data (public targets)
 is stored as degenerate rectangles, so public and private (cloaked)
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 import heapq
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 
 import numpy as np
@@ -105,17 +105,16 @@ class SpatialIndex(abc.ABC):
     """Abstract dynamic spatial index over ``(oid, Rect)`` entries.
 
     Implementations must keep :attr:`_entries` (oid -> Rect) up to date;
-    the base class supplies bookkeeping, validation, and generic
-    (non-accelerated) fallbacks that subclasses override when they can do
-    better.
+    the base class supplies bookkeeping, validation, and the linear
+    scans of the brute-force oracle, which the R-tree overrides.
 
     Tie-breaking contract: whenever two entries are at exactly the same
     distance from a query point, every query ranks them by *insertion
     order* (tracked in :attr:`_seq`; re-inserting an oid assigns a fresh
     sequence number).  The brute-force oracle gets this for free from
-    dict iteration order; the accelerated indexes implement it
-    explicitly, which is what makes their answers byte-identical to the
-    oracle's even under coincident coordinates.
+    dict iteration order; the R-tree implements it explicitly, which is
+    what makes its answers byte-identical to the oracle's even under
+    coincident coordinates.
     """
 
     def __init__(self) -> None:
@@ -128,6 +127,7 @@ class SpatialIndex(abc.ABC):
     # ------------------------------------------------------------------
     def insert(self, oid: object, rect: Rect) -> None:
         """Add an entry; replaces any existing entry with the same oid."""
+        self._refuse_nan((rect,))
         if oid in self._entries:
             self.remove(oid)
         self._entries[oid] = rect
@@ -138,6 +138,15 @@ class SpatialIndex(abc.ABC):
             del self._entries[oid]
             del self._seq[oid]
             raise
+
+    @staticmethod
+    def _refuse_nan(rects: Iterable[Rect]) -> None:
+        """Raise for a rect with a NaN bound, before anything is stored:
+        no comparison orders it, and the R-tree marks a blank row with
+        NaN.  Infinite bounds are legal, hence comparisons, not a sum."""
+        for rect in rects:
+            if not (rect.x_min <= rect.x_max and rect.y_min <= rect.y_max):
+                raise ValueError(f"rect with a NaN bound: {rect}")
 
     def _assign_seq(self, oid: object) -> None:
         """Give ``oid`` the next insertion-order sequence number."""
@@ -160,6 +169,7 @@ class SpatialIndex(abc.ABC):
         The default implementation just inserts sequentially; indexes with
         a packing algorithm (STR for the R-tree) override it.
         """
+        self._refuse_nan(entries.values())
         self.clear()
         for oid, rect in entries.items():
             self.insert(oid, rect)
@@ -247,7 +257,7 @@ class SpatialIndex(abc.ABC):
         """:meth:`k_nearest` from each of ``points`` (a query's anchors):
         the default searches once per point, the R-tree once for all."""
         k = self._checked_k(k)
-        return [self._k_nearest_impl(point, k) for point in points]
+        return [self._scan(point, k, Rect.min_distance_to_point) for point in points]
 
     def k_nearest_by_max_distance(self, point: Point, k: int) -> list[object]:
         """The ``k`` entries with smallest *max*-distance, best first.
@@ -255,9 +265,7 @@ class SpatialIndex(abc.ABC):
         The k-th element's max-distance is the pessimistic kNN bound
         :math:`d_v^k` used by private kNN queries over private data: k
         targets are guaranteed within that distance of ``point`` no
-        matter where inside their cloaks they really are.  Subclasses
-        override :meth:`_k_nearest_by_max_distance_impl` with a pruned
-        branch-and-bound search; the fallback is a heap-based scan.
+        matter where inside their cloaks they really are.
         """
         return self.k_nearest_by_max_distance_each((point,), k)[0]
 
@@ -266,18 +274,12 @@ class SpatialIndex(abc.ABC):
     ) -> list[list[object]]:
         """:meth:`k_nearest_by_max_distance` from each of ``points``."""
         k = self._checked_k(k)
-        return [self._k_nearest_by_max_distance_impl(point, k) for point in points]
-
-    def _k_nearest_impl(self, point: Point, k: int) -> list[object]:
-        return self._scan(point, k, Rect.min_distance_to_point)
-
-    def _k_nearest_by_max_distance_impl(self, point: Point, k: int) -> list[object]:
-        return self._scan(point, k, Rect.max_distance_to_point)
+        return [self._scan(point, k, Rect.max_distance_to_point) for point in points]
 
     def _scan(
         self, point: Point, k: int, distance: Callable[[Rect, Point], float]
     ) -> list[object]:
-        """The fallback kNN, a heap over every entry by ``(distance,
+        """The default kNN, a heap over every entry by ``(distance,
         insertion order)``: the ranking every index must match."""
         scored = heapq.nsmallest(
             k,

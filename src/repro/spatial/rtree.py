@@ -223,6 +223,7 @@ class RTreeIndex(SpatialIndex):
 
     def bulk_load(self, entries: dict[object, Rect]) -> None:
         """Pack ``entries`` with Sort-Tile-Recursive in one pass."""
+        self._refuse_nan(entries.values())
         self.clear()
         self._entries.update(entries)
         for oid in entries:

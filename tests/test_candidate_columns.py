@@ -28,12 +28,7 @@ from repro.processor.executor import collect
 from repro.processor.probabilistic import ContainmentOnly, FractionOverlap
 from repro.server import LocationServer
 from repro.server.codec import decode_candidate_list, encode_candidate_list
-from repro.spatial import (
-    BruteForceIndex,
-    GridIndex,
-    QuadTreeIndex,
-    RTreeIndex,
-)
+from repro.spatial import BruteForceIndex, RTreeIndex
 from tests import reference_candidates as reference
 from tests.conftest import UNIT
 
@@ -255,8 +250,6 @@ class TestColumns:
 INDEXES = {
     "brute": BruteForceIndex,
     "rtree": RTreeIndex,
-    "grid": lambda: GridIndex(UNIT, resolution=16),
-    "quadtree": lambda: QuadTreeIndex(UNIT, leaf_capacity=4),
 }
 
 

@@ -3,7 +3,7 @@
 The spec machine runs a lane under telemetry (every call in its own
 ``enabled()`` session) beside the same deployments without it and
 holds every answer, candidate-list byte and statistic equal.  The full
-stack is replayed here on each spatial index; the processor and batch
+stack is replayed here on the R-tree; the processor and batch
 engine, which no lane drives bare, are compared directly.
 """
 
@@ -22,15 +22,11 @@ from repro.processor import (
     private_nn_over_public,
     private_range_over_public,
 )
-from repro.spatial import GridIndex, QuadTreeIndex, RTreeIndex
+from repro.spatial import RTreeIndex
 from tests.conftest import UNIT, random_points, random_rects
 from tests.test_spec_machine import crowd, replay, users
 
-INDEXES = {
-    "rtree": lambda: RTreeIndex(max_entries=8),
-    "grid": lambda: GridIndex(UNIT, resolution=16),
-    "quadtree": lambda: QuadTreeIndex(UNIT, leaf_capacity=4),
-}
+INDEXES = {"rtree": lambda: RTreeIndex(max_entries=8)}
 KINDS = (
     ("nn_public", None), ("knn_public", 3), ("range_public", 0.15), ("nn_private", None)
 )
@@ -58,12 +54,7 @@ def _twice(scenario) -> None:
     assert not session.is_empty  # the run really was instrumented
 
 
-@pytest.mark.parametrize(
-    "index_factory",
-    [RTreeIndex, INDEXES["grid"], INDEXES["quadtree"]],
-    ids=["rtree", "grid", "quadtree"],
-)
-def test_processor_candidates_identical_with_and_without_telemetry(index_factory):
+def test_processor_candidates_identical_with_and_without_telemetry():
     answers = (
         private_nn_over_public,
         lambda index, area: private_knn_over_public(index, area, k=4),
@@ -72,7 +63,7 @@ def test_processor_candidates_identical_with_and_without_telemetry(index_factory
 
     def scenario() -> tuple:
         rng = np.random.default_rng(23)
-        index = index_factory()
+        index = RTreeIndex()
         index.bulk_load(
             {oid: Rect.point(p) for oid, p in enumerate(random_points(rng, 300))}
         )

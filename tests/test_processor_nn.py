@@ -25,12 +25,12 @@ from repro.processor import (
     private_nn_over_public,
     select_filters_public,
 )
-from repro.spatial import BruteForceIndex, GridIndex, QuadTreeIndex, RTreeIndex
-from tests.conftest import UNIT, random_points, random_rects
+from repro.spatial import BruteForceIndex, RTreeIndex
+from tests.conftest import random_points, random_rects
 
 
-def point_index(points, cls=BruteForceIndex, **kwargs):
-    idx = cls(**kwargs) if cls is not GridIndex else cls(UNIT, 16)
+def point_index(points, cls=BruteForceIndex):
+    idx = cls()
     for i, p in enumerate(points):
         idx.insert_point(i, p)
     return idx
@@ -107,20 +107,11 @@ class TestPublicNN:
         underlying spatial index (the paper's integration claim)."""
         points = random_points(rng, 300)
         area = Rect(0.25, 0.55, 0.45, 0.7)
-        results = []
-        for build in (
-            lambda: point_index(points),
-            lambda: point_index(points, cls=RTreeIndex),
-            lambda: point_index(points, cls=GridIndex),
-            lambda: QuadTreeIndex(UNIT, leaf_capacity=4),
-        ):
-            idx = build()
-            if len(idx) == 0:  # quadtree branch built empty above
-                for i, p in enumerate(points):
-                    idx.insert_point(i, p)
-            cl = private_nn_over_public(idx, area, num_filters=4)
-            results.append(set(cl.oids()))
-        assert all(r == results[0] for r in results)
+        oracle, rtree = (
+            set(private_nn_over_public(point_index(points, cls), area, num_filters=4).oids())
+            for cls in (BruteForceIndex, RTreeIndex)
+        )
+        assert rtree == oracle
 
     def test_degenerate_cloaked_area_is_point(self, rng):
         """A public (non-private) user degenerates to an exact point; the

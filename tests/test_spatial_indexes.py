@@ -1,15 +1,16 @@
 """Cross-implementation tests for the spatial indexes.
 
-Every accelerated index (R-tree, grid, quadtree) is checked against the
-brute-force oracle on identical data — the "index equivalence" invariant
-of DESIGN.md that underpins the paper's claim of query-processor
-independence from the underlying access method.
+The R-tree is checked against the brute-force oracle on identical data
+— the "index equivalence" invariant of DESIGN.md that underpins the
+paper's claim of query-processor independence from the underlying
+access method.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import math
 import pkgutil
 
 import numpy as np
@@ -17,18 +18,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import EmptyDatasetError, OutOfBoundsError
+from repro.errors import EmptyDatasetError
+from repro import Casper
 from repro.geometry import Point, Rect
 from repro.spatial import (
     BruteForceIndex,
-    GridIndex,
-    QuadTreeIndex,
     RTreeIndex,
     SpatialIndex,
 )
 from tests.conftest import UNIT, random_points, random_rects
 
-ACCELERATED = ["rtree", "grid", "quadtree"]
+ACCELERATED = ["rtree"]
 ALL_KINDS = ACCELERATED + ["brute"]
 
 
@@ -37,10 +37,6 @@ def make_index(kind: str) -> SpatialIndex:
         return BruteForceIndex()
     if kind == "rtree":
         return RTreeIndex(max_entries=8)
-    if kind == "grid":
-        return GridIndex(UNIT, resolution=16)
-    if kind == "quadtree":
-        return QuadTreeIndex(UNIT, leaf_capacity=4)
     raise ValueError(kind)
 
 
@@ -122,6 +118,30 @@ class TestBasicContract:
             with idx.hidden("b"):
                 1 / 0
         assert idx.k_nearest(q, 4) == ["a", "b", "c", "d"]
+
+    @pytest.mark.parametrize("load", ["insert", "bulk_load"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_nan_bound_refused_before_anything_is_stored(self, kind, load, rng):
+        """A NaN bound is the R-tree's blank-row mark: stored, it counted
+        in ``len`` while no search returned it.  Both writes refuse it
+        and leave the store as it was, a refused replacement included."""
+        entries = {i: Rect.point(p) for i, p in enumerate(random_points(rng, 40))}
+        idx = make_index(kind)
+        idx.bulk_load(entries)
+        bad = Rect(math.nan, 0.5, math.nan, 0.5)
+        for oid in ("x", 0):  # a new id, then a replacement
+            with pytest.raises(ValueError, match="NaN"):
+                if load == "insert":
+                    idx.insert(oid, bad)
+                else:
+                    idx.bulk_load({**entries, oid: bad})
+            assert list(idx.items()) == list(entries.items())
+        oracle = BruteForceIndex()
+        oracle.bulk_load(entries)
+        q = Point(0.5, 0.5)
+        assert idx.k_nearest(q, 41) == oracle.k_nearest(q, 41)
+        if isinstance(idx, RTreeIndex):
+            idx.check_invariants()
 
     def test_k_nonpositive_raises(self):
         idx = BruteForceIndex()
@@ -252,62 +272,6 @@ class TestRTreeStructure:
         assert len(idx.range_search(Rect(0.4, 0.4, 0.6, 0.6))) == 50
 
 
-class TestGridIndex:
-    def test_out_of_bounds_point_raises(self):
-        grid = GridIndex(UNIT, 8)
-        with pytest.raises(OutOfBoundsError):
-            grid.cell_of_point(Point(2, 2))
-
-    def test_cell_rect_tiles_bounds(self):
-        grid = GridIndex(UNIT, 4)
-        total = sum(grid.cell_rect(i, j).area for i in range(4) for j in range(4))
-        assert total == pytest.approx(UNIT.area)
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            GridIndex(UNIT, 0)
-        with pytest.raises(ValueError):
-            GridIndex(Rect(0, 0, 0, 1), 4)
-
-    def test_query_point_outside_bounds_still_works(self, rng):
-        grid = GridIndex(UNIT, 8)
-        oracle = BruteForceIndex()
-        for i, p in enumerate(random_points(rng, 100)):
-            grid.insert_point(i, p)
-            oracle.insert_point(i, p)
-        q = Point(1.5, 1.5)  # outside the grid, must still find true NNs
-        assert grid.k_nearest(q, 3) == oracle.k_nearest(q, 3)
-
-
-class TestQuadTree:
-    def test_out_of_bounds_insert_raises(self):
-        qt = QuadTreeIndex(UNIT)
-        with pytest.raises(OutOfBoundsError):
-            qt.insert_point("a", Point(1.5, 0.5))
-
-    def test_subdivision_happens(self, rng):
-        qt = QuadTreeIndex(UNIT, leaf_capacity=2, max_depth=10)
-        for i, p in enumerate(random_points(rng, 100)):
-            qt.insert_point(i, p)
-        assert qt._root.children is not None
-
-    def test_max_depth_respected(self):
-        qt = QuadTreeIndex(UNIT, leaf_capacity=1, max_depth=3)
-        # Pile many identical points: without the depth limit this would
-        # recurse forever.
-        for i in range(20):
-            qt.insert_point(i, Point(0.001, 0.001))
-        assert len(qt) == 20
-
-    def test_straddling_rect_stays_at_root(self):
-        qt = QuadTreeIndex(UNIT, leaf_capacity=1)
-        center_straddler = Rect(0.4, 0.4, 0.6, 0.6)
-        qt.insert("big", center_straddler)
-        for i in range(5):
-            qt.insert_point(i, Point(0.1 + 0.01 * i, 0.1))
-        assert set(qt.range_search(Rect(0.45, 0.45, 0.55, 0.55))) == {"big"}
-
-
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 @given(
     data=st.lists(
@@ -322,7 +286,7 @@ class TestQuadTree:
     qy=st.floats(min_value=0, max_value=1, allow_nan=False),
 )
 def test_property_all_indexes_agree_on_nn_distance(data, qx, qy):
-    """Hypothesis: for arbitrary point sets, all four indexes report a
+    """Hypothesis: for arbitrary point sets, both indexes report a
     nearest neighbor at the same (minimal) distance."""
     q = Point(qx, qy)
     indexes = [make_index(kind) for kind in ALL_KINDS]
@@ -334,3 +298,21 @@ def test_property_all_indexes_agree_on_nn_distance(data, qx, qy):
         oid = idx.nearest(q)
         dists.append(idx.rect_of(oid).min_distance_to_point(q))
     assert max(dists) - min(dists) < 1e-9
+
+
+def test_infinite_bounds_are_stored_and_nan_targets_refused():
+    """Infinite bounds order fine and both indexes agree on them; a
+    public target with a NaN coordinate never reaches the store."""
+    wide = {"row": Rect(-math.inf, 0.2, math.inf, 0.2), "pt": Rect(0.4, 0.4, 0.4, 0.4)}
+    answers = []
+    for kind in ALL_KINDS:
+        idx = make_index(kind)
+        idx.bulk_load(wide)
+        answers.append(idx.k_nearest(Point(0.4, 0.3), 2))
+    assert answers == [["row", "pt"]] * len(ALL_KINDS)
+    casper = Casper(UNIT)
+    with pytest.raises(ValueError, match="NaN"):
+        casper.add_public_target("x", Point(math.nan, 0.5))
+    with pytest.raises(ValueError, match="NaN"):
+        casper.add_public_targets({"y": Point(0.5, 0.5), "x": Point(0.5, math.nan)})
+    assert len(casper.server.public_index) == 0

@@ -1,4 +1,4 @@
-"""Contract tests for ``k_nearest_by_max_distance`` across every index.
+"""Contract tests for ``k_nearest_by_max_distance`` on both indexes.
 
 The pessimistic (furthest-corner) k-nearest search must agree with the
 brute-force oracle — including insertion-order tie-breaking — because
@@ -16,20 +16,11 @@ from hypothesis import strategies as st
 
 from repro.errors import EmptyDatasetError
 from repro.geometry import Point, Rect
-from repro.spatial import (
-    BruteForceIndex,
-    GridIndex,
-    QuadTreeIndex,
-    RTreeIndex,
-)
-
-UNIT = Rect(0.0, 0.0, 1.0, 1.0)
+from repro.spatial import BruteForceIndex, RTreeIndex
 
 FACTORIES = {
     "bruteforce": BruteForceIndex,
     "rtree": RTreeIndex,
-    "quadtree": lambda: QuadTreeIndex(UNIT),
-    "grid": lambda: GridIndex(UNIT),
 }
 
 
