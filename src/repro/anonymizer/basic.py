@@ -12,7 +12,7 @@ batched update kernel (:meth:`BasicAnonymizer.update_batch`) for
 per-tick streams.  The per-object scalar pyramid it replaced lives on as
 the test oracle ``tests/reference_pyramid.py``; the spec machine
 (``tests/test_spec_machine.py``) runs the two as lanes, bit-identical
-on every operation, snapshot and cache epoch.
+on every operation and snapshot.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from repro.anonymizer.cache import CloakCache, Epoch
+from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellId
 from repro.anonymizer.cloak import (
     Climbed,
@@ -99,49 +99,16 @@ class BasicAnonymizer(PyramidEngine):
         height: int = 9,
         cloak_cache_size: int = 8192,
     ) -> None:
-        self._init_pyramid(bounds, height)
+        self._init_engine(bounds, height)
+        # Flat Morton-indexed per-level count/generation arrays (the
+        # constructor enforces the height cap); see
+        # :mod:`repro.anonymizer.soa` for the layout.
+        self._soa = PyramidSoA(height)
+        #: The mutation epoch: bumped by every count-changing mutation
+        #: (a batch by its cell-changing moves), so a cache entry
+        #: stored or served at the current epoch is current unread.
         self._epoch = 0
         self.cloak_cache = CloakCache(cloak_cache_size)
-
-    def _init_pyramid(self, bounds: Rect, height: int) -> None:
-        """The population state: the engine's grid, statistics and
-        user table plus flat Morton-indexed per-level count/generation
-        arrays (the constructor enforces the height cap); see
-        :mod:`repro.anonymizer.soa` for the layout.  Cache and epoch
-        state is the host's — one of each here, one per shard in
-        :class:`~repro.sharding.basic.ShardedBasicAnonymizer`."""
-        self._init_engine(bounds, height)
-        self._soa = PyramidSoA(height)
-
-    # ------------------------------------------------------------------
-    # The mutation seam: what did this mutation touch?
-    #
-    # Every count write funnels through one of these four calls — once
-    # per mutation or per batch, never per level — so a host that keys
-    # its caches more finely than "anything changed" (the sharded
-    # fleet's per-shard and boundary epochs) overrides them and inherits
-    # the kernels untouched.
-    # ------------------------------------------------------------------
-    def _touched_chain(self, m: int, delta: int) -> None:
-        """A user registered (``delta`` +1) or deregistered (-1) at
-        leaf ``m``: its whole ancestor chain changed."""
-        self._epoch += 1
-
-    def _touched_move(self, old_m: int, new_m: int) -> None:
-        """A user moved between two different leaves: both branches
-        below their common ancestor changed."""
-        self._epoch += 1
-
-    def _touched_moves(self, old_ms: IntArray, new_ms: IntArray) -> None:
-        """A batch of distinct users moved (``old_ms[i] == new_ms[i]``
-        where a move stayed in its cell)."""
-        self._epoch += int(np.count_nonzero(old_ms != new_ms))
-
-    def _touched_all(self) -> None:
-        """A restore rewrote counts without generation bumps: every
-        cached cloak is suspect."""
-        self._epoch += 1
-        self.cloak_cache.clear()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -167,7 +134,7 @@ class BasicAnonymizer(PyramidEngine):
 
     def _chain(self, m: int, delta: int) -> None:
         self._soa.apply_chain(m, delta)
-        self._touched_chain(m, delta)
+        self._epoch += 1
         self.stats.counter_updates += self.height + 1
 
     def update(self, uid: object, point: Point) -> int:
@@ -178,7 +145,7 @@ class BasicAnonymizer(PyramidEngine):
         if new_m == old_m:
             return 0
         cost = self._soa.move_chain(old_m, new_m)
-        self._touched_move(old_m, new_m)
+        self._epoch += 1
         self.stats.counter_updates += cost
         self.stats.cell_changes += 1
         return cost
@@ -204,7 +171,7 @@ class BasicAnonymizer(PyramidEngine):
         old_ms, new_ms = self.table.apply_moves(moves)
         stop = len(old_ms)
         costs = self._soa.apply_moves(old_ms, new_ms)
-        self._touched_moves(old_ms, new_ms)
+        self._epoch += int(np.count_nonzero(old_ms != new_ms))
         self.stats.add_moves(costs)
         if stop < len(moves):
             # Replay the failing move through the single-move path so the
@@ -236,9 +203,8 @@ class BasicAnonymizer(PyramidEngine):
         return self._cloak_row(morton_of_xy(cell.ix, cell.iy), profile.k, profile.a_min)
 
     def _cloak_row(self, m: int, k: int, a_min: float) -> CloakedRegion:
-        cache, epoch, shard = self._cache_of(int(self._owners_of(m)))
         return self._instrumented_cloak(
-            lambda: self._memoized(cache, epoch, (m, k, a_min)), k, a_min, shard
+            lambda: self._memoized((m, k, a_min)), k, a_min
         )
 
     def cloak_many(
@@ -248,43 +214,23 @@ class BasicAnonymizer(PyramidEngine):
         :data:`_KERNEL_ROWS` rows, the loop — of :meth:`BatchCloaking
         .cloak_many <repro.anonymizer.cloak.BatchCloaking.cloak_many>`.
 
-        A larger batch is served cache by cache: the keys a cache
-        cannot vouch for are climbed together by
-        :func:`~repro.anonymizer.cloak.bottom_up_cloaks`, then every
-        row takes the step a lone :meth:`cloak` takes, in arrival
-        order, and finds its miss computed — so regions, ``stats``,
-        cache counters, LRU order and telemetry events are the loop's.
+        A larger batch first climbs the keys the cache cannot vouch
+        for together, by :func:`~repro.anonymizer.cloak.bottom_up_cloaks`;
+        then every row takes the step a lone :meth:`cloak` takes, in
+        arrival order, and finds its miss computed — so regions,
+        ``stats``, cache counters, LRU order and telemetry events are
+        the loop's.
         """
         uids = list(uids)
         if len(uids) < _KERNEL_ROWS:
             return super().cloak_many(uids, unsatisfiable)
         table = self.table
         slots = table.slots_array(uids)
-        ms, ks, a_mins = table.cells[slots], table.ks[slots], table.a_mins[slots]
-        keys = list(zip(ms.tolist(), ks.tolist(), a_mins.tolist()))
-        regions: list[Any] = [unsatisfiable] * len(keys)
-        failures: dict[int, ProfileUnsatisfiableError] = {}
-        owners = self._owners_of(ms)
-        for owner in np.unique(owners).tolist():
-            rows = np.flatnonzero(owners == owner).tolist()
-            outcomes = self._cloak_rows(owner, [keys[row] for row in rows])
-            for row, outcome in zip(rows, outcomes):
-                if isinstance(outcome, CloakedRegion):
-                    regions[row] = outcome
-                else:
-                    failures[row] = outcome
-        self.stats.cloak_requests += len(keys)
-        if failures and unsatisfiable is None:
-            raise failures[min(failures)]
-        return regions
-
-    def _cloak_rows(
-        self, owner: int, keys: list[_Key]
-    ) -> list[CloakedRegion | ProfileUnsatisfiableError]:
-        """The rows ``owner``'s cache serves, in arrival order; an
-        unsatisfiable row yields the exception its :meth:`cloak`
-        raises."""
-        cache, epoch, shard = self._cache_of(owner)
+        keys = list(zip(
+            table.cells[slots].tolist(), table.ks[slots].tolist(),
+            table.a_mins[slots].tolist(),
+        ))
+        cache, epoch = self.cloak_cache, self._epoch
         started = monotonic()
         missing = [
             key
@@ -296,28 +242,30 @@ class BasicAnonymizer(PyramidEngine):
             soa, columns = self._soa, map(np.array, zip(*missing))
             results = bottom_up_cloaks(self.grid, soa.counts, soa.gens, *columns)
             climbed = dict(zip(missing, results))
-        outcomes: list[CloakedRegion | ProfileUnsatisfiableError] = []
+        regions: list[Any] = []
+        failure: ProfileUnsatisfiableError | None = None
         for key in keys:
             try:
-                outcomes.append(self._memoized(cache, epoch, key, climbed))
+                regions.append(self._memoized(key, climbed))
             except ProfileUnsatisfiableError as exc:
-                outcomes.append(exc)
+                failure = failure or exc
+                regions.append(unsatisfiable)
+        self.stats.cloak_requests += len(keys)
         if _telemetry.active() is not None:
             share = (monotonic() - started) / len(keys)
-            for (_m, k, a_min), outcome in zip(keys, outcomes):
-                if isinstance(outcome, CloakedRegion):
-                    self._note_cloak(share, outcome, k, a_min, shard)
-        return outcomes
+            for (_m, k, a_min), region in zip(keys, regions):
+                if region is not unsatisfiable:
+                    self._note_cloak(share, region, k, a_min)
+        if failure is not None and unsatisfiable is None:
+            raise failure
+        return regions
 
     def _memoized(
-        self,
-        cache: CloakCache,
-        epoch: Epoch,
-        key: _Key,
-        climbed: Mapping[_Key, Climbed | None] | None = None,
+        self, key: _Key, climbed: Mapping[_Key, Climbed | None] | None = None
     ) -> CloakedRegion:
-        """One row's cloak through its cache: served, or computed
+        """One row's cloak through the cache: served, or computed
         (by the kernel already, else walked here) and stored."""
+        cache, epoch = self.cloak_cache, self._epoch
         if cache.capacity:
             region = cache.lookup(key, epoch, self._fresh)
             if region is not None:
@@ -364,18 +312,6 @@ class BasicAnonymizer(PyramidEngine):
             m, level = m >> 2, level - 1
         return True
 
-    def _owners_of(self, ms: Any) -> Any:
-        """Which cache serves the cloaks that start at ``ms`` — one
-        leaf Morton code or an array of them: a label per leaf.  One
-        cache here, so label 0 in the argument's shape; the fleet
-        answers the owning shard."""
-        return ms & 0
-
-    def _cache_of(self, owner: int) -> tuple[CloakCache, Epoch, int | None]:
-        """The cache :meth:`_owners_of` labels ``owner``, its current
-        epoch and the shard to attribute its cloaks to."""
-        return self.cloak_cache, self._epoch, None
-
     # ------------------------------------------------------------------
     # Crash recovery (snapshot/restore of pyramid + user table)
     # ------------------------------------------------------------------
@@ -401,7 +337,8 @@ class BasicAnonymizer(PyramidEngine):
             raise TypeError("not a BasicAnonymizer snapshot")
         self._soa.load_counts_grid(state.counts)
         self.table.restore(state.population)
-        self._touched_all()
+        self._epoch += 1
+        self.cloak_cache.clear()
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -33,7 +33,7 @@ from repro.anonymizer.cloak import CloakedRegion, bottom_up_cloak
 from repro.anonymizer.profile import PrivacyProfile
 from repro.observability import runtime as _telemetry
 
-__all__ = ["CloakCache", "Epoch"]
+__all__ = ["CloakCache"]
 
 CountFn = Callable[[CellId], int]
 GenFn = Callable[[CellId], int]
@@ -42,13 +42,6 @@ GenFn = Callable[[CellId], int]
 #: inside a key or a snapshot — both are the host's.
 FreshFn = Callable[[Any, tuple[Any, ...]], bool]
 
-# Single-shard anonymizers use a plain integer mutation epoch; the
-# sharded runtime passes a composite ``(shard epoch, boundary epoch)``
-# tuple so a mutation confined to one shard does not evict the fast
-# path of every other shard's cache.  The cache only ever compares
-# epochs for equality, so any equatable value works.
-Epoch = int | tuple[int, int]
-
 _EVENTS = "casper_cloak_cache_events_total"
 
 
@@ -56,7 +49,7 @@ class _Entry:
     __slots__ = ("region", "snapshot", "epoch")
 
     def __init__(
-        self, region: CloakedRegion, snapshot: tuple[Any, ...], epoch: Epoch
+        self, region: CloakedRegion, snapshot: tuple[Any, ...], epoch: int
     ) -> None:
         self.region = region
         self.snapshot = snapshot
@@ -79,16 +72,10 @@ class CloakCache:
     probed.
     """
 
-    def __init__(
-        self, capacity: int = 8192, shard_label: str | None = None
-    ) -> None:
+    def __init__(self, capacity: int = 8192) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
-        # Sharded runtimes tag their caches (shard id or "spine") so
-        # cache-event telemetry stays attributable per shard; the
-        # single-pyramid anonymizers emit the unlabelled stream.
-        self.shard_label = shard_label
         self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -102,7 +89,7 @@ class CloakCache:
         """Drop every cached cloak (counters are kept)."""
         self._entries.clear()
 
-    def holds(self, key: Hashable, epoch: Epoch, fresh: FreshFn) -> bool:
+    def holds(self, key: Hashable, epoch: int, fresh: FreshFn) -> bool:
         """Whether :meth:`lookup` would serve ``key`` — asked ahead of
         a batch's rows: no counter moves, the LRU order stands and a
         stale entry stays for ``lookup`` to drop.  The one write is
@@ -117,7 +104,7 @@ class CloakCache:
         return True
 
     def lookup(
-        self, key: Hashable, epoch: Epoch, fresh: FreshFn
+        self, key: Hashable, epoch: int, fresh: FreshFn
     ) -> CloakedRegion | None:
         """The cloak cached under ``key`` if it is current (a hit),
         else ``None`` — a miss, which the caller computes and hands to
@@ -131,13 +118,13 @@ class CloakCache:
                 entry.epoch = epoch
                 self.hits += 1
                 self._entries.move_to_end(key)
-                _telemetry.count(_EVENTS, "hit", self.shard_label)
+                _telemetry.count(_EVENTS, "hit")
                 return entry.region
             del self._entries[key]
             self.invalidations += 1
-            _telemetry.count(_EVENTS, "invalidation", self.shard_label)
+            _telemetry.count(_EVENTS, "invalidation")
         self.misses += 1
-        _telemetry.count(_EVENTS, "miss", self.shard_label)
+        _telemetry.count(_EVENTS, "miss")
         return None
 
     def store(
@@ -145,7 +132,7 @@ class CloakCache:
         key: Hashable,
         region: CloakedRegion,
         snapshot: tuple[Any, ...],
-        epoch: Epoch,
+        epoch: int,
     ) -> None:
         """Remember the cloak a :meth:`lookup` missed, evicting the
         least recently served entry beyond ``capacity``."""
@@ -153,14 +140,14 @@ class CloakCache:
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
-            _telemetry.count(_EVENTS, "eviction", self.shard_label)
+            _telemetry.count(_EVENTS, "eviction")
 
     def cloak(
         self,
         grid: CellGrid,
         count: CountFn,
         gen: GenFn,
-        epoch: Epoch,
+        epoch: int,
         profile: PrivacyProfile,
         start: CellId,
     ) -> CloakedRegion:

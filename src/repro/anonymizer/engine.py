@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.anonymizer.cache import CloakCache, Epoch
+from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.cloak import BatchCloaking, CloakedRegion
 from repro.anonymizer.profile import PrivacyProfile
@@ -133,7 +133,7 @@ class PyramidEngine(Population, BatchCloaking):
         cache: CloakCache,
         count: Callable[[CellId], int],
         gen: Callable[[CellId], int],
-        epoch: Epoch,
+        epoch: int,
         profile: PrivacyProfile,
         start: CellId,
     ) -> CloakedRegion:
@@ -145,16 +145,8 @@ class PyramidEngine(Population, BatchCloaking):
             profile.a_min,
         )
 
-    def _route_of(self, region: CloakedRegion) -> str:
-        """Routing class of a cloak answer; sharded hosts override."""
-        raise NotImplementedError
-
     def _instrumented_cloak(
-        self,
-        compute: Callable[[], CloakedRegion],
-        k: int,
-        a_min: float,
-        shard: int | None = None,
+        self, compute: Callable[[], CloakedRegion], k: int, a_min: float
     ) -> CloakedRegion:
         """The one definition of a cloak's accounting: the request
         count and, only while an observability run is active, its timed
@@ -165,24 +157,14 @@ class PyramidEngine(Population, BatchCloaking):
             return compute()
         t0 = monotonic()
         region = compute()
-        self._note_cloak(monotonic() - t0, region, k, a_min, shard)
+        self._note_cloak(monotonic() - t0, region, k, a_min)
         return region
 
     def _note_cloak(
-        self,
-        seconds: float,
-        region: CloakedRegion,
-        k: int,
-        a_min: float,
-        shard: int | None,
+        self, seconds: float, region: CloakedRegion, k: int, a_min: float
     ) -> None:
         """The telemetry of one served cloak: the latency sample
-        against the asked ``(k, a_min)`` and, for sharded hosts (which
-        pass ``shard``), the per-shard routing record."""
+        against the asked ``(k, a_min)``."""
         _telemetry.record_cloak(
             self.label, seconds, region.area, a_min, region.achieved_k, k
         )
-        if shard is not None:
-            _telemetry.count(
-                "casper_shard_cloaks_total", shard, self._route_of(region)
-            )

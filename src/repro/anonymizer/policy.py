@@ -6,7 +6,7 @@ Every policy registers a :class:`PolicySpec` here, and every deployment
 seam resolves policies by name through :func:`get_policy`:
 
 * ``Casper(policy="adaptive")`` — the trusted-server facade;
-* ``make_sharded(kind=...)`` — in-process sharded fleets;
+* ``make_sharded(kind=...)`` — in-process sharded deployments;
 * the parallel runtime's worker spawn configs
   (``sharding/workers.py``), which rebuild replicas by policy name on
   the far side of a process boundary;
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     Iterable,
     Protocol,
@@ -55,8 +54,8 @@ class CloakingPolicy(Protocol):
     """What every deployment seam requires of a cloaking algorithm.
 
     This is the single-instance surface; sharded/parallel deployments
-    wrap it (natively via :attr:`PolicySpec.sharded`, or generically via
-    ``repro.sharding.replicated``) without the policy's involvement.
+    wrap it (``repro.sharding.replicated``) without the policy's
+    involvement.
     """
 
     stats: MaintenanceStats
@@ -107,27 +106,26 @@ class CloakingPolicy(Protocol):
     def check_invariants(self) -> None: ...
 
 
-# Factory signatures (positional): single builds one in-process
-# instance from (bounds, height, cloak_cache_size); sharded builds a
-# native sharded fleet from (bounds, height, num_shards,
-# cloak_cache_size).  The sharded return type is ``Any`` because fleets
-# expose a superset surface the protocol doesn't name.
+# The factory signature (positional): one in-process instance from
+# (bounds, height, cloak_cache_size).
 SingleFactory = Callable[["Rect", int, int], CloakingPolicy]
-ShardedFactory = Callable[["Rect", int, int, int], Any]
 
 
 @dataclass(frozen=True)
 class PolicySpec:
     """Registry entry for one cloaking policy.
 
-    ``sharded`` is the policy's native partitioned fleet, if it has
-    one; its presence is also what tells the parallel runtime how
-    worker replicas stay consistent.  With a native fleet (the basic
-    pyramid) each worker is authoritative for its own shard's cells and
-    confined mutations route to one worker; without one (the adaptive
-    pyramid, whose cut is shaped by global counts, and every baseline)
-    each worker holds a whole replica behind
-    ``repro.sharding.replicated`` and every mutation is broadcast.
+    ``block_local`` says that a cloak reads only the user's level-``S``
+    block (``S`` the shard router's block level) plus cells at or above
+    level ``S`` — true of the complete pyramid, whose Algorithm 1 climbs
+    from the user's own lowest-level cell.  It is the worker pool's
+    traffic rule: a move that stays inside its block then changes
+    nothing another shard's cloaks read, so it goes to its home worker
+    alone; every other mutation, and every mutation of a policy without
+    the property (the adaptive pyramid, whose cut is shaped by global
+    counts, and every baseline), is broadcast.  Every deployment wraps
+    the same single instance either way
+    (``repro.sharding.replicated``).
 
     ``check_height`` raises ``ValueError`` for pyramid heights the
     policy cannot hold; the constructors run it themselves, and the
@@ -137,7 +135,7 @@ class PolicySpec:
 
     name: str
     single: SingleFactory
-    sharded: ShardedFactory | None = None
+    block_local: bool = False
     description: str = ""
     check_height: Callable[[int], None] | None = None
 

@@ -107,7 +107,6 @@ class Row(NamedTuple):
     buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS  # histograms only
     #: ``("upper" | "lower", bound)`` on each labelled histogram's mean.
     objective: tuple[str, float] | None = None
-    optional: frozenset[str] = frozenset()  # keys a site may pass ``None`` for
 
 
 #: The one table docs/observability.md prints.  Label vocabularies are
@@ -134,11 +133,8 @@ CATALOGUE: dict[str, Row] = {
         "cloaked area over A_min (>= 1 when the contract holds)",
         DEFAULT_RATIO_BUCKETS, ("lower", 1.0),
     ),
-    # A sharded runtime's caches carry their shard id (or "spine"); the
-    # single-pyramid anonymizers keep the unlabelled stream.
     "casper_cloak_cache_events_total": Row(
-        "counter", ("event", "shard"), "cloak-cache lookups by outcome",
-        optional=frozenset({"shard"}),
+        "counter", ("event",), "cloak-cache lookups by outcome"
     ),
     # Algorithm 2, the batch engine, the facade and the server.
     "casper_candidate_list_size": Row(
@@ -217,7 +213,7 @@ CATALOGUE: dict[str, Row] = {
 }
 
 
-LabelArg = Union[str, int, None]
+LabelArg = Union[str, int]
 _M = TypeVar("_M", Counter, Gauge, Histogram)
 
 
@@ -231,17 +227,13 @@ def _instrument(
         row = CATALOGUE.get(name)
         if row is None:
             raise KeyError(f"{name!r} is not a catalogue metric")
-        if len(values) != len(row.labels) or any(
-            value is None and label not in row.optional
-            for label, value in zip(row.labels, values)
-        ):
+        if len(values) != len(row.labels) or None in values:
             raise ValueError(  # the values stay out of the message
-                f"{name} takes labels {row.labels}, only {sorted(row.optional)} as None"
+                f"{name} takes labels {row.labels}, none of them None"
             )
         labels = [
             (label, str(ensure_safe_label_value(value, f"{name} label {label!r}")))
             for label, value in zip(row.labels, values)
-            if value is not None
         ]
         buckets = (row.buckets,) if row.kind == "histogram" else ()
         metric = getattr(metrics, row.kind)(name, labels, *buckets, help=row.help)

@@ -55,7 +55,6 @@ from repro.server.codec import decode_candidate_list, encode_candidate_list
 from repro.sharding import (
     ParallelShardedAnonymizer,
     ReplicatedShardedAnonymizer,
-    ShardedBasicAnonymizer,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -66,7 +65,6 @@ __all__ = ["ResilienceRuntime", "Emission", "SNAPSHOT_EVERY", "STALE_GRACE_OPS"]
 Anonymizer = Union[
     BasicAnonymizer,
     AdaptiveAnonymizer,
-    ShardedBasicAnonymizer,
     ReplicatedShardedAnonymizer,
     ParallelShardedAnonymizer,
 ]

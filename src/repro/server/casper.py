@@ -44,7 +44,7 @@ from repro.processor import (
 # the facade hands the server cloaks only (see the import above).
 from repro.sharding import (  # casperlint: ignore[CSP001] trusted facade
     ParallelShardedAnonymizer,
-    ShardedBasicAnonymizer,
+    ReplicatedShardedAnonymizer,
     make_sharded,
 )
 from repro.server.database import LocationServer
@@ -93,7 +93,7 @@ AnonymizerKind = str
 AnonymizerLike = (
     BasicAnonymizer
     | AdaptiveAnonymizer
-    | ShardedBasicAnonymizer
+    | ReplicatedShardedAnonymizer
     | ParallelShardedAnonymizer
     | object
 )

@@ -1,43 +1,37 @@
 """Sharded anonymizer runtime (deterministic spatial partitioning).
 
-One sharded deployment per replication mode, both behind a
-:class:`~repro.sharding.router.ShardRouter`:
-
-* **partitioned** (:class:`ShardedBasicAnonymizer`) — the complete
-  pyramid splits into ``N`` shard-owned subtrees: the top (levels above
-  the block level) is a replicated spine, every deeper cell is owned by
-  exactly one shard;
-* **broadcast** (:class:`ReplicatedShardedAnonymizer`) — every other
-  registered policy (the adaptive pyramid, whose cut is shaped by
-  global counts, and the baselines) runs as a whole single-instance
-  replica with geometric shard homes read off its user table.
-
-Either way the sharded anonymizer implements the exact interface of the
-single-instance policy it deploys and is **byte-for-byte equivalent**
-to it for any shard count — cloaks, candidate lists, and maintenance
-statistics are identical; sharding changes only where state lives and
-which caches a mutation invalidates.
+One sharded deployment for every registered policy: a
+:class:`ReplicatedShardedAnonymizer` wraps one whole single-instance
+policy and adds what sharding *means* — a
+:class:`~repro.sharding.router.ShardRouter` that homes each user on
+the shard owning the level-``S`` block over their lowest-level cell,
+per-shard occupancy and per-shard telemetry.  It is **byte-for-byte
+equivalent** to the policy it wraps for any shard count — cloaks,
+candidate lists, costs, statistics and cache counters are the wrapped
+instance's own; sharding changes only where state lives.
 
 Two runtimes share that routing scheme:
 
-* the in-process deployments above — one address space;
+* in process — the wrapper itself, one address space;
 * the process pool (:class:`ParallelShardedAnonymizer`,
-  ``parallel=True``) — one OS process per shard speaking the framed,
-  CRC'd wire protocol of :mod:`repro.sharding.wire` over pipes, with
-  an asyncio socket front door
-  (:class:`~repro.sharding.frontdoor.ShardFrontDoor`) for remote
-  peers.  Same interface, same bytes out.
+  ``parallel=True``) — one OS process per shard, each holding the same
+  wrapper as its replica and speaking the framed, CRC'd wire protocol
+  of :mod:`repro.sharding.wire` over pipes, with an asyncio socket
+  front door (:class:`~repro.sharding.frontdoor.ShardFrontDoor`) for
+  remote peers.  Same interface, same bytes out.  Its one traffic
+  rule: a block-confined move of a ``block_local`` policy
+  (:attr:`~repro.anonymizer.policy.PolicySpec.block_local`) goes to its
+  home worker alone, every other mutation to every worker.
 
-See ``docs/sharding.md`` for the partitioning scheme, the composite
-cache-epoch rule, the wire format and the worker crash/heal protocol.
+See ``docs/sharding.md`` for the routing scheme, the traffic rule, the
+wire format and the worker crash/heal protocol.
 """
 
 from __future__ import annotations
 
 from repro.geometry import Rect
-from repro.sharding.basic import ShardedBasicAnonymizer
 from repro.sharding.replicated import ReplicatedShardedAnonymizer
-from repro.sharding.router import ShardRouter, morton_cell, morton_rank
+from repro.sharding.router import ShardRouter
 from repro.sharding.workers import (
     ParallelShardedAnonymizer,
     ShardWorker,
@@ -52,18 +46,11 @@ __all__ = [
     "ShardRouter",
     "ShardWorker",
     "ShardedAnonymizer",
-    "ShardedBasicAnonymizer",
     "WorkerPool",
     "make_sharded",
-    "morton_cell",
-    "morton_rank",
 ]
 
-ShardedAnonymizer = (
-    ShardedBasicAnonymizer
-    | ParallelShardedAnonymizer
-    | ReplicatedShardedAnonymizer
-)
+ShardedAnonymizer = ParallelShardedAnonymizer | ReplicatedShardedAnonymizer
 """Union of the sharded anonymizer implementations."""
 
 
@@ -78,9 +65,8 @@ def make_sharded(
     """Build a sharded anonymizer of the requested ``kind`` — any name
     in :func:`repro.anonymizer.policy.available_policies`;
     ``parallel=True`` runs each shard in its own worker process over
-    the wire protocol.  Policies without a native sharded fleet deploy
-    through the generic broadcast wrapper
-    (:class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`).
+    the wire protocol; in process it is the policy's
+    :class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`.
     A ``height`` the policy cannot hold raises ``ValueError`` here, in
     the calling process, on every path."""
     if parallel:

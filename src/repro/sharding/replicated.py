@@ -1,31 +1,29 @@
-"""The sharded deployment of every policy without a native fleet.
+"""The sharded deployment of every policy.
 
-The complete pyramid ships a purpose-built sharded deployment
-(:mod:`repro.sharding.basic`) whose shards are slices of the actual
-counter arrays.  Every other registered
-:class:`~repro.anonymizer.policy.CloakingPolicy` — the adaptive
-pyramid, whose cut is reshaped from *global* counts and therefore has
-no partitioned form, the related-work baselines, or a user-registered
-cloaker — runs behind ``make_sharded`` and the parallel worker runtime
-through this adapter: it wraps one *whole* single-instance policy per
-replica and adds the sharded surface on top
-(:class:`~repro.sharding.surface.ShardSurface`: homes, occupancy,
-per-shard cache stats; plus shard-count-tagged snapshots), using
-broadcast replication — every worker applies every mutation, so every
-replica answers every question.  A policy gains process parallelism
-from nothing but its registry entry.
+Every registered :class:`~repro.anonymizer.policy.CloakingPolicy` — the
+complete and adaptive pyramids, the related-work baselines, a
+user-registered cloaker — runs behind ``make_sharded`` and the parallel
+worker runtime through this adapter: it wraps one *whole*
+single-instance policy and adds the sharded surface on top
+(:class:`~repro.sharding.surface.ShardSurface`: homes, occupancy and
+per-shard telemetry; plus shard-count-tagged snapshots).  In process it
+is the deployment; on the worker pool it is every worker's replica and
+the parent's mirror.  A policy gains process parallelism from nothing
+but its registry entry.
 
 Shard homes are geometric (the level-``S`` block of the user's lowest
-level cell, same as the fleets) so occupancy, routing and telemetry
-stay meaningful even though the wrapped policy keeps no per-shard
-state.  The wrapper holds no per-user state of its own: who is
-registered, where and under which profile is the wrapped policy's user
-table (``PyramidEngine.table``), read — never written — from here.
+level cell) so occupancy, routing and telemetry stay meaningful even
+though the wrapped policy keeps no per-shard state.  The wrapper holds
+no per-user state of its own: who is registered, where and under which
+profile is the wrapped policy's user table (``PyramidEngine.table``),
+read — never written — from here.  Cloaks, costs, statistics and
+cache counters are the wrapped policy's own: one cache, one epoch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -33,7 +31,7 @@ from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.cloak import CloakedRegion
 from repro.anonymizer.policy import CloakingPolicy, PolicySpec
 from repro.anonymizer.profile import PrivacyProfile
-from repro.anonymizer.soa import UserTable
+from repro.anonymizer.soa import IntArray, UserTable
 from repro.anonymizer.stats import MaintenanceStats
 from repro.errors import CasperError
 from repro.geometry import Point, Rect
@@ -51,12 +49,7 @@ class _ReplicatedSnapshot:
 
 
 class ReplicatedShardedAnonymizer(ShardSurface):
-    """One whole-policy replica with the sharded-anonymizer surface.
-
-    ``shard`` tags which worker this replica serves (its cloak-cache
-    traffic reports under that key); ``None`` for the in-process
-    deployment, which owns every shard at once.
-    """
+    """One whole-policy replica with the sharded-anonymizer surface."""
 
     def __init__(
         self,
@@ -65,12 +58,10 @@ class ReplicatedShardedAnonymizer(ShardSurface):
         height: int = 9,
         num_shards: int = 1,
         cloak_cache_size: int = 8192,
-        shard: int | None = None,
     ) -> None:
         self.kind = spec.name
         self.grid = CellGrid(bounds, height)
         self._init_surface(num_shards, height)
-        self.shard = shard
         self._inner: CloakingPolicy = spec.single(bounds, height, cloak_cache_size)
 
     # ------------------------------------------------------------------
@@ -84,12 +75,6 @@ class ReplicatedShardedAnonymizer(ShardSurface):
     def stats(self) -> MaintenanceStats:
         return self._inner.stats
 
-    @property
-    def num_maintained_cells(self) -> int:
-        """Size of the wrapped policy's maintained structure;
-        ``AttributeError`` for policies that keep none."""
-        return self._inner.num_maintained_cells  # type: ignore[attr-defined]
-
     def cell_count(self, cell: CellId) -> int:
         """Population of one grid cell.  Most wrapped policies keep no
         cell index, so this falls back to a rect count."""
@@ -99,18 +84,12 @@ class ReplicatedShardedAnonymizer(ShardSurface):
         return self._inner.users_in_rect(self.grid.cell_rect(cell))
 
     def cache_stats(self) -> dict[str, int]:
+        """The wrapped policy's cloak-cache counters (zeros for a
+        policy that keeps no cache)."""
         cache = getattr(self._inner, "cloak_cache", None)
         if cache is not None:
             return cache_counters(cache)
         return dict.fromkeys(CACHE_KEYS, 0)
-
-    def cache_stats_per_shard(self) -> dict[str, dict[str, int]]:
-        """Per-shard traffic in the fleet shape (``"0"``..``"N-1"`` +
-        ``"spine"``).  The single wrapped cache reports under this
-        replica's worker shard; everything else is zero."""
-        if self.shard is None:
-            return self._shard_rows({})
-        return self._shard_rows({self.shard: self.cache_stats()})
 
     def _home_of(self, point: Point) -> int:
         return self.router.shard_of(self.grid.cell_of(point))
@@ -131,13 +110,18 @@ class ReplicatedShardedAnonymizer(ShardSurface):
         self._inner.set_profile(uid, profile)
 
     def update(self, uid: object, point: Point) -> int:
-        home = self.shard_of_user(uid)
+        table = self.table
+        slot = table.require(uid)
+        old = table.cells.item(slot)
         # A refused point raises here, before the policy wrote anything.
         cost = self._inner.update(uid, point)
-        self._notify_op(home, "update", occupancy=False)
-        new_home = self.shard_of_user(uid)
-        if new_home != home:
-            self._rehomed(home, new_home)
+        router, new = self.router, table.cells.item(slot)
+        if _telemetry.active() is not None:
+            self._notify_op(router.owner_of_leaf(old), "update", occupancy=False)
+        if (old ^ new) >> router.leaf_shift:
+            home, new_home = router.owner_of_leaf(old), router.owner_of_leaf(new)
+            if new_home != home:
+                self._rehomed(home, new_home)
         return cost
 
     def update_batch(self, moves: list[tuple[object, Point]]) -> list[int]:
@@ -148,10 +132,19 @@ class ReplicatedShardedAnonymizer(ShardSurface):
         refused point, the exception and the applied prefix are the
         :meth:`update` loop's.  A batch naming a stranger or one user
         twice runs that loop (its net re-homes would differ)."""
-        table, slots = self.table, self._distinct_slots(moves)
+        slots = self._distinct_slots(moves)
         if slots is None:
             return [self.update(uid, point) for uid, point in moves]
-        homes = self.router.owners_of_leaves(table.cells[slots])
+        return self._update_distinct(moves, slots)
+
+    def _update_distinct(
+        self, moves: list[tuple[object, Point]], slots: IntArray
+    ) -> list[int]:
+        """:meth:`update_batch` of a batch of distinct registered users
+        whose rows are ``slots`` (the worker-pool parent resolves them
+        once for itself and its mirror)."""
+        table = self.table
+        old = table.cells[slots]
         applied = len(moves)
         try:
             costs: list[int] = self._inner.update_batch(moves)
@@ -159,21 +152,47 @@ class ReplicatedShardedAnonymizer(ShardSurface):
             applied = len(table.locate_moves(moves)[0])
             raise
         finally:
-            homes, slots = homes[:applied], slots[:applied]
-            self._notify_updates(homes)
-            new_homes = self.router.owners_of_leaves(table.cells[slots])
-            for index in np.flatnonzero(new_homes != homes).tolist():
-                self._rehomed(int(homes[index]), int(new_homes[index]))
+            old, new = old[:applied], table.cells[slots[:applied]]
+            router = self.router
+            self._notify_updates(old)
+            crossing = np.flatnonzero((old ^ new) >> router.leaf_shift)
+            homes = router.owners_of_leaves(old[crossing]).tolist()
+            new_homes = router.owners_of_leaves(new[crossing]).tolist()
+            for home, new_home in zip(homes, new_homes):
+                if home != new_home:
+                    self._rehomed(home, new_home)
         return costs
 
     # ------------------------------------------------------------------
     # Cloaking
     # ------------------------------------------------------------------
     def cloak(self, uid: object) -> CloakedRegion:
-        shard = self.shard_of_user(uid)
         region = self._inner.cloak(uid)
-        self._note_cloak(shard, region)
+        if _telemetry.active() is not None:
+            self._note_cloak(self.shard_of_user(uid), region)
         return region
+
+    def cloak_many(
+        self, uids: Iterable[object], unsatisfiable: CloakedRegion | None = None
+    ) -> list[CloakedRegion]:
+        """The wrapped policy's own ``cloak_many`` (the complete
+        pyramid's batch kernel), then, under telemetry, one routing
+        record per served cloak on its user's home shard.  Under
+        telemetry without a stand-in it is the loop of :meth:`cloak`
+        (the batch's contract), which records a batch that raises."""
+        if _telemetry.active() is None:
+            return self._inner.cloak_many(uids, unsatisfiable)
+        if unsatisfiable is None:
+            return super().cloak_many(uids)
+        uids = list(uids)
+        regions = self._inner.cloak_many(uids, unsatisfiable)
+        table = self.table
+        cells = table.cells[table.slots_array(uids)]
+        homes = self.router.owners_of_leaves(cells).tolist()
+        for home, region in zip(homes, regions):
+            if region is not unsatisfiable:
+                self._note_cloak(home, region)
+        return regions
 
     def cloak_location(self, point: Point, profile: PrivacyProfile) -> CloakedRegion:
         shard = self._home_of(point)

@@ -26,12 +26,9 @@ import numpy as np
 
 from repro.anonymizer.cells import CellId
 from repro.anonymizer.soa import IntArray
+from repro.morton import morton_rank
 
-# The rank helpers share their implementation with the vectorized
-# pyramid's Morton codes (repro.morton); re-exported for compatibility.
-from repro.morton import morton_cell, morton_rank  # noqa: F401
-
-__all__ = ["ShardRouter", "morton_rank", "morton_cell"]
+__all__ = ["ShardRouter"]
 
 
 class ShardRouter:
@@ -72,10 +69,6 @@ class ShardRouter:
         #: its level-``S`` block.
         self.leaf_shift = 2 * (height - spine_level)
 
-    def is_spine(self, cell: CellId) -> bool:
-        """True for shared spine cells (strictly above the block level)."""
-        return cell.level < self.spine_level
-
     def owner_of(self, cell: CellId) -> int | None:
         """The shard owning ``cell``, or ``None`` for spine cells."""
         if cell.level < self.spine_level:
@@ -99,19 +92,3 @@ class ShardRouter:
         """:meth:`owner_of_leaf` for an array of Morton codes — a whole
         tick routed in one pass."""
         return self._owner_array[ms >> self.leaf_shift]
-
-    def blocks_of(self, shard: int) -> tuple[CellId, ...]:
-        """The level-``S`` blocks owned by ``shard``, in Morton order."""
-        if not 0 <= shard < self.num_shards:
-            raise ValueError(f"no shard {shard} in a {self.num_shards}-shard fleet")
-        return tuple(
-            morton_cell(rank, self.spine_level)
-            for rank in range(self.num_blocks)
-            if self._owner_by_rank[rank] == shard
-        )
-
-    def crosses_boundary(self, ancestor_level: int) -> bool:
-        """Whether a location update whose old/new cells first share an
-        ancestor at ``ancestor_level`` touches boundary state (any cell
-        at level ``<= S``) — i.e. leaves its level-``S`` block."""
-        return ancestor_level < self.spine_level

@@ -1,19 +1,15 @@
 """The shard surface every sharded deployment exposes, stated once.
 
 Who is registered (the host's one user table), where a user is homed,
-how many users each shard homes, which routing class a cloak answer
-falls in and how per-shard cache traffic is reported are the same
-facts for the partitioned fleet
-(:class:`~repro.sharding.basic.ShardedBasicAnonymizer`), the broadcast
-replica (:class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`)
-and the worker-pool parent (:class:`~repro.sharding.workers
+how many users each shard homes and which routing class a cloak answer
+falls in are the same facts for the in-process deployment
+(:class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`) and
+the worker-pool parent (:class:`~repro.sharding.workers
 .ParallelShardedAnonymizer`, whose table and occupancy are those of the
-in-process deployment it keeps); all three mix this class in.
+in-process deployment it keeps); both mix this class in.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 import numpy as np
 
@@ -38,7 +34,7 @@ def cache_counters(cache: CloakCache) -> dict[str, int]:
 
 
 class ShardSurface(Population, BatchCloaking):
-    """Router, per-shard occupancy and per-shard reporting over the
+    """Router, per-shard occupancy and per-shard telemetry over the
     host's ``grid`` and ``table``.
 
     A user's home shard is a function of their row — the owner of the
@@ -65,11 +61,6 @@ class ShardSurface(Population, BatchCloaking):
     @property
     def num_shards(self) -> int:
         return self.router.num_shards
-
-    def cache_stats(self) -> dict[str, int]:
-        """Aggregate cloak-cache traffic: the per-shard rows, summed."""
-        rows = self.cache_stats_per_shard().values()
-        return {key: sum(row[key] for row in rows) for key in CACHE_KEYS}
 
     def shard_of_user(self, uid: object) -> int:
         """The shard currently homing ``uid`` (the routing seam the
@@ -115,11 +106,13 @@ class ShardSurface(Population, BatchCloaking):
         """The slots of a batch's users, or ``None`` for a batch naming
         a stranger or one user twice — the batches a host runs as its
         per-move loop."""
+        uids = [uid for uid, _ in moves]
+        if len(set(uids)) != len(uids):
+            return None
         try:
-            slots = self.table.slots_array([uid for uid, _ in moves])
+            return self.table.slots_array(uids)
         except UnknownUserError:
             return None
-        return slots if len(set(slots.tolist())) == len(moves) else None
 
     def _notify_op(
         self, shard: int, op: str, *, occupancy: bool = True, times: int = 1
@@ -133,16 +126,17 @@ class ShardSurface(Population, BatchCloaking):
                 for home, users in enumerate(self._occupancy):
                     _telemetry.set_gauge("casper_shard_users", users, home)
 
-    def _notify_updates(self, homes: IntArray) -> list[int]:
-        """Record one ``update`` per entry of ``homes`` — the old home
-        shards of a batch's moves that count as updates (a fleet's
-        cell-changing ones, a replica's every applied one) — and return
-        the per-shard counts."""
+    def _notify_updates(self, old: IntArray) -> None:
+        """Record one ``update`` per applied move of a batch, on the
+        home of its old leaf (the Morton codes ``old``), when telemetry
+        is active."""
+        if _telemetry.active() is None:
+            return
+        homes = self.router.owners_of_leaves(old)
         counts = np.bincount(homes, minlength=self.num_shards).tolist()
         for shard, count in enumerate(counts):
             if count:
                 self._notify_op(shard, "update", occupancy=False, times=count)
-        return counts
 
     def _route_of(self, region: CloakedRegion) -> str:
         """Routing class of a cloak answer: settled inside one shard's
@@ -157,18 +151,3 @@ class ShardSurface(Population, BatchCloaking):
         if settled == self.router.spine_level:
             return "boundary"
         return "spine"
-
-    def _shard_rows(
-        self, own: Mapping[int, Mapping[str, int]]
-    ) -> dict[str, dict[str, int]]:
-        """``cache_stats_per_shard()`` in the one report shape: a row
-        per shard ``"0"``..``"N-1"`` (zero where ``own`` has none) plus
-        the ``"spine"`` row, which is always zero — every cloak starts
-        at a lowest-level cell, which some shard owns."""
-        zero = dict.fromkeys(CACHE_KEYS, 0)
-        rows = {
-            str(shard): dict(own.get(shard, zero))
-            for shard in range(self.num_shards)
-        }
-        rows["spine"] = zero
-        return rows

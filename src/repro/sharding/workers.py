@@ -13,8 +13,8 @@ to the parent runtime over the framed wire protocol of
   The TCP front door (:mod:`repro.sharding.frontdoor`) serves exactly
   this.
 * :class:`ShardWorker` — the endpoint a worker process runs over its
-  pipe: it adds the *control plane* (its own cloak-cache counters as a
-  ``stats`` blob, the ``install`` of a pickled deployment snapshot,
+  pipe: it adds the *control plane* (its replica's cloak-cache counters
+  as a ``stats`` blob, the ``install`` of a pickled deployment snapshot,
   invariant sweeps, chaos hangs, shutdown) and the ``NACK`` answer to a
   request that failed its CRC.
 * :class:`WorkerPool` — the supervisor: spawns one process per shard
@@ -25,10 +25,12 @@ to the parent runtime over the framed wire protocol of
   ``Casper(shards=N, parallel=True)``, batch queries and the
   continuous monitor work unchanged on top of real processes.
 
-One mirror: the parent keeps the in-process deployment its workers
-replicate — what ``make_sharded`` builds from the same arguments — and
-applies every mutation to it before queueing the mutation for the
-workers.  Who is registered, homes, occupancy, update costs,
+One deployment: every worker's replica and the parent's mirror are the
+in-process deployment — the
+:class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer` that
+``make_sharded`` builds from the same arguments.  The parent keeps its
+mirror and applies every mutation to it before queueing the mutation
+for the workers.  Who is registered, homes, occupancy, update costs,
 maintenance statistics, ``cell_count`` and snapshots are that
 deployment's own answers, so they are the in-process deployment's by
 construction; the workers compute cloaks.
@@ -45,31 +47,24 @@ when any other op is queued behind it or when its shard is delivered —
 so per-shard order is arrival order, and a move costs the parent one
 list append until then.
 
-Replication model — chosen by whether the policy's registry entry
-ships a native partitioned fleet (``spec.sharded``); either way cloaks
-are *byte-identical* to the in-process deployment's:
-
-* **partition** (``basic``: :class:`~repro.sharding.basic
-  .ShardedBasicAnonymizer` replicas) — every worker holds a full fleet
-  replica (one complete pyramid) but receives only the traffic that
-  can affect what it serves: registrations, deregistrations, profile
-  changes and boundary-crossing moves are broadcast (they touch
-  spine/block-root state every shard can read), while a move confined
-  to one shard's blocks goes to that worker alone.  A worker's *own*
-  shard — its slice of the counts and generations, its epoch and its
-  cloak cache — then evolves exactly like the in-process fleet's.
-  Foreign users' rows go stale on a replica — point and cell together,
-  always inside the true block — and its foreign *interior* counts
-  stay consistent with those rows, so every replica passes the same
-  ``check_invariants`` audit as the in-process fleet.
-* **broadcast** (every other policy — ``adaptive`` and the baselines:
-  :class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`
-  replicas) — the policy's state has no partitioned form, so every
-  mutation is broadcast and every worker holds one whole
-  single-instance policy.  Cloaks route to the user's home shard, so
-  each worker's cloak cache sees only its own shard's requests: cloaks
-  are byte-identical, but aggregate ``cache_stats()`` hit/miss splits
-  are the one number not reproduced from the in-process single cache.
+Traffic rule — every worker holds one whole replica and cloaks route
+to the user's home shard, so each worker's cloak cache sees only its
+own shard's requests.  Registrations, deregistrations and profile
+changes are broadcast.  A move is broadcast too, unless the policy is
+``block_local`` (:attr:`~repro.anonymizer.policy.PolicySpec
+.block_local`: its cloaks read only the user's level-``S`` block and
+the cells at or above level ``S`` — the complete pyramid) and the move
+stays inside its block: then it changes nothing another worker's
+cloaks read, and goes to its home worker alone.  Foreign users' rows
+go stale on such a replica — point and cell together, always inside
+the true block — and its foreign block interiors stay consistent with
+those rows, so every replica passes its own ``check_invariants``.
+Either way cloaks are *byte-identical* to the in-process deployment's;
+for a ``block_local`` policy the workers' cache counters also sum to
+its one cache's (each key starts at a leaf, so it lives on one worker),
+while no cache evicts.  For every other policy a cut cell above level
+``S`` is reached from several shards' users, so the workers' hit/miss
+splits may differ from the in-process deployment's single cache.
 
 Failure model: the parent's transmit seam feeds every frame — in both
 directions — through an attached
@@ -77,7 +72,7 @@ directions — through an attached
 duplicates, delays, reorders and corrupts the *actual bytes* crossing
 the pipes.  Dropped or corrupted frames retransmit (the worker replays
 from its dedup cache); a worker that dies or hangs past
-``hang_timeout`` is killed, respawned and healed.  One heal path: the
+:data:`HANG_TIMEOUT` is killed, respawned and healed.  One heal path: the
 replacement installs a snapshot of the parent's deployment, which
 already holds every mutation the victim lost — availability degrades
 for the duration, never privacy.
@@ -114,7 +109,7 @@ from repro.messages import ShardEnvelope
 from repro.observability import runtime as _telemetry
 from repro.sharding.replicated import ReplicatedShardedAnonymizer
 from repro.sharding.router import ShardRouter
-from repro.sharding.surface import ShardSurface
+from repro.sharding.surface import CACHE_KEYS, ShardSurface
 from repro.sharding.wire import (
     KIND_NACK,
     KIND_REQUEST,
@@ -167,6 +162,10 @@ _RETRY_LIMIT = 1000
 #: Consecutive heal attempts per exchange before giving up.
 _HEAL_LIMIT = 5
 
+#: Seconds the parent waits for a worker's reply before declaring the
+#: worker hung, killing and healing it.
+HANG_TIMEOUT = 5.0
+
 #: A payload's opcode byte (``b""`` for an empty payload), and the
 #: opcodes whose runs an endpoint coalesces.
 _OPCODE = itemgetter(slice(0, 1))
@@ -190,28 +189,16 @@ class _WorkerConfig:
     cloak_cache_size: int
 
 
-def _build_replica(config: _WorkerConfig, shard: int | None = None) -> Any:
+def _build_replica(config: _WorkerConfig) -> ReplicatedShardedAnonymizer:
     """Build the in-process deployment of ``config.kind`` — what
     ``make_sharded`` returns, what the worker pool's parent keeps and
-    what every worker replicates — via the policy registry: the native
-    partitioned fleet when the policy ships one, else a whole-policy
-    :class:`~repro.sharding.replicated.ReplicatedShardedAnonymizer`
-    tagged with the worker's shard."""
-    spec = get_policy(config.kind)
-    if spec.sharded is not None:
-        return spec.sharded(
-            config.bounds,
-            config.height,
-            config.num_shards,
-            config.cloak_cache_size,
-        )
+    what every worker replicates."""
     return ReplicatedShardedAnonymizer(
-        spec,
+        get_policy(config.kind),
         config.bounds,
         height=config.height,
         num_shards=config.num_shards,
         cloak_cache_size=config.cloak_cache_size,
-        shard=shard,
     )
 
 
@@ -378,11 +365,8 @@ class ShardWorker(FrameEndpoint):
     instead of timing out.
     """
 
-    def __init__(
-        self, config: _WorkerConfig, shard: int, conn: Connection | None
-    ) -> None:
-        super().__init__(_build_replica(config, shard))
-        self.shard = shard
+    def __init__(self, config: _WorkerConfig, conn: Connection | None) -> None:
+        super().__init__(_build_replica(config))
         self._conn = conn
         self._stopping = False
 
@@ -407,8 +391,7 @@ class ShardWorker(FrameEndpoint):
         op = decode_op(payload)
         name = op[0]
         if name == "stats":
-            own = self._replica.cache_stats_per_shard()[str(self.shard)]
-            return response_blob(pickle.dumps(own))
+            return response_blob(pickle.dumps(self._replica.cache_stats()))
         if name == "moves":
             return self._apply_moves(op[1], op[2], op[3])
         if name == "install":
@@ -445,7 +428,7 @@ class ShardWorker(FrameEndpoint):
         return response_ack()
 
 
-def _worker_main(config: _WorkerConfig, shard: int, conn: Connection) -> None:
+def _worker_main(config: _WorkerConfig, conn: Connection) -> None:
     """Process entry point: run one shard worker until shutdown.
 
     Telemetry is the parent's: a forked worker inherits a copy of the
@@ -453,7 +436,7 @@ def _worker_main(config: _WorkerConfig, shard: int, conn: Connection) -> None:
     cloak into a registry nothing can read (a spawned one starts with
     none), so the replica runs with telemetry off either way."""
     _telemetry.disable()
-    ShardWorker(config, shard, conn).run()
+    ShardWorker(config, conn).run()
 
 
 def _mp_context():
@@ -491,7 +474,7 @@ class WorkerPool:
         try:
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(self.config, shard, child_conn),
+                args=(self.config, child_conn),
                 name=f"casper-shard-{shard}",
                 daemon=True,
             )
@@ -571,9 +554,9 @@ class ParallelShardedAnonymizer(ShardSurface):
     occupancy, costs, statistics, ``cell_count`` and snapshots are that
     deployment's answers; cloaks are the workers'.  Seeded operation
     streams produce byte-identical cloaks, costs and maintenance
-    counters to the in-process sharded anonymizers (and hence to the
-    single-pyramid implementations) — see the module docstring for the
-    replication argument, and the ``parallel`` lane of
+    counters to the in-process deployment (and hence to the single
+    policy instance) — see the module docstring for the traffic rule,
+    and the ``parallel`` lane of
     ``tests/test_spec_machine.py`` for the oracle.
     """
 
@@ -584,7 +567,6 @@ class ParallelShardedAnonymizer(ShardSurface):
         num_shards: int = 1,
         kind: str = "basic",
         cloak_cache_size: int = 8192,
-        hang_timeout: float = 5.0,
     ) -> None:
         spec = get_policy(kind)
         if spec.check_height is not None:
@@ -593,10 +575,9 @@ class ParallelShardedAnonymizer(ShardSurface):
         self.kind = kind
         self.grid = CellGrid(bounds, height)
         self.router = ShardRouter(num_shards, height)
-        #: How worker replicas stay consistent (module docstring):
-        #: partitioned when the policy ships a native fleet, else
-        #: broadcast to whole replicas.
-        self._partitioned = spec.sharded is not None
+        #: The traffic rule (module docstring): whether a block-confined
+        #: move goes to its home worker alone.
+        self._block_local = spec.block_local
         self._pending: list[list[bytes]] = [[] for _ in range(num_shards)]
         #: Each shard's open run of applied ``(uid, x, y)`` moves, not
         #: yet packed into its queue (module docstring).
@@ -605,7 +586,6 @@ class ParallelShardedAnonymizer(ShardSurface):
         ]
         self._seq = 0
         self._injector = None
-        self._hang_timeout = hang_timeout
         self._closed = False
         self.worker_crashes = 0
         self.worker_heals = 0
@@ -643,10 +623,6 @@ class ParallelShardedAnonymizer(ShardSurface):
         never serves are counted at the routing seam."""
         return self._live().stats
 
-    @property
-    def num_maintained_cells(self) -> int:
-        return self._live().num_maintained_cells
-
     def shard_occupancy(self) -> list[int]:
         return self._live().shard_occupancy()
 
@@ -654,17 +630,22 @@ class ParallelShardedAnonymizer(ShardSurface):
         return self._live().cell_count(cell)
 
     def cache_stats_per_shard(self) -> dict[str, dict[str, int]]:
-        """Per-worker cloak-cache traffic (each worker's own cache),
-        in the report shape of the in-process deployments: equal to the
-        in-process fleet's for the partitioned kind; for broadcast
-        policies each whole-replica cache sees only its own shard's
-        cloaks, so hit/miss splits (and their :meth:`cache_stats` sum)
-        may differ from the in-process deployment's single cache."""
+        """Cloak-cache traffic per worker, keyed ``"0"``..``"N-1"``,
+        plus the always-zero ``"spine"`` row of the report shape (every
+        cloak starts at a lowest-level cell, which some shard owns).
+        Each worker's cache sees only its own shard's cloaks; the module
+        docstring says when the rows sum to the in-process deployment's
+        :meth:`cache_stats`."""
         self._broadcast(op_stats())
         results = self.flush()
-        return self._shard_rows(
-            {shard: pickle.loads(results[shard][-1]) for shard in results}
-        )
+        rows = {str(shard): pickle.loads(results[shard][-1]) for shard in results}
+        rows["spine"] = dict.fromkeys(CACHE_KEYS, 0)
+        return rows
+
+    def cache_stats(self) -> dict[str, int]:
+        """Aggregate cloak-cache traffic: the per-worker rows, summed."""
+        rows = self.cache_stats_per_shard().values()
+        return {key: sum(row[key] for row in rows) for key in CACHE_KEYS}
 
     # ------------------------------------------------------------------
     # Registration and location updates: the local deployment applies
@@ -711,7 +692,7 @@ class ParallelShardedAnonymizer(ShardSurface):
         old = table.cells[slots]
         applied = moves
         try:
-            costs: list[int] = local.update_batch(moves)
+            costs = local._update_distinct(moves, slots)
         except CasperError:
             applied = moves[: len(table.locate_moves(moves)[0])]
             raise
@@ -723,16 +704,17 @@ class ParallelShardedAnonymizer(ShardSurface):
         self, moves: list[tuple[object, Point]], old: list[int], new: list[int]
     ) -> None:
         """Append applied moves (leaves ``old`` to ``new``, per move) to
-        open runs: every worker's for a broadcast policy or a move that
-        leaves its level-S block (it changes spine / block-root state
-        every replica reads), else its home's alone — even within its
-        cell, the home needs the fresh coordinates for its record."""
+        open runs by the traffic rule (module docstring): every
+        worker's, unless the policy is ``block_local`` and the move
+        stays inside its level-S block — then its home's alone (even
+        within its cell, the home needs the fresh coordinates for its
+        record)."""
         runs, shift = self._runs, self.router.leaf_shift
-        home_of, partitioned = self.router.owner_of_leaf, self._partitioned
+        home_of, block_local = self.router.owner_of_leaf, self._block_local
         for (uid, point), m, n in zip(moves, old, new):
             # Plain atoms: the collector stops tracking a run's rows.
             move = (uid, point.x, point.y)
-            if partitioned and not (m ^ n) >> shift:
+            if block_local and not (m ^ n) >> shift:
                 runs[home_of(m)].append(move)
             else:
                 for run in runs:
@@ -1000,7 +982,7 @@ class ParallelShardedAnonymizer(ShardSurface):
     ) -> Frame:
         """Wait for the reply matching a sent frame, retransmitting
         through injected drops, corruption and NACKs."""
-        deadline = start + self._hang_timeout
+        deadline = start + HANG_TIMEOUT
         while True:
             # (A reply that arrived while another shard's was awaited
             # is read even past the deadline: ``poll(0)`` sees it.)

@@ -7,12 +7,6 @@ driver exercises and the production snapshot formats (the population
 half is the user table's by-value ``TableSnapshot``, built here from
 the record dict), so ``test_reference_equivalence.py`` runs oracle and
 production in lockstep.
-
-:class:`ReferenceBasic` is also the oracle of the partitioned fleet's
-composite cache epochs: built with ``num_shards=N`` it keeps N cloak
-caches and epochs plus the boundary epoch, and bumps them by the
-*cell-set* statement of the rule (:meth:`ReferenceBasic._commit`),
-where production does arithmetic on Morton codes.
 """
 
 from __future__ import annotations
@@ -31,8 +25,6 @@ from repro.anonymizer.soa import TableSnapshot
 from repro.errors import DuplicateUserError, UnknownUserError
 from repro.geometry import Point, Rect
 from repro.morton import morton_of_cell
-from repro.sharding.router import ShardRouter
-from repro.sharding.surface import cache_counters
 
 
 @dataclass
@@ -48,8 +40,7 @@ class _Record:
 
 class _ReferenceHost(PyramidEngine):
     """What both oracles share: a user-record dict (the engine's user
-    table stays empty), one cloak cache and one mutation epoch (the
-    basic oracle adds one of each per extra shard)."""
+    table stays empty), one cloak cache and one mutation epoch."""
 
     def _init_host(self, bounds: Rect, height: int, cloak_cache_size: int) -> None:
         self._init_engine(bounds, height)
@@ -111,88 +102,52 @@ class CompletePyramidMaintainer:
     one root-to-leaf path, or move a user between two lowest-level
     cells by adjusting both branches below their common ancestor.  The
     host supplies ``_apply_cell(cell, delta)`` (one counter + its
-    generation) and ``_commit(touched)`` (the epoch effects of the
-    completed primitive)."""
+    generation) and an ``_epoch`` that each completed primitive
+    bumps."""
 
     def _apply_delta(self, cell: CellId, delta: int) -> None:
         """Register/deregister: one delta along the root-to-leaf path."""
         path = self.grid.path_to_root(cell)
         for ancestor in path:
             self._apply_cell(ancestor, delta)
-        self._commit(path)
+        self._epoch += 1
         self.stats.counter_updates += cell.level + 1
 
     def _apply_branches(self, old: CellId, new: CellId, ancestor_level: int) -> int:
         """Movement: counters change on both branches strictly below the
         common ancestor; returns the counter-update cost."""
-        touched: list[CellId] = []
         cost = 0
         for old_cell, new_cell in branch_pairs(old, new, ancestor_level):
             self._apply_cell(old_cell, -1)
             self._apply_cell(new_cell, +1)
-            touched += (old_cell, new_cell)
             cost += 2
-        self._commit(touched)
+        self._epoch += 1
         return cost
 
 
 class ReferenceBasic(_ReferenceHost, CompletePyramidMaintainer):
     """Complete pyramid as per-level ``(side, side)`` arrays ``[ix, iy]``
-    plus a record dict, maintained by the per-cell walk, with one cloak
-    cache and epoch per shard (``num_shards=1``: the single pyramid)."""
+    plus a record dict, maintained by the per-cell walk."""
 
     label = "basic"
 
-    def __init__(
-        self,
-        bounds: Rect,
-        height: int = 9,
-        cloak_cache_size: int = 8192,
-        num_shards: int = 1,
-    ):
+    def __init__(self, bounds: Rect, height: int = 9, cloak_cache_size: int = 8192):
         self._init_host(bounds, height, cloak_cache_size)
         self._counts = [
             np.zeros((1 << level, 1 << level), dtype=np.int64)
             for level in range(height + 1)
         ]
         self._gens = [np.zeros_like(arr) for arr in self._counts]
-        self.router = ShardRouter(num_shards, height)
-        self._caches = [self.cloak_cache] + [
-            CloakCache(cloak_cache_size) for _ in range(num_shards - 1)
-        ]
-        self._shard_epochs = [0] * num_shards
-        self._boundary_epoch = 0
-
-    def _commit(self, touched: list[CellId]) -> None:
-        """The composite-epoch rule, as a statement about cell sets:
-        bump each shard owning a touched cell at level ``>= S``, and
-        the boundary epoch iff any touched cell has level ``<= S``
-        (block roots included — every cell a cloak starting in another
-        shard can read)."""
-        spine_level = self.router.spine_level
-        for shard in {
-            self.router.shard_of(c) for c in touched if c.level >= spine_level
-        }:
-            self._shard_epochs[shard] += 1
-        if any(c.level <= spine_level for c in touched):
-            self._boundary_epoch += 1
 
     def cloak(self, uid: object):
         record = self._record(uid)
         return self.cloak_location(record.point, record.profile)
 
     def cloak_location(self, point: Point, profile: PrivacyProfile):
-        cell = self.grid.cell_of(point)
-        shard = self.router.shard_of(cell)
         return self._cloak_via(
-            self._caches[shard], self.cell_count, self._gen_of,
-            (self._shard_epochs[shard], self._boundary_epoch), profile, cell,
+            self.cloak_cache, self.cell_count, self._gen_of, self._epoch,
+            profile, self.grid.cell_of(point),
         )
-
-    def cache_stats_per_shard(self) -> dict[str, dict[str, int]]:
-        rows = {str(i): cache_counters(c) for i, c in enumerate(self._caches)}
-        rows["spine"] = dict.fromkeys(rows["0"], 0)
-        return rows
 
     def cell_count(self, cell: CellId) -> int:
         return int(self._counts[cell.level][cell.ix, cell.iy])
@@ -245,10 +200,8 @@ class ReferenceBasic(_ReferenceHost, CompletePyramidMaintainer):
             uid: _Record(profile, point, self.grid.cell_of(point))
             for uid, point, profile in state.population.rows()
         }
-        self._shard_epochs = [epoch + 1 for epoch in self._shard_epochs]
-        self._boundary_epoch += 1
-        for cache in self._caches:
-            cache.clear()
+        self._epoch += 1
+        self.cloak_cache.clear()
 
     def check_invariants(self) -> None:
         for level, counts in enumerate(self._counts[:-1]):

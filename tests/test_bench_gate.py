@@ -33,7 +33,7 @@ def make_report(quick: bool = True, **ratios: float) -> dict:
         report.setdefault(section, {})[key] = base[section]
     for section, key, floor in bench_gate.FLOORS:
         report.setdefault(section, {})[key] = ratios.get(key, 2 * floor)
-    for section in bench_gate.EXACT_TABLES:
+    for section, _keys in bench_gate.EXACT_TABLES:
         report[section]["shards"] = {
             "1": {
                 "cache_hit_rate": 0.75,

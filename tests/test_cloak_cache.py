@@ -172,18 +172,15 @@ def _twins(num_shards, cache_size):
 
 
 def _cloak_state(anonymizer):
-    """Statistics, epochs and every cache's counters, key order and
+    """Statistics, the epoch and the cache's counters, key order and
     entries (region, recorded reads, epoch)."""
-    caches = getattr(anonymizer, "_caches", None) or [anonymizer.cloak_cache]
+    pyramid = getattr(anonymizer, "_inner", anonymizer)
+    cache = pyramid.cloak_cache
     return (
         vars(anonymizer.stats),
-        [getattr(anonymizer, name, None)
-         for name in ("_epoch", "_shard_epochs", "_boundary_epoch")],
-        [
-            (cache_counters(c),
-             [(key, e.region, e.snapshot, e.epoch) for key, e in c._entries.items()])
-            for c in caches
-        ],
+        pyramid._epoch,
+        cache_counters(cache),
+        [(key, e.region, e.snapshot, e.epoch) for key, e in cache._entries.items()],
     )
 
 

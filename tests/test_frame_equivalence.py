@@ -330,8 +330,9 @@ def _position(uid: int, tick: int) -> Point:
 
 def _owed_moves(fleet, old: list[int]) -> list[int]:
     """How many of a tick's moves each worker is owed, by the pool's
-    routing rule: a move that stays in its level-S block to its home,
-    any other to every shard (``old``: the movers' leaves before)."""
+    traffic rule for a ``block_local`` policy: a move that stays in its
+    level-S block to its home, any other to every shard (``old``: the
+    movers' leaves before)."""
     owed = [0] * fleet.num_shards
     for uid, m in enumerate(old):
         n = int(fleet.table.cells[fleet.table.require(uid)])
@@ -406,6 +407,26 @@ def test_a_tick_costs_one_gathered_exchange_per_shard_per_chunk() -> None:
         fleet.close()
 
 
+@pytest.mark.parametrize(
+    ("kind", "envelopes"), [("basic", {"0": 1}), ("adaptive", {"0": 1, "1": 1})]
+)
+def test_a_confined_move_is_shipped_by_the_traffic_rule(kind, envelopes) -> None:
+    """A move inside its level-S block reaches its home worker alone for
+    the ``block_local`` policy, and every worker for any other."""
+    with make_sharded(UNIT, HEIGHT, num_shards=2, kind=kind, parallel=True) as fleet:
+        fleet.register(0, Point(0.1, 0.1), PrivacyProfile(k=1))
+        fleet.flush()
+        with telemetry.enabled() as session:
+            fleet.update(0, Point(0.12, 0.1))
+            fleet.flush()
+    shipped = {
+        dict(metric.labels)["shard"]: metric.sum
+        for metric in session.metrics
+        if metric.name == "casper_worker_batch_envelopes"
+    }
+    assert shipped == envelopes
+
+
 def test_a_tick_reaches_each_worker_as_packed_runs_of_at_most_max_batch() -> None:
     """A tick's moves, queued over several ``update_batch`` calls, reach
     shard ``s`` as exactly ``ceil(n_s / MAX_BATCH)`` envelopes: one
@@ -473,8 +494,8 @@ BATCHES = {
 
 @pytest.mark.parametrize("shards", [2, 4])
 def test_parent_mirror_batch_equals_the_scalar_loop(shards: int) -> None:
-    """For the partitioned fleet and a broadcast replica (``adaptive``,
-    whose batch is the wrapped policy's with homes taken from the rows)."""
+    """For ``basic`` and ``adaptive``: either batch is the wrapped
+    policy's, with homes taken from the rows."""
     for kind in ("basic", "adaptive"):
         fingerprints = []
         for batched in (True, False):

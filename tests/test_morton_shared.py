@@ -4,9 +4,8 @@
 previously copied between ``repro.anonymizer.soa`` and
 ``repro.sharding.router``.  These tests pin the interleave convention
 (``ix`` at even bit positions, ``iy`` at odd) against a straight-loop
-reference, verify every speed tier (vectorized magic masks, 16-bit
-lookup table, pure-int compact) agrees bit for bit, and assert the
-``repro.sharding`` re-exports are the *same* objects.
+reference and verify every speed tier (vectorized magic masks, 16-bit
+lookup table, pure-int compact) agrees bit for bit.
 """
 
 from __future__ import annotations
@@ -84,17 +83,3 @@ def test_rank_and_cell_are_inverses_at_every_level() -> None:
             cell = morton_cell(rank, level)
             assert cell.level == level
             assert morton_rank(cell) == rank
-
-
-def test_old_import_paths_reexport_identically() -> None:
-    from repro import morton
-    from repro.sharding import router
-
-    assert router.morton_rank is morton.morton_rank
-    assert router.morton_cell is morton.morton_cell
-
-    from repro.sharding import morton_cell as pkg_cell
-    from repro.sharding import morton_rank as pkg_rank
-
-    assert pkg_rank is morton.morton_rank
-    assert pkg_cell is morton.morton_cell

@@ -40,7 +40,7 @@ def test_the_stack_emits_every_row_and_nothing_else(emitted) -> None:
         for metric in emitted[name]:
             assert (metric.kind, metric.help) == (row.kind, row.help), name
             keys = {key for key, _value in metric.labels}
-            assert set(row.labels) - row.optional <= keys <= set(row.labels), name
+            assert keys == set(row.labels), name
             if row.kind == "histogram":
                 assert metric.boundaries == row.buckets, name
 

@@ -445,8 +445,7 @@ class TestRuntimeHelpers:
         with rt.enabled() as obs:
             rt.record_cloak("basic", 0.001, 4.0, 2.0, 55, 50)
             rt.record_cloak("basic", 0.002, 1.0, 0.0, 10, 0)
-            rt.count("casper_cloak_cache_events_total", "hit", None)
-            rt.count("casper_cloak_cache_events_total", "hit", 3)
+            rt.count("casper_cloak_cache_events_total", "hit")
             with rt.phase_scope("extension", "public"):
                 rt.observe("casper_candidate_list_size", 12)
             with rt.query_scope("nn_public"):
@@ -464,7 +463,6 @@ class TestRuntimeHelpers:
         assert at("casper_cloak_area_ratio", anonymizer="basic").count == 1
         assert at("casper_cloak_k_ratio", anonymizer="basic").sum == 1.1 + 1.0
         assert at("casper_cloak_cache_events_total", event="hit").value == 1
-        assert at("casper_cloak_cache_events_total", event="hit", shard="3").value == 1
         assert at("casper_candidate_list_size").count == 1
         assert at("casper_batch_requests_total", outcome="deduplicated").value == 6
         assert at("casper_queries_total", query_type="nn_public").value == 1
@@ -505,7 +503,7 @@ class TestRuntimeHelpers:
             with pytest.raises(ValueError):
                 rt.count("casper_shard_ops_total", 0)  # wrong label arity
             with pytest.raises(ValueError):
-                rt.count("casper_shard_ops_total", 0, None)  # not optional
+                rt.count("casper_shard_ops_total", 0, None)  # no label is None
             with pytest.raises(TypeError):
                 rt.observe("casper_shard_ops_total", 1.0, 0, "update")
             with pytest.raises(TelemetryLeakError):

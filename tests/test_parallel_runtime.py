@@ -130,18 +130,17 @@ class TestWorkerPool:
 
         with telemetry.enabled() as outer:
             with telemetry.enabled():
-                _worker_main(_WorkerConfig("basic", UNIT, 4, 2, 64), 0, ClosedPipe())
+                _worker_main(_WorkerConfig("basic", UNIT, 4, 2, 64), ClosedPipe())
             assert telemetry.active() is outer and outer.is_empty
         assert seen == [None]
 
 
 class TestHangDetection:
-    def test_hung_worker_is_declared_dead_and_healed(self) -> None:
-        from repro.sharding.workers import ParallelShardedAnonymizer
+    def test_hung_worker_is_declared_dead_and_healed(self, monkeypatch) -> None:
+        from repro.sharding import workers
 
-        fleet = ParallelShardedAnonymizer(
-            UNIT, height=4, num_shards=2, hang_timeout=0.4
-        )
+        monkeypatch.setattr(workers, "HANG_TIMEOUT", 0.4)
+        fleet = workers.ParallelShardedAnonymizer(UNIT, height=4, num_shards=2)
         try:
             _populate(fleet)
             reference = fleet.cloak(5)
@@ -157,15 +156,16 @@ class TestHangDetection:
             fleet.close()
 
 
-    def test_a_hang_does_not_take_the_gathered_peers_with_it(self) -> None:
+    def test_a_hang_does_not_take_the_gathered_peers_with_it(
+        self, monkeypatch
+    ) -> None:
         """Frames are scattered before any reply is awaited, so worker
         1's reply sits in its pipe for the whole of worker 0's hang
         timeout; it must still be read, not declared late."""
-        from repro.sharding.workers import ParallelShardedAnonymizer
+        from repro.sharding import workers
 
-        fleet = ParallelShardedAnonymizer(
-            UNIT, height=4, num_shards=2, hang_timeout=0.4
-        )
+        monkeypatch.setattr(workers, "HANG_TIMEOUT", 0.4)
+        fleet = workers.ParallelShardedAnonymizer(UNIT, height=4, num_shards=2)
         try:
             _populate(fleet)
             fleet.flush()
@@ -523,7 +523,7 @@ class TestProtocolTable:
 
     @staticmethod
     def _worker() -> ShardWorker:
-        worker = ShardWorker(_WorkerConfig("basic", UNIT, 4, 2, 64), 0, None)
+        worker = ShardWorker(_WorkerConfig("basic", UNIT, 4, 2, 64), None)
         _populate(worker._replica)
         return worker
 

@@ -59,12 +59,13 @@ class TestRegistry:
         spec = get_policy(policy_name)
         assert spec.name == policy_name
         assert callable(spec.single)
-        # Native fleet <=> workers partition; otherwise the broadcast wrapper.
+        # One wrapper in process and on every worker; only the complete
+        # pyramid's cloaks stay inside a user's block.
         config = _WorkerConfig(policy_name, UNIT, HEIGHT, 4, 64)
-        worker = ShardWorker(config, 0, None)
+        worker = ShardWorker(config, None)
         for fleet in (make_sharded(UNIT, HEIGHT, 4, policy_name), worker._replica):
-            broadcast = isinstance(fleet, ReplicatedShardedAnonymizer)
-            assert broadcast is (spec.sharded is None)
+            assert isinstance(fleet, ReplicatedShardedAnonymizer)
+        assert spec.block_local is (policy_name == "basic")
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(ValueError, match="registered policies"):

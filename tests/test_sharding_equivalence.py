@@ -2,10 +2,9 @@
 
 The sharded anonymizers are deployments, not approximations: the
 machine in ``tests/test_spec_machine.py`` drives every policy on one
-instance, the in-process and worker-pool fleets and the scalar
-reference — with, for ``basic``, its cell-set statement of the
-composite cache epochs — and holds cloaks, costs, statistics, per-shard
-cache rows and epochs equal at every step.  What a random walk rarely
+instance, the in-process and worker-pool deployments and the scalar
+reference, and holds cloaks, costs, statistics, cache counters and
+homes equal at every step.  What a random walk rarely
 reaches is pinned here as fixed steps through its lanes, at the shard
 counts where it matters.  The deterministic telemetry stream, which no
 lane compares, keeps its own tests.
@@ -71,32 +70,11 @@ class TestFailingBatchIsTheSequentialLoop:
         assert status == "raised"
 
 
-class TestCompositeEpochOracle:
-    """Production bumps epochs by Morton arithmetic (one bincount per
-    batch); ``ReferenceBasic(num_shards=N)`` by the set of cells each
-    per-cell walk touched — the machine's ``reference_sharded`` lane."""
-
-    STEPS = crowd(8, k=2) + [
-        ("save",),
-        ("update_batch", [(0, Point(0.9, 0.9)), (1, Point(0.1, 0.12)),
-                          (5, Point(0.52, 0.3))]),
-        ("cloak", 0), ("cloak", 5), ("update", 2, Point(0.26, 0.74)),
-        ("register", 9, Point(0.51, 0.49), PrivacyProfile(3)), ("cloak", 9),
-        ("deregister", 3), ("cloak", 1), ("reload",), ("cloak", 0),
-        ("update_batch", [(u, Point(0.05 + u / 10, 0.95 - u / 10)) for u in range(8)]),
-        ("cloak_many", list(range(8)), STAND_IN),
-    ]
-
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_lockstep(self, num_shards) -> None:
-        replay("basic", self.STEPS, shards=num_shards)
-
-
 class TestCrossBoundaryEscalation:
     """At 4 shards and height 5 the spine level is 1, so the seam between
     blocks (1,0,0) and (1,1,0) is the x=0.5 line.  A cloak that starts
     next to it and must escalate to the spine reads counts other shards
-    own — the path a stale boundary cache or a missed spine update would
+    own — the path a stale cache entry or a missed spine update would
     corrupt."""
 
     WEST = [Point(0.46, 0.20), Point(0.48, 0.30), Point(0.49, 0.10)]
@@ -161,9 +139,9 @@ class TestSloCountersMatch:
         assert all(stream == streams[0] for stream in streams[1:])
 
     def test_update_batch_records_the_scalar_loops_shard_telemetry(self) -> None:
-        """One code path whether or not telemetry is on: a batch (the
-        bincount form of the epoch rule) records the scalar loop's
-        per-(shard, op) counts and occupancy gauges."""
+        """One code path whether or not telemetry is on: a batch
+        records the scalar loop's per-(shard, op) counts and occupancy
+        gauges — one ``update`` per applied move."""
         moves = [(i, Point(i * 7 % 12 / 12 + 0.03, i * 5 % 12 / 12 + 0.04))
                  for i in range(12)]
         streams = []

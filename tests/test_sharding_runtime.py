@@ -1,5 +1,5 @@
-"""Sharded runtime state management: fleet snapshots, replica audits,
-and the ``Casper`` routing seam."""
+"""Sharded runtime state management: snapshots, replica audits, and
+the ``Casper`` routing seam."""
 
 from __future__ import annotations
 
@@ -9,13 +9,8 @@ import pytest
 from repro.anonymizer import BasicAnonymizer, PrivacyProfile
 from repro.errors import UnknownUserError
 from repro.geometry import Point
-from repro.morton import morton_rank
 from repro.server import Casper
-from repro.sharding import (
-    ReplicatedShardedAnonymizer,
-    ShardedBasicAnonymizer,
-    make_sharded,
-)
+from repro.sharding import ReplicatedShardedAnonymizer, make_sharded
 from tests.conftest import UNIT
 from tests.test_spec_machine import crowd, replay
 
@@ -86,12 +81,13 @@ class TestFleetSnapshot:
 
 
 class TestReplicaAudit:
-    """A partition-mode worker sees every broadcast op but only its own
-    confined moves, so foreign users' rows go stale — point and cell
-    together, inside their true block.  Such a replica is still a
-    self-consistent fleet: it passes the same ``check_invariants`` the
-    in-process fleet does (which is what the ``check`` op runs), serves
-    exact answers for its own shard — and the audit can still fail."""
+    """A worker's replica of a ``block_local`` policy sees every
+    broadcast op but only its own confined moves, so foreign users' rows
+    go stale — point and cell together, inside their true block.  The
+    wrapped pyramid is still self-consistent: it passes the same
+    ``check_invariants`` the in-process deployment does (which is what
+    the ``check`` op runs), serves exact answers for its own shard — and
+    the audit can still fail."""
 
     NUM_SHARDS = 4
     SHARD = 0
@@ -139,8 +135,11 @@ class TestReplicaAudit:
     def test_each_corruption_is_caught(self) -> None:
         _truth, replica = self._replica_fed_like_worker_zero()
         router = replica.router
-        own = [morton_rank(block) for block in router.blocks_of(self.SHARD)]
-        counts = replica._soa.counts
+        own = [
+            rank for rank in range(router.num_blocks)
+            if router.owner_of_leaf(rank << router.leaf_shift) == self.SHARD
+        ]
+        counts = replica._inner._soa.counts
         corruptions = {
             "own-slice count": (HEIGHT, own[0] << router.leaf_shift),
             "foreign block root": (router.spine_level, own[-1] + 1),
@@ -174,12 +173,9 @@ class TestReplicaAudit:
 
 class TestCasperSeam:
     def test_shards_parameter_builds_a_sharded_fleet(self) -> None:
-        for kind, cls in (
-            ("basic", ShardedBasicAnonymizer),
-            ("adaptive", ReplicatedShardedAnonymizer),
-        ):
+        for kind in ("basic", "adaptive"):
             casper = Casper(UNIT, pyramid_height=HEIGHT, anonymizer=kind, shards=4)
-            assert isinstance(casper.anonymizer, cls)
+            assert isinstance(casper.anonymizer, ReplicatedShardedAnonymizer)
             assert casper.num_shards == 4
 
     def test_default_is_unsharded(self) -> None:

@@ -8,15 +8,14 @@ without a stand-in) / ``cloak_location``, snapshot / restore,
 (``tests/spec.py``) and, at once, on these lanes: ``single``;
 ``telemetry`` (every call in its own ``enabled()`` session);
 ``sharded`` / ``parallel`` (``make_sharded(…, 4)`` in-process and over
-worker processes); ``reference`` (``tests/reference_pyramid.py``) and,
-for ``basic``, ``reference_sharded`` (its composite-epoch statement).
+worker processes); ``reference`` (``tests/reference_pyramid.py``).
 :class:`FacadeMachine` adds targets, ``update_locations`` and the six
 query kinds through ``Casper`` at shards 1 with the R-tree (under
 telemetry), shards 4 with ``BruteForceIndex`` and shards 4 over workers.
 
 After every step every lane shows the spec's population and passes
-``check_invariants()``; statistics, cache counters, per-shard cache
-rows, homes and epochs agree across lanes (but :data:`EXCEPTIONS`); a
+``check_invariants()``; statistics, cache counters and homes agree
+across lanes (but :data:`EXCEPTIONS`); a
 refused call raised the spec's typed error and left every lane as it
 was; every cloak contains its user, meets ``(k, A_min)`` with the k'
 the spec counts and is Algorithm 1's from the leaf (``basic``) or an
@@ -67,24 +66,22 @@ REFERENCES = {"basic": ReferenceBasic, "adaptive": ReferenceAdaptive}
 
 #: The cross-lane comparisons that do not hold, as data: the lane and
 #: counters they excuse, and the docstring sentence that says why.
-#: ``broadcast`` holds for every policy without a native fleet,
+#: ``broadcast`` holds for every policy that is not ``block_local``,
 #: ``healed`` from the first worker crash on.
 EXCEPTIONS = {
     "broadcast": (
-        "parallel", ("cache", "rows"),
-        "ParallelShardedAnonymizer.cache_stats_per_shard: for broadcast "
-        "policies each whole-replica cache sees only its own shard's "
-        "cloaks, so hit/miss splits (and their cache_stats sum) may differ "
-        "from the in-process deployment's single cache.",
+        "parallel", ("cache",),
+        "repro.sharding.workers: For every other policy a cut cell above "
+        "level ``S`` is reached from several shards' users, so the workers' "
+        "hit/miss splits may differ from the in-process deployment's "
+        "single cache.",
     ),
     "healed": (
-        "parallel", ("cache", "rows"),
+        "parallel", ("cache",),
         "ParallelShardedAnonymizer.crash_worker: The replacement is a fresh "
         "process, so its cloak cache counters restart at zero.",
     ),
 }
-#: The lanes whose per-shard cache rows are over the same shards.
-SHARD_ROWS = ("sharded", "parallel", "reference_sharded")
 
 
 class Observed:
@@ -117,8 +114,6 @@ def _anonymizer_lanes(policy: str, shards: int, index: object) -> dict:
     }
     if policy in REFERENCES:
         lanes["reference"] = lambda: REFERENCES[policy](UNIT, HEIGHT)
-    if policy == "basic":
-        lanes["reference_sharded"] = lambda: ReferenceBasic(UNIT, HEIGHT, 8192, shards)
     return lanes
 
 
@@ -215,9 +210,6 @@ def cache_totals(anon: object) -> dict[str, int]:
     """A lane's cloak-cache counters, summed over its caches."""
     if hasattr(anon, "cache_stats"):
         return anon.cache_stats()
-    if hasattr(anon, "cache_stats_per_shard"):
-        rows = anon.cache_stats_per_shard().values()
-        return {key: sum(row[key] for row in rows) for key in CACHE_KEYS}
     cache = getattr(anon, "cloak_cache", None)
     return cache_counters(cache) if cache is not None else dict.fromkeys(CACHE_KEYS, 0)
 
@@ -226,7 +218,6 @@ def cache_totals(anon: object) -> dict[str, int]:
 COUNTERS = {
     "stats": lambda anon: dataclasses.asdict(anon.stats),
     "cache": cache_totals,
-    "rows": lambda anon: anon.cache_stats_per_shard(),
 }
 
 
@@ -256,7 +247,7 @@ class Lanes:
         except BaseException:
             self.close()
             raise
-        self.excused = set() if get_policy(policy).sharded else {"broadcast"}
+        self.excused = set() if get_policy(policy).block_local else {"broadcast"}
 
     def close(self) -> None:
         for lane in self.lanes.values():
@@ -410,7 +401,7 @@ class Lanes:
         anon = self.anonymizer(lane)
         return {
             what: read(anon) for what, read in COUNTERS.items()
-            if (lane, what) not in excused and (what != "rows" or lane in SHARD_ROWS)
+            if (lane, what) not in excused
         }
 
     def check(self) -> None:
@@ -437,10 +428,6 @@ class Lanes:
         for what in COUNTERS:
             kept = {repr(tally[what]) for tally in tallies.values() if what in tally}
             assert len(kept) <= 1, (what, tallies)
-        if {"sharded", "reference_sharded"} <= self.lanes.keys():
-            fleet, oracle = self.lanes["sharded"], self.lanes["reference_sharded"]
-            assert (fleet._shard_epochs, fleet._boundary_epoch) == (
-                oracle._shard_epochs, oracle._boundary_epoch)
         if self.facade:
             targets = {oid: Rect.point(p) for oid, p in spec.targets.items()}
             stored = []
