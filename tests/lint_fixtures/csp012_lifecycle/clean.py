@@ -30,3 +30,12 @@ def guarded():
 def handed_off(addr):
     sock = socket.create_connection(addr)
     return wrap(sock)  # ownership moved to the wrapper
+
+
+def quiet_gap(addr):
+    sock = socket.create_connection(addr)
+    n = 3  # cannot raise: the try below still owns sock in time
+    try:
+        sock.sendall(b"x" * n)
+    finally:
+        sock.close()

@@ -84,6 +84,7 @@ CASES = [
     ("csp011_boundary/bad_inside.py", "CSP011", 2),
     ("csp011_boundary/clean.py", "CSP011", 0),
     ("csp012_lifecycle/bad.py", "CSP012", 3),
+    ("csp012_lifecycle/bad_paths.py", "CSP012", 8),
     ("csp012_lifecycle/clean.py", "CSP012", 0),
     ("csp014_policy/bad.py", "CSP014", 4),
     ("csp014_policy/clean.py", "CSP014", 0),
