@@ -1,8 +1,8 @@
 """casperlint configuration.
 
-Defaults encode this repository's architecture; everything is
-overridable from ``[tool.casperlint]`` in ``pyproject.toml`` and (for
-severities and rule selection) from the command line.  The zone model:
+The defaults are this repository's zone model, stated once here; a
+``[tool.casperlint]`` table in ``pyproject.toml`` may override it, and
+the command line may override severities and rule selection.
 
 ``untrusted_packages``
     Modules on the *server side* of the paper's Figure 1 boundary.
@@ -10,18 +10,24 @@ severities and rule selection) from the command line.  The zone model:
     import path that reaches exact user locations.
 
 ``tainted_packages``
-    Packages whose modules hold or generate exact user locations
-    (trusted-side code and workload/mobility generators).
+    Packages whose modules hold or generate exact user locations:
+    trusted-side code, workload/mobility generators, the resilience
+    runtime (anonymizer state and update messages), the sharding
+    runtime (its worker frames carry exact coordinates) and
+    ``repro.messages`` (``LocationUpdate``).
 
 ``safe_imports``
     Name-level exceptions: values that are safe to move across the
-    boundary (the cloaked-region record itself, the public privacy
-    profile).  ``from repro.anonymizer import CloakedRegion`` is the
-    sanctioned channel of the whole architecture.
+    boundary (the cloaked-region record, the public privacy profile,
+    the answer record ``PrivateQueryResult``).
 
 ``deterministic_packages``
     Modules whose output must be byte-identical across runs; CSP002
-    forbids wall-clock and unseeded/global randomness there.
+    forbids wall-clock and unseeded/global randomness there.  Server
+    and continuous layers time themselves through
+    ``utils.timer.monotonic``; fault injection is a pure function of
+    its seed; sharding reads the clock for timeouts only; the pyramid
+    kernels are compared bit-for-bit with ``tests/reference_pyramid.py``.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ def _default_safe_imports() -> dict[str, frozenset[str]]:
         "repro.anonymizer": frozenset(
             {"CloakedRegion", "PrivacyProfile", "AnonymizerStats", "TelemetryExport"}
         ),
+        "repro.messages": frozenset({"PrivateQueryResult"}),
     }
 
 
@@ -61,6 +68,9 @@ class LintConfig:
         "repro.anonymizer",
         "repro.workloads",
         "repro.mobility",
+        "repro.resilience",
+        "repro.sharding",
+        "repro.messages",
     )
     safe_imports: dict[str, frozenset[str]] = field(
         default_factory=_default_safe_imports
@@ -68,8 +78,13 @@ class LintConfig:
 
     # CSP002 determinism ------------------------------------------------
     deterministic_packages: tuple[str, ...] = (
+        "repro.anonymizer",
+        "repro.continuous",
         "repro.evaluation",
         "repro.mobility",
+        "repro.resilience",
+        "repro.server",
+        "repro.sharding",
         "repro.workloads",
         "tools",
     )

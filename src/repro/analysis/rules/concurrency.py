@@ -17,9 +17,16 @@ any ``async def`` in the project:
   transitively (typed receiver resolution through the dataflow layer:
   an attribute call only resolves when the receiver's class is
   determinable from ``self``, an annotation, or a constructor
-  assignment), so hiding a ``conn.recv_bytes()`` two calls deep does
-  not evade the rule, but ``server.close()`` on an asyncio server does
-  not get blamed for some unrelated class's blocking ``close()``.
+  assignment), so ``server.close()`` on an asyncio server does not get
+  blamed for some unrelated class's blocking ``close()``.
+
+The resolution has a blind spot: it follows names and calls, not
+attributes, so a receiver such as ``self._replica`` resolves to
+nothing and a blocking call behind it goes unseen.  The front door's
+``_handle`` runs ``FrameEndpoint.step`` synchronously on its loop (the
+door serialises connections by design), and the summaries mark neither
+blocking; they do mark ``ParallelShardedAnonymizer.cloak_many``
+(through ``_receive`` -> ``.poll()``).
 
 ``await``-wrapped calls are exempt by construction (awaiting an
 ``asyncio`` primitive is the fix, not the bug).

@@ -1,36 +1,35 @@
-"""CSP012 — spawned processes/sockets/pipes released on every CFG path.
+"""CSP012 — spawned processes/sockets/pipes released on every path.
 
 The static twin of the conftest orphan-worker guard: the test suite
 fails a session that leaves a ``casper-shard-*`` process behind, and
-this rule fails the *lint* run on any code path that could produce
-one.  For every local acquisition of an OS-backed resource::
+this rule fails the *lint* run on any path that could produce one.
+For every local acquisition of an OS-backed resource::
 
     parent_conn, child_conn = ctx.Pipe()
     sock = socket.socket(...)
     proc = subprocess.Popen([...])
 
-the rule builds the function's CFG (:mod:`repro.analysis.cfg`) and
-walks every path from the acquisition, *including exception edges*.
-A path that reaches the function exit without one of:
+the rule reads the suite that follows it.  Statements that cannot raise
+or leave the suite (``n = 3``; a release of an acquired name) are
+skipped; the next statement must take ownership of each acquired name:
 
-* a release call on the name (``.close()``/``.kill()``/
-  ``.terminate()``/``.shutdown()``/``.release()``/``.join()``),
-* a ``with`` block over the name (context managers release on all
-  paths by construction),
-* an *escape* — the name is stored on an attribute/subscript, returned,
-  yielded, or passed to another call (ownership moved, the local is no
-  longer responsible),
-* a rebind of the name,
+* a ``with`` over the name;
+* a release call on it (``.close()``/``.kill()``/``.join()``/...);
+* a *hand-off*: the name is stored on an attribute or subscript,
+  returned, or passed to a call;
+* a ``try`` whose ``finally`` releases it by these same rules;
+* a ``try`` guarded by a catch-all handler (``except:`` / ``except
+  BaseException:``) that releases it before anything else can raise
+  and ends in ``raise``.  Python sends an exception raised in an
+  ``else:`` or in a handler outward, past the handlers, so the guarded
+  ``try`` has no ``else:`` and its body leaves early only after a
+  hand-off; a name the body did not hand off is still held after the
+  ``try``, and the check goes on from the next statement.
 
-is a finding: an exception (or early return) on that path leaks the
-file descriptor or child process.  The fix the message asks for is the
-one the runtime uses: release in a ``finally`` (or ``except
-BaseException: ... raise``) or hold the resource in a context manager.
-
-``Process(...)`` constructors are *not* acquisitions (the OS resource
-exists only after ``.start()``, and a failed ``start`` is surfaced by
-the pipe the process was wired to); ``Popen`` spawns in its
-constructor, so it is.
+Anything else (a statement that can raise, an early exit, the end of
+the suite) while the name is held is a finding.  ``Process(...)`` is
+*not* an acquisition (the OS resource exists only after ``.start()``);
+``Popen`` spawns in its constructor, so it is.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable, Iterator
 
-from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.config import LintConfig
 from repro.analysis.core import ModuleInfo, Project, RawFinding, Rule, register_rule
 from repro.analysis.dataflow import terminal_name
@@ -47,112 +45,145 @@ __all__ = ["ResourceLifecycleRule"]
 
 #: Terminal call names whose result owns an OS resource.
 _ACQUIRERS = frozenset(
-    {
-        "Pipe",
-        "Popen",
-        "socket",
-        "socketpair",
-        "create_connection",
-        "create_server",
-        "open_connection",
-        "SimpleQueue",
-    }
+    {"Pipe", "Popen", "socket", "socketpair", "create_connection",
+     "create_server", "open_connection", "SimpleQueue"}
 )
 
 #: Method calls that release the resource held by a name.
-_RELEASERS = frozenset(
-    {"close", "kill", "terminate", "shutdown", "release", "join"}
+_RELEASERS = frozenset({"close", "kill", "terminate", "shutdown", "release", "join"})
+
+#: Nodes that run user code or leave the suite: a statement holding
+#: none of them cannot raise, so it needs not own anything.
+_LOUD = (
+    ast.Call, ast.Attribute, ast.Subscript, ast.BinOp, ast.Compare,
+    ast.AugAssign, ast.FormattedValue, ast.comprehension, ast.For,
+    ast.AsyncFor, ast.With, ast.AsyncWith, ast.Match, ast.Await,
+    ast.Yield, ast.YieldFrom, ast.Import, ast.ImportFrom, ast.Assert,
+    ast.Raise, ast.Return, ast.Break, ast.Continue,
 )
+
+#: Nodes that leave a ``try`` body without raising.
+_EXITS = (ast.Return, ast.Break, ast.Continue)
+
+_ASSIGNS = (ast.Assign, ast.AnnAssign, ast.AugAssign)
+
+
+def _targets(stmt: ast.Assign | ast.AnnAssign | ast.AugAssign) -> list[ast.expr]:
+    return stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
 
 
 def _acquired_names(stmt: ast.stmt) -> list[str]:
     """Local names bound to a fresh resource by this statement."""
-    if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+    if not (
+        isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        and isinstance(stmt.value, ast.Call)
+        and terminal_name(stmt.value.func) in _ACQUIRERS
+    ):
         return []
-    value = stmt.value
-    if value is None or not isinstance(value, ast.Call):
-        return []
-    if terminal_name(value.func) not in _ACQUIRERS:
-        return []
-    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-    names: list[str] = []
-    for target in targets:
-        if isinstance(target, ast.Name):
-            names.append(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                if isinstance(element, ast.Name):
-                    names.append(element.id)
-    return names
+    return [
+        element.id
+        for target in _targets(stmt)
+        for element in (
+            target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]
+        )
+        if isinstance(element, ast.Name)
+    ]
 
 
-def _mentions_name(node: ast.AST, name: str) -> bool:
+def _mentions(node: ast.AST, name: str) -> bool:
+    return any(isinstance(sub, ast.Name) and sub.id == name for sub in ast.walk(node))
+
+
+def _released(stmt: ast.stmt) -> str | None:
+    """The name a ``name.close()``-style statement releases."""
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+        func = stmt.value.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in _RELEASERS
+            and isinstance(func.value, ast.Name)
+        ):
+            return func.value.id
+    return None
+
+
+def _quiet(stmt: ast.stmt, acquired: frozenset[str]) -> bool:
+    """Cannot raise or leave the suite (a release counts as quiet)."""
+    if _released(stmt) in acquired:
+        return True
+    return not any(isinstance(sub, _LOUD) for sub in ast.walk(stmt))
+
+
+def _takes(stmt: ast.stmt, name: str) -> bool:
+    """A simple statement that releases ``name`` or hands it off."""
+    if _released(stmt) == name:
+        return True
+    if not isinstance(stmt, (ast.Return, ast.Expr, *_ASSIGNS)) or stmt.value is None:
+        return False
+    if isinstance(stmt, ast.Return):
+        return _mentions(stmt.value, name)
+    if isinstance(stmt, _ASSIGNS) and _mentions(stmt.value, name):
+        if any(isinstance(t, (ast.Attribute, ast.Subscript)) for t in _targets(stmt)):
+            return True
     return any(
-        isinstance(sub, ast.Name) and sub.id == name
-        for sub in ast.walk(node)
+        isinstance(sub, ast.Call)
+        and any(
+            _mentions(arg, name)
+            for arg in (*sub.args, *(kw.value for kw in sub.keywords))
+        )
+        for sub in ast.walk(stmt.value)
     )
 
 
-def _releases(node: ast.AST, name: str) -> bool:
-    """Does this statement/header release ``name`` on this block?"""
-    for sub in ast.walk(node):
-        if (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Attribute)
-            and sub.func.attr in _RELEASERS
-            and isinstance(sub.func.value, ast.Name)
-            and sub.func.value.id == name
-        ):
-            return True
-    return False
-
-
-def _escapes(node: ast.AST, name: str) -> bool:
-    """Ownership of ``name`` moves elsewhere in this statement."""
-    if isinstance(node, ast.Return):
-        return node.value is not None and _mentions_name(node.value, name)
-    if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-        targets = (
-            node.targets
-            if isinstance(node, ast.Assign)
-            else [node.target]
+def _guards(stmt: ast.Try, name: str, acquired: frozenset[str]) -> bool:
+    """Every handler releases ``name`` first and re-raises, one catches
+    everything, and no ``else:`` runs outside them."""
+    return (
+        not stmt.orelse
+        and any(
+            h.type is None or terminal_name(h.type) == "BaseException"
+            for h in stmt.handlers
         )
-        value = getattr(node, "value", None)
-        if value is not None and _mentions_name(value, name):
-            for target in targets:
-                if isinstance(target, (ast.Attribute, ast.Subscript)):
-                    return True  # stored on self/container: owner changed
-                if isinstance(target, ast.Name) and target.id == name:
-                    return True  # rebound
-            # also: tuple targets rebinding the same name
-            for target in targets:
-                if isinstance(target, (ast.Tuple, ast.List)) and any(
-                    isinstance(e, ast.Name) and e.id == name
-                    for e in target.elts
-                ):
-                    return True
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Yield) or isinstance(sub, ast.YieldFrom):
-            return True  # generator frames outlive this analysis
-        if isinstance(sub, ast.Call):
-            receiver_release = (
-                isinstance(sub.func, ast.Attribute)
-                and isinstance(sub.func.value, ast.Name)
-                and sub.func.value.id == name
-            )
-            if receiver_release:
-                continue  # method call *on* the resource is not an escape
-            for arg in [*sub.args, *(kw.value for kw in sub.keywords)]:
-                if _mentions_name(arg, name):
-                    return True  # handed to another owner
-    if isinstance(node, (ast.With, ast.AsyncWith)):
-        return True
-    return False
+        and all(
+            isinstance(h.body[-1], ast.Raise) and not _leaks(h.body, name, acquired)
+            for h in stmt.handlers
+        )
+    )
 
 
-def _with_covers(header: ast.expr | None, name: str) -> bool:
-    """A ``with name`` / ``with f(name)`` header manages the resource."""
-    return header is not None and _mentions_name(header, name)
+def _leaks(suite: list[ast.stmt], name: str, acquired: frozenset[str]) -> bool:
+    """Can ``name``, held when ``suite`` starts, leave it unreleased?"""
+    for index, stmt in enumerate(suite):
+        if _takes(stmt, name):
+            return False
+        if _quiet(stmt, acquired):
+            continue
+        if isinstance(stmt, (ast.With, ast.AsyncWith)):
+            return not any(_mentions(item.context_expr, name) for item in stmt.items)
+        if not isinstance(stmt, ast.Try):
+            return True
+        if stmt.finalbody and not _leaks(stmt.finalbody, name, acquired):
+            return False
+        if not _guards(stmt, name, acquired):
+            return True
+        for inner in stmt.body:
+            if _takes(inner, name):
+                return False
+            if any(isinstance(sub, _EXITS) for sub in ast.walk(inner)):
+                return True
+        return _leaks([*stmt.finalbody, *suite[index + 1 :]], name, acquired)
+    return True
+
+
+def _suites(node: ast.AST, local: bool = False) -> Iterator[list[ast.stmt]]:
+    """Every statement list under ``node`` that runs in a function."""
+    local = local or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    for _, value in ast.iter_fields(node):
+        if local and isinstance(value, list) and value:
+            if isinstance(value[0], ast.stmt):
+                yield value
+    for child in ast.iter_child_nodes(node):
+        yield from _suites(child, local)
 
 
 @register_rule
@@ -161,112 +192,28 @@ class ResourceLifecycleRule(Rule):
     name = "resource-lifecycle"
     description = (
         "every locally-acquired process/socket/pipe must be released on "
-        "all control-flow paths (finally/context manager), including "
-        "exception paths"
+        "all paths (finally/context manager), including exception paths"
     )
     default_severity = "error"
 
     def check(
         self, module: ModuleInfo, project: Project, config: LintConfig
     ) -> Iterable[RawFinding]:
-        for func in ast.walk(module.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            # cheap gate before building a CFG
-            if not any(
-                isinstance(node, ast.Call)
-                and terminal_name(node.func) in _ACQUIRERS
-                for node in ast.walk(func)
-            ):
-                continue
-            yield from self._check_function(func)
-
-    def _check_function(
-        self, func: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[RawFinding]:
-        cfg = build_cfg(func)
-        for block in list(cfg.blocks.values()):
-            if block.stmt is None:
-                continue
-            for name in _acquired_names(block.stmt):
-                if self._leaks(cfg, block.index, block.stmt, name):
-                    yield RawFinding.at(
-                        block.stmt,
-                        f"{name!r} acquired here may never be released: "
-                        "an exception/early-return path reaches the "
-                        "function exit without .close()/.kill() — "
-                        "release it in a finally block or hold it in a "
-                        "context manager",
-                    )
-
-    def _leaks(
-        self, cfg: CFG, start: int, acquisition: ast.stmt, name: str
-    ) -> bool:
-        """Can exit be reached from the acquisition without a release?
-
-        The acquisition block's own exception edge is not a leak (the
-        constructor failed — nothing was acquired), so the walk starts
-        at the *successors* and prunes the acquisition's exception
-        target unless it is also reachable another way.
-        """
-        seen: set[int] = set()
-        stack = [
-            succ
-            for succ in cfg.blocks[start].successors
-            if self._normal_successor(cfg, start, succ, acquisition)
-        ]
-        while stack:
-            index = stack.pop()
-            if index in seen:
-                continue
-            seen.add(index)
-            if index == cfg.exit:
-                return True
-            block = cfg.blocks[index]
-            node = block.node
-            if node is not None:
-                if block.header is not None and _with_covers(
-                    block.header, name
-                ):
-                    continue  # context manager owns it from here
-                if _releases(node, name) or _escapes(node, name):
-                    continue
-                if self._rebinds(node, name):
-                    continue
-            stack.extend(block.successors)
-        return False
-
-    @staticmethod
-    def _normal_successor(
-        cfg: CFG, start: int, succ: int, acquisition: ast.stmt
-    ) -> bool:
-        """Filter the acquisition statement's own exception edge."""
-        # the exception edge is the successor that is also the innermost
-        # exception target; a failed constructor acquired nothing.  We
-        # approximate: keep every successor that is not *only* reachable
-        # as an exception target, i.e. drop successors that are try
-        # dispatch blocks or the exit when another successor exists.
-        block = cfg.blocks[succ]
-        if succ == cfg.exit and len(cfg.blocks[start].successors) > 1:
-            return False
-        if (
-            block.stmt is None
-            and block.header is None
-            and succ not in (cfg.entry, cfg.exit)
-            and len(cfg.blocks[start].successors) > 1
+        if not any(
+            isinstance(node, ast.Call) and terminal_name(node.func) in _ACQUIRERS
+            for node in ast.walk(module.tree)
         ):
-            return False  # synthetic try-dispatch reached by raising
-        return True
-
-    @staticmethod
-    def _rebinds(node: ast.AST, name: str) -> bool:
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = (
-                node.targets
-                if isinstance(node, ast.Assign)
-                else [node.target]
-            )
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    return True
-        return False
+            return  # cheap gate before reading suites
+        for suite in _suites(module.tree):
+            for index, stmt in enumerate(suite):
+                acquired = frozenset(_acquired_names(stmt))
+                for name in sorted(acquired):
+                    if _leaks(suite[index + 1 :], name, acquired):
+                        yield RawFinding.at(
+                            stmt,
+                            f"{name!r} acquired here may never be released: "
+                            "an exception/early-return path leaves the "
+                            "function without .close()/.kill() — release it "
+                            "in a finally block or hold it in a context "
+                            "manager (see WorkerPool.spawn)",
+                        )

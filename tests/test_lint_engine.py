@@ -182,6 +182,11 @@ def test_config_from_pyproject(tmp_path: Path) -> None:
     assert config.safe_imports == {"x.anon": frozenset({"Cloak"})}
 
 
+def test_repo_zone_model_is_the_default() -> None:
+    """The zone model is stated once: the repo's pyproject restates none."""
+    assert LintConfig.from_pyproject(REPO_ROOT) == LintConfig()
+
+
 def test_severity_override_changes_exit_behaviour() -> None:
     project = Project()
     project.add_virtual_module("sim.mod", "def f(x=[]):\n    return x\n")

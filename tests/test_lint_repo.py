@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import Finding, LintConfig, LintResult, Project, run_lint
+from repro.analysis.dataflow import analyze_project
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,6 +74,19 @@ def test_repo_is_clean_under_the_dataflow_rules(clean_tree) -> None:
     assert not [f for f in result.findings if f.rule in DATAFLOW_RULES]
     assert DATAFLOW_RULES <= set(result.rules_run)
     assert "repro.sharding.workers" in project.modules
+
+
+def test_worker_pool_cloak_many_summary_is_blocking(clean_tree) -> None:
+    """The call summaries' true positive on the tree: the pool's
+    ``cloak_many`` blocks through ``_receive`` -> ``.poll()``, so an
+    ``async def`` calling it on a typed receiver trips CSP010."""
+    project, _result = clean_tree
+    flow = analyze_project(project, repo_config())
+    record = flow.functions[
+        "repro.sharding.workers:ParallelShardedAnonymizer.cloak_many"
+    ]
+    assert record.blocking
+    assert record.blocking_reason.endswith("_receive() which calls .poll()")
 
 
 def test_facade_suppression_is_justified_and_unique(clean_tree) -> None:
