@@ -90,7 +90,7 @@ import multiprocessing
 import pickle
 import time
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from multiprocessing.connection import Connection
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
@@ -105,7 +105,6 @@ from repro.anonymizer.soa import UserTable, points_in_rect
 from repro.anonymizer.stats import MaintenanceStats
 from repro.errors import CasperError, ProfileUnsatisfiableError
 from repro.geometry import Point, Rect
-from repro.messages import ShardEnvelope
 from repro.observability import runtime as _telemetry
 from repro.sharding.replicated import ReplicatedShardedAnonymizer
 from repro.sharding.router import ShardRouter
@@ -240,17 +239,14 @@ class FrameEndpoint:
             if frame.seq < self._last_seq:
                 return None
         replies: list[bytes] = []
-        payloads = [envelope.payload for envelope in frame.envelopes]
+        payloads = [payload for _shard, payload in frame.envelopes]
         for opcode, run in groupby(payloads, key=_OPCODE):
             replies += self._run(opcode, list(run))
         self._last_seq = frame.seq
         self._last_reply = encode_frame(
             KIND_RESPONSE,
             frame.seq,
-            [
-                ShardEnvelope(envelope.shard, reply)
-                for envelope, reply in zip(frame.envelopes, replies)
-            ],
+            zip([shard for shard, _payload in frame.envelopes], replies),
         )
         return self._last_reply
 
@@ -265,33 +261,34 @@ class FrameEndpoint:
         if batch is None:
             return [self.execute(payload) for payload in payloads]
         replies: list[bytes] = []
-        stretch: list[tuple] = []
-        for payload in payloads:
-            args = self._accepted(payload)
-            if args is None:
-                replies += self._guarded(batch, stretch) + [self.execute(payload)]
-                stretch = []
+        accepted = zip(self._accepted(payloads), payloads)
+        for refused, stretch in groupby(accepted, key=lambda pair: pair[0] is None):
+            if refused:
+                replies += [self.execute(payload) for _none, payload in stretch]
             else:
-                stretch.append(args)
-        return replies + self._guarded(batch, stretch)
+                replies += self._guarded(batch, [args for args, _ in stretch])
+        return replies
 
-    def _accepted(self, payload: bytes) -> tuple | None:
-        """``(uid, point)`` of a move / ``(uid,)`` of a cloak the
-        replica will accept; ``None`` for one it would refuse (unknown
-        uid, point outside the service area, undecodable payload).
-        Neither op changes who is registered, so the answer holds for
-        the whole run."""
-        try:
-            _name, uid, *rest = decode_op(payload)
-        except ValueError:
-            return None
-        replica = self._replica
-        if uid not in replica or (rest and not replica.grid.contains(rest[0])):
-            return None
-        return (uid, *rest)
+    def _accepted(self, payloads: list[bytes]) -> list[tuple | None]:
+        """Per payload, ``(uid, point)`` of a move / ``(uid,)`` of a
+        cloak the replica will accept; ``None`` for one it would refuse
+        (unknown uid, point outside the service area, undecodable
+        payload).  Neither op changes who is registered, so the answers
+        hold for the whole run."""
+        table, inside = self._replica.table, self._replica.grid.contains
+        accepted: list[tuple | None] = []
+        for payload in payloads:
+            try:
+                op = decode_op(payload)
+            except ValueError:
+                accepted.append(None)
+                continue
+            known = op[1] in table and (len(op) == 2 or inside(op[2]))
+            accepted.append(op[1:] if known else None)
+        return accepted
 
     def _moves(self, moves: list[tuple]) -> list[bytes]:
-        return [response_cost(cost) for cost in self._replica.update_batch(moves)]
+        return list(map(response_cost, self._replica.update_batch(moves)))
 
     def _cloaks(self, cloaks: list[tuple]) -> list[bytes]:
         uids = [uid for (uid,) in cloaks]
@@ -964,9 +961,7 @@ class ParallelShardedAnonymizer(ShardSurface):
         """Put one request frame on a shard's pipe; returns what
         :meth:`_receive` needs to wait for (and re-ask for) its reply."""
         seq = self._seq = (self._seq + 1) % 2**32 or 1
-        wire_bytes = encode_frame(
-            KIND_REQUEST, seq, [ShardEnvelope(shard, op) for op in ops]
-        )
+        wire_bytes = encode_frame(KIND_REQUEST, seq, zip(repeat(shard), ops))
         conn = self._pool.conn(shard)
         start = monotonic()
         return seq, wire_bytes, conn, start, self._transmit(shard, conn, wire_bytes)
