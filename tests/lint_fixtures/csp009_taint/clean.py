@@ -20,6 +20,17 @@ def complain(uid):
     raise KeyError(f"unknown user {uid!r}")  # uid is not a coordinate
 
 
+def decode_op(payload):
+    return ("move", Point(payload[1], payload[2]), payload[0])
+
+
+def route(payload):
+    op = decode_op(payload)
+    # ``op[2]`` is an element of a tainted tuple (a user id): weak taint
+    # stays out of the call, though ``complain`` sinks its parameter
+    complain(op[2])
+
+
 def log_count(count):
     logger.info(f"cloaked {count} users")
 
