@@ -30,16 +30,21 @@ blocking; they do mark ``ParallelShardedAnonymizer.cloak_many``
 
 ``await``-wrapped calls are exempt by construction (awaiting an
 ``asyncio`` primitive is the fix, not the bug).
+
+Blocking is propagated to a fixpoint with no cap on call-chain depth,
+and the result does not depend on the order functions are defined in:
+a summary's reason names the chain to the nearest primitive.  The rule
+only reports what the engine recorded (``direct_blocking``,
+``blocking_calls``).
 """
 
 from __future__ import annotations
 
-import ast
 from collections.abc import Iterable
 
 from repro.analysis.config import LintConfig
 from repro.analysis.core import ModuleInfo, Project, RawFinding, Rule, register_rule
-from repro.analysis.dataflow import analyze_project, resolve_method_call
+from repro.analysis.dataflow import analyze_project
 
 __all__ = ["AsyncBlockingRule"]
 
@@ -70,28 +75,11 @@ class AsyncBlockingRule(Rule):
                     "equivalent or move the work off-loop",
                 )
             # transitively-blocking project calls
-            awaited = {
-                id(node.value)
-                for node in ast.walk(record.node)
-                if isinstance(node, ast.Await)
-                and isinstance(node.value, ast.Call)
-            }
-            direct = {id(call) for call, _ in record.direct_blocking}
-            for node in ast.walk(record.node):
-                if (
-                    not isinstance(node, ast.Call)
-                    or id(node) in awaited
-                    or id(node) in direct
-                ):
-                    continue
-                for key in resolve_method_call(flow, record, node):
-                    callee = flow.functions[key]
-                    if callee.blocking:
-                        yield RawFinding.at(
-                            node,
-                            f"async def {record.qualname}() calls "
-                            f"{callee.qualname}(), which "
-                            f"{callee.blocking_reason or 'blocks'} — "
-                            "this blocks the event loop",
-                        )
-                        break
+            for call, callee in record.blocking_calls:
+                yield RawFinding.at(
+                    call,
+                    f"async def {record.qualname}() calls "
+                    f"{callee.qualname}(), which "
+                    f"{callee.blocking_reason} — "
+                    "this blocks the event loop",
+                )

@@ -29,21 +29,18 @@ no matter which side of the boundary they are on.
 Cross-function findings use the call summaries of
 :mod:`repro.analysis.dataflow`: passing a tainted value into a
 function whose parameter flows to a sink is reported at the call site.
+The summaries are a fixpoint with no cap on call-chain depth, and what
+is found does not depend on the order functions are defined in; the
+rule only reports the hits the engine recorded.
 """
 
 from __future__ import annotations
 
-import ast
 from collections.abc import Iterable
 
 from repro.analysis.config import LintConfig
 from repro.analysis.core import ModuleInfo, Project, RawFinding, Rule, register_rule
-from repro.analysis.dataflow import (
-    _INTRINSIC,
-    _TaintPass,
-    _WEAK,
-    analyze_project,
-)
+from repro.analysis.dataflow import analyze_project
 
 __all__ = ["CoordinateTaintRule"]
 
@@ -77,8 +74,6 @@ class CoordinateTaintRule(Rule):
                 continue
             # sinks reached inside this function
             for hit in record.sink_hits:
-                if not ({_INTRINSIC, _WEAK} & hit.tags):
-                    continue  # parameter-only flow: reported at call sites
                 key = (getattr(hit.node, "lineno", 1), hit.kind)
                 if key in seen:
                     continue
@@ -90,29 +85,15 @@ class CoordinateTaintRule(Rule):
                     f"(in {record.qualname})",
                 )
             # tainted arguments handed to a callee that sinks them
-            taint = _TaintPass(record, module, flow, config)
-            taint.run()
-            for node in ast.walk(record.node):
-                if not isinstance(node, ast.Call):
+            for call, callee, kind in record.call_hits:
+                key = (call.lineno, f"call:{kind}")
+                if key in seen:
                     continue
-                for callee_key in flow.resolve_call(record.module, node):
-                    callee = flow.functions[callee_key]
-                    if not callee.param_to_sink:
-                        continue
-                    for index, arg in taint._align_args(callee, node):
-                        kind = callee.param_to_sink.get(index)
-                        if kind is None:
-                            continue
-                        if _INTRINSIC not in taint.expr_tags(arg):
-                            continue
-                        key = (getattr(node, "lineno", 1), f"call:{kind}")
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        yield RawFinding.at(
-                            node,
-                            f"passes a coordinate-tainted argument to "
-                            f"{callee.qualname}(), which leaks it into "
-                            f"{_SINK_LABEL[kind]} "
-                            f"(in {record.qualname})",
-                        )
+                seen.add(key)
+                yield RawFinding.at(
+                    call,
+                    f"passes a coordinate-tainted argument to "
+                    f"{callee.qualname}(), which leaks it into "
+                    f"{_SINK_LABEL[kind]} "
+                    f"(in {record.qualname})",
+                )

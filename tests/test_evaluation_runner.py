@@ -174,6 +174,7 @@ class TestApiDocsInSync:
         assert current == expected, (
             "docs/api.md is stale; run: python tools/gen_api_docs.py"
         )
+        assert "ForwardRef(" not in expected
         assert gen_api_docs.catalogue_table() in gen_api_docs.CATALOGUE_DOC.read_text(), (
             "docs/observability.md's metric table is stale; same command"
         )
