@@ -14,7 +14,8 @@ the command line may override severities and rule selection.
     trusted-side code, workload/mobility generators, the resilience
     runtime (anonymizer state and update messages), the sharding
     runtime (its worker frames carry exact coordinates) and
-    ``repro.messages`` (``LocationUpdate``).
+    ``repro.messages`` (a ``ShardEnvelope`` payload carries a
+    ``register`` op's coordinates).
 
 ``safe_imports``
     Name-level exceptions: values that are safe to move across the
@@ -92,12 +93,8 @@ class LintConfig:
 
     # CSP009 coordinate taint -------------------------------------------
     # Modules allowed to build frame payloads from exact coordinates:
-    # the wire codec itself and the message/record codecs it rides on.
-    codec_modules: tuple[str, ...] = (
-        "repro.sharding.wire",
-        "repro.messages",
-        "repro.server.codec",
-    )
+    # the wire codec itself and the record codec of candidate lists.
+    codec_modules: tuple[str, ...] = ("repro.sharding.wire", "repro.server.codec")
 
     # CSP011 process boundary -------------------------------------------
     # Modules allowed to touch raw pickle at all; inside them, every

@@ -773,8 +773,8 @@ _RUNTIME = "repro.observability.runtime"
 _RUNTIME_EMITTERS = (
     "count", "observe", "set_gauge", "record_cloak", "phase_scope", "query_scope",
 )
-#: Every name that puts a value on a wire (frames, envelopes, updates).
-_WIRE_BUILDERS = frozenset({"pack", "encode_frame", "ShardEnvelope", "encode_update"})
+#: Every name that puts a value on a wire (frames and their envelopes).
+_WIRE_BUILDERS = frozenset({"pack", "encode_frame", "ShardEnvelope"})
 #: numpy array-persistence entry points: ``np.save``-family functions
 #: (matched only under a numpy-ish receiver so ``snapshot.save(...)``
 #: does not fire) plus the ``ndarray.tofile`` method, whose *receiver*

@@ -9,8 +9,6 @@ that keeps the system correct under them:
   :class:`FaultInjector`: the deterministic fault source and its trace;
 * :mod:`~repro.resilience.retry` — the retry budget and its
   exponential backoff with jitter over virtual time;
-* :mod:`repro.messages` — the CRC-verified location-update wire
-  format with per-user sequence numbers (re-exported here);
 * :mod:`~repro.resilience.runtime` — :class:`ResilienceRuntime`:
   retries, snapshot/restore crash recovery, and the degradation ladder
   (*degrade availability, never privacy*);
@@ -21,12 +19,6 @@ that keeps the system correct under them:
 See ``docs/resilience.md`` for the operator-facing tour.
 """
 
-from repro.messages import (
-    UPDATE_RECORD_SIZE,
-    LocationUpdate,
-    decode_update,
-    encode_update,
-)
 from repro.resilience.faults import Delivery, FaultEvent, FaultInjector, FaultPlan
 from repro.resilience.harness import ChaosReport, ChaosWorkload, run_chaos
 from repro.resilience.runtime import Emission, ResilienceRuntime
@@ -37,10 +29,6 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "Delivery",
-    "LocationUpdate",
-    "UPDATE_RECORD_SIZE",
-    "encode_update",
-    "decode_update",
     "ResilienceRuntime",
     "Emission",
     "SCENARIOS",

@@ -34,6 +34,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 
+from repro.observability import runtime as _telemetry
 from repro.utils.rng import SeedLike, spawn_rngs
 
 __all__ = ["FaultPlan", "FaultEvent", "FaultInjector", "Delivery"]
@@ -289,8 +290,14 @@ class FaultInjector:
     # Trace
     # ------------------------------------------------------------------
     def _record(self, kind: str, channel: str, detail: str = "") -> None:
+        """Append one event to the trace and mirror it into telemetry,
+        labelled by channel *class* (``update``, ``shard``, ...) so
+        the label set stays bounded."""
         self.trace.append(FaultEvent(len(self.trace), kind, channel, detail))
         self.counts[kind] += 1
+        _telemetry.count(
+            "casper_faults_injected_total", kind, channel.split(":", 1)[0]
+        )
 
     @property
     def faults_injected(self) -> int:

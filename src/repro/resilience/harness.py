@@ -16,8 +16,9 @@ monitor flushes, and reports:
   only seed-derived values (counts, ratios, virtual backoff), so the
   same scenario + seed reproduces it byte-for-byte.
 
-Everything uses string user/object ids: the resilient wire formats
-carry ids as UTF-8 and the baseline must produce comparable answers.
+Everything uses string user/object ids: the candidate-list record
+carries ids as UTF-8 (the update frame carries int or str ids alike),
+and the baseline must produce comparable answers.
 """
 
 from __future__ import annotations

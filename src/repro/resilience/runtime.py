@@ -5,8 +5,9 @@ One :class:`ResilienceRuntime` instance sits between a
 :class:`~repro.resilience.faults.FaultInjector`, and owns every policy
 decision the fault model forces:
 
-* **channels** — location updates and candidate-list responses are
-  serialized through their wire codecs and offered to the injector;
+* **channels** — a location update travels as one shard-wire frame (a
+  ``register`` op), a candidate-list response through its codec, and
+  both are offered to the injector;
   an undelivered message is tried up to ``retry.MAX_ATTEMPTS`` times
   (exponential backoff over *virtual* seconds — nothing sleeps);
 * **idempotence** — each applied update's per-user sequence number is
@@ -46,7 +47,6 @@ from repro.errors import (
     UpdateDeliveryError,
 )
 from repro.geometry import Point
-from repro.messages import LocationUpdate, decode_update, encode_update
 from repro.observability import runtime as _telemetry
 from repro.processor import CandidateList
 from repro.resilience.faults import Delivery, FaultInjector, FaultPlan
@@ -55,6 +55,13 @@ from repro.server.codec import decode_candidate_list, encode_candidate_list
 from repro.sharding import (
     ParallelShardedAnonymizer,
     ReplicatedShardedAnonymizer,
+)
+from repro.sharding.wire import (
+    KIND_REQUEST,
+    decode_frame,
+    decode_op,
+    encode_frame,
+    op_register,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -68,8 +75,6 @@ Anonymizer = Union[
     ReplicatedShardedAnonymizer,
     ParallelShardedAnonymizer,
 ]
-
-_FAULTS = "casper_faults_injected_total"
 
 #: Integer counters a runtime maintains (``report()`` exports them all).
 COUNTER_NAMES = (
@@ -134,7 +139,7 @@ class _Ack:
 @dataclass(slots=True)
 class _Snapshot:
     state: object
-    applied_seq: dict[str, int] = field(default_factory=dict)
+    applied_seq: dict[object, int] = field(default_factory=dict)
 
 
 class ResilienceRuntime:
@@ -157,7 +162,7 @@ class ResilienceRuntime:
         self._violations: list[Emission] = []
         self._casper: "Casper | None" = None
         self._anonymizer: Anonymizer | None = None
-        self._applied_seq: dict[str, int] = {}
+        self._applied_seq: dict[object, int] = {}
         self._last_cloaks: dict[object, _Remembered] = {}
         self._snapshot: _Snapshot | None = None
         self._ops = 0
@@ -202,10 +207,8 @@ class ResilienceRuntime:
         on cadence."""
         injector = self.injector
         if injector.next_op():
-            _telemetry.count(_FAULTS, "crash", "anonymizer")
             self._restore()
         elif (victim := injector.next_shard_op(self._num_shards())) is not None:
-            _telemetry.count(_FAULTS, "shard_crash", "anonymizer")
             self._crash_shard(victim)
         elif uid is not None and injector.should_lose_user():
             self._lose_user(uid)
@@ -268,7 +271,6 @@ class ResilienceRuntime:
             return
         anonymizer.deregister(uid)
         self.injector.record_state_loss("anonymizer", f"user {uid}")
-        _telemetry.count(_FAULTS, "state_loss", "anonymizer")
 
     # ------------------------------------------------------------------
     # Degradation ladder
@@ -389,33 +391,33 @@ class ResilienceRuntime:
     # Update channel (client -> anonymizer)
     # ------------------------------------------------------------------
     def send_update(
-        self, uid: str, seq: int, point: Point, profile: PrivacyProfile
+        self, uid: object, seq: int, point: Point, profile: PrivacyProfile
     ) -> str:
-        """Build and submit one :class:`LocationUpdate` (the facade-side
-        entry point, so callers never import the wire format)."""
-        return self.submit_update(LocationUpdate(uid, seq, point, profile))
-
-    def submit_update(self, update: LocationUpdate) -> str:
         """Send one location update through the faulty channel, retrying
         until the receiver acknowledges a sequence number covering it.
 
-        Returns the acknowledged outcome (``applied`` / ``stale`` /
-        ``recovered``); raises :class:`UpdateDeliveryError` when the
-        retry budget is exhausted without an acknowledgement.  The
-        channel is *not* flushed between sends — a delayed old update
-        resurfacing during a later one is exactly the reordering case
-        the sequence numbers make safe.
+        The update travels as one shard-wire frame: a ``register`` op
+        (uid, exact position, the self-describing profile) under the
+        frame's sequence number ``seq``.  Returns the acknowledged
+        outcome (``applied`` / ``stale`` / ``recovered``); raises
+        :class:`UpdateDeliveryError` when the retry budget is exhausted
+        without an acknowledgement.  The channel is *not* flushed
+        between sends — a delayed old update resurfacing during a later
+        one is exactly the reordering case the sequence numbers make
+        safe.
         """
-        channel = f"update:{update.uid}"
-        payload = encode_update(update)
+        channel = f"update:{uid}"
+        payload = encode_frame(
+            KIND_REQUEST, seq, [(0, op_register(uid, point, profile))]
+        )
         self.counters["updates_sent"] += 1
         outcome: str | None = None
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 self._count_retry("update", attempt)
-            for delivery in self._transmit(channel, payload):
+            for delivery in self.injector.transmit(channel, payload):
                 ack = self._receive_update(delivery)
-                if ack is not None and ack.seq >= update.seq and outcome is None:
+                if ack is not None and ack.seq >= seq and outcome is None:
                     outcome = ack.kind
             if outcome is not None:
                 break
@@ -423,47 +425,54 @@ class ResilienceRuntime:
             self.counters["updates_abandoned"] += 1
             self.counters["degraded_operations"] += 1
             raise UpdateDeliveryError(
-                f"update seq={update.seq} for user {update.uid!r} undelivered "
+                f"update seq={seq} for user {uid!r} undelivered "
                 f"after {MAX_ATTEMPTS} attempts"
             )
         self.counters["updates_delivered"] += 1
         return outcome
 
     def _receive_update(self, delivery: Delivery) -> _Ack | None:
-        """The anonymizer side of the update channel: verify, dedupe by
-        sequence number, apply — or heal a lost user from the update's
-        self-describing profile."""
+        """The anonymizer side of the update channel: verify the frame
+        (anything but exactly one ``register`` op is rejected), dedupe
+        by sequence number, apply — or heal a lost user from the
+        update's self-describing profile."""
         try:
-            message = decode_update(delivery.payload)
+            frame = decode_frame(delivery.payload)
+            (envelope,) = frame.envelopes
+            op = decode_op(envelope.payload)
         except ValueError:
+            op = None
+        if op is None or op[0] != "register":
             self.counters["corrupt_rejected"] += 1
             return None
-        self.guard(message.uid)
+        _, uid, point, profile = op
+        seq = frame.seq
+        self.guard(uid)
         anonymizer = self.anonymizer
-        last = self._applied_seq.get(message.uid, -1)
-        if message.uid not in anonymizer:
+        last = self._applied_seq.get(uid, -1)
+        if uid not in anonymizer:
             # Heal: the update carries the profile, so a user whose
             # state was lost (crash rollback, silent loss) re-registers
             # from the very next delivered update.
-            anonymizer.register(message.uid, message.point, message.profile)
-            self._applied_seq[message.uid] = max(last, message.seq)
+            anonymizer.register(uid, point, profile)
+            self._applied_seq[uid] = max(last, seq)
             self.counters["recoveries"] += 1
             _telemetry.count("casper_recoveries_total", "reregister")
-            self.casper.refresh_stored_cloak(message.uid)
+            self.casper.refresh_stored_cloak(uid)
             kind = "recovered"
-        elif message.seq <= last:
+        elif seq <= last:
             # Duplicate or out-of-order replay of an older position:
             # already covered by newer state, acknowledge and ignore.
             self.counters["duplicates_ignored"] += 1
             kind = "stale"
         else:
-            anonymizer.update(message.uid, message.point)
-            if anonymizer.profile_of(message.uid) != message.profile:
-                anonymizer.set_profile(message.uid, message.profile)
-            self._applied_seq[message.uid] = message.seq
-            self.casper.refresh_stored_cloak(message.uid)
+            anonymizer.update(uid, point)
+            if anonymizer.profile_of(uid) != profile:
+                anonymizer.set_profile(uid, profile)
+            self._applied_seq[uid] = seq
+            self.casper.refresh_stored_cloak(uid)
             kind = "applied"
-        return _Ack(kind, self._applied_seq[message.uid])
+        return _Ack(kind, self._applied_seq[uid])
 
     # ------------------------------------------------------------------
     # Response channel (server -> client)
@@ -484,7 +493,7 @@ class ResilienceRuntime:
             for attempt in range(MAX_ATTEMPTS):
                 if attempt:
                     self._count_retry("response", attempt)
-                for delivery in self._transmit(channel, payload):
+                for delivery in self.injector.transmit(channel, payload):
                     try:
                         return decode_candidate_list(delivery.payload)
                     except ValueError:
@@ -499,17 +508,6 @@ class ResilienceRuntime:
     # ------------------------------------------------------------------
     # Shared plumbing
     # ------------------------------------------------------------------
-    def _transmit(self, channel: str, payload: bytes) -> list[Delivery]:
-        """Offer a payload to the injector, mirroring any injected
-        faults into telemetry (channel *class* only — bounded labels)."""
-        before = len(self.injector.trace)
-        deliveries = self.injector.transmit(channel, payload)
-        if _telemetry.active() is not None:
-            channel_class = channel.split(":", 1)[0]
-            for event in self.injector.trace[before:]:
-                _telemetry.count(_FAULTS, event.kind, channel_class)
-        return deliveries
-
     def _count_retry(self, operation: str, attempt: int) -> None:
         self.counters["retries"] += 1
         _telemetry.count("casper_retries_total", operation)

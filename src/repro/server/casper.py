@@ -340,11 +340,8 @@ class Casper:
         Batch semantics: all pyramid updates land before any re-cloak,
         so each stored region reflects the *end-of-tick* population —
         the consistency point :class:`~repro.continuous.monitor.\
-ContinuousQueryMonitor` flushes at.  With a resilience runtime
-        attached, updates fall back to the per-move guarded path.
+ContinuousQueryMonitor` flushes at.
         """
-        if self.resilience is not None:
-            return [self.update_location(uid, point) for uid, point in moves]
         self.anonymizer.update_batch(list(moves))
         return self.refresh_stored_cloaks([uid for uid, _ in moves])
 
@@ -361,17 +358,14 @@ ContinuousQueryMonitor` flushes at.  With a resilience runtime
         re-register them (the heal path).  Returns the acknowledged
         outcome (``applied`` / ``stale`` / ``recovered``); raises
         :class:`~repro.errors.UpdateDeliveryError` when the retry budget
-        is exhausted.  Without a resilience runtime this falls through
+        is exhausted.  The update travels as a shard-wire frame, which
+        carries int or str user ids and refuses any other with a
+        ``TypeError``.  Without a resilience runtime this falls through
         to the lossless :meth:`update_location`.
         """
         if self.resilience is None:
             self.update_location(uid, point)
             return "applied"
-        if not isinstance(uid, str):
-            raise TypeError(
-                "resilient deployments require string user ids (the update "
-                f"wire format carries the uid as UTF-8), got {uid!r}"
-            )
         return self.resilience.send_update(uid, seq, point, profile)
 
     def remove_user(self, uid: object) -> None:

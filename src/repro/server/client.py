@@ -56,8 +56,10 @@ class MobileClient:
     def move_to(self, point: Point) -> str:
         """Report a location update; returns the delivery outcome.
 
-        On a fault-free deployment this is the lossless in-process path
-        (always ``"applied"``).  Under a resilience runtime the update
+        Every report goes through :meth:`Casper.submit_location_update`
+        under the next sequence number: on a fault-free deployment that
+        is the lossless in-process path (always ``"applied"``).  Under a
+        resilience runtime the update
         travels the faulty channel with retries; an exhausted retry
         budget raises :class:`~repro.errors.UpdateDeliveryError` — the
         device keeps its new location either way and simply reports it
@@ -65,9 +67,6 @@ class MobileClient:
         the lost one).
         """
         self._location = point
-        if self.casper.resilience is None:
-            self.casper.update_location(self.uid, point)
-            return "applied"
         self._seq += 1
         return self.casper.submit_location_update(
             self.uid, point, self._seq, self.profile

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro.observability import enabled
 from repro.resilience import (
     CI_SCENARIOS,
     SCENARIOS,
@@ -76,6 +78,28 @@ class TestRunChaos:
         first = run_chaos(plan, SMALL).to_json()
         second = run_chaos(plan, SMALL).to_json()
         assert first == second
+
+    def test_fault_counter_tallies_the_trace_on_the_worker_pipes(self, monkeypatch):
+        """Every fault lands in ``casper_faults_injected_total`` under its
+        kind and channel class, those injected on the worker pipes too."""
+        from repro.resilience import ResilienceRuntime, harness
+
+        runtimes: list[ResilienceRuntime] = []
+        monkeypatch.setattr(harness, "ResilienceRuntime", lambda plan: (
+            runtimes.append(ResilienceRuntime(plan)) or runtimes[-1]
+        ))
+        workload = ChaosWorkload(users=10, targets=8, steps=60, continuous_queries=3,
+                                 shards=4, parallel=True)
+        with enabled() as session:
+            run_chaos(get_scenario("drop-heavy"), workload)
+        trace = runtimes[0].injector.trace
+        tally = Counter((event.kind, event.channel.split(":", 1)[0]) for event in trace)
+        counted = {
+            (dict(metric.labels)["kind"], dict(metric.labels)["channel"]): metric.value
+            for metric in session.metrics if metric.name == "casper_faults_injected_total"
+        }
+        assert ("drop", "shard") in tally
+        assert counted == tally
 
     def test_different_fault_seed_changes_the_trace(self):
         base = run_chaos(get_scenario("drop-heavy"), SMALL)

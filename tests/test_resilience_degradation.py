@@ -10,6 +10,7 @@ internally consistent.
 from __future__ import annotations
 
 import gc
+import random
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.resilience import FaultPlan, ResilienceRuntime
 from repro.resilience.retry import MAX_ATTEMPTS
 from repro.resilience.runtime import SNAPSHOT_EVERY, STALE_GRACE_OPS, Emission
 from repro.server.casper import Casper
+from repro.sharding.wire import KIND_REQUEST, encode_frame, op_move, op_register
 
 BOUNDS = Rect(0.0, 0.0, 1.0, 1.0)
 QUIET = FaultPlan(name="quiet", seed=0)
@@ -216,6 +218,26 @@ class TestIdempotentUpdates:
         assert runtime.counters["corrupt_rejected"] == MAX_ATTEMPTS
         assert casper.anonymizer.location_of("u0") == Point(0.2, 0.2)
 
+    @pytest.mark.parametrize("envelopes", [
+        [], [(0, op_move("u0", Point(0.9, 0.9)))],
+        [(0, op_register("u0", Point(0.9, 0.9), PrivacyProfile(k=1)))] * 2,
+    ])
+    def test_a_valid_frame_that_is_not_one_register_op_is_retried(self, monkeypatch, envelopes):
+        """A frame that passes its CRCs but is not exactly one
+        ``register`` op counts as corrupt, and the retry delivers."""
+        casper, runtime = resilient_casper(QUIET)
+        casper.register_user("u0", Point(0.2, 0.2), PrivacyProfile(k=1))
+        transmit = runtime.injector.transmit
+        forged = iter([encode_frame(KIND_REQUEST, 1, envelopes)])
+        monkeypatch.setattr(
+            runtime.injector, "transmit",
+            lambda channel, payload: transmit(channel, next(forged, payload)),
+        )
+        assert runtime.send_update("u0", 1, Point(0.3, 0.3), PrivacyProfile(k=1)) == "applied"
+        assert runtime.counters["corrupt_rejected"] == 1
+        assert runtime.counters["retries"] == 1
+        assert casper.anonymizer.location_of("u0") == Point(0.3, 0.3)
+
 
 class TestResponseChannel:
     def test_quiet_channel_round_trips_candidates(self):
@@ -341,11 +363,30 @@ class TestFaultFreePathUnchanged:
         ) == "applied"
         assert casper.anonymizer.location_of("u0") == Point(0.4, 0.4)
 
-    def test_resilient_deployments_require_string_uids(self):
-        casper, _runtime = resilient_casper(QUIET)
-        casper.anonymizer.register(7, Point(0.2, 0.2), PrivacyProfile(k=1))
+    def test_resilient_channel_takes_int_uids(self):
+        """The update frame carries int or str uids and refuses others."""
+        casper, runtime = resilient_casper(QUIET)
+        casper.register_user(7, Point(0.2, 0.2), PrivacyProfile(k=1))
+        assert casper.submit_location_update(7, Point(0.4, 0.4), 1, PrivacyProfile(k=1)) == "applied"
+        assert casper.anonymizer.location_of(7) == Point(0.4, 0.4)
+        assert runtime.counters["updates_delivered"] == 1
         with pytest.raises(TypeError):
-            casper.submit_location_update(7, Point(0.4, 0.4), 1, PrivacyProfile(k=1))
+            casper.submit_location_update(7.0, Point(0.4, 0.4), 2, PrivacyProfile(k=1))
+
+    def test_a_resilient_tick_stores_the_fault_free_cloaks(self):
+        """``update_locations``' end-of-tick contract holds under a
+        runtime: every mover's stored cloak sees the whole tick."""
+        rng = random.Random(3)
+        users = [(f"u{i}", Point(rng.random(), rng.random())) for i in range(12)]
+        moves = [(uid, Point(rng.random(), rng.random())) for uid, _ in users]
+        stored = []
+        for runtime in (None, ResilienceRuntime(QUIET)):
+            casper = Casper(BOUNDS, pyramid_height=5, anonymizer="basic", resilience=runtime)
+            for uid, point in users:
+                casper.register_user(uid, point, PrivacyProfile(k=3))
+            casper.update_locations(moves)
+            stored.append(dict(casper.server.private_index.items()))
+        assert stored[0] == stored[1]
 
     def test_one_runtime_serves_one_casper(self):
         runtime = ResilienceRuntime(QUIET)

@@ -1,9 +1,5 @@
-"""Tests for the update wire format and the response-codec checksum.
-
-The resilience failure model only works if *every* single-byte
-corruption on either channel is detected: a flipped coordinate applied
-silently would poison the anonymizer, a flipped candidate id would
-poison an answer.  Both codecs carry a CRC-32 for exactly that.
+"""The response codec's CRC: a flipped candidate id must never poison an
+answer.  The update channel's frame CRCs are swept in test_wire_framing.py.
 """
 
 from __future__ import annotations
@@ -11,82 +7,10 @@ from __future__ import annotations
 import zlib
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.anonymizer import PrivacyProfile
 from repro.geometry import Point, Rect
-from repro.messages import (
-    UPDATE_RECORD_SIZE,
-    LocationUpdate,
-    decode_update,
-    encode_update,
-)
 from repro.processor import CandidateList
 from repro.server.codec import decode_candidate_list, encode_candidate_list
-
-UPDATE = LocationUpdate("u042", 7, Point(0.25, 0.75), PrivacyProfile(5, 0.01))
-
-
-class TestUpdateCodec:
-    def test_record_is_exactly_64_bytes(self):
-        assert len(encode_update(UPDATE)) == UPDATE_RECORD_SIZE == 64
-
-    def test_roundtrip(self):
-        decoded = decode_update(encode_update(UPDATE))
-        assert decoded == UPDATE
-
-    def test_long_uid_rejected(self):
-        with pytest.raises(ValueError):
-            encode_update(
-                LocationUpdate("u" * 21, 0, Point(0, 0), PrivacyProfile())
-            )
-
-    def test_exactly_20_byte_uid_roundtrips(self):
-        update = LocationUpdate("u" * 20, 0, Point(0, 0), PrivacyProfile())
-        assert decode_update(encode_update(update)).uid == "u" * 20
-
-    def test_seq_out_of_uint32_range_rejected(self):
-        with pytest.raises(ValueError):
-            encode_update(LocationUpdate("u", 2**32, Point(0, 0), PrivacyProfile()))
-        with pytest.raises(ValueError):
-            encode_update(LocationUpdate("u", -1, Point(0, 0), PrivacyProfile()))
-
-    def test_truncated_record_rejected(self):
-        with pytest.raises(ValueError):
-            decode_update(encode_update(UPDATE)[:-1])
-
-    def test_bad_magic_rejected(self):
-        payload = bytearray(encode_update(UPDATE))
-        payload[0] ^= 0xFF
-        with pytest.raises(ValueError):
-            decode_update(bytes(payload))
-
-    def test_every_single_byte_corruption_is_detected(self):
-        clean = encode_update(UPDATE)
-        for offset in range(UPDATE_RECORD_SIZE):
-            corrupted = bytearray(clean)
-            corrupted[offset] ^= 0x01
-            with pytest.raises(ValueError):
-                decode_update(bytes(corrupted))
-
-    @given(
-        uid=st.text(
-            alphabet=st.characters(min_codepoint=33, max_codepoint=126),
-            min_size=1,
-            max_size=20,
-        ),
-        seq=st.integers(min_value=0, max_value=2**32 - 1),
-        x=st.floats(allow_nan=False, allow_infinity=False, width=32),
-        y=st.floats(allow_nan=False, allow_infinity=False, width=32),
-        k=st.integers(min_value=1, max_value=10_000),
-        a_min=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-    )
-    def test_roundtrip_property(self, uid, seq, x, y, k, a_min):
-        update = LocationUpdate(
-            uid, seq, Point(float(x), float(y)), PrivacyProfile(k, float(a_min))
-        )
-        assert decode_update(encode_update(update)) == update
 
 
 class TestResponseChecksum:

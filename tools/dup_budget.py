@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Line budget for ``src/repro``: one row per package, plus the two
-modules of the parallel runtime's server role (worker runtime, TCP
-front door), and ``tests``.
+"""Line budget for ``src/repro``: one row per package, one for the
+top-level modules (``src/repro/*.py``), the two modules of the parallel
+runtime's server role (worker runtime, TCP front door), and ``tests``.
 
 Lines per package is a tracked number, like throughput: the cheapest
 way for a simplification to rot is for code to quietly regrow, one
@@ -147,7 +147,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: the ``ForwardRef`` assert of the API-docs test (+1), and the call
 #: cycles the summaries must end on (``csp009_taint/bad_recursive.py``
 #: 41, its ``CASES`` row and ``test_dataflow_ends_on_call_cycles`` with
-#: its imports, +27).
+#: its imports, +27); resilience and tests were re-frozen *down*, and
+#: the top-level modules (``messages.py``, ``morton.py``, ``errors.py``,
+#: ``__main__.py``, ``__init__.py``; 820 lines before) got their row,
+#: once a location update became one shard-wire ``register`` frame: the
+#: 64-byte update record and its codec tests went, and the runtime's
+#: fault mirror moved into the injector.
 BASELINES = {
     "src/repro/analysis": 3411,
     "src/repro/anonymizer": 3401,
@@ -158,7 +163,8 @@ BASELINES = {
     "src/repro/observability": 1203,
     "src/repro/privacy": 178,
     "src/repro/processor": 1354,
-    "src/repro/resilience": 1402,
+    "src/repro/*.py": 714,
+    "src/repro/resilience": 1394,
     "src/repro/server": 1100,
     "src/repro/sharding": 2389,
     "src/repro/sharding/frontdoor.py": 117,
@@ -167,7 +173,7 @@ BASELINES = {
     "src/repro/utils": 197,
     "src/repro/viz": 307,
     "src/repro/workloads": 473,
-    "tests": 15857,
+    "tests": 15846,
 }
 
 #: Allowed growth over baseline before the gate fails.
@@ -181,13 +187,13 @@ def budget_of(rel: str, baseline: int) -> int:
 
 
 def lines_of(path: Path) -> int | None:
-    """Lines of one file, or of every ``*.py`` under a directory;
-    ``None`` when the path does not exist."""
+    """Lines of one file, of every ``*.py`` under a directory, or of the
+    files a glob's last part matches; ``None`` when nothing is there."""
     if path.is_file():
         files = [path]
     elif path.is_dir():
         files = sorted(path.rglob("*.py"))
-    else:
+    elif not (files := sorted(path.parent.glob(path.name))):
         return None
     return sum(len(f.read_text().splitlines()) for f in files)
 
