@@ -9,9 +9,10 @@ that keeps the system correct under them:
   :class:`FaultInjector`: the deterministic fault source and its trace;
 * :mod:`~repro.resilience.retry` — the retry budget and its
   exponential backoff with jitter over virtual time;
-* :mod:`~repro.resilience.runtime` — :class:`ResilienceRuntime`:
-  retries, snapshot/restore crash recovery, and the degradation ladder
-  (*degrade availability, never privacy*);
+* :mod:`~repro.resilience.runtime` — :class:`ResilienceRuntime`, the
+  wrapper around a deployment's anonymizer: retries, snapshot/restore
+  crash recovery, the degradation ladder (*degrade availability, never
+  privacy*);
 * :mod:`~repro.resilience.scenarios` — named fault scenarios CI gates on;
 * :mod:`~repro.resilience.harness` — :func:`run_chaos`: replay a
   workload fault-free and faulted, audit privacy, diff the SLOs.

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 from repro.observability import runtime as _telemetry
 from repro.utils.rng import SeedLike, spawn_rngs
@@ -109,9 +109,7 @@ class FaultPlan:
 
     def with_seed(self, seed: int) -> "FaultPlan":
         """The same failure model on a different random stream."""
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
-        kwargs["seed"] = seed
-        return FaultPlan(**kwargs)
+        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,15 +24,18 @@ and the baseline must produce comparable answers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from repro.anonymizer import PrivacyProfile
+from repro.anonymizer import PrivacyProfile, get_policy
+from repro.continuous.monitor import ContinuousQueryMonitor
 from repro.errors import DegradedModeError, UpdateDeliveryError
 from repro.geometry import Point, Rect
 from repro.resilience.faults import FaultPlan
 from repro.resilience.runtime import ResilienceRuntime
+from repro.server.casper import Casper
+from repro.server.client import MobileClient
 from repro.utils.rng import spawn_rngs
 
 __all__ = ["ChaosWorkload", "ChaosReport", "run_chaos"]
@@ -67,8 +70,6 @@ class ChaosWorkload:
     def __post_init__(self) -> None:
         if self.users < 2 or self.targets < 1 or self.steps < 1:
             raise ValueError("workload needs >= 2 users, >= 1 target, >= 1 step")
-        from repro.anonymizer.policy import get_policy
-
         get_policy(self.anonymizer)  # raises ValueError for unknown names
         if self.continuous_queries > self.users:
             raise ValueError("more continuous queries than users")
@@ -99,15 +100,7 @@ class ChaosReport:
 
     def to_json(self, indent: int | None = None) -> str:
         """Canonical JSON — byte-identical for identical seeds."""
-        payload = {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "workload": self.workload,
-            "runtime": self.runtime,
-            "slo": self.slo,
-            "privacy_violations": self.privacy_violations,
-            "trace_digest": self.trace_digest,
-        }
+        payload = asdict(self)
         if indent is None:
             return json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return json.dumps(payload, sort_keys=True, indent=indent)
@@ -158,19 +151,19 @@ def _script(workload: ChaosWorkload) -> tuple[
     return users, targets, ops
 
 
+def _knn_users(
+    workload: ChaosWorkload, users: dict[str, tuple[Point, PrivacyProfile]]
+) -> list[str]:
+    uids = sorted(users)
+    return uids[len(uids) - workload.continuous_knn:]
+
+
 def _build_deployment(
     workload: ChaosWorkload,
     users: dict[str, tuple[Point, PrivacyProfile]],
     targets: dict[str, Point],
     runtime: ResilienceRuntime | None,
-) -> tuple["Casper", dict[str, "MobileClient"], "ContinuousQueryMonitor | None"]:
-    # Imported here: repro.server imports repro.resilience.runtime only
-    # under TYPE_CHECKING, and this module must not complete the cycle
-    # at import time either.
-    from repro.continuous.monitor import ContinuousQueryMonitor
-    from repro.server.casper import Casper
-    from repro.server.client import MobileClient
-
+) -> tuple[Casper, dict[str, MobileClient], ContinuousQueryMonitor | None]:
     casper = Casper(
         workload.bounds,
         pyramid_height=workload.pyramid_height,
@@ -192,9 +185,8 @@ def _build_deployment(
         monitor = ContinuousQueryMonitor(casper)
         for uid in sorted(users)[: workload.continuous_queries]:
             monitor.register_nn(f"cq-{uid}", uid)
-        if workload.continuous_knn:
-            for uid in sorted(users)[-workload.continuous_knn:]:
-                monitor.register_knn(f"ck-{uid}", uid, k=3)
+        for uid in _knn_users(workload, users):
+            monitor.register_knn(f"ck-{uid}", uid, k=3)
     return casper, clients, monitor
 
 
@@ -233,56 +225,45 @@ def _drive(
     workload: ChaosWorkload,
     users: dict[str, tuple[Point, PrivacyProfile]],
     ops: list[_Op],
-    casper: "Casper",
-    clients: dict[str, "MobileClient"],
-    monitor: "ContinuousQueryMonitor | None",
+    casper: Casper,
+    clients: dict[str, MobileClient],
+    monitor: ContinuousQueryMonitor | None,
 ) -> _RunOutcome:
     outcome = _RunOutcome()
+
+    def flush(monitor: ContinuousQueryMonitor) -> None:
+        monitor.flush()
+        outcome.flushes += 1
+        outcome.monitor_degraded_max = max(
+            outcome.monitor_degraded_max, len(monitor.last_degraded)
+        )
+
     for step, op in enumerate(ops, start=1):
+        answer: object = None
         if op.kind == "move":
             assert op.point is not None
             try:
                 clients[op.uid].move_to(op.point)
             except UpdateDeliveryError:
                 outcome.update_failures += 1
-            outcome.answers.append(None)
-        elif op.kind == "nn":
-            try:
-                result = casper.query_nearest_public(op.uid)
-                outcome.answers.append(str(result.answer))
-            except DegradedModeError:
-                outcome.degraded_queries += 1
-                outcome.answers.append("<degraded>")
         else:
             try:
-                result = casper.query_range_public(op.uid, op.radius)
-                outcome.answers.append(
-                    tuple(sorted(str(o) for o in result.answer))
-                )
+                if op.kind == "nn":
+                    answer = str(casper.query_nearest_public(op.uid).answer)
+                else:
+                    result = casper.query_range_public(op.uid, op.radius)
+                    answer = tuple(sorted(str(o) for o in result.answer))
             except DegradedModeError:
                 outcome.degraded_queries += 1
-                outcome.answers.append("<degraded>")
+                answer = "<degraded>"
+        outcome.answers.append(answer)
         if monitor is not None and step % workload.flush_every == 0:
-            monitor.flush()
-            outcome.flushes += 1
-            outcome.monitor_degraded_max = max(
-                outcome.monitor_degraded_max, len(monitor.last_degraded)
-            )
+            flush(monitor)
     if monitor is not None:
-        monitor.flush()
-        outcome.flushes += 1
-        outcome.monitor_degraded_max = max(
-            outcome.monitor_degraded_max, len(monitor.last_degraded)
-        )
+        flush(monitor)
         query_ids = [
-            f"cq-{uid}"
-            for uid in sorted(users)[: workload.continuous_queries]
-        ]
-        if workload.continuous_knn:
-            query_ids += [
-                f"ck-{uid}"
-                for uid in sorted(users)[-workload.continuous_knn:]
-            ]
+            f"cq-{uid}" for uid in sorted(users)[: workload.continuous_queries]
+        ] + [f"ck-{uid}" for uid in _knn_users(workload, users)]
         for query_id in query_ids:
             outcome.monitor_answers[query_id] = tuple(
                 sorted(str(o) for o in monitor.answer_of(query_id))
@@ -339,18 +320,10 @@ def run_chaos(plan: FaultPlan, workload: ChaosWorkload | None = None) -> ChaosRe
     return ChaosReport(
         scenario=plan.name,
         seed=plan.seed,
+        # Every workload knob but the service area (a Rect, not JSON).
         workload={
-            "users": workload.users,
-            "targets": workload.targets,
-            "steps": workload.steps,
-            "seed": workload.seed,
-            "anonymizer": workload.anonymizer,
-            "pyramid_height": workload.pyramid_height,
-            "continuous_queries": workload.continuous_queries,
-            "continuous_knn": workload.continuous_knn,
-            "flush_every": workload.flush_every,
-            "shards": workload.shards,
-            "parallel": workload.parallel,
+            f.name: getattr(workload, f.name)
+            for f in fields(workload) if f.name != "bounds"
         },
         runtime=runtime.report(),
         slo=slo,

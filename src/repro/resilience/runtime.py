@@ -1,9 +1,11 @@
 """The resilience runtime — retries, crash recovery, degradation ladder.
 
-One :class:`ResilienceRuntime` instance sits between a
-:class:`~repro.server.casper.Casper` facade and its injected
-:class:`~repro.resilience.faults.FaultInjector`, and owns every policy
-decision the fault model forces:
+One :class:`ResilienceRuntime` wraps the anonymizer of a
+:class:`~repro.server.casper.Casper` deployment: the facade holds the
+runtime *as* its anonymizer, so every call it makes on the
+``CloakingPolicy`` surface meets the runtime first.  It owns the
+injected :class:`~repro.resilience.faults.FaultInjector` and every
+policy decision the fault model forces:
 
 * **channels** — a location update travels as one shard-wire frame (a
   ``register`` op), a candidate-list response through its codec, and
@@ -25,19 +27,21 @@ decision the fault model forces:
   window (revalidated against the *live* population), a conservative
   parent-cell escalation from the remembered cells, and finally an
   explicit :class:`~repro.errors.DegradedModeError`.  Every rung is
-  validated against the user's ``(k, A_min)`` at emission time —
-  availability degrades, privacy never does.
+  validated against the ``(k, A_min)`` the user holds at emission time
+  — availability degrades, privacy never does;
+* **the lifecycle** — a profile change rebinds the remembered cloak's
+  profile; a departure forgets the user's sequence number and
+  remembered cloak (a silent state loss keeps both: healing needs them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
-from repro.anonymizer.adaptive import AdaptiveAnonymizer
-from repro.anonymizer.basic import BasicAnonymizer
 from repro.anonymizer.cells import CellId
 from repro.anonymizer.cloak import CloakedRegion
+from repro.anonymizer.policy import CloakingPolicy
 from repro.anonymizer.profile import PrivacyProfile
 from repro.errors import (
     DegradedModeError,
@@ -52,10 +56,6 @@ from repro.processor import CandidateList
 from repro.resilience.faults import Delivery, FaultInjector, FaultPlan
 from repro.resilience.retry import MAX_ATTEMPTS, backoff
 from repro.server.codec import decode_candidate_list, encode_candidate_list
-from repro.sharding import (
-    ParallelShardedAnonymizer,
-    ReplicatedShardedAnonymizer,
-)
 from repro.sharding.wire import (
     KIND_REQUEST,
     decode_frame,
@@ -68,13 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.server.casper import Casper
 
 __all__ = ["ResilienceRuntime", "Emission", "SNAPSHOT_EVERY", "STALE_GRACE_OPS"]
-
-Anonymizer = Union[
-    BasicAnonymizer,
-    AdaptiveAnonymizer,
-    ReplicatedShardedAnonymizer,
-    ParallelShardedAnonymizer,
-]
 
 #: Integer counters a runtime maintains (``report()`` exports them all).
 COUNTER_NAMES = (
@@ -130,24 +123,18 @@ class _Remembered:
     op: int  # guarded-op stamp when the cloak was fresh
 
 
-@dataclass(frozen=True, slots=True)
-class _Ack:
-    kind: str  # "applied" | "stale" | "recovered"
-    seq: int  # receiver's applied sequence number for the user, after
-
-
-@dataclass(slots=True)
-class _Snapshot:
-    state: object
-    applied_seq: dict[object, int] = field(default_factory=dict)
-
-
 class ResilienceRuntime:
-    """Fault handling + graceful degradation for one Casper deployment.
+    """Fault handling + graceful degradation, wrapped around one Casper
+    deployment's anonymizer.
 
     Construct with a :class:`FaultPlan`, hand it to
     ``Casper(..., resilience=runtime)``; the facade calls :meth:`attach`
-    and routes its update and query paths through here.
+    once and from then on holds the runtime as its anonymizer, with
+    :meth:`send_update` and :meth:`deliver_candidates` as its update
+    and response channels.  :meth:`cloak`, :meth:`cloak_many`,
+    :meth:`location_of`, :meth:`deregister` and :meth:`set_profile`
+    are intercepted; every other attribute, ``in`` included, is the
+    wrapped anonymizer's.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -161,10 +148,12 @@ class ResilienceRuntime:
         self.emissions_by_mode: dict[str, int] = {}
         self._violations: list[Emission] = []
         self._casper: "Casper | None" = None
-        self._anonymizer: Anonymizer | None = None
+        #: The anonymizer this runtime wraps (set by :meth:`attach`).
+        self.wrapped: CloakingPolicy | None = None
         self._applied_seq: dict[object, int] = {}
         self._last_cloaks: dict[object, _Remembered] = {}
-        self._snapshot: _Snapshot | None = None
+        #: The anonymizer state and the sequence table, captured together.
+        self._snapshot: tuple[object, dict[object, int]] | None = None
         self._ops = 0
         self._ops_since_snapshot = 0
         self._qid = 0
@@ -172,31 +161,32 @@ class ResilienceRuntime:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def attach(self, casper: "Casper") -> None:
-        """Bind to a facade and take the initial snapshot."""
-        if self._casper is not None and self._casper is not casper:
+    def attach(self, casper: "Casper") -> "ResilienceRuntime":
+        """Wrap ``casper``'s anonymizer and take the initial snapshot;
+        returns the wrapper the facade then holds as its anonymizer."""
+        if self._casper is not None:
             raise RuntimeError("a ResilienceRuntime serves exactly one Casper")
         self._casper = casper
-        self._anonymizer = casper.anonymizer
+        self.wrapped = casper.anonymizer
         # A parallel anonymizer carries the wire-fault seam itself: the
         # injector then sees (and may drop, corrupt, reorder...) every
         # real frame on the parent<->worker pipes, not an emulation.
-        attach_injector = getattr(self._anonymizer, "attach_injector", None)
+        attach_injector = getattr(self.wrapped, "attach_injector", None)
         if attach_injector is not None and not self.plan.is_quiet:
             attach_injector(self.injector)
         self._take_snapshot()
+        return self
 
-    @property
-    def anonymizer(self) -> Anonymizer:
-        if self._anonymizer is None:
-            raise RuntimeError("runtime not attached to a Casper facade")
-        return self._anonymizer
+    def __getattr__(self, name: str) -> object:
+        # Reached only for names the runtime does not define: the rest
+        # of the wrapped anonymizer's surface passes through.
+        wrapped = self.__dict__.get("wrapped")
+        if wrapped is None:
+            raise AttributeError(name)
+        return getattr(wrapped, name)
 
-    @property
-    def casper(self) -> "Casper":
-        if self._casper is None:
-            raise RuntimeError("runtime not attached to a Casper facade")
-        return self._casper
+    def __contains__(self, uid: object) -> bool:
+        return uid in self.wrapped
 
     # ------------------------------------------------------------------
     # Crash / state-loss guard
@@ -205,10 +195,10 @@ class ResilienceRuntime:
         """One guarded anonymizer operation: advance the crash schedule,
         maybe restore, maybe lose ``uid``'s state, refresh the snapshot
         on cadence."""
-        injector = self.injector
+        injector, shards = self.injector, getattr(self.wrapped, "num_shards", 1)
         if injector.next_op():
             self._restore()
-        elif (victim := injector.next_shard_op(self._num_shards())) is not None:
+        elif (victim := injector.next_shard_op(shards)) is not None:
             self._crash_shard(victim)
         elif uid is not None and injector.should_lose_user():
             self._lose_user(uid)
@@ -217,23 +207,16 @@ class ResilienceRuntime:
         if self._ops_since_snapshot >= SNAPSHOT_EVERY:
             self._take_snapshot()
 
-    def _num_shards(self) -> int:
-        return getattr(self.anonymizer, "num_shards", 1)
-
     def _take_snapshot(self) -> None:
-        self._snapshot = _Snapshot(
-            self.anonymizer.snapshot(), dict(self._applied_seq)
-        )
+        self._snapshot = (self.wrapped.snapshot(), dict(self._applied_seq))
         self._ops_since_snapshot = 0
 
     def _restore(self) -> None:
         """Crash: restore the anonymizer and the sequence table as one
         atomic unit (they were captured together)."""
-        snapshot = self._snapshot
-        if snapshot is None:  # pragma: no cover - attach() always snapshots
-            raise RuntimeError("crash before the initial snapshot")
-        self.anonymizer.restore(snapshot.state)
-        self._applied_seq = dict(snapshot.applied_seq)
+        state, applied_seq = self._snapshot  # type: ignore[misc]
+        self.wrapped.restore(state)
+        self._applied_seq = dict(applied_seq)
         self._ops_since_snapshot = 0
         self.counters["recoveries"] += 1
         _telemetry.count("casper_recoveries_total", "restore")
@@ -251,7 +234,7 @@ class ResilienceRuntime:
         is no smaller unit that can fail, so the crash is a whole
         snapshot restore.
         """
-        crash_worker = getattr(self.anonymizer, "crash_worker", None)
+        crash_worker = getattr(self.wrapped, "crash_worker", None)
         if crash_worker is None:
             self._restore()
             return
@@ -266,23 +249,99 @@ class ResilienceRuntime:
         counters that still include a forgotten user could let a cloak
         claim ``k`` with ``k - 1`` real users.
         """
-        anonymizer = self.anonymizer
+        anonymizer = self.wrapped
         if uid not in anonymizer:
             return
         anonymizer.deregister(uid)
         self.injector.record_state_loss("anonymizer", f"user {uid}")
 
     # ------------------------------------------------------------------
+    # The wrapped CloakingPolicy surface
+    # ------------------------------------------------------------------
+    def cloak(self, uid: object) -> CloakedRegion:
+        """A query-path cloak: one guarded operation, then the ladder —
+        :class:`~repro.errors.DegradedModeError` rather than a cloak
+        below the user's profile."""
+        self.guard(uid)
+        return self.cloak_or_degrade(uid)[0]
+
+    def cloak_many(
+        self, uids: Iterable[object], unsatisfiable: CloakedRegion | None = None
+    ) -> list[CloakedRegion]:
+        """Without a stand-in, the query batch: :meth:`cloak` per entry,
+        in order, the first exhausted ladder raising.  With one, the
+        storage push: the ladder unguarded per entry, bottoming out at
+        the stand-in (the facade's cold-start region: the whole area)."""
+        if unsatisfiable is None:
+            return [self.cloak(uid) for uid in uids]
+        regions = []
+        for uid in uids:
+            try:
+                region = self.cloak_or_degrade(uid)[0]
+            except DegradedModeError:
+                region = unsatisfiable
+                self._fallback(region, self.wrapped.profile_of(uid), "cold_start")
+            regions.append(region)
+        return regions
+
+    def cloaks_or_none(self, uids: Iterable[object]) -> list[CloakedRegion | None]:
+        """The resilient lane of ``Casper.cloaks_for``: :meth:`cloak` per
+        entry, in order — duplicates and unknown uids included, a lost
+        user served by the ladder — and ``None`` where the ladder is
+        exhausted."""
+        regions: list[CloakedRegion | None] = []
+        for uid in uids:
+            try:
+                regions.append(self.cloak(uid))
+            except DegradedModeError:
+                regions.append(None)
+        return regions
+
+    def location_of(self, uid: object) -> Point:
+        """The exact location for client-side refinement; a user whose
+        state was lost degrades explicitly instead of surfacing a raw
+        lookup error."""
+        try:
+            return self.wrapped.location_of(uid)
+        except UnknownUserError as exc:
+            self.counters["degraded_operations"] += 1
+            raise DegradedModeError(
+                f"exact location for user {uid!r} unavailable after state "
+                "loss; awaiting the next location update to heal"
+            ) from exc
+
+    def deregister(self, uid: object) -> None:
+        """A user leaves: forget their sequence number and remembered
+        cloak too, so no rung serves them after they left and a
+        rejoining client's sequence numbers start afresh."""
+        self._applied_seq.pop(uid, None)
+        self._last_cloaks.pop(uid, None)
+        self.wrapped.deregister(uid)
+
+    def set_profile(self, uid: object, profile: PrivacyProfile) -> None:
+        """A profile change, rebound into the user's remembered cloak."""
+        self.wrapped.set_profile(uid, profile)
+        self._rebind(uid, profile)
+
+    def _rebind(self, uid: object, profile: PrivacyProfile) -> None:
+        """The ladder validates against the profile the user holds now,
+        not the one their remembered cloak was fresh under."""
+        remembered = self._last_cloaks.get(uid)
+        if remembered is not None:
+            remembered.profile = profile
+
+    # ------------------------------------------------------------------
     # Degradation ladder
     # ------------------------------------------------------------------
     def cloak_or_degrade(self, uid: object) -> tuple[CloakedRegion, str]:
-        """A cloak for ``uid`` or an explicit degraded-mode error.
+        """A cloak for ``uid`` or an explicit degraded-mode error, with
+        no guarded operation (the ladder alone).
 
         Returns ``(region, mode)`` with ``mode`` the ladder rung that
         served it (``fresh`` / ``stale`` / ``escalated``).  Every rung's
         output satisfies the user's profile at emission time.
         """
-        anonymizer = self.anonymizer
+        anonymizer = self.wrapped
         try:
             region = anonymizer.cloak(uid)
         except (UnknownUserError, ProfileUnsatisfiableError) as exc:
@@ -318,7 +377,7 @@ class ResilienceRuntime:
     ) -> CloakedRegion | None:
         """The stale rung: a remembered cloak is reusable only if the
         *live* population inside it still satisfies the profile."""
-        count = self.anonymizer.users_in_rect(cloak.region)
+        count = self.wrapped.users_in_rect(cloak.region)
         if profile.is_satisfied_by(count, cloak.area):
             return CloakedRegion(cloak.region, count, cloak.cells)
         return None
@@ -330,7 +389,7 @@ class ResilienceRuntime:
         remembered cells until some ancestor cell satisfies the profile
         against live counts.  Monotone in privacy — every step can only
         grow the region and its population."""
-        anonymizer = self.anonymizer
+        anonymizer = self.wrapped
         grid = anonymizer.grid
         cell = cells[0] if cells else CellId(0, 0, 0)
         while True:
@@ -340,23 +399,6 @@ class ResilienceRuntime:
             if cell.is_root:
                 return None
             cell = cell.parent()
-
-    def storage_cloak(self, uid: object) -> CloakedRegion:
-        """Cloak ``uid`` for server-side storage, degrading through the
-        ladder and bottoming out at the seed's cold-start policy (store
-        the whole service area while ``k`` is unsatisfiable)."""
-        try:
-            region, _mode = self.cloak_or_degrade(uid)
-            return region
-        except DegradedModeError:
-            anonymizer = self.anonymizer
-            region = CloakedRegion(anonymizer.bounds, anonymizer.num_users, cells=())
-            try:
-                profile = anonymizer.profile_of(uid)
-            except UnknownUserError:
-                profile = PrivacyProfile()
-            self._fallback(region, profile, "cold_start")
-            return region
 
     def _fallback(
         self, region: CloakedRegion, profile: PrivacyProfile, mode: str
@@ -377,7 +419,7 @@ class ResilienceRuntime:
             a_min=profile.a_min,
             achieved_k=region.achieved_k,
             area=region.area,
-            full_area=region.region == self.anonymizer.bounds,
+            full_area=region.region == self.wrapped.bounds,
         )
         if emission.violates_privacy():
             self._violations.append(emission)
@@ -417,8 +459,8 @@ class ResilienceRuntime:
                 self._count_retry("update", attempt)
             for delivery in self.injector.transmit(channel, payload):
                 ack = self._receive_update(delivery)
-                if ack is not None and ack.seq >= seq and outcome is None:
-                    outcome = ack.kind
+                if ack is not None and ack[1] >= seq and outcome is None:
+                    outcome = ack[0]
             if outcome is not None:
                 break
         if outcome is None:
@@ -431,11 +473,12 @@ class ResilienceRuntime:
         self.counters["updates_delivered"] += 1
         return outcome
 
-    def _receive_update(self, delivery: Delivery) -> _Ack | None:
+    def _receive_update(self, delivery: Delivery) -> tuple[str, int] | None:
         """The anonymizer side of the update channel: verify the frame
         (anything but exactly one ``register`` op is rejected), dedupe
         by sequence number, apply — or heal a lost user from the
-        update's self-describing profile."""
+        update's self-describing profile.  Acknowledges ``(outcome,
+        the user's applied sequence number)``."""
         try:
             frame = decode_frame(delivery.payload)
             (envelope,) = frame.envelopes
@@ -448,7 +491,7 @@ class ResilienceRuntime:
         _, uid, point, profile = op
         seq = frame.seq
         self.guard(uid)
-        anonymizer = self.anonymizer
+        anonymizer = self.wrapped
         last = self._applied_seq.get(uid, -1)
         if uid not in anonymizer:
             # Heal: the update carries the profile, so a user whose
@@ -458,21 +501,21 @@ class ResilienceRuntime:
             self._applied_seq[uid] = max(last, seq)
             self.counters["recoveries"] += 1
             _telemetry.count("casper_recoveries_total", "reregister")
-            self.casper.refresh_stored_cloak(uid)
             kind = "recovered"
         elif seq <= last:
             # Duplicate or out-of-order replay of an older position:
             # already covered by newer state, acknowledge and ignore.
             self.counters["duplicates_ignored"] += 1
-            kind = "stale"
+            return "stale", last
         else:
             anonymizer.update(uid, point)
             if anonymizer.profile_of(uid) != profile:
                 anonymizer.set_profile(uid, profile)
             self._applied_seq[uid] = seq
-            self.casper.refresh_stored_cloak(uid)
             kind = "applied"
-        return _Ack(kind, self._applied_seq[uid])
+        self._rebind(uid, profile)
+        self._casper.refresh_stored_cloak(uid)  # type: ignore[union-attr]
+        return kind, self._applied_seq[uid]
 
     # ------------------------------------------------------------------
     # Response channel (server -> client)

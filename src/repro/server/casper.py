@@ -16,7 +16,7 @@ private query.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 # Justified CSP001 suppression: the facade *is* the trusted boundary —
 # it plays the mobile-user + anonymizer roles of Figure 1 in-process and
@@ -29,7 +29,7 @@ from repro.anonymizer import (  # casperlint: ignore[CSP001] trusted facade
     PrivacyProfile,
     get_policy,
 )
-from repro.errors import DegradedModeError, UnknownUserError
+from repro.errors import UnknownUserError
 from repro.geometry import Point, Rect
 from repro.messages import PrivateQueryResult
 from repro.observability import runtime as _telemetry
@@ -50,14 +50,6 @@ from repro.sharding import (  # casperlint: ignore[CSP001] trusted facade
 from repro.server.database import LocationServer
 from repro.server.network import TransmissionModel
 from repro.utils.timer import monotonic
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only, the runtime is injected
-    # Justified CSP001 suppression: same trusted-facade argument as the
-    # anonymizer import above — the resilience runtime holds anonymizer
-    # state and exists only on the trusted side of the boundary.
-    from repro.resilience.runtime import (  # casperlint: ignore[CSP001] trusted facade
-        ResilienceRuntime,
-    )
 
 __all__ = ["Casper"]
 
@@ -85,6 +77,7 @@ _BATCH_PARAMS: dict[str, Callable[..., dict]] = {
     "knn_public": lambda param=1: {"k": int(param)},
     "range_public": lambda param=0.0: {"radius": float(param)},
 }
+
 
 AnonymizerKind = str
 """A registered policy name (see
@@ -165,14 +158,16 @@ class Casper:
         self.transmission = (
             transmission if transmission is not None else TransmissionModel()
         )
-        # Optional resilience runtime: when present, update and response
-        # traffic is serialized through the fault injector with retries,
-        # and cloaking degrades through the ladder instead of failing.
-        # When absent (the default), every path below is bit-identical
-        # to the fault-free pipeline.
-        self.resilience = resilience
-        if resilience is not None:
-            resilience.attach(self)
+        # A resilience runtime wraps the anonymizer once, here (guarded
+        # query-path cloaks, the degradation ladder, the lifecycle), and
+        # its update / response channels and per-entry `cloaks_for`
+        # lane shadow the lossless methods of the same names; no method
+        # below knows whether one is attached.
+        if resilience:
+            self.anonymizer = resilience.attach(self)
+            self._send_update = resilience.send_update
+            self._deliver = resilience.deliver_candidates
+            self._cloaks_for = resilience.cloaks_or_none
 
     def close(self) -> None:
         """Release the anonymizer's resources (idempotent).
@@ -227,16 +222,11 @@ class Casper:
         the most private consistent choice — the whole service area — is
         stored instead.  It resolves to a proper cloak as soon as enough
         users join and the next update re-cloaks.  A resilience runtime
-        instead cloaks each user through its ladder (stale grace window,
-        parent-cell escalation) before the cold-start bottom.
+        first tries its ladder (stale grace window, parent-cell
+        escalation), unguarded, before this bottom rung.
         """
-        if self.resilience is not None:
-            regions = [self.resilience.storage_cloak(uid) for uid in uids]
-        else:
-            cold_start = CloakedRegion(
-                self.bounds, self.anonymizer.num_users, cells=()
-            )
-            regions = self.anonymizer.cloak_many(uids, unsatisfiable=cold_start)
+        cold_start = CloakedRegion(self.bounds, self.anonymizer.num_users, cells=())
+        regions = self.anonymizer.cloak_many(uids, unsatisfiable=cold_start)
         for uid, region in zip(uids, regions):
             self.server.store_private(uid, region.region)
         return regions
@@ -248,17 +238,12 @@ class Casper:
     def cloak_for(self, uid: object) -> CloakedRegion:
         """The cloak a query for ``uid`` should use right now.
 
-        Without a resilience runtime this is exactly
-        ``anonymizer.cloak``; with one, the operation is crash-guarded
-        and degrades through the ladder (raising
+        This is ``anonymizer.cloak``: under a resilience runtime it is
+        crash-guarded and degrades through the ladder (raising
         :class:`~repro.errors.DegradedModeError` rather than ever
         emitting a cloak below the user's profile).
         """
-        if self.resilience is None:
-            return self.anonymizer.cloak(uid)
-        self.resilience.guard(uid)
-        region, _mode = self.resilience.cloak_or_degrade(uid)
-        return region
+        return self.anonymizer.cloak(uid)
 
     def cloaks_for(self, uids: Sequence[object]) -> list[CloakedRegion | None]:
         """Batch :meth:`cloak_for`, one outcome per entry: ``None`` where
@@ -268,17 +253,12 @@ class Casper:
 
         The distinct registered users go through one
         ``anonymizer.cloak_many`` (one exchange per involved shard on
-        the worker pool); a resilience runtime keeps the guarded
-        :meth:`cloak_for` per entry, in order.
+        the worker pool); a resilience runtime's lane guards every
+        entry in order, duplicates and unknown uids included.
         """
-        if self.resilience is not None:
-            regions: list[CloakedRegion | None] = []
-            for uid in uids:
-                try:
-                    regions.append(self.cloak_for(uid))
-                except DegradedModeError:
-                    regions.append(None)
-            return regions
+        return self._cloaks_for(uids)
+
+    def _cloaks_for(self, uids: Sequence[object]) -> list[CloakedRegion | None]:
         failed = CloakedRegion(self.bounds, 0, cells=())
         known = list(dict.fromkeys(uid for uid in uids if uid in self.anonymizer))
         fresh = dict(
@@ -288,31 +268,6 @@ class Casper:
             None if (region := fresh.get(uid, failed)) is failed else region
             for uid in uids
         ]
-
-    def _refine_location(self, uid: object) -> Point:
-        """The exact location used for client-side refinement.
-
-        Under a resilience runtime a user whose anonymizer state was
-        lost degrades explicitly instead of surfacing a raw lookup
-        error.
-        """
-        if self.resilience is None:
-            return self.anonymizer.location_of(uid)
-        try:
-            return self.anonymizer.location_of(uid)
-        except UnknownUserError as exc:
-            self.resilience.counters["degraded_operations"] += 1
-            raise DegradedModeError(
-                f"exact location for user {uid!r} unavailable after state "
-                "loss; awaiting the next location update to heal"
-            ) from exc
-
-    def _deliver(self, candidates: CandidateList) -> CandidateList:
-        """Ship a candidate list over the (possibly faulty) response
-        channel.  The identity function without a resilience runtime."""
-        if self.resilience is None:
-            return candidates
-        return self.resilience.deliver_candidates(candidates)
 
     def register_user(
         self, uid: object, point: Point, profile: PrivacyProfile
@@ -360,13 +315,19 @@ ContinuousQueryMonitor` flushes at.
         :class:`~repro.errors.UpdateDeliveryError` when the retry budget
         is exhausted.  The update travels as a shard-wire frame, which
         carries int or str user ids and refuses any other with a
-        ``TypeError``.  Without a resilience runtime this falls through
-        to the lossless :meth:`update_location`.
+        ``TypeError``.  Without a resilience runtime this is the
+        lossless :meth:`update_location`.
         """
-        if self.resilience is None:
-            self.update_location(uid, point)
-            return "applied"
-        return self.resilience.send_update(uid, seq, point, profile)
+        return self._send_update(uid, seq, point, profile)
+
+    def _send_update(
+        self, uid: object, seq: int, point: Point, profile: PrivacyProfile
+    ) -> str:
+        self.update_location(uid, point)
+        return "applied"
+
+    def _deliver(self, candidates: CandidateList) -> CandidateList:
+        return candidates
 
     def remove_user(self, uid: object) -> None:
         self.anonymizer.deregister(uid)
@@ -404,10 +365,11 @@ ContinuousQueryMonitor` flushes at.
         timing decomposition.  The client's exact location never left
         the client; the facade borrows it from the trusted anonymizer to
         emulate the local refinement step."""
+        at = self.anonymizer.location_of(uid)
         return PrivateQueryResult(
             cloak=cloak,
             candidates=candidates,
-            answer=_REFINE[kind](candidates, self._refine_location(uid), **params),
+            answer=_REFINE[kind](candidates, at, **params),
             anonymizer_seconds=anonymizer_seconds,
             processing_seconds=processing_seconds,
             transmission_seconds=self.transmission.time_for(len(candidates)),
@@ -508,12 +470,9 @@ ContinuousQueryMonitor` flushes at.
             # Batched cloaking: the parallel runtime groups the batch by
             # owning shard and ships one frame per worker instead of one
             # round trip per query.  Results are identical to the
-            # one-at-a-time path, so only transport changes; resilient
-            # deployments keep the per-query guarded path.
-            if self.resilience is None:
-                cloaks = self.anonymizer.cloak_many([uid for uid, _, _ in parsed])
-            else:
-                cloaks = [self.cloak_for(uid) for uid, _, _ in parsed]
+            # one-at-a-time path, so only transport changes; a
+            # resilience runtime guards each entry in order.
+            cloaks = self.anonymizer.cloak_many([uid for uid, _, _ in parsed])
             t1 = monotonic()
             candidate_lists = self.server.run_batch(
                 [

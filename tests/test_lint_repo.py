@@ -3,7 +3,7 @@
 These are the gate tests the CI lint job mirrors:
 
 * ``src/repro`` + ``tools`` are clean under the default configuration
-  (every finding fixed; the five inline pragmas are the only
+  (every finding fixed; the four inline pragmas are the only
   suppressions) — linted **once**, every read-only test shares the
   result;
 * the boundaries actually trip: a hypothetical exact-location import
@@ -90,20 +90,21 @@ def test_worker_pool_cloak_many_summary_is_blocking(clean_tree) -> None:
 
 
 def test_facade_suppression_is_justified_and_unique(clean_tree) -> None:
-    """Exactly five inline suppressions exist in the tree: three
-    CSP001 in the Casper facade (the trusted anonymizer wiring, the
-    sharded runtime, and the typing-only resilience-runtime import),
-    all with the same trusted-facade justification, two CSP006 in the
-    worker pool (an exception serialized into an RE_ERROR wire reply
-    the parent re-raises, and the reap-everything teardown path), none
-    in the front door (it serves the data plane only, so no blocking
-    control op is reachable from its event loop), and none in the
-    anonymizer package (the adaptive pyramid keeps no second copy of
-    the user table to audit bit for bit)."""
+    """Exactly four inline suppressions exist in the tree: two CSP001
+    in the Casper facade (the trusted anonymizer wiring and the sharded
+    runtime), both with the same trusted-facade justification (the
+    resilience runtime is handed in, so the facade imports none of
+    it), two CSP006 in the worker pool (an exception serialized into
+    an RE_ERROR wire reply the parent re-raises, and the
+    reap-everything teardown path), none in the front door (it serves
+    the data plane only, so no blocking control op is reachable from
+    its event loop), and none in the anonymizer package (the adaptive
+    pyramid keeps no second copy of the user table to audit bit for
+    bit)."""
     _project, result = clean_tree
-    assert result.suppressed == 5
+    assert result.suppressed == 4
     facade = (REPO_ROOT / "src/repro/server/casper.py").read_text()
-    assert facade.count("casperlint: ignore[CSP001] trusted facade") == 3
+    assert facade.count("casperlint: ignore[CSP001] trusted facade") == 2
     workers = (REPO_ROOT / "src/repro/sharding/workers.py").read_text()
     assert workers.count("casperlint: ignore[CSP006]") == 2
     frontdoor = (REPO_ROOT / "src/repro/sharding/frontdoor.py").read_text()

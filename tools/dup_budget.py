@@ -152,7 +152,18 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: ``__main__.py``, ``__init__.py``; 820 lines before) got their row,
 #: once a location update became one shard-wire ``register`` frame: the
 #: 64-byte update record and its codec tests went, and the runtime's
-#: fault mirror moved into the injector.
+#: fault mirror moved into the injector; server was re-frozen *down*
+#: once the resilience runtime became a wrapper around the deployment's
+#: anonymizer and the facade's seven runtime forks and its typing-only
+#: runtime import went.  Resilience keeps its baseline: it took the
+#: wrapper surface those forks were (query-path and storage cloaks,
+#: ``location_of``) plus the lifecycle it never saw (``deregister`` /
+#: ``set_profile``), less ``storage_cloak``, the facade back-reference
+#: properties and the chaos report's hand-listed dicts, and sits 15
+#: lines over it; re-freezing it there would loosen the gate.  The two
+#: tests that pin the lifecycle fit inside
+#: ``test_resilience_degradation.py``, whose deployments now register
+#: their users in the one helper, so tests holds.
 BASELINES = {
     "src/repro/analysis": 3411,
     "src/repro/anonymizer": 3401,
@@ -165,7 +176,7 @@ BASELINES = {
     "src/repro/processor": 1354,
     "src/repro/*.py": 714,
     "src/repro/resilience": 1394,
-    "src/repro/server": 1100,
+    "src/repro/server": 1064,
     "src/repro/sharding": 2389,
     "src/repro/sharding/frontdoor.py": 117,
     "src/repro/sharding/workers.py": 1115,
