@@ -22,6 +22,7 @@ from repro.anonymizer import (
 from repro.errors import (
     DegradedModeError,
     QueryDeliveryError,
+    UnknownUserError,
     UpdateDeliveryError,
 )
 from repro.geometry import Point, Rect
@@ -185,6 +186,18 @@ class TestIdempotentUpdates:
         assert "u0" in casper.anonymizer
         assert casper.anonymizer.location_of("u0") == Point(0.6, 0.6)
         assert runtime.counters["recoveries"] == 1
+
+    def test_a_lost_user_still_leaves_the_server(self):
+        """``remove_user`` of a user whose state was lost drops their
+        stored region; an id never registered raises and changes
+        nothing."""
+        casper, runtime = resilient_casper(QUIET, 4)
+        runtime.wrapped.deregister("u0")  # silent state loss
+        casper.remove_user("u0")
+        assert casper.count_users_in(BOUNDS).candidates == ("u1", "u2", "u3")
+        with pytest.raises(UnknownUserError):
+            casper.remove_user("stranger")
+        assert casper.count_users_in(BOUNDS).candidates == ("u1", "u2", "u3")
 
     def test_guard_can_lose_the_operating_user(self):
         casper, runtime = resilient_casper(FaultPlan(seed=0, lose_user=1.0), 1, at=Point(0.5, 0.5))
