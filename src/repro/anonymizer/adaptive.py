@@ -28,20 +28,24 @@ least ``k`` among members whose *reach* (the deepest level whose cells
 meet their ``A_min``) is the leaf's level or deeper, and the least among
 those reaching below it.  The merge gate is one compare per sibling; a
 leaf whose second number exceeds its population cannot split, and only
-the leaves past that prune build member arrays, where a member's child
-index comes straight off its lowest-level Morton code (``cells >>
-2(H-L-1) & 3``, the locate-once identity).  The per-user scalar
-decisions and the dict walk over ``CellId`` live on as the test oracle
-``tests/reference_pyramid.py``.  Sharded deployments run whole replicas
-of this class (see :mod:`repro.sharding.replicated`) — the cut is
-shaped by global counts, so there is no partitioned form.
+the leaves past that prune make one pass over their member set, where a
+member's child index comes straight off its lowest-level Morton code
+(``cells >> 2(H-L-1) & 3``, the locate-once identity); numpy builds
+the children of a split that happens.  ``update_batch`` runs only the
+moves that leave their leaf through that scalar path; after a split or
+merge it re-tests only the later moves of the users it re-pointed.  The
+per-user scalar decisions and the dict walk over ``CellId`` live on as
+the test oracle ``tests/reference_pyramid.py``.  Sharded deployments
+run whole replicas of this class (see :mod:`repro.sharding.replicated`)
+— the cut is shaped by global counts, so there is no partitioned form.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -197,7 +201,7 @@ class AdaptiveAnonymizer(PyramidEngine):
         slot = self.table.set_profile(uid, profile)
         self._reach[slot] = self._reach_of(profile.a_min)
         leaf = int(self._leaf[slot])
-        self._least[leaf] = self._least_of(self._member_slots(leaf), _level(leaf))
+        self._least[leaf] = self._least_of(self._members[leaf], _level(leaf))
         self._maybe_split(leaf)
         # Re-read: the split may have moved the user one or more levels down.
         self._maybe_merge(int(self._leaf[slot]))
@@ -215,55 +219,62 @@ class AdaptiveAnonymizer(PyramidEngine):
         :meth:`update` loop's.  A move is *quiet* when its new point
         stays in its user's leaf: the loop writes its row and touches
         nothing else.  The cut reshapes only at a *loud* move, and its
-        split gate reads the rows of every earlier move and no later
-        one.  So the kernel classifies every move with one vectorised
-        compare, writes each run of quiet rows in bulk up to and
-        including the next loud row, runs that move through the scalar
-        path, and re-classifies the rest only after a split or merge —
-        the only steps that re-point *other* users' leaves.  A batch
-        naming a user twice is the loop.  On the first unknown uid or
-        out-of-bounds point every earlier move has been applied and the
-        loop's exception is raised.
+        split gate reads the cells of every earlier move and no later
+        one (no gate reads coordinates, so those are written at once).
+        So the kernel classifies every move with one vectorised compare,
+        writes each run of quiet cells in bulk up to and including the
+        next loud one, and runs that move through the scalar path.  A
+        split or merge re-points *other* users' leaves, so it can change
+        the class of those users' later moves, and only theirs: the
+        kernel re-tests exactly those (a slot -> position map) and keeps
+        the loud positions in a heap, each marked done when it runs.  A
+        batch naming a user twice is the loop.  On the first unknown uid
+        or out-of-bounds point every earlier move has been applied and
+        the loop's exception is raised.
         """
         if len(moves) < 2 or len({uid for uid, _ in moves}) != len(moves):
             return [self.update(uid, point) for uid, point in moves]
-        table, stats = self.table, self.stats
+        table, leaf_of = self.table, self._leaf
         slots, xs, ys, ms = table.locate_moves(moves)
         stop = len(slots)
-        lowest = ms + self._top
-        costs = [0] * stop
-        reshapes = stats.splits + stats.merges
-        louds = self._louds(slots, lowest, 0)
+        table.xs[slots], table.ys[slots] = xs, ys
+        lowest, leaves = ms + self._top, leaf_of[slots]
+        flags = (lowest >> 2 * (self.height - _levels(leaves))) != leaves
+        heap, loud = np.flatnonzero(flags).tolist(), flags.tolist()
         slot_of, lowest_of = slots.tolist(), lowest.tolist()
-        written = 0
-        while louds:
-            at = louds.pop()
-            table.write_moves(
-                slots[written : at + 1], xs[written : at + 1],
-                ys[written : at + 1], ms[written : at + 1],
-            )
+        position = dict(zip(slot_of, range(stop)))
+        costs, repointed, written = [0] * stop, [], 0
+        width = self._top.bit_length()  # of every lowest-level key
+        while heap:
+            at = heappop(heap)
+            if not loud[at]:
+                continue
+            loud[at] = False  # done: a re-pushed duplicate must not run again
+            table.cells[slots[written : at + 1]] = ms[written : at + 1]
             written = at + 1
-            costs[at] = self._relocate(slot_of[at], lowest_of[at])
-            if stats.splits + stats.merges != reshapes:
-                reshapes = stats.splits + stats.merges
-                louds = self._louds(slots, lowest, written)
-        table.write_moves(slots[written:], xs[written:], ys[written:], ms[written:])
-        stats.location_updates += stop
+            costs[at] = self._relocate(slot_of[at], lowest_of[at], repointed)
+            for group in repointed:
+                for slot in group:
+                    later = position.get(slot, 0)
+                    if later > at:
+                        leaf = leaf_of.item(slot)
+                        shift = width - leaf.bit_length()
+                        loud[later] = lowest_of[later] >> shift != leaf
+                        if loud[later]:
+                            heappush(heap, later)
+            repointed.clear()
+        table.cells[slots[written:]] = ms[written:]
+        self.stats.location_updates += stop
         if stop < len(moves):
             self.update(*moves[stop])
             raise AssertionError("unreachable: single-move replay must raise")
         return costs
 
-    def _louds(self, slots: IntArray, lowest: IntArray, start: int) -> list[int]:
-        """The moves from ``start`` on whose new lowest-level key leaves
-        their user's current leaf, latest first."""
-        leaves = self._leaf[slots[start:]]
-        shifts = 2 * (self.height - _levels(leaves))
-        loud = np.flatnonzero((lowest[start:] >> shifts) != leaves) + start
-        return loud[::-1].tolist()
-
-    def _relocate(self, slot: int, lowest: int) -> int:
-        """The cut's side of one written move; returns its cost."""
+    def _relocate(
+        self, slot: int, lowest: int, repointed: list[set[int]] | None = None
+    ) -> int:
+        """The cut's side of one written move; returns its cost.  The
+        member sets a split or merge re-points go to ``repointed``."""
         old = self._leaf.item(slot)
         if lowest >> lowest.bit_length() - old.bit_length() == old:
             return 0
@@ -290,8 +301,8 @@ class AdaptiveAnonymizer(PyramidEngine):
         self._leaf[slot] = new
         self.stats.counter_updates += cost
         self.stats.cell_changes += 1
-        self._maybe_split(new)
-        self._maybe_merge(old)
+        self._maybe_split(new, repointed)
+        self._maybe_merge(old, repointed)
         return cost
 
     # ------------------------------------------------------------------
@@ -307,13 +318,18 @@ class AdaptiveAnonymizer(PyramidEngine):
         members = self._members[leaf]
         return np.fromiter(members, dtype=np.int64, count=len(members))
 
-    def _least_of(self, slots: IntArray, level: int) -> tuple[int, int]:
+    def _least_of(self, slots: Iterable[int], level: int) -> tuple[int, int]:
         """The summary of a level-``level`` leaf holding ``slots``."""
-        ks, reach = self.table.ks[slots], self._reach[slots]
-        return (
-            int(ks[reach >= level].min(initial=NONE)),
-            int(ks[reach > level].min(initial=NONE)),
-        )
+        ks, reach, own, below = self.table.ks, self._reach, NONE, NONE
+        for slot in slots:
+            deepest = reach.item(slot)
+            if deepest >= level:
+                k = ks.item(slot)
+                if k < own:
+                    own = k
+                if deepest > level and k < below:
+                    below = k
+        return own, below
 
     def _join(self, leaf: int, k: int, reach: int) -> None:
         """Fold a member of profile ``k`` / ``reach`` into ``leaf``'s
@@ -331,7 +347,7 @@ class AdaptiveAnonymizer(PyramidEngine):
         if it held one of its two numbers."""
         level, reach = _level(leaf), self._reach.item(slot)
         if reach >= level and self.table.ks.item(slot) in self._least[leaf]:
-            self._least[leaf] = self._least_of(self._member_slots(leaf), level)
+            self._least[leaf] = self._least_of(self._members[leaf], level)
 
     def _add_path(self, leaf: int, delta: int) -> None:
         """``delta`` on ``leaf``'s count and every ancestor's."""
@@ -346,45 +362,53 @@ class AdaptiveAnonymizer(PyramidEngine):
     # ------------------------------------------------------------------
     # Splitting and merging (Section 4.2's two gates)
     # ------------------------------------------------------------------
-    def _maybe_split(self, leaf: int) -> None:
+    def _maybe_split(self, leaf: int, repointed: list[set[int]] | None = None) -> None:
         """Split ``leaf`` (recursively) while some user inside could be
         satisfied one level deeper; continue at the first child (in
         ``CellId.children`` order) holding such a user.  No child holds
         more than the leaf, so a leaf whose least ``k`` reaching the
         next level exceeds its population cannot split; past that prune
-        the gate counts the members per child.  Both are reductions
-        over a member set, so they never depend on its iteration
-        order."""
+        the gate counts the members per child in one pass over the
+        member set.  Both are reductions over that set, so they never
+        depend on its iteration order."""
         table, members, least = self.table, self._members, self._least
+        cells, ks, reach = table.cells, table.ks, self._reach
         while True:
-            if least[leaf][1] > len(members[leaf]):
+            group = members[leaf]
+            if least[leaf][1] > len(group):
                 return
-            level, slots = _level(leaf), self._member_slots(leaf)
-            shift = self._top.bit_length() - leaf.bit_length() - 2
-            order = (table.cells[slots] >> shift) & 3
-            satisfied = (
-                table.ks[slots] <= np.bincount(order, minlength=4)[order]
-            ) & (self._reach[slots] > level)
-            if not bool(satisfied.any()):
+            level, shift = _level(leaf), self._top.bit_length() - leaf.bit_length() - 2
+            sizes, deeper = [0, 0, 0, 0], []
+            for slot in group:
+                child = cells.item(slot) >> shift & 3
+                sizes[child] += 1
+                if reach.item(slot) > level:
+                    deeper.append((child, ks.item(slot)))
+            satisfied = [child for child, k in deeper if k <= sizes[child]]
+            if not satisfied:
                 return
+            slots = self._member_slots(leaf)
+            order = (cells[slots] >> shift) & 3
             del members[leaf], least[leaf]
             for index in range(4):
-                child, group = 4 * leaf + index, slots[order == index]
-                members[child] = set(group.tolist())
-                least[child] = self._least_of(group, level + 1)
-                self._counts[child] = len(group)
+                child, part = 4 * leaf + index, slots[order == index]
+                members[child] = set(part.tolist())
+                least[child] = self._least_of(members[child], level + 1)
+                self._counts[child] = len(part)
                 # The child's count was readable as 0 while unmaintained;
                 # materialising it is a visible change for cached cloaks.
                 self._gens[child] = self._gens.get(child, 0) + 1
-                self._leaf[group] = child
+                self._leaf[part] = child
+            if repointed is not None:
+                repointed.append(group)
             self._epoch += 1
             self.stats.splits += 1
             # Restructuring cost: four new counters plus one hash-table
             # relocation per affected user.
-            self.stats.counter_updates += 4 + len(slots)
-            leaf = 4 * leaf + int(order[satisfied].min())
+            self.stats.counter_updates += 4 + len(group)
+            leaf = 4 * leaf + min(satisfied)
 
-    def _maybe_merge(self, leaf: int) -> None:
+    def _maybe_merge(self, leaf: int, repointed: list[set[int]] | None = None) -> None:
         """Merge ``leaf``'s sibling group (recursively upward) while no
         user under the parent has a profile their child satisfies: no
         child's least ``k`` reaching its own level is within its
@@ -397,21 +421,18 @@ class AdaptiveAnonymizer(PyramidEngine):
                 summary = least.get(child)
                 if summary is None or summary[0] <= len(members[child]):
                     return
-            groups = [members.pop(child) for child in children]
-            slots = np.fromiter(
-                chain.from_iterable(groups), dtype=np.int64,
-                count=sum(map(len, groups)),
-            )
-            members[parent] = set(slots.tolist())
-            least[parent] = self._least_of(slots, _level(parent))
-            self._leaf[slots] = parent
+            group = members[parent] = set().union(*(members.pop(c) for c in children))
+            least[parent] = self._least_of(group, _level(parent))
+            self._leaf[self._member_slots(parent)] = parent
+            if repointed is not None:
+                repointed.append(group)
             for child in children:
                 del least[child], self._counts[child]
                 # Deleted cells read as count 0 from now on.
                 self._gens[child] = self._gens.get(child, 0) + 1
             self._epoch += 1
             self.stats.merges += 1
-            self.stats.counter_updates += 4 + len(slots)
+            self.stats.counter_updates += 4 + len(group)
             leaf = parent
 
     # ------------------------------------------------------------------
@@ -471,8 +492,8 @@ class AdaptiveAnonymizer(PyramidEngine):
         self._reach = np.zeros(table.capacity, dtype=np.int8)
         self._reach[slots] = [self._reach_of(a) for a in table.a_mins[slots].tolist()]
         self._least = {
-            leaf: self._least_of(self._member_slots(leaf), _level(leaf))
-            for leaf in leaves
+            leaf: self._least_of(members, _level(leaf))
+            for leaf, members in self._members.items()
         }
         self._counts = {}
         for leaf, members in self._members.items():

@@ -498,15 +498,6 @@ class UserTable:
         xs, ys = xs[:stop], ys[:stop]
         return slots, xs, ys, leaf_mortons(self.grid, xs, ys)
 
-    def write_moves(
-        self, slots: IntArray, xs: FloatArray, ys: FloatArray, ms: IntArray
-    ) -> None:
-        """Write located moves (:meth:`locate_moves`' columns) to their
-        rows."""
-        self.xs[slots] = xs
-        self.ys[slots] = ys
-        self.cells[slots] = ms
-
     def apply_moves(
         self, moves: list[tuple[object, Point]]
     ) -> tuple[IntArray, IntArray]:
@@ -514,7 +505,7 @@ class UserTable:
         ``(old, new)`` lowest-level Morton cells."""
         slots, xs, ys, new_ms = self.locate_moves(moves)
         old_ms = self.cells[slots]
-        self.write_moves(slots, xs, ys, new_ms)
+        self.xs[slots], self.ys[slots], self.cells[slots] = xs, ys, new_ms
         return old_ms, new_ms
 
     def slots_array(self, uids: Sequence[object]) -> IntArray:

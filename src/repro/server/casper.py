@@ -330,7 +330,14 @@ ContinuousQueryMonitor` flushes at.
         return candidates
 
     def remove_user(self, uid: object) -> None:
-        self.anonymizer.deregister(uid)
+        """A user leaves.  One whose anonymizer state was lost still
+        leaves the server (their stored region goes); an id the server
+        never stored raises :class:`UnknownUserError`."""
+        try:
+            self.anonymizer.deregister(uid)
+        except UnknownUserError:
+            if uid not in self.server.private_index:
+                raise
         self.server.remove_private(uid)
 
     def set_profile(self, uid: object, profile: PrivacyProfile) -> None:

@@ -33,6 +33,7 @@ import dataclasses
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -592,3 +593,31 @@ def test_replay_a_split_repoints_a_later_mover():
              ("register", 2, Point(0.9, 0.9), k2),
              ("update_batch", [(0, Point(0.55, 0.7)), (1, Point(0.6, 0.9))])]
     assert replay("adaptive", steps, only=("single", "reference"))[-1] == ("ok", [2, 2])
+
+
+@pytest.mark.parametrize(
+    "homes, batch, costs",
+    [
+        # The first move's merge re-points the second mover to a leaf
+        # holding its new point: loud in the cut the batch started with,
+        # quiet when it runs.
+        ([(0.55, 0.55), (0.7, 0.7), (0.1, 0.1), (0.3, 0.3)],
+         [(0, (0.1, 0.4)), (1, (0.9, 0.9))], [3, 0]),
+        # The first move's split re-points the second mover, who stays
+        # loud: it runs once, and its cost is not overwritten by a rerun.
+        ([(0.1, 0.1), (0.6, 0.6), (0.9, 0.9)],
+         [(0, (0.55, 0.7)), (1, (0.1, 0.9))], [2, 3]),
+        # The second move splits the leaf of the first mover and of a user
+        # outside the batch: neither runs again.
+        ([(0.1, 0.1), (0.6, 0.6), (0.9, 0.9), (0.4, 0.6)],
+         [(2, (0.1, 0.9)), (0, (0.2, 0.8))], [2, 2]),
+    ],
+    ids=["merge-makes-quiet", "split-keeps-loud", "earlier-and-outside"],
+)
+def test_replay_a_reshape_retests_only_its_later_movers(homes, batch, costs):
+    """``update_batch`` re-tests only the later moves of the users a
+    split or merge re-pointed, and runs each loud move once."""
+    k2 = PrivacyProfile(2)
+    steps = [("register", uid, Point(*xy), k2) for uid, xy in enumerate(homes)]
+    steps.append(("update_batch", [(uid, Point(*xy)) for uid, xy in batch]))
+    assert replay("adaptive", steps, only=("single", "reference"))[-1] == ("ok", costs)
