@@ -61,8 +61,9 @@ def _measure_group(
     private_targets = uniform_private_regions(
         num_targets, UNIT, height, cells_range=data_cells_range, seed=seed + 2
     )
-    for oid, region in private_targets.items():
-        casper.server.store_private(f"target-{oid}", region)
+    casper.server.store_private(
+        (f"target-{oid}", region) for oid, region in private_targets.items()
+    )
 
     rng = ensure_rng(seed + 3)
     sample = [int(u) for u in rng.choice(num_users, size=num_queries, replace=False)]

@@ -311,9 +311,11 @@ class ResilienceRuntime:
             ) from exc
 
     def deregister(self, uid: object) -> None:
-        """A user leaves: forget their sequence number and remembered
-        cloak too, so no rung serves them after they left and a
-        rejoining client's sequence numbers start afresh."""
+        """A user leaves: forget their sequence number, remembered cloak
+        and the updates still held on their channel too, so no rung
+        serves them after they left and a rejoining client's sequence
+        numbers start afresh."""
+        self.injector.flush(f"update:{uid}")
         self._applied_seq.pop(uid, None)
         self._last_cloaks.pop(uid, None)
         self.wrapped.deregister(uid)

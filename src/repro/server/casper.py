@@ -214,8 +214,8 @@ class Casper:
     def refresh_stored_cloaks(self, uids: list[object]) -> list[CloakedRegion]:
         """Re-cloak ``uids`` — one batch cloak, so one exchange per
         involved shard on the worker pool — and refresh the server's
-        stored private regions in order (the anonymizer -> server push
-        of Figure 1).
+        stored private regions in one batch write, in order (the
+        anonymizer -> server push of Figure 1).
 
         Cold-start policy: while the registered population is still too
         small to satisfy a user's ``k`` (Algorithm 1's precondition),
@@ -227,8 +227,7 @@ class Casper:
         """
         cold_start = CloakedRegion(self.bounds, self.anonymizer.num_users, cells=())
         regions = self.anonymizer.cloak_many(uids, unsatisfiable=cold_start)
-        for uid, region in zip(uids, regions):
-            self.server.store_private(uid, region.region)
+        self.server.store_private(zip(uids, [region.region for region in regions]))
         return regions
 
     def refresh_stored_cloak(self, uid: object) -> CloakedRegion:

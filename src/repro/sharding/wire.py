@@ -43,13 +43,14 @@ frame so the sender retransmits instead of timing out.
 Envelope payloads carry one shard **operation** each, encoded by the
 ``op_*`` / ``response_*`` helpers below: a one-byte opcode, fixed-width
 little-endian fields, and a tagged user id (int64 or UTF-8) last.  The
-one exception is ``moves``, the parent's packed run of applied moves:
-a count, an x and a y column of float64s, then the uids as one int64
-column or, unless every one is a plain int inside int64, each tagged as
-above.  A
-payload is decoded whole or not at all: one that ends early or runs
-past its last field raises :class:`WireError`, so a truncated uid never
-names a different user.
+parent's packed ops end in a *uid column* instead: one int64 column or,
+unless every uid is a plain int inside int64, each tagged.  ``moves``
+is a count, an x and a y float64 column, then the uids; ``cloaks`` a
+count and the uids, answered by one ``RE_CLOAKS`` reply: the count, a
+cloak reply head per uid, then all their cells.  A payload is decoded
+whole or not at all: one that ends early or runs past its last field
+raises :class:`WireError`, so a truncated uid never names a different
+user.
 Operations never carry pyramid state; snapshots and cache counters
 travel as opaque blobs that are only unpickled after the frame CRC has
 verified — bytes that fail the CRC are rejected, never parsed, and
@@ -266,6 +267,7 @@ OP_PING = 13
 OP_HANG = 14
 OP_SHUTDOWN = 15
 OP_MOVES = 16
+OP_CLOAKS = 17
 # 9 and 11 are retired and stay unassigned: opcode values are wire surface.
 
 
@@ -307,6 +309,7 @@ OPS: dict[int, OpSpec] = {
     OP_HANG: OpSpec("hang", "ack", False, False),
     OP_SHUTDOWN: OpSpec("shutdown", "ack", False, False),
     OP_MOVES: OpSpec("moves", "ack", False, False),
+    OP_CLOAKS: OpSpec("cloaks", "cloaks", True, False),
 }
 
 
@@ -421,10 +424,24 @@ def op_shutdown() -> bytes:
     return struct.pack("<B", OP_SHUTDOWN)
 
 
-#: ``moves`` header: opcode, move count, uid column form.
-_MOVES_HEAD = struct.Struct("<BIB")
+#: A packed op's header: opcode, row count, uid column form.
+_PACKED_HEAD = struct.Struct("<BIB")
 _UIDS_INT64 = 0
 _UIDS_TAGGED = 1
+
+
+def _packed(opcode: int, uids: Sequence[object], columns: bytes = b"") -> bytes:
+    """A packed op: its header, ``columns``, then the uid column."""
+    n = len(uids)
+    if all(type(uid) is int for uid in uids):
+        try:
+            column = struct.pack(f"<{n}q", *uids)
+        except struct.error:  # outside int64: tagged, which refuses it
+            pass
+        else:
+            return _PACKED_HEAD.pack(opcode, n, _UIDS_INT64) + columns + column
+    tagged = b"".join(map(_encode_uid, uids))
+    return _PACKED_HEAD.pack(opcode, n, _UIDS_TAGGED) + columns + tagged
 
 
 def op_moves(
@@ -435,20 +452,23 @@ def op_moves(
     n = len(uids)
     if len(xs) != n or len(ys) != n:
         raise ValueError("moves columns differ in length")
-    coordinates = struct.pack(f"<{2 * n}d", *xs, *ys)
-    if set(map(type, uids)) == {int} and -(2**63) <= min(uids) and max(uids) < 2**63:
-        column = struct.pack(f"<{n}q", *uids)
-        return _MOVES_HEAD.pack(OP_MOVES, n, _UIDS_INT64) + coordinates + column
-    tagged = b"".join(map(_encode_uid, uids))
-    return _MOVES_HEAD.pack(OP_MOVES, n, _UIDS_TAGGED) + coordinates + tagged
+    return _packed(OP_MOVES, uids, struct.pack(f"<{2 * n}d", *xs, *ys))
 
 
-def _decode_moves(data: bytes) -> tuple[tuple, int]:
-    _, n, form = _MOVES_HEAD.unpack_from(data)
-    start = _MOVES_HEAD.size
-    xs = struct.unpack_from(f"<{n}d", data, start)
-    ys = struct.unpack_from(f"<{n}d", data, start + 8 * n)
-    end = start + 16 * n
+def op_cloaks(uids: Sequence[object]) -> bytes:
+    """Cloak requests for ``uids``, answered in order by one
+    ``RE_CLOAKS`` reply."""
+    return _packed(OP_CLOAKS, uids)
+
+
+def _decode_packed(data: bytes) -> tuple[tuple, int]:
+    opcode, n, form = _PACKED_HEAD.unpack_from(data)
+    if n > len(data):  # every row takes bytes: no count is unpacked past them
+        raise WireError(f"operation {opcode} truncated")
+    end, columns = _PACKED_HEAD.size, ()
+    if opcode == OP_MOVES:
+        xys = struct.unpack_from(f"<{2 * n}d", data, end)
+        end, columns = end + 16 * n, (xys[:n], xys[n:])
     if form == _UIDS_INT64:
         uids: Sequence[object] = struct.unpack_from(f"<{n}q", data, end)
         end += 8 * n
@@ -458,8 +478,8 @@ def _decode_moves(data: bytes) -> tuple[tuple, int]:
             uid, end = _decode_uid(data, end)
             uids.append(uid)
     else:
-        raise WireError(f"unknown moves uid form {form}")
-    return ("moves", uids, xs, ys), end
+        raise WireError(f"unknown uid column form {form}")
+    return (OPS[opcode].name, uids, *columns), end
 
 
 def decode_op(data: bytes) -> tuple:
@@ -482,8 +502,8 @@ def decode_op(data: bytes) -> tuple:
         elif opcode == OP_CLOAK:
             uid, end = _decode_uid(data, 1)
             op = ("cloak", uid)
-        elif opcode == OP_MOVES:
-            op, end = _decode_moves(data)
+        elif opcode in (OP_MOVES, OP_CLOAKS):
+            op, end = _decode_packed(data)
         elif opcode == OP_REGISTER:
             x, y, k, a_min = struct.unpack_from("<ddId", data, 1)
             uid, end = _decode_uid(data, 29)
@@ -527,11 +547,17 @@ RE_CLOAK_UNSAT = 67
 RE_COUNT = 68
 RE_BLOB = 69
 RE_ERROR = 70
+RE_CLOAKS = 71
 
 
 _ACK = bytes([RE_ACK])
 _UNSAT = bytes([RE_CLOAK_UNSAT])
 _COST = struct.Struct("<BI")
+#: A cloak reply's head — its code, the rect, ``achieved_k``, the cell
+#: count — and one of its cells; ``RE_CLOAKS`` holds a head per row.
+_CLOAK_HEAD = struct.Struct("<BddddIH")
+_CELL = struct.Struct("<BII")
+_UNSAT_ROW = _CLOAK_HEAD.pack(RE_CLOAK_UNSAT, 0.0, 0.0, 0.0, 0.0, 0, 0)
 #: Cost replies below 64, encoded once (a move's cost counts its counter
 #: updates, a few per pyramid level); a larger cost is packed per reply.
 _COSTS = tuple(_COST.pack(RE_COST, cost) for cost in range(64))
@@ -549,23 +575,50 @@ def response_cost(cost: int) -> bytes:
     return _COSTS[cost] if 0 <= cost < len(_COSTS) else _COST.pack(RE_COST, cost)
 
 
+def _cloak_parts(region: CloakedRegion) -> tuple[bytes, bytes]:
+    """A cloak reply's head and its cells."""
+    rect, cells = region.region, region.cells
+    head = _CLOAK_HEAD.pack(RE_CLOAK_OK, *rect.as_tuple(), region.achieved_k, len(cells))
+    return head, b"".join(_CELL.pack(c.level, c.ix, c.iy) for c in cells)
+
+
+def _region(head: tuple, cells: bytes) -> CloakedRegion:
+    """A region from its reply head and cells, each through ``CellId``'s
+    validating constructor."""
+    _code, x_min, y_min, x_max, y_max, achieved_k, _count = head
+    cell_ids = tuple(CellId(*cell) for cell in _CELL.iter_unpack(cells))
+    return CloakedRegion(Rect(x_min, y_min, x_max, y_max), achieved_k, cell_ids)
+
+
 def response_cloak(region: CloakedRegion) -> bytes:
-    rect = region.region
-    head = struct.pack(
-        "<BddddIH",
-        RE_CLOAK_OK,
-        rect.x_min,
-        rect.y_min,
-        rect.x_max,
-        rect.y_max,
-        region.achieved_k,
-        len(region.cells),
-    )
-    cells = b"".join(
-        struct.pack("<BII", cell.level, cell.ix, cell.iy)
-        for cell in region.cells
-    )
-    return head + cells
+    return b"".join(_cloak_parts(region))
+
+
+def response_cloaks(regions: Sequence[CloakedRegion | None]) -> bytes:
+    """The reply to a ``cloaks`` op, ``None`` standing for an
+    unsatisfiable profile."""
+    parts = [(_UNSAT_ROW, b"") if r is None else _cloak_parts(r) for r in regions]
+    columns = [head for head, _ in parts] + [cells for _, cells in parts]
+    return struct.pack("<BI", RE_CLOAKS, len(parts)) + b"".join(columns)
+
+
+def _decode_cloaks(data: bytes) -> tuple[list[CloakedRegion | None], int]:
+    """The regions of a ``RE_CLOAKS`` reply, one object per distinct row
+    (head and cells, byte for byte): users with equal cloaks share it."""
+    (n,) = struct.unpack_from("<I", data, 1)
+    size = _CLOAK_HEAD.size
+    end = stop = 5 + size * n
+    regions: list[CloakedRegion | None] = []
+    distinct: dict[tuple[bytes, bytes], CloakedRegion] = {}
+    for at, head in zip(range(5, stop, size), _CLOAK_HEAD.iter_unpack(data[5:stop])):
+        start, end = end, end + _CELL.size * head[-1]
+        if head[0] not in (RE_CLOAK_OK, RE_CLOAK_UNSAT):
+            raise WireError(f"unknown cloak row code {head[0]}")
+        key = (data[at : at + size], data[start:end])
+        if head[0] == RE_CLOAK_OK and key not in distinct:
+            distinct[key] = _region(head, key[1])
+        regions.append(distinct.get(key))  # None for an unsatisfiable row
+    return regions, end
 
 
 def response_cloak_unsatisfiable() -> bytes:
@@ -608,15 +661,12 @@ def decode_response(data: bytes) -> tuple:
             (cost,) = struct.unpack_from("<I", data, 1)
             reply, end = ("cost", cost), 5
         elif opcode == RE_CLOAK_OK:
-            x_min, y_min, x_max, y_max, achieved_k, n = struct.unpack_from(
-                "<ddddIH", data, 1
-            )
-            cells = tuple(
-                CellId(*struct.unpack_from("<BII", data, 39 + 9 * i))
-                for i in range(n)
-            )
-            region = CloakedRegion(Rect(x_min, y_min, x_max, y_max), achieved_k, cells)
-            reply, end = ("cloak", region), 39 + 9 * n
+            head = _CLOAK_HEAD.unpack_from(data)
+            end = _CLOAK_HEAD.size + _CELL.size * head[-1]
+            reply = ("cloak", _region(head, data[_CLOAK_HEAD.size : end]))
+        elif opcode == RE_CLOAKS:
+            regions, end = _decode_cloaks(data)
+            reply = ("cloaks", regions)
         elif opcode == RE_CLOAK_UNSAT:
             reply = ("unsat",)
         elif opcode == RE_COUNT:
@@ -630,6 +680,8 @@ def decode_response(data: bytes) -> tuple:
             raise WireError(f"unknown shard response opcode {opcode}")
     except struct.error:
         raise WireError(f"response {opcode} truncated") from None
+    if end > len(data):
+        raise WireError(f"response {opcode} truncated")
     if end != len(data):
         raise WireError(f"response {opcode} has bytes past its end")
     return reply

@@ -16,9 +16,7 @@ __all__ = ["BruteForceIndex"]
 class BruteForceIndex(SpatialIndex):
     """O(n) implementation of every query; O(1) maintenance."""
 
-    def _insert_impl(self, oid: object, rect: Rect) -> None:
-        pass  # the base-class entry dict is the whole data structure
-
+    # The base class's entry dict is the whole data structure.
     def _remove_impl(self, oid: object, rect: Rect) -> None:
         pass
 

@@ -98,8 +98,9 @@ def test_batch_matches_per_query_functions(rng):
     server = LocationServer()
     for oid, point in enumerate(random_points(rng, 250)):
         server.add_public(f"p{oid}", point)
-    for oid, rect in enumerate(random_rects(rng, 250, max_side=0.05)):
-        server.store_private(f"u{oid}", rect)
+    server.store_private(
+        (f"u{oid}", rect) for oid, rect in enumerate(random_rects(rng, 250, max_side=0.05))
+    )
     areas = _areas(rng)
     for kind, (function, method, rows) in ENTRY_POINTS.items():
         index = (

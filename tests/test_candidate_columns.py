@@ -262,7 +262,7 @@ class TestCollectSeam:
     @staticmethod
     def loaded(kind: str):
         """1 200 bulk-loaded entries (packed rows, under the R-tree's
-        shipped constants) and 150 inserted after them (tail rows);
+        shipped constants) and 140 inserted after them (tail rows);
         mixed-type oids whose ``str`` order is not their insertion
         order."""
         rng = np.random.default_rng(7)
@@ -272,7 +272,7 @@ class TestCollectSeam:
             return Rect(x, y, min(1.0, x + side), min(1.0, y + side))
         index = INDEXES[kind]()
         index.bulk_load({(i if i % 2 else f"t{i}"): entry(i) for i in range(1200)})
-        for i in range(1200, 1350):
+        for i in range(1200, 1340):
             index.insert(i if i % 2 else f"t{i}", entry(i))
         index.insert(5, entry(5))  # a re-stored oid
         return index
@@ -301,7 +301,7 @@ class TestCollectSeam:
         assert not got.items.coords.flags.writeable
         assert (got.search_region, got.num_filters, got.filters) == (a_ext, 4, ("f",))
         if a_ext == UNIT and policy is None:
-            assert len(got) == len(index) == 1350
+            assert len(got) == len(index) == 1340
         if a_ext.x_min == 2.0:
             assert len(got) == 0
 

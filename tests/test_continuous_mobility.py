@@ -80,19 +80,12 @@ class TestOracleEquivalence:
         self, workload, anonymizer, shards
     ):
         scenario_seed, ticks, targets = workload
-        _casper_s, safe = build_stack(
-            fresh_scenario(scenario_seed),
-            targets,
-            anonymizer=anonymizer,
-            shards=shards,
-            safe_region=True,
-        )
-        _casper_o, oracle = build_stack(
-            fresh_scenario(scenario_seed),
-            targets,
-            anonymizer=anonymizer,
-            shards=shards,
-            safe_region=False,
+        (_casper_s, safe), (_casper_o, oracle) = (
+            build_stack(
+                fresh_scenario(scenario_seed), targets,
+                anonymizer=anonymizer, shards=shards, safe_region=safe_region,
+            )
+            for safe_region in (True, False)
         )
         positions = {}
         for batch in ticks:
@@ -103,12 +96,8 @@ class TestOracleEquivalence:
                 monitor.flush()
             for uid in range(NUM_QUERIES):
                 u = positions[uid]
-                refined_safe = safe.candidates_of(f"q{uid}").refine_k_nearest(
-                    u, K
-                )
-                refined_oracle = oracle.candidates_of(
-                    f"q{uid}"
-                ).refine_k_nearest(u, K)
+                refined_safe = safe.candidates_of(f"q{uid}").refine_k_nearest(u, K)
+                refined_oracle = oracle.candidates_of(f"q{uid}").refine_k_nearest(u, K)
                 assert refined_safe == refined_oracle
                 assert (
                     tuple(sorted((str(o) for o in refined_safe)))
@@ -123,12 +112,9 @@ class TestOracleEquivalence:
     def test_parallel_runtime_smoke(self, workload):
         scenario_seed, ticks, targets = workload
         casper, safe = build_stack(
-            fresh_scenario(scenario_seed),
-            targets,
-            shards=2,
-            parallel=True,
+            fresh_scenario(scenario_seed), targets, shards=2, parallel=True
         )
-        try:
+        with casper:
             _c2, oracle = build_stack(
                 fresh_scenario(scenario_seed), targets, safe_region=False
             )
@@ -144,8 +130,6 @@ class TestOracleEquivalence:
                 assert safe.candidates_of(f"q{uid}").refine_k_nearest(
                     u, K
                 ) == oracle.candidates_of(f"q{uid}").refine_k_nearest(u, K)
-        finally:
-            casper.close()
 
 
 class TestSuppressionAccounting:

@@ -19,6 +19,7 @@ import pytest
 
 from repro.anonymizer import CloakedRegion, PrivacyProfile
 from repro.anonymizer.cells import CellId
+from repro.errors import ProfileUnsatisfiableError
 from repro.geometry import Point, Rect
 from repro.messages import ShardEnvelope
 from repro.observability import runtime as telemetry
@@ -53,7 +54,6 @@ from repro.sharding.wire import (
     op_stats,
 )
 from repro.sharding.workers import (
-    _UNSAT,
     MAX_BATCH,
     FrameEndpoint,
     ParallelShardedAnonymizer,
@@ -76,9 +76,8 @@ def _populate(anonymizer, n: int = 12) -> None:
 
 class TestWorkerPool:
     def test_spawn_kill_and_shutdown_are_idempotent(self) -> None:
-        fleet = make_sharded(UNIT, height=4, num_shards=2, parallel=True)
-        pool = fleet._pool
-        try:
+        with make_sharded(UNIT, height=4, num_shards=2, parallel=True) as fleet:
+            pool = fleet._pool
             assert pool.num_workers == 2
             assert pool.alive(0) and pool.alive(1)
             pool.kill(0)
@@ -88,8 +87,6 @@ class TestWorkerPool:
                 pool.conn(0)
             pool.spawn(0)
             assert pool.alive(0)
-        finally:
-            fleet.close()
         assert not pool.alive(0) and not pool.alive(1)
         pool.shutdown()  # safe to repeat
 
@@ -118,6 +115,20 @@ class TestWorkerPool:
             assert fleet.num_users == 0 and fleet.shard_occupancy() == [0, 0]
             fleet.check_invariants()
 
+    def test_the_earliest_unsatisfiable_user_raises_after_the_whole_batch(self) -> None:
+        reference = make_sharded(UNIT, height=4, num_shards=2)
+        with make_sharded(UNIT, height=4, num_shards=2, parallel=True) as fleet:
+            batch, stand_in = [3, 9, 0, 5, 11, 3], CloakedRegion(UNIT, 0)
+            for deployment, named in ((reference, "k=100"), (fleet, "user 9")):
+                _populate(deployment)
+                deployment.set_profile(9, PrivacyProfile(k=100))
+                deployment.set_profile(5, PrivacyProfile(k=200))
+                with pytest.raises(ProfileUnsatisfiableError, match=named):
+                    deployment.cloak_many(batch)
+            assert fleet.cache_stats() == reference.cache_stats()
+            assert fleet.cloak_many(batch, stand_in) == reference.cloak_many(batch, stand_in)
+            assert fleet.cache_stats() == reference.cache_stats()
+
 
     def test_a_worker_never_runs_under_the_session_it_was_forked_with(self) -> None:
         """A forked worker inherits a copy of the parent's live session;
@@ -141,8 +152,7 @@ class TestHangDetection:
         from repro.sharding import workers
 
         monkeypatch.setattr(workers, "HANG_TIMEOUT", 0.4)
-        fleet = workers.ParallelShardedAnonymizer(UNIT, height=4, num_shards=2)
-        try:
+        with workers.ParallelShardedAnonymizer(UNIT, height=4, num_shards=2) as fleet:
             _populate(fleet)
             reference = fleet.cloak(5)
             # A worker stuck longer than the hang timeout is killed and
@@ -153,9 +163,6 @@ class TestHangDetection:
             assert fleet.ping()
             healed = fleet.cloak(5)
             assert healed == reference
-        finally:
-            fleet.close()
-
 
     def test_a_hang_does_not_take_the_gathered_peers_with_it(
         self, monkeypatch
@@ -166,8 +173,7 @@ class TestHangDetection:
         from repro.sharding import workers
 
         monkeypatch.setattr(workers, "HANG_TIMEOUT", 0.4)
-        fleet = workers.ParallelShardedAnonymizer(UNIT, height=4, num_shards=2)
-        try:
+        with workers.ParallelShardedAnonymizer(UNIT, height=4, num_shards=2) as fleet:
             _populate(fleet)
             fleet.flush()
             fleet._enqueue(0, op_hang(30.0))
@@ -175,8 +181,6 @@ class TestHangDetection:
             assert fleet.flush() == {0: [None], 1: [True]}
             assert fleet.worker_crashes == 1
             fleet.check_invariants()
-        finally:
-            fleet.close()
 
 
 class _KillOnTransmit:
@@ -217,8 +221,7 @@ class TestDeathInsideAMultiChunkFlush:
     def test_flush_heals_instead_of_raising(self, kind: str, dies_at_chunk: int) -> None:
         profile = PrivacyProfile(k=7)
         reference = make_sharded(UNIT, height=5, num_shards=2, kind=kind)
-        fleet = make_sharded(UNIT, height=5, num_shards=2, kind=kind, parallel=True)
-        try:
+        with make_sharded(UNIT, height=5, num_shards=2, kind=kind, parallel=True) as fleet:
             for uid in range(self.USERS):
                 reference.register(uid, self._point(uid), profile)
                 fleet.register(uid, self._point(uid), profile)
@@ -248,8 +251,6 @@ class TestDeathInsideAMultiChunkFlush:
             assert fleet.num_users == reference.num_users
             for uid in range(1, 2 * self.USERS, 97):
                 assert fleet.cloak(uid) == reference.cloak(uid)
-        finally:
-            fleet.close()
 
 
 class TestCasperFacade:
@@ -491,6 +492,7 @@ def _one_of_each() -> dict[int, bytes]:
         wire.OP_HANG: op_hang(0.0),
         wire.OP_SHUTDOWN: op_shutdown(),
         wire.OP_MOVES: op_moves([3, 7], [0.8, 0.2], [0.8, 0.6]),
+        wire.OP_CLOAKS: wire.op_cloaks([6, 7, 6]),
     }
 
 
@@ -505,6 +507,7 @@ def _one_reply_of_each() -> dict[int, bytes]:
         wire.RE_COUNT: wire.response_count(7),
         wire.RE_BLOB: wire.response_blob(b"blob"),
         wire.RE_ERROR: wire.response_error("boom"),
+        wire.RE_CLOAKS: wire.response_cloaks([region, None, region]),
     }
 
 
@@ -618,7 +621,7 @@ class TestProtocolTable:
         earning = [ops[opcode] for opcode in ops if OPS[opcode].reply == earned_as]
         others = [ops[opcode] for opcode in ops if OPS[opcode].reply != earned_as]
         assert earning, f"no opcode's reply is {kind!r}"
-        expected = {"ack": [True], "unsat": [_UNSAT]}.get(kind, body)
+        expected = {"ack": [True], "unsat": [[None]], "cloak": [body]}.get(kind, body)
         assert [parent_reads(op) for op in earning] == expected * len(earning)
         for op in others:
             with pytest.raises(RuntimeError, match="expected"):

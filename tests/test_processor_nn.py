@@ -265,6 +265,22 @@ class TestNaiveBaselines:
         assert 1 <= len(ours) < 800
 
 
+def _area_filters_and_user(data) -> tuple[Rect, int, Point]:
+    """A drawn cloaked area, filter count and user position inside it."""
+    x0 = data.draw(st.floats(0, 0.8), label="x0")
+    y0 = data.draw(st.floats(0, 0.8), label="y0")
+    w = data.draw(st.floats(0.001, 0.2), label="w")
+    h = data.draw(st.floats(0.001, 0.2), label="h")
+    area = Rect(x0, y0, min(x0 + w, 1.0), min(y0 + h, 1.0))
+    nf = data.draw(st.sampled_from([1, 2, 4]), label="filters")
+    ux = data.draw(st.floats(0, 1), label="ux")
+    uy = data.draw(st.floats(0, 1), label="uy")
+    return area, nf, Point(
+        area.x_min + ux * (area.x_max - area.x_min),
+        area.y_min + uy * (area.y_max - area.y_min),
+    )
+
+
 @settings(
     max_examples=60,
     deadline=None,
@@ -280,22 +296,10 @@ def test_property_inclusiveness_public(data):
         Point(data.draw(coords, label=f"tx{i}"), data.draw(coords, label=f"ty{i}"))
         for i in range(n)
     ]
-    x0 = data.draw(st.floats(0, 0.8), label="x0")
-    y0 = data.draw(st.floats(0, 0.8), label="y0")
-    w = data.draw(st.floats(0.001, 0.2), label="w")
-    h = data.draw(st.floats(0.001, 0.2), label="h")
-    area = Rect(x0, y0, min(x0 + w, 1.0), min(y0 + h, 1.0))
-    nf = data.draw(st.sampled_from([1, 2, 4]), label="filters")
+    area, nf, u = _area_filters_and_user(data)
     idx = BruteForceIndex()
-    for i, p in enumerate(points):
-        idx.insert_point(i, p)
+    idx.insert_many((i, Rect.point(p)) for i, p in enumerate(points))
     cl = private_nn_over_public(idx, area, num_filters=nf)
-    ux = data.draw(st.floats(0, 1), label="ux")
-    uy = data.draw(st.floats(0, 1), label="uy")
-    u = Point(
-        area.x_min + ux * (area.x_max - area.x_min),
-        area.y_min + uy * (area.y_max - area.y_min),
-    )
     assert true_nn(points, u) in cl.oids()
 
 
@@ -318,24 +322,12 @@ def test_property_inclusiveness_private(data):
         w = data.draw(sides, label=f"rw{i}")
         h = data.draw(sides, label=f"rh{i}")
         rects.append(Rect(x, y, min(x + w, 1.0), min(y + h, 1.0)))
-    x0 = data.draw(st.floats(0, 0.8), label="x0")
-    y0 = data.draw(st.floats(0, 0.8), label="y0")
-    w = data.draw(st.floats(0.001, 0.2), label="w")
-    h = data.draw(st.floats(0.001, 0.2), label="h")
-    area = Rect(x0, y0, min(x0 + w, 1.0), min(y0 + h, 1.0))
-    nf = data.draw(st.sampled_from([1, 2, 4]), label="filters")
+    area, nf, u = _area_filters_and_user(data)
     idx = BruteForceIndex()
-    for i, r in enumerate(rects):
-        idx.insert(i, r)
+    idx.insert_many(enumerate(rects))
     cl = private_nn_over_private(idx, area, num_filters=nf)
     oids = set(cl.oids())
     # Adversarial actual placements: corner picks per target.
-    ux = data.draw(st.floats(0, 1), label="ux")
-    uy = data.draw(st.floats(0, 1), label="uy")
-    u = Point(
-        area.x_min + ux * (area.x_max - area.x_min),
-        area.y_min + uy * (area.y_max - area.y_min),
-    )
     corner_choice = data.draw(
         st.lists(st.integers(0, 3), min_size=n, max_size=n), label="corners"
     )

@@ -342,6 +342,15 @@ class TestDegradationLadder:
         assert back.move_to(Point(0.9, 0.9)) == "applied"
         assert casper.anonymizer.location_of("me") == Point(0.9, 0.9)
 
+    def test_a_held_update_of_a_left_session_never_applies(self):
+        casper, _runtime = resilient_casper(FaultPlan(seed=0, delay=0.5, delay_ticks=2))
+        client = MobileClient(casper, "me", Point(0.2, 0.2), K1)
+        for step in range(1, 6):
+            client.move_to(Point(0.2 + 0.03 * step, 0.2 + 0.02 * step))
+        client.leave()
+        MobileClient(casper, "me", Point(0.8, 0.8), K1).move_to(Point(0.9, 0.9))
+        assert casper.anonymizer.location_of("me") == Point(0.9, 0.9)
+
     def test_no_rung_ever_emits_below_the_profile(self):
         """Sweep the ladder scenarios and scan every recorded emission."""
         casper, runtime = resilient_casper(QUIET, 8, 4)

@@ -40,6 +40,16 @@ def make_index(kind: str) -> SpatialIndex:
     raise ValueError(kind)
 
 
+def _twins(kind: str, rects) -> tuple[SpatialIndex, SpatialIndex]:
+    """The oracle and a ``kind`` index, both fed ``rects`` one insert at
+    a time, ids in order."""
+    twins = BruteForceIndex(), make_index(kind)
+    for i, rect in enumerate(rects):
+        for index in twins:
+            index.insert(i, rect)
+    return twins
+
+
 def test_factory_table_covers_every_concrete_index():
     """``abc`` refuses an index with a missing hook only when someone
     constructs it, and the conformance suites below construct only what
@@ -119,7 +129,7 @@ class TestBasicContract:
                 1 / 0
         assert idx.k_nearest(q, 4) == ["a", "b", "c", "d"]
 
-    @pytest.mark.parametrize("load", ["insert", "bulk_load"])
+    @pytest.mark.parametrize("load", ["insert", "insert_many", "bulk_load"])
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_nan_bound_refused_before_anything_is_stored(self, kind, load, rng):
         """A NaN bound is the R-tree's blank-row mark: stored, it counted
@@ -133,6 +143,8 @@ class TestBasicContract:
             with pytest.raises(ValueError, match="NaN"):
                 if load == "insert":
                     idx.insert(oid, bad)
+                elif load == "insert_many":  # mid-batch, behind a new id
+                    idx.insert_many([("y", entries[1]), (oid, bad), (1, entries[2])])
                 else:
                     idx.bulk_load({**entries, oid: bad})
             assert list(idx.items()) == list(entries.items())
@@ -160,11 +172,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("kind", ACCELERATED)
     def test_knn_matches_brute_force_points(self, kind, rng):
         points = random_points(rng, 400)
-        oracle = BruteForceIndex()
-        idx = make_index(kind)
-        for i, p in enumerate(points):
-            oracle.insert_point(i, p)
-            idx.insert_point(i, p)
+        oracle, idx = _twins(kind, map(Rect.point, points))
         for q in random_points(rng, 25):
             for k in (1, 3, 10):
                 assert idx.k_nearest(q, k) == oracle.k_nearest(q, k)
@@ -172,22 +180,14 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("kind", ACCELERATED)
     def test_range_matches_brute_force_points(self, kind, rng):
         points = random_points(rng, 400)
-        oracle = BruteForceIndex()
-        idx = make_index(kind)
-        for i, p in enumerate(points):
-            oracle.insert_point(i, p)
-            idx.insert_point(i, p)
+        oracle, idx = _twins(kind, map(Rect.point, points))
         for r in random_rects(rng, 20, max_side=0.4):
             assert set(idx.range_search(r)) == set(oracle.range_search(r))
 
     @pytest.mark.parametrize("kind", ACCELERATED)
     def test_rect_entries_match_brute_force(self, kind, rng):
         rects = random_rects(rng, 300, max_side=0.08)
-        oracle = BruteForceIndex()
-        idx = make_index(kind)
-        for i, r in enumerate(rects):
-            oracle.insert(i, r)
-            idx.insert(i, r)
+        oracle, idx = _twins(kind, rects)
         for q in random_points(rng, 20):
             assert idx.nearest(q) == oracle.nearest(q) or (
                 idx.rect_of(idx.nearest(q)).min_distance_to_point(q)
@@ -201,11 +201,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("kind", ACCELERATED)
     def test_equivalence_survives_deletions(self, kind, rng):
         points = random_points(rng, 300)
-        oracle = BruteForceIndex()
-        idx = make_index(kind)
-        for i, p in enumerate(points):
-            oracle.insert_point(i, p)
-            idx.insert_point(i, p)
+        oracle, idx = _twins(kind, map(Rect.point, points))
         removed = rng.choice(len(points), size=150, replace=False)
         for i in removed:
             oracle.remove(int(i))

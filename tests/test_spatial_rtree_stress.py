@@ -323,8 +323,12 @@ OPS = st.one_of(
     st.tuples(st.just("remove"), st.integers(0, 10**6)),
     st.tuples(st.just("hide"), st.integers(0, 10**6)),
     st.tuples(st.just("bulk"), st.lists(stored_rects(), max_size=60)),
-    # Enough of one kind of write in a row to cross the repack rule.
-    st.tuples(st.just("insert_many"), st.lists(stored_rects(), min_size=20, max_size=40)),
+    # Enough writes in one batch to cross the repack rule; a pair names a
+    # new oid (0, 1), re-inserts a live one (2) or the batch's last (3).
+    st.tuples(
+        st.just("insert_many"),
+        st.lists(st.tuples(st.integers(0, 3), stored_rects()), min_size=20, max_size=40),
+    ),
     st.tuples(st.just("remove_many"), st.integers(10, 40)),
 )
 
@@ -373,10 +377,11 @@ def test_property_rtree_vs_oracle_under_op_sequences(
     ops, max_entries, constants, probes
 ):
     """After every op — inserts (of awkward ids too), re-inserts of live
-    oids, removes, bulk loads mid-sequence, runs of writes that cross the
-    repack rule, reads with an entry hidden — the packed tree (deep under
-    a small ``_FLAT``, flat under the shipped one) answers exactly as
-    brute force does, candidate columns and wire forms included."""
+    oids, removes, bulk loads mid-sequence, batch inserts (re-inserting
+    live oids, naming one twice) and runs of removes that cross the
+    repack rule, reads with an entry hidden — the packed tree (deep
+    under a small ``_FLAT``, flat under the shipped one) answers exactly
+    as brute force does, candidate columns and wire forms included."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rtree_module, "_FLAT", constants[0])
         patch.setattr(rtree_module, "_CHURN_FLOOR", constants[1])
@@ -394,10 +399,20 @@ def test_property_rtree_vs_oracle_under_op_sequences(
             live = list(oracle._entries)
             if not live and op not in ("insert", "insert_many", "bulk"):
                 op, arg = "insert", Rect(0.5, 0.5, 0.5, 0.5)
-            if op in ("insert", "insert_many"):
-                for rect in arg if op == "insert_many" else [arg]:
-                    each("insert", next_id, rect)
-                    next_id += 1
+            if op == "insert":
+                each("insert", next_id, arg)
+                next_id += 1
+            elif op == "insert_many":
+                pairs: list = []
+                for choice, rect in arg:
+                    if choice == 2 and live:
+                        pairs.append((live[len(pairs) % len(live)], rect))
+                    elif choice == 3 and pairs:
+                        pairs.append((pairs[-1][0], rect))
+                    else:
+                        pairs.append((next_id, rect))
+                        next_id += 1
+                each("insert_many", pairs)
             elif op == "named":
                 each("insert", *arg)
             elif op == "reinsert":

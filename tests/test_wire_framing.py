@@ -39,12 +39,14 @@ from repro.sharding.wire import (
     op_cell_count,
     op_cloak,
     op_cloak_location,
+    op_cloaks,
     op_deregister,
     op_move,
     op_moves,
     op_register,
     op_set_profile,
     response_cloak,
+    response_cloaks,
     response_cost,
     response_error,
 )
@@ -340,7 +342,10 @@ class TestOperationCodec:
         )
         if all(isinstance(uid, int) for uid in uids):  # one int64 column
             assert len(op) == 6 + 24 * len(uids)
-        for damaged in (op[:-1], op + b"\x00"):
+        assert [(u, type(u)) for u in decode_op(op_cloaks(uids))[1]] == [
+            (u, type(u)) for u in uids  # the same uid column
+        ]
+        for damaged in (op[:-1], op + b"\x00", op_cloaks(uids) + b"\x00"):
             with pytest.raises(WireError, match="truncated|past its end"):
                 decode_op(damaged)
 
@@ -366,11 +371,15 @@ class TestResponseCodec:
             achieved_k=25,
             cells=(CellId(4, 1, 2), CellId(4, 1, 3)),
         )
-        with pytest.raises(WireError, match="past its end"):
-            decode_response(response_cloak(region) + b"\x00")
+        packed = response_cloaks([region, None, region])
+        for damaged in (response_cloak(region) + b"\x00", packed[:-1], packed + b"\x00"):
+            with pytest.raises(WireError, match="truncated|past its end"):
+                decode_response(damaged)
         name, got = decode_response(response_cloak(region))
         assert name == "cloak"
         assert got == region
+        regions = decode_response(packed)[1]  # equal rows share one region
+        assert regions == [region, None, region] and regions[0] is regions[2]
         assert struct.pack("<d", got.region.x_max) == struct.pack(
             "<d", region.region.x_max
         )

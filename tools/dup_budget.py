@@ -171,7 +171,14 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: done-mark on a popped position — and an earlier or outside
 #: re-pointed user is not run again; +29), and the test that fails at
 #: the parent for ``Casper.remove_user`` of a user whose state the
-#: resilience runtime lost (their stored region stayed; +13).
+#: resilience runtime lost (their stored region stayed; +13); tests *up*
+#: by 6 when a tick's re-cloak began to cross the worker pipes as packed
+#: ``cloaks`` ops and to land in the private R-tree as one batch: the 9
+#: lines of the test that fails at the parent (a held update of a left
+#: session must not apply after the user rejoins), less 3 — the
+#: ``cloaks`` protocol, codec and pool tests and the ``insert_many``
+#: oracle cases were paid for by sharing set-up in tests that already
+#: existed.
 BASELINES = {
     "src/repro/analysis": 3411,
     "src/repro/anonymizer": 3401,
@@ -192,7 +199,7 @@ BASELINES = {
     "src/repro/utils": 197,
     "src/repro/viz": 307,
     "src/repro/workloads": 473,
-    "tests": 15888,
+    "tests": 15894,
 }
 
 #: Allowed growth over baseline before the gate fails.
