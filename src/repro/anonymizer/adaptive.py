@@ -20,8 +20,12 @@ half its bit length, and a lowest-level key shifted right by
 cell's population, every leaf's member slots (a key is a leaf iff it is
 there), every leaf's gate summary and the cloak cache's generations —
 and two columns of the user table's length hold each user's leaf key
-and reach.  ``CellId`` appears only at the cloak boundary, where
-Algorithm 1 and the cache speak it.
+and reach.  Algorithm 1 and the cloak cache speak the keys too: a
+cache key starts at the user's leaf key, and the shared walk's cell
+``(level, m)`` is read at ``4**level | m`` — its neighbours ``key ^ 1``
+/ ``key ^ 2`` and its parent ``key >> 2`` are the walk's own ``m``
+arithmetic.  ``CellId`` appears only in the regions returned and the
+introspection and snapshot surface.
 
 Section 4.2's two gates read a per-leaf summary before any member: the
 least ``k`` among members whose *reach* (the deepest level whose cells
@@ -113,9 +117,8 @@ class AdaptiveAnonymizer(PyramidEngine):
         self._init_engine(bounds, height)
         #: The lowest level's key offset, ``4**H``.
         self._top = 1 << 2 * height
-        self._areas = [self.grid.cell_area(level) for level in range(height + 1)]
-        #: The same areas ascending, the order :meth:`_reach_of` searches.
-        self._ascending = self._areas[::-1]
+        #: The level areas ascending, the order :meth:`_reach_of` searches.
+        self._ascending = self.grid.areas[::-1]
         self._counts: dict[int, int] = {ROOT: 0}
         self._members: dict[int, set[int]] = {ROOT: set()}
         #: leaf -> (least ``k`` among members reaching the leaf's level,
@@ -152,9 +155,6 @@ class AdaptiveAnonymizer(PyramidEngine):
         only occurs below the maintained cut, where the population would
         indeed require splitting to know)."""
         return self._counts.get(_key(cell), 0)
-
-    def _gen_of(self, cell: CellId) -> int:
-        return self._gens.get(_key(cell), 0)
 
     def leaf_for_point(self, point: Point) -> CellId:
         """The maintained leaf containing ``point``."""
@@ -441,20 +441,26 @@ class AdaptiveAnonymizer(PyramidEngine):
     def cloak(self, uid: object) -> CloakedRegion:
         """Blur ``uid``'s location, starting Algorithm 1 from their
         lowest *maintained* cell."""
-        slot = self.table.require(uid)
-        return self._cloak_cell(
-            self.table.profile_at(slot), _cell(int(self._leaf[slot]))
+        table = self.table
+        slot = table.require(uid)
+        return self._cloak_key(
+            self._leaf.item(slot), table.ks.item(slot), table.a_mins.item(slot)
         )
 
     def cloak_location(self, point: Point, profile: PrivacyProfile) -> CloakedRegion:
         """One-shot cloak of an arbitrary location (query anonymization)."""
-        return self._cloak_cell(profile, self.leaf_for_point(point))
+        lowest = self._top | morton_rank(self.grid.cell_of(point))
+        return self._cloak_key(self._leaf_over(lowest), profile.k, profile.a_min)
 
-    def _cloak_cell(self, profile: PrivacyProfile, leaf: CellId) -> CloakedRegion:
-        return self._cloak_via(
-            self.cloak_cache, self.cell_count, self._gen_of, self._epoch,
-            profile, leaf,
-        )
+    def _start(self, leaf: int) -> tuple[int, int]:
+        level = _level(leaf)
+        return level, leaf ^ (1 << 2 * level)
+
+    def _count_at(self, level: int, m: int) -> int:
+        return self._counts.get(1 << 2 * level | m, 0)
+
+    def _gen_at(self, level: int, m: int) -> int:
+        return self._gens.get(1 << 2 * level | m, 0)
 
     # ------------------------------------------------------------------
     # Crash recovery (snapshot/restore of incomplete pyramid + users)
@@ -512,7 +518,7 @@ class AdaptiveAnonymizer(PyramidEngine):
         summary against a recount from the profiles."""
         table, counts, height = self.table, self._counts, self.height
         table.check()
-        areas = np.array(self._areas)
+        areas = np.array(self.grid.areas)
         floors = table.a_mins[table.active] - 1e-15
         reach = np.count_nonzero(floors[:, None] <= areas, axis=1) - 1
         assert np.array_equal(self._reach[table.active], reach), "stale reach"
@@ -535,7 +541,7 @@ class AdaptiveAnonymizer(PyramidEngine):
                 level, ks = _level(key), table.ks[slots]
                 least = [
                     int(ks[table.a_mins[slots] - 1e-15 <= area].min(initial=NONE))
-                    for area in self._areas[level : level + 2]
+                    for area in self.grid.areas[level : level + 2]
                 ] + [NONE]
                 assert self._least[key] == tuple(least[:2]), f"leaf {key} summary stale"
             else:

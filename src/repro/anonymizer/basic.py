@@ -18,38 +18,30 @@ on every operation and snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 import numpy as np
 
 from repro.anonymizer.cache import CloakCache
 from repro.anonymizer.cells import CellId
-from repro.anonymizer.cloak import (
-    Climbed,
-    CloakedRegion,
-    bottom_up_cloak,
-    bottom_up_cloaks,
-)
-from repro.anonymizer.engine import PyramidEngine
+from repro.anonymizer.cloak import Climbed, CloakedRegion, bottom_up_cloaks
+from repro.anonymizer.engine import CloakKey, PyramidEngine
 from repro.anonymizer.profile import PrivacyProfile
 from repro.anonymizer.soa import IntArray, PyramidSoA, TableSnapshot
 from repro.errors import ProfileUnsatisfiableError
 from repro.geometry import Point, Rect
-from repro.morton import cell_of_morton, morton_of_xy
+from repro.morton import morton_of_xy
 from repro.observability import runtime as _telemetry
 from repro.utils.timer import monotonic
 
 __all__ = ["BasicAnonymizer"]
-
-#: A cloak-cache key of the complete pyramid: ``(leaf Morton, k, A_min)``.
-_Key = tuple[int, int, float]
 
 #: The kernel takes a cache's distinct misses from this many up; fewer
 #: are walked one by one.  The measured crossover: ``tools/bench.py``
 #: ``cloak.kernel_crossover_rows``.  A batch of fewer rows cannot reach
 #: it and skips the grouping too (~8 µs of array set-up, five one-row
 #: hits' worth — the ad-hoc cloak of a frame endpoint is such a batch).
-_KERNEL_ROWS = 8
+_KERNEL_ROWS = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +96,7 @@ class BasicAnonymizer(PyramidEngine):
         # constructor enforces the height cap); see
         # :mod:`repro.anonymizer.soa` for the layout.
         self._soa = PyramidSoA(height)
-        #: The mutation epoch: bumped by every count-changing mutation
-        #: (a batch by its cell-changing moves), so a cache entry
-        #: stored or served at the current epoch is current unread.
+        self._counts, self._gens = self._soa.counts, self._soa.gens
         self._epoch = 0
         self.cloak_cache = CloakCache(cloak_cache_size)
 
@@ -115,7 +105,7 @@ class BasicAnonymizer(PyramidEngine):
     # ------------------------------------------------------------------
     def cell_count(self, cell: CellId) -> int:
         """The number of users currently inside ``cell``."""
-        return self._soa.count_of(cell.level, morton_of_xy(cell.ix, cell.iy))
+        return self._count_at(cell.level, morton_of_xy(cell.ix, cell.iy))
 
     # ------------------------------------------------------------------
     # Registration and location updates
@@ -192,20 +182,15 @@ class BasicAnonymizer(PyramidEngine):
         """Blur ``uid``'s current location per their privacy profile."""
         table = self.table
         slot = table.require(uid)
-        return self._cloak_row(
-            int(table.cells[slot]), int(table.ks[slot]), float(table.a_mins[slot])
+        return self._cloak_key(
+            table.cells.item(slot), table.ks.item(slot), table.a_mins.item(slot)
         )
 
     def cloak_location(self, point: Point, profile: PrivacyProfile) -> CloakedRegion:
         """Blur an arbitrary location under ``profile`` without
         registering it — used for one-shot query cloaking."""
         cell = self.grid.cell_of(point)
-        return self._cloak_row(morton_of_xy(cell.ix, cell.iy), profile.k, profile.a_min)
-
-    def _cloak_row(self, m: int, k: int, a_min: float) -> CloakedRegion:
-        return self._instrumented_cloak(
-            lambda: self._memoized((m, k, a_min)), k, a_min
-        )
+        return self._cloak_key(morton_of_xy(cell.ix, cell.iy), profile.k, profile.a_min)
 
     def cloak_many(
         self, uids: Iterable[object], unsatisfiable: CloakedRegion | None = None
@@ -237,10 +222,10 @@ class BasicAnonymizer(PyramidEngine):
             for key in dict.fromkeys(keys)
             if not (cache.capacity and cache.holds(key, epoch, self._fresh))
         ]
-        climbed: dict[_Key, Climbed | None] = {}
+        climbed: dict[CloakKey, Climbed | None] = {}
         if len(missing) >= _KERNEL_ROWS:
-            soa, columns = self._soa, map(np.array, zip(*missing))
-            results = bottom_up_cloaks(self.grid, soa.counts, soa.gens, *columns)
+            columns = map(np.array, zip(*missing))
+            results = bottom_up_cloaks(self.grid, self._counts, self._gens, *columns)
             climbed = dict(zip(missing, results))
         regions: list[Any] = []
         failure: ProfileUnsatisfiableError | None = None
@@ -260,57 +245,16 @@ class BasicAnonymizer(PyramidEngine):
             raise failure
         return regions
 
-    def _memoized(
-        self, key: _Key, climbed: Mapping[_Key, Climbed | None] | None = None
-    ) -> CloakedRegion:
-        """One row's cloak through the cache: served, or computed
-        (by the kernel already, else walked here) and stored."""
-        cache, epoch = self.cloak_cache, self._epoch
-        if cache.capacity:
-            region = cache.lookup(key, epoch, self._fresh)
-            if region is not None:
-                return region
-        region, reads = (climbed and climbed.get(key)) or self._walk(
-            *key, record=cache.capacity > 0
-        )
-        if cache.capacity:
-            cache.store(key, region, reads, epoch)
-        return region
+    def _start(self, leaf: int) -> tuple[int, int]:
+        return self.height, leaf
 
-    def _walk(self, m: int, k: int, a_min: float, record: bool) -> Climbed:
-        """:func:`bottom_up_cloak` from leaf ``m``, with (to ``record``
-        in a cache entry) the generation of every count it read."""
-        soa = self._soa
-        reads: list[int] = []
+    def _count_at(self, level: int, m: int) -> int:
+        count: int = self._counts[level].item(m)
+        return count
 
-        def count(cell: CellId) -> int:
-            at = morton_of_xy(cell.ix, cell.iy)
-            reads.append(soa.gen_of(cell.level, at))
-            return soa.count_of(cell.level, at)
-
-        region = bottom_up_cloak(
-            self.grid,
-            count if record else self.cell_count,
-            PrivacyProfile(k, a_min),
-            cell_of_morton(self.height, m),
-        )
-        return region, tuple(reads)
-
-    def _fresh(self, key: _Key, reads: tuple[int, ...]) -> bool:
-        """Whether every count an entry read still has the generation
-        recorded with it.  The cells follow from the key's leaf: per
-        level the cell, then — unless the walk settled there alone,
-        the last level only — its two neighbours."""
-        m, level = key[0], self.height
-        for first in range(0, len(reads), 3):
-            gens = self._soa.gens[level]
-            if gens[m] != reads[first] or (
-                first + 1 < len(reads)
-                and (gens[m ^ 1] != reads[first + 1] or gens[m ^ 2] != reads[first + 2])
-            ):
-                return False
-            m, level = m >> 2, level - 1
-        return True
+    def _gen_at(self, level: int, m: int) -> int:
+        gen: int = self._gens[level].item(m)
+        return gen
 
     # ------------------------------------------------------------------
     # Crash recovery (snapshot/restore of pyramid + user table)
@@ -351,7 +295,7 @@ class BasicAnonymizer(PyramidEngine):
         # user's point.
         soa, table = self._soa, self.table
         soa.check_child_sums()
-        assert soa.count_of(0, 0) == len(table)
+        assert self._count_at(0, 0) == len(table)
         assert np.array_equal(
             soa.counts[self.height],
             np.bincount(table.cells[table.active], minlength=4**self.height),

@@ -5,7 +5,8 @@ Algorithm 1 is a pure function of the start cell, the privacy profile's
 real workloads those inputs repeat constantly — every user in the same
 lowest-level cell with the same profile produces the *same* cloak, and a
 continuous monitor re-cloaks every registered user on every flush — so
-both anonymizers memoize ``bottom_up_cloak`` behind this cache.
+both anonymizers memoize ``bottom_up_cloak`` behind this cache, through
+the one memo path ``PyramidEngine._memoized``.
 
 Correctness rests on two counters:
 
@@ -28,19 +29,15 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
-from repro.anonymizer.cells import CellGrid, CellId
-from repro.anonymizer.cloak import CloakedRegion, bottom_up_cloak
-from repro.anonymizer.profile import PrivacyProfile
+from repro.anonymizer.cloak import CloakedRegion
 from repro.observability import runtime as _telemetry
 
 __all__ = ["CloakCache"]
 
-CountFn = Callable[[CellId], int]
-GenFn = Callable[[CellId], int]
 #: A host's verdict on one entry, ``(key, snapshot)``: are the
 #: generations it snapshotted all still current?  The cache never looks
 #: inside a key or a snapshot — both are the host's.
-FreshFn = Callable[[Any, tuple[Any, ...]], bool]
+FreshFn = Callable[[Any, tuple[int, ...]], bool]
 
 _EVENTS = "casper_cloak_cache_events_total"
 
@@ -49,7 +46,7 @@ class _Entry:
     __slots__ = ("region", "snapshot", "epoch")
 
     def __init__(
-        self, region: CloakedRegion, snapshot: tuple[Any, ...], epoch: int
+        self, region: CloakedRegion, snapshot: tuple[int, ...], epoch: int
     ) -> None:
         self.region = region
         self.snapshot = snapshot
@@ -57,19 +54,18 @@ class _Entry:
 
 
 class CloakCache:
-    """LRU cache of :func:`bottom_up_cloak` results.
+    """LRU store of Algorithm 1's cloaks; it computes nothing itself.
 
-    A key names ``(start cell, k, A_min)`` in the host's own terms and
-    a value remembers the cloak plus a snapshot — the host's record of
-    every pyramid counter the computation read and its generation then.
-    The complete pyramid keys on the row's numbers, ``(leaf Morton, k,
-    A_min)``, and records the generations in read order (the cells
-    follow from the leaf), whether the scalar walk or the batch kernel
-    computed the entry; the adaptive cut keys on its ``CellId`` with
-    ``(cell, generation)`` pairs, through :meth:`cloak`.  ``capacity=0``
-    disables caching entirely (every call recomputes — used by
-    benchmarks to measure the uncached path): such a cache is never
-    probed.
+    A key names ``(start, k, A_min)`` as plain numbers — the start is
+    the complete pyramid's leaf Morton code or the adaptive cut's leaf
+    key — and a value remembers the cloak plus a snapshot: the
+    generations of the counts the computation read, in read order (the
+    cells follow from the start, so a snapshot is a tuple of ints).
+    The host computes a miss (``PyramidEngine._memoized``: the scalar
+    walk or the batch kernel) and judges a snapshot (``_fresh``).
+    ``capacity=0`` disables caching entirely (every call recomputes —
+    used by benchmarks to measure the uncached path): such a cache is
+    never probed.
     """
 
     def __init__(self, capacity: int = 8192) -> None:
@@ -131,7 +127,7 @@ class CloakCache:
         self,
         key: Hashable,
         region: CloakedRegion,
-        snapshot: tuple[Any, ...],
+        snapshot: tuple[int, ...],
         epoch: int,
     ) -> None:
         """Remember the cloak a :meth:`lookup` missed, evicting the
@@ -141,40 +137,6 @@ class CloakCache:
             self._entries.popitem(last=False)
             self.evictions += 1
             _telemetry.count(_EVENTS, "eviction")
-
-    def cloak(
-        self,
-        grid: CellGrid,
-        count: CountFn,
-        gen: GenFn,
-        epoch: int,
-        profile: PrivacyProfile,
-        start: CellId,
-    ) -> CloakedRegion:
-        """Return ``bottom_up_cloak(grid, count, profile, start)``,
-        memoized under ``(start, k, A_min)`` with ``(cell, generation)``
-        tokens.
-
-        ``gen`` maps a cell to its current generation and ``epoch`` is
-        the anonymizer's mutation epoch.  Unsatisfiable profiles
-        propagate their exception and are never cached.
-        """
-        if self.capacity == 0:
-            return bottom_up_cloak(grid, count, profile, start)
-        key = (start, profile.k, profile.a_min)
-        region = self.lookup(
-            key, epoch, lambda _key, reads: all(gen(cell) == g for cell, g in reads)
-        )
-        if region is None:
-            reads: list[tuple[CellId, int]] = []
-
-            def recording(cell: CellId) -> int:
-                reads.append((cell, gen(cell)))
-                return count(cell)
-
-            region = bottom_up_cloak(grid, recording, profile, start)
-            self.store(key, region, tuple(reads), epoch)
-        return region
 
     @property
     def hit_rate(self) -> float:

@@ -120,6 +120,8 @@ class CellGrid:
             raise ValueError("bounds must have positive area")
         self.bounds = bounds
         self.height = height
+        #: :meth:`cell_area` of every level, root first, computed once.
+        self.areas = tuple(map(self.cell_area, range(height + 1)))
 
     # ------------------------------------------------------------------
     # Geometry of cells

@@ -13,11 +13,13 @@ Faithful to the paper's Algorithm 1:
    tight as possible);
 3. otherwise recurse on the parent.
 
-It is stated twice, side by side: :func:`bottom_up_cloak` walks one
-start cell through any count view — the reference — and
-:func:`bottom_up_cloaks` climbs many rows of a complete pyramid's level
-arrays a level at a time (``tests/test_cloak_cache.py`` runs them as
-twins).
+It is stated twice, side by side, in one arithmetic — a cell is its
+level and Morton code ``m``, its row and column mates ``m ^ 1`` and
+``m ^ 2``, its parent ``m >> 2``: :func:`bottom_up_cloak` walks one
+start cell through any ``count(level, m)`` view — the reference, and
+both pyramids' scalar path — and :func:`bottom_up_cloaks` climbs many
+rows of a complete pyramid's level arrays a level at a time
+(``tests/test_cloak_cache.py`` runs them as twins).
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ from repro.anonymizer.profile import PrivacyProfile
 from repro.anonymizer.soa import FloatArray, IntArray
 from repro.errors import ProfileUnsatisfiableError, UnknownUserError
 from repro.geometry import Rect
-from repro.morton import morton_decode
+from repro.morton import cell_of_morton, morton_decode
 
 __all__ = ["BatchCloaking", "CloakedRegion", "bottom_up_cloak", "bottom_up_cloaks"]
 
-CountFn = Callable[[CellId], int]
+#: ``count(level, m)``: the population of the level-``level`` cell with
+#: Morton code ``m``.
+CountFn = Callable[[int, int], int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,44 +142,46 @@ class BatchCloaking:
 
 
 def bottom_up_cloak(
-    grid: CellGrid,
-    count: CountFn,
-    profile: PrivacyProfile,
-    start: CellId,
+    grid: CellGrid, count: CountFn, level: int, m: int, k: int, a_min: float
 ) -> CloakedRegion:
-    """Run Algorithm 1 from ``start`` and return the cloaked region.
+    """Run Algorithm 1 from cell ``(level, m)`` and return the region.
 
-    ``count`` maps any cell at ``start``'s level or above to its user
-    population.  Raises :class:`ProfileUnsatisfiableError` when even the
-    root cell (the whole service area) cannot satisfy the profile — the
-    paper's precondition that ``k`` not exceed the registered population
-    and ``A_min`` not exceed the total area.
+    The start is the level-``level`` cell with Morton code ``m`` and the
+    profile is ``(k, a_min)``; ``count(level, m)`` is the user population of any cell at the start
+    level or above.  Per level the walk reads the cell's count, then —
+    unless it settles there alone — its same-parent row mate's
+    (``m ^ 1``, the low bit of ``ix``) and column mate's (``m ^ 2``, the
+    low bit of ``iy``); ``m >> 2`` is the parent.  A ``CellId`` is built
+    only for the cells it returns.  Raises
+    :class:`ProfileUnsatisfiableError` when even the root cell (the
+    whole service area) cannot satisfy the profile — the paper's
+    precondition that ``k`` not exceed the registered population and
+    ``A_min`` not exceed the total area.
     """
-    k, a_min = profile.k, profile.a_min
-    cell = start
+    areas = grid.areas
     while True:
-        cell_count = count(cell)
-        cell_area = grid.cell_area(cell.level)
+        cell_count = count(level, m)
+        cell_area = areas[level]
         if cell_count >= k and cell_area >= a_min - 1e-15:
+            cell = cell_of_morton(level, m)
             return CloakedRegion(grid.cell_rect(cell), cell_count, (cell,))
-        if cell.is_root:
+        if not level:
             raise ProfileUnsatisfiableError(
                 f"profile (k={k}, a_min={a_min}) unsatisfiable: the whole "
                 f"service area holds {cell_count} users / area {cell_area}"
             )
-        cid_h = cell.horizontal_neighbor()
-        cid_v = cell.vertical_neighbor()
-        n_h = cell_count + count(cid_h)
-        n_v = cell_count + count(cid_v)
+        n_h = cell_count + count(level, m ^ 1)
+        n_v = cell_count + count(level, m ^ 2)
         if (n_v >= k or n_h >= k) and 2.0 * cell_area >= a_min - 1e-15:
             # Prefer the combination whose population is closer to k
             # (lines 9-13 of Algorithm 1).
             if (n_h >= k and n_v >= k and n_h <= n_v) or n_v < k:
-                return CloakedRegion(
-                    grid.pair_rect(cell, cid_h), n_h, (cell, cid_h)
-                )
-            return CloakedRegion(grid.pair_rect(cell, cid_v), n_v, (cell, cid_v))
-        cell = cell.parent()
+                mate, achieved = m ^ 1, n_h
+            else:
+                mate, achieved = m ^ 2, n_v
+            cell, other = cell_of_morton(level, m), cell_of_morton(level, mate)
+            return CloakedRegion(grid.pair_rect(cell, other), achieved, (cell, other))
+        level, m = level - 1, m >> 2
 
 
 #: What one kernel row yields: the region and the generation of every
@@ -198,8 +204,7 @@ def bottom_up_cloaks(
     and ``gens[level]`` are the Morton-indexed level arrays.  All rows
     still climbing stand at one level, so a step of the loop is
     :func:`bottom_up_cloak`'s loop body for all of them — its three
-    tests, in its order, on its expressions — with ``m ^ 1`` / ``m ^ 2``
-    the same-parent row / column neighbour and ``m >> 2`` the parent.
+    tests, in its order, on its expressions, its neighbours and parent.
     Settled rows drop out: at most ``height + 1`` steps of a few dozen
     array operations, whatever the batch size.
 
@@ -217,7 +222,7 @@ def bottom_up_cloaks(
     rows = np.arange(n)
     least = a_mins - 1e-15  # a region of ``area`` is big enough: area >= least
     for level in range(height, 0, -1):
-        area = grid.cell_area(level)
+        area = grid.areas[level]
         trio = ms[:, None] ^ _TRIO  # the cell, its row mate, its column mate
         first = 3 * (height - level)
         seen[rows, first : first + 3] = gens[level][trio]
@@ -244,7 +249,7 @@ def bottom_up_cloaks(
         # profile is unsatisfiable.
         seen[rows, 3 * height] = gens[0][0]
         root = int(counts[0][0])
-        settled = rows[(root >= ks) & (grid.cell_area(0) >= least)]
+        settled = rows[(root >= ks) & (grid.areas[0] >= least)]
         level_at[settled] = 0
         k_at[settled] = root
 

@@ -13,16 +13,23 @@ the operations under which it maintains something more — counters, a
 cut, a visitor history — and adds ``cloak`` / ``cloak_location``.
 
 The engine owns no cell storage: the complete pyramid's arrays and the
-adaptive cut stay with their hosts.
+adaptive cut stay with their hosts.  It holds the one memoized
+Algorithm 1 of both pyramids (``_memoized`` / ``_fresh``), written over
+a host's ``_count_at(level, m)`` / ``_gen_at(level, m)`` reads.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.anonymizer.cache import CloakCache
-from repro.anonymizer.cells import CellGrid, CellId
-from repro.anonymizer.cloak import BatchCloaking, CloakedRegion
+from repro.anonymizer.cells import CellGrid
+from repro.anonymizer.cloak import (
+    BatchCloaking,
+    Climbed,
+    CloakedRegion,
+    bottom_up_cloak,
+)
 from repro.anonymizer.profile import PrivacyProfile
 from repro.anonymizer.soa import Population, TableSnapshot, UserTable
 from repro.anonymizer.stats import MaintenanceStats
@@ -31,6 +38,9 @@ from repro.observability import runtime as _telemetry
 from repro.utils.timer import monotonic
 
 __all__ = ["PyramidEngine"]
+
+#: A cloak-cache key: ``(leaf, k, A_min)``.
+CloakKey = tuple[int, int, float]
 
 
 class PyramidEngine(Population, BatchCloaking):
@@ -128,22 +138,84 @@ class PyramidEngine(Population, BatchCloaking):
         registering it (one-shot query cloaking); every policy's own."""
         raise NotImplementedError
 
-    def _cloak_via(
-        self,
-        cache: CloakCache,
-        count: Callable[[CellId], int],
-        gen: Callable[[CellId], int],
-        epoch: int,
-        profile: PrivacyProfile,
-        start: CellId,
-    ) -> CloakedRegion:
-        """Run Algorithm 1 from ``start`` through ``cache`` (the
-        memoized :meth:`CloakCache.cloak`), instrumented."""
+    # ------------------------------------------------------------------
+    # The one memo path of both pyramids.  A cache key is ``(leaf, k,
+    # A_min)`` in plain numbers; a pyramid names the cell ``leaf`` stands
+    # for (:meth:`_start`) and reads its counts and generations by level
+    # and Morton code (:meth:`_count_at`, :meth:`_gen_at`).
+    # ------------------------------------------------------------------
+    cloak_cache: CloakCache
+    #: Bumped by every count-changing mutation: a cache entry stored or
+    #: served at the current epoch is current unread.
+    _epoch: int
+
+    def _start(self, leaf: int) -> tuple[int, int]:
+        """The ``(level, Morton code)`` of the cell a key's leaf names."""
+        raise NotImplementedError
+
+    def _count_at(self, level: int, m: int) -> int:
+        raise NotImplementedError
+
+    def _gen_at(self, level: int, m: int) -> int:
+        raise NotImplementedError
+
+    def _cloak_key(self, leaf: int, k: int, a_min: float) -> CloakedRegion:
+        """Algorithm 1 from ``leaf`` under ``(k, a_min)``, memoized and
+        instrumented."""
         return self._instrumented_cloak(
-            lambda: cache.cloak(self.grid, count, gen, epoch, profile, start),
-            profile.k,
-            profile.a_min,
+            lambda: self._memoized((leaf, k, a_min)), k, a_min
         )
+
+    def _memoized(
+        self, key: CloakKey, climbed: Mapping[CloakKey, Climbed | None] | None = None
+    ) -> CloakedRegion:
+        """One key's cloak through the cache: served, or computed (by
+        the batch kernel already, in ``climbed``, else walked here) and
+        stored.  Unsatisfiable profiles raise and are never cached."""
+        cache, epoch = self.cloak_cache, self._epoch
+        computed = climbed.get(key) if climbed else None
+        if not cache.capacity:
+            return computed[0] if computed else self._walk(key)
+        region = cache.lookup(key, epoch, self._fresh)
+        if region is None:
+            region, reads = computed or self._recorded(key)
+            cache.store(key, region, reads, epoch)
+        return region
+
+    def _walk(self, key: CloakKey) -> CloakedRegion:
+        leaf, k, a_min = key
+        return bottom_up_cloak(self.grid, self._count_at, *self._start(leaf), k, a_min)
+
+    def _recorded(self, key: CloakKey) -> Climbed:
+        """:meth:`_walk`, with the generations of the counts it read in
+        read order: per level the cell's, its row mate's and its column
+        mate's, and at the region's level the cell's alone unless the
+        region is a pair."""
+        region = self._walk(key)
+        level, m = self._start(key[0])
+        gen = self._gen_at
+        reads: list[int] = []
+        while level > region.level:
+            reads += gen(level, m), gen(level, m ^ 1), gen(level, m ^ 2)
+            level, m = level - 1, m >> 2
+        reads.append(gen(level, m))
+        if len(region.cells) > 1:
+            reads += gen(level, m ^ 1), gen(level, m ^ 2)
+        return region, tuple(reads)
+
+    def _fresh(self, key: CloakKey, reads: tuple[int, ...]) -> bool:
+        """Whether every count an entry read still has the generation
+        recorded with it, in :meth:`_recorded`'s order."""
+        level, m = self._start(key[0])
+        gen, n = self._gen_at, len(reads)
+        for first in range(0, n, 3):
+            if gen(level, m) != reads[first] or first + 1 < n and (
+                gen(level, m ^ 1) != reads[first + 1]
+                or gen(level, m ^ 2) != reads[first + 2]
+            ):
+                return False
+            level, m = level - 1, m >> 2
+        return True
 
     def _instrumented_cloak(
         self, compute: Callable[[], CloakedRegion], k: int, a_min: float

@@ -248,13 +248,6 @@ class PyramidSoA:
             np.add.at(gens, new_idx, 1)
         return costs
 
-    # -- reads ----------------------------------------------------------
-    def count_of(self, level: int, m: int) -> int:
-        return int(self.counts[level][m])
-
-    def gen_of(self, level: int, m: int) -> int:
-        return int(self.gens[level][m])
-
     # -- canonical (side, side) grid conversions ------------------------
     def counts_grid(self) -> list[npt.NDArray[np.int64]]:
         """The counts as per-level ``(side, side)`` arrays indexed

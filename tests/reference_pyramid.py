@@ -24,7 +24,7 @@ from repro.anonymizer.profile import PrivacyProfile
 from repro.anonymizer.soa import TableSnapshot
 from repro.errors import DuplicateUserError, UnknownUserError
 from repro.geometry import Point, Rect
-from repro.morton import morton_of_cell
+from repro.morton import cell_of_morton, morton_of_cell
 
 
 @dataclass
@@ -47,6 +47,17 @@ class _ReferenceHost(PyramidEngine):
         self._users: dict = {}
         self._epoch = 0
         self.cloak_cache = CloakCache(cloak_cache_size)
+
+    def _cloak_at(self, profile: PrivacyProfile, start: CellId):
+        """The engine's memo path, the key's leaf ``(level, Morton code)``."""
+        leaf = start.level, morton_of_cell(start)
+        return self._cloak_key(leaf, profile.k, profile.a_min)
+
+    def _start(self, leaf):
+        return leaf
+
+    def _count_at(self, level: int, m: int) -> int:
+        return self.cell_count(cell_of_morton(level, m))
 
     @property
     def num_users(self) -> int:
@@ -144,16 +155,14 @@ class ReferenceBasic(_ReferenceHost, CompletePyramidMaintainer):
         return self.cloak_location(record.point, record.profile)
 
     def cloak_location(self, point: Point, profile: PrivacyProfile):
-        return self._cloak_via(
-            self.cloak_cache, self.cell_count, self._gen_of, self._epoch,
-            profile, self.grid.cell_of(point),
-        )
+        return self._cloak_at(profile, self.grid.cell_of(point))
 
     def cell_count(self, cell: CellId) -> int:
         return int(self._counts[cell.level][cell.ix, cell.iy])
 
-    def _gen_of(self, cell: CellId) -> int:
-        return int(self._gens[cell.level][cell.ix, cell.iy])
+    def _gen_at(self, level: int, m: int) -> int:
+        cell = cell_of_morton(level, m)
+        return int(self._gens[level][cell.ix, cell.iy])
 
     def _apply_cell(self, cell: CellId, delta: int) -> None:
         self._counts[cell.level][cell.ix, cell.iy] += delta
@@ -247,17 +256,12 @@ class ReferenceAdaptive(_ReferenceHost):
     def cloak_location(self, point: Point, profile: PrivacyProfile):
         return self._cloak_at(profile, self.leaf_for_point(point))
 
-    def _cloak_at(self, profile: PrivacyProfile, leaf: CellId):
-        return self._cloak_via(
-            self.cloak_cache, self.cell_count, self._gen_of, self._epoch, profile, leaf,
-        )
-
     def cell_count(self, cell: CellId) -> int:
         entry = self._cells.get(cell)
         return entry.count if entry is not None else 0
 
-    def _gen_of(self, cell: CellId) -> int:
-        return self._gens.get(cell, 0)
+    def _gen_at(self, level: int, m: int) -> int:
+        return self._gens.get(cell_of_morton(level, m), 0)
 
     def _bump(self, cell: CellId) -> None:
         self._gens[cell] = self._gens.get(cell, 0) + 1

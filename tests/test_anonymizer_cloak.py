@@ -8,13 +8,14 @@ from repro.anonymizer import CellGrid, CellId, CloakedRegion, PrivacyProfile
 from repro.anonymizer.cloak import bottom_up_cloak
 from repro.errors import ProfileUnsatisfiableError
 from repro.geometry import Rect
+from repro.morton import cell_of_morton
 
 UNIT = Rect(0, 0, 1, 1)
 
 
 def counts_from(mapping: dict[CellId, int]):
-    """A count function backed by a dict (0 for absent cells)."""
-    return lambda cell: mapping.get(cell, 0)
+    """A ``count(level, m)`` backed by a dict (0 for absent cells)."""
+    return lambda level, m: mapping.get(cell_of_morton(level, m), 0)
 
 
 def complete_counts(grid: CellGrid, leaf_counts: dict[tuple[int, int], int]):
@@ -31,7 +32,7 @@ class TestBottomUpCloak:
     def test_cell_satisfies_immediately(self):
         grid = CellGrid(UNIT, 2)
         count = complete_counts(grid, {(0, 0): 10})
-        region = bottom_up_cloak(grid, count, PrivacyProfile(k=5), CellId(2, 0, 0))
+        region = bottom_up_cloak(grid, count, 2, 0, 5, 0.0)
         assert region.cells == (CellId(2, 0, 0),)
         assert region.achieved_k == 10
         assert region.region == grid.cell_rect(CellId(2, 0, 0))
@@ -42,9 +43,7 @@ class TestBottomUpCloak:
         # k satisfied at the leaf but A_min demands at least half the
         # parent cell: the pair combination is used.
         a_min = 1.5 * grid.cell_area(2)
-        region = bottom_up_cloak(
-            grid, count, PrivacyProfile(k=5, a_min=a_min), CellId(2, 0, 0)
-        )
+        region = bottom_up_cloak(grid, count, 2, 0, 5, a_min)
         assert len(region.cells) == 2
         assert region.area == pytest.approx(2 * grid.cell_area(2))
 
@@ -61,7 +60,7 @@ class TestBottomUpCloak:
                 CellId(0, 0, 0): 11,
             }
         )
-        region = bottom_up_cloak(grid, count, PrivacyProfile(k=5), CellId(1, 0, 0))
+        region = bottom_up_cloak(grid, count, 1, 0, 5, 0.0)
         assert set(region.cells) == {CellId(1, 0, 0), CellId(1, 0, 1)}
         assert region.achieved_k == 5
 
@@ -75,7 +74,7 @@ class TestBottomUpCloak:
                 CellId(0, 0, 0): 8,
             }
         )
-        region = bottom_up_cloak(grid, count, PrivacyProfile(k=5), CellId(1, 0, 0))
+        region = bottom_up_cloak(grid, count, 1, 0, 5, 0.0)
         assert set(region.cells) == {CellId(1, 0, 0), CellId(1, 1, 0)}
 
     def test_ties_choose_horizontal(self):
@@ -89,22 +88,29 @@ class TestBottomUpCloak:
                 CellId(0, 0, 0): 9,
             }
         )
-        region = bottom_up_cloak(grid, count, PrivacyProfile(k=5), CellId(1, 0, 0))
+        region = bottom_up_cloak(grid, count, 1, 0, 5, 0.0)
         assert set(region.cells) == {CellId(1, 0, 0), CellId(1, 1, 0)}
+
+    def test_areas_within_1e_15_of_a_min_suffice(self):
+        grid = CellGrid(UNIT, 1)
+        count = counts_from({CellId(1, 0, 0): 5, CellId(0, 0, 0): 5})
+        alone = bottom_up_cloak(grid, count, 1, 0, 5, 0.25 + 1e-16)
+        pair = bottom_up_cloak(grid, count, 1, 0, 5, 0.5 + 1e-16)
+        assert len(alone.cells) == 1 and len(pair.cells) == 2
 
     def test_recursion_to_parent(self):
         grid = CellGrid(UNIT, 2)
         # Nobody near the user at level 2; population concentrated in a
         # far quadrant, so only the root satisfies k=5.
         count = complete_counts(grid, {(0, 0): 1, (3, 3): 10})
-        region = bottom_up_cloak(grid, count, PrivacyProfile(k=5), CellId(2, 0, 0))
+        region = bottom_up_cloak(grid, count, 2, 0, 5, 0.0)
         assert region.cells == (CellId(0, 0, 0),)
         assert region.region == UNIT
 
     def test_pair_region_is_rectangle_half_parent(self):
         grid = CellGrid(UNIT, 3)
         count = complete_counts(grid, {(0, 0): 1, (1, 0): 9})
-        region = bottom_up_cloak(grid, count, PrivacyProfile(k=5), CellId(3, 0, 0))
+        region = bottom_up_cloak(grid, count, 3, 0, 5, 0.0)
         assert region.area == pytest.approx(2 * grid.cell_area(3))
         assert region.region.width == pytest.approx(2 * region.region.height)
 
@@ -112,20 +118,18 @@ class TestBottomUpCloak:
         grid = CellGrid(UNIT, 1)
         count = counts_from({CellId(0, 0, 0): 3, CellId(1, 0, 0): 3})
         with pytest.raises(ProfileUnsatisfiableError):
-            bottom_up_cloak(grid, count, PrivacyProfile(k=10), CellId(1, 0, 0))
+            bottom_up_cloak(grid, count, 1, 0, 10, 0.0)
 
     def test_unsatisfiable_area_raises(self):
         grid = CellGrid(UNIT, 1)
         count = counts_from({CellId(0, 0, 0): 3, CellId(1, 0, 0): 3})
         with pytest.raises(ProfileUnsatisfiableError):
-            bottom_up_cloak(
-                grid, count, PrivacyProfile(k=1, a_min=2.0), CellId(1, 0, 0)
-            )
+            bottom_up_cloak(grid, count, 1, 0, 1, 2.0)
 
     def test_start_at_root(self):
         grid = CellGrid(UNIT, 0)
         count = counts_from({CellId(0, 0, 0): 7})
-        region = bottom_up_cloak(grid, count, PrivacyProfile(k=5), CellId(0, 0, 0))
+        region = bottom_up_cloak(grid, count, 0, 0, 5, 0.0)
         assert region.region == UNIT
 
 

@@ -20,7 +20,15 @@ local refinement at least 3x, and the candidate step out of an R-tree
 not closeness to one host's reading.
 So is the batch cloak kernel (``cloak.batch_speedup``: one
 ``cloak_many`` of a freshly invalidated population against the
-one-walk-at-a-time ``uncached_cloaks_per_second``, at least 3x).
+one-walk-at-a-time ``uncached_cloaks_per_second``).  Its floor was 3x
+while the scalar walk built a ``CellId`` per count read.  The walk now
+climbs Morton codes and runs W = 2.92x as many uncached cloaks a second
+(the ratio of the medians of ``uncached_cloaks_per_second`` over nine
+interleaved runs a side, full scale; quick read 3.60 and the smaller
+ratio is used), so the quotient's denominator grew by W and the floor
+is 3.0 / W rounded down to one decimal, 1.0x: the kernel must still
+run at about three times the old walk's rate.  A ``cloak_many`` that is
+the loop reads 0.40-0.86x quick and 0.75-1.57x full.
 So is the shard layer's price (``shard_scaling.fleet_vs_engine``, bare
 engine time / 1-shard in-process deployment time on one script): at
 least 0.5, so a second implementation of the pyramid cannot quietly
@@ -88,7 +96,7 @@ GATED_RATIOS = (
 #: (section, key, floor): same-run quotients that must stay above an
 #: absolute floor, whatever the reference reads.
 FLOORS = (
-    ("cloak", "batch_speedup", 3.0),
+    ("cloak", "batch_speedup", 1.0),
     ("candidate_codec", "collect_speedup", 1.2),
     ("candidate_codec", "decode_speedup", 10.0),
     ("candidate_codec", "refine_speedup", 3.0),

@@ -178,10 +178,20 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: session must not apply after the user rejoins), less 3 — the
 #: ``cloaks`` protocol, codec and pool tests and the ``insert_many``
 #: oracle cases were paid for by sharing set-up in tests that already
-#: existed.
+#: existed; anonymizer was re-frozen *down* (3,413 -> 3,397) once
+#: Algorithm 1's scalar walk climbed Morton codes and both pyramids
+#: shared one memo path: ``CloakCache.cloak``, ``PyramidEngine._cloak_via``,
+#: basic's own ``_memoized`` / ``_walk`` / ``_fresh``, adaptive's
+#: ``_gen_of`` and ``_areas`` and the level arrays' ``count_of`` /
+#: ``gen_of`` went; tests *up* by 17: the test that kills a walk without
+#: its ``1e-15`` area tolerance (7; every test passed that mutant
+#: before), the twins pinning the kernel threshold at 8 so that
+#: hypothesis' batches still reach the kernel once the shipped one is 24
+#: (6), and the reference pyramids' and the cache tests' port onto the
+#: integer walk (4).
 BASELINES = {
     "src/repro/analysis": 3411,
-    "src/repro/anonymizer": 3401,
+    "src/repro/anonymizer": 3397,
     "src/repro/continuous": 546,
     "src/repro/evaluation": 1263,
     "src/repro/geometry": 692,
@@ -199,7 +209,7 @@ BASELINES = {
     "src/repro/utils": 197,
     "src/repro/viz": 307,
     "src/repro/workloads": 473,
-    "tests": 15894,
+    "tests": 15911,
 }
 
 #: Allowed growth over baseline before the gate fails.
