@@ -1,21 +1,24 @@
-"""Batched execution of privacy-aware queries.
+"""The server's one door into Algorithm 2, with a memo per index version.
 
-Under grid-based cloaking many concurrent queries arrive with the *same*
-cloaked area — every user sharing a pyramid cell and profile cloaks to
-an identical rectangle — and Algorithm 2 spends most of its time on
+Under grid-based cloaking many queries arrive with the *same* cloaked
+area — every user sharing a pyramid cell and profile cloaks to an
+identical rectangle — and Algorithm 2 spends most of its time on
 per-area work (filter selection and ``A_EXT`` construction) that does
-not depend on which user asked.  :class:`BatchQueryEngine` exploits
-this and nothing else: it answers each *distinct* request exactly once
-and hands :func:`repro.processor.executor.answer` one memo per run, so
-requests that differ only in their final candidate step (the same
-cloaked area under different overlap policies) share one ``(A_EXT,
-filter oids)`` entry.  The frozen
-:class:`~repro.processor.candidate.CandidateList` objects fan back out
-in request order.
+not depend on which user asked, only on the area and the index
+contents.  :class:`BatchQueryEngine` keeps that work, one ``(A_EXT,
+filter oids)`` entry per ``(query type, area, num_filters[, k])``, in
+one memo per index, tagged with the index's
+:attr:`~repro.spatial.SpatialIndex.version`: every write moves the
+version and the next request drops the memo, and so does a memo that
+holds more entries than the index holds rows.  A single query
+(:meth:`BatchQueryEngine.answer`) and a batch (:meth:`BatchQueryEngine.run`,
+which also answers each *distinct* request exactly once and fans the
+frozen :class:`~repro.processor.candidate.CandidateList` objects back
+out in request order) share it.
 
-There is no batch implementation of any query kind: a batched request
-runs the same :func:`~repro.processor.executor.answer` as the per-query
-functions (``private_nn_over_*``, ``private_knn_over_*``,
+There is no batch implementation of any query kind: every request runs
+the same :func:`~repro.processor.executor.answer` as the memo-free
+per-query functions (``private_nn_over_*``, ``private_knn_over_*``,
 ``private_range_over_*``), phase telemetry included — a memo hit simply
 skips the phases whose work it saved.
 
@@ -32,8 +35,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.observability import runtime as _telemetry
+from repro.processor import executor
 from repro.processor.candidate import CandidateList
-from repro.processor.executor import BatchRequest, answer
+from repro.processor.executor import BatchRequest
 from repro.spatial import SpatialIndex
 from repro.utils.timer import monotonic
 
@@ -41,11 +45,12 @@ __all__ = ["BatchQueryEngine"]
 
 
 class BatchQueryEngine:
-    """Deduplicating executor for privacy-aware query batches.
+    """Memoizing, deduplicating executor for privacy-aware queries.
 
-    The engine holds only references to the server's two indexes; all
-    memoization is scoped to a single :meth:`run` call, so interleaved
-    index mutations between runs can never serve stale answers.
+    Beside references to the server's two indexes the engine holds one
+    memo per index, valid for the index version it was built at, so an
+    index written between two requests — through any of its write
+    methods — never serves a stale answer.
     """
 
     def __init__(
@@ -58,6 +63,7 @@ class BatchQueryEngine:
         # Cumulative counters for observability / benchmarks.
         self.requests_seen = 0
         self.requests_computed = 0
+        self._memos: dict[SpatialIndex, tuple[int, dict]] = {}
 
     # ------------------------------------------------------------------
     # Execution
@@ -70,17 +76,13 @@ class BatchQueryEngine:
         start = monotonic() if traced else 0.0
         computed_before = self.requests_computed
         results: dict[BatchRequest, CandidateList] = {}
-        # Valid only within this run: the indexes may mutate between runs.
-        memo: dict = {}
         out: list[CandidateList] = []
         for request in requests:
             self.requests_seen += 1
             cached = results.get(request)
             if cached is None:
                 self.requests_computed += 1
-                cached = results[request] = answer(
-                    self._index_for(request), request, memo
-                )
+                cached = results[request] = self.answer(request)
             out.append(cached)
         if traced:
             computed = self.requests_computed - computed_before
@@ -91,6 +93,15 @@ class BatchQueryEngine:
             _telemetry.observe("casper_batch_size", len(out))
             _telemetry.observe("casper_batch_seconds", monotonic() - start)
         return out
+
+    def answer(self, request: BatchRequest) -> CandidateList:
+        """One request, through the memo of its index's current version."""
+        index = self._index_for(request)
+        version, memo = self._memos.get(index, (None, {}))
+        if version != index.version or len(memo) > len(index):
+            memo = {}
+            self._memos[index] = (index.version, memo)
+        return executor.answer(index, request, memo)
 
     @property
     def dedup_rate(self) -> float:

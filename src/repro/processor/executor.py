@@ -20,10 +20,11 @@ candidates (step 4's ``x%``-overlap refinement).
 
 :func:`answer` is that pipeline over a frozen :class:`BatchRequest`;
 :func:`collect` is its last step.  The ``private_*_over_*`` functions
-are named constructions of a request, and
-:class:`~repro.processor.batch.BatchQueryEngine` is :func:`answer` under
-a per-run memo, so a query kind has exactly one implementation whichever
-door it came in through.
+are named, memo-free constructions of a request (the reference the
+figures, the benchmarks and the tests call), and
+:class:`~repro.processor.batch.BatchQueryEngine` — the server's door —
+is :func:`answer` under a memo per index version, so a query kind has
+exactly one implementation whichever door it came in through.
 """
 
 from __future__ import annotations
@@ -147,9 +148,9 @@ def answer(
     candidate list of Theorems 1-4.
 
     ``memo`` shares the per-area work — ``(A_EXT, filter oids)`` — between
-    requests that differ only in their candidate step (the same cloaked
-    area under different overlap policies).  It is valid only while
-    ``index`` does not change.
+    requests for the same cloaked area, whatever their candidate step
+    (the overlap policy).  It is valid only while ``index.version``
+    does not move.
     """
     family, data = request.query_type.split("_")
     area = request.cloaked_area

@@ -15,7 +15,6 @@ your own — can stand in for it.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Callable, Iterable
 
 from repro.geometry import Point, Rect
@@ -29,12 +28,8 @@ from repro.processor import (
     SafeRegionResult,
     naive_center_nn,
     naive_send_all,
-    private_knn_over_public,
     private_knn_with_validity,
     private_nn_over_private,
-    private_nn_over_public,
-    private_range_over_private,
-    private_range_over_public,
     public_range_count_over_private,
 )
 from repro.spatial import RTreeIndex, SpatialIndex
@@ -92,7 +87,9 @@ class LocationServer:
     def nn_public(self, cloaked_area: Rect, num_filters: int = 4) -> CandidateList:
         """Private NN query over public data (Section 5.1)."""
         _telemetry.count("casper_server_requests_total", "nn_public")
-        return private_nn_over_public(self.public_index, cloaked_area, num_filters)
+        return self.batch_engine.answer(
+            BatchRequest("nn_public", cloaked_area, num_filters=num_filters)
+        )
 
     def nn_private(
         self,
@@ -105,12 +102,19 @@ class LocationServer:
 
         ``exclude`` hides one object (typically the requester's own
         cloaked record) for the duration of the query; the store is the
-        same before and after, tie order included.
+        same before and after, tie order included.  That query runs
+        against a momentarily different index, so it bypasses the
+        engine's memo.
         """
         _telemetry.count("casper_server_requests_total", "nn_private")
         index = self.private_index
-        hiding = exclude is not None and exclude in index
-        with index.hidden(exclude) if hiding else nullcontext():
+        if exclude is None or exclude not in index:
+            return self.batch_engine.answer(
+                BatchRequest(
+                    "nn_private", cloaked_area, num_filters=num_filters, policy=policy
+                )
+            )
+        with index.hidden(exclude):
             return private_nn_over_private(index, cloaked_area, num_filters, policy)
 
     def knn_public(
@@ -118,8 +122,8 @@ class LocationServer:
     ) -> CandidateList:
         """Private kNN query over public data (snapshot form)."""
         _telemetry.count("casper_server_requests_total", "knn_public")
-        return private_knn_over_public(
-            self.public_index, cloaked_area, k, num_filters
+        return self.batch_engine.answer(
+            BatchRequest("knn_public", cloaked_area, k=k, num_filters=num_filters)
         )
 
     def knn_public_with_validity(
@@ -139,7 +143,9 @@ class LocationServer:
     def range_public(self, cloaked_area: Rect, radius: float) -> CandidateList:
         """Private range query over public data."""
         _telemetry.count("casper_server_requests_total", "range_public")
-        return private_range_over_public(self.public_index, cloaked_area, radius)
+        return self.batch_engine.answer(
+            BatchRequest("range_public", cloaked_area, radius=radius)
+        )
 
     def range_private(
         self,
@@ -149,14 +155,16 @@ class LocationServer:
     ) -> CandidateList:
         """Private range query over private data."""
         _telemetry.count("casper_server_requests_total", "range_private")
-        return private_range_over_private(
-            self.private_index, cloaked_area, radius, policy
+        return self.batch_engine.answer(
+            BatchRequest("range_private", cloaked_area, radius=radius, policy=policy)
         )
 
     def run_batch(self, requests: list[BatchRequest]) -> list[CandidateList]:
-        """Answer a batch of privacy-aware queries at once, sharing the
-        filter/extension work between requests with the same cloaked
-        area and answering duplicate requests exactly once."""
+        """Answer a batch of privacy-aware queries, each distinct one once.
+
+        The filter/extension work of an area is shared with every other
+        request, single or batched, for that area at the same index
+        version."""
         _telemetry.count("casper_server_requests_total", "run_batch")
         return self.batch_engine.run(requests)
 

@@ -119,12 +119,18 @@ class SpatialIndex(abc.ABC):
     dict iteration order; the R-tree implements it explicitly, which is
     what makes its answers byte-identical to the oracle's even under
     coincident coordinates.
+
+    :attr:`version` moves on every write (``insert_many``, ``remove``,
+    ``clear``, and on entering and leaving ``hidden``), so a reader can
+    keep work derived from the contents for as long as it reads the
+    version it built that work at.
     """
 
     def __init__(self) -> None:
         self._entries: dict[object, Rect] = {}
         self._seq: dict[object, int] = {}
         self._next_seq = 0
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Mutation
@@ -140,6 +146,7 @@ class SpatialIndex(abc.ABC):
         loop is the brute-force oracle's; the R-tree writes at once."""
         pairs = list(pairs)
         self._refuse_nan(rect for _oid, rect in pairs)
+        self.version += 1
         for oid, rect in pairs:
             if oid in self._entries:
                 self.remove(oid)
@@ -168,6 +175,7 @@ class SpatialIndex(abc.ABC):
         """Remove an entry; raises ``KeyError`` for unknown oids."""
         rect = self._entries.pop(oid)
         self._seq.pop(oid, None)
+        self.version += 1
         self._remove_impl(oid, rect)
 
     def bulk_load(self, entries: dict[object, Rect]) -> None:
@@ -181,6 +189,7 @@ class SpatialIndex(abc.ABC):
         """Drop all entries."""
         self._entries.clear()
         self._seq.clear()
+        self.version += 1
         self._clear_impl()
 
     @contextmanager

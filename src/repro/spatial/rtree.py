@@ -214,6 +214,7 @@ class RTreeIndex(SpatialIndex):
         pairs = list(pairs)
         self._refuse_nan(rect for _oid, rect in pairs)
         forms = [wire_form(oid) for oid, _rect in pairs]  # str() may raise: before writes
+        self.version += 1
         start, stop = self._n, self._n + len(pairs)
         packing = stop > self._coords.shape[1] or not self._row
         fresh: dict[object, int] = {}  # when packing: each oid's last pair, in order
@@ -264,6 +265,7 @@ class RTreeIndex(SpatialIndex):
         self._coords[:, row] = np.nan
         self._tally(row, -1)
         self._hiding += 1
+        self.version += 1  # the base class's hidden() moves it by remove / insert
         try:
             yield
         finally:
@@ -271,6 +273,7 @@ class RTreeIndex(SpatialIndex):
             self._coords[:, row] = rect.as_tuple()
             self._tally(row, 1)
             self._entries[oid], self._seq[oid] = rect, seq
+            self.version += 1
 
     # ------------------------------------------------------------------
     # Queries

@@ -3,13 +3,18 @@ per-query processor functions, for every query type and policy."""
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.errors import EmptyDatasetError
 from repro.geometry import Point, Rect
 from repro.observability import runtime as telemetry
 from repro.processor import (
-    AnyOverlap,
     BatchQueryEngine,
     BatchRequest,
     FractionOverlap,
@@ -20,9 +25,10 @@ from repro.processor import (
     private_range_over_private,
     private_range_over_public,
 )
-from repro.processor.executor import QUERY_TYPES
+from repro.processor.executor import QUERY_TYPES, answer
 from repro.server import Casper, LocationServer
-from repro.spatial import RTreeIndex
+from repro.server.codec import encode_candidate_list
+from repro.spatial import BruteForceIndex, RTreeIndex
 from tests.conftest import UNIT, random_points, random_rects
 
 
@@ -54,18 +60,13 @@ POLICY = FractionOverlap(0.25)
 #: one, the argument rows to try).  The arguments are spelled once: they
 #: are keyword arguments of both callables and BatchRequest fields.
 ENTRY_POINTS = {
-    "nn_public": (
-        private_nn_over_public, "nn_public",
-        [{"num_filters": n} for n in (1, 2, 4)],
-    ),
+    "nn_public": (private_nn_over_public, "nn_public", [{"num_filters": n} for n in (1, 2, 4)]),
     "nn_private": (
         private_nn_over_private, "nn_private",
-        [{"num_filters": n} for n in (1, 2, 4)]
-        + [{"num_filters": 4, "policy": POLICY}],
+        [{"num_filters": n} for n in (1, 2, 4)] + [{"num_filters": 4, "policy": POLICY}],
     ),
     "knn_public": (
-        private_knn_over_public, "knn_public",
-        [{"k": 5, "num_filters": n} for n in (1, 4)],
+        private_knn_over_public, "knn_public", [{"k": 5, "num_filters": n} for n in (1, 4)]
     ),
     "knn_private": (
         private_knn_over_private, None,
@@ -73,8 +74,7 @@ ENTRY_POINTS = {
     ),
     "range_public": (private_range_over_public, "range_public", [{"radius": 0.1}]),
     "range_private": (
-        private_range_over_private, "range_private",
-        [{"radius": 0.1, "policy": POLICY}],
+        private_range_over_private, "range_private", [{"radius": 0.1, "policy": POLICY}]
     ),
 }
 
@@ -83,17 +83,14 @@ def _phases_recorded(run):
     """Label sets of the processor phase histograms ``run`` touched."""
     with telemetry.enabled() as obs:
         run()
-        return {
-            metric.labels
-            for metric in obs.metrics
-            if metric.name == "casper_processor_phase_seconds"
-        }
+        return {m.labels for m in obs.metrics if m.name == "casper_processor_phase_seconds"}
 
 
 def test_batch_matches_per_query_functions(rng):
-    """Every door into the processor — the per-query function, the
-    LocationServer method, a run_batch request — gives the same
-    candidate list and times the same Algorithm 2 phases."""
+    """A run_batch request gives the per-query function's candidate
+    list; a cold server times the function's Algorithm 2 phases, and a
+    warm repeat only the candidate step.  (The LocationServer methods:
+    ``test_no_write_path_leaves_a_stale_memo``.)"""
     assert set(ENTRY_POINTS) == set(QUERY_TYPES)
     server = LocationServer()
     for oid, point in enumerate(random_points(rng, 250)):
@@ -101,24 +98,20 @@ def test_batch_matches_per_query_functions(rng):
     server.store_private(
         (f"u{oid}", rect) for oid, rect in enumerate(random_rects(rng, 250, max_side=0.05))
     )
-    areas = _areas(rng)
-    for kind, (function, method, rows) in ENTRY_POINTS.items():
-        index = (
-            server.public_index if kind.endswith("public") else server.private_index
-        )
+    for kind, (function, _method, rows) in ENTRY_POINTS.items():
+        index = server.public_index if kind.endswith("public") else server.private_index
         for arguments in rows:
+            areas = _areas(rng)  # unseen by the server's memo: a cold server
             requests = [BatchRequest(kind, area, **arguments) for area in areas]
-            batched = server.run_batch(requests)
+            single = _phases_recorded(lambda: function(index, areas[0], **arguments))
+            assert single, kind
+            batched = []
+            assert _phases_recorded(lambda: batched.extend(server.run_batch(requests))) == single
+            assert _phases_recorded(lambda: server.run_batch(requests)) == {
+                labels for labels in single if ("phase", "candidates") in labels
+            }
             for area, got in zip(areas, batched):
-                want = function(index, area, **arguments)
-                _assert_same(got, want)
-                if method is not None:
-                    _assert_same(getattr(server, method)(area, **arguments), want)
-            single_phases = _phases_recorded(
-                lambda: function(index, areas[0], **arguments)
-            )
-            assert single_phases, kind
-            assert _phases_recorded(lambda: server.run_batch(requests)) == single_phases
+                _assert_same(got, function(index, area, **arguments))
 
 
 def test_duplicate_requests_computed_once(indexes, rng):
@@ -135,29 +128,6 @@ def test_duplicate_requests_computed_once(indexes, rng):
     _assert_same(results[0], private_nn_over_public(public, area))
 
 
-def test_shared_area_different_policies_share_extension(indexes, rng):
-    public, private = indexes
-    engine = BatchQueryEngine(public, private)
-    area = _areas(rng, 1)[0]
-    loose, strict = AnyOverlap(), FractionOverlap(0.5)
-    results = engine.run(
-        [
-            BatchRequest("nn_private", area, policy=None),
-            BatchRequest("nn_private", area, policy=loose),
-            BatchRequest("nn_private", area, policy=strict),
-        ]
-    )
-    _assert_same(results[0], private_nn_over_private(private, area))
-    _assert_same(results[1], private_nn_over_private(private, area, policy=loose))
-    _assert_same(results[2], private_nn_over_private(private, area, policy=strict))
-    # All three share one A_EXT.
-    assert (
-        results[0].search_region
-        == results[1].search_region
-        == results[2].search_region
-    )
-
-
 def test_runs_are_isolated_from_index_mutations(indexes, rng):
     public, private = indexes
     engine = BatchQueryEngine(public, private)
@@ -168,6 +138,77 @@ def test_runs_are_isolated_from_index_mutations(indexes, rng):
     _assert_same(second, private_nn_over_public(public, area))
     assert "late" in second.oids()
     assert "late" not in first.oids()
+
+
+#: Every write path but ``hidden``: (index, the step's pairs, an oid it holds).
+_WRITES = {
+    "insert": lambda index, pairs, held: index.insert(*pairs[0]),
+    "insert_many": lambda index, pairs, held: index.insert_many(pairs),
+    "remove": lambda index, pairs, held: index.remove(held),
+    "clear": lambda index, pairs, held: index.clear(),
+    "bulk_load": lambda index, pairs, held: index.bulk_load(dict(pairs)),
+}
+_AREAS = (Rect(0.15, 0.15, 0.35, 0.3), Rect(0.5, 0.45, 0.7, 0.7))
+_SPOTS = st.tuples(st.integers(0, 11), st.integers(0, 9), st.integers(0, 9))
+
+
+def _outcome(call):
+    """A candidate list's wire bytes and ``A_EXT``; None for no targets."""
+    try:
+        found = call()
+    except EmptyDatasetError:
+        return None
+    return encode_candidate_list(found), found.search_region
+
+
+def _sweep(server, row, batched):
+    """Every query kind over each area, held to the memo-free executor."""
+    for area, (kind, (_function, method, rows)) in product(_AREAS, ENTRY_POINTS.items()):
+        arguments = rows[row % len(rows)]
+        request = BatchRequest(kind, area, **arguments)
+        index = server.public_index if kind.endswith("public") else server.private_index
+        if batched or method is None:
+            got = _outcome(lambda: server.run_batch([request])[0])
+        else:
+            got = _outcome(lambda: getattr(server, method)(area, **arguments))
+        assert got == _outcome(lambda: answer(index, request)), kind
+
+
+@pytest.mark.parametrize("factory", [RTreeIndex, BruteForceIndex])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    row=st.integers(0, 3),
+    start=st.lists(_SPOTS, min_size=4, max_size=12),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(sorted([*_WRITES, "hidden", "buddy"])), st.booleans(),
+            st.lists(_SPOTS, min_size=1, max_size=6), st.booleans(),
+        ),
+        max_size=16,
+    ),
+)
+def test_no_write_path_leaves_a_stale_memo(factory, row, start, steps):
+    """The server's memo outlives a request, so after any write through any
+    write path, every answer, single, batched or a buddy query (for an oid
+    held or not), must be the memo-free executor's on the same index."""
+    server = LocationServer(factory)
+    for step, public, spots, batched in [("bulk_load", p, start, False) for p in (1, 0)] + steps:
+        index = server.public_index if public else server.private_index
+        side = 0.0 if public else 0.06
+        pairs = [(oid, Rect(x / 10, y / 10, x / 10 + side, y / 10 + side)) for oid, x, y in spots]
+        held = [oid for oid, _rect in index.items()]
+        victim = held[spots[0][0] % len(held)] if held else None
+        if step == "buddy":
+            index, buddy, area = server.private_index, spots[0][0], _AREAS[public]
+            got = _outcome(lambda: server.nn_private(area, exclude=buddy))
+            with index.hidden(buddy) if buddy in index else nullcontext():
+                assert got == _outcome(lambda: answer(index, BatchRequest("nn_private", area)))
+        elif step == "hidden" and held:
+            with index.hidden(victim):
+                _sweep(server, row, batched)
+        elif step in _WRITES and (held or step != "remove"):
+            _WRITES[step](index, pairs, victim)
+        _sweep(server, row, batched)
 
 
 def test_invalid_requests_rejected(indexes):
@@ -190,13 +231,8 @@ def test_empty_batch(indexes):
 
 def test_casper_query_batch_matches_facade(rng):
     casper = Casper(UNIT, pyramid_height=6, anonymizer="basic")
-    np_rng = np.random.default_rng(7)
-    casper.add_public_targets(
-        {
-            f"station-{i}": Point(float(x), float(y))
-            for i, (x, y) in enumerate(np_rng.random((150, 2)))
-        }
-    )
+    xy = np.random.default_rng(7).random((150, 2)).tolist()
+    casper.add_public_targets({f"station-{i}": Point(x, y) for i, (x, y) in enumerate(xy)})
     from repro.anonymizer import PrivacyProfile
 
     for uid, point in enumerate(random_points(rng, 60)):
@@ -208,13 +244,10 @@ def test_casper_query_batch_matches_facade(rng):
     )
     batched = casper.query_batch(specs)
     assert len(batched) == 60
+    facade = {"nn_public": casper.query_nearest_public, "range_public": casper.query_range_public,
+              "knn_public": casper.query_k_nearest_public}
     for (uid, kind, *param), result in zip(specs, batched):
-        if kind == "nn_public":
-            single = casper.query_nearest_public(uid)
-        elif kind == "knn_public":
-            single = casper.query_k_nearest_public(uid, param[0])
-        else:
-            single = casper.query_range_public(uid, param[0])
+        single = facade[kind](uid, *param)
         assert result.candidates.items == single.candidates.items
         assert result.answer == single.answer
 

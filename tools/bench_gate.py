@@ -35,6 +35,11 @@ whatever its ``--telemetry`` flag).  A cached cloak costs a few µs
 and its telemetry ~3.8 µs more, so the quotient reads 0.33-0.43 quick
 and 0.27-0.31 full; the floor, 0.2, is telemetry grown to ~1.5x that
 price at full scale.
+So is the server's per-index-version memo (``nn_latency.warm_speedup``:
+the same areas through one ``LocationServer`` twice, the cold pass's
+time over the warm pass's, best of three servers).  It read 5.16-5.66
+quick and 4.86 full; the floor, 4.0, is the smaller reading less the
+quick runs' spread, rounded down.  Without the memo the quotient is ~1.
 So is the shard layer's price (``shard_scaling.fleet_vs_engine``, bare
 engine time / 1-shard in-process deployment time on one script): at
 least 0.5, so a second implementation of the pyramid cannot quietly
@@ -117,6 +122,7 @@ FLOORS = (
     ("candidate_codec", "decode_speedup", 10.0),
     ("candidate_codec", "refine_speedup", 3.0),
     ("shard_scaling", "fleet_vs_engine", 0.5),
+    ("nn_latency", "warm_speedup", 4.0),
 )
 
 #: (section, keys): per-shard-count hit-rate tables that must equal the
