@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 from repro.anonymizer.cache import CloakCache
-from repro.anonymizer.cells import CellGrid
+from repro.anonymizer.cells import CellGrid, CellId
 from repro.anonymizer.cloak import (
     BatchCloaking,
     Climbed,
@@ -77,6 +77,10 @@ class PyramidEngine(Population, BatchCloaking):
     @property
     def height(self) -> int:
         return self.grid.height
+
+    def cell_count(self, cell: CellId) -> int:
+        """The number of users inside ``cell``, counted off the rows."""
+        return self.users_in_rect(self.grid.cell_rect(cell))
 
     # ------------------------------------------------------------------
     # Population maintenance: the rows, and nothing else

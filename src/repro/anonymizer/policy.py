@@ -34,6 +34,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:
+    from repro.anonymizer.cells import CellId
     from repro.anonymizer.cloak import CloakedRegion
     from repro.anonymizer.profile import PrivacyProfile
     from repro.anonymizer.soa import UserTable
@@ -98,6 +99,8 @@ class CloakingPolicy(Protocol):
     def location_of(self, uid: object) -> Point: ...
 
     def users_in_rect(self, rect: Rect) -> int: ...
+
+    def cell_count(self, cell: CellId) -> int: ...
 
     def snapshot(self) -> object: ...
 

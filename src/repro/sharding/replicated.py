@@ -76,12 +76,8 @@ class ReplicatedShardedAnonymizer(ShardSurface):
         return self._inner.stats
 
     def cell_count(self, cell: CellId) -> int:
-        """Population of one grid cell.  Most wrapped policies keep no
-        cell index, so this falls back to a rect count."""
-        counter = getattr(self._inner, "cell_count", None)
-        if counter is not None:
-            return counter(cell)
-        return self._inner.users_in_rect(self.grid.cell_rect(cell))
+        """Population of one grid cell, as the wrapped policy counts it."""
+        return self._inner.cell_count(cell)
 
     def cache_stats(self) -> dict[str, int]:
         """The wrapped policy's cloak-cache counters (zeros for a

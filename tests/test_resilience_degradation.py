@@ -14,11 +14,7 @@ import random
 
 import pytest
 
-from repro.anonymizer import (
-    AdaptiveAnonymizer,
-    BasicAnonymizer,
-    PrivacyProfile,
-)
+from repro.anonymizer import PrivacyProfile, available_policies
 from repro.errors import (
     DegradedModeError,
     QueryDeliveryError,
@@ -32,71 +28,38 @@ from repro.resilience.runtime import SNAPSHOT_EVERY, STALE_GRACE_OPS, Emission
 from repro.server.casper import Casper
 from repro.server.client import MobileClient
 from repro.sharding.wire import KIND_REQUEST, encode_frame, op_move, op_register
+from tests.test_spec_machine import replay, users
 
 BOUNDS = Rect(0.0, 0.0, 1.0, 1.0)
 QUIET = FaultPlan(name="quiet", seed=0)
 K1 = PrivacyProfile(k=1)
 
 
-def make_anonymizer(kind: str):
-    return (BasicAnonymizer if kind == "basic" else AdaptiveAnonymizer)(BOUNDS, 5)
-
-
-@pytest.mark.parametrize("kind", ["basic", "adaptive"])
+@pytest.mark.parametrize("kind", available_policies())
 class TestSnapshotRestore:
+    """Spec-machine replays: every lane matches the spec after each step."""
+
     def test_restore_rolls_back_registrations_and_moves(self, kind):
-        anon = make_anonymizer(kind)
-        for i in range(10):
-            anon.register(f"u{i}", Point(0.1 + 0.05 * i, 0.5), PrivacyProfile(k=3))
-        state = anon.snapshot()
-        for i in range(5):
-            anon.register(f"extra{i}", Point(0.9, 0.9), PrivacyProfile(k=2))
-        anon.update("u0", Point(0.95, 0.95))
-        anon.deregister("u9")
-        anon.restore(state)
-        assert anon.num_users == 10
-        assert "extra0" not in anon
-        assert "u9" in anon
-        assert anon.location_of("u0") == Point(0.1, 0.5)
-        anon.check_invariants()
+        joiners = [("register", uid, Point(0.9, 0.9), PrivacyProfile(k=2)) for uid in range(10, 15)]
+        moves = [*joiners, ("update", 0, Point(0.95, 0.95)), ("deregister", 9)]
+        replay(kind, [*users(10), ("save",), ("burst", moves), ("reload",)])
 
     def test_snapshot_survives_repeated_restores(self, kind):
-        anon = make_anonymizer(kind)
-        anon.register("u0", Point(0.2, 0.2), K1)
-        state = anon.snapshot()
-        for _ in range(3):
-            anon.register("junk", Point(0.8, 0.8), K1)
-            anon.restore(state)
-            assert anon.num_users == 1
-            anon.check_invariants()
+        junk = ("register", 1, Point(0.8, 0.8), K1)
+        replay(kind, [("register", 0, Point(0.2, 0.2), K1), ("save",), *[junk, ("reload",)] * 3])
 
     def test_restore_rejects_foreign_state(self, kind):
-        anon = make_anonymizer(kind)
-        with pytest.raises(TypeError):
-            anon.restore(object())
+        assert replay(kind, [*users(3), ("restore", object())])[-1] == ("raised", TypeError)
 
     def test_restore_invalidates_the_cloak_cache(self, kind):
         """Regression: a cloak computed before ``restore`` must not be
         served from cache afterwards — the pyramid counts changed."""
-        anon = make_anonymizer(kind)
         point = Point(0.1, 0.1)
-        for i in range(6):
-            anon.register(f"u{i}", point, PrivacyProfile(k=5))
-        state = anon.snapshot()
-        before = anon.cloak("u0")
-        # Mutate: a crowd joins, so a post-restore cloak of the same
-        # (cell, profile) key could legitimately differ; then restore.
-        for i in range(20):
-            anon.register(f"crowd{i}", point, PrivacyProfile(k=2))
-        anon.cloak("u0")  # re-populate the cache against the crowd
-        anon.restore(state)
-        after = anon.cloak("u0")
-        fresh = make_anonymizer("basic" if kind == "basic" else "adaptive")
-        for i in range(6):
-            fresh.register(f"u{i}", point, PrivacyProfile(k=5))
-        oracle = fresh.cloak("u0")
-        assert after.region == oracle.region == before.region
-        assert after.achieved_k == oracle.achieved_k
+        residents = [("register", uid, point, PrivacyProfile(k=5)) for uid in range(6)]
+        crowd = [("register", uid, point, PrivacyProfile(k=2)) for uid in range(6, 26)]
+        outcomes = replay(kind, [("burst", residents), ("save",), ("cloak", 0), ("burst", crowd),
+                                 ("cloak", 0), ("reload",), ("cloak", 0)])
+        assert outcomes[-1] == outcomes[2]
 
 
 def resilient_casper(
