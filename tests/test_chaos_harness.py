@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.resilience import (
     get_scenario,
     run_chaos,
 )
+from tests.test_resilience_properties import assert_resilient
 
 SMALL = ChaosWorkload(users=10, targets=8, steps=40, continuous_queries=3)
 
@@ -23,9 +25,6 @@ class TestScenarioRegistry:
     def test_ci_scenarios_are_registered(self):
         for name in CI_SCENARIOS:
             assert name in SCENARIOS
-        assert "shard-crash" in CI_SCENARIOS
-        for name in ("shard-crash", "worker-crash", "continuous-drift"):
-            assert SCENARIOS[name].shard_crash_period > 0, name
 
     def test_get_scenario_reseeds_without_mutating_the_registry(self):
         plan = get_scenario("drop-heavy", seed=999)
@@ -59,6 +58,20 @@ class TestWorkloadValidation:
 
 
 class TestRunChaos:
+    """Hand-picked cases of the fault rule (``assert_resilient``), each
+    also held to the SLO gate."""
+
+    def test_calm_plan_matches_the_baseline_exactly(self):
+        assert assert_resilient(SMALL, get_scenario("calm")).ok
+
+    @pytest.mark.parametrize("name", CI_SCENARIOS)
+    def test_ci_scenarios_never_violate_privacy(self, name):
+        assert assert_resilient(SMALL, get_scenario(name)).ok
+
+    def test_report_is_byte_deterministic(self):
+        plan = get_scenario("flaky-everything")
+        assert assert_resilient(SMALL, plan).to_json() == run_chaos(plan, SMALL).to_json()
+
     def test_fault_counter_tallies_the_trace_on_the_worker_pipes(self, monkeypatch):
         """Every fault lands in ``casper_faults_injected_total`` under its
         kind and channel class, those injected on the worker pipes too."""
@@ -95,6 +108,14 @@ class TestRunChaos:
             "drop", "duplicate", "delay", "reorder", "corrupt",
             "crash", "shard_crash", "state_loss",
         }
+        assert payload["slo"]["queries_total"] == (
+            payload["slo"]["queries_answered"] + payload["slo"]["queries_degraded"]
+        )
+
+    def test_both_anonymizers_survive_chaos(self):
+        for kind in ("basic", "adaptive"):
+            workload = replace(SMALL, anonymizer=kind)
+            assert assert_resilient(workload, get_scenario("crash-restart")).ok, kind
 
 
 class TestChaosCli:

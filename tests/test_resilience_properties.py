@@ -8,8 +8,11 @@ Section 4's contract: faults degrade availability, never privacy
 spans its whole domain.  On the fleet the plan is a named scenario under
 a drawn seed: heavier wire faults there deadlock the parent and a worker
 on their duplex pipe, or raise an untyped ``RuntimeError``, transport
-failures recorded, not fixed, while the fleet's future is open.  The
-examples are the hand-picked chaos cases the rule replaced.
+failures recorded, not fixed, while the fleet's future is open.  A
+sibling property holds the same draws to byte-identical reruns, and the
+hand-picked chaos cases in ``test_chaos_harness.py`` and
+``test_sharding_chaos.py`` run the rule's check, ``assert_resilient``,
+at their own shapes.
 """
 
 from __future__ import annotations
@@ -22,14 +25,11 @@ from hypothesis import strategies as st
 from repro.anonymizer import available_policies
 from repro.observability import enabled
 from repro.resilience import (
-    SCENARIOS, ChaosWorkload, FaultInjector, FaultPlan, get_scenario, run_chaos,
+    SCENARIOS, ChaosReport, ChaosWorkload, FaultInjector, FaultPlan, get_scenario,
+    run_chaos,
 )
 
 TINY = ChaosWorkload(users=8, targets=6, steps=24, continuous_queries=2)
-#: The shapes the replaced hand-picked cases ran at.
-SMALL = ChaosWorkload(users=10, targets=8, steps=40, continuous_queries=3)
-SHAPE = ChaosWorkload(users=16, targets=10, steps=120, continuous_queries=3)
-WIRE = ChaosWorkload(users=10, targets=8, steps=60, continuous_queries=3)
 #: ``(shards, parallel)``: unsharded, in process, on the worker fleet.
 LANES = [(1, False), (4, False), (4, True)]
 
@@ -57,7 +57,7 @@ def chaos_cases(draw: st.DrawFn) -> tuple[ChaosWorkload, FaultPlan]:
     return replace(TINY, **knobs), draw(plans)
 
 
-def case(scenario: str, workload: ChaosWorkload = SMALL, **knobs: object) -> tuple:
+def case(scenario: str, workload: ChaosWorkload, **knobs: object) -> tuple:
     """A named scenario at its default seed on ``workload`` with ``knobs``."""
     return replace(workload, **knobs), get_scenario(scenario)
 
@@ -70,37 +70,14 @@ def counted(session: object, name: str, **labels: str) -> float:
     )
 
 
-@settings(max_examples=40, print_blob=True)
-@given(case=chaos_cases())
-# ``python -m repro chaos --scenario crash-restart --anonymizer clique``:
-# the escalation rung on a policy with no cell index of its own.
-@example(case=case("crash-restart", ChaosWorkload(), anonymizer="clique"))
-@example(case=case("calm"))
-@example(case=case("flaky-everything"))
-@example(case=case("crash-restart", anonymizer="basic"))
-@example(case=case("drop-heavy", SHAPE, shards=4, anonymizer="basic"))
-@example(case=case("crash-restart", SHAPE, shards=4, anonymizer="basic"))
-@example(case=case("shard-crash", SHAPE))
-@example(case=case("shard-crash", SHAPE, shards=4, anonymizer="basic"))
-@example(case=case("shard-crash", SHAPE, shards=4))
-@example(case=case("shard-crash", SHAPE, shards=4, parallel=True))
-@example(case=case("drop-heavy", WIRE, shards=4, parallel=True))
-@example(case=case("reorder", WIRE, shards=4, parallel=True))
-@example(case=case("continuous-drift", WIRE, shards=4, parallel=True))
-@example(case=case("flaky-everything", WIRE, shards=4, parallel=True))
-@example(case=case("drop-heavy"))
-@example(case=case("crash-restart"))
-@example(case=case("reorder"))
-@example(case=case("shard-crash"))
-@example(case=case("continuous-drift"))
-def test_any_fault_plan_degrades_availability_never_privacy(case):
-    workload, plan = case
+def assert_resilient(workload: ChaosWorkload, plan: FaultPlan) -> ChaosReport:
+    """Run ``plan`` over ``workload`` and hold the report to the rule's
+    contract; the named chaos cases call it at their own shapes."""
     with enabled() as session:
         report = run_chaos(plan, workload)
     assert report.privacy_violations == 0
     slo = report.slo
     assert slo["queries_answered"] + slo["queries_degraded"] == slo["queries_total"]
-    assert run_chaos(plan, workload).to_json() == report.to_json()
     if plan.is_quiet:  # exactly the fault-free baseline
         assert report.runtime["faults_injected"] == slo["update_failures"] == 0
         assert slo["match_ratio"] == slo["availability"] == 1.0
@@ -111,6 +88,27 @@ def test_any_fault_plan_degrades_availability_never_privacy(case):
     assert report.runtime["counters"]["worker_crashes"] == healed
     assert counted(session, "casper_recoveries_total", kind="restore") == restored
     assert counted(session, "casper_worker_events_total", event="timeout") == 0
+    return report
+
+
+@settings(max_examples=40, print_blob=True)
+@given(case=chaos_cases())
+# ``python -m repro chaos --scenario crash-restart --anonymizer clique``:
+# the escalation rung on a policy with no cell index of its own.
+@example(case=case("crash-restart", ChaosWorkload(), anonymizer="clique"))
+def test_any_fault_plan_degrades_availability_never_privacy(case):
+    assert_resilient(*case)
+
+
+@settings(max_examples=20, print_blob=True)
+@given(case=chaos_cases())
+def test_same_seed_reproduces_the_report_byte_for_byte(case):
+    """The rule's draws, run twice: the first under telemetry, so
+    telemetry does not perturb the report either."""
+    workload, plan = case
+    with enabled():
+        first = run_chaos(plan, workload).to_json()
+    assert run_chaos(plan, workload).to_json() == first
 
 
 @settings(max_examples=20)
